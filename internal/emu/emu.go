@@ -8,6 +8,7 @@ package emu
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 
 	"crisp/internal/isa"
 	"crisp/internal/program"
@@ -31,128 +32,137 @@ const (
 	pageMask  = pageSize - 1
 
 	// pcacheSize is the direct-mapped page-translation cache in front of
-	// the pages map. Must be a power of two.
+	// the page tables. Must be a power of two.
 	pcacheSize = 64
 	pcacheMask = pcacheSize - 1
 )
 
+// page is one page of backing storage.
+type page = [pageSize]byte
+
 // Memory is a sparse, paged byte-addressable memory. The zero value is
 // ready to use. Reads of unbacked addresses return zero.
 //
-// Page translation is served by a last-page register and a small
-// direct-mapped cache before falling back to the map, so the common
-// sequential- and strided-access cases skip hashing entirely. Pages are
-// never deallocated, so cached translations need no invalidation.
+// A memory is a frozen base page table plus a private overlay. The base
+// (map and pages alike) is shared with every fork and never mutated once
+// it is shared; the overlay holds the pages this memory has written since
+// its last fork and shadows the base. Snapshot folds the overlay into a
+// new base and hands the fork a pointer to it, so forking a clean memory
+// — a checkpoint image, a workload's pristine image — is O(1) and needs
+// no lock, and checkpointed state stays pristine while the emulator and
+// restored runs keep executing.
 //
-// Snapshot forks the memory copy-on-write: after a snapshot both sides
-// share page storage, and the first write to a shared page (on either
-// side) copies it first, so checkpointed state stays pristine while the
-// fast-forwarding emulator and restored runs keep executing.
+// Page translation is served by a last-page register per direction and a
+// small direct-mapped cache whose tags carry a writable bit, so the
+// common sequential- and strided-access cases skip hashing entirely and
+// a store to an already-private page never consults a map. Pages are
+// never deallocated; a translation changes only when a store privatises
+// the page (pageW refreshes it) or a fork freezes it (Snapshot clears the
+// writable bits).
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	base map[uint64]*page // frozen: shared with forks
+	own  map[uint64]*page // private: written since the last fork
 
-	// cow marks pages shared with a snapshot: they must be copied before
-	// the first write. Nil/empty for memories that were never forked, so
-	// the write path pays only a len check.
-	cow map[uint64]struct{}
+	lastPN, lastWPN uint64 // last page read, last page written
+	lastPg, lastWPg *page
 
-	lastPN uint64
-	lastPg *[pageSize]byte
-
-	pcachePN [pcacheSize]uint64 // pn+1; 0 = invalid
-	pcachePg [pcacheSize]*[pageSize]byte
+	pcacheTag [pcacheSize]uint64 // (pn+1)<<1 | writable; 0 = invalid
+	pcachePg  [pcacheSize]*page
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory { return &Memory{pages: make(map[uint64]*[pageSize]byte)} }
+func NewMemory() *Memory { return &Memory{own: make(map[uint64]*page)} }
 
-// Snapshot forks the memory copy-on-write and returns the fork. Page
-// storage is shared until either side writes a shared page, which copies
-// it first. The snapshot is immediately usable (and itself snapshotable:
-// checkpoint restore snapshots the checkpointed image once per run).
+// Snapshot forks the memory copy-on-write and returns the fork. Both
+// sides share every page until one of them writes it, which copies it
+// into that side's overlay first. The fork is immediately usable and
+// itself forkable.
 //
-// Concurrency: a memory whose pages are all already marked shared — any
-// memory returned by Snapshot, as long as it has not been written or
-// executed since — is not mutated here, so concurrent Snapshot calls on
-// the same pristine checkpoint image are safe.
+// A clean memory (nothing written since it was forked, decoded or last
+// snapshotted) is not mutated: the fork costs one allocation whatever the
+// page count, and concurrent Snapshot calls on one clean memory are safe.
+// A dirty memory first builds one merged table, O(resident pages).
 func (m *Memory) Snapshot() *Memory {
-	cl := &Memory{
-		pages: make(map[uint64]*[pageSize]byte, len(m.pages)),
-		cow:   make(map[uint64]struct{}, len(m.pages)),
-	}
-	for pn, p := range m.pages {
-		cl.pages[pn] = p
-		cl.cow[pn] = struct{}{}
-	}
-	for pn := range m.pages {
-		if _, shared := m.cow[pn]; !shared {
-			if m.cow == nil {
-				m.cow = make(map[uint64]struct{}, len(m.pages))
-			}
-			m.cow[pn] = struct{}{}
+	if len(m.own) != 0 {
+		m.base, m.own, m.lastWPg = m.table(), nil, nil
+		for i := range m.pcacheTag {
+			m.pcacheTag[i] &^= 1
 		}
 	}
-	return cl
+	return &Memory{base: m.base}
 }
 
-func (m *Memory) page(addr uint64, alloc bool) *[pageSize]byte {
+// table returns the whole page table: the base itself when the memory is
+// clean, else a merged copy. Callers must not mutate it.
+func (m *Memory) table() map[uint64]*page {
+	if len(m.own) == 0 {
+		return m.base
+	}
+	t := make(map[uint64]*page, len(m.base)+len(m.own))
+	maps.Copy(t, m.base)
+	maps.Copy(t, m.own)
+	return t
+}
+
+// page resolves addr's page for reading; nil if unbacked (not cached: the
+// page may be allocated later and the cached nil would go stale).
+func (m *Memory) page(addr uint64) *page {
 	pn := addr >> pageShift
 	if m.lastPg != nil && m.lastPN == pn {
 		return m.lastPg
 	}
 	idx := pn & pcacheMask
-	if m.pcachePN[idx] == pn+1 {
-		p := m.pcachePg[idx]
-		m.lastPN, m.lastPg = pn, p
-		return p
-	}
-	p := m.pages[pn]
-	if p == nil {
-		if !alloc {
-			// Unbacked reads are not cached: the page may be allocated
-			// later and the cached nil would go stale.
-			return nil
+	p := m.pcachePg[idx]
+	if m.pcacheTag[idx]>>1 != pn+1 {
+		w := uint64(1)
+		if p = m.own[pn]; p == nil {
+			if p = m.base[pn]; p == nil {
+				return nil
+			}
+			w = 0
 		}
-		p = new([pageSize]byte)
-		if m.pages == nil {
-			m.pages = make(map[uint64]*[pageSize]byte)
-		}
-		m.pages[pn] = p
+		m.pcacheTag[idx], m.pcachePg[idx] = (pn+1)<<1|w, p
 	}
-	m.pcachePN[idx], m.pcachePg[idx] = pn+1, p
 	m.lastPN, m.lastPg = pn, p
 	return p
 }
 
-// pageW resolves addr's page for writing, copying it first if it is
-// shared with a snapshot. Memories that were never forked pay only the
-// len(m.cow) check. The copy refreshes any cached translations so stale
-// shared-page pointers can never be written through.
-func (m *Memory) pageW(addr uint64) *[pageSize]byte {
-	if len(m.cow) != 0 {
-		pn := addr >> pageShift
-		if _, shared := m.cow[pn]; shared {
-			np := new([pageSize]byte)
-			*np = *m.pages[pn]
-			m.pages[pn] = np
-			delete(m.cow, pn)
-			if idx := pn & pcacheMask; m.pcachePN[idx] == pn+1 {
-				m.pcachePg[idx] = np
-			}
-			if m.lastPg != nil && m.lastPN == pn {
-				m.lastPg = np
-			}
-			return np
-		}
+// pageW resolves addr's page for writing. Only a store's first touch of a
+// page since the last fork reaches the maps: it allocates the page, or
+// copies the frozen one into the overlay, and repoints the read
+// translations so no stale shared pointer is read after the write.
+func (m *Memory) pageW(addr uint64) *page {
+	pn := addr >> pageShift
+	if m.lastWPg != nil && m.lastWPN == pn {
+		return m.lastWPg
 	}
-	return m.page(addr, true)
+	idx := pn & pcacheMask
+	p := m.pcachePg[idx]
+	if m.pcacheTag[idx] != (pn+1)<<1|1 {
+		if p = m.own[pn]; p == nil {
+			p = new(page)
+			if b := m.base[pn]; b != nil {
+				*p = *b
+			}
+			if m.own == nil {
+				m.own = make(map[uint64]*page)
+			}
+			m.own[pn] = p
+			if m.lastPN == pn {
+				m.lastPg = p
+			}
+		}
+		m.pcacheTag[idx], m.pcachePg[idx] = (pn+1)<<1|1, p
+	}
+	m.lastWPN, m.lastWPg = pn, p
+	return p
 }
 
 // ReadWord reads the 8-byte little-endian word at addr (may straddle a
 // page boundary).
 func (m *Memory) ReadWord(addr uint64) int64 {
 	if off := addr & pageMask; off <= pageSize-8 {
-		p := m.page(addr, false)
+		p := m.page(addr)
 		if p == nil {
 			return 0
 		}
@@ -217,7 +227,7 @@ func (m *Memory) ReadWords(addr uint64, dst []int64) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if p := m.page(addr, false); p == nil {
+		if p := m.page(addr); p == nil {
 			for i := 0; i < n; i++ {
 				dst[i] = 0
 			}
@@ -232,7 +242,7 @@ func (m *Memory) ReadWords(addr uint64, dst []int64) {
 }
 
 func (m *Memory) readByte(addr uint64) byte {
-	p := m.page(addr, false)
+	p := m.page(addr)
 	if p == nil {
 		return 0
 	}
@@ -244,7 +254,7 @@ func (m *Memory) writeByte(addr uint64, b byte) {
 }
 
 // Pages returns the number of resident pages (for footprint reporting).
-func (m *Memory) Pages() int { return len(m.pages) }
+func (m *Memory) Pages() int { return len(m.table()) }
 
 // Emulator executes a program functionally, one instruction per Step.
 type Emulator struct {

@@ -2,7 +2,7 @@ package emu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"crisp/internal/codec"
 )
@@ -16,13 +16,13 @@ import (
 // rebuilds the sharing: memories that referenced one page array reference
 // one page array again.
 type PageDict struct {
-	index map[*[pageSize]byte]uint32 // encode side: identity -> index
-	pages []*[pageSize]byte
+	index map[*page]uint32 // encode side: identity -> index
+	pages []*page
 }
 
 // NewPageDict returns an empty dictionary for encoding.
 func NewPageDict() *PageDict {
-	return &PageDict{index: make(map[*[pageSize]byte]uint32)}
+	return &PageDict{index: make(map[*page]uint32)}
 }
 
 // Len returns the number of distinct pages collected so far.
@@ -33,14 +33,15 @@ func (d *PageDict) Len() int { return len(d.pages) }
 // d. The caller emits d's pages (EncodePages) ahead of the page tables in
 // the final stream so decoding is single-pass.
 func (m *Memory) EncodeState(w *codec.Writer, d *PageDict) {
-	pns := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
+	pages := m.table()
+	pns := make([]uint64, 0, len(pages))
+	for pn := range pages {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	w.U64(uint64(len(pns)))
 	for _, pn := range pns {
-		p := m.pages[pn]
+		p := pages[pn]
 		idx, ok := d.index[p]
 		if !ok {
 			idx = uint32(len(d.pages))
@@ -79,19 +80,16 @@ func DecodePageDict(r *codec.Reader) (*PageDict, error) {
 
 // DecodeMemory reconstructs one memory from its page table, resolving
 // dict indices through d so memories that shared a page on the encode
-// side share it again. Every page is marked copy-on-write, making the
-// result behave like a fresh Snapshot: pristine until written, and safe
-// for concurrent Snapshot calls (restore's per-window fork).
+// side share it again. The page table becomes the memory's frozen base,
+// making the result behave like a fresh Snapshot: pristine until written,
+// and safe for concurrent Snapshot calls (restore's per-window fork).
 func DecodeMemory(r *codec.Reader, d *PageDict) (*Memory, error) {
 	n := r.U64()
 	const entrySize = 12 // u64 page number + u32 dict index
 	if max := uint64(r.Remaining() / entrySize); n > max {
 		return nil, fmt.Errorf("emu: page table claims %d entries, only %d encoded", n, max)
 	}
-	m := &Memory{
-		pages: make(map[uint64]*[pageSize]byte, n),
-		cow:   make(map[uint64]struct{}, n),
-	}
+	m := &Memory{base: make(map[uint64]*page, n)}
 	for i := uint64(0); i < n; i++ {
 		pn := r.U64()
 		idx := r.U32()
@@ -101,8 +99,7 @@ func DecodeMemory(r *codec.Reader, d *PageDict) (*Memory, error) {
 		if int(idx) >= len(d.pages) {
 			return nil, fmt.Errorf("emu: page dict index %d out of range (%d pages)", idx, len(d.pages))
 		}
-		m.pages[pn] = d.pages[idx]
-		m.cow[pn] = struct{}{}
+		m.base[pn] = d.pages[idx]
 	}
 	return m, nil
 }

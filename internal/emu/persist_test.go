@@ -66,8 +66,8 @@ func TestPageDictSharing(t *testing.T) {
 		t.Errorf("write to decoded snap1 leaked into snap2: page 1 = %d", got)
 	}
 
-	// All pages are marked shared, so Snapshot performs no map writes on
-	// the decoded memory (restore relies on this for concurrency) and the
+	// A decoded memory that has not been written is clean, so Snapshot
+	// does not mutate it (restore relies on this for concurrency) and the
 	// fork reads identically.
 	fork := d2.Snapshot()
 	if got := fork.ReadWord(0); got != 999 {

@@ -37,9 +37,10 @@ type Image struct {
 
 // withProg returns a shallow copy of the Image running program p in place
 // of img's program (used to swap in a critical-tagged clone). The memory
-// and register map are shared, NOT copied: a run consumes its image's
+// and register map are shared, NOT forked: a run consumes its image's
 // memory state, so the original and the copy cannot both be simulated —
-// build a fresh Image per run.
+// take one image per run (workload.Build hands out an O(1) fork each
+// call).
 func (img *Image) withProg(p *program.Program) *Image {
 	return &Image{Prog: p, Mem: img.Mem, Regs: img.Regs}
 }
@@ -413,8 +414,9 @@ const DefaultAnalysisTraceLimit uint64 = 1 << 21
 
 // AnalyzeTrain runs the profiling pass and trace capture on a train image
 // pair and returns the CRISP analysis. trainProfile and trainTrace must be
-// two independently built images of the same workload variant (each run
-// consumes its image's memory state).
+// two images of the same workload variant that share no writable memory
+// — two workload.Build calls — since each run consumes its image's memory
+// state.
 func AnalyzeTrain(trainProfile, trainTrace *Image, cfg Config, opts crisp.Options) *Pipeline {
 	prof := Run(trainProfile, cfg.WithSched(core.SchedOldestFirst))
 	limit := cfg.Core.MaxInsts

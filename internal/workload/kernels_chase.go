@@ -19,7 +19,7 @@ func init() {
 		Pathology: "Fig 1 µbench: serial pointer chase behind vector work; " +
 			"expect a visible UPC sawtooth for OOO and a flattened, higher " +
 			"curve for CRISP.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("pointerchase", v)))
 			nodes := sizes(20000, 40000, v)
 			const elems = 32
@@ -52,7 +52,7 @@ func init() {
 		Name: "mcf",
 		Pathology: "multi-chain pointer chase (MLP): CRISP's largest-gain " +
 			"class; IBDA captures it partially (register-only slices suffice).",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("mcf", v)))
 			nodes := sizes(16000, 32000, v)
 			const chains, elems = 4, 64
@@ -97,7 +97,7 @@ func init() {
 		Name: "omnetpp",
 		Pathology: "two pointer chases with a data-dependent direction " +
 			"branch: load slices dominate, with a secondary branch-slice gain.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("omnetpp", v)))
 			nodes := sizes(12000, 24000, v)
 			const elems = 48
@@ -151,7 +151,7 @@ func init() {
 		Name: "xalancbmk",
 		Pathology: "encoded pointer chase (decode slice of 3 ops per hop): " +
 			"slice prioritization compounds per hop.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("xalancbmk", v)))
 			nodes := sizes(12000, 24000, v)
 			const elems, mask = 48, int64(0x5a5a)
@@ -194,7 +194,7 @@ func init() {
 		Name: "moses",
 		Pathology: "many distinct long probe slices: exceeds IBDA's IST; " +
 			"large unique-critical-instruction count (Fig 11).",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("moses", v)))
 			buckets := sizes(1<<14, 1<<15, v)
 			const sites, elems = 4, 32
@@ -274,7 +274,7 @@ func init() {
 		Name: "memcached",
 		Pathology: "hash-chain walk with unpredictable early-exit compare: " +
 			"load+branch slice synergy (Fig 8 class).",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("memcached", v)))
 			buckets := sizes(1<<12, 1<<13, v)
 			const elems = 24
@@ -353,7 +353,7 @@ func init() {
 		Name: "gcc",
 		Pathology: "many distinct small chase sites: large unique critical " +
 			"footprint, moderate per-site gain.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("gcc", v)))
 			nodes := sizes(8000, 16000, v)
 			const phases, elems = 6, 48

@@ -22,7 +22,7 @@ func init() {
 		Pathology: "latency-critical service loop: serial chase with minimal " +
 			"overlap work; co-located batch traffic degrades it through the " +
 			"shared LLC and DRAM bank/bus queues.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("tailchase", v)))
 			// 0.5/0.75 MiB of 64B nodes: fits the 1 MiB LLC solo, so the
 			// chase hits the LLC when alone and misses to DRAM only when a
@@ -63,7 +63,7 @@ func init() {
 		Pathology: "high-bandwidth streaming batch: line-stride load+store " +
 			"sweeps with high MLP; thrashes the shared LLC and saturates the " +
 			"DRAM bus without being latency-sensitive itself.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("streambatch", v)))
 			const streams, elems = 4, 8
 			span := sizes(1<<21, 1<<22, v) // bytes per stream

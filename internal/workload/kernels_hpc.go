@@ -18,7 +18,7 @@ func init() {
 		Name: "bwaves",
 		Pathology: "high-MPKI, high-MLP strided misses: CRISP declines to " +
 			"tag (MLP >= 5), IBDA mis-tags and can lose performance.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("bwaves", v)))
 			const streams, elems = 8, 16
 			span := sizes(1<<22, 1<<23, v) // bytes per stream
@@ -71,7 +71,7 @@ func init() {
 		Name: "cactus",
 		Pathology: "chain + boundary branch guarding a dependent gather: " +
 			"load/branch slice synergy.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("cactus", v)))
 			cells := sizes(1<<14, 1<<15, v)
 			const elems = 40
@@ -121,7 +121,7 @@ func init() {
 		Name: "deepsjeng",
 		Pathology: "unpredictable eval-driven branches with load-fed " +
 			"condition slices; branch slices alone help >3%.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("deepsjeng", v)))
 			table := sizes(1<<15, 1<<16, v)
 			const elems = 32
@@ -168,7 +168,7 @@ func init() {
 		Name: "fotonik",
 		Pathology: "indirect gather with shuffled indices: short slices; " +
 			"IBDA over-tags (no critical-path filter).",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("fotonik", v)))
 			n := sizes(1<<16, 1<<17, v)
 			const elems = 48
@@ -225,7 +225,7 @@ func init() {
 		Name: "lbm",
 		Pathology: "chain loads feeding hard-to-predict type branches: " +
 			"branch slices unlock load-slice gains (Fig 8 synergy).",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("lbm", v)))
 			cells := sizes(1<<14, 1<<15, v)
 			const chains, elems = 2, 40
@@ -270,7 +270,7 @@ func init() {
 		Name: "nab",
 		Pathology: "FP cutoff branch with long-latency condition chain: " +
 			"branch-slice-only gains.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("nab", v)))
 			atoms := sizes(1<<12, 1<<13, v)
 			const elems = 32
@@ -313,7 +313,7 @@ func init() {
 		Name: "namd",
 		Pathology: "gather addresses passed through memory: CRISP slices " +
 			"them, register-only IBDA misses them.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("namd", v)))
 			atoms := sizes(1<<15, 1<<16, v)
 			const elems = 40
@@ -361,7 +361,7 @@ func init() {
 		Name: "perlbench",
 		Pathology: "long hash-mix slices at many sites: critical-path " +
 			"filtering matters; IBDA over-selects.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("perlbench", v)))
 			buckets := sizes(1<<14, 1<<15, v)
 			const sites, elems = 4, 32
@@ -432,7 +432,7 @@ func init() {
 		Name: "xhpcg",
 		Pathology: "CSR SpMV gathers: window-size-sensitive CRISP gains " +
 			"(Figure 9).",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("xhpcg", v)))
 			n := sizes(1<<15, 1<<16, v)
 			const nnzPerRow, elems = 4, 40
@@ -487,7 +487,7 @@ func init() {
 		Name: "imgdnn",
 		Pathology: "compute-bound MACs with minor irregular lookups: " +
 			"small CRISP gains.",
-		Build: func(v Variant) *sim.Image {
+		build: func(v Variant) *sim.Image {
 			r := rand.New(rand.NewSource(seedFor("imgdnn", v)))
 			table := sizes(1<<8, 1<<9, v)
 			const elems = 64

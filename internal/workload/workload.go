@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"crisp/internal/emu"
 	"crisp/internal/isa"
@@ -45,9 +46,34 @@ type Workload struct {
 	// Pathology documents which paper-reported behaviour the kernel
 	// models and what result shape is expected.
 	Pathology string
-	// Build constructs a fresh image for the variant. Each returned image
-	// may be consumed by exactly one run.
-	Build func(v Variant) *sim.Image
+	// build constructs the variant's image from scratch. It must be a
+	// pure function of v; Build calls it at most once per variant.
+	build func(v Variant) *sim.Image
+
+	once     sync.Once
+	pristine [2]func() *sim.Image // indexed by Variant: the memoised image every Build forks
+}
+
+// Build returns a fresh image for the variant, to be consumed by exactly
+// one run. The variant's pristine image is constructed once per process,
+// on first use, and kept for the life of the process; every call returns
+// a copy-on-write fork of it — the shared program and register map, which
+// runs only read, and an O(1) emu.Memory.Snapshot whose writes stay
+// private to the fork. The pristine image itself is never executed, so
+// concurrent Builds need no lock. A kernel constructor that panics
+// panics again on every Build of that variant.
+func (w *Workload) Build(v Variant) *sim.Image {
+	w.once.Do(func() {
+		for i := range w.pristine {
+			w.pristine[i] = sync.OnceValue(func() *sim.Image {
+				img := w.build(Variant(i))
+				img.Mem = img.Mem.Snapshot() // freeze: later forks do not mutate it
+				return img
+			})
+		}
+	})
+	img := w.pristine[v]()
+	return &sim.Image{Prog: img.Prog, Mem: img.Mem.Snapshot(), Regs: img.Regs}
 }
 
 var registry []*Workload

@@ -1,8 +1,13 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"crisp/internal/codec"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/emu"
@@ -68,13 +73,100 @@ func TestTrainAndRefShareProgram(t *testing.T) {
 	}
 }
 
-func TestBuildsAreDeterministic(t *testing.T) {
-	w := ByName("mcf")
-	a, b := w.Build(Ref), w.Build(Ref)
-	for r, v := range a.Regs {
-		if b.Regs[r] != v {
-			t.Errorf("nondeterministic reg %v: %d vs %d", r, v, b.Regs[r])
+// TestBuildPanicIsSticky: a kernel constructor that panics must panic on
+// every Build of that variant, never hand a later caller a nil pristine
+// image to dereference.
+func TestBuildPanicIsSticky(t *testing.T) {
+	w := &Workload{Name: "broken", build: func(Variant) *sim.Image { panic("kernel bug") }}
+	for i := 0; i < 3; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "kernel bug" {
+					t.Errorf("Build #%d recovered %v, want the constructor's panic", i, r)
+				}
+			}()
+			w.Build(Ref)
+			t.Errorf("Build #%d returned", i)
+		}()
+	}
+}
+
+// pristineHash digests the memoised image's pages through the checkpoint
+// page codec (page numbers in order, then contents).
+func pristineHash(w *Workload, v Variant) [sha256.Size]byte {
+	var pw, pages codec.Writer
+	dict := emu.NewPageDict()
+	w.pristine[v]().Mem.EncodeState(&pw, dict)
+	dict.EncodePages(&pages)
+	h := sha256.New()
+	h.Write(pw.Bytes())
+	h.Write(pages.Bytes())
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestBuildForksAreIsolated: images handed out by the memoised Build run
+// exactly like images from the kernel constructor, concurrently, and no
+// run writes through to the pristine image the next Build forks.
+func TestBuildForksAreIsolated(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Core.MaxInsts = 20_000
+	// The default stream prefetcher evicts in map order, so its runs do not
+	// reproduce even on one image (bench/README.md); GHB's do.
+	cfg.Prefetcher = sim.PFGHB
+	run := func(img *sim.Image) *core.Result {
+		r := sim.Run(img, cfg)
+		r.HostNS, r.HostAllocs = 0, 0
+		return r
+	}
+	type image struct {
+		w *Workload
+		v Variant
+	}
+	want := map[image]*core.Result{}
+	before := map[image][sha256.Size]byte{}
+	for _, w := range All() {
+		for _, v := range []Variant{Train, Ref} {
+			k := image{w, v}
+			want[k] = run(w.build(v))
+			w.Build(v)
+			before[k] = pristineHash(w, v)
 		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, res := range want {
+				if got := run(k.w.Build(k.v)); !reflect.DeepEqual(got, res) {
+					t.Errorf("%s/%s: run on a forked image differs from a run on a constructed one", k.w.Name, k.v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k, h := range before {
+		if pristineHash(k.w, k.v) != h {
+			t.Errorf("%s/%s: pristine image changed under its forks", k.w.Name, k.v)
+		}
+	}
+}
+
+// TestBuildIsMemoised pins the per-call cost: once a variant's image
+// exists, Build allocates an image header and a memory header, not the
+// kernel's data (bwaves/ref: 67 MB of pages).
+func TestBuildIsMemoised(t *testing.T) {
+	w := ByName("bwaves")
+	w.Build(Ref)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	img := w.Build(Ref)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 64<<10 {
+		t.Errorf("second Build(Ref) of bwaves allocated %d bytes, want < 64 KiB", got)
+	}
+	if img.Mem.Pages() == 0 {
+		t.Errorf("forked image is empty")
 	}
 }
 
