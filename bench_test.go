@@ -9,10 +9,7 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -337,13 +334,9 @@ func BenchmarkHostThroughput(b *testing.B) {
 // fraction — lockstep merges idle skips across cores (the clock jumps
 // only to the minimum proven target), so the fraction dropping with
 // width quantifies what contention-visible co-scheduling costs the PR 5
-// fast path. The summary lands in BENCH_multicore.json.
+// fast path.
 func BenchmarkHostThroughputMulticore(b *testing.B) {
 	pair := []string{"tailchase", "streambatch"}
-	type leg struct {
-		mips, skippedFrac float64
-	}
-	legs := map[string]leg{}
 	for _, n := range []int{1, 2, 4} {
 		n := n
 		b.Run(fmt.Sprintf("%dcore", n), func(b *testing.B) {
@@ -367,32 +360,10 @@ func BenchmarkHostThroughputMulticore(b *testing.B) {
 				}
 				hostNS += uint64(m.HostNS)
 			}
-			mips := float64(insts) * 1e3 / float64(hostNS)
-			frac := float64(skipped) / float64(cycles)
-			b.ReportMetric(mips, "sim_MIPS")
-			b.ReportMetric(frac, "skipped_frac")
-			legs[fmt.Sprintf("%dcore", n)] = leg{mips: mips, skippedFrac: frac}
+			b.ReportMetric(float64(insts)*1e3/float64(hostNS), "sim_MIPS")
+			b.ReportMetric(float64(skipped)/float64(cycles), "skipped_frac")
 		})
 	}
-	if len(legs) < 3 {
-		return // a -bench filter skipped a width; nothing to summarize
-	}
-	summary := map[string]any{
-		"pair":           pair,
-		"insts_per_core": benchInsts,
-	}
-	for k, l := range legs {
-		summary[k+"_sim_MIPS"] = l.mips
-		summary[k+"_skipped_frac"] = l.skippedFrac
-	}
-	out, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_multicore.json", append(out, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_multicore.json not written: %v", err)
-	}
-	b.Logf("multicore summary: %s", out)
 }
 
 // BenchmarkHostThroughputFastForward measures the functional
@@ -432,8 +403,7 @@ func BenchmarkHostThroughputFastForward(b *testing.B) {
 //
 // The cold-vs-warm start-up delta (capture+persist vs load+decode) is
 // the per-process fast-forward cost the store eliminates when a sweep
-// is sharded across N processes or re-run. The summary — including the
-// fast-forward seconds saved — lands in BENCH_sweep.json.
+// is sharded across N processes or re-run.
 func BenchmarkHostThroughputSampledSweep(b *testing.B) {
 	w := workload.ByName("mcf")
 	s := sim.AutoSampling(5_000_000)
@@ -454,27 +424,18 @@ func BenchmarkHostThroughputSampledSweep(b *testing.B) {
 	}
 	const benchKey = "bench-sweep"
 
-	type leg struct {
-		iters            int
-		totalNS, startNS int64
-		ffNS             int64
-	}
-	var full, cold, warm leg
-
 	b.Run("full_detail", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			start := time.Now()
 			for _, cfg := range cfgs {
 				fcfg := cfg
 				fcfg.Core.MaxInsts = s.Total()
 				sim.Run(w.Build(workload.Ref), fcfg)
 			}
-			full.totalNS += time.Since(start).Nanoseconds()
 		}
-		full.iters = b.N
 	})
 
 	b.Run("cold_store", func(b *testing.B) {
+		var startNS int64
 		for i := 0; i < b.N; i++ {
 			store, err := runner.NewStore(b.TempDir())
 			if err != nil {
@@ -485,13 +446,10 @@ func BenchmarkHostThroughputSampledSweep(b *testing.B) {
 			if err := store.PutCheckpoint(benchKey, set); err != nil {
 				b.Fatal(err)
 			}
-			cold.startNS += time.Since(start).Nanoseconds()
-			cold.ffNS += set.HostNS
+			startNS += time.Since(start).Nanoseconds()
 			sweep(b, set)
-			cold.totalNS += time.Since(start).Nanoseconds()
 		}
-		cold.iters = b.N
-		b.ReportMetric(float64(cold.startNS)/1e9/float64(b.N), "capture_persist_s")
+		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "capture_persist_s")
 	})
 
 	b.Run("warm_store", func(b *testing.B) {
@@ -505,45 +463,18 @@ func BenchmarkHostThroughputSampledSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
+		var startNS int64
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
 			set, ok := store.GetCheckpoint(benchKey)
 			if !ok {
 				b.Fatal("warm store missed")
 			}
-			warm.startNS += time.Since(start).Nanoseconds()
+			startNS += time.Since(start).Nanoseconds()
 			sweep(b, set)
-			warm.totalNS += time.Since(start).Nanoseconds()
 		}
-		warm.iters = b.N
-		b.ReportMetric(float64(warm.startNS)/1e9/float64(b.N), "load_decode_s")
+		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "load_decode_s")
 	})
-
-	if full.iters == 0 || cold.iters == 0 || warm.iters == 0 {
-		return // a -bench filter skipped a leg; nothing to summarize
-	}
-	avgS := func(ns int64, n int) float64 { return float64(ns) / 1e9 / float64(n) }
-	summary := map[string]any{
-		"workload":          "mcf",
-		"budget_insts":      s.Total(),
-		"configs":           len(cfgs),
-		"full_sweep_s":      avgS(full.totalNS, full.iters),
-		"cold_sweep_s":      avgS(cold.totalNS, cold.iters),
-		"warm_sweep_s":      avgS(warm.totalNS, warm.iters),
-		"cold_start_s":      avgS(cold.startNS, cold.iters),
-		"warm_start_s":      avgS(warm.startNS, warm.iters),
-		"ff_saved_s":        avgS(cold.ffNS, cold.iters),
-		"startup_speedup_x": float64(cold.startNS) / float64(cold.iters) / (float64(warm.startNS) / float64(warm.iters)),
-		"sweep_speedup_x":   avgS(full.totalNS, full.iters) / avgS(warm.totalNS, warm.iters),
-	}
-	out, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sweep.json", append(out, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_sweep.json not written: %v", err)
-	}
-	b.Logf("sweep summary: %s", out)
 }
 
 // BenchmarkHostThroughputMulticoreSampled measures what co-scheduled
@@ -560,9 +491,8 @@ func BenchmarkHostThroughputSampledSweep(b *testing.B) {
 //   - warm_store: second process against the populated store —
 //     load+decode the multi-set, then the same windows per config.
 //
-// The headline number is sweep_speedup_x (full_detail over warm_store):
-// how much faster a scheduler/window sweep runs once the capture is
-// amortized. The summary lands in BENCH_multicore_sampled.json.
+// The headline is full_detail's time per op over warm_store's: how much
+// faster a scheduler/window sweep runs once the capture is amortized.
 func BenchmarkHostThroughputMulticoreSampled(b *testing.B) {
 	const perCore = 1_000_000
 	s := sim.AutoSampling(perCore)
@@ -592,15 +522,8 @@ func BenchmarkHostThroughputMulticoreSampled(b *testing.B) {
 	}
 	const benchKey = "bench-mckpt"
 
-	type leg struct {
-		iters            int
-		totalNS, startNS int64
-	}
-	var full, cold, warm leg
-
 	b.Run("full_detail", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			start := time.Now()
 			for _, cfgs := range sweepCfgs {
 				fcfgs := make([]sim.Config, len(cfgs))
 				for j := range cfgs {
@@ -611,12 +534,11 @@ func BenchmarkHostThroughputMulticoreSampled(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			full.totalNS += time.Since(start).Nanoseconds()
 		}
-		full.iters = b.N
 	})
 
 	b.Run("cold_store", func(b *testing.B) {
+		var startNS int64
 		for i := 0; i < b.N; i++ {
 			store, err := runner.NewStore(b.TempDir())
 			if err != nil {
@@ -630,12 +552,10 @@ func BenchmarkHostThroughputMulticoreSampled(b *testing.B) {
 			if err := store.PutMultiCheckpoint(benchKey, set); err != nil {
 				b.Fatal(err)
 			}
-			cold.startNS += time.Since(start).Nanoseconds()
+			startNS += time.Since(start).Nanoseconds()
 			sweep(b, set)
-			cold.totalNS += time.Since(start).Nanoseconds()
 		}
-		cold.iters = b.N
-		b.ReportMetric(float64(cold.startNS)/1e9/float64(b.N), "capture_persist_s")
+		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "capture_persist_s")
 	})
 
 	b.Run("warm_store", func(b *testing.B) {
@@ -652,44 +572,18 @@ func BenchmarkHostThroughputMulticoreSampled(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
+		var startNS int64
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
 			got, ok := store.GetMultiCheckpoint(benchKey)
 			if !ok {
 				b.Fatal("warm store missed")
 			}
-			warm.startNS += time.Since(start).Nanoseconds()
+			startNS += time.Since(start).Nanoseconds()
 			sweep(b, got)
-			warm.totalNS += time.Since(start).Nanoseconds()
 		}
-		warm.iters = b.N
-		b.ReportMetric(float64(warm.startNS)/1e9/float64(b.N), "load_decode_s")
+		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "load_decode_s")
 	})
-
-	if full.iters == 0 || cold.iters == 0 || warm.iters == 0 {
-		return // a -bench filter skipped a leg; nothing to summarize
-	}
-	avgS := func(ns int64, n int) float64 { return float64(ns) / 1e9 / float64(n) }
-	summary := map[string]any{
-		"pair":            pair,
-		"budget_per_core": perCore,
-		"configs":         len(sweepCfgs),
-		"full_sweep_s":    avgS(full.totalNS, full.iters),
-		"cold_sweep_s":    avgS(cold.totalNS, cold.iters),
-		"warm_sweep_s":    avgS(warm.totalNS, warm.iters),
-		"cold_start_s":    avgS(cold.startNS, cold.iters),
-		"warm_start_s":    avgS(warm.startNS, warm.iters),
-		"cold_speedup_x":  avgS(full.totalNS, full.iters) / avgS(cold.totalNS, cold.iters),
-		"sweep_speedup_x": avgS(full.totalNS, full.iters) / avgS(warm.totalNS, warm.iters),
-	}
-	out, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_multicore_sampled.json", append(out, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_multicore_sampled.json not written: %v", err)
-	}
-	b.Logf("multicore sampled summary: %s", out)
 }
 
 // captureVariants builds a prefetcher-variant map of the requested size,
@@ -721,13 +615,11 @@ func captureVariants(n int) map[string]prefetch.Prefetcher {
 // bit-identical reference); the parallel leg requests one goroutine per
 // pipeline task (producer + frontend + each variant), so the speedup
 // reflects the pipeline's shape rather than this host's core count — on
-// a single-core host the parallel leg measures pure overhead, which the
-// emitted BENCH_capture.json records alongside gomaxprocs so readers can
-// tell the two apart. The ISSUE gate (>=2x at >=3 variants) applies on
-// multi-core hosts.
+// a single-core host the parallel leg measures pure overhead (go test
+// prints GOMAXPROCS in each benchmark's name suffix). The ISSUE gate (>=2x
+// at >=3 variants) applies on multi-core hosts.
 func BenchmarkCheckpointCapture(b *testing.B) {
 	p := checkpoint.Params{Skip: 10_000, Warm: 200_000, Window: 10_000, Count: 4}
-	secs := map[string]float64{}
 	ctx := context.Background()
 
 	captureOnce := func(b *testing.B, variants, workers int) time.Duration {
@@ -756,9 +648,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					total += captureOnce(b, variants, workers)
 				}
-				avg := total.Seconds() / float64(b.N)
-				b.ReportMetric(avg, "capture_s")
-				secs[fmt.Sprintf("%dvariants_%s", variants, mode)] = avg
+				b.ReportMetric(total.Seconds()/float64(b.N), "capture_s")
 			})
 		}
 	}
@@ -796,36 +686,9 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				total += multiOnce(b, workers)
 			}
-			avg := total.Seconds() / float64(b.N)
-			b.ReportMetric(avg, "capture_s")
-			secs["multicore2_"+mode] = avg
+			b.ReportMetric(total.Seconds()/float64(b.N), "capture_s")
 		})
 	}
-
-	if len(secs) < 8 {
-		return // a -bench filter skipped a leg; nothing to summarize
-	}
-	summary := map[string]any{
-		"workload":     "pointerchase",
-		"warm_insts":   p.Total(),
-		"gomaxprocs":   runtime.GOMAXPROCS(0),
-		"multicore":    []string{"tailchase", "streambatch"},
-		"speedup_1v_x": secs["1variants_seq"] / secs["1variants_par"],
-		"speedup_3v_x": secs["3variants_seq"] / secs["3variants_par"],
-		"speedup_5v_x": secs["5variants_seq"] / secs["5variants_par"],
-		"speedup_mc_x": secs["multicore2_seq"] / secs["multicore2_par"],
-	}
-	for k, v := range secs {
-		summary[k+"_s"] = v
-	}
-	out, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_capture.json", append(out, '\n'), 0o644); err != nil {
-		b.Logf("BENCH_capture.json not written: %v", err)
-	}
-	b.Logf("capture summary: %s", out)
 }
 
 // BenchmarkExtension_DivSlices exercises the Section 6.1 extension:

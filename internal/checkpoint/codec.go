@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -56,7 +57,7 @@ func EncodeSet(set *Set, key string) []byte {
 	// Pass 1: encode point state into a scratch writer, interning pages.
 	var pw codec.Writer
 	dict := emu.NewPageDict()
-	for _, pt := range set.Points {
+	for i, pt := range set.Points {
 		pw.Int(pt.PC)
 		for _, v := range pt.Regs {
 			pw.I64(v)
@@ -78,11 +79,14 @@ func EncodeSet(set *Set, key string) []byte {
 			prefetch.Encode(&pw, v.PF)
 		}
 		pt.Mem.EncodeState(&pw, dict)
+		if i == 0 {
+			growForPoints(&pw, len(set.Points))
+		}
 	}
 
 	// Pass 2: assemble the payload with the dict ahead of the page
 	// tables that reference it.
-	var w codec.Writer
+	w := openContainer(codecMagic, codecVersion, key)
 	hierJSON, err := json.Marshal(set.Hier)
 	if err != nil { // unreachable: HierConfig is plain data
 		panic(fmt.Sprintf("checkpoint: marshal HierConfig: %v", err))
@@ -91,18 +95,49 @@ func EncodeSet(set *Set, key string) []byte {
 	w.U64(set.FFInsts)
 	w.I64(set.HostNS)
 	w.U32(uint32(len(set.Points)))
-	dict.EncodePages(&w)
-	w.Raw(pw.Bytes())
-	payload := w.Bytes()
+	return w.seal(dict, &pw)
+}
 
-	var out codec.Writer
-	out.Raw([]byte(codecMagic))
-	out.U32(codecVersion)
-	out.String(key)
-	out.U32(crc32.ChecksumIEEE(payload))
-	out.U64(uint64(len(payload)))
-	out.Raw(payload)
-	return out.Bytes()
+// growForPoints sizes the pass-1 writer once its first of n points is
+// encoded: every point holds the same structures at the same geometry, so
+// the rest will each take about what the first took (one point of slack
+// covers page tables and prefetcher tables that grew). An estimate that
+// falls short only costs an append-growth.
+func growForPoints(pw *codec.Writer, n int) { pw.Grow(pw.Len() * n) }
+
+// container assembles a set file — the envelope shared by the single- and
+// multi-core codecs around a payload of head fields, page dict and point
+// state — in one buffer, so a 24 MB set is written once and never copied
+// between append-grown buffers: the head goes straight behind a reserved
+// CRC/length slot, and seal, which knows the size of everything still to
+// come, grows the buffer once, appends the rest and fills the slot in.
+type container struct {
+	codec.Writer
+	slot int // offset of u32 crc | u64 len; the payload starts 12 bytes on
+}
+
+func openContainer(magic string, version uint32, key string) *container {
+	c := &container{}
+	c.Raw([]byte(magic))
+	c.U32(version)
+	c.String(key)
+	c.slot = c.Len()
+	c.U32(0)
+	c.U64(0)
+	return c
+}
+
+// seal appends the dict's pages and the point state encoded against it,
+// and returns the finished file.
+func (c *container) seal(dict *emu.PageDict, points *codec.Writer) []byte {
+	c.Grow(dict.EncodedLen() + points.Len())
+	dict.EncodePages(&c.Writer)
+	c.Raw(points.Bytes())
+	b := c.Bytes()
+	payload := b[c.slot+12:]
+	binary.LittleEndian.PutUint32(b[c.slot:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(b[c.slot+4:], uint64(len(payload)))
+	return b
 }
 
 // DecodeSet deserializes a set encoded by EncodeSet, verifying the magic,

@@ -47,7 +47,7 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 	// Pass 1: encode point state into a scratch writer, interning pages.
 	var pw codec.Writer
 	dict := emu.NewPageDict()
-	for _, pt := range set.Points {
+	for i, pt := range set.Points {
 		for _, cs := range pt.Cores {
 			pw.Int(cs.PC)
 			for _, v := range cs.Regs {
@@ -63,11 +63,14 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 		for _, cs := range pt.Cores {
 			cs.Mem.EncodeState(&pw, dict)
 		}
+		if i == 0 {
+			growForPoints(&pw, len(set.Points))
+		}
 	}
 
 	// Pass 2: assemble the payload with the dict ahead of the page
 	// tables that reference it.
-	var w codec.Writer
+	w := openContainer(multiCodecMagic, multiCodecVersion, key)
 	hierJSON, err := json.Marshal(set.Hier)
 	if err != nil { // unreachable: HierConfig is plain data
 		panic(fmt.Sprintf("checkpoint: marshal HierConfig: %v", err))
@@ -97,18 +100,7 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 	}
 	w.I64(set.HostNS)
 	w.U32(uint32(len(set.Points)))
-	dict.EncodePages(&w)
-	w.Raw(pw.Bytes())
-	payload := w.Bytes()
-
-	var out codec.Writer
-	out.Raw([]byte(multiCodecMagic))
-	out.U32(multiCodecVersion)
-	out.String(key)
-	out.U32(crc32.ChecksumIEEE(payload))
-	out.U64(uint64(len(payload)))
-	out.Raw(payload)
-	return out.Bytes()
+	return w.seal(dict, &pw)
 }
 
 // DecodeMultiSet deserializes a set encoded by EncodeMultiSet, verifying

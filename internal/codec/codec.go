@@ -10,6 +10,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Writer accumulates an encoded byte stream. The zero value is ready to
@@ -24,6 +25,11 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the number of bytes encoded so far.
 func (w *Writer) Len() int { return len(w.buf) }
+
+// Grow makes room for n more bytes, so that appending them does not
+// reallocate. An encoder that knows its output size calls it once up
+// front instead of paying append's doubling copies.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }

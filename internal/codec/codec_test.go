@@ -111,3 +111,19 @@ func TestInvalidBool(t *testing.T) {
 		t.Fatal("bool byte 2 reported no error")
 	}
 }
+
+// Grow must keep what is written and make the promised appends free of
+// reallocation, which is all it is for.
+func TestGrow(t *testing.T) {
+	var w Writer
+	w.String("head")
+	w.Grow(1 << 16)
+	before := &w.Bytes()[0]
+	w.Raw(make([]byte, 1<<16))
+	if &w.Bytes()[0] != before {
+		t.Errorf("append within the grown capacity reallocated")
+	}
+	if r := NewReader(w.Bytes()); r.String() != "head" || r.Remaining() != 1<<16 {
+		t.Errorf("Grow lost or misplaced what was already written")
+	}
+}

@@ -15,43 +15,32 @@ import "math/bits"
 // with the candidates is all zeros — the NOR-reduction select of Figure 6.
 //
 // The matrix's rows induce exactly the insertion order of the live slots,
-// so the model keeps the equivalent representation directly: a 64-bit
-// insertion stamp per slot. Selection is then an argmin over candidate
-// stamps, which picks the same slot the NOR-reduction would (the oldest
-// live candidate is unique — stamps are strictly increasing), and Insert
-// drops from an O(N) column clear to O(1). The hardware cost model is
-// unchanged; only the host representation is.
+// and insertion (dispatch) is in program order, so that order is the ROB
+// order. The age-ordered policies therefore key the BID/PRIO vectors by
+// ROB ring index and select with Bitset.FirstFrom(head); which slot an
+// instruction sits in is unobservable to them and none is modelled. Only
+// SchedRandom, which ranks ready instructions by slot number, allocates
+// RAND slots, and this type is what it needs: the occupancy vector and the
+// free-slot draw. The hardware cost model is unchanged.
 type AgeMatrix struct {
 	n        int
-	age      []uint64 // insertion stamp per slot; valid only while occupied
-	stamp    uint64   // next stamp to hand out, strictly increasing
 	occupied *Bitset
 }
 
 // NewAgeMatrix returns an age matrix for an IQ with n slots.
 func NewAgeMatrix(n int) *AgeMatrix {
-	return &AgeMatrix{n: n, age: make([]uint64, n), occupied: NewBitset(n)}
+	return &AgeMatrix{n: n, occupied: NewBitset(n)}
 }
 
-// Size returns the number of IQ slots.
-func (m *AgeMatrix) Size() int { return m.n }
-
-// Occupied reports whether slot i currently holds an instruction.
-func (m *AgeMatrix) Occupied(i int) bool { return m.occupied.Get(i) }
-
-// Insert enqueues a new (youngest) instruction into the given free slot.
+// Insert occupies the given free slot with a new instruction.
 func (m *AgeMatrix) Insert(slot int) {
 	if m.occupied.Get(slot) {
 		panic("core: AgeMatrix.Insert into occupied slot")
 	}
-	m.age[slot] = m.stamp
-	m.stamp++
 	m.occupied.Set(slot)
 }
 
-// Remove frees a slot at issue. The slot's stamp goes stale, exactly like
-// the stale row bits hardware leaves behind; it is never consulted again
-// because freed slots are never candidates.
+// Remove frees a slot at issue.
 func (m *AgeMatrix) Remove(slot int) { m.occupied.Clear(slot) }
 
 // FreeSlot returns a free slot selected pseudo-randomly (the RAND
@@ -83,46 +72,4 @@ func (m *AgeMatrix) FreeSlot(rnd uint64) int {
 		return wi<<6 + bits.TrailingZeros64(inv)
 	}
 	return -1
-}
-
-// OldestAmong returns the slot of the oldest instruction among the
-// candidates (a BID or PRIO vector), or -1 if the candidate set is empty.
-func (m *AgeMatrix) OldestAmong(cand *Bitset) int {
-	return m.OldestAmongWords(cand.Words())
-}
-
-// OldestAmongWords is OldestAmong over a raw candidate word slice, the
-// form the scheduler's persistent BID/PRIO vectors hand over directly.
-func (m *AgeMatrix) OldestAmongWords(cand []uint64) int {
-	best := -1
-	var bestAge uint64
-	for wi, w := range cand {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			slot := wi<<6 + b
-			w &^= 1 << uint(b)
-			if a := m.age[slot]; best < 0 || a < bestAge {
-				best, bestAge = slot, a
-			}
-		}
-	}
-	return best
-}
-
-// OlderCount returns how many candidates hold instructions older than the
-// one in slot — the number of older ready entries a PRIO pick bypasses
-// (in hardware, the popcount of the pick's age-vector row masked by the
-// candidate vector).
-func (m *AgeMatrix) OlderCount(cand *Bitset, slot int) int {
-	mine, n := m.age[slot], 0
-	for wi, w := range cand.Words() {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			if m.age[wi<<6+b] < mine {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -1,59 +1,166 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// stampSelect is the select the ROB-order scheduler replaced, kept as the
+// test oracle: the age matrix as an insertion stamp per scheduler key, the
+// oldest candidate as an argmin over the candidates' stamps. It knows
+// nothing about rings or heads, so agreeing with it is what shows that
+// FirstFrom(head) picks in age-matrix order.
+type stampSelect struct {
+	age   []uint64
+	stamp uint64
+}
+
+func newStampSelect(keys int) *stampSelect { return &stampSelect{age: make([]uint64, keys)} }
+
+// insert records key as holding the youngest instruction.
+func (m *stampSelect) insert(key int) {
+	m.age[key] = m.stamp
+	m.stamp++
+}
+
+// oldestAmong returns the candidate with the smallest stamp, or -1.
+func (m *stampSelect) oldestAmong(cand *Bitset) int {
+	best := -1
+	for wi, w := range cand.Words() {
+		for ; w != 0; w &= w - 1 {
+			if k := wi<<6 + bits.TrailingZeros64(w); best < 0 || m.age[k] < m.age[best] {
+				best = k
+			}
+		}
+	}
+	return best
+}
+
+// olderCount returns how many candidates are older than key.
+func (m *stampSelect) olderCount(cand *Bitset, key int) int {
+	n := 0
+	for wi, w := range cand.Words() {
+		for ; w != 0; w &= w - 1 {
+			if m.age[wi<<6+bits.TrailingZeros64(w)] < m.age[key] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// ringModel is the life of a scheduler key without a core around it: µops
+// dispatch at the tail of a ROB ring (capacity rounded up to a power of
+// two, occupancy bounded by rob), issue in any order, and commit from the
+// head once issued. waiting holds the dispatched, not yet issued keys.
+type ringModel struct {
+	rob        int
+	mask       uint64
+	head, tail uint64
+	waiting    *Bitset
+	issued     []bool
+	oracle     *stampSelect
+}
+
+func newRingModel(rob int, start uint64) *ringModel {
+	ring := ceilPow2(rob)
+	return &ringModel{
+		rob: rob, mask: uint64(ring - 1), head: start, tail: start,
+		waiting: NewBitset(ring), issued: make([]bool, ring), oracle: newStampSelect(ring),
+	}
+}
+
+func (m *ringModel) headKey() int { return int(m.head & m.mask) }
+
+// dispatch allocates the next key, or returns -1 when the ROB is full.
+func (m *ringModel) dispatch() int {
+	if m.tail-m.head >= uint64(m.rob) {
+		return -1
+	}
+	k := int(m.tail & m.mask)
+	m.tail++
+	m.issued[k] = false
+	m.waiting.Set(k)
+	m.oracle.insert(k)
+	return k
+}
+
+func (m *ringModel) issue(k int) {
+	m.waiting.Clear(k)
+	m.issued[k] = true
+}
+
+// commit retires issued µops from the head.
+func (m *ringModel) commit() {
+	for m.head != m.tail && m.issued[m.headKey()] {
+		m.head++
+	}
+}
+
+// The age matrix orders the IQ by insertion; dispatch inserts in program
+// order, so that is the order of the ROB ring from its head. These tests
+// pin the select built on that — Bitset.FirstFrom(head) over vectors keyed
+// by ring index — to the stamp oracle.
+
 func TestAgeMatrixSelectsInsertionOrder(t *testing.T) {
-	m := NewAgeMatrix(8)
-	// Insert into scattered slots in a known age order.
-	order := []int{5, 1, 7, 0, 3}
-	for _, s := range order {
-		m.Insert(s)
+	// Five µops dispatched from ring index 5 of an 8-entry ring: the keys
+	// wrap, the age order does not.
+	m := newRingModel(8, 5)
+	order := []int{5, 6, 7, 0, 1}
+	for _, want := range order {
+		if got := m.dispatch(); got != want {
+			t.Fatalf("dispatch key = %d, want %d", got, want)
+		}
 	}
 	cand := NewBitset(8)
-	for _, s := range order {
-		cand.Set(s)
-	}
+	cand.CopyFrom(m.waiting)
 	for _, want := range order {
-		got := m.OldestAmong(cand)
-		if got != want {
-			t.Fatalf("OldestAmong = %d, want %d", got, want)
+		got := cand.FirstFrom(m.headKey())
+		if got != want || got != m.oracle.oldestAmong(cand) {
+			t.Fatalf("FirstFrom(head) = %d, want %d (oracle %d)", got, want, m.oracle.oldestAmong(cand))
 		}
 		cand.Clear(got)
-		m.Remove(got)
 	}
-	if got := m.OldestAmong(cand); got != -1 {
+	if got := cand.FirstFrom(m.headKey()); got != -1 {
 		t.Errorf("empty candidates returned %d", got)
 	}
 }
 
 func TestAgeMatrixSubsetSelection(t *testing.T) {
-	m := NewAgeMatrix(16)
-	for s := 0; s < 8; s++ {
-		m.Insert(s) // age order = slot order
+	// Keys 60..67 straddle the first word boundary of a 128-entry ring.
+	m := newRingModel(128, 60)
+	for i := 0; i < 8; i++ {
+		m.dispatch()
 	}
-	cand := NewBitset(16)
-	cand.Set(6)
-	cand.Set(3)
-	cand.Set(7)
-	if got := m.OldestAmong(cand); got != 3 {
-		t.Errorf("oldest among {6,3,7} = %d, want 3", got)
+	cand := NewBitset(128)
+	cand.Set(66)
+	cand.Set(63)
+	cand.Set(67)
+	if got := cand.FirstFrom(m.headKey()); got != 63 || got != m.oracle.oldestAmong(cand) {
+		t.Errorf("oldest among {66,63,67} = %d, want 63", got)
+	}
+	if got, want := cand.CountRing(m.headKey(), 67), m.oracle.olderCount(cand, 67); got != 2 || got != want {
+		t.Errorf("older than 67 among {66,63,67} = %d, want 2 (oracle %d)", got, want)
 	}
 }
 
 func TestAgeMatrixSlotReuse(t *testing.T) {
-	m := NewAgeMatrix(4)
-	m.Insert(0)
-	m.Insert(1)
-	m.Remove(0)
-	m.Insert(0) // slot 0 now holds the YOUNGEST instruction
+	m := newRingModel(4, 0)
+	m.dispatch() // key 0
+	m.dispatch() // key 1
+	m.issue(0)
+	m.commit() // head moves to key 1
+	m.dispatch()
+	m.dispatch()
+	if k := m.dispatch(); k != 0 { // key 0 now holds the YOUNGEST µop
+		t.Fatalf("fifth dispatch got key %d, want the reused key 0", k)
+	}
 	cand := NewBitset(4)
 	cand.Set(0)
 	cand.Set(1)
-	if got := m.OldestAmong(cand); got != 1 {
+	if got := cand.FirstFrom(m.headKey()); got != 1 || got != m.oracle.oldestAmong(cand) {
 		t.Errorf("after reuse, oldest = %d, want 1", got)
 	}
 }
@@ -83,73 +190,61 @@ func TestFreeSlotExhaustion(t *testing.T) {
 	}
 }
 
-// Property: for random insert/remove sequences, OldestAmong over the full
-// occupied set always returns the earliest-inserted live slot.
+// Property: for random dispatch/issue/commit sequences — ROB sizes that do
+// and do not fill their ring, rings of one word and of several, starting
+// points that put the head across the ring boundary early — FirstFrom(head)
+// over the waiting set always returns the earliest-dispatched waiting key.
 func TestAgeMatrixProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		const n = 24
-		m := NewAgeMatrix(n)
-		var liveOrder []int // slots in insertion (age) order
-		for step := 0; step < 200; step++ {
-			if len(liveOrder) > 0 && (len(liveOrder) == n || r.Intn(2) == 0) {
-				// Remove a random live slot.
-				k := r.Intn(len(liveOrder))
-				m.Remove(liveOrder[k])
-				liveOrder = append(liveOrder[:k], liveOrder[k+1:]...)
-			} else {
-				s := m.FreeSlot(r.Uint64())
-				if s < 0 {
-					continue
-				}
-				m.Insert(s)
-				liveOrder = append(liveOrder, s)
+		rob := []int{24, 32, 48, 180, 224, 336, 448}[r.Intn(7)]
+		m := newRingModel(rob, uint64(r.Intn(2*rob)))
+		for step := 0; step < 4*rob; step++ {
+			switch n := m.waiting.Count(); {
+			case n > 0 && r.Intn(2) == 0:
+				m.issue(m.waiting.SelectNth(r.Intn(n)))
+				m.commit()
+			default:
+				m.dispatch()
 			}
-			cand := NewBitset(n)
-			for _, s := range liveOrder {
-				cand.Set(s)
-			}
-			want := -1
-			if len(liveOrder) > 0 {
-				want = liveOrder[0]
-			}
-			if got := m.OldestAmong(cand); got != want {
+			if got, want := m.waiting.FirstFrom(m.headKey()), m.oracle.oldestAmong(m.waiting); got != want {
+				t.Logf("rob %d head %d tail %d: FirstFrom = %d, oracle %d", rob, m.head, m.tail, got, want)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: priority selection (oldest among an arbitrary subset) always
-// returns the subset member that was inserted earliest.
+// Property: priority selection (oldest among an arbitrary subset of the
+// waiting keys) returns the subset member dispatched earliest, and the
+// ring-range count behind QueueJumpSum is the number of older candidates.
 func TestAgeMatrixPrioritySubsetProperty(t *testing.T) {
-	f := func(seed int64, pick uint32) bool {
+	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		const n = 32
-		m := NewAgeMatrix(n)
-		var order []int
-		for len(order) < n/2 {
-			s := m.FreeSlot(r.Uint64())
-			m.Insert(s)
-			order = append(order, s)
+		rob := []int{32, 48, 180, 224, 336, 448}[r.Intn(6)]
+		m := newRingModel(rob, uint64(r.Intn(4*rob)))
+		for m.dispatch() >= 0 && r.Intn(rob) != 0 {
 		}
-		cand := NewBitset(n)
-		want := -1
-		for i, s := range order {
-			if pick&(1<<uint(i)) != 0 {
-				cand.Set(s)
-				if want == -1 {
-					want = s
+		bid, prio := NewBitset(m.waiting.Len()), NewBitset(m.waiting.Len())
+		for k := 0; k < m.waiting.Len(); k++ {
+			if m.waiting.Get(k) && r.Intn(2) == 0 {
+				bid.Set(k)
+				if r.Intn(3) == 0 {
+					prio.Set(k)
 				}
 			}
 		}
-		return m.OldestAmong(cand) == want
+		pick := prio.FirstFrom(m.headKey())
+		if pick != m.oracle.oldestAmong(prio) {
+			return false
+		}
+		return pick < 0 || bid.CountRing(m.headKey(), pick) == m.oracle.olderCount(bid, pick)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

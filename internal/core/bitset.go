@@ -4,8 +4,8 @@ import "math/bits"
 
 // Bitset is a fixed-capacity bit vector used for the scheduler's BID
 // (ready) and PRIO (ready-and-critical) vectors. The hot-path operations
-// (copy, iteration, masked counts, rank selection) work a 64-bit word at a
-// time so selection cost scales with RSSize/64, not RSSize.
+// (copy, circular first-set and range counts, rank selection) work a
+// 64-bit word at a time so selection cost scales with capacity/64.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -19,9 +19,9 @@ func NewBitset(n int) *Bitset {
 // Len returns the capacity in bits.
 func (b *Bitset) Len() int { return b.n }
 
-// Words exposes the backing words for word-parallel consumers (the age
-// matrix's NOR-reduction select). The slice aliases the bitset; bits at
-// positions >= Len() are always zero.
+// Words exposes the backing words for word-parallel consumers (the RAND
+// free-slot draw). The slice aliases the bitset; bits at positions >=
+// Len() are always zero.
 func (b *Bitset) Words() []uint64 { return b.words }
 
 // Set sets bit i.
@@ -65,26 +65,49 @@ func (b *Bitset) Count() int {
 	return n
 }
 
-// NextSet returns the index of the first set bit at or after from, or -1
-// if there is none. Scanning is word-parallel via TrailingZeros64.
-func (b *Bitset) NextSet(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= b.n {
-		return -1
-	}
+// FirstFrom returns the index of the first set bit in circular order
+// starting at from (from, from+1, …, Len()-1, 0, …, from-1), or -1 if no
+// bit is set: the oldest candidate of a vector keyed by ROB ring index,
+// scanned from the head's. Each word is read once, the starting word twice.
+func (b *Bitset) FirstFrom(from int) int {
 	wi := from >> 6
-	w := b.words[wi] >> uint(from&63)
-	if w != 0 {
-		return from + bits.TrailingZeros64(w)
+	if w := b.words[wi] &^ (1<<uint(from&63) - 1); w != 0 {
+		return wi<<6 + bits.TrailingZeros64(w)
 	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			return wi<<6 + bits.TrailingZeros64(b.words[wi])
+	// The last step revisits word wi whole: its bits at or above from are
+	// known clear, so whatever it finds lies below from.
+	for i, j := 0, wi; i < len(b.words); i++ {
+		if j++; j == len(b.words) {
+			j = 0
+		}
+		if w := b.words[j]; w != 0 {
+			return j<<6 + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
+}
+
+// CountRing returns the number of set bits in the circular range
+// [from, to): from ≤ to covers from..to-1, from > to wraps through
+// Len()-1 to 0.
+func (b *Bitset) CountRing(from, to int) int {
+	n := b.countBelow(to) - b.countBelow(from)
+	if to < from {
+		n += b.Count()
+	}
+	return n
+}
+
+// countBelow returns the number of set bits at positions below i.
+func (b *Bitset) countBelow(i int) int {
+	n := 0
+	for _, w := range b.words[:i>>6] {
+		n += bits.OnesCount64(w)
+	}
+	if r := uint(i & 63); r != 0 {
+		n += bits.OnesCount64(b.words[i>>6] & (1<<r - 1))
+	}
+	return n
 }
 
 // SelectNth returns the index of the k-th set bit (k = 0 selects the
@@ -107,19 +130,4 @@ func (b *Bitset) SelectNth(k int) int {
 		return wi<<6 + bits.TrailingZeros64(w)
 	}
 	return -1
-}
-
-// AndCount returns popcount(b & mask) where mask is a raw word slice (for
-// example an age-matrix row). Words beyond the shorter operand count as
-// zero.
-func (b *Bitset) AndCount(mask []uint64) int {
-	n := len(b.words)
-	if len(mask) < n {
-		n = len(mask)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(b.words[i] & mask[i])
-	}
-	return c
 }

@@ -7,16 +7,23 @@ import (
 
 // naive reference implementations, one bit at a time.
 
-func naiveNextSet(b *Bitset, from int) int {
-	if from < 0 {
-		from = 0
-	}
-	for i := from; i < b.Len(); i++ {
-		if b.Get(i) {
-			return i
+func naiveFirstFrom(b *Bitset, from int) int {
+	for i := 0; i < b.Len(); i++ {
+		if j := (from + i) % b.Len(); b.Get(j) {
+			return j
 		}
 	}
 	return -1
+}
+
+func naiveCountRing(b *Bitset, from, to int) int {
+	c := 0
+	for i := from; i != to; i = (i + 1) % b.Len() {
+		if b.Get(i) {
+			c++
+		}
+	}
+	return c
 }
 
 func naiveSelectNth(b *Bitset, k int) int {
@@ -34,44 +41,64 @@ func naiveSelectNth(b *Bitset, k int) int {
 	return -1
 }
 
-func naiveAndCount(b *Bitset, mask []uint64) int {
-	c := 0
-	for i := 0; i < b.Len(); i++ {
-		w := i >> 6
-		if w >= len(mask) {
-			break
-		}
-		if b.Get(i) && mask[w]&(1<<uint(i&63)) != 0 {
-			c++
-		}
-	}
-	return c
-}
-
-func TestBitsetNextSet(t *testing.T) {
-	b := NewBitset(200)
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
+func TestBitsetFirstFrom(t *testing.T) {
+	b := NewBitset(256)
+	for _, i := range []int{1, 63, 64, 130, 255} {
 		b.Set(i)
 	}
 	cases := []struct{ from, want int }{
-		{-5, 0},  // negative from clamps to 0
-		{0, 0},   // hit at from itself
-		{1, 1},   // within first word
-		{2, 63},  // skip to end of word 0
-		{64, 64}, // exactly on a word boundary
-		{66, 127},
-		{129, 199}, // cross an entirely empty word (word 2)
-		{199, 199}, // last valid bit
-		{200, -1},  // from past capacity
+		{0, 1},
+		{1, 1},     // hit at from itself
+		{2, 63},    // rest of the starting word
+		{64, 64},   // exactly on a word boundary
+		{65, 130},  // next word
+		{131, 255}, // across an entirely empty stretch
+		{255, 255}, // last bit
+		{200, 255},
 	}
 	for _, c := range cases {
-		if got := b.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
+		if got := b.FirstFrom(c.from); got != c.want {
+			t.Errorf("FirstFrom(%d) = %d, want %d", c.from, got, c.want)
 		}
 	}
-	empty := NewBitset(130)
-	if got := empty.NextSet(0); got != -1 {
-		t.Errorf("empty NextSet(0) = %d, want -1", got)
+	b.Clear(255)
+	b.Clear(130)
+	// Nothing at or after from: the scan wraps to the low words, and for a
+	// from inside word 1 comes back to the bits of word 1 below it.
+	for _, c := range []struct{ from, want int }{{131, 1}, {255, 1}, {65, 1}} {
+		if got := b.FirstFrom(c.from); got != c.want {
+			t.Errorf("wrapped FirstFrom(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+	b.Clear(1)
+	b.Clear(63)
+	if got := b.FirstFrom(100); got != 64 {
+		t.Errorf("FirstFrom(100) with only bit 64 = %d, want 64 (low half of the starting word)", got)
+	}
+	if got := NewBitset(130).FirstFrom(7); got != -1 {
+		t.Errorf("empty FirstFrom = %d, want -1", got)
+	}
+}
+
+func TestBitsetCountRing(t *testing.T) {
+	b := NewBitset(128)
+	for _, i := range []int{0, 5, 63, 64, 100, 127} {
+		b.Set(i)
+	}
+	cases := []struct{ from, to, want int }{
+		{0, 0, 0},     // empty range
+		{0, 1, 1},     // to is exclusive
+		{0, 64, 3},    // whole first word
+		{5, 100, 3},   // from inclusive, to exclusive
+		{100, 5, 3},   // wraps: 100, 127, 0
+		{127, 0, 1},   // wraps at the very end
+		{64, 63, 5},   // everything but bit 63
+		{101, 100, 5}, // everything but bit 100
+	}
+	for _, c := range cases {
+		if got := b.CountRing(c.from, c.to); got != c.want {
+			t.Errorf("CountRing(%d, %d) = %d, want %d", c.from, c.to, got, c.want)
+		}
 	}
 }
 
@@ -94,28 +121,6 @@ func TestBitsetSelectNth(t *testing.T) {
 	}
 }
 
-func TestBitsetAndCount(t *testing.T) {
-	b := NewBitset(130)
-	for _, i := range []int{0, 63, 64, 129} {
-		b.Set(i)
-	}
-	full := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-	if got := b.AndCount(full); got != 4 {
-		t.Errorf("AndCount(all-ones) = %d, want 4", got)
-	}
-	// Mask shorter than the bitset: words beyond it count as zero.
-	if got := b.AndCount(full[:1]); got != 2 {
-		t.Errorf("AndCount(one word) = %d, want 2", got)
-	}
-	if got := b.AndCount(nil); got != 0 {
-		t.Errorf("AndCount(nil) = %d, want 0", got)
-	}
-	only64 := []uint64{0, 1, 0}
-	if got := b.AndCount(only64); got != 1 {
-		t.Errorf("AndCount(bit 64 only) = %d, want 1", got)
-	}
-}
-
 // TestBitsetProperty cross-checks the word-parallel primitives against the
 // naive bit-at-a-time references on random contents, including sizes that
 // are not multiples of 64.
@@ -129,22 +134,19 @@ func TestBitsetProperty(t *testing.T) {
 					b.Set(i)
 				}
 			}
-			mask := make([]uint64, rng.Intn(len(b.Words())+1))
-			for i := range mask {
-				mask[i] = rng.Uint64()
-			}
-			for from := -1; from <= n; from++ {
-				if got, want := b.NextSet(from), naiveNextSet(b, from); got != want {
-					t.Fatalf("n=%d NextSet(%d) = %d, want %d", n, from, got, want)
+			for from := 0; from < n; from++ {
+				if got, want := b.FirstFrom(from), naiveFirstFrom(b, from); got != want {
+					t.Fatalf("n=%d FirstFrom(%d) = %d, want %d", n, from, got, want)
+				}
+				to := rng.Intn(n)
+				if got, want := b.CountRing(from, to), naiveCountRing(b, from, to); got != want {
+					t.Fatalf("n=%d CountRing(%d, %d) = %d, want %d", n, from, to, got, want)
 				}
 			}
 			for k := -1; k <= b.Count()+1; k++ {
 				if got, want := b.SelectNth(k), naiveSelectNth(b, k); got != want {
 					t.Fatalf("n=%d SelectNth(%d) = %d, want %d", n, k, got, want)
 				}
-			}
-			if got, want := b.AndCount(mask), naiveAndCount(b, mask); got != want {
-				t.Fatalf("n=%d AndCount = %d, want %d", n, got, want)
 			}
 			// Count/Any stay consistent with the reference view.
 			cnt := 0

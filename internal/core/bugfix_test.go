@@ -41,7 +41,6 @@ func TestRedirectDoesNotShortenFetchBlock(t *testing.T) {
 		slot:         0,
 		dep1:         -1, dep2: -1, storeDep: -1,
 	}
-	c.slots[0] = e
 	c.execute(e, e.d.Inst.Op.Class(), 0)
 
 	redirect := e.doneAt + uint64(cfg.RedirectPenalty)

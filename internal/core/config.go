@@ -9,14 +9,18 @@ type SchedulerKind int
 const (
 	// SchedOldestFirst is the Table 1 baseline: the age-matrix picker
 	// selects the oldest ready instruction per port
-	// ("6-oldest-ready-instructions-first").
+	// ("6-oldest-ready-instructions-first"). Age-matrix order is dispatch
+	// order is ROB order, so the model selects the first ready bit at or
+	// after the ROB head's ring index.
 	SchedOldestFirst SchedulerKind = iota
 	// SchedCRISP extends the picker with the PRIO vector: the oldest
 	// ready-and-critical instruction wins; if none exists the oldest ready
 	// instruction is selected (Figure 6).
 	SchedCRISP
 	// SchedRandom picks uniformly among ready instructions (a RAND
-	// scheduler without the age matrix), used for the ablation bench.
+	// scheduler without the age matrix), used for the ablation bench. It
+	// ranks the ready set by IQ slot number, so it is the one policy that
+	// models RAND slot allocation.
 	SchedRandom
 )
 

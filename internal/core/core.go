@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
+	rtmetrics "runtime/metrics"
 	"time"
 
 	"crisp/internal/branch"
@@ -23,7 +23,7 @@ type Marker interface {
 }
 
 // entry is one in-flight µop: a ROB entry, and while waiting also an RS
-// entry (slot >= 0).
+// entry (slot >= 0; slot is its scheduler key, see Core.readyBid).
 type entry struct {
 	seq  uint64
 	d    emu.DynInst
@@ -41,7 +41,7 @@ type entry struct {
 	dep1, dep2 int64 // producer seqs, -1 when architecturally ready
 	storeDep   int64 // forwarding store seq, -1 if none
 
-	slot int // RS slot while waiting, -1 otherwise
+	slot int // scheduler key while waiting, -1 otherwise
 }
 
 // fqEntry is a fetched, not yet dispatched µop.
@@ -64,8 +64,8 @@ type Core struct {
 
 	marker Marker
 
-	// Fetch state. fetchQ is a ring buffer (capacity fixed at FTQSize +
-	// FetchWidth) so steady-state fetch/dispatch moves no memory.
+	// Fetch state. fetchQ is a ring buffer (capacity FTQSize + FetchWidth
+	// rounded up to a power of two) so fetch/dispatch moves no memory.
 	fetchQ            []fqEntry
 	fqHead, fqLen     int
 	fetchBlockedUntil uint64
@@ -79,18 +79,18 @@ type Core struct {
 	rob       []entry
 	headSeq   uint64
 	tailSeq   uint64
-	slots     []*entry
-	matrix    *AgeMatrix
+	slots     []*entry   // SchedRandom only: RAND slot -> entry
+	matrix    *AgeMatrix // SchedRandom only: RAND slot allocation
 	regProd   [isa.NumRegs]int64
 	regProdPC [isa.NumRegs]int
-	storeQ    []uint64 // ring buffer of in-flight store seqs, FIFO
+	storeQ    []uint64 // power-of-two ring of in-flight store seqs, FIFO
 	sqHead    int
 	lqCount   int
 	sqCount   int
 	rsCount   int
 	portBusy  [isa.NumPortClasses][]uint64
-	rng       uint64
-	producers []int // scratch for marker callbacks
+	rng       uint64 // SchedRandom's slot and pick draws
+	producers []int  // scratch for marker callbacks
 
 	// Cycle-accounting state (internal/metrics): dispStall records which
 	// backend resources blocked dispatch last cycle, redirectUntil marks
@@ -102,12 +102,15 @@ type Core struct {
 	robMask       uint64 // len(rob)-1; ring capacity is a power of two
 
 	// Incremental scheduler state (see wakeup.go): persistent BID/PRIO
-	// vectors plus the wakeup machinery that maintains them.
+	// vectors plus the wakeup machinery that maintains them, indexed by
+	// scheduler key: the ROB ring index (seq & robMask) under the
+	// age-ordered policies, so "oldest" is the first set bit circularly
+	// from the head's index; the RAND slot under SchedRandom.
 	readyBid, readyPrio     *Bitset
 	scratchBid, scratchPrio *Bitset
-	waitCount               []int8  // per RS slot: outstanding unready deps
+	waitCount               []int8  // per key: outstanding unready deps
 	waiterHead              []int32 // per ROB index: waiter chain head, -1 empty
-	waiterNext              []int32 // per chain node (slot*3 + dep index)
+	waiterNext              []int32 // per chain node (key*3 + dep index)
 	wakeups                 wakeupHeap
 
 	cycle       uint64
@@ -126,6 +129,11 @@ type Core struct {
 // New builds a core over the given program, emulator and hierarchy.
 // marker may be nil.
 func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierarchy, marker Marker) *Core {
+	ring := ceilPow2(cfg.ROBSize)
+	keys := ring
+	if cfg.Scheduler == SchedRandom {
+		keys = cfg.RSSize
+	}
 	c := &Core{
 		cfg:  cfg,
 		prog: prog,
@@ -137,22 +145,24 @@ func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierar
 		marker:           marker,
 		waitingBranchSeq: -1,
 
-		rob:    make([]entry, ceilPow2(cfg.ROBSize)),
-		slots:  make([]*entry, cfg.RSSize),
-		matrix: NewAgeMatrix(cfg.RSSize),
-		rng:    0x853C49E6748FEA9B,
+		rob: make([]entry, ring),
+		rng: 0x853C49E6748FEA9B,
 
-		fetchQ: make([]fqEntry, cfg.FTQSize+cfg.FetchWidth+1),
-		storeQ: make([]uint64, cfg.StoreQueue),
+		fetchQ: make([]fqEntry, ceilPow2(cfg.FTQSize+cfg.FetchWidth+1)),
+		storeQ: make([]uint64, ceilPow2(cfg.StoreQueue)),
 
-		readyBid:    NewBitset(cfg.RSSize),
-		readyPrio:   NewBitset(cfg.RSSize),
-		scratchBid:  NewBitset(cfg.RSSize),
-		scratchPrio: NewBitset(cfg.RSSize),
-		waitCount:   make([]int8, cfg.RSSize),
-		waiterHead:  make([]int32, ceilPow2(cfg.ROBSize)),
-		waiterNext:  make([]int32, cfg.RSSize*3),
+		readyBid:    NewBitset(keys),
+		readyPrio:   NewBitset(keys),
+		scratchBid:  NewBitset(keys),
+		scratchPrio: NewBitset(keys),
+		waitCount:   make([]int8, keys),
+		waiterHead:  make([]int32, ring),
+		waiterNext:  make([]int32, keys*3),
 		wakeups:     make(wakeupHeap, 0, cfg.RSSize*3),
+	}
+	if cfg.Scheduler == SchedRandom {
+		c.slots = make([]*entry, keys)
+		c.matrix = NewAgeMatrix(keys)
 	}
 	for i := range c.waiterHead {
 		c.waiterHead[i] = -1
@@ -201,16 +211,6 @@ func ceilPow2(n int) int {
 // cfg.ROBSize at dispatch), so the hot-path modulo is a mask.
 func (c *Core) robEntry(seq uint64) *entry { return &c.rob[seq&c.robMask] }
 
-// depReady reports whether the producer identified by seq has its result
-// available at cycle `at`.
-func (c *Core) depReady(seq int64, at uint64) bool {
-	if seq < 0 || uint64(seq) < c.headSeq {
-		return true // architecturally ready or committed
-	}
-	e := c.robEntry(uint64(seq))
-	return e.done && e.doneAt <= at
-}
-
 func (c *Core) nextRand() uint64 {
 	c.rng ^= c.rng << 13
 	c.rng ^= c.rng >> 7
@@ -248,9 +248,7 @@ func (c *Core) SetBranchState(bp branch.Predictor, btb *branch.BTB, ras *branch.
 // (RunMulti) sequences across cores: stepCycle / skipTarget+applySkip /
 // advanceCycle / finishRun.
 func (c *Core) Run() *Result {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	startAllocs := ms.Mallocs
+	startAllocs := heapAllocs()
 	start := time.Now()
 	for !c.finished() {
 		c.stats.HostIters++
@@ -307,9 +305,7 @@ func (c *Core) advanceCycle() {
 func (c *Core) finishRun(start time.Time, startAllocs uint64) {
 	c.exportProfs()
 	c.stats.HostNS = time.Since(start).Nanoseconds()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	c.stats.HostAllocs = ms.Mallocs - startAllocs
+	c.stats.HostAllocs = heapAllocs() - startAllocs
 	c.stats.Cycles = c.cycle
 	c.stats.L1I = c.hier.L1I.Stats()
 	c.stats.L1D = c.hier.L1D.Stats()
@@ -317,6 +313,15 @@ func (c *Core) finishRun(start time.Time, startAllocs uint64) {
 	ds := c.hier.DRAMStats()
 	c.stats.DRAMReads = ds.Reads
 	c.stats.DRAMAvgLat = ds.AvgReadLatency()
+}
+
+// heapAllocs returns how many heap objects the process has allocated so
+// far, read through runtime/metrics: runtime.ReadMemStats stops the world,
+// which stalled every worker of a sweep at both ends of every run.
+func heapAllocs() uint64 {
+	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func (c *Core) finished() bool {
@@ -359,7 +364,7 @@ func (c *Core) commit() {
 			if c.sqCount == 0 || c.storeQ[c.sqHead] != e.seq {
 				panic("core: store queue out of sync at commit")
 			}
-			c.sqHead = (c.sqHead + 1) % len(c.storeQ)
+			c.sqHead = (c.sqHead + 1) & (len(c.storeQ) - 1)
 			c.sqCount--
 		}
 		if e.critical {
@@ -473,7 +478,7 @@ func (c *Core) issue() {
 		}
 		bid.Clear(slot)
 		prio.Clear(slot)
-		e := c.slots[slot]
+		e := c.keyEntry(slot)
 		cls := e.d.Inst.Op.Class()
 		port := c.freePort(cls)
 		if port < 0 {
@@ -500,10 +505,18 @@ func (c *Core) drainWakeups() {
 	}
 }
 
-// setReady marks an RS slot as a selection candidate.
+// keyEntry returns the waiting instruction a scheduler key names.
+func (c *Core) keyEntry(key int) *entry {
+	if c.slots != nil {
+		return c.slots[key]
+	}
+	return &c.rob[key]
+}
+
+// setReady marks a waiting instruction as a selection candidate.
 func (c *Core) setReady(slot int) {
 	c.readyBid.Set(slot)
-	if c.slots[slot].critical {
+	if c.keyEntry(slot).critical {
 		c.readyPrio.Set(slot)
 	}
 }
@@ -544,18 +557,22 @@ func (c *Core) freePort(cls isa.PortClass) int {
 	return -1
 }
 
-// pick applies the configured scheduling policy to one selection.
+// pick applies the configured scheduling policy to one selection. The
+// age-ordered policies scan from the ROB head's ring index: every waiting
+// instruction lies in the ring range [head, tail), so the first set bit in
+// that circular order is the oldest candidate.
 func (c *Core) pick(bid, prio *Bitset) int {
+	head := int(c.headSeq & c.robMask)
 	switch c.cfg.Scheduler {
 	case SchedCRISP:
-		if s := c.matrix.OldestAmong(prio); s >= 0 {
+		if s := prio.FirstFrom(head); s >= 0 {
 			c.stats.IssuedCritical++
 			// Diagnostic: how many older ready entries did the PRIO pick
 			// bypass?
-			c.stats.QueueJumpSum += uint64(c.matrix.OlderCount(bid, s))
+			c.stats.QueueJumpSum += uint64(bid.CountRing(head, s))
 			return s
 		}
-		return c.matrix.OldestAmong(bid)
+		return bid.FirstFrom(head)
 	case SchedRandom:
 		n := bid.Count()
 		if n == 0 {
@@ -563,14 +580,16 @@ func (c *Core) pick(bid, prio *Bitset) int {
 		}
 		return bid.SelectNth(int(c.nextRand() % uint64(n)))
 	default:
-		return c.matrix.OldestAmong(bid)
+		return bid.FirstFrom(head)
 	}
 }
 
 func (c *Core) execute(e *entry, cls isa.PortClass, port int) {
 	e.issued = true
-	c.matrix.Remove(e.slot)
-	c.slots[e.slot] = nil
+	if c.matrix != nil {
+		c.matrix.Remove(e.slot)
+		c.slots[e.slot] = nil
+	}
 	e.slot = -1
 	c.rsCount--
 
@@ -671,7 +690,7 @@ func (c *Core) dispatch() {
 			c.dispStall |= dsSQFull
 			return
 		}
-		slot := c.matrix.FreeSlot(c.nextRand())
+		slot := c.allocKey()
 		if slot < 0 {
 			c.dispStall |= dsRSFull
 			return
@@ -698,7 +717,7 @@ func (c *Core) dispatch() {
 			c.lqCount++
 		}
 		if op == isa.OpStore {
-			c.storeQ[(c.sqHead+c.sqCount)%len(c.storeQ)] = seq
+			c.storeQ[(c.sqHead+c.sqCount)&(len(c.storeQ)-1)] = seq
 			c.sqCount++
 		}
 
@@ -720,8 +739,10 @@ func (c *Core) dispatch() {
 			c.regProdPC[in.Dst] = f.d.PC
 		}
 
-		c.matrix.Insert(slot)
-		c.slots[slot] = e
+		if c.matrix != nil {
+			c.matrix.Insert(slot)
+			c.slots[slot] = e
+		}
 		c.rsCount++
 		wait := c.armDep(e.dep1, slot, 0) + c.armDep(e.dep2, slot, 1)
 		if op == isa.OpLoad {
@@ -736,9 +757,23 @@ func (c *Core) dispatch() {
 			c.mispredictPending = false
 			c.waitingBranchSeq = int64(seq)
 		}
-		c.fqHead = (c.fqHead + 1) % len(c.fetchQ)
+		c.fqHead = (c.fqHead + 1) & (len(c.fetchQ) - 1)
 		c.fqLen--
 	}
+}
+
+// allocKey returns the scheduler key for the µop about to dispatch as
+// tailSeq, or -1 when the RS is full. The age-ordered policies use its ROB
+// ring index and bound occupancy by rsCount; SchedRandom draws a RAND slot
+// (the draw precedes the full check, keeping its RNG stream as recorded).
+func (c *Core) allocKey() int {
+	if c.matrix != nil {
+		return c.matrix.FreeSlot(c.nextRand())
+	}
+	if c.rsCount >= c.cfg.RSSize {
+		return -1
+	}
+	return int(c.tailSeq & c.robMask)
 }
 
 // findForwardingStore returns the seq of the youngest older in-flight
@@ -749,8 +784,9 @@ func (c *Core) dispatch() {
 // the store buffer, so the load falls through to the cache instead (no
 // merge network is modeled).
 func (c *Core) findForwardingStore(d *emu.DynInst) int64 {
+	mask := len(c.storeQ) - 1
 	for i := c.sqCount - 1; i >= 0; i-- {
-		se := c.robEntry(c.storeQ[(c.sqHead+i)%len(c.storeQ)])
+		se := c.robEntry(c.storeQ[(c.sqHead+i)&mask])
 		delta := int64(d.Addr) - int64(se.d.Addr)
 		if delta == 0 {
 			return int64(se.seq)
@@ -837,7 +873,7 @@ func (c *Core) pushFetched(d emu.DynInst, misp bool, readyAt uint64) {
 	if c.fqLen == len(c.fetchQ) {
 		panic("core: fetch queue overflow")
 	}
-	c.fetchQ[(c.fqHead+c.fqLen)%len(c.fetchQ)] = fqEntry{d: d, mispredicted: misp, dispatchReadyAt: readyAt}
+	c.fetchQ[(c.fqHead+c.fqLen)&(len(c.fetchQ)-1)] = fqEntry{d: d, mispredicted: misp, dispatchReadyAt: readyAt}
 	c.fqLen++
 }
 

@@ -10,6 +10,7 @@ package core_test
 // optimization.
 
 import (
+	"fmt"
 	"testing"
 
 	"crisp/internal/core"
@@ -22,6 +23,7 @@ const goldenInsts = 60_000
 
 type goldenCase struct {
 	workload string
+	rs, rob  int // 0, 0 is Table 1's 96-entry RS / 224-entry ROB
 	sched    core.SchedulerKind
 	cycles   uint64
 	insts    uint64
@@ -30,13 +32,30 @@ type goldenCase struct {
 	issuedCritical uint64
 }
 
+func (tc goldenCase) name() string {
+	if tc.rs == 0 {
+		return tc.workload + "/" + tc.sched.String()
+	}
+	return fmt.Sprintf("%s/%drs_%drob/%s", tc.workload, tc.rs, tc.rob, tc.sched)
+}
+
+// The windowed rows were recorded at the last commit whose select was an
+// argmin over age stamps: a 180-entry ROB does not fill its 256-entry ring
+// (and its 64-entry RS fills long before the ROB does), a 448-entry ROB
+// spans eight 64-bit words.
 var goldenCases = []goldenCase{
-	{"pointerchase", core.SchedOldestFirst, 72672, 60000, 0, 0},
-	{"pointerchase", core.SchedCRISP, 70793, 60000, 286371, 76258},
-	{"pointerchase", core.SchedRandom, 75224, 60000, 0, 0},
-	{"mcf", core.SchedOldestFirst, 65952, 60000, 0, 0},
-	{"mcf", core.SchedCRISP, 63879, 60000, 320412, 79339},
-	{"mcf", core.SchedRandom, 65410, 60000, 0, 0},
+	{"pointerchase", 0, 0, core.SchedOldestFirst, 72672, 60000, 0, 0},
+	{"pointerchase", 0, 0, core.SchedCRISP, 70793, 60000, 286371, 76258},
+	{"pointerchase", 0, 0, core.SchedRandom, 75224, 60000, 0, 0},
+	{"mcf", 0, 0, core.SchedOldestFirst, 65952, 60000, 0, 0},
+	{"mcf", 0, 0, core.SchedCRISP, 63879, 60000, 320412, 79339},
+	{"mcf", 0, 0, core.SchedRandom, 65410, 60000, 0, 0},
+	{"deepsjeng", 64, 180, core.SchedOldestFirst, 63553, 60000, 0, 0},
+	{"deepsjeng", 64, 180, core.SchedCRISP, 63428, 60000, 41650, 12367},
+	{"deepsjeng", 64, 180, core.SchedRandom, 62829, 60000, 0, 0},
+	{"lbm", 192, 448, core.SchedOldestFirst, 80279, 60000, 0, 0},
+	{"lbm", 192, 448, core.SchedCRISP, 77112, 60000, 61904, 12699},
+	{"lbm", 192, 448, core.SchedRandom, 77041, 60000, 0, 0},
 }
 
 // goldenImage builds the ref image for a case; for the CRISP policy every
@@ -63,8 +82,11 @@ func goldenImage(t *testing.T, name string, sched core.SchedulerKind) *sim.Image
 func TestGoldenSchedulerEquivalence(t *testing.T) {
 	for _, tc := range goldenCases {
 		tc := tc
-		t.Run(tc.workload+"/"+tc.sched.String(), func(t *testing.T) {
+		t.Run(tc.name(), func(t *testing.T) {
 			cfg := sim.DefaultConfig()
+			if tc.rs != 0 {
+				cfg = cfg.WithWindow(tc.rs, tc.rob)
+			}
 			cfg.Core.MaxInsts = goldenInsts
 			r := sim.Run(goldenImage(t, tc.workload, tc.sched), cfg.WithSched(tc.sched))
 			if r.Cycles != tc.cycles {
@@ -81,5 +103,33 @@ func TestGoldenSchedulerEquivalence(t *testing.T) {
 				t.Errorf("IssuedCritical = %d, want %d", r.IssuedCritical, tc.issuedCritical)
 			}
 		})
+	}
+}
+
+// TestGoldenMultiEquivalence pins one 2-core lockstep co-run (RunMulti
+// reaches the scheduler only through stepCycle): a CRISP core with every
+// load critical beside an oldest-first neighbour over the shared LLC/DRAM.
+func TestGoldenMultiEquivalence(t *testing.T) {
+	want := []goldenCase{
+		{"pointerchase", 0, 0, core.SchedCRISP, 51584, 40000, 190715, 50835},
+		{"lbm", 0, 0, core.SchedOldestFirst, 60361, 40000, 0, 0},
+	}
+	imgs := make([]*sim.Image, len(want))
+	cfgs := make([]sim.Config, len(want))
+	for i, tc := range want {
+		imgs[i] = goldenImage(t, tc.workload, tc.sched)
+		cfgs[i] = sim.DefaultConfig().WithSched(tc.sched)
+		cfgs[i].Core.MaxInsts = tc.insts
+	}
+	m, err := sim.RunMulti(imgs, cfgs)
+	if err != nil {
+		t.Fatalf("RunMulti: %v", err)
+	}
+	for i, tc := range want {
+		r := m.Cores[i]
+		got := goldenCase{tc.workload, 0, 0, tc.sched, r.Cycles, r.Insts, r.QueueJumpSum, r.IssuedCritical}
+		if got != tc {
+			t.Errorf("core %d: got %+v, want %+v", i, got, tc)
+		}
 	}
 }

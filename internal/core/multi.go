@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -30,9 +29,7 @@ import (
 // thread, so per-core host attribution is not meaningful and the same
 // wall/alloc window is reported to each.
 func RunMulti(cores []*Core, cancel func() bool) []*Result {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	startAllocs := ms.Mallocs
+	startAllocs := heapAllocs()
 	start := time.Now()
 
 	allowSkip := true

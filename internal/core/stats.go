@@ -113,14 +113,17 @@ type Result struct {
 	SkippedCycles uint64
 
 	// Host throughput: how fast the simulator itself ran, as opposed to
-	// the simulated machine. HostAllocs is the process-wide heap
-	// allocation delta across Run, so concurrent runs inflate each
-	// other's counts; per-run numbers are exact only single-threaded.
+	// the simulated machine. HostAllocs is process-wide: the heap objects
+	// the whole process allocated between the run's start and its end
+	// (runtime/metrics /gc/heap/allocs:objects), so it is a per-run number
+	// only with one worker, which is how bench's layer walk reads
+	// core.allocs_per_kinst. The runtime advances the counter a span of
+	// objects at a time: a short run can read a few dozen low or high.
 	// HostIters counts cycle-loop iterations actually executed; with idle
 	// skipping Cycles−SkippedCycles ≈ HostIters, and Cycles/HostIters is
 	// the per-iteration leverage skipping bought.
 	HostNS     int64  // wall-clock nanoseconds spent inside Run
-	HostAllocs uint64 // heap allocations observed during Run
+	HostAllocs uint64 // heap objects the process allocated during Run
 	HostIters  uint64 // cycle-loop iterations executed (skips collapse many cycles into one)
 
 	// Co-phase counters, populated only by RunMulti with ≥2 cores: this

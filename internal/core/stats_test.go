@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"crisp/internal/isa"
+	"crisp/internal/program"
+)
 
 func TestSchedulerKindString(t *testing.T) {
 	if SchedOldestFirst.String() != "ooo" || SchedCRISP.String() != "crisp" || SchedRandom.String() != "random" {
@@ -56,5 +61,26 @@ func TestResultMetrics(t *testing.T) {
 	}
 	if r.L1IMPKI() != 0.5 {
 		t.Errorf("L1I MPKI = %v", r.L1IMPKI())
+	}
+}
+
+// HostAllocs is the delta of runtime/metrics' cumulative heap-object
+// counter across Run. The runtime advances that counter a span at a time,
+// so the test makes the run allocate thousands of objects of one size (one
+// exported LoadProf per static load) and allows a span's worth of lag.
+func TestHostAllocsCountsTheRunsAllocations(t *testing.T) {
+	const loads = 3000
+	b := program.NewBuilder("manyloads")
+	b.MovI(isa.R(1), 0x10000)
+	for i := 0; i < loads; i++ {
+		b.Load(isa.R(2), isa.R(1), 0)
+	}
+	b.Halt()
+	res := runProg(t, DefaultConfig(), b.MustBuild(), nil, nil)
+	if len(res.Loads) != loads {
+		t.Fatalf("exported %d load profiles, want %d", len(res.Loads), loads)
+	}
+	if res.HostAllocs < loads-100 || res.HostAllocs > 2*loads {
+		t.Errorf("HostAllocs = %d for a run that allocated %d profiles (and their map's buckets)", res.HostAllocs, loads)
 	}
 }

@@ -2,15 +2,18 @@ package core
 
 // The scheduler keeps the BID (ready) and PRIO (ready-and-critical)
 // vectors incrementally instead of rebuilding them by an O(RSSize) scan
-// with per-slot dependence checks every cycle:
+// with per-slot dependence checks every cycle. Everything here is indexed
+// by the waiting instruction's scheduler key (entry.slot): its ROB ring
+// index under the age-ordered policies — which makes the vectors' bit
+// order the age order, see Core.pick — and its RAND slot under SchedRandom.
 //
-//   - At dispatch each RS slot counts its unready producers. Producers
+//   - At dispatch each instruction counts its unready producers. Producers
 //     that have already executed contribute a timed wakeup at their
-//     completion cycle; producers still in flight get the slot chained
+//     completion cycle; producers still in flight get the key chained
 //     onto their waiter list.
 //   - When a producer executes, its waiter chain is converted into timed
 //     wakeups at the producer's completion cycle.
-//   - issue() drains due wakeups first; a slot whose last outstanding
+//   - issue() drains due wakeups first; a key whose last outstanding
 //     dependence resolves sets its BID bit (and PRIO bit if critical).
 //   - Bits are cleared when the instruction actually issues. This core
 //     never squashes dispatched work (mispredicted branches stall fetch
@@ -20,8 +23,8 @@ package core
 // The net effect: zero allocations and O(due events) bookkeeping per
 // cycle, with selection itself word-parallel over the persistent vectors.
 
-// wakeup is a timed scheduler event: slot's outstanding-dependence count
-// drops by one at cycle `at`.
+// wakeup is a timed scheduler event: the outstanding-dependence count of
+// the instruction keyed slot drops by one at cycle `at`.
 type wakeup struct {
 	at   uint64
 	slot int32

@@ -53,6 +53,9 @@ func (m *Memory) EncodeState(w *codec.Writer, d *PageDict) {
 	}
 }
 
+// EncodedLen returns the number of bytes EncodePages writes.
+func (d *PageDict) EncodedLen() int { return 4 + len(d.pages)*pageSize }
+
 // EncodePages emits the interned page contents: count, then raw pages in
 // index order.
 func (d *PageDict) EncodePages(w *codec.Writer) {
