@@ -5,6 +5,8 @@
 // available, threading timing through to the DRAM backend.
 package cache
 
+import "slices"
+
 // Backend is anything that can service a line request: the next cache
 // level or DRAM.
 type Backend interface {
@@ -79,36 +81,52 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses+s.MergedMisses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	readyAt    uint64 // fill completion time (hit-under-fill)
-	lru        uint64 // touch timestamp; 64-bit so it never wraps
-	prefetched bool   // filled by prefetch, not yet demand-referenced
-	fillDepth  int8   // levels below that served the fill
+// Flag bits a tag word carries below its line address: a line address has
+// its low lineBits bits clear, so the three flags ride there and one load
+// per way answers "valid and this line?". persist.go writes the same bit
+// values as the flags byte of the encoded form.
+const (
+	lineValid = 1 << iota
+	lineDirty
+	linePrefetched // filled by prefetch, not yet demand-referenced
+	lineFlags      = lineValid | lineDirty | linePrefetched
+)
+
+// mshrEntry tracks one in-flight miss.
+type mshrEntry struct {
+	la    uint64 // line address
+	done  uint64
+	depth int8 // levels below this one the miss descended (1 = next level)
 }
 
 // Cache is one set-associative level. A level shared between cores (the
 // multi-core LLC) keeps one set of tags, MSHRs, and timing state — every
 // requester contends for them — but routes statistics and miss-observer
 // callbacks to the active requester (SetRequesters/SetRequester).
+//
+// Line state is held as parallel arrays indexed set*ways+way (25 bytes a
+// line) so that a lookup walks only tag words and a victim search only tag
+// words and LRU stamps. The MSHR file is a slice of at most cfg.MSHRs
+// entries searched linearly; see mshrAdmit for when entries leave it.
 type Cache struct {
 	cfg      Config
 	sets     int
 	lineBits uint
-	lines    []line // sets*ways
-	lruClock uint64 // uint32 wrapped after ~4B touches, inverting LRU order
+	tags     []uint64 // line address | lineFlags bits
+	lru      []uint64 // touch timestamp; 64-bit so it never wraps
+	readyAt  []uint64 // fill completion time (hit-under-fill)
+	depth    []int8   // levels below that served the fill
+	lruClock uint64   // uint32 wrapped after ~4B touches, inverting LRU order
 	next     Backend
 	pf       Prefetcher
-	mshr     map[uint64]mshrEntry // line addr -> in-flight miss
+	mshr     []mshrEntry // at most cfg.MSHRs entries, in flight or completed and not yet collected
 	stats    Stats
 	cur      *Stats  // increment target: &stats, or the active requester's slot
 	perReq   []Stats // per-requester counters when shared (SetRequesters)
 	req      int     // active requester index
 
-	// lastLevel marks the LLC: its misses are reported to miss observers
-	// (per-PC profiling, IBDA's delinquent load table).
+	// Primary demand misses are reported to miss observers (at the LLC:
+	// per-PC profiling, IBDA's delinquent load table).
 	missObs func(pc, lineAddr uint64)
 	perObs  []func(pc, lineAddr uint64) // per-requester observers when shared
 }
@@ -126,16 +144,18 @@ func New(cfg Config, next Backend) *Cache {
 	if cfg.MSHRs == 0 {
 		cfg.MSHRs = 16
 	}
+	n := sets * cfg.Ways
 	c := &Cache{
-		cfg:   cfg,
-		sets:  sets,
-		lines: make([]line, sets*cfg.Ways),
-		next:  next,
-		mshr:  make(map[uint64]mshrEntry),
+		cfg: cfg, sets: sets, next: next,
+		tags: make([]uint64, n), lru: make([]uint64, n), readyAt: make([]uint64, n), depth: make([]int8, n),
+		mshr: make([]mshrEntry, 0, cfg.MSHRs),
 	}
 	c.cur = &c.stats
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.lineBits++
+	}
+	if 1<<c.lineBits <= lineFlags {
+		panic("cache: line size too small to carry the flag bits in a tag word")
 	}
 	return c
 }
@@ -190,15 +210,56 @@ func (c *Cache) Stats() Stats {
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
-
-func (c *Cache) set(lineAddr uint64) int {
-	return int((lineAddr >> c.lineBits) % uint64(c.sets))
+// locate returns addr's line address and the index of its set's way 0.
+func (c *Cache) locate(addr uint64) (la uint64, base int) {
+	la = addr >> c.lineBits << c.lineBits
+	return la, int((la>>c.lineBits)%uint64(c.sets)) * c.cfg.Ways
 }
 
-type mshrEntry struct {
-	done  uint64
-	depth int8 // levels below this one the miss descended (1 = next level)
+// find returns the index of the valid line holding la in the set starting
+// at base, or -1. This is the only tag scan.
+func (c *Cache) find(base int, la uint64) int {
+	want := la | lineValid
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t&^(lineDirty|linePrefetched) == want {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// victim returns the index to fill in the set starting at base: the first
+// invalid way, else the least recently used (the lowest way on a tie).
+func (c *Cache) victim(base int) int {
+	v := base
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.tags[i]&lineValid == 0 {
+			return i
+		}
+		if c.lru[i] < c.lru[v] {
+			v = i
+		}
+	}
+	return v
+}
+
+// install overwrites line i and makes it most recently used.
+func (c *Cache) install(i int, tag, readyAt uint64, depth int8) {
+	c.tags[i], c.readyAt[i], c.depth[i] = tag, readyAt, depth
+	c.touch(i)
+}
+
+func (c *Cache) touch(i int) {
+	c.lruClock++
+	c.lru[i] = c.lruClock
+}
+
+// flagIf returns flag when set, else 0.
+func flagIf(set bool, flag uint64) uint64 {
+	if set {
+		return flag
+	}
+	return 0
 }
 
 // Access implements Backend for accesses with no PC attribution.
@@ -212,46 +273,42 @@ func (c *Cache) Access(addr uint64, write bool, cycle uint64) uint64 {
 // served: 0 = hit in this cache, 1 = next level, 2 = the level after, etc.
 func (c *Cache) AccessPC(pc, addr uint64, write bool, cycle uint64) (done uint64, depth int8) {
 	c.cur.Accesses++
-	la := c.lineAddr(addr)
-	base := c.set(la) * c.cfg.Ways
+	la, base := c.locate(addr)
 
 	// Hit path (including hit-under-fill on an in-flight line).
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			wasPrefetched := ln.prefetched
-			if wasPrefetched {
-				ln.prefetched = false
-				c.cur.PrefetchHits++
-			}
-			if write {
-				ln.dirty = true
-			}
-			c.touch(ln)
-			done = cycle + uint64(c.cfg.Latency)
-			if ln.readyAt > done {
-				// The line is still in flight: the access merges with the
-				// outstanding fill and is served from the fill's level.
-				done = ln.readyAt
-				c.cur.MergedMisses++
-				if wasPrefetched {
-					c.cur.PrefetchLate++
-				}
-				c.firePrefetch(pc, addr, true, cycle)
-				return done, ln.fillDepth
-			}
-			c.cur.Hits++
-			c.firePrefetch(pc, addr, true, cycle)
-			return done, 0
+	if i := c.find(base, la); i >= 0 {
+		wasPrefetched := c.tags[i]&linePrefetched != 0
+		if wasPrefetched {
+			c.cur.PrefetchHits++
 		}
+		c.tags[i] = c.tags[i]&^linePrefetched | flagIf(write, lineDirty)
+		c.touch(i)
+		done = cycle + uint64(c.cfg.Latency)
+		if c.readyAt[i] > done {
+			// The line is still in flight: the access merges with the
+			// outstanding fill and is served from the fill's level. The
+			// depth is read after the prefetches, one of which may have
+			// refilled way i.
+			done = c.readyAt[i]
+			c.cur.MergedMisses++
+			if wasPrefetched {
+				c.cur.PrefetchLate++
+			}
+			c.firePrefetch(pc, addr, true, cycle)
+			return done, c.depth[i]
+		}
+		c.cur.Hits++
+		c.firePrefetch(pc, addr, true, cycle)
+		return done, 0
 	}
 
 	// Secondary miss: merge into outstanding MSHR.
-	if pending, ok := c.mshr[la]; ok && pending.done > cycle {
+	if j := c.mshrFind(la); j >= 0 && c.mshr[j].done > cycle {
+		pending := c.mshr[j]
 		c.cur.MergedMisses++
 		c.firePrefetch(pc, addr, false, cycle)
 		if write {
-			c.markDirtyAfterFill(la)
+			c.MarkDirty(la)
 		}
 		return pending.done, pending.depth
 	}
@@ -266,12 +323,19 @@ func (c *Cache) AccessPC(pc, addr uint64, write bool, cycle uint64) (done uint64
 			c.perObs[c.req](pc, la)
 		}
 	}
-	start := c.mshrAdmit(cycle)
-	fillDone, d := c.accessNext(pc, la, start+uint64(c.cfg.Latency))
-	c.mshr[la] = mshrEntry{done: fillDone, depth: d}
-	c.fill(la, fillDone, d, write, false, cycle)
+	done, depth = c.miss(pc, la, base, flagIf(write, lineDirty), cycle)
 	c.firePrefetch(pc, addr, false, cycle)
-	return fillDone, d
+	return done, depth
+}
+
+// miss takes an MSHR for la, fetches the line from the next level and
+// installs it with the given extra flags.
+func (c *Cache) miss(pc, la uint64, base int, flags, cycle uint64) (done uint64, depth int8) {
+	start := c.mshrAdmit(cycle)
+	done, depth = c.accessNext(pc, la, start+uint64(c.cfg.Latency))
+	c.mshrInsert(mshrEntry{la: la, done: done, depth: depth})
+	c.fill(base, la|lineValid|flags, done, depth, cycle)
+	return done, depth
 }
 
 // accessNext forwards a miss to the next level, preserving PC attribution
@@ -288,22 +352,15 @@ func (c *Cache) accessNext(pc, la uint64, cycle uint64) (done uint64, depth int8
 // Prefetch requests a line fill without demand semantics. It is a no-op if
 // the line is already present or in flight.
 func (c *Cache) Prefetch(addr uint64, cycle uint64) {
-	la := c.lineAddr(addr)
-	base := c.set(la) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			return
-		}
-	}
-	if pending, ok := c.mshr[la]; ok && pending.done > cycle {
+	la, base := c.locate(addr)
+	if c.find(base, la) >= 0 {
 		return
 	}
-	start := c.mshrAdmit(cycle)
-	fillDone, d := c.accessNext(NoPC, la, start+uint64(c.cfg.Latency))
-	c.mshr[la] = mshrEntry{done: fillDone, depth: d}
+	if j := c.mshrFind(la); j >= 0 && c.mshr[j].done > cycle {
+		return
+	}
 	c.cur.Prefetches++
-	c.fill(la, fillDone, d, false, true, cycle)
+	c.miss(NoPC, la, base, linePrefetched, cycle)
 }
 
 // firePrefetch runs the attached prefetcher and issues its suggestions.
@@ -316,80 +373,86 @@ func (c *Cache) firePrefetch(pc, addr uint64, hit bool, cycle uint64) {
 	}
 }
 
+// mshrFind returns the index of la's entry in the MSHR file — live or
+// completed but not yet collected — or -1.
+func (c *Cache) mshrFind(la uint64) int {
+	for j := range c.mshr {
+		if c.mshr[j].la == la {
+			return j
+		}
+	}
+	return -1
+}
+
+// mshrInsert records a new miss, replacing the line's completed entry if
+// one is still in the file, so a line never holds two entries.
+func (c *Cache) mshrInsert(e mshrEntry) {
+	if j := c.mshrFind(e.la); j >= 0 {
+		c.mshr[j] = e
+		return
+	}
+	c.mshr = append(c.mshr, e)
+}
+
+// mshrRemove frees entry j by moving the last entry into its place.
+func (c *Cache) mshrRemove(j int) {
+	last := len(c.mshr) - 1
+	c.mshr[j] = c.mshr[last]
+	c.mshr = c.mshr[:last]
+}
+
 // mshrAdmit returns the cycle at which a new miss may start, delaying it
-// if all MSHRs are occupied, and garbage-collects completed entries.
+// if all MSHRs are occupied. Completed entries leave the file here and
+// only here, and only once it is full: a shared level is not called in
+// time order (it sees start+latency from several L1s, cores and
+// prefetches), so an entry completed as of this call can still be in
+// flight for a later call at an earlier cycle, which must merge with it.
+// Expiring entries any earlier would change which secondary misses merge.
 func (c *Cache) mshrAdmit(cycle uint64) uint64 {
 	if len(c.mshr) < c.cfg.MSHRs {
 		return cycle
 	}
-	earliest := ^uint64(0)
-	for la, e := range c.mshr {
-		if e.done <= cycle {
-			delete(c.mshr, la)
-		} else if e.done < earliest {
-			earliest = e.done
+	earliest, at := ^uint64(0), -1
+	for j := 0; j < len(c.mshr); {
+		done := c.mshr[j].done
+		if done <= cycle {
+			c.mshrRemove(j) // moves an unvisited entry into j
+			continue
 		}
+		if done < earliest {
+			earliest, at = done, j
+		}
+		j++
 	}
 	if len(c.mshr) < c.cfg.MSHRs {
 		return cycle
 	}
 	c.cur.MSHRStalls += earliest - cycle
-	// Free the earliest-completing entry: it will have completed by then.
-	for la, e := range c.mshr {
-		if e.done == earliest {
-			delete(c.mshr, la)
-			break
-		}
-	}
+	// Free the earliest-completing entry (the first such in file order): it
+	// will have completed by then.
+	c.mshrRemove(at)
 	return earliest
 }
 
-func (c *Cache) fill(la uint64, readyAt uint64, depth int8, dirty, prefetched bool, cycle uint64) {
-	base := c.set(la) * c.cfg.Ways
-	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid {
-			victim = w
-			break
-		}
-		if ln.lru < c.lines[base+victim].lru {
-			victim = w
-		}
-	}
-	v := &c.lines[base+victim]
-	if v.valid && v.dirty {
+// fill installs tag (a line address with its flag bits) over the victim of
+// the set starting at base, writing a dirty victim back first.
+func (c *Cache) fill(base int, tag, readyAt uint64, depth int8, cycle uint64) {
+	v := c.victim(base)
+	if old := c.tags[v]; old&(lineValid|lineDirty) == lineValid|lineDirty {
 		c.cur.Writebacks++
-		c.next.Access(v.tag, true, cycle)
+		c.next.Access(old&^lineFlags, true, cycle)
 	}
-	*v = line{tag: la, valid: true, dirty: dirty, readyAt: readyAt, prefetched: prefetched, fillDepth: depth}
-	c.touch(v)
-}
-
-func (c *Cache) markDirtyAfterFill(la uint64) {
-	base := c.set(la) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			ln.dirty = true
-			return
-		}
-	}
-}
-
-func (c *Cache) touch(ln *line) {
-	c.lruClock++
-	ln.lru = c.lruClock
+	c.install(v, tag, readyAt, depth)
 }
 
 // MSHROccupancy returns the number of MSHR entries still tracking an
-// in-flight miss at the given cycle. Completed entries are garbage
-// collected lazily (on admission pressure), so they are excluded here
-// rather than trusting len(c.mshr).
+// in-flight miss at the given cycle. Completed entries stay in the file
+// until mshrAdmit collects them, so they are excluded here rather than
+// trusting len(c.mshr).
 func (c *Cache) MSHROccupancy(cycle uint64) int {
 	n := 0
-	for _, e := range c.mshr {
-		if e.done > cycle {
+	for j := range c.mshr {
+		if c.mshr[j].done > cycle {
 			n++
 		}
 	}
@@ -398,39 +461,19 @@ func (c *Cache) MSHROccupancy(cycle uint64) int {
 
 // Warm touches the line holding addr without any timing or statistics:
 // a hit refreshes LRU (and dirtiness on a write), a miss installs the
-// line ready-at-cycle-0 over the LRU victim, dropping any dirty victim
-// silently (tags only — data lives in emu.Memory). It reports whether
-// the line was already resident so hierarchy warming can recurse into
-// the next level only on a miss. Used by the sampled-simulation
+// line ready-at-cycle-0 over the victim fill would choose, dropping any
+// dirty victim silently (tags only — data lives in emu.Memory). It reports
+// whether the line was already resident so hierarchy warming can recurse
+// into the next level only on a miss. Used by the sampled-simulation
 // functional-warming phase, which precedes the measured window.
 func (c *Cache) Warm(addr uint64, write bool) bool {
-	la := c.lineAddr(addr)
-	base := c.set(la) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			if write {
-				ln.dirty = true
-			}
-			c.touch(ln)
-			return true
-		}
+	la, base := c.locate(addr)
+	if i := c.find(base, la); i >= 0 {
+		c.tags[i] |= flagIf(write, lineDirty)
+		c.touch(i)
+		return true
 	}
-	// Same victim choice as fill: first invalid way, else LRU.
-	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid {
-			victim = w
-			break
-		}
-		if ln.lru < c.lines[base+victim].lru {
-			victim = w
-		}
-	}
-	v := &c.lines[base+victim]
-	*v = line{tag: la, valid: true, dirty: write}
-	c.touch(v)
+	c.install(c.victim(base), la|lineValid|flagIf(write, lineDirty), 0, 0)
 	return false
 }
 
@@ -439,28 +482,11 @@ func (c *Cache) Warm(addr uint64, write bool) bool {
 // already present. Unlike Warm it does not promote a present line,
 // mirroring Prefetch's early return on a duplicate suggestion.
 func (c *Cache) WarmPrefetch(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.set(la) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			return true
-		}
+	la, base := c.locate(addr)
+	if c.find(base, la) >= 0 {
+		return true
 	}
-	victim := 0
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if !ln.valid {
-			victim = w
-			break
-		}
-		if ln.lru < c.lines[base+victim].lru {
-			victim = w
-		}
-	}
-	v := &c.lines[base+victim]
-	*v = line{tag: la, valid: true}
-	c.touch(v)
+	c.install(c.victim(base), la|lineValid, 0, 0)
 	return false
 }
 
@@ -471,31 +497,23 @@ func (c *Cache) WarmPrefetch(addr uint64) bool {
 // see each other's mutations.
 func (c *Cache) CloneState(next Backend) *Cache {
 	cl := &Cache{
-		cfg:      c.cfg,
-		sets:     c.sets,
-		lineBits: c.lineBits,
-		lines:    append([]line(nil), c.lines...),
-		lruClock: c.lruClock,
-		next:     next,
-		mshr:     make(map[uint64]mshrEntry),
+		cfg: c.cfg, sets: c.sets, lineBits: c.lineBits, lruClock: c.lruClock, next: next,
+		tags: slices.Clone(c.tags), lru: slices.Clone(c.lru), readyAt: slices.Clone(c.readyAt), depth: slices.Clone(c.depth),
+		mshr: make([]mshrEntry, 0, c.cfg.MSHRs),
 	}
 	cl.cur = &cl.stats
 	return cl
 }
 
 // MarkDirty sets the dirty bit on the resident line holding addr, if
-// any, without touching LRU, statistics or timing. Co-scheduled warming
-// uses it to deliver a store's dirtiness to this level when a higher
-// level absorbed the store itself (see Hierarchy.WarmDataShared).
+// any, without touching LRU, statistics or timing. A store merging into an
+// in-flight miss uses it, and co-scheduled warming uses it to deliver a
+// store's dirtiness to this level when a higher level absorbed the store
+// itself (see Hierarchy.WarmDataShared).
 func (c *Cache) MarkDirty(addr uint64) {
-	la := c.lineAddr(addr)
-	base := c.set(la) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			ln.dirty = true
-			return
-		}
+	la, base := c.locate(addr)
+	if i := c.find(base, la); i >= 0 {
+		c.tags[i] |= lineDirty
 	}
 }
 
@@ -504,21 +522,15 @@ func (c *Cache) MarkDirty(addr uint64) {
 // equivalence tests cool one level of a warmed checkpoint to prove the
 // tolerance check would catch missing warm-up).
 func (c *Cache) Invalidate() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.readyAt)
+	clear(c.depth)
 	c.lruClock = 0
 }
 
 // Contains reports whether the line holding addr is resident (test hook).
 func (c *Cache) Contains(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.set(la) * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == la {
-			return true
-		}
-	}
-	return false
+	la, base := c.locate(addr)
+	return c.find(base, la) >= 0
 }

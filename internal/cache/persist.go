@@ -13,64 +13,48 @@ import (
 // lines and the LRU clock — travel. MSHRs, statistics and attachments
 // are per-window state that CloneState already resets; they are never
 // warm at capture time and are not encoded.
-
-// line flag bits in the encoded form.
-const (
-	lineValid = 1 << iota
-	lineDirty
-	linePrefetched
-)
+//
+// A line is 26 bytes: u64 line address | u8 flags | u64 readyAt | u64 lru |
+// i8 fill depth. In memory the flags share the tag word with the address
+// (cache.go); the encoded form keeps them apart, so the decoder must refuse
+// any line whose two fields would overlap when packed.
 
 // EncodeState serializes the level's warmed lines and LRU clock.
 func (c *Cache) EncodeState(w *codec.Writer) {
-	w.U32(uint32(len(c.lines)))
-	for i := range c.lines {
-		ln := &c.lines[i]
-		var flags uint8
-		if ln.valid {
-			flags |= lineValid
-		}
-		if ln.dirty {
-			flags |= lineDirty
-		}
-		if ln.prefetched {
-			flags |= linePrefetched
-		}
-		w.U64(ln.tag)
-		w.U8(flags)
-		w.U64(ln.readyAt)
-		w.U64(ln.lru)
-		w.I8(ln.fillDepth)
+	w.U32(uint32(len(c.tags)))
+	for i, t := range c.tags {
+		w.U64(t &^ lineFlags)
+		w.U8(uint8(t & lineFlags))
+		w.U64(c.readyAt[i])
+		w.U64(c.lru[i])
+		w.I8(c.depth[i])
 	}
 	w.U64(c.lruClock)
 }
 
 // DecodeState overwrites the level's lines and LRU clock with encoded
 // warm state. The line count must match this cache's geometry — the
-// caller builds the hierarchy from the config the state was warmed with.
+// caller builds the hierarchy from the config the state was warmed with —
+// and every line must be one EncodeState can write: an address aligned to
+// the line size and no flag bit beyond valid/dirty/prefetched.
 func (c *Cache) DecodeState(r *codec.Reader) error {
 	n := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n != len(c.lines) {
-		return fmt.Errorf("cache: %s encoded with %d lines, geometry has %d", c.cfg.Name, n, len(c.lines))
+	if n != len(c.tags) {
+		return fmt.Errorf("cache: %s encoded with %d lines, geometry has %d", c.cfg.Name, n, len(c.tags))
 	}
-	for i := range c.lines {
-		tag := r.U64()
+	for i := range c.tags {
+		la := r.U64()
 		flags := r.U8()
-		readyAt := r.U64()
-		lru := r.U64()
-		fillDepth := r.I8()
-		c.lines[i] = line{
-			tag:        tag,
-			valid:      flags&lineValid != 0,
-			dirty:      flags&lineDirty != 0,
-			prefetched: flags&linePrefetched != 0,
-			readyAt:    readyAt,
-			lru:        lru,
-			fillDepth:  fillDepth,
+		if la&(1<<c.lineBits-1) != 0 || flags&^lineFlags != 0 {
+			return fmt.Errorf("cache: %s line %d: address %#x is not line-aligned or flags %#x has a bit beyond valid/dirty/prefetched", c.cfg.Name, i, la, flags)
 		}
+		c.tags[i] = la | uint64(flags)
+		c.readyAt[i] = r.U64()
+		c.lru[i] = r.U64()
+		c.depth[i] = r.I8()
 	}
 	c.lruClock = r.U64()
 	return r.Err()

@@ -116,6 +116,7 @@ type Core struct {
 	cycle       uint64
 	stats       Result
 	cancelCheck func() bool
+	allocSample [1]rtmetrics.Sample // heapAllocs' read buffer
 
 	upcAccum       uint64
 	lastRetire     uint64
@@ -248,7 +249,7 @@ func (c *Core) SetBranchState(bp branch.Predictor, btb *branch.BTB, ras *branch.
 // (RunMulti) sequences across cores: stepCycle / skipTarget+applySkip /
 // advanceCycle / finishRun.
 func (c *Core) Run() *Result {
-	startAllocs := heapAllocs()
+	startAllocs := c.heapAllocs()
 	start := time.Now()
 	for !c.finished() {
 		c.stats.HostIters++
@@ -305,7 +306,7 @@ func (c *Core) advanceCycle() {
 func (c *Core) finishRun(start time.Time, startAllocs uint64) {
 	c.exportProfs()
 	c.stats.HostNS = time.Since(start).Nanoseconds()
-	c.stats.HostAllocs = heapAllocs() - startAllocs
+	c.stats.HostAllocs = c.heapAllocs() - startAllocs
 	c.stats.Cycles = c.cycle
 	c.stats.L1I = c.hier.L1I.Stats()
 	c.stats.L1D = c.hier.L1D.Stats()
@@ -317,11 +318,13 @@ func (c *Core) finishRun(start time.Time, startAllocs uint64) {
 
 // heapAllocs returns how many heap objects the process has allocated so
 // far, read through runtime/metrics: runtime.ReadMemStats stops the world,
-// which stalled every worker of a sweep at both ends of every run.
-func heapAllocs() uint64 {
-	s := []rtmetrics.Sample{{Name: "/gc/heap/allocs:objects"}}
-	rtmetrics.Read(s)
-	return s[0].Value.Uint64()
+// which stalled every worker of a sweep at both ends of every run. The
+// sample it reads into is a field of the core because a local one escapes
+// to the heap, and measuring allocations should not allocate.
+func (c *Core) heapAllocs() uint64 {
+	c.allocSample[0].Name = "/gc/heap/allocs:objects"
+	rtmetrics.Read(c.allocSample[:])
+	return c.allocSample[0].Value.Uint64()
 }
 
 func (c *Core) finished() bool {

@@ -29,7 +29,10 @@ import (
 // thread, so per-core host attribution is not meaningful and the same
 // wall/alloc window is reported to each.
 func RunMulti(cores []*Core, cancel func() bool) []*Result {
-	startAllocs := heapAllocs()
+	if len(cores) == 0 {
+		return nil
+	}
+	startAllocs := cores[0].heapAllocs()
 	start := time.Now()
 
 	allowSkip := true
