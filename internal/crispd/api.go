@@ -52,7 +52,10 @@ type JobStatus struct {
 	// Result holds the task's result when State is "done": a
 	// core.Result for runs, sim.MultiResult for multi, crisp.Analysis /
 	// crisp.Footprint for the pipeline kinds. Status polls include it;
-	// progress events omit it.
+	// progress events omit it. On the server it is always json.Marshal
+	// output shared with the job or the published-result cache — never
+	// mutated, and spliced into the response as is (writeStatus); the
+	// client shadows it with a typed field and never sees it raw (reply).
 	Result json.RawMessage `json:"result,omitempty"`
 	// Task, set only on progress-stream events, describes dependency-task
 	// activity observed while the job is live: checkpoint-set captures
@@ -91,4 +94,19 @@ type Statsz struct {
 	QueueLimit int            `json:"queue_limit"`
 	Jobs       map[string]int `json:"jobs"` // job count by state
 	Runner     runner.Stats   `json:"runner"`
+	// ResultCache describes the in-memory copies of published store
+	// entries. A request answered from it (or from the store at all) never
+	// becomes a job, so Jobs does not count it.
+	ResultCache ResultCacheStats `json:"result_cache"`
+}
+
+// ResultCacheStats counts the published-result cache's traffic since the
+// server started: lookups answered from memory, lookups that went to the
+// store (whether or not it had the entry), bytes currently held and
+// entries dropped to stay within the budget.
+type ResultCacheStats struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Bytes     int64 `json:"bytes"`
+	Evictions int64 `json:"evictions"`
 }

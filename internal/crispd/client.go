@@ -25,7 +25,9 @@ import (
 //
 // Submissions use ?wait=1 so the response carries the result; 429
 // backpressure is retried honoring Retry-After until the caller's
-// context expires.
+// context expires. The request path is a set of package-level generic
+// functions over the result type (submit, postOnce, finish, status), so
+// each reply body is parsed once, straight into the typed result (reply).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -45,38 +47,22 @@ const maxResultBytes = 256 << 20
 
 // Run submits a single-core simulation and blocks for its result.
 func (c *Client) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error) {
-	var res core.Result
-	if err := c.submit(ctx, "/v1/runs", spec, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return submit[core.Result](ctx, c, "/v1/runs", spec)
 }
 
 // RunMulti submits a multi-core co-run and blocks for its result.
 func (c *Client) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiResult, error) {
-	var res sim.MultiResult
-	if err := c.submit(ctx, "/v1/multi", spec, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return submit[sim.MultiResult](ctx, c, "/v1/multi", spec)
 }
 
 // Analysis submits a criticality-analysis pipeline task.
 func (c *Client) Analysis(ctx context.Context, spec runner.AnalysisSpec) (*crisp.Analysis, error) {
-	var res crisp.Analysis
-	if err := c.submit(ctx, "/v1/analyses", spec, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return submit[crisp.Analysis](ctx, c, "/v1/analyses", spec)
 }
 
 // Footprint submits a slice-footprint pipeline task.
 func (c *Client) Footprint(ctx context.Context, spec runner.AnalysisSpec) (*crisp.Footprint, error) {
-	var res crisp.Footprint
-	if err := c.submit(ctx, "/v1/footprints", spec, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return submit[crisp.Footprint](ctx, c, "/v1/footprints", spec)
 }
 
 // Statsz fetches the server's counters.
@@ -101,107 +87,119 @@ func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 	return st, json.Unmarshal(body, &st)
 }
 
+// reply is a response body decoded for a caller that knows the result
+// type: the outer Result field shadows the embedded JobStatus.Result (a
+// shallower field wins in encoding/json), so one json.Unmarshal validates
+// the body and decodes status and result together — the bytes are scanned
+// once, not once for the envelope, once to skip the raw result and twice
+// more to decode it. A missing or null result leaves Result nil.
+type reply[T any] struct {
+	JobStatus
+	Result *T `json:"result"`
+}
+
+func decodeReply[T any](body []byte) (reply[T], error) {
+	var rep reply[T]
+	if err := json.Unmarshal(body, &rep); err != nil {
+		return rep, fmt.Errorf("crispd client: decode job status: %w", err)
+	}
+	return rep, nil
+}
+
 // submit POSTs spec to path with ?wait=1, retries 429 backpressure, and
-// decodes the terminal job's result into dest.
-func (c *Client) submit(ctx context.Context, path string, spec, dest any) error {
+// returns the terminal job's result.
+func submit[T any](ctx context.Context, c *Client, path string, spec any) (*T, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return fmt.Errorf("crispd client: marshal spec: %w", err)
+		return nil, fmt.Errorf("crispd client: marshal spec: %w", err)
 	}
 	for {
-		st, retry, err := c.postOnce(ctx, path, body)
+		rep, retry, err := postOnce[T](ctx, c, path, body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if retry > 0 {
 			select {
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			case <-time.After(retry):
 			}
 			continue
 		}
-		return c.finish(ctx, st, dest)
+		return finish(ctx, c, rep)
 	}
 }
 
 // postOnce performs one submission attempt. A positive retry means the
 // server pushed back (429) and the caller should wait that long.
-func (c *Client) postOnce(ctx context.Context, path string, body []byte) (JobStatus, time.Duration, error) {
+func postOnce[T any](ctx context.Context, c *Client, path string, body []byte) (reply[T], time.Duration, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path+"?wait=1", bytes.NewReader(body))
 	if err != nil {
-		return JobStatus{}, 0, err
+		return reply[T]{}, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return JobStatus{}, 0, fmt.Errorf("crispd client: %w", err)
+		return reply[T]{}, 0, fmt.Errorf("crispd client: %w", err)
 	}
 	rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
 	resp.Body.Close()
 	if rerr != nil {
-		return JobStatus{}, 0, fmt.Errorf("crispd client: read response: %w", rerr)
+		return reply[T]{}, 0, fmt.Errorf("crispd client: read response: %w", rerr)
 	}
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
-		return JobStatus{}, retryAfter(resp, time.Second), nil
+		return reply[T]{}, retryAfter(resp, time.Second), nil
 	case http.StatusOK, http.StatusAccepted:
-		var st JobStatus
-		if err := json.Unmarshal(rb, &st); err != nil {
-			return JobStatus{}, 0, fmt.Errorf("crispd client: decode job status: %w", err)
-		}
-		return st, 0, nil
+		rep, err := decodeReply[T](rb)
+		return rep, 0, err
 	default:
-		return JobStatus{}, 0, fmt.Errorf("crispd client: %s %s: %s: %s", http.MethodPost, path, resp.Status, strings.TrimSpace(string(rb)))
+		return reply[T]{}, 0, fmt.Errorf("crispd client: %s %s: %s: %s", http.MethodPost, path, resp.Status, strings.TrimSpace(string(rb)))
 	}
 }
 
-// finish turns a terminal status into dest or an error, polling the job
-// if the server answered before it reached a terminal state.
-func (c *Client) finish(ctx context.Context, st JobStatus, dest any) error {
-	for !st.State.terminal() {
+// finish turns a terminal reply into its result or an error, polling the
+// job if the server answered before it reached a terminal state.
+func finish[T any](ctx context.Context, c *Client, rep reply[T]) (*T, error) {
+	for !rep.State.terminal() {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-time.After(100 * time.Millisecond):
 		}
 		var err error
-		if st, err = c.status(ctx, st.Key); err != nil {
-			return err
+		if rep, err = status[T](ctx, c, rep.Key); err != nil {
+			return nil, err
 		}
 	}
-	if st.State == StateFailed {
-		return fmt.Errorf("crispd client: job %s failed: %s", st.Key, st.Error)
+	if rep.State == StateFailed {
+		return nil, fmt.Errorf("crispd client: job %s failed: %s", rep.Key, rep.Error)
 	}
-	if err := json.Unmarshal(st.Result, dest); err != nil {
-		return fmt.Errorf("crispd client: decode result for job %s: %w", st.Key, err)
+	if rep.Result == nil {
+		return nil, fmt.Errorf("crispd client: job %s is done but the reply carries no result", rep.Key)
 	}
-	return nil
+	return rep.Result, nil
 }
 
 // status polls GET /v1/runs/{key}.
-func (c *Client) status(ctx context.Context, key string) (JobStatus, error) {
+func status[T any](ctx context.Context, c *Client, key string) (reply[T], error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+key, nil)
 	if err != nil {
-		return JobStatus{}, err
+		return reply[T]{}, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return JobStatus{}, fmt.Errorf("crispd client: %w", err)
+		return reply[T]{}, fmt.Errorf("crispd client: %w", err)
 	}
 	rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
 	resp.Body.Close()
 	if rerr != nil {
-		return JobStatus{}, fmt.Errorf("crispd client: read status: %w", rerr)
+		return reply[T]{}, fmt.Errorf("crispd client: read status: %w", rerr)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, fmt.Errorf("crispd client: status %s: %s: %s", key, resp.Status, strings.TrimSpace(string(rb)))
+		return reply[T]{}, fmt.Errorf("crispd client: status %s: %s: %s", key, resp.Status, strings.TrimSpace(string(rb)))
 	}
-	var st JobStatus
-	if err := json.Unmarshal(rb, &st); err != nil {
-		return JobStatus{}, fmt.Errorf("crispd client: decode job status: %w", err)
-	}
-	return st, nil
+	return decodeReply[T](rb)
 }
 
 // retryAfter parses the Retry-After header, defaulting (and capping)

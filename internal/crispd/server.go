@@ -75,6 +75,8 @@ type Server struct {
 	queueLimit int
 	start      time.Time
 
+	published *resultCache // wire bytes of validated store entries; has its own lock
+
 	mu       sync.Mutex
 	jobs     map[string]*job
 	active   int // jobs queued or running
@@ -89,7 +91,7 @@ type job struct {
 	state                        JobState
 	err                          error
 	submitted, started, finished time.Time
-	result                       any
+	raw                          json.RawMessage // the result's wire bytes, encoded once by execute
 	done                         chan struct{}
 	subs                         []chan JobStatus
 }
@@ -108,6 +110,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		queueLimit: opts.Queue,
 		start:      time.Now(),
 		jobs:       make(map[string]*job),
+		published:  newResultCache(resultCacheBudget),
 	}
 	if s.queueLimit <= 0 {
 		s.queueLimit = 256
@@ -223,13 +226,21 @@ func (s *Server) execute(j *job, timeout time.Duration, exec func(context.Contex
 		defer cancel()
 	}
 	v, err := exec(ctx)
+	// Encode before taking s.mu: the bytes are what every later response
+	// for this job carries, and no request waits on the lock meanwhile.
+	var raw json.RawMessage
+	if err == nil {
+		if raw, err = json.Marshal(v); err != nil {
+			err = fmt.Errorf("crispd: encode result: %w", err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j.finished = time.Now()
 	if err != nil {
 		j.state, j.err = StateFailed, err
 	} else {
-		j.state, j.result = StateDone, v
+		j.state, j.raw = StateDone, raw
 	}
 	s.active--
 	j.notifyLocked()
@@ -240,17 +251,16 @@ func (s *Server) execute(j *job, timeout time.Duration, exec func(context.Contex
 	close(j.done)
 }
 
-// statusLocked renders the job as wire state. Result marshalling
-// happens per request; results are shared read-only once done.
+// statusLocked renders the job as wire state. With withResult the
+// status shares the job's encoded bytes (read-only once done): no
+// encoding happens under s.mu.
 func (j *job) statusLocked(withResult bool) JobStatus {
 	st := JobStatus{Key: j.key, Kind: j.kind, State: j.state, Submitted: unixNS(j.submitted), Started: unixNS(j.started), Finished: unixNS(j.finished)}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if withResult && j.state == StateDone {
-		if raw, err := json.Marshal(j.result); err == nil {
-			st.Result = raw
-		}
+	if withResult {
+		st.Result = j.raw
 	}
 	return st
 }
@@ -377,6 +387,34 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
+}
+
+// writeStatus writes a result-carrying status as writeJSON would, byte
+// for byte, without sending the result back through the encoder: st.Result
+// is canonical already (json.Marshal output, the only way bytes enter a
+// job or the published-result cache), so compacting and re-validating it
+// per response is pure cost. The small head is marshalled and the result
+// spliced in as the last field, which it is unless Task is set.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
+	raw := st.Result
+	if len(raw) == 0 || st.Task != "" {
+		writeJSON(w, code, st)
+		return
+	}
+	st.Result = nil
+	head, err := json.Marshal(st)
+	if err != nil { // a struct of strings and integers: cannot fail
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	body := make([]byte, 0, len(head)+len(`,"result":`)+len(raw)+1)
+	body = append(body, head[:len(head)-1]...)
+	body = append(body, `,"result":`...)
+	body = append(body, raw...)
+	body = append(body, '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(body) //nolint:errcheck // client gone = nothing to do
 }
 
 // checkBounded rejects specs that would simulate forever: remote
@@ -506,7 +544,7 @@ func (s *Server) finishSubmit(w http.ResponseWriter, req *http.Request, kind, ke
 	// process (or a previous life of this server) already published is
 	// served without costing a queue slot.
 	if raw, ok := s.storeResult(kind, key); ok {
-		writeJSON(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
+		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
 		return
 	}
 	j, err := s.submit(kind, key, timeout, exec)
@@ -536,7 +574,7 @@ func (s *Server) finishSubmit(w http.ResponseWriter, req *http.Request, kind, ke
 	if st.State.terminal() {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	writeStatus(w, code, st)
 }
 
 func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
@@ -594,8 +632,11 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	}
 
 	// Store pass outside the lock: published results cost no queue slot.
+	// The same validated lookup as a single submission, not Store.Has: a
+	// torn entry reported "done" here could never be fetched (the status
+	// poll deletes it and answers 404), so it is a miss and is submitted.
 	for i := range items {
-		items[i].stored = s.r.Store().Has(items[i].kind, items[i].key)
+		_, items[i].stored = s.storeResult(items[i].kind, items[i].key)
 	}
 
 	// Admission and submission are one atomic step: either the whole
@@ -652,11 +693,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Unlock()
 	if j != nil {
-		writeJSON(w, http.StatusOK, st)
+		writeStatus(w, http.StatusOK, st)
 		return
 	}
 	if kind, raw, ok := s.storeLookup(key); ok {
-		writeJSON(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
+		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
 		return
 	}
 	httpError(w, http.StatusNotFound, "unknown job key "+key)
@@ -743,6 +784,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, req *http.Request) {
 		Runner:     s.r.Stats(),
 	}
 	s.mu.Unlock()
+	st.ResultCache = s.published.stats()
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -759,49 +801,51 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 // ------------------------------------------------------- store plumbing
 
-// storeResult loads the published result for (kind, key) from the
-// persistent store, re-marshalled to the exact JSON a fresh computation
-// would return (the store holds the same encoding, so the round trip is
-// loss-free).
+// storeResult returns the wire bytes of the result published under
+// (kind, key). The first touch of an entry is loadResult — the only way
+// bytes enter — and its output is kept in s.published; every later
+// request for the key is answered from memory with no file read, decode
+// or marshal. That is sound because a store entry is content-addressed
+// (the key hashes the spec and sim.CodeVersion) and never rewritten with
+// different content: the validated copy cannot go stale, only cold.
 func (s *Server) storeResult(kind, key string) (json.RawMessage, bool) {
 	st := s.r.Store()
 	if !st.Enabled() {
 		return nil, false
 	}
-	var v any
+	if raw, ok := s.published.get(kind, key); ok {
+		return raw, true
+	}
+	var raw json.RawMessage
+	var ok bool
 	switch kind {
 	case runner.KindRun:
-		var res core.Result
-		if !st.Get(kind, key, &res) {
-			return nil, false
-		}
-		v = &res
+		raw, ok = loadResult[core.Result](st, kind, key)
 	case runner.KindMulti:
-		var res sim.MultiResult
-		if !st.Get(kind, key, &res) {
-			return nil, false
-		}
-		v = &res
+		raw, ok = loadResult[sim.MultiResult](st, kind, key)
 	case runner.KindAnalysis:
-		var res crisp.Analysis
-		if !st.Get(kind, key, &res) {
-			return nil, false
-		}
-		v = &res
+		raw, ok = loadResult[crisp.Analysis](st, kind, key)
 	case runner.KindFootprint:
-		var res crisp.Footprint
-		if !st.Get(kind, key, &res) {
-			return nil, false
-		}
-		v = &res
-	default:
+		raw, ok = loadResult[crisp.Footprint](st, kind, key)
+	}
+	if ok {
+		s.published.add(kind, key, raw)
+	}
+	return raw, ok
+}
+
+// loadResult reads the store entry for (kind, key) through its result
+// type — Store.Get validates it and deletes a corrupt entry so the next
+// producer recomputes it — and re-marshals it to the exact JSON a fresh
+// computation would return (the store holds the same encoding, so the
+// round trip is loss-free).
+func loadResult[T any](st *runner.Store, kind, key string) (json.RawMessage, bool) {
+	var res T
+	if !st.Get(kind, key, &res) {
 		return nil, false
 	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, false
-	}
-	return raw, true
+	raw, err := json.Marshal(&res)
+	return raw, err == nil
 }
 
 // storeLookup finds a published entry for key under any job kind (for

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"crisp/internal/core"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
@@ -321,6 +322,22 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	}
 }
 
+// pollTerminal polls a run job's status until it is done or failed.
+func pollTerminal(t *testing.T, url, key string) reply[core.Result] {
+	t.Helper()
+	c := NewClient(url)
+	for {
+		rep, err := status[core.Result](context.Background(), c, key)
+		if err != nil {
+			t.Fatalf("poll %s: %v", key, err)
+		}
+		if rep.State.terminal() {
+			return rep
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestSweep: a batch with duplicate specs dedups inside the batch and
 // across it; polling the returned keys converges to done.
 func TestSweep(t *testing.T) {
@@ -352,17 +369,8 @@ func TestSweep(t *testing.T) {
 		t.Error("sweep response out of request order")
 	}
 
-	c := NewClient(ts.URL)
 	for _, key := range []string{a.Key(), b.Key()} {
-		st, err := c.status(context.Background(), key)
-		for err == nil && !st.State.terminal() {
-			time.Sleep(20 * time.Millisecond)
-			st, err = c.status(context.Background(), key)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateDone {
+		if st := pollTerminal(t, ts.URL, key); st.State != StateDone {
 			t.Errorf("job %s: state %s (error %q)", key, st.State, st.Error)
 		}
 	}
@@ -444,11 +452,16 @@ func TestRejects(t *testing.T) {
 	}
 }
 
-// TestStatsz: the counters reflect completed work.
+// TestStatsz: the counters reflect completed work, and requests answered
+// from the store or the published-result cache are counted there, not as
+// jobs.
 func TestStatsz(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Queue: 7})
-	if resp, rb := postSpec(t, ts.URL+"/v1/runs?wait=1", fastSpec()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
+	_, ts := newTestServer(t, Options{Workers: 1, Queue: 7, Store: t.TempDir()})
+	// Computed (a cache miss, then a job); read back from the store (a
+	// miss, cached); served from memory (a hit).
+	var result []byte
+	for i := 0; i < 3; i++ {
+		result = serveResult(t, ts.URL, fastSpec())
 	}
 	st, err := NewClient(ts.URL).Statsz(context.Background())
 	if err != nil {
@@ -457,14 +470,38 @@ func TestStatsz(t *testing.T) {
 	if st.QueueLimit != 7 {
 		t.Errorf("QueueLimit = %d, want 7", st.QueueLimit)
 	}
-	if st.Jobs[string(StateDone)] != 1 {
-		t.Errorf("done jobs = %d, want 1 (%v)", st.Jobs[string(StateDone)], st.Jobs)
+	if st.Jobs[string(StateDone)] != 1 || len(st.Jobs) != 1 {
+		t.Errorf("jobs by state %v, want 1 done and nothing else", st.Jobs)
 	}
 	if st.Runner.Executed != 1 {
 		t.Errorf("runner Executed = %d, want 1", st.Runner.Executed)
 	}
 	if st.Draining || st.QueueDepth != 0 {
 		t.Errorf("unexpected statsz %+v", st)
+	}
+	if want := (ResultCacheStats{Hits: 1, Misses: 2, Bytes: int64(len(result))}); st.ResultCache != want {
+		t.Errorf("result_cache %+v, want %+v", st.ResultCache, want)
+	}
+
+	// The field names are the scraping surface.
+	resp, err := http.Get(ts.URL + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := readAllBody(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		ResultCache map[string]int64 `json:"result_cache"`
+	}
+	if err := json.Unmarshal(rb, &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"hits", "misses", "bytes", "evictions"} {
+		if _, ok := wire.ResultCache[field]; !ok {
+			t.Errorf("statsz result_cache has no %q field: %s", field, rb)
+		}
 	}
 }
 

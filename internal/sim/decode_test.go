@@ -85,3 +85,71 @@ func TestDecodeRejects(t *testing.T) {
 		t.Error("empty MultiSpec decoded without error")
 	}
 }
+
+// fuzzSpecSeeds returns the seed bodies shared by the two spec decoders
+// (each fuzzer is offered all of them, so it also starts from input shaped
+// for the other): a plain spec, a CRISP spec under a sampling schedule and
+// a 4-core multi spec as a client would marshal them, then a truncated
+// body, an unknown field and trailing data.
+func fuzzSpecSeeds(f *testing.F) [][]byte {
+	opts := crisp.DefaultOptions()
+	plain := RunSpec{Workload: "mcf", Insts: 400_000}
+	sampled := RunSpec{Workload: "pointerchase", Prefetcher: PFStride, Sampling: &Sampling{Warm: 90_000, Window: 10_000, Count: 4}}.WithCrisp(opts)
+	multi := MultiSpec{Cores: []RunSpec{
+		{Workload: "tailchase", Insts: 100_000},
+		RunSpec{Workload: "streambatch", Insts: 100_000}.WithCrisp(opts),
+		{Workload: "mcf", Insts: 100_000, Prefetcher: PFGHB},
+		{Workload: "lbm", Insts: 100_000, RS: 48, ROB: 112},
+	}}
+	var seeds [][]byte
+	for _, v := range []any{plain, sampled, multi} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	if _, err := DecodeRunSpec(seeds[1]); err != nil {
+		f.Fatalf("seed %s: %v", seeds[1], err)
+	}
+	if _, err := DecodeMultiSpec(seeds[2]); err != nil {
+		f.Fatalf("seed %s: %v", seeds[2], err)
+	}
+	return append(seeds,
+		seeds[1][:len(seeds[1])/2],
+		[]byte(`{"workload":"mcf","insts":1000,"shed":"crisp"}`),
+		[]byte(`{"workload":"mcf","insts":1000} {"again":true}`),
+		[]byte(`{"cores":[{"workload":"mcf","insts":1}],"extra":1}`),
+	)
+}
+
+// fuzzDecode feeds arbitrary bytes to a strict spec decoder — it reads
+// request bodies straight off the wire in crispd. It must never panic,
+// and a spec it accepts must survive the trip a client's spec makes:
+// marshalled and decoded again it is accepted and names the same
+// simulation (equal Key), or two clients could disagree about a key.
+func fuzzDecode[S interface{ Key() string }](f *testing.F, decode func([]byte) (S, error)) {
+	for _, seed := range fuzzSpecSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decode(data)
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		again, err := decode(b)
+		if err != nil {
+			t.Fatalf("accepted %q, but its re-marshalled form %s is rejected: %v", data, b, err)
+		}
+		if again.Key() != spec.Key() {
+			t.Fatalf("accepted %q: content key changes over a marshal/decode round trip (%s)", data, b)
+		}
+	})
+}
+
+func FuzzDecodeRunSpec(f *testing.F)   { fuzzDecode(f, DecodeRunSpec) }
+func FuzzDecodeMultiSpec(f *testing.F) { fuzzDecode(f, DecodeMultiSpec) }
