@@ -48,15 +48,16 @@ func (t *TAGE) EncodeState(w *codec.Writer) {
 	w.U64(t.total)
 }
 
-// maxTableLen bounds decoded table sizes so a corrupt length prefix
-// cannot drive a huge allocation before the truncation is detected.
+// maxTableLen bounds decoded table sizes. Every decoder also checks a
+// length prefix against the bytes left before it allocates, so a corrupt
+// prefix cannot drive an allocation larger than its input.
 const maxTableLen = 1 << 24
 
 // DecodeTAGE reconstructs a predictor encoded by EncodeState.
 func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 	nb := int(r.U32())
-	if nb <= 0 || nb > maxTableLen {
-		return nil, fmt.Errorf("branch: TAGE base size %d out of range", nb)
+	if nb <= 0 || nb > maxTableLen || nb > r.Remaining() {
+		return nil, fmt.Errorf("branch: TAGE base size %d out of range (%d bytes encoded)", nb, r.Remaining())
 	}
 	t := &TAGE{base: make([]int8, nb)}
 	for i := range t.base {
@@ -73,8 +74,8 @@ func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 	for i := 0; i < nt; i++ {
 		var tbl tageTable
 		ne := int(r.U32())
-		if ne <= 0 || ne > maxTableLen {
-			return nil, fmt.Errorf("branch: TAGE component size %d out of range", ne)
+		if ne <= 0 || ne > maxTableLen || ne > r.Remaining()/4 {
+			return nil, fmt.Errorf("branch: TAGE component size %d out of range (%d bytes encoded)", ne, r.Remaining())
 		}
 		tbl.entries = make([]tageEntry, ne)
 		for j := range tbl.entries {
@@ -112,15 +113,37 @@ func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 	return t, nil
 }
 
-// EncodeState serializes the BTB's geometry and warmed contents.
+// Head byte of an encoded BTB entry. An entry that was never valid and
+// never aged (tag, target and LRU age all zero) is the one byte btbEmpty;
+// any other entry is its head, then uvarint tag | uvarint target | u8 age.
+// A set's invalid ways age with their valid neighbours, so btbInvalid
+// entries exist; one whose fields are all zero is refused, because
+// btbEmpty already says that.
+const (
+	btbEmpty = iota
+	btbValid
+	btbInvalid
+)
+
+// EncodeState serializes the BTB's geometry and warmed contents. An 8K-entry
+// BTB warmed by a loop kernel holds a few dozen branches, so the empty
+// form is what most entries take.
 func (b *BTB) EncodeState(w *codec.Writer) {
 	w.Int(b.sets)
 	w.Int(b.ways)
 	w.U32(uint32(len(b.tags)))
-	for i := range b.tags {
-		w.U64(b.tags[i])
-		w.Bool(b.valid[i])
-		w.Int(b.targets[i])
+	for i, tag := range b.tags {
+		switch {
+		case b.valid[i]:
+			w.U8(btbValid)
+		case tag == 0 && b.targets[i] == 0 && b.lru[i] == 0:
+			w.U8(btbEmpty)
+			continue
+		default:
+			w.U8(btbInvalid)
+		}
+		w.Uvarint(tag)
+		w.Uvarint(uint64(b.targets[i]))
 		w.U8(b.lru[i])
 	}
 	w.U64(b.hits)
@@ -135,8 +158,8 @@ func DecodeBTB(r *codec.Reader) (*BTB, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if sets <= 0 || ways <= 0 || n != sets*ways || n > maxTableLen {
-		return nil, fmt.Errorf("branch: BTB geometry %dx%d does not match %d entries", sets, ways, n)
+	if sets <= 0 || ways <= 0 || n > maxTableLen || n/ways != sets || n%ways != 0 || n > r.Remaining() {
+		return nil, fmt.Errorf("branch: BTB geometry %dx%d does not match %d entries in %d bytes", sets, ways, n, r.Remaining())
 	}
 	b := &BTB{
 		sets: sets, ways: ways,
@@ -146,10 +169,24 @@ func DecodeBTB(r *codec.Reader) (*BTB, error) {
 		lru:     make([]uint8, n),
 	}
 	for i := 0; i < n; i++ {
-		b.tags[i] = r.U64()
-		b.valid[i] = r.Bool()
-		b.targets[i] = r.Int()
+		head := r.U8()
+		if head == btbEmpty {
+			continue
+		}
+		b.valid[i] = head == btbValid
+		b.tags[i] = r.Uvarint()
+		target := r.Uvarint()
+		b.targets[i] = int(target)
 		b.lru[i] = r.U8()
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		if head > btbInvalid || uint64(b.targets[i]) != target {
+			return nil, fmt.Errorf("branch: BTB entry %d: head byte %#x, target %#x", i, head, target)
+		}
+		if head == btbInvalid && b.tags[i] == 0 && target == 0 && b.lru[i] == 0 {
+			return nil, fmt.Errorf("branch: BTB entry %d: present but all zero", i)
+		}
 	}
 	b.hits = r.U64()
 	b.miss = r.U64()
@@ -172,8 +209,8 @@ func (s *RAS) EncodeState(w *codec.Writer) {
 // DecodeRAS reconstructs a RAS encoded by EncodeState.
 func DecodeRAS(r *codec.Reader) (*RAS, error) {
 	n := int(r.U32())
-	if n <= 0 || n > maxTableLen {
-		return nil, fmt.Errorf("branch: RAS size %d out of range", n)
+	if n <= 0 || n > maxTableLen || n > r.Remaining()/8 {
+		return nil, fmt.Errorf("branch: RAS size %d out of range (%d bytes encoded)", n, r.Remaining())
 	}
 	s := &RAS{stack: make([]int, n)}
 	for i := range s.stack {

@@ -159,11 +159,22 @@ func (p *pair) compareState(step int, ec equivCase, pool []uint64, cycle uint64)
 	if g, w := p.got.MSHROccupancy(cycle), p.want.MSHROccupancy(cycle); g != w {
 		p.t.Fatalf("step %d: MSHROccupancy(%d) = %d, reference %d", step, cycle, g, w)
 	}
-	var gw, ww codec.Writer
-	p.got.EncodeState(&gw)
+	// Line state by the version-1 codec's account, and the dense form
+	// carrying it through a round trip unchanged.
+	c := p.got.(*Cache)
+	state := refEncode(c)
+	var ww, dense codec.Writer
 	p.want.EncodeState(&ww)
-	if !bytes.Equal(gw.Bytes(), ww.Bytes()) {
-		p.t.Fatalf("step %d: EncodeState differs from the reference encoder's bytes", step)
+	if !bytes.Equal(state, ww.Bytes()) {
+		p.t.Fatalf("step %d: line state differs from the reference's", step)
+	}
+	c.EncodeState(&dense)
+	back := New(c.cfg, nil)
+	if err := back.DecodeState(codec.NewReader(dense.Bytes())); err != nil {
+		p.t.Fatalf("step %d: DecodeState of EncodeState: %v", step, err)
+	}
+	if !bytes.Equal(refEncode(back), state) {
+		p.t.Fatalf("step %d: EncodeState then DecodeState changed the line state", step)
 	}
 	if len(p.gotMem.log) != len(p.wantMem.log) {
 		p.t.Fatalf("step %d: %d backend requests, reference %d", step, len(p.gotMem.log), len(p.wantMem.log))

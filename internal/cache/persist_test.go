@@ -83,12 +83,25 @@ func warmBoth(rng *rand.Rand, h *Hierarchy, ref refView, shared bool, n int) {
 	}
 }
 
-// TestEncodeMatchesReference pins the stored format: a warmed private and a
-// warmed 2-view shared hierarchy encode to exactly the bytes the AoS
-// encoder (refcache_test.go) writes for the same warming stream, so
-// checkpoints stored before the tag store was packed stay readable and
-// their content keys stay valid. The bytes then decode and re-encode to
-// themselves.
+// levels lists a private hierarchy's caches in encoding order.
+func levels(h *Hierarchy) []*Cache { return []*Cache{h.L1I, h.L1D, h.LLC} }
+
+// sharedLevels lists a shared hierarchy's caches in encoding order.
+func sharedLevels(sh *SharedHierarchy) []*Cache {
+	var out []*Cache
+	for _, v := range sh.Views {
+		out = append(out, v.L1I, v.L1D)
+	}
+	return append(out, sh.LLC)
+}
+
+// TestEncodeMatchesReference pins what the dense line form carries, with
+// the version-1 codec (refcache_test.go) as the account of a level's
+// state. A warmed private and a warmed 2-view shared hierarchy hold, by
+// that account, exactly what the AoS reference holds after the same
+// warming stream; decoding their dense encoding gives hierarchies that
+// hold the same again; and the dense bytes decode and re-encode to
+// themselves, as do a clone's and a version-1 decode's.
 func TestEncodeMatchesReference(t *testing.T) {
 	cfg := tinyHierConfig()
 
@@ -103,13 +116,20 @@ func TestEncodeMatchesReference(t *testing.T) {
 		ref.l1i.EncodeState(&want)
 		ref.l1d.EncodeState(&want)
 		ref.llc.EncodeState(&want)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("private hierarchy encodes to different bytes than the reference encoder")
+		state := refEncode(levels(h)...)
+		if !bytes.Equal(state, want.Bytes()) {
+			t.Fatalf("private hierarchy holds different state than the reference")
+		}
+		if 3*got.Len() > len(state) {
+			t.Errorf("dense encoding takes %d bytes, version 1 took %d: not a third", got.Len(), len(state))
 		}
 
 		back, err := DecodeHierarchy(codec.NewReader(got.Bytes()), cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(refEncode(levels(back)...), state) {
+			t.Errorf("encode then decode changed the state")
 		}
 		var again codec.Writer
 		back.EncodeState(&again)
@@ -120,6 +140,17 @@ func TestEncodeMatchesReference(t *testing.T) {
 		h.Clone().EncodeState(&cloned)
 		if !bytes.Equal(cloned.Bytes(), got.Bytes()) {
 			t.Errorf("Clone encodes to different bytes than its template")
+		}
+		old, r := NewHierarchy(cfg), codec.NewReader(state)
+		for _, c := range levels(old) {
+			if err := c.refDecodeState(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var fromOld codec.Writer
+		old.EncodeState(&fromOld)
+		if !bytes.Equal(fromOld.Bytes(), got.Bytes()) {
+			t.Errorf("a version-1 decode of the state encodes to different bytes")
 		}
 	})
 
@@ -136,19 +167,22 @@ func TestEncodeMatchesReference(t *testing.T) {
 
 		var got, want codec.Writer
 		sh.EncodeState(&got)
-		want.U32(2)
 		for _, r := range refs {
 			r.l1i.EncodeState(&want)
 			r.l1d.EncodeState(&want)
 		}
 		llc.EncodeState(&want)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("shared hierarchy encodes to different bytes than the reference encoder")
+		state := refEncode(sharedLevels(sh)...)
+		if !bytes.Equal(state, want.Bytes()) {
+			t.Fatalf("shared hierarchy holds different state than the reference")
 		}
 
 		back, err := DecodeSharedHierarchy(codec.NewReader(got.Bytes()), cfg, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(refEncode(sharedLevels(back)...), state) {
+			t.Errorf("encode then decode changed the state")
 		}
 		var again codec.Writer
 		back.EncodeState(&again)
@@ -161,17 +195,73 @@ func TestEncodeMatchesReference(t *testing.T) {
 			t.Errorf("CloneState encodes to different bytes than its template")
 		}
 	})
+
+	// Timed accesses leave what warming never does: fill times, fill depths
+	// and lines still in flight. The optional fields must carry them.
+	t.Run("timed", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		h := NewHierarchy(cfg)
+		for cycle := uint64(1); cycle < 3000; cycle += uint64(rng.Intn(5)) {
+			h.Data(uint64(rng.Intn(64)), uint64(rng.Intn(300))*64, rng.Intn(4) == 0, cycle)
+		}
+		state := refEncode(levels(h)...)
+		var got codec.Writer
+		h.EncodeState(&got)
+		back, err := DecodeHierarchy(codec.NewReader(got.Bytes()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(refEncode(levels(back)...), state) {
+			t.Errorf("encode then decode changed the state")
+		}
+		fields := 0
+		for _, off := range lineOffsets(t, got.Bytes(), h.L1D) {
+			if got.Bytes()[off]&(encReadyAt|encDepth) == encReadyAt|encDepth {
+				fields++
+			}
+		}
+		if fields == 0 {
+			t.Errorf("no L1D line carries a fill time and depth: the case is not exercised")
+		}
+	})
 }
 
-// encodedLineBytes is the size of one line in the encoded form, and
-// encodedLineAt the offset of line i of the first level (behind its u32
-// count).
-const encodedLineBytes = 8 + 1 + 8 + 8 + 1
+// lineOffsets walks the encoding of the hierarchy c belongs to and returns
+// the offset of each of c's lines' head bytes. c must be the first level
+// (L1I) or the second (L1D) of a tiny hierarchy.
+func lineOffsets(t testing.TB, b []byte, c *Cache) []int {
+	t.Helper()
+	r := codec.NewReader(b)
+	var offs []int
+	for level := 0; ; level++ {
+		n := int(r.U32())
+		r.Uvarint()
+		offs = offs[:0]
+		for i := 0; i < n; i++ {
+			offs = append(offs, len(b)-r.Remaining())
+			head := r.U8()
+			if head != 0 {
+				r.Uvarint()
+				r.Uvarint()
+			}
+			if head&encReadyAt != 0 {
+				r.Uvarint()
+			}
+			if head&encDepth != 0 {
+				r.U8()
+			}
+		}
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		if level == 1 || c.cfg.Name == "L1I" {
+			return offs
+		}
+	}
+}
 
-func encodedLineAt(i int) int { return 4 + i*encodedLineBytes }
-
-// warmedTinyBytes returns the encoding of a warmed tiny hierarchy.
-func warmedTinyBytes() []byte {
+// warmedTiny returns a warmed tiny hierarchy and its encoding.
+func warmedTiny() (*Hierarchy, []byte) {
 	h := NewHierarchy(tinyHierConfig())
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 2000; i++ {
@@ -182,35 +272,102 @@ func warmedTinyBytes() []byte {
 	}
 	var w codec.Writer
 	h.EncodeState(&w)
-	return w.Bytes()
+	return h, w.Bytes()
 }
 
-// In memory the flags live in the low bits of the tag word, so a stored
-// address with low bits set, or a stored flags byte with an unknown bit,
-// would alias another line's state if it were packed. DecodeState must
-// refuse both.
+// TestDecodeRejectsUnpackableLines: a line must decode from exactly one
+// byte string. In memory the flags live in the low bits of the tag word, so
+// a stored word with a bit set between them and the line address would
+// alias another line's state; a stamp ahead of the clock would wrap; and a
+// present line that is all zero, a head with unknown bits, or an announced
+// field that is zero each spell a state the encoder writes another way.
 func TestDecodeRejectsUnpackableLines(t *testing.T) {
-	good := warmedTinyBytes()
+	h, good := warmedTiny()
 	if _, err := DecodeHierarchy(codec.NewReader(good), tinyHierConfig()); err != nil {
 		t.Fatalf("unmodified bytes: %v", err)
 	}
+	offs := lineOffsets(t, good, h.L1I)
+	// A present line whose stamp is one byte and trails the clock, so the
+	// edits below change its fields without moving any later byte.
+	line, clock := -1, h.L1I.lruClock
+	for i, off := range offs {
+		if good[off] == encPresent && h.L1I.tags[i] >= 1<<7 && h.L1I.tags[i] < 1<<14 && clock-h.L1I.lru[i] < 1<<7 {
+			line = i
+		}
+	}
+	if line < 0 {
+		t.Fatal("no L1I line with a two-byte tag word and a one-byte stamp")
+	}
+	at := offs[line]
+	edit := func(f func(b []byte)) []byte {
+		b := bytes.Clone(good)
+		f(b)
+		return b
+	}
+	zeroLine := func(b []byte) []byte { // line becomes head | tag 0 | distance = clock: all zero
+		var w codec.Writer
+		w.Raw(b[:at])
+		w.U8(encPresent)
+		w.Uvarint(0)
+		w.Uvarint(clock)
+		w.Raw(b[at+4:])
+		return w.Bytes()
+	}
 	for _, c := range []struct {
-		name string
-		off  int
-		bit  byte
+		name, want string
+		in         []byte
 	}{
-		{"misaligned address (valid bit position)", encodedLineAt(3), 1 << 0},
-		{"misaligned address (top line-offset bit)", encodedLineAt(3), 1 << 5},
-		{"unknown flag bit 3", encodedLineAt(5) + 8, 1 << 3},
-		{"unknown flag bit 7", encodedLineAt(5) + 8, 1 << 7},
+		{"tag bit 3, between flags and address", "between the flags", edit(func(b []byte) { b[at+1] |= 1 << 3 })},
+		{"tag bit 5, between flags and address", "between the flags", edit(func(b []byte) { b[at+1] |= 1 << 5 })},
+		{"head bit 3", "head byte", edit(func(b []byte) { b[at] |= 1 << 3 })},
+		{"head without the present bit", "head byte", edit(func(b []byte) { b[at] = encReadyAt; b[at+4] = 1 })},
+		{"stamp ahead of the clock", "ahead of the clock", edit(func(b []byte) { b[at+3] = 0x7f; b[4] = 0x7e; b[5] = 0 })},
+		{"announced fill time is zero", "announces a field", edit(func(b []byte) { b[at] |= encReadyAt; b[at+4] = 0 })},
+		{"announced depth is zero", "announces a field", edit(func(b []byte) { b[at] |= encDepth; b[at+4] = 0 })},
+		{"present but all zero", "present but all zero", zeroLine(good)},
+		{"padded varint", "varint", edit(func(b []byte) { b[at+3] = 0x80; b[at+4] = 0 })},
 	} {
-		bad := append([]byte(nil), good...)
-		bad[c.off] |= c.bit
-		_, err := DecodeHierarchy(codec.NewReader(bad), tinyHierConfig())
+		_, err := DecodeHierarchy(codec.NewReader(c.in), tinyHierConfig())
 		if err == nil {
 			t.Errorf("%s: decoded without error", c.name)
-		} else if !strings.Contains(err.Error(), "L1I line") {
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want one containing %q", c.name, err, c.want)
+		} else if !strings.Contains(err.Error(), "L1I line") && !strings.Contains(err.Error(), "codec:") {
 			t.Errorf("%s: error %q does not name the level and line", c.name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsHostileGeometry: the hierarchy decoders are handed a
+// configuration that was itself read from disk. One that would panic a
+// constructor, or size tables beyond the bytes there to fill them, must
+// fail before anything is built.
+func TestDecodeRejectsHostileGeometry(t *testing.T) {
+	_, good := warmedTiny()
+	for name, edit := range map[string]func(c *HierConfig){
+		"zero ways":          func(c *HierConfig) { c.L1D.Ways = 0 },
+		"negative size":      func(c *HierConfig) { c.LLC.SizeKiB = -4 },
+		"line size 48":       func(c *HierConfig) { c.L1I.LineSize = 48 },
+		"line size 4":        func(c *HierConfig) { c.L1I.LineSize = 4 },
+		"negative MSHRs":     func(c *HierConfig) { c.L1D.MSHRs = -1 },
+		"a billion MSHRs":    func(c *HierConfig) { c.L1D.MSHRs = 1 << 30 },
+		"negative banks":     func(c *HierConfig) { c.DRAM.Banks = -16 },
+		"a billion banks":    func(c *HierConfig) { c.DRAM.Banks = 1 << 30 },
+		"1 GiB LLC, 2 kB in": func(c *HierConfig) { c.LLC.SizeKiB = 1 << 20 },
+	} {
+		cfg := tinyHierConfig()
+		edit(&cfg)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := DecodeHierarchy(codec.NewReader(good), cfg)
+		_, err2 := DecodeSharedHierarchy(codec.NewReader(append([]byte{1, 0, 0, 0}, good...)), cfg, 1)
+		runtime.ReadMemStats(&ms)
+		if err == nil || err2 == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if got := ms.TotalAlloc - before; got > 64<<10 {
+			t.Errorf("%s: refusing allocated %d bytes", name, got)
 		}
 	}
 }
@@ -220,12 +377,18 @@ func TestDecodeRejectsUnpackableLines(t *testing.T) {
 // by the input; and whatever it accepts must encode back to the bytes it
 // consumed, so no two inputs decode to one state.
 func FuzzDecodeHierarchy(f *testing.F) {
-	good := warmedTinyBytes()
+	h, good := warmedTiny()
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	flipped := append([]byte(nil), good...)
-	flipped[encodedLineAt(7)+8] ^= 1 << 4
+	flipped[lineOffsets(f, good, h.L1I)[7]] ^= 1 << 4
 	f.Add(flipped)
+	// A fill time and a depth behind the first line of each level.
+	timed := NewHierarchy(tinyHierConfig())
+	timed.Data(1, 0x40, false, 10)
+	var tw codec.Writer
+	timed.EncodeState(&tw)
+	f.Add(tw.Bytes())
 
 	cfg := tinyHierConfig()
 	// What building the hierarchy costs, plus slack for an error value and

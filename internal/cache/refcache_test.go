@@ -1,6 +1,10 @@
 package cache
 
-import "crisp/internal/codec"
+import (
+	"fmt"
+
+	"crisp/internal/codec"
+)
 
 // The cache level as it stood before the MSHR file and the packed tag
 // store: an AoS []refLine scanned by hand at every use, and the MSHRs as a
@@ -474,4 +478,55 @@ func (c *refCache) EncodeState(w *codec.Writer) {
 		w.I8(ln.fillDepth)
 	}
 	w.U64(c.lruClock)
+}
+
+// refEncodeState and refDecodeState are Cache.EncodeState and
+// Cache.DecodeState as they stood in codec version 1, verbatim: 26 bytes a
+// line — u64 line address | u8 flags | u64 readyAt | u64 lru | i8 fill
+// depth — then the LRU clock. They are the reference for what a level's
+// state is: the dense form must carry every state through unchanged by
+// this account, and (TestEncodeMatchesReference) this account of the
+// packed cache is byte for byte refCache.EncodeState's of the reference.
+func (c *Cache) refEncodeState(w *codec.Writer) {
+	w.U32(uint32(len(c.tags)))
+	for i, t := range c.tags {
+		w.U64(t &^ lineFlags)
+		w.U8(uint8(t & lineFlags))
+		w.U64(c.readyAt[i])
+		w.U64(c.lru[i])
+		w.I8(c.depth[i])
+	}
+	w.U64(c.lruClock)
+}
+
+func (c *Cache) refDecodeState(r *codec.Reader) error {
+	n := int(r.U32())
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if n != len(c.tags) {
+		return fmt.Errorf("cache: %s encoded with %d lines, geometry has %d", c.cfg.Name, n, len(c.tags))
+	}
+	for i := range c.tags {
+		la := r.U64()
+		flags := r.U8()
+		if la&(1<<c.lineBits-1) != 0 || flags&^lineFlags != 0 {
+			return fmt.Errorf("cache: %s line %d: address %#x is not line-aligned or flags %#x has a bit beyond valid/dirty/prefetched", c.cfg.Name, i, la, flags)
+		}
+		c.tags[i] = la | uint64(flags)
+		c.readyAt[i] = r.U64()
+		c.lru[i] = r.U64()
+		c.depth[i] = r.I8()
+	}
+	c.lruClock = r.U64()
+	return r.Err()
+}
+
+// refEncode is the version-1 encoding of a sequence of levels.
+func refEncode(levels ...*Cache) []byte {
+	var w codec.Writer
+	for _, c := range levels {
+		c.refEncodeState(&w)
+	}
+	return w.Bytes()
 }

@@ -15,6 +15,7 @@ package checkpoint
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -63,7 +64,12 @@ type Variant struct {
 type Point struct {
 	PC   int
 	Regs [isa.NumRegs]int64
-	Mem  *emu.Memory // copy-on-write snapshot; never written directly
+	// Mem is a copy-on-write snapshot, never written directly. On a point
+	// of a decoded set it holds only the pages the run had written by this
+	// point, until Set.Attach lays them over the workload image.
+	Mem *emu.Memory
+
+	unattached bool // decoded, and Mem is not yet laid over the image
 
 	Variants map[string]*Variant // warmed caches+prefetcher per kind
 	BP       *branch.TAGE
@@ -94,6 +100,9 @@ type Restored struct {
 // pages shared), so re-snapshotting it performs no writes, and the
 // structure clones only read their templates.
 func (p *Point) Restore(prog *program.Program, pfKind string) (Restored, error) {
+	if p.unattached {
+		return Restored{}, errUnattached
+	}
 	v := p.Variants[pfKind]
 	if v == nil {
 		return Restored{}, fmt.Errorf("checkpoint: no warmed variant for prefetcher kind %q", pfKind)
@@ -111,12 +120,27 @@ func (p *Point) Restore(prog *program.Program, pfKind string) (Restored, error) 
 	}, nil
 }
 
+// errUnattached is what restoring from a decoded set returns until the set
+// has been attached to its workload image.
+var errUnattached = errors.New("checkpoint: set is not attached to its workload image")
+
 // Set is the product of one capture pass: the checkpoints of a
 // (workload, input, schedule) triple, plus the host cost of producing
 // them. Points may be fewer than Params.Count if the program halted.
 type Set struct {
 	Points []*Point
 	Hier   cache.HierConfig // geometry the caches were warmed with
+
+	// Image is the memory every point descends from: the capture forks its
+	// emulator's before the first instruction (a caller whose emulator had
+	// already run may put an earlier fork here, see sim's multi-core
+	// capture). Every page a point has not written since is the very page
+	// Image holds, which is what lets the codec store a set as a delta
+	// over it. A decoded set has a nil Image until Attach.
+	Image *emu.Memory
+	// imageID is what a decoded set knows of its image: Attach checks the
+	// image it is handed against it, and re-encoding writes it back.
+	imageID emu.ImageID
 
 	FFInsts uint64 // total instructions executed functionally by the capture
 	// WarmInsts counts the instructions streamed through the warmer (warm
@@ -125,6 +149,35 @@ type Set struct {
 	// does not persist it: sets decoded from the store report zero.
 	WarmInsts uint64
 	HostNS    int64 // host wall time of the capture (fast-forward + snapshots)
+}
+
+// Attach lays a decoded set's points over image, the memory the workload
+// builds for the input the set was captured from, after checking it against
+// the page count and content checksum the set was stored with. A point that
+// had written nothing shares image's page table; the others share its
+// pages. The set is restorable afterwards; on an error it is unchanged.
+// Attaching is for decoded sets: a captured or attached set is refused.
+func (s *Set) Attach(image *emu.Memory) error {
+	if s.Image != nil {
+		return errors.New("checkpoint: set already has its image")
+	}
+	if err := checkImage(image, s.imageID); err != nil {
+		return err
+	}
+	for _, pt := range s.Points {
+		pt.Mem, pt.unattached = emu.Overlay(image, pt.Mem), false
+	}
+	s.Image = image
+	return nil
+}
+
+// checkImage reports an image that is not the one a set was stored over.
+func checkImage(image *emu.Memory, want emu.ImageID) error {
+	if got := image.ID(); got != want {
+		return fmt.Errorf("checkpoint: image has %d pages, checksum %#x; the set was captured over %d pages, checksum %#x",
+			got.Pages, got.Sum, want.Pages, want.Sum)
+	}
+	return nil
 }
 
 // liveVariant is one prefetcher kind's warming state during capture.
@@ -251,7 +304,7 @@ func Capture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btb
 func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params, workers int) (*Set, error) {
 	start := time.Now()
 	w := newCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, pfs)
-	set := &Set{Hier: hcfg}
+	set := &Set{Hier: hcfg, Image: em.Mem().Snapshot()}
 	// The frontend replay is one task alongside the per-variant ones.
 	if consumers := captureConsumers(workers, len(w.variants)+1); consumers > 0 {
 		capturePipelined(ctx, em, w, p, set, consumers)

@@ -13,7 +13,7 @@ import (
 
 // chaseProgram loops forever summing a small array: enough loads,
 // stores, and taken branches to exercise every warming path.
-func chaseProgram(t *testing.T) *program.Program {
+func chaseProgram(t testing.TB) *program.Program {
 	t.Helper()
 	b := program.NewBuilder("chase")
 	b.MovI(isa.R(1), 0x4000) // array base

@@ -41,7 +41,8 @@ func codecCapture(t *testing.T) *Set {
 // encoder covers. Direct DeepEqual is confounded by unexported decode-
 // side caches, so fidelity is checked the way the store relies on it:
 // re-encoding the decoded set must reproduce the original bytes exactly
-// (which also proves encoding is deterministic).
+// (which also proves encoding is deterministic), before Attach and after.
+// Until Attach has the right image a decoded point restores nothing.
 func TestCodecRoundTrip(t *testing.T) {
 	set := codecCapture(t)
 	const key = "test-content-key"
@@ -62,9 +63,38 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("re-encoding the decoded set produced different bytes (%d vs %d)", len(enc), len(re))
 	}
 
-	// A decoded point must be restorable (memory snapshot, variant
-	// clones) just like a captured one.
+	// Unattached, the points hold one page each (the accumulator's) and
+	// must refuse to restore rather than run over an all-but-empty memory.
 	prog := chaseProgram(t)
+	if _, err := dec.Points[0].Restore(prog, "none"); err == nil {
+		t.Fatal("Restore on an unattached point succeeded")
+	}
+	// The wrong image: same page numbers, one word different; and one page
+	// more. Both refused, and the set left as it was.
+	wrong := set.Image.Snapshot()
+	wrong.WriteWord(0x100000, -1)
+	more := set.Image.Snapshot()
+	more.WriteWord(0x900000, 0)
+	for name, image := range map[string]*emu.Memory{"one word changed": wrong, "one page more": more} {
+		if err := dec.Attach(image); err == nil {
+			t.Fatalf("Attach to an image with %s succeeded", name)
+		}
+	}
+	if _, err := dec.Points[0].Restore(prog, "none"); err == nil || !bytes.Equal(EncodeSet(dec, key), enc) {
+		t.Fatal("a refused Attach changed the set")
+	}
+	if err := dec.Attach(set.Image); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	if err := dec.Attach(set.Image); err == nil {
+		t.Error("attaching twice succeeded")
+	}
+	if !bytes.Equal(EncodeSet(dec, key), enc) {
+		t.Fatal("re-encoding the attached set produced different bytes")
+	}
+
+	// An attached point must be restorable (memory snapshot, variant
+	// clones) just like a captured one, over the same memory.
 	for _, kind := range []string{"bop+stream", "stride", "ghb", "none"} {
 		st, err := dec.Points[0].Restore(prog, kind)
 		if err != nil {
@@ -72,6 +102,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if st.Em.PC() != set.Points[0].PC {
 			t.Errorf("restored PC = %d, want %d", st.Em.PC(), set.Points[0].PC)
+		}
+		for _, addr := range []uint64{0x4000, 0x4008, 0x100000 + 31*4096} {
+			if got, want := st.Em.Mem().ReadWord(addr), set.Points[0].Mem.ReadWord(addr); got != want {
+				t.Errorf("restored word %#x = %d, want %d", addr, got, want)
+			}
 		}
 	}
 
@@ -82,17 +117,39 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecPageDedup: points snapshot copy-on-write, so the encoded
-// image must intern shared pages once, not once per point. The dict
-// page count sits at a fixed position after the payload header; parse
-// it and compare against the naive per-point sum.
+// TestCodecPageDedup: the file holds no page the image holds, and a page
+// the run wrote holds once however many points share it. The program
+// below fills one page before the first window and then only reads, so
+// all three points share that one private array next to 32 image pages.
+// The dict page count sits at a fixed position after the payload header;
+// parse it.
 func TestCodecPageDedup(t *testing.T) {
-	set := codecCapture(t)
-	sumPages, maxPages := 0, 0
-	for _, pt := range set.Points {
-		sumPages += pt.Mem.Pages()
-		if pt.Mem.Pages() > maxPages {
-			maxPages = pt.Mem.Pages()
+	b := program.NewBuilder("fillonce")
+	b.MovI(isa.R(1), 0x8000)
+	b.MovI(isa.R(2), 0)
+	b.MovI(isa.R(5), 16)
+	b.Label("fill")
+	b.Shl(isa.R(6), isa.R(2), 3)
+	b.Add(isa.R(6), isa.R(1), isa.R(6))
+	b.Store(isa.R(6), 0, isa.R(2))
+	b.AddI(isa.R(2), isa.R(2), 1)
+	b.Blt(isa.R(2), isa.R(5), "fill")
+	b.Label("spin")
+	b.Load(isa.R(3), isa.R(1), 8)
+	b.Jmp("spin")
+	prog := b.MustBuild()
+	mem := emu.NewMemory()
+	for pg := int64(0); pg < 32; pg++ {
+		mem.WriteWord(uint64(0x100000+pg*4096), pg)
+	}
+	set := Capture(prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
+		map[string]prefetch.Prefetcher{"none": nil}, Params{Skip: 100, Warm: 500, Window: 100, Count: 3})
+	if len(set.Points) != 3 {
+		t.Fatalf("captured %d points, want 3", len(set.Points))
+	}
+	for i, pt := range set.Points {
+		if pt.Mem.Pages() != 33 {
+			t.Fatalf("point %d holds %d pages, want 33", i, pt.Mem.Pages())
 		}
 	}
 	enc := EncodeSet(set, "k")
@@ -106,16 +163,28 @@ func TestCodecPageDedup(t *testing.T) {
 	_ = r.String()         // hierarchy config JSON
 	r.U64()                // ff insts
 	r.I64()                // host ns
-	r.U32()                // point count
+	imagePages := r.U64()
+	r.U32() // image checksum
+	r.U32() // point count
 	dictPages := int(r.U32())
 	if err := r.Err(); err != nil {
 		t.Fatalf("parse encoded header: %v", err)
 	}
-	if dictPages < maxPages {
-		t.Errorf("dict holds %d pages, fewer than one point's %d", dictPages, maxPages)
+	if imagePages != 32 {
+		t.Errorf("head records an image of %d pages, want 32", imagePages)
 	}
-	if dictPages >= sumPages {
-		t.Errorf("dict holds %d pages for %d summed across points: shared pages not interned", dictPages, sumPages)
+	if dictPages != 1 {
+		t.Errorf("dict holds %d pages, want the 1 the run wrote", dictPages)
+	}
+	dec, err := DecodeSet(enc, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Attach(set.Image); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refEncodeSet(dec, "k"), refEncodeSet(set, "k")) {
+		t.Errorf("the attached set does not share its pages the way the captured one does")
 	}
 }
 
@@ -139,6 +208,9 @@ func TestCodecSingleVariant(t *testing.T) {
 	}
 	if !bytes.Equal(enc, EncodeSet(dec, key)) {
 		t.Fatal("single-variant set did not round-trip byte-identically")
+	}
+	if err := dec.Attach(set.Image); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := dec.Points[0].Restore(prog, "stride"); err != nil {
 		t.Fatalf("Restore on decoded single-variant point: %v", err)
@@ -178,6 +250,9 @@ func TestCodecZeroPageMemory(t *testing.T) {
 	}
 	if !bytes.Equal(enc, EncodeSet(dec, key)) {
 		t.Fatal("zero-page set did not round-trip byte-identically")
+	}
+	if err := dec.Attach(emu.NewMemory()); err != nil {
+		t.Fatalf("Attach to an empty image: %v", err)
 	}
 	st, err := dec.Points[0].Restore(prog, "none")
 	if err != nil {

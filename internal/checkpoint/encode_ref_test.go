@@ -1,10 +1,18 @@
 package checkpoint
 
-// The encoders as they stood before the single-buffer container: point
-// state into one append-grown writer, that into a payload writer behind
-// the page dict, that into the output behind the header. Kept verbatim as
-// the byte-for-byte reference for EncodeSet / EncodeMultiSet — store
-// entries written by either must be readable, and re-encodable, by both.
+// The set encoders as they stood in codec version 1: every page of every
+// point interned and written, no image, point state into one append-grown
+// writer, that into a payload writer behind the page dict, that into the
+// output behind the header. Kept verbatim (the page tables ask for the
+// whole memory, as version 1 always did) as the account of what a set IS:
+// every field, every page's contents, and which points share which page
+// arrays. Two sets with the same bytes here restore the same windows. The
+// delta container must carry every set through encode, decode and Attach
+// unchanged by this account (TestRoundTripMatchesReference here, and the
+// workload sets in oracle_test.go). The line, BTB and page-table forms
+// underneath have their own version-1 references beside their packages'
+// tests (cache/refcache_test.go, branch/persist_test.go,
+// emu/persist_test.go).
 
 import (
 	"bytes"
@@ -48,7 +56,7 @@ func refEncodeSet(set *Set, key string) []byte {
 			v.Hier.EncodeState(&pw)
 			prefetch.Encode(&pw, v.PF)
 		}
-		pt.Mem.EncodeState(&pw, dict)
+		pt.Mem.EncodeState(&pw, dict, nil)
 	}
 
 	// Pass 2: assemble the payload with the dict ahead of the page
@@ -68,7 +76,7 @@ func refEncodeSet(set *Set, key string) []byte {
 
 	var out codec.Writer
 	out.Raw([]byte(codecMagic))
-	out.U32(codecVersion)
+	out.U32(1)
 	out.String(key)
 	out.U32(crc32.ChecksumIEEE(payload))
 	out.U64(uint64(len(payload)))
@@ -94,7 +102,7 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 		}
 		pt.Hier.EncodeState(&pw)
 		for _, cs := range pt.Cores {
-			cs.Mem.EncodeState(&pw, dict)
+			cs.Mem.EncodeState(&pw, dict, nil)
 		}
 	}
 
@@ -136,7 +144,7 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 
 	var out codec.Writer
 	out.Raw([]byte(multiCodecMagic))
-	out.U32(multiCodecVersion)
+	out.U32(1)
 	out.String(key)
 	out.U32(crc32.ChecksumIEEE(payload))
 	out.U64(uint64(len(payload)))
@@ -144,38 +152,82 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 	return out.Bytes()
 }
 
-// TestEncodeMatchesThreeBufferReference pins the single-buffer encoders to
-// the reference on a single-core set (four prefetcher variants, shared
-// pages) and a two-core co-scheduled set, under keys of different lengths
-// (the key sits ahead of the CRC/length slot that seal patches in place).
-func TestEncodeMatchesThreeBufferReference(t *testing.T) {
-	set := codecCapture(t)
-	for _, key := range []string{"", "k", "crisp-sim-5/ckpt/0123456789abcdef0123456789abcdef"} {
-		if got, want := EncodeSet(set, key), refEncodeSet(set, key); !bytes.Equal(got, want) {
-			t.Errorf("EncodeSet(key %q): %d bytes, differs from the reference's %d", key, len(got), len(want))
-		}
-	}
-	if got, want := EncodeSet(&Set{}, "empty"), refEncodeSet(&Set{}, "empty"); !bytes.Equal(got, want) {
-		t.Errorf("EncodeSet of a set without points differs from the reference")
-	}
-
+// multiCapture captures a two-core set: a chase core that keeps copying
+// the one page its accumulator store lands in and leaves the rest of its
+// image alone, and a store stream that builds its whole buffer from
+// nothing.
+func multiCapture(t *testing.T) *MultiSet {
+	t.Helper()
 	chase, stream := chaseProgram(t), storeProgram(t)
+	chaseEm := chaseEmu(t, chase)
+	for pg := uint64(0); pg < 8; pg++ {
+		chaseEm.Mem().WriteWord(0x100000+pg*4096, int64(pg))
+	}
 	mset, err := CaptureMultiContext(context.Background(),
 		[]*program.Program{chase, stream},
-		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
+		[]*emu.Emulator{chaseEm, emu.New(stream, emu.NewMemory())},
 		cache.DefaultHierConfig(), 128, 4, 16, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
 		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 3}, []float64{1.0, 0.6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mset.PFKinds = []string{"bop", "none"} // the sim layer fills this in
-	for _, key := range []string{"m", "crisp-sim-5/mckpt/0123456789abcdef0123456789abcdef"} {
-		got, want := EncodeMultiSet(mset, key), refEncodeMultiSet(mset, key)
-		if !bytes.Equal(got, want) {
-			t.Errorf("EncodeMultiSet(key %q): %d bytes, differs from the reference's %d", key, len(got), len(want))
+	return mset
+}
+
+// TestRoundTripMatchesReference pins the delta container to the version-1
+// account of a set, on a single-core set (four prefetcher variants, image
+// pages every point shares, one page every point rewrites) and a two-core
+// co-scheduled set, under keys of different lengths (the key sits ahead of
+// the CRC/length slot that seal patches in place): what comes back from
+// encode, decode and Attach is, field for field and page for page, what
+// went in. Skipping Attach, or attaching to an image with the same page
+// numbers and other contents, must not.
+func TestRoundTripMatchesReference(t *testing.T) {
+	set := codecCapture(t)
+	for _, key := range []string{"", "k", "crisp-sim-5/ckpt/0123456789abcdef0123456789abcdef"} {
+		want := refEncodeSet(set, key)
+		dec, err := DecodeSet(EncodeSet(set, key), key)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := DecodeMultiSet(got, key); err != nil {
-			t.Errorf("DecodeMultiSet of the single-buffer encoding: %v", err)
+		if bytes.Equal(refEncodeSet(dec, key), want) {
+			t.Errorf("key %q: an unattached set already passes for the captured one: the check is vacuous", key)
+		}
+		if err := dec.Attach(set.Image); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(refEncodeSet(dec, key), want) {
+			t.Errorf("key %q: encode, decode and Attach changed the set", key)
+		}
+	}
+	empty := &Set{}
+	dec, err := DecodeSet(EncodeSet(empty, "empty"), "empty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Attach(emu.NewMemory()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refEncodeSet(dec, "empty"), refEncodeSet(empty, "empty")) {
+		t.Errorf("a set without points did not round-trip")
+	}
+
+	mset := multiCapture(t)
+	for _, key := range []string{"m", "crisp-sim-5/mckpt/0123456789abcdef0123456789abcdef"} {
+		want := refEncodeMultiSet(mset, key)
+		dec, err := DecodeMultiSet(EncodeMultiSet(mset, key), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(refEncodeMultiSet(dec, key), want) {
+			t.Errorf("key %q: an unattached multi-set already passes for the captured one", key)
+		}
+		if err := dec.Attach(mset.Images); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(refEncodeMultiSet(dec, key), want) {
+			t.Errorf("key %q: encode, decode and Attach changed the multi-set", key)
 		}
 	}
 }

@@ -12,3 +12,11 @@ func SetDropBatch(i int) {
 	}
 	testDropBatch.Store(int64(i) + 1)
 }
+
+// The version-1 set encoders (encode_ref_test.go), for the external tests
+// that capture registered workloads: package workload imports this one, so
+// they cannot live in it.
+var (
+	RefEncodeSet      = refEncodeSet
+	RefEncodeMultiSet = refEncodeMultiSet
+)

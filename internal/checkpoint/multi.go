@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -50,7 +51,7 @@ const minPace = 0.02
 type CoreState struct {
 	PC   int
 	Regs [isa.NumRegs]int64
-	Mem  *emu.Memory // copy-on-write snapshot; never written directly
+	Mem  *emu.Memory // copy-on-write snapshot, as Point.Mem
 
 	BP  *branch.TAGE
 	BTB *branch.BTB
@@ -67,6 +68,8 @@ type CoreState struct {
 type MultiPoint struct {
 	Cores []*CoreState
 	Hier  *cache.SharedHierarchy // warmed template; Restore clones it
+
+	unattached bool // decoded, and no core's Mem is laid over its image yet
 }
 
 // MultiRestored is the per-window state handed out by
@@ -86,6 +89,9 @@ type MultiRestored struct {
 // prefetcher clone is attached to its private L1D view. Safe for
 // concurrent use, like Point.Restore.
 func (p *MultiPoint) Restore(progs []*program.Program) (MultiRestored, error) {
+	if p.unattached {
+		return MultiRestored{}, errUnattached
+	}
 	n := len(p.Cores)
 	if len(progs) != n {
 		return MultiRestored{}, fmt.Errorf("checkpoint: %d programs for a %d-core point", len(progs), n)
@@ -119,6 +125,11 @@ type MultiSet struct {
 	Hier   cache.HierConfig // geometry the shared hierarchy was warmed with
 	Cores  int
 
+	// Images holds the memory each core's points descend from, as
+	// Set.Image does for one core; nil on a decoded set until Attach.
+	Images   []*emu.Memory
+	imageIDs []emu.ImageID // per core, as Set.imageID
+
 	// PFKinds names the prefetcher kind warmed into each core's view;
 	// restores for a different per-core prefetcher tuple must recapture
 	// (the shared-LLC content depends on every core's prefetch traffic).
@@ -149,6 +160,30 @@ type MultiSet struct {
 	// in-process observability and is not persisted by the codec.
 	WarmInsts uint64
 	HostNS    int64 // host wall time of the capture
+}
+
+// Attach is Set.Attach for a co-scheduled set: images[i] is the memory core
+// i's workload builds.
+func (s *MultiSet) Attach(images []*emu.Memory) error {
+	if s.Images != nil {
+		return errors.New("checkpoint: set already has its images")
+	}
+	if len(images) != s.Cores {
+		return fmt.Errorf("checkpoint: %d images for a %d-core set", len(images), s.Cores)
+	}
+	for i, image := range images {
+		if err := checkImage(image, s.imageIDs[i]); err != nil {
+			return fmt.Errorf("core %d: %w", i, err)
+		}
+	}
+	for _, pt := range s.Points {
+		for i, cs := range pt.Cores {
+			cs.Mem = emu.Overlay(images[i], cs.Mem)
+		}
+		pt.unattached = false
+	}
+	s.Images = images
+	return nil
 }
 
 // scalePace returns insts scaled by the core's pace, floored at 1.
@@ -212,9 +247,10 @@ func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*e
 		}
 	}
 	set := &MultiSet{Hier: hcfg, Cores: n, FFPerCore: make([]uint64, n),
-		Pace: pc, WindowInsts: make([]uint64, n)}
+		Pace: pc, WindowInsts: make([]uint64, n), Images: make([]*emu.Memory, n)}
 	for i := range set.WindowInsts {
 		set.WindowInsts[i] = scalePace(p.Window, pc[i])
+		set.Images[i] = ems[i].Mem().Snapshot()
 	}
 
 	// Time-axis pipeline only: one consumer replays the recorded

@@ -1,9 +1,7 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"crisp/internal/branch"
@@ -18,24 +16,30 @@ import (
 // length over the payload) under its own magic so a multi-set file can
 // never decode as a single-core set or vice versa.
 //
-// Payload:
+// Payload (version 2):
 //
 //	string hierJSON | u32 cores | per core: string pfKind |
 //	per core: f64 pace | per core: u64 windowInsts |
 //	u64 ffInsts | per core: u64 ffPerCore | i64 hostNS |
+//	per core: u64 imagePages, u32 imageSum |
 //	u32 pointCount | page dict (shared across cores AND points) |
 //	per point:
 //	    per core: pc, regs, ffInsts, TAGE, BTB, RAS, prefetcher |
 //	    shared hierarchy (per-view L1I/L1D, shared LLC once) |
 //	    per core: memory page table
 //
-// Pages are interned across every core's every snapshot: consecutive
-// points of one core share almost all pages copy-on-write, so the dict
-// stores each distinct page once set-wide.
+// Each core's memories are a delta over that core's workload image
+// (MultiSet.Images[i]), exactly as in the single-core container: a page
+// table lists the pages that are not pointer-identical to the image's,
+// which is sound because frozen copy-on-write pages never change; the head
+// carries one emu.ImageID per core; DecodeMultiSet returns an unattached
+// set and MultiSet.Attach checks every image's page count and checksum
+// before it lays any page. Listed pages are interned set-wide: a page one
+// core wrote once is shared by all its later points.
 
 const (
 	multiCodecMagic   = "CRSPMCK1"
-	multiCodecVersion = 1
+	multiCodecVersion = 2
 )
 
 // maxMultiCores bounds the decoded core count (sim.MaxCores is 8; the
@@ -47,6 +51,15 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 	// Pass 1: encode point state into a scratch writer, interning pages.
 	var pw codec.Writer
 	dict := emu.NewPageDict()
+	// A captured or attached set has its images, a decoded one their IDs,
+	// one built by hand neither.
+	images, ids := set.Images, set.imageIDs
+	if images == nil {
+		images = make([]*emu.Memory, set.Cores)
+	}
+	if ids == nil {
+		ids = make([]emu.ImageID, set.Cores)
+	}
 	for i, pt := range set.Points {
 		for _, cs := range pt.Cores {
 			pw.Int(cs.PC)
@@ -60,8 +73,8 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 			prefetch.Encode(&pw, cs.PF)
 		}
 		pt.Hier.EncodeState(&pw)
-		for _, cs := range pt.Cores {
-			cs.Mem.EncodeState(&pw, dict)
+		for c, cs := range pt.Cores {
+			cs.Mem.EncodeState(&pw, dict, images[c])
 		}
 		if i == 0 {
 			growForPoints(&pw, len(set.Points))
@@ -71,11 +84,7 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 	// Pass 2: assemble the payload with the dict ahead of the page
 	// tables that reference it.
 	w := openContainer(multiCodecMagic, multiCodecVersion, key)
-	hierJSON, err := json.Marshal(set.Hier)
-	if err != nil { // unreachable: HierConfig is plain data
-		panic(fmt.Sprintf("checkpoint: marshal HierConfig: %v", err))
-	}
-	w.String(string(hierJSON))
+	w.String(hierJSON(set.Hier))
 	w.U32(uint32(set.Cores))
 	for _, kind := range set.PFKinds {
 		w.String(kind)
@@ -99,6 +108,9 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 		w.U64(ff)
 	}
 	w.I64(set.HostNS)
+	for i := range images {
+		encodeImageID(&w.Writer, images[i], ids[i])
+	}
 	w.U32(uint32(len(set.Points)))
 	return w.seal(dict, &pw)
 }
@@ -106,36 +118,16 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 // DecodeMultiSet deserializes a set encoded by EncodeMultiSet, verifying
 // the magic, codec version, CRC, and — when expectKey is non-empty — the
 // content key. Any mismatch or truncation is an error; the caller
-// deletes the file and recaptures.
+// deletes the file and recaptures. Like DecodeSet's, the set comes back
+// unattached.
 func DecodeMultiSet(data []byte, expectKey string) (*MultiSet, error) {
-	r := codec.NewReader(data)
-	if magic := string(r.Raw(len(multiCodecMagic))); magic != multiCodecMagic {
-		return nil, fmt.Errorf("checkpoint: bad multi-set magic %q", magic)
-	}
-	if v := r.U32(); v != multiCodecVersion {
-		return nil, fmt.Errorf("checkpoint: multi codec version %d, want %d", v, multiCodecVersion)
-	}
-	key := r.String()
-	if expectKey != "" && key != expectKey {
-		return nil, fmt.Errorf("checkpoint: content key %q does not match %q", key, expectKey)
-	}
-	crc := r.U32()
-	plen := r.U64()
-	if err := r.Err(); err != nil {
+	p, err := openPayload(data, multiCodecMagic, multiCodecVersion, expectKey)
+	if err != nil {
 		return nil, err
 	}
-	if plen != uint64(r.Remaining()) {
-		return nil, fmt.Errorf("checkpoint: payload length %d, have %d bytes", plen, r.Remaining())
-	}
-	payload := r.Raw(int(plen))
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, fmt.Errorf("checkpoint: payload CRC %#x, want %#x", got, crc)
-	}
-
-	p := codec.NewReader(payload)
 	set := &MultiSet{}
-	if err := json.Unmarshal([]byte(p.String()), &set.Hier); err != nil {
-		return nil, fmt.Errorf("checkpoint: decode hierarchy config: %w", err)
+	if set.Hier, err = decodeHierJSON(p); err != nil {
+		return nil, err
 	}
 	set.Cores = int(p.U32())
 	if err := p.Err(); err != nil {
@@ -162,6 +154,10 @@ func DecodeMultiSet(data []byte, expectKey string) (*MultiSet, error) {
 		set.FFPerCore[i] = p.U64()
 	}
 	set.HostNS = p.I64()
+	set.imageIDs = make([]emu.ImageID, set.Cores)
+	for i := range set.imageIDs {
+		set.imageIDs[i] = emu.ImageID{Pages: p.U64(), Sum: p.U32()}
+	}
 	n := int(p.U32())
 	if err := p.Err(); err != nil {
 		return nil, err
@@ -174,7 +170,7 @@ func DecodeMultiSet(data []byte, expectKey string) (*MultiSet, error) {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		pt := &MultiPoint{Cores: make([]*CoreState, set.Cores)}
+		pt := &MultiPoint{Cores: make([]*CoreState, set.Cores), unattached: true}
 		for c := range pt.Cores {
 			cs := &CoreState{PC: p.Int()}
 			for j := range cs.Regs {
@@ -205,11 +201,8 @@ func DecodeMultiSet(data []byte, expectKey string) (*MultiSet, error) {
 		}
 		set.Points = append(set.Points, pt)
 	}
-	if err := p.Err(); err != nil {
+	if err := closePayload(p, dict, n); err != nil {
 		return nil, err
-	}
-	if p.Remaining() != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes after %d points", p.Remaining(), n)
 	}
 	return set, nil
 }

@@ -15,7 +15,7 @@ import (
 
 // storeProgram streams stores over a buffer with a periodic backward
 // branch: exercises the store (dirtiness) warming path and the BTB.
-func storeProgram(t *testing.T) *program.Program {
+func storeProgram(t testing.TB) *program.Program {
 	t.Helper()
 	b := program.NewBuilder("storestream")
 	b.MovI(isa.R(1), 0x8000) // buffer base
@@ -37,7 +37,7 @@ func storeProgram(t *testing.T) *program.Program {
 // chaseEmu builds a fresh emulator over the chase program's initialized
 // memory (captures consume their emulator, so every capture needs its
 // own).
-func chaseEmu(t *testing.T, prog *program.Program) *emu.Emulator {
+func chaseEmu(t testing.TB, prog *program.Program) *emu.Emulator {
 	t.Helper()
 	mem := emu.NewMemory()
 	for i := int64(0); i < 64; i++ {

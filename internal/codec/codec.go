@@ -43,6 +43,11 @@ func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf,
 // U64 appends a little-endian uint64.
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
+// Uvarint appends v in the base-128 varint form of encoding/binary: one
+// byte for values below 128, at most ten. The dense table encoders use it
+// for fields that are small almost everywhere.
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
 // I64 appends a little-endian int64 (two's complement).
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
@@ -160,6 +165,22 @@ func (r *Reader) U64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// Uvarint reads a base-128 varint, failing on one that overflows 64 bits
+// or is longer than its value needs (a trailing zero group): Writer.Uvarint
+// writes neither, and a value must have one encoding.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 || n > 1 && r.buf[r.off+n-1] == 0 {
+		r.fail("truncated, overlong or padded varint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
 }
 
 // I64 reads a little-endian int64.

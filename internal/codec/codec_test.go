@@ -127,3 +127,32 @@ func TestGrow(t *testing.T) {
 		t.Errorf("Grow lost or misplaced what was already written")
 	}
 }
+
+// TestUvarint: every value has exactly one accepted encoding — the one
+// Writer.Uvarint writes — so a decoder built on it stays canonical.
+func TestUvarint(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 32, 1<<63 - 1, 1 << 63, ^uint64(0)} {
+		var w Writer
+		w.Uvarint(v)
+		r := NewReader(w.Bytes())
+		if got := r.Uvarint(); got != v || r.Err() != nil || r.Remaining() != 0 {
+			t.Errorf("Uvarint(%d) read back %d, err %v, %d bytes left", v, got, r.Err(), r.Remaining())
+		}
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{
+		{"empty", nil},
+		{"truncated", []byte{0x80}},
+		{"padded zero", []byte{0x80, 0x00}},
+		{"padded 1", []byte{0x81, 0x80, 0x00}},
+		{"overflow", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}},
+		{"eleven bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+	} {
+		r := NewReader(c.in)
+		if v := r.Uvarint(); r.Err() == nil || v != 0 {
+			t.Errorf("%s: read %d without error", c.name, v)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"sync"
 
 	"crisp/internal/isa"
 	"crisp/internal/program"
@@ -60,7 +61,7 @@ type page = [pageSize]byte
 // the page (pageW refreshes it) or a fork freezes it (Snapshot clears the
 // writable bits).
 type Memory struct {
-	base map[uint64]*page // frozen: shared with forks
+	base *frozen          // shared with forks; nil = no page
 	own  map[uint64]*page // private: written since the last fork
 
 	lastPN, lastWPN uint64 // last page read, last page written
@@ -68,6 +69,23 @@ type Memory struct {
 
 	pcacheTag [pcacheSize]uint64 // (pn+1)<<1 | writable; 0 = invalid
 	pcachePg  [pcacheSize]*page
+}
+
+// frozen is a page table no memory writes any more: the base of every
+// fork taken since it was built. Being immutable and shared by identity,
+// it is also where a fact about its contents is worth keeping (see ID).
+type frozen struct {
+	pages  map[uint64]*page
+	idOnce sync.Once
+	id     ImageID
+}
+
+// table returns the frozen pages; a nil base holds none.
+func (f *frozen) table() map[uint64]*page {
+	if f == nil {
+		return nil
+	}
+	return f.pages
 }
 
 // NewMemory returns an empty memory.
@@ -84,7 +102,7 @@ func NewMemory() *Memory { return &Memory{own: make(map[uint64]*page)} }
 // A dirty memory first builds one merged table, O(resident pages).
 func (m *Memory) Snapshot() *Memory {
 	if len(m.own) != 0 {
-		m.base, m.own, m.lastWPg = m.table(), nil, nil
+		m.base, m.own, m.lastWPg = &frozen{pages: m.table()}, nil, nil
 		for i := range m.pcacheTag {
 			m.pcacheTag[i] &^= 1
 		}
@@ -95,11 +113,12 @@ func (m *Memory) Snapshot() *Memory {
 // table returns the whole page table: the base itself when the memory is
 // clean, else a merged copy. Callers must not mutate it.
 func (m *Memory) table() map[uint64]*page {
+	base := m.base.table()
 	if len(m.own) == 0 {
-		return m.base
+		return base
 	}
-	t := make(map[uint64]*page, len(m.base)+len(m.own))
-	maps.Copy(t, m.base)
+	t := make(map[uint64]*page, len(base)+len(m.own))
+	maps.Copy(t, base)
 	maps.Copy(t, m.own)
 	return t
 }
@@ -116,7 +135,7 @@ func (m *Memory) page(addr uint64) *page {
 	if m.pcacheTag[idx]>>1 != pn+1 {
 		w := uint64(1)
 		if p = m.own[pn]; p == nil {
-			if p = m.base[pn]; p == nil {
+			if p = m.base.table()[pn]; p == nil {
 				return nil
 			}
 			w = 0
@@ -141,7 +160,7 @@ func (m *Memory) pageW(addr uint64) *page {
 	if m.pcacheTag[idx] != (pn+1)<<1|1 {
 		if p = m.own[pn]; p == nil {
 			p = new(page)
-			if b := m.base[pn]; b != nil {
+			if b := m.base.table()[pn]; b != nil {
 				*p = *b
 			}
 			if m.own == nil {

@@ -29,10 +29,11 @@ func TestSnapshotCleanIsConstantAllocs(t *testing.T) {
 const forkSpan = 1<<16 + 255*3*8
 
 // forkNode is one memory of the fuzzed fork tree with its flat byte-level
-// reference.
+// reference, and the snapshot it was forked from (nil for the root).
 type forkNode struct {
-	m   *Memory
-	ref []byte
+	m     *Memory
+	ref   []byte
+	image *Memory
 }
 
 func (n *forkNode) word(addr uint64) int64 {
@@ -43,11 +44,12 @@ func (n *forkNode) setWord(addr uint64, v int64) {
 	binary.LittleEndian.PutUint64(n.ref[addr:], uint64(v))
 }
 
-// recode round-trips m through the checkpoint page codec.
-func recode(t *testing.T, m *Memory) *Memory {
+// recode round-trips m through the checkpoint page codec as a delta over
+// image, a memory m descends from (nil: m whole).
+func recode(t *testing.T, m, image *Memory) *Memory {
 	var pw, w codec.Writer
 	dict := NewPageDict()
-	m.EncodeState(&pw, dict)
+	m.EncodeState(&pw, dict, image)
 	dict.EncodePages(&w)
 	w.Raw(pw.Bytes())
 	r := codec.NewReader(w.Bytes())
@@ -58,6 +60,12 @@ func recode(t *testing.T, m *Memory) *Memory {
 	out, err := DecodeMemory(r, dec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Remaining() != 0 || dec.Unreferenced() != 0 {
+		t.Fatalf("%d trailing bytes, %d unreferenced dict pages", r.Remaining(), dec.Unreferenced())
+	}
+	if image != nil {
+		out = Overlay(image, out)
 	}
 	return out
 }
@@ -71,7 +79,7 @@ const (
 	opReadWord
 	opReadWords
 	opSnapshot
-	opRecode // fork the node through EncodeState/DecodeMemory
+	opRecode // fork the node through EncodeState/DecodeMemory/Overlay, over the snapshot it was forked from
 	numForkOps
 )
 
@@ -133,10 +141,11 @@ func FuzzMemoryFork(f *testing.F) {
 					continue
 				}
 				m := n.m.Snapshot()
+				image := m.Snapshot() // frozen: nothing writes it
 				if ops[0]%numForkOps == opRecode {
-					m = recode(t, m)
+					m, image = recode(t, m, n.image), n.image
 				}
-				nodes = append(nodes, &forkNode{m: m, ref: bytes.Clone(n.ref)})
+				nodes = append(nodes, &forkNode{m: m, ref: bytes.Clone(n.ref), image: image})
 			}
 		}
 		// Every memory still reads as its own reference, everywhere.

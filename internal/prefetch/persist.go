@@ -25,9 +25,33 @@ const (
 	tagComposite
 )
 
-// maxEntries bounds decoded table sizes so a corrupt length prefix
-// cannot drive a huge allocation before truncation is detected.
+// maxEntries bounds decoded table sizes. tableLen also checks a length
+// prefix against the bytes left, so a corrupt prefix cannot drive an
+// allocation larger than its input.
 const maxEntries = 1 << 24
+
+// tableLen reads a u32 entry count and refuses one below min, above
+// maxEntries, or that entrySize bytes per entry would overrun the input.
+func tableLen(r *codec.Reader, what string, min, entrySize int) (int, error) {
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if n < min || n > maxEntries || n > r.Remaining()/entrySize {
+		return 0, fmt.Errorf("prefetch: %s size %d out of range (%d bytes encoded)", what, n, r.Remaining())
+	}
+	return n, nil
+}
+
+// ascending reports a map-backed table's key that does not follow the
+// previous one. Encode writes keys sorted, so anything else — a repeated
+// key would silently overwrite its entry — is not an encoding.
+func ascending(what string, i int, prev, k uint64) error {
+	if i > 0 && k <= prev {
+		return fmt.Errorf("prefetch: %s key %#x does not follow %#x", what, k, prev)
+	}
+	return nil
+}
 
 // Encode serializes p (nil allowed: the no-prefetcher configuration).
 func Encode(w *codec.Writer, p Prefetcher) {
@@ -137,33 +161,39 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		return &NextLine{Degree: r.Int()}, r.Err()
 	case tagStride:
 		p := &Stride{cap: r.Int(), Distance: r.Int()}
-		n := int(r.U32())
-		if n < 0 || n > maxEntries {
-			return nil, fmt.Errorf("prefetch: stride table size %d out of range", n)
+		n, err := tableLen(r, "stride table", 0, 25)
+		if err != nil {
+			return nil, err
 		}
 		p.table = make(map[uint64]*strideEntry, n)
-		for i := 0; i < n; i++ {
+		for i, prev := 0, uint64(0); i < n; i++ {
 			k := r.U64()
-			p.table[k] = &strideEntry{lastAddr: r.U64(), stride: r.I64(), conf: r.I8()}
+			if err := ascending("stride table", i, prev, k); err != nil {
+				return nil, err
+			}
+			p.table[k], prev = &strideEntry{lastAddr: r.U64(), stride: r.I64(), conf: r.I8()}, k
 		}
 		return p, r.Err()
 	case tagStream:
 		p := &Stream{cap: r.Int(), Degree: r.Int()}
-		n := int(r.U32())
-		if n < 0 || n > maxEntries {
-			return nil, fmt.Errorf("prefetch: stream table size %d out of range", n)
+		n, err := tableLen(r, "stream table", 0, 25)
+		if err != nil {
+			return nil, err
 		}
 		p.regions = make(map[uint64]*streamEntry, n)
-		for i := 0; i < n; i++ {
+		for i, prev := 0, uint64(0); i < n; i++ {
 			k := r.U64()
-			p.regions[k] = &streamEntry{lastLine: r.I64(), dir: r.I64(), count: r.I8()}
+			if err := ascending("stream table", i, prev, k); err != nil {
+				return nil, err
+			}
+			p.regions[k], prev = &streamEntry{lastLine: r.I64(), dir: r.I64(), count: r.I8()}, k
 		}
 		return p, r.Err()
 	case tagBOP:
 		p := &BOP{}
-		n := int(r.U32())
-		if n <= 0 || n > maxEntries {
-			return nil, fmt.Errorf("prefetch: BOP rr table size %d out of range", n)
+		n, err := tableLen(r, "BOP rr table", 1, 8)
+		if err != nil {
+			return nil, err
 		}
 		p.rr = make([]uint64, n)
 		for i := range p.rr {
@@ -173,9 +203,9 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		if p.rrMask != uint64(n-1) {
 			return nil, fmt.Errorf("prefetch: BOP rr mask %d does not match %d entries", p.rrMask, n)
 		}
-		no := int(r.U32())
-		if no <= 0 || no > maxEntries {
-			return nil, fmt.Errorf("prefetch: BOP offset count %d out of range", no)
+		no, err := tableLen(r, "BOP offset list", 1, 16)
+		if err != nil {
+			return nil, err
 		}
 		p.offsets = make([]int64, no)
 		for i := range p.offsets {
@@ -200,8 +230,11 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		return p, nil
 	case tagGHB:
 		p := &GHB{size: r.Int(), head: r.Int(), Depth: r.Int()}
-		n := int(r.U32())
-		if n <= 0 || n > maxEntries || n != p.size {
+		n, err := tableLen(r, "GHB buffer", 1, 24)
+		if err != nil {
+			return nil, err
+		}
+		if n != p.size {
 			return nil, fmt.Errorf("prefetch: GHB buffer size %d does not match geometry %d", n, p.size)
 		}
 		if p.head < 0 {
@@ -211,14 +244,17 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		for i := range p.buf {
 			p.buf[i] = ghbEntry{addr: r.U64(), prev: r.Int(), id: r.Int()}
 		}
-		ni := int(r.U32())
-		if ni < 0 || ni > maxEntries {
-			return nil, fmt.Errorf("prefetch: GHB index size %d out of range", ni)
+		ni, err := tableLen(r, "GHB index", 0, 16)
+		if err != nil {
+			return nil, err
 		}
 		p.index = make(map[uint64]int, ni)
-		for i := 0; i < ni; i++ {
+		for i, prev := 0, uint64(0); i < ni; i++ {
 			k := r.U64()
-			p.index[k] = r.Int()
+			if err := ascending("GHB index", i, prev, k); err != nil {
+				return nil, err
+			}
+			p.index[k], prev = r.Int(), k
 		}
 		return p, r.Err()
 	case tagComposite:

@@ -10,6 +10,7 @@ import (
 
 	"crisp/internal/checkpoint"
 	"crisp/internal/crisp"
+	"crisp/internal/emu"
 	"crisp/internal/program"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
@@ -187,10 +188,6 @@ func multiCheckpointKey(spec sim.MultiSpec) string {
 func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfgs []sim.Config) (*checkpoint.MultiSet, bool, error) {
 	key := multiCheckpointKey(spec)
 	v, err := r.do(ctx, "mckpt|"+key, func(ctx context.Context) (any, error) {
-		if set, ok := r.store.GetMultiCheckpoint(key); ok {
-			r.ckptDiskHits.Add(1)
-			return mckptResult{set, true}, nil
-		}
 		ws := make([]*workload.Workload, len(spec.Cores))
 		for i, cs := range spec.Cores {
 			w, err := resolveWorkload(cs.Workload)
@@ -198,6 +195,39 @@ func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfg
 				return nil, err
 			}
 			ws[i] = w
+		}
+		build := func() []*sim.Image {
+			imgs := make([]*sim.Image, len(spec.Cores))
+			for i, cs := range spec.Cores {
+				variant := workload.Ref
+				if cs.Input == sim.InputTrain {
+					variant = workload.Train
+				}
+				imgs[i] = ws[i].Build(variant)
+			}
+			return imgs
+		}
+		// As in checkpointSet: a stored set enters the memo attached to the
+		// images its workloads build, or is deleted and recaptured.
+		load := func() (any, bool) {
+			set, ok := r.store.GetMultiCheckpoint(key)
+			if !ok {
+				return nil, false
+			}
+			imgs := build()
+			mems := make([]*emu.Memory, len(imgs))
+			for i, img := range imgs {
+				mems[i] = img.Mem
+			}
+			if set.Attach(mems) != nil {
+				r.store.Delete(kindMultiCkpt, key)
+				return nil, false
+			}
+			r.ckptDiskHits.Add(1)
+			return mckptResult{set, true}, true
+		}
+		if cr, ok := load(); ok {
+			return cr, nil
 		}
 		// Hold the capture lock across fast-forward and publish: two
 		// processes sweeping one store co-schedule each tuple once
@@ -207,18 +237,10 @@ func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfg
 			return nil, err
 		}
 		defer unlock()
-		if set, ok := r.store.GetMultiCheckpoint(key); ok {
-			r.ckptDiskHits.Add(1)
-			return mckptResult{set, true}, nil
+		if cr, ok := load(); ok {
+			return cr, nil
 		}
-		imgs := make([]*sim.Image, len(spec.Cores))
-		for i, cs := range spec.Cores {
-			variant := workload.Ref
-			if cs.Input == sim.InputTrain {
-				variant = workload.Train
-			}
-			imgs[i] = ws[i].Build(variant)
-		}
+		imgs := build()
 		set, err := sim.CaptureMultiCheckpointsContext(r.simCtx(ctx), imgs, cfgs, *spec.Sampling)
 		if err != nil {
 			return nil, err

@@ -137,7 +137,7 @@ func (s *Store) Get(kind, key string, v any) bool {
 	}
 	fresh := reflect.New(rv.Type().Elem())
 	if json.Unmarshal(b, fresh.Interface()) != nil {
-		os.Remove(s.path(kind, key)) // delete-and-recompute
+		s.Delete(kind, key) // delete-and-recompute
 		return false
 	}
 	rv.Elem().Set(fresh.Elem())
@@ -159,9 +159,20 @@ func (s *Store) Put(kind, key string, v any) error {
 	return s.writeAtomic(kind, key, b)
 }
 
+// Delete removes the entry stored under (kind, key), if any: what a
+// reader does with an entry it cannot use, so that the recompute can
+// publish over it.
+func (s *Store) Delete(kind, key string) {
+	if s.dir != "" {
+		os.Remove(s.path(kind, key))
+	}
+}
+
 // GetCheckpoint loads and decodes the checkpoint set stored under key.
 // A corrupt or key-mismatched file is deleted (the next capture rewrites
-// it) and reported as a miss.
+// it) and reported as a miss. The set is a delta over its workload image
+// and restores nothing until the caller attaches that image
+// (checkpoint.Set.Attach).
 func (s *Store) GetCheckpoint(key string) (*checkpoint.Set, bool) {
 	if s.dir == "" {
 		return nil, false
@@ -172,7 +183,7 @@ func (s *Store) GetCheckpoint(key string) (*checkpoint.Set, bool) {
 	}
 	set, err := checkpoint.DecodeSet(b, key)
 	if err != nil {
-		os.Remove(s.path(kindCkpt, key)) // delete-and-recompute
+		s.Delete(kindCkpt, key) // delete-and-recompute
 		return nil, false
 	}
 	return set, true
@@ -189,7 +200,8 @@ func (s *Store) PutCheckpoint(key string, set *checkpoint.Set) error {
 
 // GetMultiCheckpoint loads and decodes the co-scheduled multi-core
 // checkpoint set stored under key, with GetCheckpoint's
-// delete-and-recompute discipline for corrupt or mismatched files.
+// delete-and-recompute discipline for corrupt or mismatched files; the
+// set comes back unattached, like GetCheckpoint's.
 func (s *Store) GetMultiCheckpoint(key string) (*checkpoint.MultiSet, bool) {
 	if s.dir == "" {
 		return nil, false
@@ -200,7 +212,7 @@ func (s *Store) GetMultiCheckpoint(key string) (*checkpoint.MultiSet, bool) {
 	}
 	set, err := checkpoint.DecodeMultiSet(b, key)
 	if err != nil {
-		os.Remove(s.path(kindMultiCkpt, key)) // delete-and-recompute
+		s.Delete(kindMultiCkpt, key) // delete-and-recompute
 		return nil, false
 	}
 	return set, true

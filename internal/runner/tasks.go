@@ -343,20 +343,36 @@ func checkpointKey(name string, variant workload.Variant, s sim.Sampling) string
 // (workload, variant, schedule): the cross-config sharing at the heart
 // of sampling. Within a process the set is memoized; across processes
 // it persists in the store under the binary checkpoint codec, so a
-// second process (or a re-run) decodes the warmed state instead of
-// re-executing the functional fast-forward. Captures run under the
-// runner's CaptureWorkers bound and honour cancellation: a cancelled
-// capture returns the context's error without publishing a store entry.
+// second process (or a re-run) decodes the warmed state, attaches it to
+// the workload image it builds anyway, and skips the functional
+// fast-forward. Captures run under the runner's CaptureWorkers bound and
+// honour cancellation: a cancelled capture returns the context's error
+// without publishing a store entry.
 func (r *Runner) checkpointSet(ctx context.Context, name string, variant workload.Variant, s sim.Sampling) (*checkpoint.Set, ckptResult, error) {
 	key := checkpointKey(name, variant, s)
 	v, err := r.do(ctx, "ckpt|"+key, func(ctx context.Context) (any, error) {
-		if set, ok := r.store.GetCheckpoint(key); ok {
-			r.ckptDiskHits.Add(1)
-			return ckptResult{set: set, fromStore: true}, nil
-		}
 		w, err := resolveWorkload(name)
 		if err != nil {
 			return nil, err
+		}
+		// A stored set is a delta over the image this workload builds, and
+		// enters the memo only attached to it. One that refuses the image
+		// (a kernel edited without a CodeVersion bump) is as useless as a
+		// corrupt one: delete it and recapture.
+		load := func() (any, bool) {
+			set, ok := r.store.GetCheckpoint(key)
+			if !ok {
+				return nil, false
+			}
+			if set.Attach(w.Build(variant).Mem) != nil {
+				r.store.Delete(kindCkpt, key)
+				return nil, false
+			}
+			r.ckptDiskHits.Add(1)
+			return ckptResult{set: set, fromStore: true}, true
+		}
+		if cr, ok := load(); ok {
+			return cr, nil
 		}
 		// Hold the capture lock across fast-forward and publish: two
 		// processes sweeping one store fast-forward each schedule once
@@ -366,9 +382,8 @@ func (r *Runner) checkpointSet(ctx context.Context, name string, variant workloa
 			return nil, err
 		}
 		defer unlock()
-		if set, ok := r.store.GetCheckpoint(key); ok {
-			r.ckptDiskHits.Add(1)
-			return ckptResult{set: set, fromStore: true}, nil
+		if cr, ok := load(); ok {
+			return cr, nil
 		}
 		set, err := sim.CaptureCheckpointsContext(r.simCtx(ctx), w.Build(variant), sim.DefaultConfig(), s)
 		if err != nil {

@@ -91,6 +91,16 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 		return progs, ems, pfs, kinds
 	}
 
+	// The set is stored as a delta over the images the workloads built.
+	// Calibration runs its mini-captures over the same memories, so by the
+	// time the real capture starts they hold calibration's stores as well:
+	// fork the images now, and hand those through to the set. Every point
+	// still descends from them, which is all the delta needs.
+	images := make([]*emu.Memory, n)
+	for i := range imgs {
+		images[i] = imgs[i].Mem.Snapshot()
+	}
+
 	pace, err := calibratePace(ctx, imgs, cfgs, s, newEms)
 	if err != nil {
 		return nil, err
@@ -105,6 +115,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 		return nil, err
 	}
 	set.PFKinds = kinds
+	set.Images = images
 	hostFFInsts.Add(set.FFInsts)
 	hostFFNS.Add(uint64(set.HostNS))
 	return set, nil

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/emu"
 	"crisp/internal/ibda"
 	"crisp/internal/program"
 	"crisp/internal/sim"
@@ -160,6 +162,16 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 	}
 	a, err := sim.RunMultiSampled(set, progs, cfgs, multiSmallSchedule)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunMultiSampled(got, progs, cfgs, multiSmallSchedule); err == nil || !strings.Contains(err.Error(), "not attached") {
+		t.Fatalf("run over an unattached set: error %v, want a refusal", err)
+	}
+	imgs := colocatePair(nil)
+	if err := got.Attach([]*emu.Memory{imgs[1].Mem, imgs[0].Mem}); err == nil {
+		t.Fatal("the two cores' images attached the wrong way round")
+	}
+	if err := got.Attach([]*emu.Memory{imgs[0].Mem, imgs[1].Mem}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := sim.RunMultiSampled(got, progs, cfgs, multiSmallSchedule)

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"crisp/internal/checkpoint"
@@ -14,10 +15,17 @@ import (
 // store depends on: a set serialized to disk and decoded back must
 // drive the sampled simulator to *exactly* the results of the in-RAM
 // set — same cycles, same histograms, same per-PC profiles — across
-// workloads and schedulers. Any drift here would let a warm-store sweep
-// silently disagree with a cold one.
+// workloads and schedulers, read-only (mcf) and writing (moses,
+// streambatch) alike. Any drift here would let a warm-store sweep
+// silently disagree with a cold one. A decoded set is a delta over the
+// workload image: until it is attached to one it must fail the run, not
+// run the windows over the few pages it holds. The writing workloads run
+// under GHB: bop+stream's table eviction follows map order on them (bench
+// README, "Known nondeterminism"), so one set run twice disagrees there.
 func TestSampledFromDecodedSet(t *testing.T) {
-	for _, name := range []string{"pointerchase", "mcf"} {
+	for name, pf := range map[string]sim.PrefetcherKind{
+		"pointerchase": sim.PFBOPStream, "mcf": sim.PFBOPStream, "moses": sim.PFGHB, "streambatch": sim.PFGHB,
+	} {
 		w := workload.ByName(name)
 		set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
 		enc := checkpoint.EncodeSet(set, "equiv-test")
@@ -26,8 +34,18 @@ func TestSampledFromDecodedSet(t *testing.T) {
 			t.Fatalf("%s: DecodeSet: %v", name, err)
 		}
 		prog := w.Build(workload.Ref).Prog
+		if _, err := sim.RunSampled(dec, prog, sim.DefaultConfig(), smallSchedule); err == nil || !strings.Contains(err.Error(), "not attached") {
+			t.Fatalf("%s: run over an unattached set: error %v, want a refusal", name, err)
+		}
+		if err := dec.Attach(w.Build(workload.Train).Mem); err == nil {
+			t.Fatalf("%s: the train image attached to a set captured over the ref image", name)
+		}
+		if err := dec.Attach(w.Build(workload.Ref).Mem); err != nil {
+			t.Fatalf("%s: Attach: %v", name, err)
+		}
 		for _, sched := range []core.SchedulerKind{core.SchedOldestFirst, core.SchedCRISP} {
 			cfg := sim.DefaultConfig().WithSched(sched)
+			cfg.Prefetcher = pf
 			ram, err := sim.RunSampled(set, prog, cfg, smallSchedule)
 			if err != nil {
 				t.Fatalf("%s/%v: RAM run: %v", name, sched, err)

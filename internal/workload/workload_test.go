@@ -96,7 +96,7 @@ func TestBuildPanicIsSticky(t *testing.T) {
 func pristineHash(w *Workload, v Variant) [sha256.Size]byte {
 	var pw, pages codec.Writer
 	dict := emu.NewPageDict()
-	w.pristine[v]().Mem.EncodeState(&pw, dict)
+	w.pristine[v]().Mem.EncodeState(&pw, dict, nil)
 	dict.EncodePages(&pages)
 	h := sha256.New()
 	h.Write(pw.Bytes())
