@@ -8,20 +8,11 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"testing"
-	"time"
 
-	"crisp/internal/cache"
-	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
-	"crisp/internal/emu"
 	"crisp/internal/harness"
-	"crisp/internal/prefetch"
-	"crisp/internal/program"
-	"crisp/internal/runner"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
@@ -322,371 +313,6 @@ func BenchmarkHostThroughput(b *testing.B) {
 			b.ReportMetric(float64(hostNS)/float64(insts), "host_ns/inst")
 			b.ReportMetric(float64(hostAllocs)/float64(insts), "allocs/inst")
 			b.ReportMetric(float64(skipped)/float64(cycles), "skipped_frac")
-		})
-	}
-}
-
-// BenchmarkHostThroughputMulticore measures how simulator throughput
-// scales with co-scheduled cores: 1, 2 and 4 cores stepped in lockstep
-// over one shared LLC and DRAM, alternating the co-location pair
-// (tailchase on even cores, streambatch on odd). Reported per width:
-// aggregate simulated MIPS across all cores and the skipped-cycle
-// fraction — lockstep merges idle skips across cores (the clock jumps
-// only to the minimum proven target), so the fraction dropping with
-// width quantifies what contention-visible co-scheduling costs the PR 5
-// fast path.
-func BenchmarkHostThroughputMulticore(b *testing.B) {
-	pair := []string{"tailchase", "streambatch"}
-	for _, n := range []int{1, 2, 4} {
-		n := n
-		b.Run(fmt.Sprintf("%dcore", n), func(b *testing.B) {
-			var insts, cycles, skipped, hostNS uint64
-			for i := 0; i < b.N; i++ {
-				imgs := make([]*sim.Image, n)
-				cfgs := make([]sim.Config, n)
-				for c := 0; c < n; c++ {
-					imgs[c] = workload.ByName(pair[c%2]).Build(workload.Ref)
-					cfgs[c] = sim.DefaultConfig()
-					cfgs[c].Core.MaxInsts = benchInsts
-				}
-				m, err := sim.RunMulti(imgs, cfgs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range m.Cores {
-					insts += r.Insts
-					cycles += r.Cycles
-					skipped += r.SkippedCycles
-				}
-				hostNS += uint64(m.HostNS)
-			}
-			b.ReportMetric(float64(insts)*1e3/float64(hostNS), "sim_MIPS")
-			b.ReportMetric(float64(skipped)/float64(cycles), "skipped_frac")
-		})
-	}
-}
-
-// BenchmarkHostThroughputFastForward measures the functional
-// fast-forward rate (emulation only, no core timing) on the same
-// workload as BenchmarkHostThroughput, so the two MIPS numbers are
-// directly comparable. The ISSUE targets a >=10x ratio.
-func BenchmarkHostThroughputFastForward(b *testing.B) {
-	w := workload.ByName("pointerchase")
-	const ffInsts = 5 * benchInsts
-	b.ResetTimer()
-	var insts uint64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		img := w.Build(workload.Ref)
-		e := emu.New(img.Prog, img.Mem)
-		for r, v := range img.Regs {
-			e.SetReg(r, v)
-		}
-		insts += e.FastForward(ffInsts, nil)
-	}
-	b.ReportMetric(float64(insts)*1e3/float64(time.Since(start).Nanoseconds()), "ff_MIPS")
-}
-
-// BenchmarkHostThroughputSampledSweep measures the headline savings of
-// sampled simulation on a 4-config, 5M-instruction mcf sweep (default
-// OOO, random scheduler, no prefetcher, stride prefetcher), in three
-// regimes:
-//
-//   - full_detail: every config simulated in full detail (the baseline
-//     the earlier >=5x sampling bar is measured against);
-//   - cold_store: first process against an empty checkpoint store —
-//     functional fast-forward capture, persist, then the detailed
-//     windows per config;
-//   - warm_store: second process against the store the cold sweep
-//     populated — load+decode the warmed checkpoint set instead of
-//     recapturing, then the same detailed windows.
-//
-// The cold-vs-warm start-up delta (capture+persist vs load+decode) is
-// the per-process fast-forward cost the store eliminates when a sweep
-// is sharded across N processes or re-run.
-func BenchmarkHostThroughputSampledSweep(b *testing.B) {
-	w := workload.ByName("mcf")
-	s := sim.AutoSampling(5_000_000)
-	cfgs := make([]sim.Config, 0, 4)
-	for _, pf := range []sim.PrefetcherKind{sim.PFBOPStream, sim.PFNone, sim.PFStride} {
-		cfg := sim.DefaultConfig()
-		cfg.Prefetcher = pf
-		cfgs = append(cfgs, cfg)
-	}
-	cfgs = append(cfgs, sim.DefaultConfig().WithSched(core.SchedRandom))
-	prog := w.Build(workload.Ref).Prog
-	sweep := func(b *testing.B, set *checkpoint.Set) {
-		for _, cfg := range cfgs {
-			if _, err := sim.RunSampled(set, prog, cfg, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	const benchKey = "bench-sweep"
-
-	b.Run("full_detail", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, cfg := range cfgs {
-				fcfg := cfg
-				fcfg.Core.MaxInsts = s.Total()
-				sim.Run(w.Build(workload.Ref), fcfg)
-			}
-		}
-	})
-
-	b.Run("cold_store", func(b *testing.B) {
-		var startNS int64
-		for i := 0; i < b.N; i++ {
-			store, err := runner.NewStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := time.Now()
-			set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), s)
-			if err := store.PutCheckpoint(benchKey, set); err != nil {
-				b.Fatal(err)
-			}
-			startNS += time.Since(start).Nanoseconds()
-			sweep(b, set)
-		}
-		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "capture_persist_s")
-	})
-
-	b.Run("warm_store", func(b *testing.B) {
-		store, err := runner.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Populate once, untimed: the warm leg is the second process.
-		if err := store.PutCheckpoint(benchKey,
-			sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), s)); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		var startNS int64
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			set, ok := store.GetCheckpoint(benchKey)
-			if !ok {
-				b.Fatal("warm store missed")
-			}
-			startNS += time.Since(start).Nanoseconds()
-			sweep(b, set)
-		}
-		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "load_decode_s")
-	})
-}
-
-// BenchmarkHostThroughputMulticoreSampled measures what co-scheduled
-// checkpointing buys a colocate sweep: four configs of one 2-core
-// tailchase+streambatch tuple — core 0's scheduler and backend window
-// size vary, the axes that share a single capture (the prefetcher tuple
-// is part of the capture key, so it stays pinned). Three legs:
-//
-//   - full_detail: every config steps both cores in full-detail
-//     lockstep over the whole budget;
-//   - cold_store: first process against an empty store — calibrated
-//     co-scheduled capture, persist, then the detailed lockstep windows
-//     per config;
-//   - warm_store: second process against the populated store —
-//     load+decode the multi-set, then the same windows per config.
-//
-// The headline is full_detail's time per op over warm_store's: how much
-// faster a scheduler/window sweep runs once the capture is amortized.
-func BenchmarkHostThroughputMulticoreSampled(b *testing.B) {
-	const perCore = 1_000_000
-	s := sim.AutoSampling(perCore)
-	pair := []string{"tailchase", "streambatch"}
-	newImgs := func() []*sim.Image {
-		return []*sim.Image{
-			workload.ByName(pair[0]).Build(workload.Ref),
-			workload.ByName(pair[1]).Build(workload.Ref),
-		}
-	}
-	var sweepCfgs [][]sim.Config
-	for _, sched := range []core.SchedulerKind{core.SchedOldestFirst, core.SchedRandom} {
-		for _, rs := range []int{96, 48} {
-			cfgs := []sim.Config{sim.DefaultConfig().WithSched(sched), sim.DefaultConfig()}
-			cfgs[0].Core.RSSize = rs
-			sweepCfgs = append(sweepCfgs, cfgs)
-		}
-	}
-	sweep := func(b *testing.B, set *checkpoint.MultiSet) {
-		for _, cfgs := range sweepCfgs {
-			imgs := newImgs()
-			progs := []*program.Program{imgs[0].Prog, imgs[1].Prog}
-			if _, err := sim.RunMultiSampled(set, progs, cfgs, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	const benchKey = "bench-mckpt"
-
-	b.Run("full_detail", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, cfgs := range sweepCfgs {
-				fcfgs := make([]sim.Config, len(cfgs))
-				for j := range cfgs {
-					fcfgs[j] = cfgs[j]
-					fcfgs[j].Core.MaxInsts = perCore
-				}
-				if _, err := sim.RunMulti(newImgs(), fcfgs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-
-	b.Run("cold_store", func(b *testing.B) {
-		var startNS int64
-		for i := 0; i < b.N; i++ {
-			store, err := runner.NewStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := time.Now()
-			set, err := sim.CaptureMultiCheckpoints(newImgs(), sweepCfgs[0], s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := store.PutMultiCheckpoint(benchKey, set); err != nil {
-				b.Fatal(err)
-			}
-			startNS += time.Since(start).Nanoseconds()
-			sweep(b, set)
-		}
-		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "capture_persist_s")
-	})
-
-	b.Run("warm_store", func(b *testing.B) {
-		store, err := runner.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Populate once, untimed: the warm leg is the second process.
-		set, err := sim.CaptureMultiCheckpoints(newImgs(), sweepCfgs[0], s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := store.PutMultiCheckpoint(benchKey, set); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		var startNS int64
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			got, ok := store.GetMultiCheckpoint(benchKey)
-			if !ok {
-				b.Fatal("warm store missed")
-			}
-			startNS += time.Since(start).Nanoseconds()
-			sweep(b, got)
-		}
-		b.ReportMetric(float64(startNS)/1e9/float64(b.N), "load_decode_s")
-	})
-}
-
-// captureVariants builds a prefetcher-variant map of the requested size,
-// drawn from the same kinds the sim layer registers, so the benchmark's
-// warming cost tracks the real capture path's.
-func captureVariants(n int) map[string]prefetch.Prefetcher {
-	kinds := []struct {
-		name string
-		mk   func() prefetch.Prefetcher
-	}{
-		{"none", func() prefetch.Prefetcher { return nil }},
-		{"stride", func() prefetch.Prefetcher { return prefetch.NewStride(256) }},
-		{"ghb", func() prefetch.Prefetcher { return prefetch.NewGHB(512) }},
-		{"bop", func() prefetch.Prefetcher { return prefetch.NewBOP() }},
-		{"bop+stream", func() prefetch.Prefetcher {
-			return &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}}
-		}},
-	}
-	m := make(map[string]prefetch.Prefetcher, n)
-	for _, k := range kinds[:n] {
-		m[k.name] = k.mk()
-	}
-	return m
-}
-
-// BenchmarkCheckpointCapture measures cold checkpoint capture sequential
-// vs pipelined: 1, 3 and 5 prefetcher variants on pointerchase, plus a
-// 2-core co-scheduled capture. The sequential leg is workers=1 (the
-// bit-identical reference); the parallel leg requests one goroutine per
-// pipeline task (producer + frontend + each variant), so the speedup
-// reflects the pipeline's shape rather than this host's core count — on
-// a single-core host the parallel leg measures pure overhead (go test
-// prints GOMAXPROCS in each benchmark's name suffix). The ISSUE gate (>=2x
-// at >=3 variants) applies on multi-core hosts.
-func BenchmarkCheckpointCapture(b *testing.B) {
-	p := checkpoint.Params{Skip: 10_000, Warm: 200_000, Window: 10_000, Count: 4}
-	ctx := context.Background()
-
-	captureOnce := func(b *testing.B, variants, workers int) time.Duration {
-		img := workload.ByName("pointerchase").Build(workload.Ref)
-		em := emu.New(img.Prog, img.Mem)
-		for r, v := range img.Regs {
-			em.SetReg(r, v)
-		}
-		pfs := captureVariants(variants)
-		start := time.Now()
-		if _, err := checkpoint.CaptureContext(ctx, img.Prog, em,
-			cache.DefaultHierConfig(), 128, 4, 16, pfs, p, workers); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-
-	for _, variants := range []int{1, 3, 5} {
-		for _, mode := range []string{"seq", "par"} {
-			workers := 1
-			if mode == "par" {
-				workers = variants + 2 // producer + frontend + each variant
-			}
-			b.Run(fmt.Sprintf("%dvariants/%s", variants, mode), func(b *testing.B) {
-				var total time.Duration
-				for i := 0; i < b.N; i++ {
-					total += captureOnce(b, variants, workers)
-				}
-				b.ReportMetric(total.Seconds()/float64(b.N), "capture_s")
-			})
-		}
-	}
-
-	multiOnce := func(b *testing.B, workers int) time.Duration {
-		imgs := []*sim.Image{
-			workload.ByName("tailchase").Build(workload.Ref),
-			workload.ByName("streambatch").Build(workload.Ref),
-		}
-		progs := make([]*program.Program, len(imgs))
-		ems := make([]*emu.Emulator, len(imgs))
-		for i, img := range imgs {
-			progs[i] = img.Prog
-			ems[i] = emu.New(img.Prog, img.Mem)
-			for r, v := range img.Regs {
-				ems[i].SetReg(r, v)
-			}
-		}
-		pfs := []prefetch.Prefetcher{prefetch.NewBOP(), nil}
-		start := time.Now()
-		if _, err := checkpoint.CaptureMultiContext(ctx, progs, ems,
-			cache.DefaultHierConfig(), 128, 4, 16, pfs, p,
-			[]float64{1.0, 1.0}, workers); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	for _, mode := range []string{"seq", "par"} {
-		workers := 1
-		if mode == "par" {
-			workers = 3 // producer + the single ordered multi-core consumer, with slack
-		}
-		b.Run("multicore2/"+mode, func(b *testing.B) {
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				total += multiOnce(b, workers)
-			}
-			b.ReportMetric(total.Seconds()/float64(b.N), "capture_s")
 		})
 	}
 }

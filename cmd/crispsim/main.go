@@ -1,7 +1,7 @@
 // Command crispsim runs one workload of the evaluation suite under a
 // chosen scheduler configuration and prints the timing results — the
 // quickest way to poke at the simulator. Flags assemble a declarative
-// sim.RunSpec executed through the shared runner, so -cache reuses (and
+// sim.RunSpec executed through the shared runner, so -store reuses (and
 // feeds) the same persistent result store as cmd/experiments.
 //
 // Usage:
@@ -9,7 +9,7 @@
 //	crispsim -workload mcf -sched crisp -insts 500000
 //	crispsim -workload lbm -sched ooo
 //	crispsim -workload moses -sched ibda -ist 1024
-//	crispsim -workload mcf -sched crisp -cache .crisp-cache
+//	crispsim -workload mcf -sched crisp -store .crisp-store
 //	crispsim -cores tailchase,streambatch -sched crisp
 //	crispsim -cores tailchase,streambatch -sched crisp -sampled
 //	crispsim -workload mcf -sched crisp -server http://sweepbox:8080
@@ -23,10 +23,9 @@
 // windows from a co-scheduled checkpoint set (captured once per
 // workload tuple and persisted in -store); schedulers whose state spans
 // windows (ibda) are rejected with a clear error rather than silently
-// falling back to full detail. -shard i/n joins a multi-process sweep over one -store, as
-// in cmd/experiments. -server delegates the simulations to a crispd job
-// server instead, which dedups them against its shared store across all
-// connected clients.
+// falling back to full detail. -server delegates the simulations to a
+// crispd job server, which dedups them against its shared store across
+// all connected clients.
 package main
 
 import (
@@ -62,9 +61,7 @@ func run() int {
 		rob        = flag.Int("rob", 224, "reorder buffer entries")
 		cores      = flag.String("cores", "", "comma-separated workloads for a multi-core run; -sched applies to core 0, neighbours run ooo")
 		storeDir   = flag.String("store", "", "persist/reuse results and checkpoint sets in this directory (process-safe)")
-		cacheDir   = flag.String("cache", "", "alias for -store (older name)")
-		shard      = flag.String("shard", "", "run as shard i/n of a multi-process sweep over one -store (e.g. 0/2)")
-		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL (e.g. http://host:8080); excludes -store/-cache/-shard")
+		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL (e.g. http://host:8080); excludes -store")
 		metricsOut = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
 		metricsCSV = flag.String("metrics-csv", "", "append per-run cycle-accounting rows to this CSV file")
 		list       = flag.Bool("list", false, "list workloads and exit")
@@ -72,7 +69,6 @@ func run() int {
 		sampled    = flag.Bool("sampled", false, "sample: fast-forward with functional warming, simulate short detailed windows (schedule from -insts)")
 		windows    = flag.Int("windows", 0, "with -sampled: detailed window count (0 = auto)")
 		window     = flag.Uint64("window", 0, "with -sampled: instructions per detailed window (0 = auto)")
-		capWorkers = flag.Int("capture-workers", 0, "goroutines per checkpoint capture, producer included (0 = GOMAXPROCS, 1 = sequential; results are bit-identical)")
 		winWorkers = flag.Int("window-workers", 0, "concurrent detailed windows per sampled run (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
@@ -120,23 +116,10 @@ func run() int {
 		return 1
 	}
 
-	dir := *storeDir
-	if dir == "" {
-		dir = *cacheDir
-	}
-	var shardIndex, shardCount int
-	if *shard != "" {
-		var err error
-		shardIndex, shardCount, err = runner.ParseShard(*shard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crispsim:", err)
-			return 2
-		}
-	}
 	var remote runner.Remote
 	if *server != "" {
-		if dir != "" || *shard != "" {
-			fmt.Fprintln(os.Stderr, "crispsim: -server excludes -store/-cache/-shard (the server owns the store)")
+		if *storeDir != "" {
+			fmt.Fprintln(os.Stderr, "crispsim: -server excludes -store (the server owns the store)")
 			return 2
 		}
 		remote = crispd.NewClient(*server)
@@ -144,10 +127,8 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	r, err := runner.New(ctx, runner.Options{
-		Workers: 1, CacheDir: dir,
-		CaptureWorkers: *capWorkers, WindowWorkers: *winWorkers,
+		Workers: 1, CacheDir: *storeDir, WindowWorkers: *winWorkers,
 		MetricsJSONL: *metricsOut, MetricsCSV: *metricsCSV,
-		ShardIndex: shardIndex, ShardCount: shardCount,
 		Remote: remote,
 	})
 	if err != nil {

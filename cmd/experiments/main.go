@@ -5,19 +5,15 @@
 // Every requested figure's simulations are submitted to one shared
 // worker pool up front: identical runs (the OOO baselines and train
 // profiles that Figures 7, 8, 10, 12 and the prefetcher study share) are
-// executed once, and -j bounds the parallelism. With -store (alias
-// -cache), results are persisted keyed by spec hash + code version and
-// sampled-simulation checkpoint sets are persisted in a binary codec, so
-// an interrupted sweep (Ctrl-C, -timeout) resumes where it stopped and a
-// repeated invocation completes from the store in seconds.
+// executed once, and -j bounds the parallelism. With -store, results are
+// persisted keyed by spec hash + code version and sampled-simulation
+// checkpoint sets are persisted in a binary codec, so an interrupted
+// sweep (Ctrl-C, -timeout) resumes where it stopped and a repeated
+// invocation completes from the store in seconds.
 //
 // The store is safe to share between concurrent processes: advisory
 // file locks guarantee each spec simulates and each checkpoint schedule
-// fast-forwards once globally. -shard i/n splits one figure's spec list
-// deterministically across n such processes — launch n invocations of
-// the same command line with -shard 0/n .. (n-1)/n against one -store
-// and each computes its share while reading the rest from the store, so
-// every process still prints the complete (identical) figure output.
+// fast-forwards once globally.
 //
 // Usage:
 //
@@ -26,15 +22,14 @@
 //	experiments -fig 7               # one figure
 //	experiments -fig 9 -insts 1e6    # bigger instruction budget
 //	experiments -fig 7 -only mcf,lbm # subset of the suite
-//	experiments -fig 7 -store S -shard 0/2 &   # two-process scale-out
-//	experiments -fig 7 -store S -shard 1/2
 //	experiments -fig 7 -server http://sweepbox:8080   # crispd job server
 //	experiments -fig 7 -cpuprofile cpu.out -memprofile mem.out
 //
 // -server delegates every simulation to a crispd job server: the server
 // owns the store and dedups submissions across all connected clients,
-// so n harness processes pointed at one server cost each spec once —
-// like -shard, but without pre-partitioning the spec list.
+// so n harness processes pointed at one server cost each spec once and
+// each prints the complete (identical) figure output. That is how a
+// sweep scales past one process.
 package main
 
 import (
@@ -70,12 +65,9 @@ func run() int {
 		only       = flag.String("only", "", "comma-separated workload subset")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jobs       = flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
-		capWorkers = flag.Int("capture-workers", 0, "goroutines per checkpoint capture, producer included (0 = GOMAXPROCS, 1 = sequential; results are bit-identical)")
 		winWorkers = flag.Int("window-workers", 0, "concurrent detailed windows per sampled run (0 = GOMAXPROCS, 1 = sequential)")
 		storeDir   = flag.String("store", "", "persist results and checkpoint sets in this directory, shared safely between processes")
-		cacheDir   = flag.String("cache", "", "alias for -store (older name)")
-		shard      = flag.String("shard", "", "run as shard i/n of a multi-process sweep over one -store (e.g. 0/2)")
-		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL; excludes -store/-cache/-shard")
+		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL; excludes -store")
 		metricsOut = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
 		metricsCSV = flag.String("metrics-csv", "", "append per-run cycle-accounting rows to this CSV file")
 		timeout    = flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
@@ -94,20 +86,6 @@ func run() int {
 	if *only != "" {
 		onlyNames = strings.Split(*only, ",")
 		if err := runner.ValidateWorkloads(onlyNames); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-	}
-
-	dir := *storeDir
-	if dir == "" {
-		dir = *cacheDir
-	}
-	var shardIndex, shardCount int
-	if *shard != "" {
-		var err error
-		shardIndex, shardCount, err = runner.ParseShard(*shard)
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 2
 		}
@@ -141,7 +119,7 @@ func run() int {
 		}()
 	}
 
-	// Ctrl-C cancels the sweep mid-simulation; with -cache the completed
+	// Ctrl-C cancels the sweep mid-simulation; with -store the completed
 	// runs are already persisted and the next invocation resumes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -153,18 +131,16 @@ func run() int {
 
 	var remote runner.Remote
 	if *server != "" {
-		if dir != "" || *shard != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -server excludes -store/-cache/-shard (the server owns the store)")
+		if *storeDir != "" {
+			fmt.Fprintln(os.Stderr, "experiments: -server excludes -store (the server owns the store)")
 			return 2
 		}
 		remote = crispd.NewClient(*server)
 	}
 
 	r, err := runner.New(ctx, runner.Options{
-		Workers: *jobs, CacheDir: dir,
-		CaptureWorkers: *capWorkers, WindowWorkers: *winWorkers,
+		Workers: *jobs, CacheDir: *storeDir, WindowWorkers: *winWorkers,
 		MetricsJSONL: *metricsOut, MetricsCSV: *metricsCSV,
-		ShardIndex: shardIndex, ShardCount: shardCount,
 		Remote: remote,
 	})
 	if err != nil {
@@ -227,8 +203,8 @@ func run() int {
 		if err != nil {
 			stopProgress()
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			if ctx.Err() != nil && dir != "" {
-				fmt.Fprintf(os.Stderr, "experiments: completed runs are cached in %s; re-run to resume\n", dir)
+			if ctx.Err() != nil && *storeDir != "" {
+				fmt.Fprintf(os.Stderr, "experiments: completed runs are cached in %s; re-run to resume\n", *storeDir)
 			}
 			return 1
 		}
@@ -257,7 +233,7 @@ func run() int {
 	}
 	if s := r.Stats(); !*csv && (s.DiskHits > 0 || s.CkptDiskHits > 0 || s.LockWaitNS > 0) {
 		fmt.Printf("# store: %d results loaded from %s, %d simulations executed\n",
-			s.DiskHits, dir, s.Executed)
+			s.DiskHits, *storeDir, s.Executed)
 		fmt.Printf("# store: %d checkpoint sets captured, %d loaded from disk, %.2fs blocked on cross-process locks\n",
 			s.CkptCaptured, s.CkptDiskHits, float64(s.LockWaitNS)/1e9)
 	}

@@ -223,10 +223,7 @@ func (w *warmer) WarmData(pc int, addr uint64, store bool) {
 // warmOne drives a single variant with one data access: a tags-only
 // demand touch of its hierarchy, the prefetcher trained with the same
 // (pc, addr, hit) triple the detailed L1D would deliver, and the
-// suggested lines installed tags-only. The hit flag comes from the
-// variant's own hierarchy, so replaying one recorded access stream
-// independently per variant reproduces the sequential fan-out exactly —
-// this is what the parallel capture pipeline relies on.
+// suggested lines installed tags-only.
 func warmOne(v *liveVariant, shared bool, pc int, addr uint64, store bool) {
 	var hit bool
 	if shared {
@@ -288,29 +285,18 @@ func (w *warmer) snapshot() map[string]*Variant {
 // kind (nil for a kind that runs without one), each warmed against its
 // own cache hierarchy (the instances are trained in place).
 func Capture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) *Set {
-	set, _ := CaptureContext(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p, 0)
+	set, _ := CaptureContext(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p)
 	return set
 }
 
-// CaptureContext is Capture with cancellation and an explicit
-// parallelism bound. workers counts the goroutines the capture may use
-// in total, producer included: 1 forces the sequential reference path, 2
-// or more selects the batched producer/consumer pipeline (see
-// pipeline.go) with up to workers-1 warming consumers, and <= 0 defaults
-// to GOMAXPROCS. Both paths produce bit-identical Sets — the pipeline
-// replays the recorded warm stream in order per structure — so the
-// choice affects only host wall time. On cancellation it returns
-// (nil, ctx.Err()) and the partial capture is discarded.
-func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params, workers int) (*Set, error) {
+// CaptureContext is Capture with cancellation: the pass looks at ctx
+// every sliceInsts instructions, and on cancellation returns
+// (nil, ctx.Err()), the partial capture discarded.
+func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) (*Set, error) {
 	start := time.Now()
 	w := newCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, pfs)
 	set := &Set{Hier: hcfg, Image: em.Mem().Snapshot()}
-	// The frontend replay is one task alongside the per-variant ones.
-	if consumers := captureConsumers(workers, len(w.variants)+1); consumers > 0 {
-		capturePipelined(ctx, em, w, p, set, consumers)
-	} else {
-		captureSequential(ctx, em, w, p, set)
-	}
+	captureSliced(ctx, em, w, p, set, sliceInsts)
 	set.HostNS = time.Since(start).Nanoseconds()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -351,15 +337,42 @@ func snapshotPoint(em *emu.Emulator, w *warmer, ffInsts uint64) *Point {
 	}
 }
 
-// captureSequential is the reference capture loop: one goroutine, the
-// warm stream delivered live through the Warmer interface. The phase
-// FastForward calls are deliberately not chunked — the per-call
-// code-line dedup reset is part of the captured byte layout — so
-// cancellation is observed at phase boundaries.
-func captureSequential(ctx context.Context, em *emu.Emulator, w *warmer, p Params, set *Set) {
+// sliceInsts bounds the instructions a capture fast-forwards between two
+// looks at its context. A phase may be billions of instructions long (a
+// crispd job's schedule is its client's to choose) and warms at roughly
+// ten million a second, so a cancelled capture is gone within some ten
+// milliseconds whatever the schedule, at one ctx.Err() per slice.
+const sliceInsts = 64 << 10
+
+// fastForward runs one phase of the schedule, limit instructions on em
+// streamed into w (nil: unobserved), as slices of at most slice
+// instructions with ctx looked at before each. The code-line dedup state
+// carries from slice to slice, so w sees one stream however the phase is
+// cut: the slice size is not part of the captured bytes. It returns the
+// instructions executed, short of limit when the program halted or ctx was
+// cancelled.
+func fastForward(ctx context.Context, em *emu.Emulator, limit uint64, w emu.Warmer, slice uint64) uint64 {
+	var n uint64
+	lastLine := emu.NoLine
+	for n < limit && ctx.Err() == nil {
+		step := min(limit-n, slice)
+		var done uint64
+		done, lastLine = em.FastForwardFrom(step, w, lastLine)
+		n += done
+		if done < step {
+			break // the program halted
+		}
+	}
+	return n
+}
+
+// captureSliced is the capture loop: one goroutine, the warm stream
+// delivered live through the Warmer interface, each phase cut into slices
+// of at most slice instructions (see fastForward).
+func captureSliced(ctx context.Context, em *emu.Emulator, w *warmer, p Params, set *Set, slice uint64) {
 	for i := 0; i < p.Count; i++ {
-		set.FFInsts += em.FastForward(p.Skip, nil)
-		n := em.FastForward(p.Warm, w)
+		set.FFInsts += fastForward(ctx, em, p.Skip, nil, slice)
+		n := fastForward(ctx, em, p.Warm, w, slice)
 		set.FFInsts += n
 		set.WarmInsts += n
 		if ctx.Err() != nil || em.Done() {
@@ -369,7 +382,7 @@ func captureSequential(ctx context.Context, em *emu.Emulator, w *warmer, p Param
 		// Execute the window region functionally too (with warming): the
 		// detailed run covers it from the restored state, and the next
 		// checkpoint's state must include it.
-		n = em.FastForward(p.Window, w)
+		n = fastForward(ctx, em, p.Window, w, slice)
 		set.FFInsts += n
 		set.WarmInsts += n
 		if ctx.Err() != nil {

@@ -167,7 +167,7 @@ func multiCapture(t *testing.T) *MultiSet {
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEm, emu.New(stream, emu.NewMemory())},
 		cache.DefaultHierConfig(), 128, 4, 16, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
-		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 3}, []float64{1.0, 0.6}, 1)
+		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 3}, []float64{1.0, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

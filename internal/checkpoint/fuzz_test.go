@@ -76,7 +76,7 @@ func tinyMultiSet(t testing.TB) *MultiSet {
 	set, err := CaptureMultiContext(context.Background(), []*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
 		tinyHier(), 16, 2, 4, []prefetch.Prefetcher{prefetch.NewStride(8), nil},
-		Params{Skip: 10, Warm: 300, Window: 100, Count: 2}, []float64{1.0, 0.5}, 1)
+		Params{Skip: 10, Warm: 300, Window: 100, Count: 2}, []float64{1.0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,19 +206,14 @@ func scalePace(insts uint64, pace float64) uint64 {
 // pace holds each core's relative co-run speed (nil = all 1.0; see
 // MultiSet.Pace); entries are clamped to [minPace, 1].
 func CaptureMulti(progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) *MultiSet {
-	set, _ := CaptureMultiContext(context.Background(), progs, ems, hcfg, btbEntries, btbWays, rasEntries, pfs, p, pace, 0)
+	set, _ := CaptureMultiContext(context.Background(), progs, ems, hcfg, btbEntries, btbWays, rasEntries, pfs, p, pace)
 	return set
 }
 
-// CaptureMultiContext is CaptureMulti with cancellation and an explicit
-// parallelism bound (same worker semantics as CaptureContext). The
-// shared LLC couples every core's warming, so the multi-core pipeline
-// parallelizes along the time axis only: the producer records the
-// pace-scaled interleave into batches while a single consumer replays
-// them in exact recorded order — per-chunk code-line dedup, per-core
-// warmer dispatch and store-dirtiness propagation all preserved — which
-// keeps the captured MultiSet bit-identical to the sequential path's.
-func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64, workers int) (*MultiSet, error) {
+// CaptureMultiContext is CaptureMulti with cancellation: the pass looks at
+// ctx between interleave rounds, and on cancellation returns
+// (nil, ctx.Err()), the partial capture discarded.
+func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) (*MultiSet, error) {
 	start := time.Now()
 	n := len(ems)
 	pc := make([]float64, n)
@@ -253,28 +248,20 @@ func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*e
 		set.Images[i] = ems[i].Mem().Snapshot()
 	}
 
-	// Time-axis pipeline only: one consumer replays the recorded
-	// interleave in order against the shared hierarchy while the
-	// producer fast-forwards ahead (see CaptureMultiContext).
-	var pl *pipeline
-	if captureConsumers(workers, 1) > 0 {
-		pl = newPipeline(ctx, []replayTask{replayMulti(ws)}, 1)
-		defer pl.close()
-	}
-
 	// advance moves every live core forward by its pace-scaled share of
 	// insts instructions, in pace-scaled round-robin chunks when warming
-	// (unwarmed skip phases cannot interact, so chunking would only cost
-	// switches). Scaling both the budget and the chunk keeps every core's
-	// stream flowing for the whole phase: all cores exhaust their budgets
-	// after the same number of rounds, so the shared LLC sees a steady
-	// pace-ratio mix right up to the snapshot.
+	// (unwarmed skip phases cannot interact: they are cut at sliceInsts
+	// only so that ctx is looked at, once a round). Scaling both the
+	// budget and the chunk keeps every core's stream flowing for the whole
+	// phase: all cores exhaust their budgets after the same number of
+	// rounds, so the shared LLC sees a steady pace-ratio mix right up to
+	// the snapshot.
 	advance := func(insts uint64, warm bool) {
 		remaining := make([]uint64, n)
 		chunks := make([]uint64, n)
 		for i := range remaining {
 			remaining[i] = scalePace(insts, pc[i])
-			chunks[i] = remaining[i]
+			chunks[i] = sliceInsts
 			if warm {
 				chunks[i] = scalePace(interleaveChunk, pc[i])
 			}
@@ -293,15 +280,11 @@ func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*e
 					step = remaining[i]
 				}
 				var done uint64
-				switch {
-				case !warm:
-					done = em.FastForward(step, nil)
-				case pl != nil:
-					done = pl.recordChunk(em, uint8(i), step)
-					set.WarmInsts += done
-				default:
+				if warm {
 					done = em.FastForward(step, ws[i])
 					set.WarmInsts += done
+				} else {
+					done = em.FastForward(step, nil)
 				}
 				set.FFInsts += done
 				set.FFPerCore[i] += done
@@ -319,9 +302,6 @@ func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*e
 	for k := 0; k < p.Count; k++ {
 		advance(p.Skip, false)
 		advance(p.Warm, true)
-		if pl != nil {
-			pl.barrier()
-		}
 		if ctx.Err() != nil {
 			break
 		}
@@ -356,34 +336,9 @@ func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*e
 		// next checkpoint's shared-LLC content must include it.
 		advance(p.Window, true)
 	}
-	if pl != nil {
-		pl.barrier()
-	}
 	set.HostNS = time.Since(start).Nanoseconds()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return set, nil
-}
-
-// replayMulti returns the single ordered task replaying an interleaved
-// multi-core batch: every event dispatches to its producing core's
-// warmer, so the shared LLC observes the exact access interleave the
-// sequential capture would have generated (including store-dirtiness
-// propagation through WarmDataShared).
-func replayMulti(ws []*warmer) replayTask {
-	return func(evs []emu.BatchEv) {
-		for i := range evs {
-			ev := &evs[i]
-			w := ws[ev.Core]
-			switch ev.Kind {
-			case emu.EvInstLine:
-				w.variants[0].hier.WarmInst(ev.Addr)
-			case emu.EvData:
-				warmOne(&w.variants[0], w.shared, int(ev.PC), ev.Addr, ev.Flag)
-			case emu.EvBranch:
-				w.WarmBranch(int(ev.PC), &w.prog.Insts[ev.PC], ev.Flag, int(ev.NextPC))
-			}
-		}
-	}
 }

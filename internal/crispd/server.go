@@ -51,11 +51,9 @@ type Options struct {
 	Store string
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// CaptureWorkers/WindowWorkers mirror the runner options: per-capture
-	// pipeline goroutines and per-sampled-run concurrent windows
-	// (0 = GOMAXPROCS, 1 = sequential).
-	CaptureWorkers int
-	WindowWorkers  int
+	// WindowWorkers mirrors the runner option: concurrent detailed windows
+	// per sampled run (0 = GOMAXPROCS, 1 = sequential).
+	WindowWorkers int
 	// Queue bounds jobs that are queued or running; submissions beyond
 	// it get 429 + Retry-After (0 = 256).
 	Queue int
@@ -116,13 +114,12 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		s.queueLimit = 256
 	}
 	r, err := runner.New(jobsCtx, runner.Options{
-		Workers:        opts.Workers,
-		CaptureWorkers: opts.CaptureWorkers,
-		WindowWorkers:  opts.WindowWorkers,
-		CacheDir:       opts.Store,
-		MetricsJSONL:   opts.MetricsJSONL,
-		MetricsCSV:     opts.MetricsCSV,
-		OnEvent:        s.onTaskEvent,
+		Workers:       opts.Workers,
+		WindowWorkers: opts.WindowWorkers,
+		CacheDir:      opts.Store,
+		MetricsJSONL:  opts.MetricsJSONL,
+		MetricsCSV:    opts.MetricsCSV,
+		OnEvent:       s.onTaskEvent,
 	})
 	if err != nil {
 		stop()

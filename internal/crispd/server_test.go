@@ -161,7 +161,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// The in-flight job finished and published.
-	if !s.Runner().Store().Has(runner.KindRun, spec.Key()) {
+	if !s.Runner().Store().Get(runner.KindRun, spec.Key(), new(core.Result)) {
 		t.Error("drained job did not publish its result to the store")
 	}
 	entries, err := os.ReadDir(dir)

@@ -475,12 +475,28 @@ type Warmer interface {
 	WarmBranch(pc int, in *isa.Inst, taken bool, nextPC int)
 }
 
+// NoLine is the code-line dedup state of a warm stream that has not
+// delivered a line yet: no line address equals it, so the first
+// instruction's line always reaches WarmInstLine.
+const NoLine = ^uint64(0)
+
 // FastForward executes up to limit instructions functionally (no core
 // timing), optionally streaming the access/branch trace into w, and
 // returns the number executed. With a nil warmer this is a plain
 // emulator-speed skip; with a warmer it is the functional-warming phase
 // of sampled simulation. A limit of 0 executes nothing.
 func (e *Emulator) FastForward(limit uint64, w Warmer) uint64 {
+	n, _ := e.FastForwardFrom(limit, w, NoLine)
+	return n
+}
+
+// FastForwardFrom is FastForward for a caller that runs one warm stream
+// as several calls, to look at a context in between. lastLine is the code
+// line the stream last delivered to WarmInstLine: NoLine for the stream's
+// first call, afterwards what the previous call returned. The warmer then
+// sees exactly the calls one FastForward over the summed limits would have
+// made, so how a stream is cut changes nothing it warms.
+func (e *Emulator) FastForwardFrom(limit uint64, w Warmer, lastLine uint64) (uint64, uint64) {
 	var n uint64
 	if w == nil {
 		for n < limit {
@@ -489,9 +505,8 @@ func (e *Emulator) FastForward(limit uint64, w Warmer) uint64 {
 			}
 			n++
 		}
-		return n
+		return n, lastLine
 	}
-	lastLine := ^uint64(0)
 	for n < limit {
 		d, ok := e.Step()
 		if !ok {
@@ -511,5 +526,5 @@ func (e *Emulator) FastForward(limit uint64, w Warmer) uint64 {
 			w.WarmBranch(d.PC, d.Inst, d.Taken, d.NextPC)
 		}
 	}
-	return n
+	return n, lastLine
 }

@@ -216,7 +216,7 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 		if get() {
 			t.Errorf("%s: version-1 entry served", kind)
 		}
-		if s.Has(kind, "k") {
+		if _, err := os.Stat(s.path(kind, "k")); err == nil {
 			t.Errorf("%s: version-1 entry not deleted on the miss", kind)
 		}
 	}

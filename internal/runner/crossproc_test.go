@@ -16,6 +16,17 @@ import (
 	"crisp/internal/sim"
 )
 
+// sweepSpecs is the 4-config sampled sweep the cross-process workers each
+// submit: one schedule (so one checkpoint set), four prefetcher configs.
+func sweepSpecs() []sim.RunSpec {
+	s := sim.Sampling{Warm: 15_000, Window: 5_000, Count: 2}
+	specs := make([]sim.RunSpec, 0, 4)
+	for _, pf := range []sim.PrefetcherKind{sim.PFBOPStream, sim.PFNone, sim.PFStride, sim.PFGHB} {
+		specs = append(specs, sim.RunSpec{Workload: "pointerchase", Sampling: &s, Prefetcher: pf})
+	}
+	return specs
+}
+
 // childEnvDir is the env var that turns TestCrossProcessChild from a
 // skip into a sweep worker; its value is the shared store directory.
 const childEnvDir = "CRISP_CROSSPROC_DIR"

@@ -54,14 +54,11 @@ func TestTaskEvents(t *testing.T) {
 	}
 }
 
-// TestRemoteExcludesLocalStore: a remote runner must not also persist or
-// shard locally — the server owns the store.
+// TestRemoteExcludesLocalStore: a remote runner must not also persist
+// locally — the server owns the store.
 func TestRemoteExcludesLocalStore(t *testing.T) {
 	if _, err := New(context.Background(), Options{Remote: stubRemote{}, CacheDir: t.TempDir()}); err == nil {
 		t.Error("New accepted Remote together with CacheDir")
-	}
-	if _, err := New(context.Background(), Options{Remote: stubRemote{}, ShardCount: 2, ShardIndex: 0, CacheDir: t.TempDir()}); err == nil {
-		t.Error("New accepted Remote together with sharding")
 	}
 }
 

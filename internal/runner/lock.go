@@ -52,8 +52,8 @@ var lockWrite = func(f *os.File, body string) error {
 }
 
 // LockHeld reports whether a live process currently holds the advisory
-// lock for (kind, key). Shard peers use it to distinguish "the owner is
-// computing this" from "nobody is".
+// lock for (kind, key), without waiting for it. Nothing in the program
+// asks; the lock tests observe a holder through it.
 func (s *Store) LockHeld(kind, key string) bool {
 	b, mod, ok := lockSnapshot(s.lockPath(kind, key))
 	return ok && !lockStale(b, mod)

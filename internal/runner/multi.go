@@ -32,10 +32,8 @@ func (r *Runner) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiRe
 
 // SubmitMulti starts spec on the pool without waiting and returns a
 // handle whose Result joins the in-flight (or finished) computation.
-// Under sharding, submissions for keys another process owns wait on the
-// shared store instead of computing.
 func (r *Runner) SubmitMulti(spec sim.MultiSpec) *MultiHandle {
-	r.background("multi|"+spec.Key(), r.submitTask(kindMulti, spec.Key(), r.multiTask(spec)))
+	r.background("multi|"+spec.Key(), r.multiTask(spec))
 	return &MultiHandle{r: r, Spec: spec}
 }
 
@@ -241,7 +239,7 @@ func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfg
 			return cr, nil
 		}
 		imgs := build()
-		set, err := sim.CaptureMultiCheckpointsContext(r.simCtx(ctx), imgs, cfgs, *spec.Sampling)
+		set, err := sim.CaptureMultiCheckpointsContext(ctx, imgs, cfgs, *spec.Sampling)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 // locally. When Options.Remote is set, the task bodies delegate whole
 // specs to it — the server owns the persistent store, the file locks
 // and the cross-client dedup, so a remote runner must not also have a
-// local CacheDir or shard assignment (New rejects the combinations).
+// local CacheDir (New rejects the combination).
 //
 // The in-process single-flight memo still applies on top: a figure
 // suite that references one baseline from ten rows posts it to the

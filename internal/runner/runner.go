@@ -16,10 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crisp/internal/sim"
 )
@@ -28,11 +26,6 @@ import (
 type Options struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// CaptureWorkers bounds the goroutines of each checkpoint-capture
-	// pipeline, producer included (0 = GOMAXPROCS, 1 = sequential
-	// capture). Parallel and sequential captures are bit-identical; the
-	// knob only trades capture latency against host parallelism.
-	CaptureWorkers int
 	// WindowWorkers bounds the concurrently simulated detailed windows
 	// within one sampled run (0 = GOMAXPROCS, 1 = sequential). Total
 	// host load is roughly Workers × WindowWorkers during sampled
@@ -47,17 +40,6 @@ type Options struct {
 	// MetricsCSV, when non-empty, appends the same records as flat CSV
 	// rows (bucket slot counts, histogram means/p99s).
 	MetricsCSV string
-	// ShardIndex/ShardCount split top-level submissions across cooperating
-	// processes sharing one CacheDir: each process executes the specs whose
-	// content key hashes to its shard and polls the shared store for the
-	// rest, stealing orphaned specs after a grace period so a dead peer
-	// never stalls the sweep. ShardCount <= 1 disables sharding; sharding
-	// requires CacheDir (the store is the only channel between shards).
-	ShardIndex int
-	ShardCount int
-	// StealGrace overrides how long a non-owning shard waits for an absent
-	// owner before computing a spec itself (0 = 2s default).
-	StealGrace time.Duration
 	// OnEvent, when non-nil, observes every owned task's lifecycle
 	// (queued → running → done/failed). The callback runs on task
 	// goroutines with no runner locks held; it must be fast and must not
@@ -66,8 +48,8 @@ type Options struct {
 	OnEvent func(TaskEvent)
 	// Remote, when non-nil, delegates run/multi/analysis/footprint tasks
 	// to a crispd job server instead of simulating locally. Mutually
-	// exclusive with CacheDir and sharding: the server owns persistence
-	// and cross-client dedup.
+	// exclusive with CacheDir: the server owns persistence and
+	// cross-client dedup.
 	Remote Remote
 }
 
@@ -97,9 +79,7 @@ type Runner struct {
 	onEvent func(TaskEvent)
 	remote  Remote
 
-	shardIndex, shardCount int
-	stealGrace             time.Duration
-	workers                sim.Workers
+	windowWorkers int
 
 	mu    sync.Mutex
 	calls map[string]*call
@@ -126,25 +106,8 @@ func New(ctx context.Context, opts Options) (*Runner, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.ShardCount > 1 {
-		if opts.CacheDir == "" {
-			return nil, fmt.Errorf("runner: sharding (%d shards) requires a cache dir: shards exchange results only through the shared store", opts.ShardCount)
-		}
-		if opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount {
-			return nil, fmt.Errorf("runner: shard index %d out of range [0,%d)", opts.ShardIndex, opts.ShardCount)
-		}
-	}
-	if opts.Remote != nil {
-		if opts.CacheDir != "" {
-			return nil, fmt.Errorf("runner: remote execution and a local store are mutually exclusive: the server owns persistence and dedup")
-		}
-		if opts.ShardCount > 1 {
-			return nil, fmt.Errorf("runner: remote execution and sharding are mutually exclusive: the server's worker pool is the shard unit")
-		}
-	}
-	stealGrace := opts.StealGrace
-	if stealGrace <= 0 {
-		stealGrace = 2 * time.Second
+	if opts.Remote != nil && opts.CacheDir != "" {
+		return nil, fmt.Errorf("runner: remote execution and a local store are mutually exclusive: the server owns persistence and dedup")
 	}
 	store, err := NewStore(opts.CacheDir)
 	if err != nil {
@@ -155,25 +118,21 @@ func New(ctx context.Context, opts Options) (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{
-		ctx:        ctx,
-		sem:        make(chan struct{}, workers),
-		store:      store,
-		sink:       sink,
-		onEvent:    opts.OnEvent,
-		remote:     opts.Remote,
-		shardIndex: opts.ShardIndex,
-		shardCount: opts.ShardCount,
-		stealGrace: stealGrace,
-		workers:    sim.Workers{Capture: opts.CaptureWorkers, Window: opts.WindowWorkers},
-		calls:      make(map[string]*call),
+		ctx:           ctx,
+		sem:           make(chan struct{}, workers),
+		store:         store,
+		sink:          sink,
+		onEvent:       opts.OnEvent,
+		remote:        opts.Remote,
+		windowWorkers: opts.WindowWorkers,
+		calls:         make(map[string]*call),
 	}, nil
 }
 
-// simCtx attaches the runner's configured capture/window worker bounds
-// to a task context, so every sim-layer call under this runner observes
-// the same parallelism policy.
+// simCtx attaches the runner's window-worker bound to a task context, so
+// every sampled run under this runner observes it.
 func (r *Runner) simCtx(ctx context.Context) context.Context {
-	return sim.WithWorkers(ctx, r.workers)
+	return sim.WithWindowWorkers(ctx, r.windowWorkers)
 }
 
 // Store returns the runner's persistent store. It is never nil; a
@@ -344,66 +303,4 @@ func (r *Runner) lockTask(ctx context.Context, kind, key string) (func(), int64,
 		return nil, 0, err
 	}
 	return rel, waited.Nanoseconds(), nil
-}
-
-// ownsKey reports whether this shard executes the task with the given
-// content key. Keys are hex digests, so their leading 32 bits are a
-// uniform hash; every shard computes the same assignment independently.
-func (r *Runner) ownsKey(key string) bool {
-	if r.shardCount <= 1 || len(key) < 8 {
-		return true
-	}
-	v, err := strconv.ParseUint(key[:8], 16, 64)
-	if err != nil {
-		return true
-	}
-	return int(v%uint64(r.shardCount)) == r.shardIndex
-}
-
-// shardPollInterval paces a non-owning shard's store probes.
-const shardPollInterval = 25 * time.Millisecond
-
-// submitTask gates a top-level submission on shard ownership. A
-// non-owned key polls the shared store (worker token released, so
-// waiting costs no parallelism) until the owner publishes, and falls
-// through to computing it locally if no live owner shows up within the
-// steal grace — so a crashed or lagging peer delays its specs, never
-// loses them. Only Submit* paths pass through here; inline dependency
-// resolution (Run/Analysis called from inside another task) always
-// computes, so a shard can never deadlock waiting for intermediate
-// state only another shard would produce. Duplicate computation across
-// shards is still prevented by the per-key file lock inside each task.
-func (r *Runner) submitTask(kind, key string, fn func(context.Context) (any, error)) func(context.Context) (any, error) {
-	if r.shardCount <= 1 || r.ownsKey(key) {
-		return fn
-	}
-	return func(ctx context.Context) (any, error) {
-		s, _ := ctx.Value(slotCtxKey{}).(*slot)
-		held := s != nil && s.held
-		if held {
-			r.release(s)
-		}
-		deadline := time.Now().Add(r.stealGrace)
-		ticker := time.NewTicker(shardPollInterval)
-		defer ticker.Stop()
-		for !r.store.Has(kind, key) {
-			if r.store.LockHeld(kind, key) {
-				// A peer is computing it right now: keep waiting.
-				deadline = time.Now().Add(r.stealGrace)
-			} else if time.Now().After(deadline) {
-				break // no owner in sight: steal the spec
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-ticker.C:
-			}
-		}
-		if held {
-			if err := r.acquire(ctx, s); err != nil {
-				return nil, err
-			}
-		}
-		return fn(ctx)
-	}
 }

@@ -153,24 +153,27 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestCancelMidCapture: cancelling a sampled run while its checkpoint
-// capture is fast-forwarding must surface the context error and leave
-// the store pristine — no partial checkpoint entry a later process
-// would restore from, and no orphaned lock or temp files.
+// capture is fast-forwarding must surface the context error promptly,
+// under the runner's default options, and leave the store pristine — no
+// partial checkpoint entry a later process would restore from, and no
+// orphaned lock or temp files.
 func TestCancelMidCapture(t *testing.T) {
 	dir := t.TempDir()
-	// CaptureWorkers forces the pipelined capture path, which polls the
-	// context every batch; the sequential path only checks it at phase
-	// boundaries, so on a small machine this test would ride out the
-	// whole warm fast-forward before noticing the deadline.
-	r := newRunner(t, Options{Workers: 1, CacheDir: dir, CaptureWorkers: 4})
+	r := newRunner(t, Options{Workers: 1, CacheDir: dir})
 	// A warm budget far beyond what 50ms covers keeps the cancellation
-	// inside the capture phase, before any store publish.
+	// inside the first warm phase, minutes of fast-forward from its end
+	// and before any store publish: only a capture that looks at its
+	// context inside a phase comes back in time.
 	spec := sim.RunSpec{Workload: "pointerchase",
 		Sampling: &sim.Sampling{Warm: 2_000_000_000, Window: 1000, Count: 4}}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
+	start := time.Now()
 	if _, err := r.Run(ctx, spec); err == nil {
 		t.Fatal("expected cancellation error")
+	}
+	if late := time.Since(start) - 50*time.Millisecond; late > 2*time.Second {
+		t.Errorf("the run came back %v after its deadline, want within 2s", late)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -104,17 +104,6 @@ func (s *Store) path(kind, key string) string {
 	return filepath.Join(s.dir, kind+"-"+key+ext)
 }
 
-// Has reports whether an entry exists for (kind, key) without decoding
-// it. Shard peers poll it to learn when the owning process has published
-// a result; validity is checked by the Get that follows.
-func (s *Store) Has(kind, key string) bool {
-	if s.dir == "" {
-		return false
-	}
-	_, err := os.Stat(s.path(kind, key))
-	return err == nil
-}
-
 // Get loads the cached value for (kind, key) into v, reporting whether a
 // valid entry existed. Corrupt or unreadable entries count as misses and
 // are deleted, so the caller's recompute can overwrite them and later

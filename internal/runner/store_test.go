@@ -146,9 +146,6 @@ func TestStoreCheckpointEntry(t *testing.T) {
 	if err := s.PutCheckpoint(key, set); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(kindCkpt, key) {
-		t.Error("Has = false after PutCheckpoint")
-	}
 	got, ok := s.GetCheckpoint(key)
 	if !ok {
 		t.Fatal("miss after PutCheckpoint")

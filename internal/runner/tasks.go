@@ -53,11 +53,9 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 }
 
 // Submit starts spec on the pool without waiting and returns a handle
-// whose Result joins the in-flight (or finished) computation. Under
-// sharding, submissions for keys another process owns wait on the
-// shared store instead of computing.
+// whose Result joins the in-flight (or finished) computation.
 func (r *Runner) Submit(spec sim.RunSpec) *RunHandle {
-	r.background("run|"+spec.Key(), r.submitTask(kindRun, spec.Key(), r.runTask(spec)))
+	r.background("run|"+spec.Key(), r.runTask(spec))
 	return &RunHandle{r: r, Spec: spec}
 }
 
@@ -216,7 +214,7 @@ func (r *Runner) Analysis(ctx context.Context, spec AnalysisSpec) (*crisp.Analys
 
 // SubmitAnalysis starts the pipeline without waiting.
 func (r *Runner) SubmitAnalysis(spec AnalysisSpec) *AnalysisHandle {
-	r.background("analysis|"+spec.Key(), r.submitTask(kindAnalysis, spec.Key(), r.analysisTask(spec)))
+	r.background("analysis|"+spec.Key(), r.analysisTask(spec))
 	return &AnalysisHandle{r: r, Spec: spec}
 }
 
@@ -345,9 +343,8 @@ func checkpointKey(name string, variant workload.Variant, s sim.Sampling) string
 // it persists in the store under the binary checkpoint codec, so a
 // second process (or a re-run) decodes the warmed state, attaches it to
 // the workload image it builds anyway, and skips the functional
-// fast-forward. Captures run under the runner's CaptureWorkers bound and
-// honour cancellation: a cancelled capture returns the context's error
-// without publishing a store entry.
+// fast-forward. Captures honour cancellation: a cancelled capture returns
+// the context's error without publishing a store entry.
 func (r *Runner) checkpointSet(ctx context.Context, name string, variant workload.Variant, s sim.Sampling) (*checkpoint.Set, ckptResult, error) {
 	key := checkpointKey(name, variant, s)
 	v, err := r.do(ctx, "ckpt|"+key, func(ctx context.Context) (any, error) {
@@ -385,7 +382,7 @@ func (r *Runner) checkpointSet(ctx context.Context, name string, variant workloa
 		if cr, ok := load(); ok {
 			return cr, nil
 		}
-		set, err := sim.CaptureCheckpointsContext(r.simCtx(ctx), w.Build(variant), sim.DefaultConfig(), s)
+		set, err := sim.CaptureCheckpointsContext(ctx, w.Build(variant), sim.DefaultConfig(), s)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +411,7 @@ func (r *Runner) Footprint(ctx context.Context, spec AnalysisSpec) (*crisp.Footp
 
 // SubmitFootprint starts the footprint measurement without waiting.
 func (r *Runner) SubmitFootprint(spec AnalysisSpec) *FootprintHandle {
-	r.background("footprint|"+spec.Key(), r.submitTask(kindFootprint, spec.Key(), r.footprintTask(spec)))
+	r.background("footprint|"+spec.Key(), r.footprintTask(spec))
 	return &FootprintHandle{r: r, Spec: spec}
 }
 

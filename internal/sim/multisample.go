@@ -58,11 +58,9 @@ func CaptureMultiCheckpoints(imgs []*Image, cfgs []Config, s Sampling) (*checkpo
 }
 
 // CaptureMultiCheckpointsContext is CaptureMultiCheckpoints with
-// cancellation and the context's Workers.Capture bound applied to both
-// the calibration mini-captures and the real capture (the multi-core
-// pipeline parallelizes along the time axis; parallel and sequential
-// captures are bit-identical). On cancellation it returns
-// (nil, ctx.Err()) so a partial set is never stored.
+// cancellation, observed by the calibration mini-captures and windows and
+// by the real capture. It then returns (nil, ctx.Err()), so a partial set
+// is never stored.
 func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling) (*checkpoint.MultiSet, error) {
 	n := len(imgs)
 	if n == 0 || len(cfgs) != n {
@@ -109,8 +107,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 	progs, ems, pfs, kinds := newEms()
 	set, err := checkpoint.CaptureMultiContext(ctx, progs, ems, cfgs[0].Hier,
 		cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, pfs,
-		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}, pace,
-		WorkersFrom(ctx).Capture)
+		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}, pace)
 	if err != nil {
 		return nil, err
 	}
@@ -155,8 +152,7 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 		progs, ems, pfs, _ := newEms()
 		cal, err := checkpoint.CaptureMultiContext(ctx, progs, ems, cfgs[0].Hier,
 			cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, pfs,
-			checkpoint.Params{Warm: warm, Window: window, Count: 1}, pace,
-			WorkersFrom(ctx).Capture)
+			checkpoint.Params{Warm: warm, Window: window, Count: 1}, pace)
 		if err != nil {
 			return nil, err
 		}

@@ -200,7 +200,7 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 func TestMultiSampledParallelMatchesSequential(t *testing.T) {
 	set, progs, cfgs := captureMultiSmall(t)
 	run := func(workers int) *sim.MultiResult {
-		ctx := sim.WithWorkers(context.Background(), sim.Workers{Window: workers})
+		ctx := sim.WithWindowWorkers(context.Background(), workers)
 		m, err := sim.RunMultiSampledContext(ctx, set, progs, cfgs, multiSmallSchedule)
 		if err != nil {
 			t.Fatal(err)

@@ -91,7 +91,7 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), sched)
 	prog := w.Build(workload.Ref).Prog
 	run := func(workers int) *core.Result {
-		ctx := sim.WithWorkers(context.Background(), sim.Workers{Window: workers})
+		ctx := sim.WithWindowWorkers(context.Background(), workers)
 		r, err := sim.RunSampledContext(ctx, set, prog, sim.DefaultConfig(), sched)
 		if err != nil {
 			t.Fatal(err)

@@ -210,11 +210,9 @@ func CaptureCheckpoints(img *Image, cfg Config, s Sampling) *checkpoint.Set {
 	return set
 }
 
-// CaptureCheckpointsContext is CaptureCheckpoints with cancellation and
-// the context's Workers.Capture bound applied to the capture pipeline
-// (see checkpoint.CaptureContext for the worker semantics; parallel and
-// sequential captures are bit-identical). On cancellation it returns
-// (nil, ctx.Err()) so a partial set is never stored.
+// CaptureCheckpointsContext is CaptureCheckpoints with cancellation
+// (observed every few milliseconds, see checkpoint.CaptureContext): it
+// then returns (nil, ctx.Err()), so a partial set is never stored.
 func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sampling) (*checkpoint.Set, error) {
 	em := emu.New(img.Prog, img.Mem)
 	for r, v := range img.Regs {
@@ -232,8 +230,7 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	}
 	set, err := checkpoint.CaptureContext(ctx, img.Prog, em, cfg.Hier,
 		cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, pfs,
-		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count},
-		WorkersFrom(ctx).Capture)
+		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count})
 	if err != nil {
 		return nil, err
 	}

@@ -5,47 +5,22 @@ import (
 	"runtime"
 )
 
-// Workers bounds the host parallelism of sampled simulation. The two
-// phases have independent knobs because their scaling differs: capture
-// parallelism is bounded by the variant count (producer + one consumer
-// per warming structure), window parallelism by the checkpoint count.
-//
-// For each field, 0 selects the GOMAXPROCS default and 1 forces the
-// sequential path; both paths produce bit-identical results (capture
-// equivalence is asserted by the checkpoint package's tests, window
-// merges always run in window-index order).
-type Workers struct {
-	// Capture is the total goroutine budget of the checkpoint-capture
-	// pipeline, the producing goroutine included (so 2 = one producer
-	// plus one warming consumer).
-	Capture int
-	// Window bounds the number of concurrently simulated detailed
-	// windows in the sampled run phase.
-	Window int
-}
+// windowWorkersKey carries the concurrent-window bound on a context.
+type windowWorkersKey struct{}
 
-// workersKey carries a Workers value on a context.
-type workersKey struct{}
-
-// WithWorkers returns a context carrying the given worker bounds;
-// CaptureCheckpointsContext, RunSampledContext and their multi-core
-// counterparts read them with WorkersFrom.
-func WithWorkers(ctx context.Context, w Workers) context.Context {
-	return context.WithValue(ctx, workersKey{}, w)
-}
-
-// WorkersFrom returns the worker bounds carried by ctx, or the zero
-// value (GOMAXPROCS defaults) when none were attached.
-func WorkersFrom(ctx context.Context) Workers {
-	w, _ := ctx.Value(workersKey{}).(Workers)
-	return w
+// WithWindowWorkers returns a context that bounds the detailed windows
+// RunSampledContext and RunMultiSampledContext simulate concurrently:
+// 0 selects GOMAXPROCS, 1 runs them one after the other. Window merges
+// always run in window-index order, so the bound moves host time only.
+func WithWindowWorkers(ctx context.Context, n int) context.Context {
+	return context.WithValue(ctx, windowWorkersKey{}, n)
 }
 
 // windowWorkers resolves the concurrent-window bound for a sampled run:
-// the context's Window setting, defaulted to GOMAXPROCS and clamped to
-// the number of points.
+// the context's setting, defaulted to GOMAXPROCS and clamped to the
+// number of points.
 func windowWorkers(ctx context.Context, points int) int {
-	workers := WorkersFrom(ctx).Window
+	workers, _ := ctx.Value(windowWorkersKey{}).(int)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
