@@ -66,7 +66,7 @@ type cannedTransport struct{ body []byte }
 
 func (t cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Header: http.Header{},
-		Body: io.NopCloser(bytes.NewReader(t.body)), Request: req}, nil
+		ContentLength: int64(len(t.body)), Body: io.NopCloser(bytes.NewReader(t.body)), Request: req}, nil
 }
 
 // BenchmarkClientDecode: Client.Run over a transport that returns a done

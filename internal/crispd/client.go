@@ -76,8 +76,7 @@ func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 	if err != nil {
 		return st, fmt.Errorf("crispd client: statsz: %w", err)
 	}
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
-	resp.Body.Close()
+	body, rerr := readReply(resp)
 	if rerr != nil {
 		return st, fmt.Errorf("crispd client: statsz: %w", rerr)
 	}
@@ -85,6 +84,20 @@ func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 		return st, fmt.Errorf("crispd client: statsz: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	return st, json.Unmarshal(body, &st)
+}
+
+// readReply reads and closes a response body, at most maxResultBytes of
+// it. The server states a result's length, so the buffer starts at that
+// size instead of growing to it by doubling; a length that is missing, or
+// smaller than what arrives, only costs the growth it would have saved.
+func readReply(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxResultBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without growing
+	}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResultBytes))
+	return buf.Bytes(), err
 }
 
 // reply is a response body decoded for a caller that knows the result
@@ -142,8 +155,7 @@ func postOnce[T any](ctx context.Context, c *Client, path string, body []byte) (
 	if err != nil {
 		return reply[T]{}, 0, fmt.Errorf("crispd client: %w", err)
 	}
-	rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
-	resp.Body.Close()
+	rb, rerr := readReply(resp)
 	if rerr != nil {
 		return reply[T]{}, 0, fmt.Errorf("crispd client: read response: %w", rerr)
 	}
@@ -191,8 +203,7 @@ func status[T any](ctx context.Context, c *Client, key string) (reply[T], error)
 	if err != nil {
 		return reply[T]{}, fmt.Errorf("crispd client: %w", err)
 	}
-	rb, rerr := io.ReadAll(io.LimitReader(resp.Body, maxResultBytes))
-	resp.Body.Close()
+	rb, rerr := readReply(resp)
 	if rerr != nil {
 		return reply[T]{}, fmt.Errorf("crispd client: read status: %w", rerr)
 	}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,6 +73,11 @@ func TestWriteStatusMatchesWriteJSON(t *testing.T) {
 			}
 			if want.Code != got.Code || want.Header().Get("Content-Type") != got.Header().Get("Content-Type") {
 				t.Errorf("%s/%s: status line or content type differs", kind, name)
+			}
+			// The spliced body goes out with its length, so the client can
+			// read it into a buffer of that size.
+			if cl := got.Header().Get("Content-Length"); len(st.Result) > 0 && st.Task == "" && cl != strconv.Itoa(got.Body.Len()) {
+				t.Errorf("%s/%s: Content-Length %q for a %d-byte body", kind, name, cl, got.Body.Len())
 			}
 		}
 	}
@@ -237,13 +244,24 @@ func TestResultCacheConcurrent(t *testing.T) {
 	}
 }
 
-// corruptEntry plants a torn store entry for spec: the head of a result,
-// as a crash between write and fsync would leave without the atomic
-// rename, or a disk error would leave with it.
-func corruptEntry(t *testing.T, dir string, spec sim.RunSpec) string {
+// tornResult is the head of a result, as a crash between write and fsync
+// would leave without the atomic rename, or a disk error would leave with
+// it. oldShapeResult is a whole result in the encoding used up to
+// crisp-sim-5: Hist, LoadProf and BranchProf as keyed objects, not rows.
+const (
+	tornResult     = `{"Cycles":12,"Insts":`
+	oldShapeResult = `{"Cycles":12,"Insts":7,` +
+		`"Hists":{"load_lat":{"counts":[0,0,0,7,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sum":28}},` +
+		`"Loads":{"3":{"Count":7,"L1Miss":0,"LLCMiss":0,"TotalLat":28,"MLPSum":0,"HeadStall":0,"Forwards":0,` +
+		`"LatHist":{"counts":[0,0,0,7,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sum":28}}},` +
+		`"Branches":{"5":{"Count":1,"Mispred":0,"Taken":1}}}`
+)
+
+// corruptEntry plants body as the store entry for spec.
+func corruptEntry(t *testing.T, dir string, spec sim.RunSpec, body string) string {
 	t.Helper()
 	path := filepath.Join(dir, runner.KindRun+"-"+spec.Key()+".json")
-	if err := os.WriteFile(path, []byte(`{"Cycles":12,"Insts":`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -269,11 +287,18 @@ func checkRecomputed(t *testing.T, s *Server, path string, spec sim.RunSpec) {
 // TestCorruptEntryFirstTouch: the first touch of a corrupt entry deletes
 // it and recomputes — the cache sits behind the validating load, never in
 // front of it — and the recomputed result is then served from memory.
-func TestCorruptEntryFirstTouch(t *testing.T) {
+func TestCorruptEntryFirstTouch(t *testing.T) { firstTouch(t, tornResult) }
+
+// TestOldShapeEntryFirstTouch: an entry in the pre-row encoding under a
+// current key is such a corrupt entry — loadResult never canonicalises it
+// into a half-filled result, the bytes served are a fresh simulation's.
+func TestOldShapeEntryFirstTouch(t *testing.T) { firstTouch(t, oldShapeResult) }
+
+func firstTouch(t *testing.T, entry string) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Options{Workers: 1, Store: dir})
 	spec := fastSpec()
-	path := corruptEntry(t, dir, spec)
+	path := corruptEntry(t, dir, spec, entry)
 
 	first := serveResult(t, ts.URL, spec)
 	checkRecomputed(t, s, path, spec)
@@ -298,7 +323,7 @@ func TestSweepCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Options{Workers: 1, Store: dir})
 	spec := fastSpec()
-	path := corruptEntry(t, dir, spec)
+	path := corruptEntry(t, dir, spec, tornResult)
 
 	body, _ := json.Marshal(SweepRequest{Runs: []sim.RunSpec{spec}})
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
@@ -325,8 +350,15 @@ func TestClientReplies(t *testing.T) {
 		name       string
 		post, poll string // bodies of POST /v1/runs (202 when poll is set) and GET /v1/runs/k1
 		wantErr    string // "" = a result with Cycles 12
+		chunked    bool   // the POST reply states no Content-Length
+		lie        int    // the POST reply states a Content-Length this far from the truth
 	}{
 		{name: "done", post: done},
+		// The client sizes its buffer from Content-Length; what it reads is
+		// still the body, whatever the header said.
+		{name: "done, no Content-Length", post: done, chunked: true},
+		{name: "Content-Length understates", post: done, lie: -9, wantErr: "decode job status"},
+		{name: "Content-Length overstates", post: done, lie: 100, wantErr: "read response"},
 		{name: "done without result", post: `{"key":"k1","kind":"run","state":"done"}`, wantErr: "k1"},
 		// Decoded as the zero result before the one-pass client; the server
 		// never sends it, and a result that silently reads as zeros is worse
@@ -334,6 +366,9 @@ func TestClientReplies(t *testing.T) {
 		{name: "null result", post: `{"key":"k1","kind":"run","state":"done","result":null}`, wantErr: "k1"},
 		{name: "truncated body", post: done[:len(done)-9], wantErr: "decode job status"},
 		{name: "mistyped result", post: `{"key":"k1","kind":"run","state":"done","result":{"Cycles":"x"}}`, wantErr: "Cycles"},
+		// A server of another CodeVersion cannot answer under this key, but
+		// a result in its shape must still be an error, not zeroed profiles.
+		{name: "old-shape result", post: `{"key":"k1","kind":"run","state":"done","result":` + oldShapeResult + `}`, wantErr: "decode job status"},
 		{name: "failed", post: `{"key":"k1","kind":"run","state":"failed","error":"boom"}`, wantErr: "job k1 failed: boom"},
 		{name: "202 then poll", post: `{"key":"k1","kind":"run","state":"running"}`, poll: done},
 		{name: "202 then failed poll", post: `{"key":"k1","kind":"run","state":"queued"}`,
@@ -344,10 +379,19 @@ func TestClientReplies(t *testing.T) {
 			var polls atomic.Int32
 			mux := http.NewServeMux()
 			mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
+				body := tc.post + "\n"
+				if tc.lie != 0 {
+					w.Header().Set("Content-Length", strconv.Itoa(len(body)+tc.lie))
+				}
 				if tc.poll != "" {
 					w.WriteHeader(http.StatusAccepted)
 				}
-				fmt.Fprintln(w, tc.post)
+				if tc.chunked {
+					w.(http.Flusher).Flush()
+				}
+				split := len(body) + min(tc.lie, 0)
+				io.WriteString(w, body[:split]) //nolint:errcheck // client gone = nothing to do
+				io.WriteString(w, body[split:]) //nolint:errcheck // past an understated length: refused, as meant
 			})
 			mux.HandleFunc("GET /v1/runs/k1", func(w http.ResponseWriter, r *http.Request) {
 				polls.Add(1)
@@ -368,5 +412,35 @@ func TestClientReplies(t *testing.T) {
 				t.Errorf("%d status polls, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestReadReply: the reply buffer starts at the stated length when there
+// is a believable one, and the bytes returned are the body's either way —
+// a transport is free to hand over a response whose ContentLength is
+// unknown, zero, too small, too large or absurd.
+func TestReadReply(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789"), 500)
+	for _, stated := range []int64{-1, 0, 1, int64(len(body)) - 1, int64(len(body)), int64(len(body)) + 1, 1 << 20, maxResultBytes + 1, 1 << 62} {
+		resp := &http.Response{ContentLength: stated, Body: io.NopCloser(bytes.NewReader(body))}
+		got, err := readReply(resp)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("ContentLength %d: read %d bytes, error %v; want the %d-byte body", stated, len(got), err, len(body))
+		}
+		if stated > maxResultBytes && cap(got) > 4*len(body) {
+			t.Errorf("ContentLength %d: an unbelievable length sized a %d-byte buffer", stated, cap(got))
+		}
+	}
+	// A believed length buys the buffer in one allocation; without one it
+	// grows by doubling from 512 B.
+	allocs := func(stated int64) float64 {
+		resp := &http.Response{ContentLength: stated}
+		return testing.AllocsPerRun(20, func() {
+			resp.Body = io.NopCloser(bytes.NewReader(body))
+			readReply(resp) //nolint:errcheck // checked above
+		})
+	}
+	if with, without := allocs(int64(len(body))), allocs(-1); with+2 > without {
+		t.Errorf("reading a 5 kB body allocates %v times with its length stated, %v without; want the growth saved", with, without)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -410,6 +411,7 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	body = append(body, raw...)
 	body = append(body, '}', '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	w.Write(body) //nolint:errcheck // client gone = nothing to do
 }

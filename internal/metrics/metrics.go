@@ -183,9 +183,10 @@ const HistBuckets = 24
 
 // Hist is a fixed-size power-of-two histogram with an exact sum, so mean
 // values need no bucket approximation. The zero value is ready to use.
+// Its JSON form is the flat row of row.go, not these fields.
 type Hist struct {
-	Counts [HistBuckets]uint64 `json:"counts"`
-	Sum    uint64              `json:"sum"`
+	Counts [HistBuckets]uint64
+	Sum    uint64
 }
 
 // histBucket returns the bucket index for v.

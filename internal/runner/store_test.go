@@ -1,12 +1,14 @@
 package runner
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"crisp/internal/core"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
@@ -86,6 +88,58 @@ func TestStoreDeletesCorruptEntry(t *testing.T) {
 	}
 	if _, err := os.Stat(s.path(kindRun, "k")); !os.IsNotExist(err) {
 		t.Error("corrupt entry not deleted on miss")
+	}
+}
+
+// TestStoreOldShapeIsAMiss: an entry in the encoding results had up to
+// crisp-sim-5 (keyed Hist/LoadProf/BranchProf objects), found under a key
+// this simulator believes in, is a corrupt entry like any other: a miss
+// that leaves the caller's value alone and deletes the file, after which
+// the run is simulated once and published in the row encoding. The
+// CodeVersion bump means no process asks for such an entry; this is what
+// happens if one is copied into place anyway.
+func TestStoreOldShapeIsAMiss(t *testing.T) {
+	ctx, spec := context.Background(), chaseSpec(20_000)
+	want, err := newRunner(t, Options{Workers: 1}).Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(t, Options{Workers: 1, CacheDir: t.TempDir()})
+	s := r.Store()
+	path := s.path(kindRun, spec.Key())
+	plant := func() {
+		t.Helper()
+		if err := os.WriteFile(path, refJSON(t, want), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	plant()
+	got := core.Result{Cycles: 1}
+	if s.Get(kindRun, spec.Key(), &got) {
+		t.Fatal("an old-shape entry reported as a hit")
+	}
+	if got.Cycles != 1 || got.Insts != 0 || got.Loads != nil {
+		t.Errorf("an old-shape entry mutated the caller's value: Cycles %d, Insts %d, %d loads", got.Cycles, got.Insts, len(got.Loads))
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("old-shape entry not deleted on the miss")
+	}
+
+	plant()
+	res, err := r.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Executed != 1 || st.DiskHits != 0 {
+		t.Errorf("Executed %d, DiskHits %d; want the run simulated once and nothing read from the store", st.Executed, st.DiskHits)
+	}
+	var stored core.Result
+	if !s.Get(kindRun, spec.Key(), &stored) {
+		t.Fatal("the recomputed result was not published over the old-shape entry")
+	}
+	if stored.Cycles != want.Cycles || stored.Hists != want.Hists || res.Cycles != want.Cycles {
+		t.Errorf("recomputed result differs: %d cycles stored, %d returned, want %d", stored.Cycles, res.Cycles, want.Cycles)
 	}
 }
 

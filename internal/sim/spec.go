@@ -14,8 +14,12 @@ import (
 // CodeVersion tags the simulator's observable behaviour. It is hashed
 // into every RunSpec key, so persistent result caches are invalidated
 // when a change makes simulations produce different numbers. Bump it
-// whenever timing behaviour changes.
-const CodeVersion = "crisp-sim-5"
+// whenever timing behaviour changes — or, as for 6, whenever the bytes of
+// a stored or served result change shape: 5 → 6 changed no simulated
+// number (goldens and CSV output are the same), only the JSON of Hist,
+// LoadProf and BranchProf (flat integer rows), and the bump is what keeps
+// any process from asking for an entry written in the other shape.
+const CodeVersion = "crisp-sim-6"
 
 // Input variants a RunSpec can run (Section 5.1's separate profiling and
 // evaluation inputs).
