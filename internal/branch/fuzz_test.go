@@ -1,0 +1,80 @@
+package branch
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"crisp/internal/codec"
+)
+
+// The frontend structures come back from disk inside every stored
+// checkpoint set, so their decoders are fuzzed natively, each on its own
+// so that mutations land in it and not in the set around it. Three
+// properties, as for cache.FuzzDecodeHierarchy: a decoder never panics; it
+// allocates in proportion to its input, whatever sizes the input declares;
+// and bytes it accepts re-encode to exactly themselves, so no two inputs
+// decode to one state.
+
+// state is what the three structures have in common.
+type state interface{ EncodeState(w *codec.Writer) }
+
+func encoded(s state) []byte {
+	var w codec.Writer
+	s.EncodeState(&w)
+	return w.Bytes()
+}
+
+// fuzzDecoder seeds f with the encoding of good, half of it and a copy
+// with one bit flipped, and checks the three properties of decode on every
+// input.
+func fuzzDecoder[T state](f *testing.F, good T, decode func(r *codec.Reader) (T, error)) {
+	seed := encoded(good)
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	flipped := bytes.Clone(seed)
+	flipped[len(flipped)*2/3] ^= 1 << 3
+	f.Add(flipped)
+
+	var ms runtime.MemStats
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		r := codec.NewReader(data)
+		got, err := decode(r)
+		runtime.ReadMemStats(&ms)
+		// An empty BTB entry is one byte and decodes to 18 bytes of arrays;
+		// the constant covers the fixed parts, an error and the fuzzing
+		// engine's own allocations.
+		if got, budget := ms.TotalAlloc-before, 128*uint64(len(data))+64<<10; got > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), got, budget)
+		}
+		if err != nil {
+			return
+		}
+		if consumed := data[:len(data)-r.Remaining()]; !bytes.Equal(encoded(got), consumed) {
+			t.Fatalf("accepted %d bytes that re-encode differently", len(consumed))
+		}
+	})
+}
+
+func FuzzDecodeTAGE(f *testing.F) {
+	bp := NewTAGE(4, 4) // 16-entry tables: a few hundred bytes
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		bp.PredictAndTrain(0x400000+uint64(rng.Intn(9))*4, rng.Intn(3) != 0)
+	}
+	fuzzDecoder(f, bp, DecodeTAGE)
+}
+
+func FuzzDecodeBTB(f *testing.F) { fuzzDecoder(f, warmedBTB(), DecodeBTB) }
+
+func FuzzDecodeRAS(f *testing.F) {
+	s := NewRAS(8)
+	for i := 0; i < 11; i++ { // wraps
+		s.Push(100 + i)
+	}
+	s.Pop()
+	fuzzDecoder(f, s, DecodeRAS)
+}

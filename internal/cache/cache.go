@@ -113,6 +113,13 @@ type Cache struct {
 	sets     int
 	lineBits uint
 	tags     []uint64 // line address | lineFlags bits
+	// hint is, per set, the way find last matched or victim last chose: where
+	// find looks before it scans. It is derived state and only ever a guess —
+	// never encoded, zero on every new, cloned, decoded or invalidated level,
+	// and find compares the tag before believing it. One entry a set, not a
+	// line: an array the size of tags is one more cache miss a lookup. uint16
+	// holds every way count the decoder admits (checkDecodable: 1024).
+	hint     []uint16
 	lru      []uint64 // touch timestamp; 64-bit so it never wraps
 	readyAt  []uint64 // fill completion time (hit-under-fill)
 	depth    []int8   // levels below that served the fill
@@ -148,6 +155,7 @@ func New(cfg Config, next Backend) *Cache {
 	c := &Cache{
 		cfg: cfg, sets: sets, next: next,
 		tags: make([]uint64, n), lru: make([]uint64, n), readyAt: make([]uint64, n), depth: make([]int8, n),
+		hint: make([]uint16, sets),
 		mshr: make([]mshrEntry, 0, cfg.MSHRs),
 	}
 	c.cur = &c.stats
@@ -210,37 +218,57 @@ func (c *Cache) Stats() Stats {
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// locate returns addr's line address and the index of its set's way 0.
-func (c *Cache) locate(addr uint64) (la uint64, base int) {
-	la = addr >> c.lineBits << c.lineBits
-	return la, int((la>>c.lineBits)%uint64(c.sets)) * c.cfg.Ways
+// locate returns addr's line address and its set. The L1s' set counts are
+// powers of two and take the mask; a division by a count the compiler
+// cannot see is some forty cycles, which only the LLC (819 sets) pays.
+func (c *Cache) locate(addr uint64) (la uint64, set int) {
+	ln := addr >> c.lineBits
+	if m := uint64(c.sets - 1); uint64(c.sets)&m == 0 {
+		return ln << c.lineBits, int(ln & m)
+	}
+	return ln << c.lineBits, int(ln % uint64(c.sets))
 }
 
-// find returns the index of the valid line holding la in the set starting
-// at base, or -1. This is the only tag scan.
-func (c *Cache) find(base int, la uint64) int {
+// find returns the index of the valid line holding la in set, or -1. It
+// looks at the set's hinted way first: a set holds a line at most once, so
+// the way whose tag matches is the way the scan would return. This is the
+// only tag lookup.
+func (c *Cache) find(set int, la uint64) int {
 	want := la | lineValid
+	base := set * c.cfg.Ways
+	if i := base + int(c.hint[set]); c.tags[i]&^(lineDirty|linePrefetched) == want {
+		return i
+	}
 	for i, t := range c.tags[base : base+c.cfg.Ways] {
 		if t&^(lineDirty|linePrefetched) == want {
+			c.hint[set] = uint16(i)
 			return base + i
 		}
 	}
 	return -1
 }
 
-// victim returns the index to fill in the set starting at base: the first
-// invalid way, else the least recently used (the lowest way on a tie).
-func (c *Cache) victim(base int) int {
-	v := base
-	for i := base; i < base+c.cfg.Ways; i++ {
-		if c.tags[i]&lineValid == 0 {
-			return i
-		}
-		if c.lru[i] < c.lru[v] {
+// victim returns the index to fill in set: the first invalid way, else the
+// least recently used (the lowest way on a tie). Every caller installs a
+// line there, so the way becomes the set's hint.
+func (c *Cache) victim(set int) int {
+	base := set * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	lru := c.lru[base : base+c.cfg.Ways]
+	v, oldest := 0, lru[0]
+	for i, t := range tags {
+		if t&lineValid == 0 {
 			v = i
+			break
+		}
+		// Stamps come in no order, so this is written for the compiler to
+		// select, not branch.
+		if l := lru[i]; l < oldest {
+			v, oldest = i, l
 		}
 	}
-	return v
+	c.hint[set] = uint16(v)
+	return base + v
 }
 
 // install overwrites line i and makes it most recently used.
@@ -273,10 +301,10 @@ func (c *Cache) Access(addr uint64, write bool, cycle uint64) uint64 {
 // served: 0 = hit in this cache, 1 = next level, 2 = the level after, etc.
 func (c *Cache) AccessPC(pc, addr uint64, write bool, cycle uint64) (done uint64, depth int8) {
 	c.cur.Accesses++
-	la, base := c.locate(addr)
+	la, set := c.locate(addr)
 
 	// Hit path (including hit-under-fill on an in-flight line).
-	if i := c.find(base, la); i >= 0 {
+	if i := c.find(set, la); i >= 0 {
 		wasPrefetched := c.tags[i]&linePrefetched != 0
 		if wasPrefetched {
 			c.cur.PrefetchHits++
@@ -323,18 +351,18 @@ func (c *Cache) AccessPC(pc, addr uint64, write bool, cycle uint64) (done uint64
 			c.perObs[c.req](pc, la)
 		}
 	}
-	done, depth = c.miss(pc, la, base, flagIf(write, lineDirty), cycle)
+	done, depth = c.miss(pc, la, set, flagIf(write, lineDirty), cycle)
 	c.firePrefetch(pc, addr, false, cycle)
 	return done, depth
 }
 
 // miss takes an MSHR for la, fetches the line from the next level and
 // installs it with the given extra flags.
-func (c *Cache) miss(pc, la uint64, base int, flags, cycle uint64) (done uint64, depth int8) {
+func (c *Cache) miss(pc, la uint64, set int, flags, cycle uint64) (done uint64, depth int8) {
 	start := c.mshrAdmit(cycle)
 	done, depth = c.accessNext(pc, la, start+uint64(c.cfg.Latency))
 	c.mshrInsert(mshrEntry{la: la, done: done, depth: depth})
-	c.fill(base, la|lineValid|flags, done, depth, cycle)
+	c.fill(set, la|lineValid|flags, done, depth, cycle)
 	return done, depth
 }
 
@@ -352,15 +380,15 @@ func (c *Cache) accessNext(pc, la uint64, cycle uint64) (done uint64, depth int8
 // Prefetch requests a line fill without demand semantics. It is a no-op if
 // the line is already present or in flight.
 func (c *Cache) Prefetch(addr uint64, cycle uint64) {
-	la, base := c.locate(addr)
-	if c.find(base, la) >= 0 {
+	la, set := c.locate(addr)
+	if c.find(set, la) >= 0 {
 		return
 	}
 	if j := c.mshrFind(la); j >= 0 && c.mshr[j].done > cycle {
 		return
 	}
 	c.cur.Prefetches++
-	c.miss(NoPC, la, base, linePrefetched, cycle)
+	c.miss(NoPC, la, set, linePrefetched, cycle)
 }
 
 // firePrefetch runs the attached prefetcher and issues its suggestions.
@@ -435,9 +463,9 @@ func (c *Cache) mshrAdmit(cycle uint64) uint64 {
 }
 
 // fill installs tag (a line address with its flag bits) over the victim of
-// the set starting at base, writing a dirty victim back first.
-func (c *Cache) fill(base int, tag, readyAt uint64, depth int8, cycle uint64) {
-	v := c.victim(base)
+// set, writing a dirty victim back first.
+func (c *Cache) fill(set int, tag, readyAt uint64, depth int8, cycle uint64) {
+	v := c.victim(set)
 	if old := c.tags[v]; old&(lineValid|lineDirty) == lineValid|lineDirty {
 		c.cur.Writebacks++
 		c.next.Access(old&^lineFlags, true, cycle)
@@ -467,13 +495,13 @@ func (c *Cache) MSHROccupancy(cycle uint64) int {
 // into the next level only on a miss. Used by the sampled-simulation
 // functional-warming phase, which precedes the measured window.
 func (c *Cache) Warm(addr uint64, write bool) bool {
-	la, base := c.locate(addr)
-	if i := c.find(base, la); i >= 0 {
+	la, set := c.locate(addr)
+	if i := c.find(set, la); i >= 0 {
 		c.tags[i] |= flagIf(write, lineDirty)
 		c.touch(i)
 		return true
 	}
-	c.install(c.victim(base), la|lineValid|flagIf(write, lineDirty), 0, 0)
+	c.install(c.victim(set), la|lineValid|flagIf(write, lineDirty), 0, 0)
 	return false
 }
 
@@ -482,11 +510,11 @@ func (c *Cache) Warm(addr uint64, write bool) bool {
 // already present. Unlike Warm it does not promote a present line,
 // mirroring Prefetch's early return on a duplicate suggestion.
 func (c *Cache) WarmPrefetch(addr uint64) bool {
-	la, base := c.locate(addr)
-	if c.find(base, la) >= 0 {
+	la, set := c.locate(addr)
+	if c.find(set, la) >= 0 {
 		return true
 	}
-	c.install(c.victim(base), la|lineValid, 0, 0)
+	c.install(c.victim(set), la|lineValid, 0, 0)
 	return false
 }
 
@@ -499,6 +527,7 @@ func (c *Cache) CloneState(next Backend) *Cache {
 	cl := &Cache{
 		cfg: c.cfg, sets: c.sets, lineBits: c.lineBits, lruClock: c.lruClock, next: next,
 		tags: slices.Clone(c.tags), lru: slices.Clone(c.lru), readyAt: slices.Clone(c.readyAt), depth: slices.Clone(c.depth),
+		hint: make([]uint16, c.sets),
 		mshr: make([]mshrEntry, 0, c.cfg.MSHRs),
 	}
 	cl.cur = &cl.stats
@@ -511,8 +540,8 @@ func (c *Cache) CloneState(next Backend) *Cache {
 // store's dirtiness to this level when a higher level absorbed the store
 // itself (see Hierarchy.WarmDataShared).
 func (c *Cache) MarkDirty(addr uint64) {
-	la, base := c.locate(addr)
-	if i := c.find(base, la); i >= 0 {
+	la, set := c.locate(addr)
+	if i := c.find(set, la); i >= 0 {
 		c.tags[i] |= lineDirty
 	}
 }
@@ -526,11 +555,12 @@ func (c *Cache) Invalidate() {
 	clear(c.lru)
 	clear(c.readyAt)
 	clear(c.depth)
+	clear(c.hint)
 	c.lruClock = 0
 }
 
 // Contains reports whether the line holding addr is resident (test hook).
 func (c *Cache) Contains(addr uint64) bool {
-	la, base := c.locate(addr)
-	return c.find(base, la) >= 0
+	la, set := c.locate(addr)
+	return c.find(set, la) >= 0
 }

@@ -17,6 +17,7 @@ type level interface {
 	Warm(addr uint64, write bool) bool
 	WarmPrefetch(addr uint64) bool
 	MarkDirty(addr uint64)
+	Invalidate()
 	MSHROccupancy(cycle uint64) int
 	Contains(addr uint64) bool
 	Stats() Stats
@@ -91,6 +92,7 @@ type missEvent struct {
 
 // equivCase is one geometry of the differential test.
 type equivCase struct {
+	sizeKiB     int // 0 = 1 KiB, 16 lines
 	ways, mshrs int
 	requesters  int    // 0 = private level
 	prefetch    int    // prefetcher degree, 0 = none
@@ -98,12 +100,21 @@ type equivCase struct {
 }
 
 func (ec equivCase) String() string {
-	return fmt.Sprintf("%dway_%dmshr_%dreq_pf%dx%d", ec.ways, ec.mshrs, ec.requesters, ec.prefetch, ec.pfStride)
+	s := fmt.Sprintf("%dway_%dmshr_%dreq_pf%dx%d", ec.ways, ec.mshrs, ec.requesters, ec.prefetch, ec.pfStride)
+	if ec.sizeKiB != 0 {
+		s = fmt.Sprintf("%dKiB_%s", ec.sizeKiB, s)
+	}
+	return s
+}
+
+func (ec equivCase) config() Config {
+	return Config{Name: "t", SizeKiB: max(ec.sizeKiB, 1), Ways: ec.ways, Latency: 3, MSHRs: ec.mshrs}
 }
 
 // pair drives one Cache and one refCache with the same calls.
 type pair struct {
 	t          *testing.T
+	ec         equivCase
 	got, want  level
 	ref        *refCache
 	gotMem     *serialMem
@@ -113,36 +124,55 @@ type pair struct {
 }
 
 func newPair(t *testing.T, ec equivCase) *pair {
-	cfg := Config{Name: "t", SizeKiB: 1, Ways: ec.ways, Latency: 3, MSHRs: ec.mshrs}
-	p := &pair{t: t, gotMem: &serialMem{}, wantMem: &serialMem{}}
-	p.got = New(cfg, p.gotMem)
-	p.ref = newRefCache(cfg, p.wantMem)
-	p.want = p.ref
+	p := &pair{t: t, ec: ec, gotMem: &serialMem{}, wantMem: &serialMem{}}
+	p.adopt(New(ec.config(), p.gotMem), newRefCache(ec.config(), p.wantMem))
+	return p
+}
+
+// adopt makes got and ref, two levels with nothing attached yet, the pair
+// under test: miss observers, requesters and prefetcher as the case has
+// them, and no hint on a level nobody has looked anything up in.
+func (p *pair) adopt(got *Cache, ref *refCache) {
+	p.got, p.want, p.ref = got, ref, ref
+	p.hintsZero("a new, cloned or decoded level")
 	for _, side := range []struct {
 		l   level
 		log *[]missEvent
 	}{{p.got, &p.gotMisses}, {p.want, &p.wantMisses}} {
 		log := side.log
-		if ec.requesters == 0 {
+		if p.ec.requesters == 0 {
 			side.l.SetMissObserver(func(pc, la uint64) { *log = append(*log, missEvent{-1, pc, la}) })
 		} else {
-			side.l.SetRequesters(ec.requesters)
-			for r := 0; r < ec.requesters; r++ {
+			side.l.SetRequesters(p.ec.requesters)
+			for r := 0; r < p.ec.requesters; r++ {
 				side.l.SetRequesterMissObserver(r, func(pc, la uint64) { *log = append(*log, missEvent{r, pc, la}) })
 			}
 		}
-		if ec.prefetch > 0 {
-			side.l.SetPrefetcher(&strided{deg: ec.prefetch, stride: ec.pfStride})
+		if p.ec.prefetch > 0 {
+			side.l.SetPrefetcher(&strided{deg: p.ec.prefetch, stride: p.ec.pfStride})
 		}
 	}
-	return p
+}
+
+// hintsZero is the one look inside: a hint is a guess about lines, so a
+// level whose lines were just made, copied, overwritten or dropped starts
+// from none. A stale one is harmless while every set holds a line once,
+// which bytes from disk need not (FuzzDecodeHierarchy).
+func (p *pair) hintsZero(when string) {
+	p.t.Helper()
+	for set, h := range p.got.(*Cache).hint {
+		if h != 0 {
+			p.t.Fatalf("%s has hint %d on set %d", when, h, set)
+		}
+	}
 }
 
 // compareState checks everything observable without a call that mutates:
 // statistics, residency of every pool line, occupancy, encoded bytes and
 // the traffic and miss callbacks so far.
-func (p *pair) compareState(step int, ec equivCase, pool []uint64, cycle uint64) {
+func (p *pair) compareState(step int, pool []uint64, cycle uint64) {
 	p.t.Helper()
+	ec := p.ec
 	if g, w := p.got.Stats(), p.want.Stats(); g != w {
 		p.t.Fatalf("step %d: Stats = %+v, reference %+v", step, g, w)
 	}
@@ -232,6 +262,17 @@ func TestMatchesReferenceCache(t *testing.T) {
 			cases = append(cases, ec)
 		}
 	}
+	// What the set index and the per-set hint can get wrong: the LLC's 20
+	// ways over set counts no mask indexes (3, 5); a power of two of sets
+	// under requesters 1<<40 apart; one set; and one set of more ways than a
+	// byte counts, all of which the decoder admits.
+	cases = append(cases,
+		equivCase{sizeKiB: 4, ways: 20, mshrs: 8, requesters: 2, prefetch: 1, pfStride: 64},
+		equivCase{sizeKiB: 7, ways: 20, mshrs: 8, prefetch: 2, pfStride: 7 * 1024},
+		equivCase{sizeKiB: 8, ways: 8, mshrs: 8, requesters: 3, prefetch: 1, pfStride: 64},
+		equivCase{ways: 16, mshrs: 2, requesters: 2, prefetch: 1, pfStride: 1024},
+		equivCase{sizeKiB: 32, ways: 300, mshrs: 8, prefetch: 1, pfStride: 64},
+	)
 	for _, ec := range cases {
 		t.Run(ec.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -245,16 +286,17 @@ func runEquiv(t *testing.T, ec equivCase, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	p := newPair(t, ec)
 
-	// 1 KiB of 64-byte lines is 16 lines; a pool of 40 per requester keeps
-	// every set contended. Requesters live 1<<40 apart, as the views of a
-	// SharedHierarchy do.
+	// A pool of two and a half times the level's lines (40 for the 16 of
+	// 1 KiB), per requester, keeps every set contended. Requesters live 1<<40
+	// apart, as the views of a SharedHierarchy do.
 	nreq := ec.requesters
 	if nreq == 0 {
 		nreq = 1
 	}
+	per := len(p.got.(*Cache).tags) * 5 / 2
 	var pool []uint64
 	for r := 0; r < nreq; r++ {
-		for i := 0; i < 40; i++ {
+		for i := 0; i < per; i++ {
 			pool = append(pool, uint64(r)*coreAddrStride+uint64(i)*64)
 		}
 	}
@@ -270,7 +312,26 @@ func runEquiv(t *testing.T, ec equivCase, seed int64) {
 			p.got.SetRequester(r)
 			p.want.SetRequester(r)
 		}
-		addr := pool[r*40+rng.Intn(40)] + uint64(rng.Intn(64))
+		addr := pool[r*per+rng.Intn(per)] + uint64(rng.Intn(64))
+		// Three times the stream carries on over lines that were dropped,
+		// copied, or written back over themselves from their encoding: the
+		// clone starts from no MSHRs and zero statistics on both sides, the
+		// decode touches neither.
+		switch step {
+		case steps / 4:
+			p.got.Invalidate()
+			p.want.Invalidate()
+			p.hintsZero("an invalidated level")
+		case steps / 2:
+			p.adopt(p.got.(*Cache).CloneState(p.gotMem), p.ref.CloneState(p.wantMem))
+		case steps * 3 / 4:
+			var w codec.Writer
+			p.got.EncodeState(&w)
+			if err := p.got.(*Cache).DecodeState(codec.NewReader(w.Bytes())); err != nil {
+				t.Fatalf("seed %d step %d: DecodeState of EncodeState: %v", seed, step, err)
+			}
+			p.hintsZero("a level decoded over")
+		}
 		switch op := rng.Intn(100); {
 		case op < 60:
 			pc := uint64(rng.Intn(8))
@@ -306,7 +367,7 @@ func runEquiv(t *testing.T, ec equivCase, seed int64) {
 		}
 		p.noTies(step)
 		if step%97 == 0 || step == steps-1 {
-			p.compareState(step, ec, pool, cycle)
+			p.compareState(step, pool, cycle)
 		}
 	}
 

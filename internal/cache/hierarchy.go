@@ -211,13 +211,22 @@ func (h *Hierarchy) WarmPrefetch(addr uint64) {
 	}
 }
 
-// WarmInst warms the instruction path for the code line at addr.
-func (h *Hierarchy) WarmInst(addr uint64) {
+// WarmInst warms the instruction path for the code line at addr and
+// reports whether L1I already held it.
+func (h *Hierarchy) WarmInst(addr uint64) (l1hit bool) {
 	addr += h.base
-	if !h.L1I.Warm(addr, false) {
-		h.LLC.Warm(addr, false)
+	if h.L1I.Warm(addr, false) {
+		return true
 	}
+	h.LLC.Warm(addr, false)
+	return false
 }
+
+// WarmInstLLC is the LLC half of WarmInst alone, for a hierarchy whose L1I
+// another hierarchy's WarmInst has just warmed and found missing the line:
+// checkpoint capture warms the variants of one instruction stream over a
+// single L1I.
+func (h *Hierarchy) WarmInstLLC(addr uint64) { h.LLC.Warm(addr+h.base, false) }
 
 // Clone returns a hierarchy carrying this one's warmed tag/LRU state over
 // fresh timing state: empty MSHRs, a fresh DRAM, no prefetchers or miss

@@ -80,6 +80,7 @@ func (c *Cache) DecodeState(r *codec.Reader) error {
 		return fmt.Errorf("cache: %s encoded with %d lines, geometry has %d", c.cfg.Name, n, len(c.tags))
 	}
 	unpackable := (uint64(1)<<c.lineBits - 1) &^ lineFlags
+	clear(c.hint) // guesses about the lines being overwritten
 	for i := range c.tags {
 		head := r.U8()
 		var tag, lru, ready uint64

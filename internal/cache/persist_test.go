@@ -372,10 +372,37 @@ func TestDecodeRejectsHostileGeometry(t *testing.T) {
 	}
 }
 
+// TestHintCoversAdmittedWays: the decoder admits 1024 ways and no more, and
+// the way hint counts that far. A narrower hint would still be safe, the
+// tag compare sees to that, but on a geometry read from disk it would name
+// another way than the one found and send every lookup to the scan.
+func TestHintCoversAdmittedWays(t *testing.T) {
+	cfg := tinyHierConfig()
+	cfg.LLC = Config{Name: "LLC", SizeKiB: 64, Ways: 1 << 10, Latency: 36, MSHRs: 8}
+	if err := cfg.checkDecodable(1, 1<<20); err != nil {
+		t.Fatalf("1024 ways refused: %v", err)
+	}
+	c := New(cfg.LLC, nil)
+	for i := uint64(0); i < 1<<10; i++ {
+		c.Warm(i*64, false)
+	}
+	if c.sets != 1 || c.hint[0] != 1<<10-1 {
+		t.Errorf("%d set(s), hint %d after filling way 1023", c.sets, c.hint[0])
+	}
+	if c.Warm(1000*64, false); c.hint[0] != 1000 {
+		t.Errorf("hint %d after a hit in way 1000", c.hint[0])
+	}
+	cfg.LLC.Ways++
+	if err := cfg.checkDecodable(1, 1<<20); err == nil {
+		t.Errorf("1025 ways admitted: the hint's width was chosen for 1024")
+	}
+}
+
 // FuzzDecodeHierarchy feeds arbitrary bytes to the hierarchy decoder. It
 // must never panic; it must allocate the fixed geometry and nothing sized
-// by the input; and whatever it accepts must encode back to the bytes it
-// consumed, so no two inputs decode to one state.
+// by the input; whatever it accepts must encode back to the bytes it
+// consumed, so no two inputs decode to one state; and a thousand warming
+// calls later it must hold what the reference levels hold.
 func FuzzDecodeHierarchy(f *testing.F) {
 	h, good := warmedTiny()
 	f.Add(good)
@@ -389,6 +416,16 @@ func FuzzDecodeHierarchy(f *testing.F) {
 	var tw codec.Writer
 	timed.EncodeState(&tw)
 	f.Add(tw.Bytes())
+	// Every set's last way holding its first way's line a second time.
+	twice, _ := warmedTiny()
+	for _, c := range []*Cache{twice.L1D, twice.LLC} {
+		for base := 0; base < len(c.tags); base += c.cfg.Ways {
+			c.tags[base+c.cfg.Ways-1] = c.tags[base]
+		}
+	}
+	var dw codec.Writer
+	twice.EncodeState(&dw)
+	f.Add(dw.Bytes())
 
 	cfg := tinyHierConfig()
 	// What building the hierarchy costs, plus slack for an error value and
@@ -414,8 +451,84 @@ func FuzzDecodeHierarchy(f *testing.F) {
 		}
 		var w codec.Writer
 		h.EncodeState(&w)
-		if consumed := data[:len(data)-r.Remaining()]; !bytes.Equal(w.Bytes(), consumed) {
+		consumed := data[:len(data)-r.Remaining()]
+		if !bytes.Equal(w.Bytes(), consumed) {
 			t.Fatalf("accepted %d bytes that re-encode differently", len(consumed))
 		}
+
+		// What was accepted warms like the reference holding the same lines,
+		// whether it was decoded into new levels or over used ones. Accepted
+		// bytes may hold a line twice in a set, or in a set it does not
+		// index to: the one state in which a way hint left over from the
+		// overwritten lines would find another copy than the scan.
+		used, _ := warmedTiny()
+		ur := codec.NewReader(consumed)
+		for _, c := range []*Cache{used.L1I, used.L1D, used.LLC} {
+			if err := c.DecodeState(ur); err != nil {
+				t.Fatalf("decoding over a used hierarchy: %v", err)
+			}
+		}
+		old := NewHierarchy(cfg)
+		or := codec.NewReader(refEncode(h.L1I, h.L1D, h.LLC))
+		for _, c := range []*Cache{old.L1I, old.L1D, old.LLC} {
+			if err := c.refDecodeState(or); err != nil {
+				t.Fatalf("version-1 decode of the accepted state: %v", err)
+			}
+		}
+		ref := refViewOf(h)
+		resident := append(append(append([]uint64(nil), h.L1D.tags...), h.LLC.tags...), h.L1I.tags...)
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		for i := 0; i < 1000; i++ {
+			addr := uint64(rng.Intn(300)) * 64
+			if rng.Intn(2) == 0 {
+				addr = resident[rng.Intn(len(resident))] &^ lineFlags
+			}
+			op, write := rng.Intn(4), rng.Intn(3) == 0
+			if i < len(resident) { // first every line it came with, as data: each set's first lookup
+				addr, op = resident[i]&^lineFlags, 2
+			}
+			for _, h := range []*Hierarchy{h, used, old} {
+				switch op {
+				case 0:
+					h.WarmInst(addr)
+				case 1:
+					h.WarmPrefetch(addr)
+				default:
+					h.WarmDataShared(addr, write)
+				}
+			}
+			switch op {
+			case 0:
+				ref.warmInst(addr)
+			case 1:
+				ref.warmPrefetch(addr)
+			default:
+				ref.warmData(addr, write, true)
+			}
+		}
+		var want codec.Writer
+		ref.l1i.EncodeState(&want)
+		ref.l1d.EncodeState(&want)
+		ref.llc.EncodeState(&want)
+		for name, h := range map[string]*Hierarchy{"decoded": h, "decoded over a used hierarchy": used, "decoded by the version-1 decoder": old} {
+			if !bytes.Equal(refEncode(h.L1I, h.L1D, h.LLC), want.Bytes()) {
+				t.Fatalf("%s, then warmed: holds different lines than the reference warmed alike", name)
+			}
+		}
 	})
+}
+
+// refViewOf returns reference levels holding h's lines and clocks.
+func refViewOf(h *Hierarchy) refView {
+	of := func(c *Cache, next Backend) *refCache {
+		r := newRefCache(c.cfg, next)
+		for i, t := range c.tags {
+			r.lines[i] = refLine{tag: t &^ lineFlags, valid: t&lineValid != 0, dirty: t&lineDirty != 0,
+				prefetched: t&linePrefetched != 0, readyAt: c.readyAt[i], lru: c.lru[i], fillDepth: c.depth[i]}
+		}
+		r.lruClock = c.lruClock
+		return r
+	}
+	llc := of(h.LLC, nil)
+	return refView{l1i: of(h.L1I, llc), l1d: of(h.L1D, llc), llc: llc}
 }

@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
+	"crisp/internal/branch"
 	"crisp/internal/cache"
 	"crisp/internal/emu"
 	"crisp/internal/isa"
@@ -57,6 +59,126 @@ func capturePFS() map[string]prefetch.Prefetcher {
 		"ghb":    prefetch.NewGHB(512),
 		"none":   nil,
 	}
+}
+
+// refWarmer is the warmer as it stood before the variants shared an L1I,
+// kept verbatim as the oracle: every variant owns a whole hierarchy, every
+// code line is warmed into each of them, and every data access goes through
+// refWarmOne. TestCaptureWarmerMatchesOracle (oracle_test.go: it captures
+// registered workloads, which this package cannot import) holds the
+// capture's bytes to it.
+type refWarmer struct {
+	prog     *program.Program
+	variants []liveVariant
+	bp       *branch.TAGE
+	btb      *branch.BTB
+	ras      *branch.RAS
+	shared   bool
+}
+
+func (w *refWarmer) WarmInstLine(lineAddr uint64) {
+	for i := range w.variants {
+		w.variants[i].hier.WarmInst(lineAddr)
+	}
+}
+
+func (w *refWarmer) WarmData(pc int, addr uint64, store bool) {
+	for i := range w.variants {
+		refWarmOne(&w.variants[i], w.shared, pc, addr, store)
+	}
+}
+
+func refWarmOne(v *liveVariant, shared bool, pc int, addr uint64, store bool) {
+	var hit bool
+	if shared {
+		hit = v.hier.WarmDataShared(addr, store)
+	} else {
+		hit = v.hier.WarmData(addr, store)
+	}
+	if v.pf == nil {
+		return
+	}
+	pcv := uint64(pc)
+	if store {
+		pcv = cache.NoPC // stores reach the prefetcher unattributed
+	}
+	for _, t := range v.pf.OnAccess(pcv, addr, hit) {
+		v.hier.WarmPrefetch(t)
+	}
+}
+
+func (w *refWarmer) WarmBranch(pc int, in *isa.Inst, taken bool, nextPC int) {
+	pcAddr := w.prog.ByteAddr(pc)
+	switch in.Op {
+	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
+		w.bp.PredictAndTrain(pcAddr, taken)
+	case isa.OpCall:
+		w.ras.Push(pc + 1)
+	case isa.OpRet:
+		w.ras.Pop()
+	}
+	if taken && in.Op != isa.OpRet {
+		if _, ok := w.btb.Lookup(pcAddr); !ok {
+			w.btb.Insert(pcAddr, nextPC)
+		}
+	}
+}
+
+func (w *refWarmer) snapshot() map[string]*Variant {
+	out := make(map[string]*Variant, len(w.variants))
+	for i := range w.variants {
+		v := &w.variants[i]
+		sv := &Variant{Hier: v.hier.Clone()}
+		if v.pf != nil {
+			sv.PF = prefetch.Clone(v.pf)
+		}
+		out[v.name] = sv
+	}
+	return out
+}
+
+func newRefCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher) *refWarmer {
+	w := &refWarmer{
+		prog: prog,
+		bp:   branch.NewTAGE(branch.DefaultTAGELogBase, branch.DefaultTAGELogTagged),
+		btb:  branch.NewBTB(btbEntries, btbWays),
+		ras:  branch.NewRAS(rasEntries),
+	}
+	for name, pf := range pfs {
+		w.variants = append(w.variants, liveVariant{name: name, hier: cache.NewHierarchy(hcfg), pf: pf})
+	}
+	sort.Slice(w.variants, func(i, j int) bool { return w.variants[i].name < w.variants[j].name })
+	return w
+}
+
+// refCapture is Capture over a refWarmer, one FastForward a phase (how a
+// phase is sliced is TestCaptureSlicedMatchesOracle's subject).
+func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) *Set {
+	w := newRefCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, pfs)
+	set := &Set{Hier: hcfg, Image: em.Mem().Snapshot()}
+	for i := 0; i < p.Count; i++ {
+		set.FFInsts += em.FastForward(p.Skip, nil)
+		n := em.FastForward(p.Warm, w)
+		set.FFInsts += n
+		set.WarmInsts += n
+		if em.Done() {
+			break
+		}
+		set.Points = append(set.Points, &Point{
+			PC:       em.PC(),
+			Regs:     em.Regs(),
+			Mem:      em.Mem().Snapshot(),
+			Variants: w.snapshot(),
+			BP:       w.bp.Clone(),
+			BTB:      w.btb.Clone(),
+			RAS:      w.ras.Clone(),
+			FFInsts:  set.FFInsts,
+		})
+		n = em.FastForward(p.Window, w)
+		set.FFInsts += n
+		set.WarmInsts += n
+	}
+	return set
 }
 
 // refCaptureSequential is the capture loop as it stood before phases were

@@ -208,38 +208,37 @@ type warmer struct {
 	shared bool
 }
 
+// WarmInstLine warms the one L1I every variant's hierarchy points at (see
+// newCaptureWarmer) through the first variant, and hands a line it missed
+// to the other variants' LLCs, which the prefetchers have made differ.
 func (w *warmer) WarmInstLine(lineAddr uint64) {
-	for i := range w.variants {
-		w.variants[i].hier.WarmInst(lineAddr)
+	if len(w.variants) == 0 || w.variants[0].hier.WarmInst(lineAddr) {
+		return
+	}
+	for i := 1; i < len(w.variants); i++ {
+		w.variants[i].hier.WarmInstLLC(lineAddr)
 	}
 }
 
 func (w *warmer) WarmData(pc int, addr uint64, store bool) {
-	for i := range w.variants {
-		warmOne(&w.variants[i], w.shared, pc, addr, store)
-	}
-}
-
-// warmOne drives a single variant with one data access: a tags-only
-// demand touch of its hierarchy, the prefetcher trained with the same
-// (pc, addr, hit) triple the detailed L1D would deliver, and the
-// suggested lines installed tags-only.
-func warmOne(v *liveVariant, shared bool, pc int, addr uint64, store bool) {
-	var hit bool
-	if shared {
-		hit = v.hier.WarmDataShared(addr, store)
-	} else {
-		hit = v.hier.WarmData(addr, store)
-	}
-	if v.pf == nil {
-		return
-	}
 	pcv := uint64(pc)
 	if store {
 		pcv = cache.NoPC // stores reach the prefetcher unattributed
 	}
-	for _, t := range v.pf.OnAccess(pcv, addr, hit) {
-		v.hier.WarmPrefetch(t)
+	for i := range w.variants {
+		v := &w.variants[i]
+		var hit bool
+		if w.shared {
+			hit = v.hier.WarmDataShared(addr, store)
+		} else {
+			hit = v.hier.WarmData(addr, store)
+		}
+		if v.pf == nil {
+			continue
+		}
+		for _, t := range v.pf.OnAccess(pcv, addr, hit) {
+			v.hier.WarmPrefetch(t)
+		}
 	}
 }
 
@@ -308,6 +307,12 @@ func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator
 // the prefetcher-independent frontend structures plus one cache
 // hierarchy per prefetcher kind, sorted by name so capture order (and
 // hence any warming that iterated variants) is deterministic.
+//
+// The hierarchies share one L1I. What an L1I holds follows from the
+// code-line stream alone, which is the same for every variant, so warming
+// four would write four identical copies; snapshot's Hierarchy.Clone still
+// gives each Variant its own. L1D cannot be shared the same way: every
+// prefetcher trains on its hits and installs into it.
 func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher) *warmer {
 	w := &warmer{
 		prog: prog,
@@ -319,6 +324,9 @@ func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, 
 		w.variants = append(w.variants, liveVariant{name: name, hier: cache.NewHierarchy(hcfg), pf: pf})
 	}
 	sort.Slice(w.variants, func(i, j int) bool { return w.variants[i].name < w.variants[j].name })
+	for i := range w.variants {
+		w.variants[i].hier.L1I = w.variants[0].hier.L1I
+	}
 	return w
 }
 
@@ -339,9 +347,11 @@ func snapshotPoint(em *emu.Emulator, w *warmer, ffInsts uint64) *Point {
 
 // sliceInsts bounds the instructions a capture fast-forwards between two
 // looks at its context. A phase may be billions of instructions long (a
-// crispd job's schedule is its client's to choose) and warms at roughly
-// ten million a second, so a cancelled capture is gone within some ten
-// milliseconds whatever the schedule, at one ctx.Err() per slice.
+// crispd job's schedule is its client's to choose) and warms into four
+// variants at some fourteen million a second (bench's traced
+// checkpoint.capture_mips; 9 to 12 on this sandbox's slow days), so a
+// cancelled capture is gone within five to ten milliseconds whatever the
+// schedule, at one ctx.Err() per slice.
 const sliceInsts = 64 << 10
 
 // fastForward runs one phase of the schedule, limit instructions on em

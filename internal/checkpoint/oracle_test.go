@@ -10,8 +10,11 @@ import (
 	"runtime"
 	"testing"
 
+	"crisp/internal/cache"
 	"crisp/internal/checkpoint"
 	"crisp/internal/emu"
+	"crisp/internal/prefetch"
+	"crisp/internal/program"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
@@ -125,6 +128,39 @@ func TestSetSizeAndSharing(t *testing.T) {
 		// set encodes, over that image, to the bytes it came from.
 		if !bytes.Equal(checkpoint.EncodeSet(dec, name), enc) {
 			t.Errorf("%s: an attached point holds a page that is not the image's", name)
+		}
+	}
+}
+
+// TestCaptureWarmerMatchesOracle: sharing one L1I between the variants, and
+// everything the warm path does per access, is not in the captured bytes.
+// A pointer chaser, a table updater, a streamer and a hashed service under
+// the sweep's schedule, warmed into three variants, encode to the bytes of
+// the capture over refWarmer (capture_test.go), whose variants each own and
+// warm a whole hierarchy. bop+stream is left out: it differs between two
+// captures by one commit (ROADMAP item 1), so no byte oracle can hold it.
+// Handing an L1I miss to the first variant's LLC only fails every app.
+func TestCaptureWarmerMatchesOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("captures eight 2M-instruction schedules")
+	}
+	s := sim.AutoSampling(2_000_000)
+	p := checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}
+	core := sim.DefaultConfig().Core
+	capture := func(name string, f func(*program.Program, *emu.Emulator, cache.HierConfig, int, int, int, map[string]prefetch.Prefetcher, checkpoint.Params) *checkpoint.Set) []byte {
+		img := workload.ByName(name).Build(workload.Ref)
+		em := emulatorOver(img)
+		pfs := map[string]prefetch.Prefetcher{"stride": prefetch.NewStride(256), "ghb": prefetch.NewGHB(512), "none": nil}
+		set := f(img.Prog, em, cache.DefaultHierConfig(), core.BTBEntries, core.BTBWays, core.RASEntries, pfs, p)
+		if len(set.Points) != s.Count {
+			t.Fatalf("%s: captured %d points, want %d", name, len(set.Points), s.Count)
+		}
+		set.HostNS = 0
+		return checkpoint.EncodeSet(set, name)
+	}
+	for _, name := range []string{"mcf", "moses", "lbm", "memcached"} {
+		if !bytes.Equal(capture(name, checkpoint.Capture), capture(name, checkpoint.RefCapture)) {
+			t.Errorf("%s: the set encodes differently from the one the per-variant warmer captures", name)
 		}
 	}
 }

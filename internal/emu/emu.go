@@ -329,14 +329,25 @@ func (e *Emulator) PC() int { return e.pc }
 // false once the program has halted. Step panics on a control-flow transfer
 // outside the program, which indicates a broken kernel.
 func (e *Emulator) Step() (d DynInst, ok bool) {
+	ok = e.step(&d)
+	return d, ok
+}
+
+// step is Step writing the record where its caller wants it. Step is small
+// enough to inline, so every caller's record is filled in place: a six-word
+// struct returned by value comes back in registers and is copied to its
+// variable through a spill, word stores read back as vector loads, which
+// stalled the warmed fast-forward loop for a tenth of a capture.
+func (e *Emulator) step(d *DynInst) bool {
 	if e.done {
-		return DynInst{}, false
+		*d = DynInst{}
+		return false
 	}
 	if e.pc < 0 || e.pc >= e.prog.Len() {
 		panic(fmt.Sprintf("emu: pc %d out of range in %q", e.pc, e.prog.Name))
 	}
 	in := &e.prog.Insts[e.pc]
-	d = DynInst{Seq: e.seq, PC: e.pc, Inst: in}
+	*d = DynInst{Seq: e.seq, PC: e.pc, Inst: in}
 	e.seq++
 	next := e.pc + 1
 
@@ -436,7 +447,7 @@ func (e *Emulator) Step() (d DynInst, ok bool) {
 
 	d.NextPC = next
 	e.pc = next
-	return d, true
+	return true
 }
 
 func (e *Emulator) src2OrZero(in *isa.Inst) int64 {
@@ -507,11 +518,8 @@ func (e *Emulator) FastForwardFrom(limit uint64, w Warmer, lastLine uint64) (uin
 		}
 		return n, lastLine
 	}
-	for n < limit {
-		d, ok := e.Step()
-		if !ok {
-			break
-		}
+	var d DynInst
+	for n < limit && e.step(&d) {
 		n++
 		if line := e.prog.ByteAddr(d.PC) &^ 63; line != lastLine {
 			lastLine = line

@@ -262,7 +262,10 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		if n < 0 || n > 64 {
 			return nil, fmt.Errorf("prefetch: composite part count %d out of range", n)
 		}
-		c := &Composite{Parts: make([]Prefetcher, 0, n)}
+		// Parts grows as parts decode, not to the declared count: composites
+		// nest, and each level of a hostile input would reserve a kilobyte
+		// for five bytes.
+		c := &Composite{}
 		for i := 0; i < n; i++ {
 			part, err := Decode(r)
 			if err != nil {

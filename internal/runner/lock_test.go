@@ -34,8 +34,8 @@ func TestLockMutualExclusion(t *testing.T) {
 			return
 		}
 		inside.Store(true)
+		rel2() // before the signal: the test reads LockHeld right after it
 		close(acquired)
-		rel2()
 	}()
 	select {
 	case <-acquired:
