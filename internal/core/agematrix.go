@@ -17,7 +17,7 @@ import "math/bits"
 // The matrix's rows induce exactly the insertion order of the live slots,
 // and insertion (dispatch) is in program order, so that order is the ROB
 // order. The age-ordered policies therefore key the BID/PRIO vectors by
-// ROB ring index and select with Bitset.FirstFrom(head); which slot an
+// ROB ring index and select in ring order from the head; which slot an
 // instruction sits in is unobservable to them and none is modelled. Only
 // SchedRandom, which ranks ready instructions by slot number, allocates
 // RAND slots, and this type is what it needs: the occupancy vector and the

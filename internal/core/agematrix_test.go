@@ -11,7 +11,7 @@ import (
 // test oracle: the age matrix as an insertion stamp per scheduler key, the
 // oldest candidate as an argmin over the candidates' stamps. It knows
 // nothing about rings or heads, so agreeing with it is what shows that
-// FirstFrom(head) picks in age-matrix order.
+// firstFrom(head) picks in age-matrix order.
 type stampSelect struct {
 	age   []uint64
 	stamp uint64
@@ -101,7 +101,7 @@ func (m *ringModel) commit() {
 
 // The age matrix orders the IQ by insertion; dispatch inserts in program
 // order, so that is the order of the ROB ring from its head. These tests
-// pin the select built on that — Bitset.FirstFrom(head) over vectors keyed
+// pin the select built on that — firstFrom(vector, head) over vectors keyed
 // by ring index — to the stamp oracle.
 
 func TestAgeMatrixSelectsInsertionOrder(t *testing.T) {
@@ -117,13 +117,13 @@ func TestAgeMatrixSelectsInsertionOrder(t *testing.T) {
 	cand := NewBitset(8)
 	cand.CopyFrom(m.waiting)
 	for _, want := range order {
-		got := cand.FirstFrom(m.headKey())
+		got := firstFrom(cand, m.headKey())
 		if got != want || got != m.oracle.oldestAmong(cand) {
-			t.Fatalf("FirstFrom(head) = %d, want %d (oracle %d)", got, want, m.oracle.oldestAmong(cand))
+			t.Fatalf("firstFrom(head) = %d, want %d (oracle %d)", got, want, m.oracle.oldestAmong(cand))
 		}
 		cand.Clear(got)
 	}
-	if got := cand.FirstFrom(m.headKey()); got != -1 {
+	if got := firstFrom(cand, m.headKey()); got != -1 {
 		t.Errorf("empty candidates returned %d", got)
 	}
 }
@@ -138,10 +138,10 @@ func TestAgeMatrixSubsetSelection(t *testing.T) {
 	cand.Set(66)
 	cand.Set(63)
 	cand.Set(67)
-	if got := cand.FirstFrom(m.headKey()); got != 63 || got != m.oracle.oldestAmong(cand) {
+	if got := firstFrom(cand, m.headKey()); got != 63 || got != m.oracle.oldestAmong(cand) {
 		t.Errorf("oldest among {66,63,67} = %d, want 63", got)
 	}
-	if got, want := cand.CountRing(m.headKey(), 67), m.oracle.olderCount(cand, 67); got != 2 || got != want {
+	if got, want := countRing(cand, m.headKey(), 67), m.oracle.olderCount(cand, 67); got != 2 || got != want {
 		t.Errorf("older than 67 among {66,63,67} = %d, want 2 (oracle %d)", got, want)
 	}
 }
@@ -160,7 +160,7 @@ func TestAgeMatrixSlotReuse(t *testing.T) {
 	cand := NewBitset(4)
 	cand.Set(0)
 	cand.Set(1)
-	if got := cand.FirstFrom(m.headKey()); got != 1 || got != m.oracle.oldestAmong(cand) {
+	if got := firstFrom(cand, m.headKey()); got != 1 || got != m.oracle.oldestAmong(cand) {
 		t.Errorf("after reuse, oldest = %d, want 1", got)
 	}
 }
@@ -192,7 +192,7 @@ func TestFreeSlotExhaustion(t *testing.T) {
 
 // Property: for random dispatch/issue/commit sequences — ROB sizes that do
 // and do not fill their ring, rings of one word and of several, starting
-// points that put the head across the ring boundary early — FirstFrom(head)
+// points that put the head across the ring boundary early — firstFrom(head)
 // over the waiting set always returns the earliest-dispatched waiting key.
 func TestAgeMatrixProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -207,8 +207,8 @@ func TestAgeMatrixProperty(t *testing.T) {
 			default:
 				m.dispatch()
 			}
-			if got, want := m.waiting.FirstFrom(m.headKey()), m.oracle.oldestAmong(m.waiting); got != want {
-				t.Logf("rob %d head %d tail %d: FirstFrom = %d, oracle %d", rob, m.head, m.tail, got, want)
+			if got, want := firstFrom(m.waiting, m.headKey()), m.oracle.oldestAmong(m.waiting); got != want {
+				t.Logf("rob %d head %d tail %d: firstFrom = %d, oracle %d", rob, m.head, m.tail, got, want)
 				return false
 			}
 		}
@@ -238,11 +238,11 @@ func TestAgeMatrixPrioritySubsetProperty(t *testing.T) {
 				}
 			}
 		}
-		pick := prio.FirstFrom(m.headKey())
+		pick := firstFrom(prio, m.headKey())
 		if pick != m.oracle.oldestAmong(prio) {
 			return false
 		}
-		return pick < 0 || bid.CountRing(m.headKey(), pick) == m.oracle.olderCount(bid, pick)
+		return pick < 0 || countRing(bid, m.headKey(), pick) == m.oracle.olderCount(bid, pick)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

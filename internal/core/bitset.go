@@ -4,8 +4,8 @@ import "math/bits"
 
 // Bitset is a fixed-capacity bit vector used for the scheduler's BID
 // (ready) and PRIO (ready-and-critical) vectors. The hot-path operations
-// (copy, circular first-set and range counts, rank selection) work a
-// 64-bit word at a time so selection cost scales with capacity/64.
+// (copy, count, rank selection) work a 64-bit word at a time so selection
+// cost scales with capacity/64.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -61,51 +61,6 @@ func (b *Bitset) Count() int {
 	n := 0
 	for _, w := range b.words {
 		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// FirstFrom returns the index of the first set bit in circular order
-// starting at from (from, from+1, …, Len()-1, 0, …, from-1), or -1 if no
-// bit is set: the oldest candidate of a vector keyed by ROB ring index,
-// scanned from the head's. Each word is read once, the starting word twice.
-func (b *Bitset) FirstFrom(from int) int {
-	wi := from >> 6
-	if w := b.words[wi] &^ (1<<uint(from&63) - 1); w != 0 {
-		return wi<<6 + bits.TrailingZeros64(w)
-	}
-	// The last step revisits word wi whole: its bits at or above from are
-	// known clear, so whatever it finds lies below from.
-	for i, j := 0, wi; i < len(b.words); i++ {
-		if j++; j == len(b.words) {
-			j = 0
-		}
-		if w := b.words[j]; w != 0 {
-			return j<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// CountRing returns the number of set bits in the circular range
-// [from, to): from ≤ to covers from..to-1, from > to wraps through
-// Len()-1 to 0.
-func (b *Bitset) CountRing(from, to int) int {
-	n := b.countBelow(to) - b.countBelow(from)
-	if to < from {
-		n += b.Count()
-	}
-	return n
-}
-
-// countBelow returns the number of set bits at positions below i.
-func (b *Bitset) countBelow(i int) int {
-	n := 0
-	for _, w := range b.words[:i>>6] {
-		n += bits.OnesCount64(w)
-	}
-	if r := uint(i & 63); r != 0 {
-		n += bits.OnesCount64(b.words[i>>6] & (1<<r - 1))
 	}
 	return n
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-// naive reference implementations, one bit at a time.
+// naive reference implementations, one bit at a time. firstFrom and
+// countRing, checked here like the Bitset methods, are the select oracle's
+// (select_test.go).
 
 func naiveFirstFrom(b *Bitset, from int) int {
 	for i := 0; i < b.Len(); i++ {
@@ -57,8 +59,8 @@ func TestBitsetFirstFrom(t *testing.T) {
 		{200, 255},
 	}
 	for _, c := range cases {
-		if got := b.FirstFrom(c.from); got != c.want {
-			t.Errorf("FirstFrom(%d) = %d, want %d", c.from, got, c.want)
+		if got := firstFrom(b, c.from); got != c.want {
+			t.Errorf("firstFrom(%d) = %d, want %d", c.from, got, c.want)
 		}
 	}
 	b.Clear(255)
@@ -66,17 +68,17 @@ func TestBitsetFirstFrom(t *testing.T) {
 	// Nothing at or after from: the scan wraps to the low words, and for a
 	// from inside word 1 comes back to the bits of word 1 below it.
 	for _, c := range []struct{ from, want int }{{131, 1}, {255, 1}, {65, 1}} {
-		if got := b.FirstFrom(c.from); got != c.want {
-			t.Errorf("wrapped FirstFrom(%d) = %d, want %d", c.from, got, c.want)
+		if got := firstFrom(b, c.from); got != c.want {
+			t.Errorf("wrapped firstFrom(%d) = %d, want %d", c.from, got, c.want)
 		}
 	}
 	b.Clear(1)
 	b.Clear(63)
-	if got := b.FirstFrom(100); got != 64 {
-		t.Errorf("FirstFrom(100) with only bit 64 = %d, want 64 (low half of the starting word)", got)
+	if got := firstFrom(b, 100); got != 64 {
+		t.Errorf("firstFrom(100) with only bit 64 = %d, want 64 (low half of the starting word)", got)
 	}
-	if got := NewBitset(130).FirstFrom(7); got != -1 {
-		t.Errorf("empty FirstFrom = %d, want -1", got)
+	if got := firstFrom(NewBitset(130), 7); got != -1 {
+		t.Errorf("empty firstFrom = %d, want -1", got)
 	}
 }
 
@@ -96,8 +98,8 @@ func TestBitsetCountRing(t *testing.T) {
 		{101, 100, 5}, // everything but bit 100
 	}
 	for _, c := range cases {
-		if got := b.CountRing(c.from, c.to); got != c.want {
-			t.Errorf("CountRing(%d, %d) = %d, want %d", c.from, c.to, got, c.want)
+		if got := countRing(b, c.from, c.to); got != c.want {
+			t.Errorf("countRing(%d, %d) = %d, want %d", c.from, c.to, got, c.want)
 		}
 	}
 }
@@ -135,12 +137,12 @@ func TestBitsetProperty(t *testing.T) {
 				}
 			}
 			for from := 0; from < n; from++ {
-				if got, want := b.FirstFrom(from), naiveFirstFrom(b, from); got != want {
-					t.Fatalf("n=%d FirstFrom(%d) = %d, want %d", n, from, got, want)
+				if got, want := firstFrom(b, from), naiveFirstFrom(b, from); got != want {
+					t.Fatalf("n=%d firstFrom(%d) = %d, want %d", n, from, got, want)
 				}
 				to := rng.Intn(n)
-				if got, want := b.CountRing(from, to), naiveCountRing(b, from, to); got != want {
-					t.Fatalf("n=%d CountRing(%d, %d) = %d, want %d", n, from, to, got, want)
+				if got, want := countRing(b, from, to), naiveCountRing(b, from, to); got != want {
+					t.Fatalf("n=%d countRing(%d, %d) = %d, want %d", n, from, to, got, want)
 				}
 			}
 			for k := -1; k <= b.Count()+1; k++ {

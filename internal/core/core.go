@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	rtmetrics "runtime/metrics"
 	"time"
 
@@ -25,18 +26,16 @@ type Marker interface {
 // entry is one in-flight µop: a ROB entry, and while waiting also an RS
 // entry (slot >= 0; slot is its scheduler key, see Core.readyBid).
 type entry struct {
-	seq  uint64
-	d    emu.DynInst
-	live bool
+	seq uint64
+	d   emu.DynInst
 
 	critical     bool
 	mispredicted bool
 
-	dispatched bool
-	issued     bool
-	done       bool
-	doneAt     uint64
-	served     cache.ServedBy // loads: level serving the access
+	issued bool
+	done   bool
+	doneAt uint64
+	served cache.ServedBy // loads: level serving the access
 
 	dep1, dep2 int64 // producer seqs, -1 when architecturally ready
 	storeDep   int64 // forwarding store seq, -1 if none
@@ -104,14 +103,15 @@ type Core struct {
 	// Incremental scheduler state (see wakeup.go): persistent BID/PRIO
 	// vectors plus the wakeup machinery that maintains them, indexed by
 	// scheduler key: the ROB ring index (seq & robMask) under the
-	// age-ordered policies, so "oldest" is the first set bit circularly
-	// from the head's index; the RAND slot under SchedRandom.
-	readyBid, readyPrio     *Bitset
-	scratchBid, scratchPrio *Bitset
-	waitCount               []int8  // per key: outstanding unready deps
-	waiterHead              []int32 // per ROB index: waiter chain head, -1 empty
-	waiterNext              []int32 // per chain node (key*3 + dep index)
-	wakeups                 wakeupHeap
+	// age-ordered policies, so age order is bit order circularly from the
+	// head's index; the RAND slot under SchedRandom.
+	readyBid, readyPrio *Bitset
+	scratchBid          *Bitset // SchedRandom only: the cycle's unpicked candidates
+	picks               []int32 // age-ordered policies: the cycle's picks
+	waitCount           []int8  // per key: outstanding unready deps
+	waiterHead          []int32 // per ROB index: waiter chain head, -1 empty
+	waiterNext          []int32 // per chain node (key*3 + dep index)
+	wakeups             wakeupWheel
 
 	cycle       uint64
 	stats       Result
@@ -152,18 +152,18 @@ func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierar
 		fetchQ: make([]fqEntry, ceilPow2(cfg.FTQSize+cfg.FetchWidth+1)),
 		storeQ: make([]uint64, ceilPow2(cfg.StoreQueue)),
 
-		readyBid:    NewBitset(keys),
-		readyPrio:   NewBitset(keys),
-		scratchBid:  NewBitset(keys),
-		scratchPrio: NewBitset(keys),
-		waitCount:   make([]int8, keys),
-		waiterHead:  make([]int32, ring),
-		waiterNext:  make([]int32, keys*3),
-		wakeups:     make(wakeupHeap, 0, cfg.RSSize*3),
+		readyBid:   NewBitset(keys),
+		readyPrio:  NewBitset(keys),
+		waitCount:  make([]int8, keys),
+		waiterHead: make([]int32, ring),
+		waiterNext: make([]int32, keys*3),
+		picks:      make([]int32, 0, cfg.FetchWidth),
+		wakeups:    wakeupWheel{far: make(wakeupHeap, 0, cfg.RSSize*3)},
 	}
 	if cfg.Scheduler == SchedRandom {
 		c.slots = make([]*entry, keys)
 		c.matrix = NewAgeMatrix(keys)
+		c.scratchBid = NewBitset(keys)
 	}
 	for i := range c.waiterHead {
 		c.waiterHead[i] = -1
@@ -373,7 +373,6 @@ func (c *Core) commit() {
 		if e.critical {
 			c.stats.CriticalExecs++
 		}
-		e.live = false
 		c.headSeq++
 		c.stats.Insts++
 		c.upcAccum++
@@ -461,49 +460,107 @@ func (c *Core) sampleOccupancy() {
 // older non-critical work.
 //
 // The BID/PRIO vectors are persistent and maintained incrementally by the
-// wakeup machinery (wakeup.go); each cycle only drains due wakeups and
-// word-copies the vectors into scratch so the selection loop can consume
-// bits without disturbing the persistent state of not-issued picks.
+// wakeup machinery (wakeup.go).
 func (c *Core) issue() {
 	c.drainWakeups()
 	if !c.readyBid.Any() {
 		return
 	}
-	bid, prio := c.scratchBid, c.scratchPrio
-	bid.CopyFrom(c.readyBid)
-	prio.CopyFrom(c.readyPrio)
-
-	width := c.cfg.FetchWidth // issue width matches machine width (6)
-	for n := 0; n < width; n++ {
-		slot := c.pick(bid, prio)
-		if slot < 0 {
-			return
-		}
-		bid.Clear(slot)
-		prio.Clear(slot)
-		e := c.keyEntry(slot)
-		cls := e.d.Inst.Op.Class()
-		port := c.freePort(cls)
-		if port < 0 {
-			// Selected but no free functional unit: the selection slot is
-			// consumed and the instruction retries next cycle (its
-			// persistent BID bit stays set).
-			continue
-		}
-		c.readyBid.Clear(slot)
-		c.readyPrio.Clear(slot)
-		c.execute(e, cls, port)
+	if c.cfg.Scheduler == SchedRandom {
+		c.issueRandom()
+		return
+	}
+	for _, key := range c.selectByAge() {
+		c.tryIssue(&c.rob[key])
 	}
 }
 
-// drainWakeups applies every wakeup due at or before the current cycle; a
-// slot whose last outstanding dependence resolves becomes a selection
-// candidate.
+// selectByAge returns the cycle's picks under the age-ordered policies, in
+// pick order. No bit of either vector is set while issue runs (a wakeup
+// lands a cycle after its producer issues at the earliest) and a pick that
+// finds no port changes no later pick, so they are PRIO's bits in ring
+// order from the head, then BID's other bits in the same order: one walk
+// over each vector's words, the head's word first for its bits at or above
+// the head and again last for those below.
+func (c *Core) selectByAge() []int32 {
+	head := int(c.headSeq & c.robMask)
+	below := uint64(1)<<uint(head&63) - 1
+	words := len(c.readyBid.words)
+	picks, width := c.picks[:0], c.cfg.FetchWidth // issue width matches machine width (6)
+	crisp := c.cfg.Scheduler == SchedCRISP
+	for prio := crisp; ; prio = false {
+		older := 0 // BID bits in the words walked so far
+		for i := 0; i <= words && len(picks) < width; i++ {
+			wi := (head>>6 + i) & (words - 1)
+			bid := c.readyBid.words[wi]
+			if i == 0 {
+				bid &^= below
+			} else if i == words {
+				bid &= below
+			}
+			w := bid
+			if prio {
+				w &= c.readyPrio.words[wi] // PRIO is a subset of BID
+			} else if crisp {
+				// The BID pass starts only once every PRIO bit is picked.
+				w &^= c.readyPrio.words[wi]
+			}
+			for ; w != 0 && len(picks) < width; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				if prio {
+					c.stats.IssuedCritical++
+					// Diagnostic: how many older ready entries did the PRIO
+					// pick bypass? Not the earlier picks, all older and in BID.
+					c.stats.QueueJumpSum += uint64(older + bits.OnesCount64(bid&(1<<uint(b)-1)) - len(picks))
+				}
+				picks = append(picks, int32(wi<<6+b))
+			}
+			older += bits.OnesCount64(bid)
+		}
+		if !prio {
+			return picks
+		}
+	}
+}
+
+// issueRandom is the select stage of SchedRandom: each pick draws among
+// the cycle's candidates not picked yet, which a scratch vector holds.
+func (c *Core) issueRandom() {
+	bid := c.scratchBid
+	bid.CopyFrom(c.readyBid)
+	for n := 0; n < c.cfg.FetchWidth; n++ {
+		ready := bid.Count()
+		if ready == 0 {
+			return
+		}
+		slot := bid.SelectNth(int(c.nextRand() % uint64(ready)))
+		bid.Clear(slot)
+		c.tryIssue(c.slots[slot])
+	}
+}
+
+// tryIssue issues a picked instruction on the first free port of its
+// class. With none free the pick has used its selection slot for nothing
+// and the instruction retries next cycle: its BID bit stays set.
+func (c *Core) tryIssue(e *entry) {
+	cls := e.d.Inst.Op.Class()
+	for port, busy := range c.portBusy[cls] {
+		if busy <= c.cycle {
+			c.readyBid.Clear(e.slot)
+			c.readyPrio.Clear(e.slot)
+			c.execute(e, cls, port)
+			return
+		}
+	}
+}
+
+// drainWakeups applies the wakeups due this cycle; a key whose last
+// outstanding dependence resolves becomes a selection candidate.
 func (c *Core) drainWakeups() {
-	for len(c.wakeups) > 0 && c.wakeups[0].at <= c.cycle {
-		slot := c.wakeups.pop().slot
-		if c.waitCount[slot]--; c.waitCount[slot] == 0 {
-			c.setReady(int(slot))
+	for node := c.wakeups.due(c.waiterNext, c.cycle); node >= 0; node = c.waiterNext[node] {
+		key := node / 3
+		if c.waitCount[key]--; c.waitCount[key] == 0 {
+			c.setReady(int(key))
 		}
 	}
 }
@@ -535,56 +592,19 @@ func (c *Core) armDep(seq int64, slot, dep int) int {
 	if seq < 0 || uint64(seq) < c.headSeq {
 		return 0 // architecturally ready or committed
 	}
+	node := int32(slot*3 + dep)
 	p := c.robEntry(uint64(seq))
 	if p.done {
 		if p.doneAt <= c.cycle {
 			return 0
 		}
-		c.wakeups.push(p.doneAt, int32(slot))
+		c.wakeups.schedule(c.waiterNext, c.cycle, p.doneAt, node)
 		return 1
 	}
-	node := int32(slot*3 + dep)
 	robIdx := int32(uint64(seq) & c.robMask)
 	c.waiterNext[node] = c.waiterHead[robIdx]
 	c.waiterHead[robIdx] = node
 	return 1
-}
-
-// freePort returns an available port index in the class, or -1.
-func (c *Core) freePort(cls isa.PortClass) int {
-	for i, busy := range c.portBusy[cls] {
-		if busy <= c.cycle {
-			return i
-		}
-	}
-	return -1
-}
-
-// pick applies the configured scheduling policy to one selection. The
-// age-ordered policies scan from the ROB head's ring index: every waiting
-// instruction lies in the ring range [head, tail), so the first set bit in
-// that circular order is the oldest candidate.
-func (c *Core) pick(bid, prio *Bitset) int {
-	head := int(c.headSeq & c.robMask)
-	switch c.cfg.Scheduler {
-	case SchedCRISP:
-		if s := prio.FirstFrom(head); s >= 0 {
-			c.stats.IssuedCritical++
-			// Diagnostic: how many older ready entries did the PRIO pick
-			// bypass?
-			c.stats.QueueJumpSum += uint64(bid.CountRing(head, s))
-			return s
-		}
-		return bid.FirstFrom(head)
-	case SchedRandom:
-		n := bid.Count()
-		if n == 0 {
-			return -1
-		}
-		return bid.SelectNth(int(c.nextRand() % uint64(n)))
-	default:
-		return bid.FirstFrom(head)
-	}
 }
 
 func (c *Core) execute(e *entry, cls isa.PortClass, port int) {
@@ -646,8 +666,10 @@ func (c *Core) execute(e *entry, cls isa.PortClass, port int) {
 	// The completion cycle is now known: convert consumers that chained
 	// onto this producer into timed wakeups.
 	robIdx := int32(e.seq & c.robMask)
-	for node := c.waiterHead[robIdx]; node >= 0; node = c.waiterNext[node] {
-		c.wakeups.push(e.doneAt, node/3)
+	for node := c.waiterHead[robIdx]; node >= 0; {
+		next := c.waiterNext[node] // schedule relinks node through the same array
+		c.wakeups.schedule(c.waiterNext, c.cycle, e.doneAt, node)
+		node = next
 	}
 	c.waiterHead[robIdx] = -1
 
@@ -656,12 +678,9 @@ func (c *Core) execute(e *entry, cls isa.PortClass, port int) {
 		// path after the redirect penalty. An in-force longer block (an
 		// icache miss still filling) must not be shortened by the redirect,
 		// so the later deadline wins.
-		if until := e.doneAt + uint64(c.cfg.RedirectPenalty); until > c.fetchBlockedUntil {
-			c.fetchBlockedUntil = until
-		}
-		if until := e.doneAt + uint64(c.cfg.RedirectPenalty); until > c.redirectUntil {
-			c.redirectUntil = until
-		}
+		until := e.doneAt + uint64(c.cfg.RedirectPenalty)
+		c.fetchBlockedUntil = max(c.fetchBlockedUntil, until)
+		c.redirectUntil = max(c.redirectUntil, until)
 		if c.waitingBranchSeq == int64(e.seq) {
 			c.waitingBranchSeq = -1
 		}
@@ -701,14 +720,14 @@ func (c *Core) dispatch() {
 
 		seq := c.tailSeq
 		e := c.robEntry(seq)
-		*e = entry{
-			seq: seq, d: f.d, live: true,
-			critical:     f.d.Inst.Critical,
-			mispredicted: f.mispredicted,
-			dep1:         -1, dep2: -1, storeDep: -1,
-			slot: slot,
-		}
+		// Field by field, not a literal built aside and copied over. doneAt
+		// and served are the last occupant's until execute sets them, and
+		// done and issued with them, which is what their readers check.
+		e.seq, e.d, e.slot = seq, f.d, slot
 		in := f.d.Inst
+		e.critical, e.mispredicted = in.Critical, f.mispredicted
+		e.issued, e.done = false, false
+		e.dep1, e.dep2, e.storeDep = -1, -1, -1
 		if in.Src1.Valid() {
 			e.dep1 = c.regProd[in.Src1]
 		}
@@ -819,8 +838,13 @@ func (c *Core) fetch() {
 			c.streamDone = true
 			return
 		}
-		d, ok := c.em.Step()
-		if !ok {
+		// The emulator writes the µop where it will queue: the tail slot.
+		if c.fqLen == len(c.fetchQ) {
+			panic("core: fetch queue overflow")
+		}
+		f := &c.fetchQ[(c.fqHead+c.fqLen)&(len(c.fetchQ)-1)]
+		d := &f.d
+		if !c.em.StepInto(d) {
 			c.streamDone = true
 			return
 		}
@@ -846,17 +870,19 @@ func (c *Core) fetch() {
 			}
 		}
 
+		f.mispredicted, f.dispatchReadyAt = false, readyAt
+		c.fqLen++
+
 		if d.Inst.Op.IsBranch() {
 			mispredict, bubbleUntil := c.fetchBranch(d)
 			if mispredict {
-				c.pushFetched(d, true, readyAt)
+				f.mispredicted = true
 				c.mispredictPending = true
 				return
 			}
 			if bubbleUntil > c.fetchBlockedUntil {
 				c.fetchBlockedUntil = bubbleUntil
 			}
-			c.pushFetched(d, false, readyAt)
 			if d.Taken || c.fetchBlockedUntil > c.cycle {
 				// Taken branches end the fetch group; BTB-miss bubbles and
 				// icache misses stop fetch until resolved.
@@ -865,25 +891,16 @@ func (c *Core) fetch() {
 			continue
 		}
 
-		c.pushFetched(d, false, readyAt)
 		if icacheStall {
 			return
 		}
 	}
 }
 
-func (c *Core) pushFetched(d emu.DynInst, misp bool, readyAt uint64) {
-	if c.fqLen == len(c.fetchQ) {
-		panic("core: fetch queue overflow")
-	}
-	c.fetchQ[(c.fqHead+c.fqLen)&(len(c.fetchQ)-1)] = fqEntry{d: d, mispredicted: misp, dispatchReadyAt: readyAt}
-	c.fqLen++
-}
-
 // fetchBranch models prediction for one branch µop. It returns whether the
 // branch was mispredicted and, for correctly predicted taken branches that
 // miss the BTB, the cycle until which fetch bubbles (0 if none).
-func (c *Core) fetchBranch(d emu.DynInst) (mispredict bool, bubbleUntil uint64) {
+func (c *Core) fetchBranch(d *emu.DynInst) (mispredict bool, bubbleUntil uint64) {
 	in := d.Inst
 	pcAddr := c.prog.ByteAddr(d.PC)
 	c.stats.BranchExecs++

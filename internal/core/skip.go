@@ -42,7 +42,6 @@ func (c *Core) skipTarget() (uint64, bool) {
 	if c.readyBid.Any() {
 		return 0, false // selection candidates exist: issue can proceed next cycle
 	}
-	const never = ^uint64(0)
 	next := never
 
 	// Commit: a done ROB head retires at doneAt. A not-yet-issued head
@@ -57,12 +56,11 @@ func (c *Core) skipTarget() (uint64, bool) {
 		}
 	}
 
-	// Issue: the wakeup heap's minimum is the earliest cycle any RS slot
-	// can become a selection candidate (issue() already drained every
-	// wakeup due at or before the current cycle).
-	if len(c.wakeups) > 0 && c.wakeups[0].at < next {
-		next = c.wakeups[0].at
-	}
+	// Issue: the earliest pending wakeup is the first cycle any waiting
+	// instruction can become a selection candidate (issue() already took
+	// this cycle's). The wheel relies on this being the exact cycle: a
+	// jump past a wakeup would leave it in its bucket for another turn.
+	next = min(next, c.wakeups.earliest(c.cycle))
 
 	// Dispatch: a queued µop past its frontend latency dispatches as soon
 	// as the blocking backend resource frees — and those resources only

@@ -329,16 +329,17 @@ func (e *Emulator) PC() int { return e.pc }
 // false once the program has halted. Step panics on a control-flow transfer
 // outside the program, which indicates a broken kernel.
 func (e *Emulator) Step() (d DynInst, ok bool) {
-	ok = e.step(&d)
+	ok = e.StepInto(&d)
 	return d, ok
 }
 
-// step is Step writing the record where its caller wants it. Step is small
-// enough to inline, so every caller's record is filled in place: a six-word
-// struct returned by value comes back in registers and is copied to its
-// variable through a spill, word stores read back as vector loads, which
-// stalled the warmed fast-forward loop for a tenth of a capture.
-func (e *Emulator) step(d *DynInst) bool {
+// StepInto is Step writing the record where its caller wants it (the core
+// passes its fetch queue's tail slot). Step is small enough to inline, so
+// every caller's record is filled in place: a six-word struct returned by
+// value comes back in registers and is copied to its variable through a
+// spill, word stores read back as vector loads, which stalled the warmed
+// fast-forward loop for a tenth of a capture.
+func (e *Emulator) StepInto(d *DynInst) bool {
 	if e.done {
 		*d = DynInst{}
 		return false
@@ -519,7 +520,7 @@ func (e *Emulator) FastForwardFrom(limit uint64, w Warmer, lastLine uint64) (uin
 		return n, lastLine
 	}
 	var d DynInst
-	for n < limit && e.step(&d) {
+	for n < limit && e.StepInto(&d) {
 		n++
 		if line := e.prog.ByteAddr(d.PC) &^ 63; line != lastLine {
 			lastLine = line
