@@ -51,7 +51,6 @@ func run() int {
 		listen       = flag.String("listen", ":8080", "address to serve the job API on")
 		storeDir     = flag.String("store", "", "shared persistent result store directory (strongly recommended: without it a restart loses all results)")
 		workers      = flag.Int("workers", runtime.NumCPU(), "max concurrent simulations")
-		winWorkers   = flag.Int("window-workers", 0, "concurrent detailed windows per sampled run (0 = GOMAXPROCS, 1 = sequential)")
 		queue        = flag.Int("queue", 256, "max jobs queued or running before submissions get 429")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "how long to let in-flight jobs finish on SIGTERM before cancelling them")
 		metricsOut   = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
@@ -80,12 +79,11 @@ func run() int {
 	}
 
 	s, err := crispd.New(context.Background(), crispd.Options{
-		Store:         *storeDir,
-		Workers:       *workers,
-		WindowWorkers: *winWorkers,
-		Queue:         *queue,
-		MetricsJSONL:  *metricsOut,
-		MetricsCSV:    *metricsCSV,
+		Store:        *storeDir,
+		Workers:      *workers,
+		Queue:        *queue,
+		MetricsJSONL: *metricsOut,
+		MetricsCSV:   *metricsCSV,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crispd:", err)

@@ -69,7 +69,6 @@ func run() int {
 		sampled    = flag.Bool("sampled", false, "sample: fast-forward with functional warming, simulate short detailed windows (schedule from -insts)")
 		windows    = flag.Int("windows", 0, "with -sampled: detailed window count (0 = auto)")
 		window     = flag.Uint64("window", 0, "with -sampled: instructions per detailed window (0 = auto)")
-		winWorkers = flag.Int("window-workers", 0, "concurrent detailed windows per sampled run (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -127,7 +126,7 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	r, err := runner.New(ctx, runner.Options{
-		Workers: 1, CacheDir: *storeDir, WindowWorkers: *winWorkers,
+		Workers: 1, CacheDir: *storeDir,
 		MetricsJSONL: *metricsOut, MetricsCSV: *metricsCSV,
 		Remote: remote,
 	})

@@ -65,7 +65,6 @@ func run() int {
 		only       = flag.String("only", "", "comma-separated workload subset")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jobs       = flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
-		winWorkers = flag.Int("window-workers", 0, "concurrent detailed windows per sampled run (0 = GOMAXPROCS, 1 = sequential)")
 		storeDir   = flag.String("store", "", "persist results and checkpoint sets in this directory, shared safely between processes")
 		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL; excludes -store")
 		metricsOut = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
@@ -139,7 +138,7 @@ func run() int {
 	}
 
 	r, err := runner.New(ctx, runner.Options{
-		Workers: *jobs, CacheDir: *storeDir, WindowWorkers: *winWorkers,
+		Workers: *jobs, CacheDir: *storeDir,
 		MetricsJSONL: *metricsOut, MetricsCSV: *metricsCSV,
 		Remote: remote,
 	})

@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,8 +56,11 @@ func BenchmarkCaptureWarm(b *testing.B) {
 					pfs[k.name] = k.mk()
 				}
 				b.StartTimer()
-				set := checkpoint.Capture(img.Prog, em, cache.DefaultHierConfig(), 8192, 4, 32, pfs,
+				set, err := checkpoint.CaptureContext(context.Background(), img.Prog, em, cache.DefaultHierConfig(), 8192, 4, 32, pfs,
 					checkpoint.Params{Warm: insts - 1000, Window: 1000, Count: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
 				if set.WarmInsts != insts {
 					b.Fatalf("warmed %d instructions, want %d", set.WarmInsts, insts)
 				}

@@ -273,24 +273,18 @@ func (w *warmer) snapshot() map[string]*Variant {
 	return out
 }
 
-// Capture runs the single functional pass over em (an emulator positioned
-// at the workload entry with its image loaded) and returns the checkpoint
-// Set for the given schedule. Warming state is continuous across the
-// whole pass — skip phases advance without warming, warm and window
-// phases stream into it — so later windows see the accumulated history a
-// real execution would have. btbEntries/btbWays/rasEntries size the
-// warmed frontend structures and must match the core configuration that
-// will restore them; pfs supplies one fresh prefetcher per configuration
-// kind (nil for a kind that runs without one), each warmed against its
-// own cache hierarchy (the instances are trained in place).
-func Capture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) *Set {
-	set, _ := CaptureContext(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p)
-	return set
-}
-
-// CaptureContext is Capture with cancellation: the pass looks at ctx
-// every sliceInsts instructions, and on cancellation returns
-// (nil, ctx.Err()), the partial capture discarded.
+// CaptureContext runs the single functional pass over em (an emulator
+// positioned at the workload entry with its image loaded) and returns the
+// checkpoint Set for the given schedule. Warming state is continuous
+// across the whole pass — skip phases advance without warming, warm and
+// window phases stream into it — so later windows see the accumulated
+// history a real execution would have. btbEntries/btbWays/rasEntries size
+// the warmed frontend structures and must match the core configuration
+// that will restore them; pfs supplies one fresh prefetcher per
+// configuration kind (nil for a kind that runs without one), each warmed
+// against its own cache hierarchy (the instances are trained in place).
+// The pass looks at ctx every sliceInsts instructions, and on
+// cancellation returns (nil, ctx.Err()), the partial capture discarded.
 func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) (*Set, error) {
 	start := time.Now()
 	w := newCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, pfs)

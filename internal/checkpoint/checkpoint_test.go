@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -42,7 +43,10 @@ func testCapture(t *testing.T, p Params) (*program.Program, *Set) {
 		"bop":  prefetch.NewBOP(),
 		"none": nil,
 	}
-	set := Capture(prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs, p)
+	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return prog, set
 }
 
@@ -151,7 +155,10 @@ func TestCaptureHaltingProgram(t *testing.T) {
 	b.MovI(isa.R(1), 1)
 	b.Halt()
 	prog := b.MustBuild()
-	set := Capture(prog, emu.New(prog, nil), cache.DefaultHierConfig(), 128, 4, 16, nil, Params{Warm: 100, Window: 100, Count: 4})
+	set, err := CaptureContext(context.Background(), prog, emu.New(prog, nil), cache.DefaultHierConfig(), 128, 4, 16, nil, Params{Warm: 100, Window: 100, Count: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(set.Points) != 0 {
 		t.Errorf("points for halted program = %d, want 0", len(set.Points))
 	}

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"crisp/internal/cache"
@@ -33,8 +34,12 @@ func codecCapture(t *testing.T) *Set {
 		"ghb":        prefetch.NewGHB(512),
 		"none":       nil,
 	}
-	return Capture(prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs,
+	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs,
 		Params{Skip: 100, Warm: 2000, Window: 500, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 // TestCodecRoundTrip: decode(encode(set)) must preserve every field the
@@ -142,8 +147,11 @@ func TestCodecPageDedup(t *testing.T) {
 	for pg := int64(0); pg < 32; pg++ {
 		mem.WriteWord(uint64(0x100000+pg*4096), pg)
 	}
-	set := Capture(prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
+	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
 		map[string]prefetch.Prefetcher{"none": nil}, Params{Skip: 100, Warm: 500, Window: 100, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(set.Points) != 3 {
 		t.Fatalf("captured %d points, want 3", len(set.Points))
 	}
@@ -197,9 +205,12 @@ func TestCodecSingleVariant(t *testing.T) {
 	for i := int64(0); i < 64; i++ {
 		mem.WriteWord(uint64(0x4000+8*i), i)
 	}
-	set := Capture(prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
+	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
 		map[string]prefetch.Prefetcher{"stride": prefetch.NewStride(256)},
 		Params{Warm: 2000, Window: 500, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const key = "single-variant-key"
 	enc := EncodeSet(set, key)
 	dec, err := DecodeSet(enc, key)
@@ -231,9 +242,12 @@ func TestCodecZeroPageMemory(t *testing.T) {
 	b.AddI(isa.R(1), isa.R(1), 1)
 	b.Jmp("loop")
 	prog := b.MustBuild()
-	set := Capture(prog, emu.New(prog, emu.NewMemory()), cache.DefaultHierConfig(), 128, 4, 16,
+	set, err := CaptureContext(context.Background(), prog, emu.New(prog, emu.NewMemory()), cache.DefaultHierConfig(), 128, 4, 16,
 		map[string]prefetch.Prefetcher{"none": nil},
 		Params{Warm: 1000, Window: 200, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(set.Points) == 0 {
 		t.Fatal("no points captured")
 	}

@@ -63,7 +63,10 @@ func tinySet(t testing.TB) *Set {
 		"ghb":        prefetch.NewGHB(16),
 		"none":       nil,
 	}
-	set := Capture(prog, em, tinyHier(), 16, 2, 4, pfs, Params{Skip: 10, Warm: 300, Window: 100, Count: 2})
+	set, err := CaptureContext(context.Background(), prog, em, tinyHier(), 16, 2, 4, pfs, Params{Skip: 10, Warm: 300, Window: 100, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, pt := range set.Points {
 		pt.BP = tinyTAGE(uint64(i) + 3)
 	}

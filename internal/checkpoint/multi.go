@@ -195,7 +195,7 @@ func scalePace(insts uint64, pace float64) uint64 {
 	return out
 }
 
-// CaptureMulti runs the co-scheduled functional pass over ems (one
+// CaptureMultiContext runs the co-scheduled functional pass over ems (one
 // emulator per core, positioned at its workload entry) and returns the
 // MultiSet for the given per-core schedule. One shared hierarchy is
 // warmed for the whole pass: skip phases advance cores without warming,
@@ -204,13 +204,7 @@ func scalePace(insts uint64, pace float64) uint64 {
 // rate ratio. pfs supplies one fresh prefetcher per core (nil for a core
 // that runs without one), trained in place against that core's view.
 // pace holds each core's relative co-run speed (nil = all 1.0; see
-// MultiSet.Pace); entries are clamped to [minPace, 1].
-func CaptureMulti(progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) *MultiSet {
-	set, _ := CaptureMultiContext(context.Background(), progs, ems, hcfg, btbEntries, btbWays, rasEntries, pfs, p, pace)
-	return set
-}
-
-// CaptureMultiContext is CaptureMulti with cancellation: the pass looks at
+// MultiSet.Pace); entries are clamped to [minPace, 1]. The pass looks at
 // ctx between interleave rounds, and on cancellation returns
 // (nil, ctx.Err()), the partial capture discarded.
 func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) (*MultiSet, error) {

@@ -7,6 +7,7 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 
@@ -39,7 +40,10 @@ func privatePages(set *checkpoint.Set) int {
 // holding no page at all, the writing ones' holding some.
 func TestWorkloadSetsRoundTrip(t *testing.T) {
 	for name, writes := range map[string]bool{"mcf": false, "moses": true, "streambatch": true} {
-		set := sim.CaptureCheckpoints(workload.ByName(name).Build(workload.Ref), sim.DefaultConfig(), oracleSchedule)
+		set, err := sim.CaptureCheckpointsContext(context.Background(), workload.ByName(name).Build(workload.Ref), sim.DefaultConfig(), oracleSchedule)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := checkpoint.RefEncodeSet(set, name)
 		enc := checkpoint.EncodeSet(set, name)
 		dec, err := checkpoint.DecodeSet(enc, name)
@@ -67,7 +71,7 @@ func TestWorkloadSetsRoundTrip(t *testing.T) {
 		return []*sim.Image{workload.ByName("tailchase").Build(workload.Ref), workload.ByName("streambatch").Build(workload.Ref)}
 	}
 	cfgs := []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}
-	mset, err := sim.CaptureMultiCheckpoints(build(), cfgs, oracleSchedule)
+	mset, err := sim.CaptureMultiCheckpointsContext(context.Background(), build(), cfgs, oracleSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,10 @@ func TestSetSizeAndSharing(t *testing.T) {
 	}
 	for _, name := range []string{"mcf", "bwaves"} {
 		w := workload.ByName(name)
-		set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), sim.AutoSampling(2_000_000))
+		set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), sim.AutoSampling(2_000_000))
+		if err != nil {
+			t.Fatal(err)
+		}
 		enc := checkpoint.EncodeSet(set, name)
 		if len(enc) >= 8<<20 {
 			t.Errorf("%s: set encodes to %.1f MB, want under 8", name, float64(len(enc))/1e6)
@@ -158,8 +165,15 @@ func TestCaptureWarmerMatchesOracle(t *testing.T) {
 		set.HostNS = 0
 		return checkpoint.EncodeSet(set, name)
 	}
+	captureContext := func(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p checkpoint.Params) *checkpoint.Set {
+		set, err := checkpoint.CaptureContext(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
 	for _, name := range []string{"mcf", "moses", "lbm", "memcached"} {
-		if !bytes.Equal(capture(name, checkpoint.Capture), capture(name, checkpoint.RefCapture)) {
+		if !bytes.Equal(capture(name, captureContext), capture(name, checkpoint.RefCapture)) {
 			t.Errorf("%s: the set encodes differently from the one the per-variant warmer captures", name)
 		}
 	}

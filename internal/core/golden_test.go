@@ -10,6 +10,7 @@ package core_test
 // optimization.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestGoldenMultiEquivalence(t *testing.T) {
 		cfgs[i] = sim.DefaultConfig().WithSched(tc.sched)
 		cfgs[i].Core.MaxInsts = tc.insts
 	}
-	m, err := sim.RunMulti(imgs, cfgs)
+	m, err := sim.RunMultiContext(context.Background(), imgs, cfgs)
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestMultiSkipEquivalence(t *testing.T) {
 						cfgs[i].Core.UPCWindow = 500
 						cfgs[i].Core.DebugNoSkip = noskip
 					}
-					m, err := sim.RunMulti(imgs, cfgs)
+					m, err := sim.RunMultiContext(context.Background(), imgs, cfgs)
 					if err != nil {
 						t.Fatalf("RunMulti: %v", err)
 					}
@@ -82,7 +83,7 @@ func TestMultiSkipCoverage(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].Core.MaxInsts = 40_000
 	}
-	m, err := sim.RunMulti(imgs, cfgs)
+	m, err := sim.RunMultiContext(context.Background(), imgs, cfgs)
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}

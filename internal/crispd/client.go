@@ -26,8 +26,8 @@ import (
 // Submissions use ?wait=1 so the response carries the result; 429
 // backpressure is retried honoring Retry-After until the caller's
 // context expires. The request path is a set of package-level generic
-// functions over the result type (submit, postOnce, finish, status), so
-// each reply body is parsed once, straight into the typed result (reply).
+// functions over the result type (submit, finish, status), so each reply
+// body is parsed once, straight into the typed result (reply).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -47,43 +47,55 @@ const maxResultBytes = 256 << 20
 
 // Run submits a single-core simulation and blocks for its result.
 func (c *Client) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error) {
-	return submit[core.Result](ctx, c, "/v1/runs", spec)
+	return submit[core.Result](ctx, c, runKind.path, spec)
 }
 
 // RunMulti submits a multi-core co-run and blocks for its result.
 func (c *Client) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiResult, error) {
-	return submit[sim.MultiResult](ctx, c, "/v1/multi", spec)
+	return submit[sim.MultiResult](ctx, c, multiKind.path, spec)
 }
 
 // Analysis submits a criticality-analysis pipeline task.
 func (c *Client) Analysis(ctx context.Context, spec runner.AnalysisSpec) (*crisp.Analysis, error) {
-	return submit[crisp.Analysis](ctx, c, "/v1/analyses", spec)
+	return submit[crisp.Analysis](ctx, c, analysisKind.path, spec)
 }
 
 // Footprint submits a slice-footprint pipeline task.
 func (c *Client) Footprint(ctx context.Context, spec runner.AnalysisSpec) (*crisp.Footprint, error) {
-	return submit[crisp.Footprint](ctx, c, "/v1/footprints", spec)
+	return submit[crisp.Footprint](ctx, c, footprintKind.path, spec)
 }
 
 // Statsz fetches the server's counters.
 func (c *Client) Statsz(ctx context.Context) (Statsz, error) {
 	var st Statsz
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/statsz", nil)
+	resp, body, err := c.do(ctx, http.MethodGet, "/v1/statsz", nil)
 	if err != nil {
 		return st, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return st, fmt.Errorf("crispd client: statsz: %w", err)
-	}
-	body, rerr := readReply(resp)
-	if rerr != nil {
-		return st, fmt.Errorf("crispd client: statsz: %w", rerr)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return st, fmt.Errorf("crispd client: statsz: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	return st, json.Unmarshal(body, &st)
+}
+
+// do performs one request and reads the whole reply.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crispd client: %w", err)
+	}
+	rb, err := readReply(resp)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crispd client: read response: %w", err)
+	}
+	return resp, rb, nil
 }
 
 // readReply reads and closes a response body, at most maxResultBytes of
@@ -119,54 +131,34 @@ func decodeReply[T any](body []byte) (reply[T], error) {
 	return rep, nil
 }
 
-// submit POSTs spec to path with ?wait=1, retries 429 backpressure, and
-// returns the terminal job's result.
+// submit POSTs spec to path with ?wait=1, waits out 429 backpressure as
+// long as the server asks, and returns the terminal job's result.
 func submit[T any](ctx context.Context, c *Client, path string, spec any) (*T, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("crispd client: marshal spec: %w", err)
 	}
 	for {
-		rep, retry, err := postOnce[T](ctx, c, path, body)
+		resp, rb, err := c.do(ctx, http.MethodPost, path+"?wait=1", body)
 		if err != nil {
 			return nil, err
 		}
-		if retry > 0 {
+		switch resp.StatusCode {
+		case http.StatusTooManyRequests:
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(retry):
+			case <-time.After(retryAfter(resp, time.Second)):
 			}
-			continue
+		case http.StatusOK, http.StatusAccepted:
+			rep, err := decodeReply[T](rb)
+			if err != nil {
+				return nil, err
+			}
+			return finish(ctx, c, rep)
+		default:
+			return nil, fmt.Errorf("crispd client: %s %s: %s: %s", http.MethodPost, path, resp.Status, strings.TrimSpace(string(rb)))
 		}
-		return finish(ctx, c, rep)
-	}
-}
-
-// postOnce performs one submission attempt. A positive retry means the
-// server pushed back (429) and the caller should wait that long.
-func postOnce[T any](ctx context.Context, c *Client, path string, body []byte) (reply[T], time.Duration, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path+"?wait=1", bytes.NewReader(body))
-	if err != nil {
-		return reply[T]{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return reply[T]{}, 0, fmt.Errorf("crispd client: %w", err)
-	}
-	rb, rerr := readReply(resp)
-	if rerr != nil {
-		return reply[T]{}, 0, fmt.Errorf("crispd client: read response: %w", rerr)
-	}
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests:
-		return reply[T]{}, retryAfter(resp, time.Second), nil
-	case http.StatusOK, http.StatusAccepted:
-		rep, err := decodeReply[T](rb)
-		return rep, 0, err
-	default:
-		return reply[T]{}, 0, fmt.Errorf("crispd client: %s %s: %s: %s", http.MethodPost, path, resp.Status, strings.TrimSpace(string(rb)))
 	}
 }
 
@@ -195,17 +187,9 @@ func finish[T any](ctx context.Context, c *Client, rep reply[T]) (*T, error) {
 
 // status polls GET /v1/runs/{key}.
 func status[T any](ctx context.Context, c *Client, key string) (reply[T], error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+key, nil)
+	resp, rb, err := c.do(ctx, http.MethodGet, "/v1/runs/"+key, nil)
 	if err != nil {
 		return reply[T]{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return reply[T]{}, fmt.Errorf("crispd client: %w", err)
-	}
-	rb, rerr := readReply(resp)
-	if rerr != nil {
-		return reply[T]{}, fmt.Errorf("crispd client: read status: %w", rerr)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return reply[T]{}, fmt.Errorf("crispd client: status %s: %s: %s", key, resp.Status, strings.TrimSpace(string(rb)))

@@ -23,20 +23,18 @@ type resultCache struct {
 	budget  int64
 	bytes   int64
 	order   *list.List // of *cachedResult, most recently served first
-	entries map[cacheKey]*list.Element
+	entries map[jobID]*list.Element
 
 	hits, misses, evictions int64
 }
 
-type cacheKey struct{ kind, key string }
-
 type cachedResult struct {
-	at  cacheKey
+	at  jobID
 	raw json.RawMessage
 }
 
 func newResultCache(budget int64) *resultCache {
-	return &resultCache{budget: budget, order: list.New(), entries: make(map[cacheKey]*list.Element)}
+	return &resultCache{budget: budget, order: list.New(), entries: make(map[jobID]*list.Element)}
 }
 
 // get returns the cached bytes for (kind, key), marking them most
@@ -44,7 +42,7 @@ func newResultCache(budget int64) *resultCache {
 func (c *resultCache) get(kind, key string) (json.RawMessage, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[cacheKey{kind, key}]
+	el, ok := c.entries[jobID{kind, key}]
 	if !ok {
 		c.misses++
 		return nil, false
@@ -62,7 +60,7 @@ func (c *resultCache) add(kind, key string, raw json.RawMessage) {
 	size := int64(len(raw))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	at := cacheKey{kind, key}
+	at := jobID{kind, key}
 	if _, dup := c.entries[at]; dup || size > c.budget {
 		return
 	}

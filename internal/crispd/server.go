@@ -1,16 +1,19 @@
 // Package crispd implements the sweep job server: a long-lived HTTP
-// service in front of the runner/store machinery that accepts RunSpecs
-// from many clients, deduplicates them against the persistent store and
-// the in-flight job table, executes them on a bounded worker pool, and
-// streams progress.
+// service in front of the runner/store machinery that accepts specs of
+// the kinds in its kind table (kinds.go: one row per kind, from which the
+// routes, the admission gate, the store loaders and the client's paths
+// all come) from many clients, deduplicates them against the persistent
+// store and the in-flight job table, executes them on a bounded worker
+// pool, and streams progress.
 //
 // The layering is strict: crispd adds no simulation semantics. A spec's
-// content key is its identity here exactly as it is in the runner's
-// memo table and the store's file names, so the same dedup guarantee
-// holds end to end — any number of clients submitting one spec cost one
-// simulation, whether they collide in the job table (this process), the
-// advisory file locks (a sibling process on the same store), or the
-// store itself (a finished entry is served without a queue slot).
+// kind and content key are its identity here exactly as they are in the
+// runner's memo table and the store's file names, so the same dedup
+// guarantee holds end to end — any number of clients submitting one spec
+// cost one simulation, whether they collide in the job table (this
+// process), the advisory file locks (a sibling process on the same
+// store), or the store itself (a finished entry is served without a
+// queue slot).
 //
 // Robustness contract:
 //
@@ -39,8 +42,6 @@ import (
 	"sync"
 	"time"
 
-	"crisp/internal/core"
-	"crisp/internal/crisp"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
@@ -52,9 +53,6 @@ type Options struct {
 	Store string
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// WindowWorkers mirrors the runner option: concurrent detailed windows
-	// per sampled run (0 = GOMAXPROCS, 1 = sequential).
-	WindowWorkers int
 	// Queue bounds jobs that are queued or running; submissions beyond
 	// it get 429 + Retry-After (0 = 256).
 	Queue int
@@ -67,7 +65,6 @@ type Options struct {
 // Server is the crispd job server. Create with New, mount Handler on an
 // http.Server, and call Drain on shutdown.
 type Server struct {
-	opts       Options
 	r          *runner.Runner
 	jobsCtx    context.Context
 	stopJobs   context.CancelFunc
@@ -77,16 +74,21 @@ type Server struct {
 	published *resultCache // wire bytes of validated store entries; has its own lock
 
 	mu       sync.Mutex
-	jobs     map[string]*job
+	jobs     map[jobID]*job
 	active   int // jobs queued or running
 	draining bool
 	wg       sync.WaitGroup // one per job goroutine
 }
 
+// jobID names a job, and the published entry it leaves: an analysis and a
+// footprint of one AnalysisSpec share a content key, so the key alone
+// does not.
+type jobID struct{ kind, key string }
+
 // job is one tracked submission. All fields are guarded by Server.mu
 // except done, which is closed exactly once by the job goroutine.
 type job struct {
-	key, kind                    string
+	id                           jobID
 	state                        JobState
 	err                          error
 	submitted, started, finished time.Time
@@ -103,24 +105,22 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	}
 	jobsCtx, stop := context.WithCancel(ctx)
 	s := &Server{
-		opts:       opts,
 		jobsCtx:    jobsCtx,
 		stopJobs:   stop,
 		queueLimit: opts.Queue,
 		start:      time.Now(),
-		jobs:       make(map[string]*job),
+		jobs:       make(map[jobID]*job),
 		published:  newResultCache(resultCacheBudget),
 	}
 	if s.queueLimit <= 0 {
 		s.queueLimit = 256
 	}
 	r, err := runner.New(jobsCtx, runner.Options{
-		Workers:       opts.Workers,
-		WindowWorkers: opts.WindowWorkers,
-		CacheDir:      opts.Store,
-		MetricsJSONL:  opts.MetricsJSONL,
-		MetricsCSV:    opts.MetricsCSV,
-		OnEvent:       s.onTaskEvent,
+		Workers:      opts.Workers,
+		CacheDir:     opts.Store,
+		MetricsJSONL: opts.MetricsJSONL,
+		MetricsCSV:   opts.MetricsCSV,
+		OnEvent:      s.onTaskEvent,
 	})
 	if err != nil {
 		stop()
@@ -154,68 +154,65 @@ func (s *Server) onTaskEvent(ev runner.TaskEvent) {
 			note += ": " + ev.Err.Error()
 		}
 		for _, j := range s.jobs {
-			if j.state.terminal() || len(j.subs) == 0 {
-				continue
-			}
-			st := j.statusLocked(false)
-			st.Task = note
-			for _, ch := range j.subs {
-				select {
-				case ch <- st:
-				default:
-				}
+			if !j.state.terminal() && len(j.subs) > 0 {
+				j.notifyLocked(note)
 			}
 		}
 		return
 	}
-	j := s.jobs[ev.Key]
+	j := s.jobs[jobID{ev.Kind, ev.Key}]
 	if j == nil || j.state.terminal() {
 		return
 	}
 	if ev.State == runner.TaskRunning && j.state == StateQueued {
 		j.state = StateRunning
 		j.started = time.Now()
-		j.notifyLocked()
+		j.notifyLocked("")
 	}
 }
 
-// Submission errors mapped to HTTP statuses by the handlers.
+// Why a valid submission is turned away, and what refuse answers.
 var (
 	errDraining = errors.New("crispd: draining, not accepting new work")
 	errBusy     = errors.New("crispd: job queue full")
 )
 
-// submitLocked attaches to an existing job for key or starts a new one.
+// refuse answers a submission the queue did not take: 503 while
+// draining, 429 with Retry-After when full.
+func refuse(w http.ResponseWriter, err error) {
+	code := http.StatusServiceUnavailable
+	if errors.Is(err, errBusy) {
+		w.Header().Set("Retry-After", "1")
+		code = http.StatusTooManyRequests
+	}
+	http.Error(w, err.Error(), code)
+}
+
+// submitLocked attaches to an existing job for id or starts a new one.
 // Callers hold s.mu and have already consulted the store.
-func (s *Server) submitLocked(kind, key string, timeout time.Duration, exec func(context.Context) (any, error)) (*job, error) {
+func (s *Server) submitLocked(id jobID, timeout time.Duration, exec execFunc) (*job, error) {
 	if s.draining {
 		return nil, errDraining
 	}
-	if j, ok := s.jobs[key]; ok && j.state != StateFailed {
+	if j, ok := s.jobs[id]; ok && j.state != StateFailed {
 		return j, nil // idempotent: queued/running attaches, done returns
 	}
 	if s.active >= s.queueLimit {
 		return nil, errBusy
 	}
-	j := &job{key: key, kind: kind, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
-	s.jobs[key] = j // a failed predecessor is replaced: resubmission restarts
+	j := &job{id: id, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
+	s.jobs[id] = j // a failed predecessor is replaced: resubmission restarts
 	s.active++
 	s.wg.Add(1)
 	go s.execute(j, timeout, exec)
 	return j, nil
 }
 
-func (s *Server) submit(kind, key string, timeout time.Duration, exec func(context.Context) (any, error)) (*job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitLocked(kind, key, timeout, exec)
-}
-
 // execute runs one job to completion on the server's job context, with
 // the submission's deadline (if any) layered on top — this is the
 // per-request deadline the issue promises: it flows into sim.RunContext
 // and stops the cycle loop mid-simulation.
-func (s *Server) execute(j *job, timeout time.Duration, exec func(context.Context) (any, error)) {
+func (s *Server) execute(j *job, timeout time.Duration, exec execFunc) {
 	defer s.wg.Done()
 	ctx := s.jobsCtx
 	if timeout > 0 {
@@ -241,7 +238,7 @@ func (s *Server) execute(j *job, timeout time.Duration, exec func(context.Contex
 		j.state, j.raw = StateDone, raw
 	}
 	s.active--
-	j.notifyLocked()
+	j.notifyLocked("")
 	for _, ch := range j.subs {
 		close(ch)
 	}
@@ -253,7 +250,7 @@ func (s *Server) execute(j *job, timeout time.Duration, exec func(context.Contex
 // status shares the job's encoded bytes (read-only once done): no
 // encoding happens under s.mu.
 func (j *job) statusLocked(withResult bool) JobStatus {
-	st := JobStatus{Key: j.key, Kind: j.kind, State: j.state, Submitted: unixNS(j.submitted), Started: unixNS(j.started), Finished: unixNS(j.finished)}
+	st := JobStatus{Key: j.id.key, Kind: j.id.kind, State: j.state, Submitted: unixNS(j.submitted), Started: unixNS(j.started), Finished: unixNS(j.finished)}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
@@ -270,12 +267,13 @@ func unixNS(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// notifyLocked fans the (result-free) status out to subscribers without
-// blocking: the channels are buffered beyond the number of lifecycle
-// transitions, so a send can only be dropped on a subscriber that has
-// already stopped reading.
-func (j *job) notifyLocked() {
+// notifyLocked fans the (result-free) status, annotated with task, out
+// to subscribers without blocking: the channels are buffered beyond the
+// number of lifecycle transitions, so a send can only be dropped on a
+// subscriber that has already stopped reading.
+func (j *job) notifyLocked(task string) {
 	st := j.statusLocked(false)
+	st.Task = task
 	for _, ch := range j.subs {
 		select {
 		case ch <- st:
@@ -284,13 +282,24 @@ func (j *job) notifyLocked() {
 	}
 }
 
+// jobLocked finds the job of any kind under key, in table order: a status
+// poll names no kind.
+func (s *Server) jobLocked(key string) *job {
+	for _, k := range kinds {
+		if j := s.jobs[jobID{k.name, key}]; j != nil {
+			return j
+		}
+	}
+	return nil
+}
+
 // subscribe registers a progress listener for key, returning the
 // current status alongside. A nil channel with ok=true means the job is
 // already terminal: the snapshot is all there is to stream.
 func (s *Server) subscribe(key string) (cur JobStatus, ch chan JobStatus, cancel func(), ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[key]
+	j := s.jobLocked(key)
 	if j == nil {
 		return JobStatus{}, nil, nil, false
 	}
@@ -352,10 +361,9 @@ func (s *Server) Close() error {
 // Handler returns the crispd HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", s.handleRuns)
-	mux.HandleFunc("POST /v1/multi", s.handleMulti)
-	mux.HandleFunc("POST /v1/analyses", s.handleAnalyses)
-	mux.HandleFunc("POST /v1/footprints", s.handleFootprints)
+	for _, k := range kinds {
+		mux.HandleFunc("POST "+k.path, func(w http.ResponseWriter, req *http.Request) { s.handleSubmit(w, req, k) })
+	}
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweeps)
 	mux.HandleFunc("GET /v1/runs/{key}", s.handleStatus)
 	mux.HandleFunc("GET /v1/runs/{key}/events", s.handleEvents)
@@ -371,14 +379,10 @@ const maxSpecBytes = 8 << 20
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxSpecBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
 		return nil, false
 	}
 	return body, true
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	http.Error(w, msg, code)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -402,7 +406,7 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	st.Result = nil
 	head, err := json.Marshal(st)
 	if err != nil { // a struct of strings and integers: cannot fail
-		httpError(w, http.StatusInternalServerError, err.Error())
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	body := make([]byte, 0, len(head)+len(`,"result":`)+len(raw)+1)
@@ -416,147 +420,35 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	w.Write(body) //nolint:errcheck // client gone = nothing to do
 }
 
-// checkBounded rejects specs that would simulate forever: remote
-// submissions must carry an instruction budget or a sampling schedule
-// (locally, "0 = run to Halt" is usable; the suite's kernels never
-// halt, and a server must not accept a job it can never finish).
-func checkBounded(spec sim.RunSpec) error {
-	if spec.Insts == 0 && spec.Sampling == nil {
-		return fmt.Errorf("unbounded spec %q: a remote run needs insts > 0 or a sampling schedule", spec.Workload)
-	}
-	return nil
-}
-
-// validateRun is the full submission gate for one RunSpec.
-func validateRun(spec sim.RunSpec) error {
-	if err := runner.ValidateWorkloads([]string{spec.Workload}); err != nil {
-		return err
-	}
-	return checkBounded(spec)
-}
-
-func validateMulti(spec sim.MultiSpec) error {
-	for i, cs := range spec.Cores {
-		if err := runner.ValidateWorkloads([]string{cs.Workload}); err != nil {
-			return fmt.Errorf("core %d: %w", i, err)
-		}
-		// A spec-level sampling schedule bounds every core (the per-core
-		// budget is Sampling.Total(); Validate enforces that clauses then
-		// carry no Insts of their own), so only full-detail specs need a
-		// per-clause budget.
-		if spec.Sampling != nil {
-			continue
-		}
-		if err := checkBounded(cs); err != nil {
-			return fmt.Errorf("core %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (s *Server) handleRuns(w http.ResponseWriter, req *http.Request) {
+// handleSubmit is the one submission handler: the row's strict decode
+// and admission gate, the store fast path, queue admission, an optional
+// synchronous wait, the status response.
+func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind) {
 	body, ok := readBody(w, req)
 	if !ok {
 		return
 	}
-	spec, err := sim.DecodeRunSpec(body)
+	key, exec, err := k.job(s.r, body)
+	var timeout time.Duration
 	if err == nil {
-		err = validateRun(spec)
+		timeout, err = parseTimeout(req)
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.finishSubmit(w, req, runner.KindRun, spec.Key(),
-		func(ctx context.Context) (any, error) { return s.r.Run(ctx, spec) })
-}
-
-func (s *Server) handleMulti(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	spec, err := sim.DecodeMultiSpec(body)
-	if err == nil {
-		err = validateMulti(spec)
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.finishSubmit(w, req, runner.KindMulti, spec.Key(),
-		func(ctx context.Context) (any, error) { return s.r.RunMulti(ctx, spec) })
-}
-
-// decodeAnalysisSpec strictly decodes the pipeline spec shared by the
-// analyses and footprints endpoints.
-func decodeAnalysisSpec(body []byte) (runner.AnalysisSpec, error) {
-	var spec runner.AnalysisSpec
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("decode AnalysisSpec: %w", err)
-	}
-	if err := spec.Validate(); err != nil {
-		return spec, err
-	}
-	return spec, runner.ValidateWorkloads([]string{spec.Workload})
-}
-
-func (s *Server) handleAnalyses(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	spec, err := decodeAnalysisSpec(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.finishSubmit(w, req, runner.KindAnalysis, spec.Key(),
-		func(ctx context.Context) (any, error) { return s.r.Analysis(ctx, spec) })
-}
-
-func (s *Server) handleFootprints(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	spec, err := decodeAnalysisSpec(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.finishSubmit(w, req, runner.KindFootprint, spec.Key(),
-		func(ctx context.Context) (any, error) { return s.r.Footprint(ctx, spec) })
-}
-
-// finishSubmit is the shared submission tail: store fast path, queue
-// admission, optional synchronous wait, status response.
-func (s *Server) finishSubmit(w http.ResponseWriter, req *http.Request, kind, key string, exec func(context.Context) (any, error)) {
-	timeout, err := parseTimeout(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// Dedup against the store before any work starts: a result another
 	// process (or a previous life of this server) already published is
 	// served without costing a queue slot.
-	if raw, ok := s.storeResult(kind, key); ok {
-		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
+	if raw, ok := s.storeResult(k, key); ok {
+		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: k.name, State: StateDone, Result: raw})
 		return
 	}
-	j, err := s.submit(kind, key, timeout, exec)
-	switch {
-	case errors.Is(err, errDraining):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, errBusy):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err.Error())
+	s.mu.Lock()
+	j, err := s.submitLocked(jobID{k.name, key}, timeout, exec)
+	s.mu.Unlock()
+	if err != nil {
+		refuse(w, err)
 		return
 	}
 	if wantWait(req) {
@@ -576,58 +468,58 @@ func (s *Server) finishSubmit(w http.ResponseWriter, req *http.Request, kind, ke
 	writeStatus(w, code, st)
 }
 
+// sweepItem is one spec of a sweep, admitted.
+type sweepItem struct {
+	k      *kind
+	key    string
+	exec   execFunc
+	stored bool
+}
+
+// admitAll runs one list of a sweep through its kind's admission gate.
+// The specs arrived inside the sweep's strictly decoded body, not through
+// the row's decode, so their own Validate runs here.
+func admitAll[S spec](r *runner.Runner, k *kind, field string, specs []S, items []sweepItem) ([]sweepItem, error) {
+	for i, sp := range specs {
+		err := sp.Validate()
+		it := sweepItem{k: k}
+		if err == nil {
+			it.key, it.exec, err = k.admit(r, sp)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s[%d]: %v", field, i, err)
+		}
+		items = append(items, it)
+	}
+	return items, nil
+}
+
 func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
 		return
 	}
 	var sr SweepRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decode sweep: %v", err))
+	if err := sim.DecodeStrict(body, &sr); err != nil {
+		http.Error(w, fmt.Sprintf("decode sweep: %v", err), http.StatusBadRequest)
 		return
 	}
 	var timeout time.Duration
 	if sr.Timeout != "" {
 		var err error
 		if timeout, err = time.ParseDuration(sr.Timeout); err != nil || timeout < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad sweep timeout %q", sr.Timeout))
+			http.Error(w, fmt.Sprintf("bad sweep timeout %q", sr.Timeout), http.StatusBadRequest)
 			return
 		}
 	}
 
-	type item struct {
-		kind, key string
-		exec      func(context.Context) (any, error)
-		stored    bool
+	items, err := admitAll(s.r, runKind, "runs", sr.Runs, make([]sweepItem, 0, len(sr.Runs)+len(sr.Multis)))
+	if err == nil {
+		items, err = admitAll(s.r, multiKind, "multis", sr.Multis, items)
 	}
-	items := make([]item, 0, len(sr.Runs)+len(sr.Multis))
-	for i, spec := range sr.Runs {
-		err := spec.Validate()
-		if err == nil {
-			err = validateRun(spec)
-		}
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("runs[%d]: %v", i, err))
-			return
-		}
-		spec := spec
-		items = append(items, item{kind: runner.KindRun, key: spec.Key(),
-			exec: func(ctx context.Context) (any, error) { return s.r.Run(ctx, spec) }})
-	}
-	for i, spec := range sr.Multis {
-		if err := spec.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("multis[%d]: %v", i, err))
-			return
-		}
-		if err := validateMulti(spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("multis[%d]: %v", i, err))
-			return
-		}
-		spec := spec
-		items = append(items, item{kind: runner.KindMulti, key: spec.Key(),
-			exec: func(ctx context.Context) (any, error) { return s.r.RunMulti(ctx, spec) }})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 
 	// Store pass outside the lock: published results cost no queue slot.
@@ -635,7 +527,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	// torn entry reported "done" here could never be fetched (the status
 	// poll deletes it and answers 404), so it is a miss and is submitted.
 	for i := range items {
-		_, items[i].stored = s.storeResult(items[i].kind, items[i].key)
+		_, items[i].stored = s.storeResult(items[i].k, items[i].key)
 	}
 
 	// Admission and submission are one atomic step: either the whole
@@ -644,36 +536,36 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, errDraining.Error())
+		refuse(w, errDraining)
 		return
 	}
 	fresh := 0
-	seen := make(map[string]bool, len(items))
+	seen := make(map[jobID]bool, len(items))
 	for _, it := range items {
-		if it.stored || seen[it.key] {
+		id := jobID{it.k.name, it.key}
+		if it.stored || seen[id] {
 			continue
 		}
-		seen[it.key] = true
-		if j, ok := s.jobs[it.key]; !ok || j.state == StateFailed {
+		seen[id] = true
+		if j, ok := s.jobs[id]; !ok || j.state == StateFailed {
 			fresh++
 		}
 	}
 	if s.active+fresh > s.queueLimit {
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, fmt.Sprintf("%s: %d new jobs over limit %d", errBusy, fresh, s.queueLimit))
+		refuse(w, fmt.Errorf("%w: %d new jobs over limit %d", errBusy, fresh, s.queueLimit))
 		return
 	}
 	resp := SweepResponse{Jobs: make([]JobStatus, 0, len(items))}
 	for _, it := range items {
 		if it.stored {
-			resp.Jobs = append(resp.Jobs, JobStatus{Key: it.key, Kind: it.kind, State: StateDone})
+			resp.Jobs = append(resp.Jobs, JobStatus{Key: it.key, Kind: it.k.name, State: StateDone})
 			continue
 		}
-		j, err := s.submitLocked(it.kind, it.key, timeout, it.exec)
-		if err != nil { // capacity was pre-checked; only draining can race here
+		j, err := s.submitLocked(jobID{it.k.name, it.key}, timeout, it.exec)
+		if err != nil { // capacity was pre-checked, draining seen under this lock: cannot happen
 			s.mu.Unlock()
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+			refuse(w, err)
 			return
 		}
 		resp.Jobs = append(resp.Jobs, j.statusLocked(false))
@@ -685,7 +577,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	key := req.PathValue("key")
 	s.mu.Lock()
-	j := s.jobs[key]
+	j := s.jobLocked(key)
 	var st JobStatus
 	if j != nil {
 		st = j.statusLocked(true)
@@ -699,7 +591,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
 		return
 	}
-	httpError(w, http.StatusNotFound, "unknown job key "+key)
+	http.Error(w, "unknown job key "+key, http.StatusNotFound)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
@@ -712,7 +604,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job key "+key)
+		http.Error(w, "unknown job key "+key, http.StatusNotFound)
 		return
 	}
 	defer cancel()
@@ -792,7 +684,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
 	fmt.Fprintln(w, "ok")
@@ -801,34 +693,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 // ------------------------------------------------------- store plumbing
 
 // storeResult returns the wire bytes of the result published under
-// (kind, key). The first touch of an entry is loadResult — the only way
-// bytes enter — and its output is kept in s.published; every later
-// request for the key is answered from memory with no file read, decode
-// or marshal. That is sound because a store entry is content-addressed
-// (the key hashes the spec and sim.CodeVersion) and never rewritten with
-// different content: the validated copy cannot go stale, only cold.
-func (s *Server) storeResult(kind, key string) (json.RawMessage, bool) {
+// (kind, key). The first touch of an entry is the row's loadResult — the
+// only way bytes enter — and its output is kept in s.published; every
+// later request for the key is answered from memory with no file read,
+// decode or marshal. That is sound because a store entry is
+// content-addressed (the key hashes the spec and sim.CodeVersion) and
+// never rewritten with different content: the validated copy cannot go
+// stale, only cold.
+func (s *Server) storeResult(k *kind, key string) (json.RawMessage, bool) {
 	st := s.r.Store()
 	if !st.Enabled() {
 		return nil, false
 	}
-	if raw, ok := s.published.get(kind, key); ok {
+	if raw, ok := s.published.get(k.name, key); ok {
 		return raw, true
 	}
-	var raw json.RawMessage
-	var ok bool
-	switch kind {
-	case runner.KindRun:
-		raw, ok = loadResult[core.Result](st, kind, key)
-	case runner.KindMulti:
-		raw, ok = loadResult[sim.MultiResult](st, kind, key)
-	case runner.KindAnalysis:
-		raw, ok = loadResult[crisp.Analysis](st, kind, key)
-	case runner.KindFootprint:
-		raw, ok = loadResult[crisp.Footprint](st, kind, key)
-	}
+	raw, ok := k.load(st, k.name, key)
 	if ok {
-		s.published.add(kind, key, raw)
+		s.published.add(k.name, key, raw)
 	}
 	return raw, ok
 }
@@ -847,12 +729,12 @@ func loadResult[T any](st *runner.Store, kind, key string) (json.RawMessage, boo
 	return raw, err == nil
 }
 
-// storeLookup finds a published entry for key under any job kind (for
-// status polls of results from a previous server life).
+// storeLookup finds a published entry for key under any job kind, in
+// table order (for status polls of results from a previous server life).
 func (s *Server) storeLookup(key string) (kind string, raw json.RawMessage, ok bool) {
-	for _, k := range []string{runner.KindRun, runner.KindMulti, runner.KindAnalysis, runner.KindFootprint} {
+	for _, k := range kinds {
 		if raw, ok := s.storeResult(k, key); ok {
-			return k, raw, true
+			return k.name, raw, true
 		}
 	}
 	return "", nil, false

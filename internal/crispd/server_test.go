@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"crisp/internal/core"
+	"crisp/internal/crisp"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
@@ -414,12 +415,24 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestRejects: malformed, unknown-field, invalid and unbounded specs
-// are 400s; unknown keys are 404s.
+// TestRejects: a body that is not exactly one valid, bounded spec of the
+// route's kind is a 400 on every POST route, and starts nothing; unknown
+// keys are 404s.
 func TestRejects(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
+	s, ts := newTestServer(t, Options{Workers: 1})
+	// The cases are written for a run (and read as a pipeline spec too);
+	// these two routes take one inside a larger request, so the same defect
+	// sits in an otherwise well-formed body of that route.
+	wraps := map[string]func(run string) string{
+		multiKind.path: func(run string) string { return `{"cores":[` + run + `]}` },
+		"/v1/sweeps":   func(run string) string { return `{"runs":[` + run + `]}` },
+	}
+	routes := []string{"/v1/sweeps"}
+	for _, k := range kinds {
+		routes = append(routes, k.path)
+	}
 	cases := []struct {
-		name, body string
+		name, run string
 	}{
 		{"not json", `insts=5`},
 		{"unknown field", `{"workload":"mcf","insts":1000,"shed":"crisp"}`},
@@ -427,15 +440,34 @@ func TestRejects(t *testing.T) {
 		{"unknown workload", `{"workload":"quicksort3","insts":1000}`},
 		{"unbounded", `{"workload":"mcf"}`},
 	}
-	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(c.body))
+	post := func(route, name, body string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", c.name, resp.StatusCode)
+			t.Errorf("%s, %s: HTTP %d, want 400 (body %s)", route, name, resp.StatusCode, body)
 		}
+	}
+	const valid = `{"workload":"mcf","insts":2000}`
+	for _, route := range routes {
+		wrap := wraps[route]
+		if wrap == nil {
+			wrap = func(run string) string { return run }
+		}
+		for _, c := range cases {
+			post(route, c.name, wrap(c.run))
+		}
+		// A whole valid request, then more: a second value, a stray word, a
+		// stray bracket (which json.Decoder.More does not report).
+		for _, tail := range []string{` {"x":1}`, ` garbage`, ` }`, ` ]`} {
+			post(route, "trailing"+tail, wrap(valid)+tail)
+		}
+	}
+	if st := s.Runner().Stats(); st.Started != 0 {
+		t.Errorf("rejected requests started %d tasks", st.Started)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/runs/deadbeefdeadbeef")
@@ -505,33 +537,97 @@ func TestStatsz(t *testing.T) {
 	}
 }
 
-// TestMultiEndpoint: multi-core specs flow through the same job
-// machinery under the multi kind.
-func TestMultiEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2})
-	spec := sim.MultiSpec{Cores: []sim.RunSpec{
-		{Workload: "pointerchase", Insts: 20_000},
-		{Workload: "streambatch", Insts: 20_000},
-	}}
-	resp, rb := postSpec(t, ts.URL+"/v1/multi?wait=1", spec)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
+// TestKindTable walks the kind table: each row's route takes the row's
+// spec and answers with the row's kind — 202 or 200 at once, 200 and the
+// result when waited for; after a restart over the same store the entry is
+// served with nothing executed, and a status poll of the key finds it. The
+// analysis and footprint rows post one spec, so one content key: a job is
+// its kind and its key.
+func TestKindTable(t *testing.T) {
+	pipe := runner.AnalysisSpec{Workload: "pointerchase", Insts: 20_000, Opts: crisp.DefaultOptions()}
+	specs := map[*kind]any{
+		runKind: fastSpec(),
+		multiKind: sim.MultiSpec{Cores: []sim.RunSpec{
+			{Workload: "pointerchase", Insts: 20_000},
+			{Workload: "streambatch", Insts: 20_000},
+		}},
+		analysisKind:  pipe,
+		footprintKind: pipe,
 	}
-	var st JobStatus
-	if err := json.Unmarshal(rb, &st); err != nil {
+	// decoded checks that a result is the row's result type, filled in.
+	decoded := map[*kind]func(raw json.RawMessage) bool{
+		runKind: func(raw json.RawMessage) bool {
+			var res core.Result
+			return json.Unmarshal(raw, &res) == nil && res.Insts == 20_000
+		},
+		multiKind: func(raw json.RawMessage) bool {
+			var res sim.MultiResult
+			return json.Unmarshal(raw, &res) == nil && len(res.Cores) == 2
+		},
+		analysisKind: func(raw json.RawMessage) bool {
+			var res crisp.Analysis
+			return json.Unmarshal(raw, &res) == nil && len(res.CriticalPCs) > 0
+		},
+		footprintKind: func(raw json.RawMessage) bool {
+			var res crisp.Footprint
+			return json.Unmarshal(raw, &res) == nil && res.StaticBytesBase > 0
+		},
+	}
+	if len(specs) != len(kinds) {
+		t.Fatalf("%d specs for %d rows", len(specs), len(kinds))
+	}
+	submit := func(t *testing.T, url string, k *kind) (int, JobStatus) {
+		t.Helper()
+		resp, rb := postSpec(t, url, specs[k])
+		var st JobStatus
+		if err := json.Unmarshal(rb, &st); err != nil {
+			t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
+		}
+		if st.Kind != k.name {
+			t.Errorf("%s: kind %q, want %q", url, st.Kind, k.name)
+		}
+		return resp.StatusCode, st
+	}
+
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Options{Workers: 2, Store: dir})
+	keys := map[*kind]string{}
+	for _, k := range kinds {
+		if code, _ := submit(t, ts1.URL+k.path, k); code != http.StatusAccepted && code != http.StatusOK {
+			t.Errorf("%s: HTTP %d, want 202 or 200", k.path, code)
+		}
+		code, st := submit(t, ts1.URL+k.path+"?wait=1", k)
+		if code != http.StatusOK || st.State != StateDone || !decoded[k](st.Result) {
+			t.Errorf("%s?wait=1: HTTP %d, state %s (error %q), result %.60s", k.path, code, st.State, st.Error, st.Result)
+		}
+		keys[k] = st.Key
+	}
+	if err := s1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone || st.Kind != runner.KindMulti {
-		t.Fatalf("state %s kind %s (error %q), want done/multi", st.State, st.Kind, st.Error)
+
+	s2, ts2 := newTestServer(t, Options{Workers: 2, Store: dir})
+	for _, k := range kinds {
+		code, st := submit(t, ts2.URL+k.path, k)
+		if code != http.StatusOK || st.State != StateDone || st.Key != keys[k] || !decoded[k](st.Result) {
+			t.Errorf("%s after the restart: HTTP %d, state %s, key %s, result %.60s", k.path, code, st.State, st.Key, st.Result)
+		}
+		resp, err := http.Get(ts2.URL + "/v1/runs/" + keys[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := readAllBody(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got JobStatus
+		if err := json.Unmarshal(rb, &got); err != nil || resp.StatusCode != http.StatusOK || got.State != StateDone {
+			t.Errorf("GET /v1/runs/%s: HTTP %d: %.80s", keys[k], resp.StatusCode, rb)
+		}
 	}
-	var res sim.MultiResult
-	if err := json.Unmarshal(st.Result, &res); err != nil {
-		t.Fatal(err)
+	if st := s2.Runner().Stats(); st.Started != 0 {
+		t.Errorf("the restarted server started %d tasks for entries the store holds", st.Started)
 	}
-	if len(res.Cores) != 2 {
-		t.Errorf("%d core results, want 2", len(res.Cores))
-	}
-	_ = s
 }
 
 // TestForcedDrain: when the drain deadline has already passed, Drain

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/metrics"
 	"crisp/internal/sim"
@@ -20,8 +21,30 @@ import (
 // Every resolved core self-checks the attribution invariant (breakdown
 // partitions Cycles × CommitWidth exactly), failing the figure on drift.
 func (l *Lab) Colocate() *Pending {
+	t, rows := l.colocateRows("Co-location",
+		func(spec sim.RunSpec) sim.RunSpec { return spec },
+		func(lc, batch sim.RunSpec) sim.MultiSpec { return sim.MultiSpec{Cores: []sim.RunSpec{lc, batch}} },
+		func(*sim.MultiResult) {})
+	return pending(t, rows, func(t *Table) {
+		soloOOO, coOOO, coCRISP := t.Rows[0], t.Rows[2], t.Rows[3]
+		t.Notes = append(t.Notes,
+			fmt.Sprintf("batch neighbour costs the LC core %.1f%% IPC under ooo (%.3f -> %.3f)",
+				(1-coOOO.Cells[0]/soloOOO.Cells[0])*100, soloOOO.Cells[0], coOOO.Cells[0]),
+			fmt.Sprintf("CRISP on core 0 under co-location: LC IPC %.3f -> %.3f (%+.1f%%), batch IPC %.3f -> %.3f (%+.1f%%)",
+				coOOO.Cells[0], coCRISP.Cells[0], (coCRISP.Cells[0]/coOOO.Cells[0]-1)*100,
+				coOOO.Cells[1], coCRISP.Cells[1], (coCRISP.Cells[1]/coOOO.Cells[1]-1)*100))
+	})
+}
+
+// colocateRows submits the four rows both co-location figures are made
+// of — the LC core solo and beside the batch core, each under ooo and
+// CRISP on the LC core — and returns them with their table. solo and co
+// turn full-detail clauses into the spec a row runs; every resolved
+// co-run is also handed to seen.
+func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co func(lc, batch sim.RunSpec) sim.MultiSpec,
+	seen func(*sim.MultiResult)) (*Table, []rowSource) {
 	t := &Table{
-		Title: "Co-location: tailchase (LC, core 0) + streambatch (batch, core 1), shared LLC/DRAM",
+		Title: title + ": tailchase (LC, core 0) + streambatch (batch, core 1), shared LLC/DRAM",
 		Columns: []string{"mix/sched", "lc_ipc", "batch_ipc", "lc_dram_slt%", "lc_llc_mpki",
 			"batch_bw_shr", "lc_dram_lat"},
 	}
@@ -29,11 +52,17 @@ func (l *Lab) Colocate() *Pending {
 	const lc, batch = "tailchase", "streambatch"
 	opts := crisp.DefaultOptions()
 
-	// lcCells extracts the LC-core columns shared by solo and co-run rows.
-	lcCells := func(r *coreCells) []float64 {
-		return []float64{r.ipc, r.batchIPC, r.dramSlotPct, r.llcMPKI, r.batchBWShare, r.dramLat}
+	// cells carries one row's measurements to the column order in one
+	// place: the LC core's, and on co-run rows the batch core's.
+	cells := func(lcr, br *core.Result, batchBWShare float64) []float64 {
+		slots := float64(lcr.Cycles) * float64(width)
+		var batchIPC float64
+		if br != nil {
+			batchIPC = br.IPC()
+		}
+		return []float64{lcr.IPC(), batchIPC, float64(lcr.Breakdown.Stalls[metrics.MemDRAM]) / slots * 100,
+			lcr.LLCMPKI(), batchBWShare, lcr.DRAMAvgLat}
 	}
-
 	soloRow := func(label string, spec sim.RunSpec) rowSource {
 		h := l.R.Submit(spec)
 		return rowSource{label, func(ctx context.Context) ([]float64, error) {
@@ -44,13 +73,7 @@ func (l *Lab) Colocate() *Pending {
 			if err := metrics.CheckPartition(&r.Breakdown, r.Cycles, width); err != nil {
 				return nil, err
 			}
-			slots := float64(r.Cycles) * float64(width)
-			return lcCells(&coreCells{
-				ipc:         r.IPC(),
-				dramSlotPct: float64(r.Breakdown.Stalls[metrics.MemDRAM]) / slots * 100,
-				llcMPKI:     r.LLCMPKI(),
-				dramLat:     r.DRAMAvgLat,
-			}), nil
+			return cells(r, nil, 0), nil
 		}}
 	}
 	coRow := func(label string, spec sim.MultiSpec) rowSource {
@@ -65,41 +88,17 @@ func (l *Lab) Colocate() *Pending {
 					return nil, fmt.Errorf("core %d: %w", i, err)
 				}
 			}
-			lcr, br := m.Cores[0], m.Cores[1]
-			slots := float64(lcr.Cycles) * float64(width)
+			seen(m)
 			bw := m.DRAMBandwidthShare()
-			return lcCells(&coreCells{
-				ipc:          lcr.IPC(),
-				batchIPC:     br.IPC(),
-				dramSlotPct:  float64(lcr.Breakdown.Stalls[metrics.MemDRAM]) / slots * 100,
-				llcMPKI:      lcr.LLCMPKI(),
-				batchBWShare: bw.Share(1),
-				dramLat:      lcr.DRAMAvgLat,
-			}), nil
+			return cells(m.Cores[0], m.Cores[1], bw.Share(1)), nil
 		}}
 	}
-
-	rows := []rowSource{
-		soloRow("lc_solo/ooo", l.refSpec(lc)),
-		soloRow("lc_solo/crisp", l.crispSpec(lc, opts)),
-		coRow("lc+batch/ooo", sim.MultiSpec{Cores: []sim.RunSpec{l.refSpec(lc), l.refSpec(batch)}}),
-		coRow("lc+batch/crisp", sim.MultiSpec{Cores: []sim.RunSpec{l.crispSpec(lc, opts), l.refSpec(batch)}}),
+	return t, []rowSource{
+		soloRow("lc_solo/ooo", solo(l.refSpec(lc))),
+		soloRow("lc_solo/crisp", solo(l.crispSpec(lc, opts))),
+		coRow("lc+batch/ooo", co(l.refSpec(lc), l.refSpec(batch))),
+		coRow("lc+batch/crisp", co(l.crispSpec(lc, opts), l.refSpec(batch))),
 	}
-	return pending(t, rows, func(t *Table) {
-		soloOOO, coOOO, coCRISP := t.Rows[0], t.Rows[2], t.Rows[3]
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("batch neighbour costs the LC core %.1f%% IPC under ooo (%.3f -> %.3f)",
-				(1-coOOO.Cells[0]/soloOOO.Cells[0])*100, soloOOO.Cells[0], coOOO.Cells[0]),
-			fmt.Sprintf("CRISP on core 0 under co-location: LC IPC %.3f -> %.3f (%+.1f%%), batch IPC %.3f -> %.3f (%+.1f%%)",
-				coOOO.Cells[0], coCRISP.Cells[0], (coCRISP.Cells[0]/coOOO.Cells[0]-1)*100,
-				coOOO.Cells[1], coCRISP.Cells[1], (coCRISP.Cells[1]/coOOO.Cells[1]-1)*100))
-	})
-}
-
-// coreCells carries one row's per-core measurements to the column order
-// in one place (batch fields stay zero on solo rows).
-type coreCells struct {
-	ipc, batchIPC, dramSlotPct, llcMPKI, batchBWShare, dramLat float64
 }
 
 // ColocateSampled renders the co-location figure through the sampled
@@ -115,86 +114,23 @@ type coreCells struct {
 // windows too.
 func (l *Lab) ColocateSampled() *Pending {
 	s := sim.AutoSampling(l.Insts)
-	t := &Table{
-		Title: "Co-location (sampled): tailchase (LC, core 0) + streambatch (batch, core 1), shared LLC/DRAM",
-		Columns: []string{"mix/sched", "lc_ipc", "batch_ipc", "lc_dram_slt%", "lc_llc_mpki",
-			"batch_bw_shr", "lc_dram_lat"},
-	}
-	width := l.Cfg.Core.CommitWidth
-	const lc, batch = "tailchase", "streambatch"
-	opts := crisp.DefaultOptions()
-
 	// sampledClause converts a full-detail spec into a window clause: the
 	// budget moves to the sampling schedule (spec level for multis).
 	sampledClause := func(spec sim.RunSpec) sim.RunSpec {
 		spec.Insts = 0
 		return spec
 	}
-	soloSampled := func(spec sim.RunSpec) sim.RunSpec {
-		spec = sampledClause(spec)
-		spec.Sampling = &s
-		return spec
-	}
-
-	lcCells := func(r *coreCells) []float64 {
-		return []float64{r.ipc, r.batchIPC, r.dramSlotPct, r.llcMPKI, r.batchBWShare, r.dramLat}
-	}
-
 	var multis []*sim.MultiResult
-	soloRow := func(label string, spec sim.RunSpec) rowSource {
-		h := l.R.Submit(spec)
-		return rowSource{label, func(ctx context.Context) ([]float64, error) {
-			r, err := h.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if err := metrics.CheckPartition(&r.Breakdown, r.Cycles, width); err != nil {
-				return nil, err
-			}
-			slots := float64(r.Cycles) * float64(width)
-			return lcCells(&coreCells{
-				ipc:         r.IPC(),
-				dramSlotPct: float64(r.Breakdown.Stalls[metrics.MemDRAM]) / slots * 100,
-				llcMPKI:     r.LLCMPKI(),
-				dramLat:     r.DRAMAvgLat,
-			}), nil
-		}}
-	}
-	coRow := func(label string, spec sim.MultiSpec) rowSource {
-		h := l.R.SubmitMulti(spec)
-		return rowSource{label, func(ctx context.Context) ([]float64, error) {
-			m, err := h.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			for i, r := range m.Cores {
-				if err := metrics.CheckPartition(&r.Breakdown, r.Cycles, width); err != nil {
-					return nil, fmt.Errorf("core %d: %w", i, err)
-				}
-			}
-			multis = append(multis, m)
-			lcr, br := m.Cores[0], m.Cores[1]
-			slots := float64(lcr.Cycles) * float64(width)
-			bw := m.DRAMBandwidthShare()
-			return lcCells(&coreCells{
-				ipc:          lcr.IPC(),
-				batchIPC:     br.IPC(),
-				dramSlotPct:  float64(lcr.Breakdown.Stalls[metrics.MemDRAM]) / slots * 100,
-				llcMPKI:      lcr.LLCMPKI(),
-				batchBWShare: bw.Share(1),
-				dramLat:      lcr.DRAMAvgLat,
-			}), nil
-		}}
-	}
-
-	rows := []rowSource{
-		soloRow("lc_solo/ooo", soloSampled(l.refSpec(lc))),
-		soloRow("lc_solo/crisp", soloSampled(l.crispSpec(lc, opts))),
-		coRow("lc+batch/ooo", sim.MultiSpec{Sampling: &s,
-			Cores: []sim.RunSpec{sampledClause(l.refSpec(lc)), sampledClause(l.refSpec(batch))}}),
-		coRow("lc+batch/crisp", sim.MultiSpec{Sampling: &s,
-			Cores: []sim.RunSpec{sampledClause(l.crispSpec(lc, opts)), sampledClause(l.refSpec(batch))}}),
-	}
+	t, rows := l.colocateRows("Co-location (sampled)",
+		func(spec sim.RunSpec) sim.RunSpec {
+			spec = sampledClause(spec)
+			spec.Sampling = &s
+			return spec
+		},
+		func(lc, batch sim.RunSpec) sim.MultiSpec {
+			return sim.MultiSpec{Sampling: &s, Cores: []sim.RunSpec{sampledClause(lc), sampledClause(batch)}}
+		},
+		func(m *sim.MultiResult) { multis = append(multis, m) })
 	return pending(t, rows, func(t *Table) {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"schedule: %d co-scheduled windows x %d insts detailed per core, %d-inst budget; one multi-core capture serves both scheduler rows",

@@ -133,7 +133,11 @@ func TestWrongImageIsRecaptured(t *testing.T) {
 			t.Fatal(err)
 		}
 		pages := img.Mem.Pages()
-		if err := store.PutCheckpoint(key, sim.CaptureCheckpoints(img, sim.DefaultConfig(), storedSchedule)); err != nil {
+		planted, err := sim.CaptureCheckpointsContext(ctx, img, sim.DefaultConfig(), storedSchedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutCheckpoint(key, planted); err != nil {
 			t.Fatal(err)
 		}
 		if name == "one word edited" && pages != w.Build(workload.Ref).Mem.Pages() {
@@ -184,9 +188,12 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := sim.CaptureCheckpoints(workload.ByName("pointerchase").Build(workload.Ref), sim.DefaultConfig(), storedSchedule)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), workload.ByName("pointerchase").Build(workload.Ref), sim.DefaultConfig(), storedSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
 	imgs := []*sim.Image{workload.ByName("tailchase").Build(workload.Ref), workload.ByName("pointerchase").Build(workload.Ref)}
-	mset, err := sim.CaptureMultiCheckpoints(imgs, []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}, storedSchedule)
+	mset, err := sim.CaptureMultiCheckpointsContext(context.Background(), imgs, []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}, storedSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +206,12 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 			_, ok := s.GetMultiCheckpoint("k")
 			return ok
 		}
-		if err := s.writeAtomic(kind, "k", enc); err != nil {
-			t.Fatal(err)
+		plant := func() {
+			if err := s.put(kind, "k", func() ([]byte, error) { return enc, nil }); err != nil {
+				t.Fatal(err)
+			}
 		}
+		plant()
 		if !get() {
 			t.Fatalf("%s: current-version entry is a miss", kind)
 		}
@@ -210,9 +220,7 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 			t.Fatalf("%s: codec version %d at offset %d, want 2", kind, v, versionAt)
 		}
 		binary.LittleEndian.PutUint32(enc[versionAt:], 1)
-		if err := s.writeAtomic(kind, "k", enc); err != nil {
-			t.Fatal(err)
-		}
+		plant()
 		if get() {
 			t.Errorf("%s: version-1 entry served", kind)
 		}

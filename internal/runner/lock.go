@@ -51,14 +51,6 @@ var lockWrite = func(f *os.File, body string) error {
 	return f.Close()
 }
 
-// LockHeld reports whether a live process currently holds the advisory
-// lock for (kind, key), without waiting for it. Nothing in the program
-// asks; the lock tests observe a holder through it.
-func (s *Store) LockHeld(kind, key string) bool {
-	b, mod, ok := lockSnapshot(s.lockPath(kind, key))
-	return ok && !lockStale(b, mod)
-}
-
 // lockSnapshotGap is a test seam invoked between the content read and
 // the stat inside lockSnapshot, so tests can interleave a release and
 // re-acquire at the exact point the old two-path implementation raced.

@@ -9,6 +9,15 @@ import (
 	"time"
 )
 
+// LockHeld reports whether a live process currently holds the advisory
+// lock for (kind, key), without waiting for it: the judgement a waiter
+// makes before it breaks a lock (lockSnapshot + lockStale), which nothing
+// in the program needs on its own and these tests observe a holder through.
+func (s *Store) LockHeld(kind, key string) bool {
+	b, mod, ok := lockSnapshot(s.lockPath(kind, key))
+	return ok && !lockStale(b, mod)
+}
+
 // TestLockMutualExclusion: the second acquirer blocks until the first
 // releases, and the critical sections never overlap.
 func TestLockMutualExclusion(t *testing.T) {

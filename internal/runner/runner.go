@@ -1,14 +1,16 @@
-// Package runner executes declarative simulation jobs (sim.RunSpec and
-// the software-pipeline specs derived from them) on a bounded worker
-// pool with content-keyed deduplication and memoization.
+// Package runner executes declarative simulation jobs (sim.RunSpec,
+// sim.MultiSpec and the software-pipeline specs derived from them) on a
+// bounded worker pool with content-keyed deduplication and memoization.
 //
 // The experiment harness submits the flat set of specs behind every
 // requested figure at once; the runner collapses identical specs to a
 // single execution (figures share OOO baselines and train profiles),
-// saturates the pool across figure boundaries, honours context
-// cancellation mid-simulation, and optionally persists results as JSON
-// keyed by spec hash + code version so interrupted or repeated sweeps
-// resume from cache.
+// saturates the pool across figure boundaries and honours context
+// cancellation mid-simulation. Six task kinds persist in a Store shared
+// safely between processes — run, multi, analysis, footprint, and the two
+// checkpoint-set kinds — and each reaches its value through the one
+// ladder in resolve (tasks.go): delegate to a crispd server if the runner
+// has one, else load, lock, load again, compute, publish.
 package runner
 
 import (
@@ -18,19 +20,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"crisp/internal/sim"
 )
 
 // Options configure a Runner.
 type Options struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// WindowWorkers bounds the concurrently simulated detailed windows
-	// within one sampled run (0 = GOMAXPROCS, 1 = sequential). Total
-	// host load is roughly Workers × WindowWorkers during sampled
-	// sweeps, so oversubscribed machines may want to pin one of them.
-	WindowWorkers int
 	// CacheDir, when non-empty, persists results there as JSON keyed by
 	// spec hash + code version; re-runs load them instead of simulating.
 	CacheDir string
@@ -79,8 +74,6 @@ type Runner struct {
 	onEvent func(TaskEvent)
 	remote  Remote
 
-	windowWorkers int
-
 	mu    sync.Mutex
 	calls map[string]*call
 
@@ -118,21 +111,14 @@ func New(ctx context.Context, opts Options) (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{
-		ctx:           ctx,
-		sem:           make(chan struct{}, workers),
-		store:         store,
-		sink:          sink,
-		onEvent:       opts.OnEvent,
-		remote:        opts.Remote,
-		windowWorkers: opts.WindowWorkers,
-		calls:         make(map[string]*call),
+		ctx:     ctx,
+		sem:     make(chan struct{}, workers),
+		store:   store,
+		sink:    sink,
+		onEvent: opts.OnEvent,
+		remote:  opts.Remote,
+		calls:   make(map[string]*call),
 	}, nil
-}
-
-// simCtx attaches the runner's window-worker bound to a task context, so
-// every sampled run under this runner observes it.
-func (r *Runner) simCtx(ctx context.Context) context.Context {
-	return sim.WithWindowWorkers(ctx, r.windowWorkers)
 }
 
 // Store returns the runner's persistent store. It is never nil; a
@@ -267,12 +253,6 @@ func (r *Runner) do(ctx context.Context, key string, fn func(context.Context) (a
 		close(c.done)
 		return c.val, c.err
 	}
-}
-
-// background starts fn for key on the pool without waiting for it; a
-// later do() with the same key joins the in-flight computation.
-func (r *Runner) background(key string, fn func(context.Context) (any, error)) {
-	go r.do(r.ctx, key, fn) //nolint:errcheck // result observed via the memo table
 }
 
 // lockTask acquires the cross-process file lock for (kind, key),

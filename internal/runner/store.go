@@ -23,7 +23,8 @@ type Store struct {
 	dir string
 }
 
-// Store kinds (file-name prefixes).
+// Store kinds: the file-name prefix of each persisted task family, which
+// is also its TaskEvent.Kind and, for the first four, its crispd wire name.
 const (
 	kindRun       = "run"
 	kindMulti     = "multi"
@@ -45,8 +46,16 @@ const (
 	KindMultiCkpt = kindMultiCkpt
 )
 
+// kindExt declares each kind's encoding by the extension its entries
+// carry: small results are encoding/json output, checkpoint sets the
+// binary checkpoint codec.
+var kindExt = map[string]string{
+	kindRun: ".json", kindMulti: ".json", kindAnalysis: ".json", kindFootprint: ".json",
+	kindCkpt: ".bin", kindMultiCkpt: ".bin",
+}
+
 // tmpSweepTTL is how old a *.tmp file must be before NewStore removes
-// it. writeAtomic deletes its temp file on every error path, so a .tmp
+// it. put deletes its temp file on every error path, so a .tmp
 // that outlives this is debris from a crashed process (killed between
 // CreateTemp and rename); an hour is far beyond any live write — even a
 // checkpoint-set encode finishes in seconds — so sweeping cannot race a
@@ -97,55 +106,55 @@ func (s *Store) sweepTmp(now time.Time) {
 func (s *Store) Enabled() bool { return s.dir != "" }
 
 func (s *Store) path(kind, key string) string {
-	ext := ".json"
-	if kind == kindCkpt || kind == kindMultiCkpt {
-		ext = ".bin"
-	}
-	return filepath.Join(s.dir, kind+"-"+key+ext)
+	return filepath.Join(s.dir, kind+"-"+key+kindExt[kind])
 }
 
-// Get loads the cached value for (kind, key) into v, reporting whether a
-// valid entry existed. Corrupt or unreadable entries count as misses and
-// are deleted, so the caller's recompute can overwrite them and later
-// readers do not trip over the same damage. Decoding goes through a
-// fresh value of v's type: json.Unmarshal populates fields as it parses
-// and only then reports an error, so decoding straight into v would let
-// a truncated or corrupt entry leave the caller's value half-written
-// while Get reports a miss.
-func (s *Store) Get(kind, key string, v any) bool {
+// get is the one read path: it reads the entry for (kind, key) and
+// decodes it. A missing entry is a miss; so is one that does not decode
+// (torn, corrupt, an older shape, written under another key), and that
+// one is deleted, so the caller's recompute can publish over it and later
+// readers do not trip over the same damage.
+func get[T any](s *Store, kind, key string, decode func([]byte) (T, error)) (T, bool) {
+	var zero T
 	if s.dir == "" {
-		return false
+		return zero, false
 	}
 	b, err := os.ReadFile(s.path(kind, key))
 	if err != nil {
-		return false
+		return zero, false
 	}
+	v, err := decode(b)
+	if err != nil {
+		s.Delete(kind, key) // delete-and-recompute
+		return zero, false
+	}
+	return v, true
+}
+
+// Get loads the cached value for (kind, key) into v, reporting whether a
+// valid entry existed (see get for what happens to an invalid one).
+// Decoding goes through a fresh value of v's type: json.Unmarshal
+// populates fields as it parses and only then reports an error, so
+// decoding straight into v would let a truncated or corrupt entry leave
+// the caller's value half-written while Get reports a miss.
+func (s *Store) Get(kind, key string, v any) bool {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return false
 	}
-	fresh := reflect.New(rv.Type().Elem())
-	if json.Unmarshal(b, fresh.Interface()) != nil {
-		s.Delete(kind, key) // delete-and-recompute
-		return false
+	fresh, ok := get(s, kind, key, func(b []byte) (reflect.Value, error) {
+		fresh := reflect.New(rv.Type().Elem())
+		return fresh, json.Unmarshal(b, fresh.Interface())
+	})
+	if ok {
+		rv.Elem().Set(fresh.Elem())
 	}
-	rv.Elem().Set(fresh.Elem())
-	return true
+	return ok
 }
 
-// Put persists v under (kind, key). The write is atomic and durable
-// (temp file + fsync + rename + directory fsync), so neither an
-// interrupted sweep nor a crash right after the rename can leave a torn
-// or vanishing entry for another process to read.
+// Put persists v as JSON under (kind, key), atomically and durably.
 func (s *Store) Put(kind, key string, v any) error {
-	if s.dir == "" {
-		return nil
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(kind, key, b)
+	return s.put(kind, key, func() ([]byte, error) { return json.Marshal(v) })
 }
 
 // Delete removes the entry stored under (kind, key), if any: what a
@@ -157,68 +166,44 @@ func (s *Store) Delete(kind, key string) {
 	}
 }
 
-// GetCheckpoint loads and decodes the checkpoint set stored under key.
-// A corrupt or key-mismatched file is deleted (the next capture rewrites
-// it) and reported as a miss. The set is a delta over its workload image
-// and restores nothing until the caller attaches that image
-// (checkpoint.Set.Attach).
+// GetCheckpoint loads and decodes the checkpoint set stored under key; a
+// corrupt or key-mismatched file is a deleted miss, like any entry. The
+// set is a delta over its workload image and restores nothing until the
+// caller attaches that image (checkpoint.Set.Attach).
 func (s *Store) GetCheckpoint(key string) (*checkpoint.Set, bool) {
-	if s.dir == "" {
-		return nil, false
-	}
-	b, err := os.ReadFile(s.path(kindCkpt, key))
-	if err != nil {
-		return nil, false
-	}
-	set, err := checkpoint.DecodeSet(b, key)
-	if err != nil {
-		s.Delete(kindCkpt, key) // delete-and-recompute
-		return nil, false
-	}
-	return set, true
+	return get(s, kindCkpt, key, func(b []byte) (*checkpoint.Set, error) { return checkpoint.DecodeSet(b, key) })
 }
 
-// PutCheckpoint persists a captured checkpoint set under key with the
-// same atomic, durable discipline as Put.
+// PutCheckpoint persists a captured checkpoint set under key, atomically
+// and durably.
 func (s *Store) PutCheckpoint(key string, set *checkpoint.Set) error {
-	if s.dir == "" {
-		return nil
-	}
-	return s.writeAtomic(kindCkpt, key, checkpoint.EncodeSet(set, key))
+	return s.put(kindCkpt, key, func() ([]byte, error) { return checkpoint.EncodeSet(set, key), nil })
 }
 
-// GetMultiCheckpoint loads and decodes the co-scheduled multi-core
-// checkpoint set stored under key, with GetCheckpoint's
-// delete-and-recompute discipline for corrupt or mismatched files; the
-// set comes back unattached, like GetCheckpoint's.
+// GetMultiCheckpoint is GetCheckpoint for a co-scheduled multi-core set;
+// it too comes back unattached.
 func (s *Store) GetMultiCheckpoint(key string) (*checkpoint.MultiSet, bool) {
-	if s.dir == "" {
-		return nil, false
-	}
-	b, err := os.ReadFile(s.path(kindMultiCkpt, key))
-	if err != nil {
-		return nil, false
-	}
-	set, err := checkpoint.DecodeMultiSet(b, key)
-	if err != nil {
-		s.Delete(kindMultiCkpt, key) // delete-and-recompute
-		return nil, false
-	}
-	return set, true
+	return get(s, kindMultiCkpt, key, func(b []byte) (*checkpoint.MultiSet, error) { return checkpoint.DecodeMultiSet(b, key) })
 }
 
-// PutMultiCheckpoint persists a captured multi-core checkpoint set under
-// key with the same atomic, durable discipline as Put.
+// PutMultiCheckpoint is PutCheckpoint for a co-scheduled multi-core set.
 func (s *Store) PutMultiCheckpoint(key string, set *checkpoint.MultiSet) error {
+	return s.put(kindMultiCkpt, key, func() ([]byte, error) { return checkpoint.EncodeMultiSet(set, key), nil })
+}
+
+// put is the one write path: encode (only when the store persists
+// anything) and write atomically and durably — temp file, fsync, rename,
+// directory fsync — so neither an interrupted sweep nor a crash right
+// after the rename can leave a torn or vanishing entry for another
+// process to read.
+func (s *Store) put(kind, key string, encode func() ([]byte, error)) error {
 	if s.dir == "" {
 		return nil
 	}
-	return s.writeAtomic(kindMultiCkpt, key, checkpoint.EncodeMultiSet(set, key))
-}
-
-// writeAtomic writes data to (kind, key) via a temp file, fsyncing the
-// file before the rename and the directory after it.
-func (s *Store) writeAtomic(kind, key string, data []byte) error {
+	data, err := encode()
+	if err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(s.dir, kind+"-*.tmp")
 	if err != nil {
 		return err

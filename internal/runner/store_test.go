@@ -191,7 +191,10 @@ func TestStoreCheckpointEntry(t *testing.T) {
 	}
 	w := workload.ByName("pointerchase")
 	sched := sim.Sampling{Warm: 15_000, Window: 5_000, Count: 2}
-	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), sched)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), sched)
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := checkpointKey("pointerchase", workload.Ref, sched)
 
 	if _, ok := s.GetCheckpoint(key); ok {

@@ -12,6 +12,8 @@ import (
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/emu"
+	"crisp/internal/program"
 	"crisp/internal/sim"
 	"crisp/internal/trace"
 	"crisp/internal/workload"
@@ -39,129 +41,277 @@ func ValidateWorkloads(names []string) error {
 	return nil
 }
 
+// ------------------------------------------------- the publish protocol
+
+// task is what one persisted task family supplies to resolve: where its
+// entry lives and how to load, compute and publish it.
+type task[T any] struct {
+	kind, key string
+	// delegate, set by the four kinds a crispd server accepts, resolves
+	// the whole task on a Remote.
+	delegate func(context.Context, Remote) (T, error)
+	// load reads the published entry, counting a hit; it runs once before
+	// the lock and once under it.
+	load    func() (T, bool)
+	compute func(context.Context) (T, error)
+	save    func(T) error
+	// observe, when set, sees every local outcome with the time the task
+	// blocked on its lock (0 for a first-load hit): run's metrics row.
+	observe func(v T, hit bool, lockNS int64)
+}
+
+// resolve is the one way a persisted task reaches its value, inside the
+// task's memo entry (memo; resolve adds none of its own). A runner with a
+// Remote delegates the delegable kinds whole: the server owns the store,
+// the locks and the dedup. Otherwise: a published entry is a hit; on a
+// miss the task takes its cross-process file lock and looks again — a
+// process that lost the race blocked in lockTask and now finds the
+// winner's entry — and only then computes. The lock is held across
+// compute-and-publish, so processes sharing a store run each spec and
+// fast-forward each schedule once between them, not once each. A failed
+// publish is ignored: it only costs the next process a recompute.
+func resolve[T any](ctx context.Context, r *Runner, t task[T]) (T, error) {
+	var zero T
+	if r.remote != nil && t.delegate != nil {
+		v, err := t.delegate(ctx, r.remote)
+		if err != nil {
+			return zero, err
+		}
+		r.remoteRuns.Add(1)
+		return v, nil
+	}
+	observe := t.observe
+	if observe == nil {
+		observe = func(T, bool, int64) {}
+	}
+	if v, ok := t.load(); ok {
+		observe(v, true, 0)
+		return v, nil
+	}
+	unlock, lockNS, err := r.lockTask(ctx, t.kind, t.key)
+	if err != nil {
+		return zero, err
+	}
+	defer unlock()
+	if v, ok := t.load(); ok {
+		observe(v, true, lockNS)
+		return v, nil
+	}
+	v, err := t.compute(ctx)
+	if err != nil {
+		return zero, err
+	}
+	_ = t.save(v)
+	observe(v, false, lockNS)
+	return v, nil
+}
+
+// memo runs fn as the single-flight task kind|key (see do), typed.
+func memo[T any](ctx context.Context, r *Runner, kind, key string, fn func(context.Context) (T, error)) (T, error) {
+	v, err := r.do(ctx, kind+"|"+key, func(ctx context.Context) (any, error) { return fn(ctx) })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// jsonTask is the load/save half of the four kinds stored as JSON.
+func jsonTask[T any](r *Runner, kind, key string) task[*T] {
+	return task[*T]{
+		kind: kind, key: key,
+		load: func() (*T, bool) {
+			var v T
+			if !r.store.Get(kind, key, &v) {
+				return nil, false
+			}
+			r.diskHits.Add(1)
+			return &v, true
+		},
+		save: func(v *T) error { return r.store.Put(kind, key, v) },
+	}
+}
+
+// Handle is a submitted task: Result joins the in-flight (or finished)
+// computation.
+type Handle[S, T any] struct {
+	Spec   S
+	result func(context.Context, S) (*T, error)
+}
+
+// Result blocks until the task resolves.
+func (h *Handle[S, T]) Result(ctx context.Context) (*T, error) { return h.result(ctx, h.Spec) }
+
+// The handles of the four submittable kinds.
+type (
+	RunHandle       = Handle[sim.RunSpec, core.Result]
+	MultiHandle     = Handle[sim.MultiSpec, sim.MultiResult]
+	AnalysisHandle  = Handle[AnalysisSpec, crisp.Analysis]
+	FootprintHandle = Handle[AnalysisSpec, crisp.Footprint]
+)
+
+// submit starts result(spec) on the pool under the runner's base context
+// without waiting; the handle's Result joins it through the memo table.
+func submit[S, T any](r *Runner, spec S, result func(context.Context, S) (*T, error)) *Handle[S, T] {
+	go result(r.ctx, spec) //nolint:errcheck // result observed via the memo table
+	return &Handle[S, T]{Spec: spec, result: result}
+}
+
+// Submit starts a timing run without waiting.
+func (r *Runner) Submit(spec sim.RunSpec) *RunHandle { return submit(r, spec, r.Run) }
+
+// SubmitMulti starts a multi-core timing run without waiting.
+func (r *Runner) SubmitMulti(spec sim.MultiSpec) *MultiHandle { return submit(r, spec, r.RunMulti) }
+
+// SubmitAnalysis starts the software pipeline without waiting.
+func (r *Runner) SubmitAnalysis(spec AnalysisSpec) *AnalysisHandle {
+	return submit(r, spec, r.Analysis)
+}
+
+// SubmitFootprint starts the footprint measurement without waiting.
+func (r *Runner) SubmitFootprint(spec AnalysisSpec) *FootprintHandle {
+	return submit(r, spec, r.Footprint)
+}
+
 // ---------------------------------------------------------- timing runs
+
+// variantOf maps a clause's input to the workload variant it builds.
+func variantOf(cs sim.RunSpec) workload.Variant {
+	if cs.Input == sim.InputTrain {
+		return workload.Train
+	}
+	return workload.Ref
+}
+
+// image resolves one clause — a RunSpec, or one core of a MultiSpec — to
+// the image it simulates. A CRISP clause runs the (deduped, disk-cached)
+// software pipeline first and gets its program tagged, so a colocate
+// sweep shares analyses with the single-core figures. Sampled specs
+// carry no Insts; the analysis window then matches the budget the
+// sampling schedule covers.
+func (r *Runner) image(ctx context.Context, cs sim.RunSpec, s *sim.Sampling) (*sim.Image, error) {
+	w, err := resolveWorkload(cs.Workload)
+	if err != nil {
+		return nil, err
+	}
+	var a *crisp.Analysis
+	if cs.Crisp != nil {
+		budget := cs.Insts
+		if s != nil {
+			budget = s.Total()
+		}
+		a, err = r.Analysis(ctx, AnalysisSpec{Workload: cs.Workload, Insts: budget, Opts: *cs.Crisp})
+		if err != nil {
+			return nil, err
+		}
+	}
+	img := w.Build(variantOf(cs))
+	if a != nil {
+		img.Prog = a.Apply(img.Prog)
+	}
+	return img, nil
+}
 
 // Run resolves a timing spec to its result, executing the simulation at
 // most once per content key across all concurrent callers and processes
 // sharing the persistent cache.
 func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error) {
-	v, err := r.do(ctx, "run|"+spec.Key(), r.runTask(spec))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Result), nil
-}
-
-// Submit starts spec on the pool without waiting and returns a handle
-// whose Result joins the in-flight (or finished) computation.
-func (r *Runner) Submit(spec sim.RunSpec) *RunHandle {
-	r.background("run|"+spec.Key(), r.runTask(spec))
-	return &RunHandle{r: r, Spec: spec}
-}
-
-// RunHandle is a submitted timing run.
-type RunHandle struct {
-	r    *Runner
-	Spec sim.RunSpec
-}
-
-// Result blocks until the run resolves.
-func (h *RunHandle) Result(ctx context.Context) (*core.Result, error) {
-	return h.r.Run(ctx, h.Spec)
-}
-
-func (r *Runner) runTask(spec sim.RunSpec) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		w, err := resolveWorkload(spec.Workload)
-		if err != nil {
+	key := spec.Key()
+	return memo(ctx, r, kindRun, key, func(ctx context.Context) (*core.Result, error) {
+		if _, err := resolveWorkload(spec.Workload); err != nil {
 			return nil, err
 		}
 		cfg, err := spec.Config()
 		if err != nil {
 			return nil, err
 		}
-		if r.remote != nil {
-			res, err := r.remote.Run(ctx, spec)
+		var ckpt captured[*checkpoint.Set]
+		t := jsonTask[core.Result](r, kindRun, key)
+		t.delegate = func(ctx context.Context, rm Remote) (*core.Result, error) { return rm.Run(ctx, spec) }
+		t.compute = func(ctx context.Context) (*core.Result, error) {
+			img, err := r.image(ctx, spec, spec.Sampling)
 			if err != nil {
 				return nil, err
 			}
-			r.remoteRuns.Add(1)
+			var res *core.Result
+			if spec.Sampling != nil {
+				// Every config sharing (workload, input, schedule) restores
+				// from one memoized checkpoint set: the functional prefix runs
+				// once per set, not once per config. Critical tags change
+				// neither functional behaviour nor instruction positions, so
+				// untagged checkpoints serve tagged programs.
+				if ckpt, err = r.checkpointSet(ctx, spec, *spec.Sampling); err != nil {
+					return nil, err
+				}
+				res, err = sim.RunSampledContext(ctx, ckpt.set, img.Prog, cfg, *spec.Sampling)
+			} else {
+				res, err = sim.RunContext(ctx, img, cfg)
+			}
+			if err != nil {
+				return nil, err
+			}
+			r.executed.Add(1)
 			return res, nil
 		}
-		key := spec.Key()
-		var cached core.Result
-		if r.store.Get(kindRun, key, &cached) {
-			r.diskHits.Add(1)
-			r.sink.record(newRunRecord(spec, &cached, true))
-			return &cached, nil
+		t.observe = func(res *core.Result, hit bool, lockNS int64) {
+			rec := newRunRecord(spec, res, hit)
+			rec.LockWaitNS = lockNS
+			if !hit {
+				rec.CkptStoreHit = ckpt.fromStore
+				rec.CaptureNS, rec.WarmInsts = ckpt.stats.claim()
+			}
+			r.sink.record(rec)
 		}
-		// Cross-process single-flight: hold the spec's file lock across
-		// compute-and-publish. A process losing the race blocks here,
-		// then finds the winner's entry on the re-check.
-		unlock, lockNS, err := r.lockTask(ctx, kindRun, key)
+		return resolve(ctx, r, t)
+	})
+}
+
+// RunMulti resolves a multi-core co-location spec to its result with
+// Run's discipline. Only Run exports metrics rows.
+func (r *Runner) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiResult, error) {
+	key := spec.Key()
+	return memo(ctx, r, kindMulti, key, func(ctx context.Context) (*sim.MultiResult, error) {
+		cfgs, err := spec.Configs() // validates the spec as a side effect
 		if err != nil {
 			return nil, err
 		}
-		defer unlock()
-		if r.store.Get(kindRun, key, &cached) {
-			r.diskHits.Add(1)
-			rec := newRunRecord(spec, &cached, true)
-			rec.LockWaitNS = lockNS
-			r.sink.record(rec)
-			return &cached, nil
-		}
-		var a *crisp.Analysis
-		if spec.Crisp != nil {
-			// Sampled specs carry no Insts; the analysis window matches the
-			// budget the sampling schedule covers.
-			budget := spec.Insts
-			if spec.Sampling != nil {
-				budget = spec.Sampling.Total()
+		t := jsonTask[sim.MultiResult](r, kindMulti, key)
+		t.delegate = func(ctx context.Context, rm Remote) (*sim.MultiResult, error) { return rm.RunMulti(ctx, spec) }
+		t.compute = func(ctx context.Context) (*sim.MultiResult, error) {
+			imgs := make([]*sim.Image, len(spec.Cores))
+			for i, cs := range spec.Cores {
+				img, err := r.image(ctx, cs, spec.Sampling)
+				if err != nil {
+					return nil, err
+				}
+				imgs[i] = img
 			}
-			a, err = r.Analysis(ctx, AnalysisSpec{Workload: spec.Workload, Insts: budget, Opts: *spec.Crisp})
+			var res *sim.MultiResult
+			var err error
+			if spec.Sampling != nil {
+				// One capture per workload/schedule/prefetcher tuple, shared
+				// by every scheduler config and every process on the store;
+				// the detailed lockstep windows run over the tagged programs.
+				var set captured[*checkpoint.MultiSet]
+				if set, err = r.multiCheckpointSet(ctx, spec, cfgs); err != nil {
+					return nil, err
+				}
+				progs := make([]*program.Program, len(imgs))
+				for i := range imgs {
+					progs[i] = imgs[i].Prog
+				}
+				res, err = sim.RunMultiSampledContext(ctx, set.set, progs, cfgs, *spec.Sampling)
+			} else {
+				res, err = sim.RunMultiContext(ctx, imgs, cfgs)
+			}
 			if err != nil {
 				return nil, err
 			}
+			r.executed.Add(1)
+			return res, nil
 		}
-		variant := workload.Ref
-		if spec.Input == sim.InputTrain {
-			variant = workload.Train
-		}
-		img := w.Build(variant)
-		if a != nil {
-			img.Prog = a.Apply(img.Prog)
-		}
-		var res *core.Result
-		var ckpt ckptResult
-		if spec.Sampling != nil {
-			// Every config sharing (workload, input, schedule) restores
-			// from one memoized checkpoint set: the functional prefix runs
-			// once per set, not once per config. Critical tags change
-			// neither functional behaviour nor instruction positions, so
-			// untagged checkpoints serve tagged programs.
-			var set *checkpoint.Set
-			var cerr error
-			set, ckpt, cerr = r.checkpointSet(ctx, spec.Workload, variant, *spec.Sampling)
-			if cerr != nil {
-				return nil, cerr
-			}
-			res, err = sim.RunSampledContext(r.simCtx(ctx), set, img.Prog, cfg, *spec.Sampling)
-		} else {
-			res, err = sim.RunContext(ctx, img, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		r.executed.Add(1)
-		// Cache-write failures only cost a future re-simulation.
-		_ = r.store.Put(kindRun, key, res)
-		rec := newRunRecord(spec, res, false)
-		rec.CkptStoreHit = ckpt.fromStore
-		rec.CaptureNS, rec.WarmInsts = ckpt.stats.claim()
-		rec.LockWaitNS = lockNS
-		r.sink.record(rec)
-		return res, nil
-	}
+		return resolve(ctx, r, t)
+	})
 }
 
 // ------------------------------------------------- software pipeline
@@ -181,8 +331,7 @@ func (s AnalysisSpec) Key() string {
 	if err != nil { // unreachable: AnalysisSpec is plain data
 		panic(fmt.Sprintf("runner: marshal AnalysisSpec: %v", err))
 	}
-	h := sha256.Sum256(append([]byte(sim.CodeVersion+"|analysis|"), b...))
-	return hex.EncodeToString(h[:16])
+	return hashKey(sim.CodeVersion + "|analysis|" + string(b))
 }
 
 // Validate reports spec-level errors a remote submission must reject
@@ -200,110 +349,107 @@ func (s AnalysisSpec) Validate() error {
 	return nil
 }
 
+// DecodeAnalysisSpec strictly decodes and validates a JSON AnalysisSpec
+// off the wire (see sim.DecodeStrict); the decoded spec's Key equals the
+// Key of the spec that was marshalled.
+func DecodeAnalysisSpec(data []byte) (AnalysisSpec, error) {
+	var s AnalysisSpec
+	if err := sim.DecodeStrict(data, &s); err != nil {
+		return AnalysisSpec{}, fmt.Errorf("decode AnalysisSpec: %w", err)
+	}
+	if err := s.Validate(); err != nil {
+		return AnalysisSpec{}, err
+	}
+	return s, nil
+}
+
+// pipelineTask is what Analysis and Footprint share: both are keyed by an
+// AnalysisSpec, reject an unknown workload before delegating, and on a
+// miss resolve one dependency task, then the train trace, and compute
+// from the two over the train program.
+func pipelineTask[D, T any](ctx context.Context, r *Runner, kind string, spec AnalysisSpec,
+	delegate func(context.Context, Remote) (*T, error),
+	dep func(context.Context) (D, error),
+	compute func(dep D, tr *trace.Trace, prog *program.Program) *T) (*T, error) {
+	key := spec.Key()
+	return memo(ctx, r, kind, key, func(ctx context.Context) (*T, error) {
+		w, err := resolveWorkload(spec.Workload)
+		if err != nil {
+			return nil, err
+		}
+		t := jsonTask[T](r, kind, key)
+		t.delegate = delegate
+		t.compute = func(ctx context.Context) (*T, error) {
+			d, err := dep(ctx)
+			if err != nil {
+				return nil, err
+			}
+			tr, err := r.trace(ctx, spec.Workload, spec.Insts)
+			if err != nil {
+				return nil, err
+			}
+			return compute(d, tr, w.Build(workload.Train).Prog), nil
+		}
+		return resolve(ctx, r, t)
+	})
+}
+
 // Analysis resolves the CRISP software pipeline for a spec. The train
 // profiling run is a regular timing job (deduped and disk-cached like
 // any other); the trace is memoized in memory; the resulting Analysis is
 // also persisted, so cache-warm sweeps skip the pipeline entirely.
 func (r *Runner) Analysis(ctx context.Context, spec AnalysisSpec) (*crisp.Analysis, error) {
-	v, err := r.do(ctx, "analysis|"+spec.Key(), r.analysisTask(spec))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*crisp.Analysis), nil
+	return pipelineTask(ctx, r, kindAnalysis, spec,
+		func(ctx context.Context, rm Remote) (*crisp.Analysis, error) { return rm.Analysis(ctx, spec) },
+		func(ctx context.Context) (*core.Result, error) {
+			return r.Run(ctx, sim.RunSpec{Workload: spec.Workload, Input: sim.InputTrain, Insts: spec.Insts})
+		},
+		func(prof *core.Result, tr *trace.Trace, prog *program.Program) *crisp.Analysis {
+			return crisp.Analyze(prof, tr, prog, spec.Opts)
+		})
 }
 
-// SubmitAnalysis starts the pipeline without waiting.
-func (r *Runner) SubmitAnalysis(spec AnalysisSpec) *AnalysisHandle {
-	r.background("analysis|"+spec.Key(), r.analysisTask(spec))
-	return &AnalysisHandle{r: r, Spec: spec}
-}
-
-// AnalysisHandle is a submitted software-pipeline job.
-type AnalysisHandle struct {
-	r    *Runner
-	Spec AnalysisSpec
-}
-
-// Result blocks until the analysis resolves.
-func (h *AnalysisHandle) Result(ctx context.Context) (*crisp.Analysis, error) {
-	return h.r.Analysis(ctx, h.Spec)
-}
-
-func (r *Runner) analysisTask(spec AnalysisSpec) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		w, err := resolveWorkload(spec.Workload)
-		if err != nil {
-			return nil, err
-		}
-		if r.remote != nil {
-			a, err := r.remote.Analysis(ctx, spec)
-			if err != nil {
-				return nil, err
-			}
-			r.remoteRuns.Add(1)
-			return a, nil
-		}
-		var cached crisp.Analysis
-		if r.store.Get(kindAnalysis, spec.Key(), &cached) {
-			r.diskHits.Add(1)
-			return &cached, nil
-		}
-		unlock, _, err := r.lockTask(ctx, kindAnalysis, spec.Key())
-		if err != nil {
-			return nil, err
-		}
-		defer unlock()
-		if r.store.Get(kindAnalysis, spec.Key(), &cached) {
-			r.diskHits.Add(1)
-			return &cached, nil
-		}
-		prof, err := r.Run(ctx, sim.RunSpec{Workload: spec.Workload, Input: sim.InputTrain, Insts: spec.Insts})
-		if err != nil {
-			return nil, err
-		}
-		tr, err := r.trace(ctx, spec.Workload, spec.Insts)
-		if err != nil {
-			return nil, err
-		}
-		a := crisp.Analyze(prof, tr, w.Build(workload.Train).Prog, spec.Opts)
-		_ = r.store.Put(kindAnalysis, spec.Key(), a)
-		return a, nil
-	}
+// Footprint resolves the Figure 12 code-size metrics for an analysis.
+func (r *Runner) Footprint(ctx context.Context, spec AnalysisSpec) (*crisp.Footprint, error) {
+	return pipelineTask(ctx, r, kindFootprint, spec,
+		func(ctx context.Context, rm Remote) (*crisp.Footprint, error) { return rm.Footprint(ctx, spec) },
+		func(ctx context.Context) (*crisp.Analysis, error) { return r.Analysis(ctx, spec) },
+		func(a *crisp.Analysis, tr *trace.Trace, prog *program.Program) *crisp.Footprint {
+			fp := crisp.MeasureFootprint(prog, tr, a.CriticalPCs)
+			return &fp
+		})
 }
 
 // trace memoizes the train-input trace capture per (workload, budget).
 // Traces are large, so they live in memory only; the analyses and
 // footprints derived from them are what the disk cache persists.
 func (r *Runner) trace(ctx context.Context, name string, insts uint64) (*trace.Trace, error) {
-	key := fmt.Sprintf("trace|%s|%d", name, insts)
-	v, err := r.do(ctx, key, func(ctx context.Context) (any, error) {
+	return memo(ctx, r, "trace", fmt.Sprintf("%s|%d", name, insts), func(context.Context) (*trace.Trace, error) {
 		w, err := resolveWorkload(name)
 		if err != nil {
 			return nil, err
 		}
 		return sim.CaptureTrace(w.Build(workload.Train), insts), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*trace.Trace), nil
 }
 
-// ckptResult carries a resolved checkpoint set through the memo table
+// ------------------------------------------------------ checkpoint sets
+
+// captured carries a resolved checkpoint set through the memo table
 // along with whether it was loaded from the persistent store (fed into
 // per-run metrics) rather than captured by fast-forwarding, and — for a
 // fresh capture — its claim-once cost record.
-type ckptResult struct {
-	set       *checkpoint.Set
+type captured[S any] struct {
+	set       S
 	fromStore bool
 	stats     *captureStats // nil unless this process ran the capture
 }
 
 // captureStats is the host cost of one fresh capture. The memo table
-// hands the same ckptResult to every run sharing the set, so the record
-// is claimed exactly once: the first run to read it exports the cost in
-// its metrics row and later sharers export zero, keeping column sums
-// equal to the aggregate Stats counters.
+// hands the same captured value to every run sharing the set, so the
+// record is claimed exactly once: the first run to read it exports the
+// cost in its metrics row and later sharers export zero, keeping column
+// sums equal to the aggregate Stats counters.
 type captureStats struct {
 	captureNS int64
 	warmInsts uint64
@@ -319,151 +465,145 @@ func (cs *captureStats) claim() (int64, uint64) {
 	return cs.captureNS, cs.warmInsts
 }
 
+// setTask is the task of the two checkpoint-set kinds. Within a process
+// a set is memoized; across processes it persists under the kind's binary
+// codec, so a second process (or a re-run) decodes the warmed state and
+// skips the functional fast-forward. A stored set is a delta over the
+// image its workload builds, and enters the memo only attached to it.
+// One that refuses the image (a kernel edited without a CodeVersion
+// bump) is as useless as a corrupt one: delete it and recapture.
+// Captures honour cancellation: a cancelled capture returns the
+// context's error without publishing a store entry.
+func setTask[S any](r *Runner, kind, key string, get func(string) (S, bool), attach func(S) error,
+	capture func(context.Context) (set S, hostNS int64, warmInsts uint64, err error), put func(string, S) error) task[captured[S]] {
+	return task[captured[S]]{
+		kind: kind, key: key,
+		load: func() (captured[S], bool) {
+			set, ok := get(key)
+			if !ok {
+				return captured[S]{}, false
+			}
+			if attach(set) != nil {
+				r.store.Delete(kind, key)
+				return captured[S]{}, false
+			}
+			r.ckptDiskHits.Add(1)
+			return captured[S]{set: set, fromStore: true}, true
+		},
+		compute: func(ctx context.Context) (captured[S], error) {
+			set, hostNS, warmInsts, err := capture(ctx)
+			if err != nil {
+				return captured[S]{}, err
+			}
+			r.ckptCaptured.Add(1)
+			r.captureNS.Add(hostNS)
+			r.warmInsts.Add(int64(warmInsts))
+			return captured[S]{set: set, stats: &captureStats{captureNS: hostNS, warmInsts: warmInsts}}, nil
+		},
+		save: func(c captured[S]) error { return put(key, c.set) },
+	}
+}
+
+// geometryKey is the part of a checkpoint key that names the warmed
+// cache geometry and front-end structure sizes.
+func geometryKey() string {
+	cfg := sim.DefaultConfig()
+	hier, err := json.Marshal(cfg.Hier)
+	if err != nil { // unreachable: HierConfig is plain data
+		panic(fmt.Sprintf("runner: marshal HierConfig: %v", err))
+	}
+	return fmt.Sprintf("|btb=%d/%d|ras=%d|hier=%s", cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, hier)
+}
+
+func hashKey(msg string) string {
+	h := sha256.Sum256([]byte(msg))
+	return hex.EncodeToString(h[:16])
+}
+
 // checkpointKey is the content key a checkpoint set persists under. It
 // hashes everything that shapes a capture — code version, workload,
 // input variant, schedule, warmed cache geometry and front-end
 // structure sizes — so a simulator or configuration change misses every
 // stale file instead of restoring wrong state.
 func checkpointKey(name string, variant workload.Variant, s sim.Sampling) string {
-	cfg := sim.DefaultConfig()
-	hier, err := json.Marshal(cfg.Hier)
-	if err != nil { // unreachable: HierConfig is plain data
-		panic(fmt.Sprintf("runner: marshal HierConfig: %v", err))
-	}
-	msg := fmt.Sprintf("%s|ckpt|%s|%d|%d|%d|%d|%d|btb=%d/%d|ras=%d|hier=%s",
-		sim.CodeVersion, name, variant, s.Skip, s.Warm, s.Window, s.Count,
-		cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, hier)
-	h := sha256.Sum256([]byte(msg))
-	return hex.EncodeToString(h[:16])
+	return hashKey(fmt.Sprintf("%s|ckpt|%s|%d|%d|%d|%d|%d", sim.CodeVersion, name, variant, s.Skip, s.Warm, s.Window, s.Count) + geometryKey())
 }
 
 // checkpointSet resolves the sampled-simulation checkpoint capture per
 // (workload, variant, schedule): the cross-config sharing at the heart
-// of sampling. Within a process the set is memoized; across processes
-// it persists in the store under the binary checkpoint codec, so a
-// second process (or a re-run) decodes the warmed state, attaches it to
-// the workload image it builds anyway, and skips the functional
-// fast-forward. Captures honour cancellation: a cancelled capture returns
-// the context's error without publishing a store entry.
-func (r *Runner) checkpointSet(ctx context.Context, name string, variant workload.Variant, s sim.Sampling) (*checkpoint.Set, ckptResult, error) {
-	key := checkpointKey(name, variant, s)
-	v, err := r.do(ctx, "ckpt|"+key, func(ctx context.Context) (any, error) {
-		w, err := resolveWorkload(name)
+// of sampling.
+func (r *Runner) checkpointSet(ctx context.Context, cs sim.RunSpec, s sim.Sampling) (captured[*checkpoint.Set], error) {
+	key := checkpointKey(cs.Workload, variantOf(cs), s)
+	return memo(ctx, r, kindCkpt, key, func(ctx context.Context) (captured[*checkpoint.Set], error) {
+		w, err := resolveWorkload(cs.Workload)
 		if err != nil {
-			return nil, err
+			return captured[*checkpoint.Set]{}, err
 		}
-		// A stored set is a delta over the image this workload builds, and
-		// enters the memo only attached to it. One that refuses the image
-		// (a kernel edited without a CodeVersion bump) is as useless as a
-		// corrupt one: delete it and recapture.
-		load := func() (any, bool) {
-			set, ok := r.store.GetCheckpoint(key)
-			if !ok {
-				return nil, false
-			}
-			if set.Attach(w.Build(variant).Mem) != nil {
-				r.store.Delete(kindCkpt, key)
-				return nil, false
-			}
-			r.ckptDiskHits.Add(1)
-			return ckptResult{set: set, fromStore: true}, true
-		}
-		if cr, ok := load(); ok {
-			return cr, nil
-		}
-		// Hold the capture lock across fast-forward and publish: two
-		// processes sweeping one store fast-forward each schedule once
-		// between them, not once each.
-		unlock, _, err := r.lockTask(ctx, kindCkpt, key)
-		if err != nil {
-			return nil, err
-		}
-		defer unlock()
-		if cr, ok := load(); ok {
-			return cr, nil
-		}
-		set, err := sim.CaptureCheckpointsContext(ctx, w.Build(variant), sim.DefaultConfig(), s)
-		if err != nil {
-			return nil, err
-		}
-		r.ckptCaptured.Add(1)
-		r.captureNS.Add(set.HostNS)
-		r.warmInsts.Add(int64(set.WarmInsts))
-		// A failed write only costs the next process a recapture.
-		_ = r.store.PutCheckpoint(key, set)
-		return ckptResult{set: set, stats: &captureStats{captureNS: set.HostNS, warmInsts: set.WarmInsts}}, nil
+		return resolve(ctx, r, setTask(r, kindCkpt, key, r.store.GetCheckpoint,
+			func(set *checkpoint.Set) error { return set.Attach(w.Build(variantOf(cs)).Mem) },
+			func(ctx context.Context) (*checkpoint.Set, int64, uint64, error) {
+				set, err := sim.CaptureCheckpointsContext(ctx, w.Build(variantOf(cs)), sim.DefaultConfig(), s)
+				if err != nil {
+					return nil, 0, 0, err
+				}
+				return set, set.HostNS, set.WarmInsts, nil
+			}, r.store.PutCheckpoint))
 	})
-	if err != nil {
-		return nil, ckptResult{}, err
+}
+
+// multiCheckpointKey is the content key a co-scheduled checkpoint set
+// persists under. Beyond the single-core key's inputs (code version,
+// schedule, warmed geometry, front-end sizes) it hashes the ordered
+// per-core workload/input/prefetcher tuple: core order fixes requester
+// indices and address-space slices, and the prefetcher tuple shapes the
+// shared LLC's warmed occupancy, so any of them changing must miss.
+func multiCheckpointKey(spec sim.MultiSpec) string {
+	s := spec.Sampling
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|mckpt|%d|%d|%d|%d", sim.CodeVersion, s.Skip, s.Warm, s.Window, s.Count)
+	for _, cs := range spec.Cores {
+		fmt.Fprintf(&b, "|core=%s/%d/pf=%s", cs.Workload, variantOf(cs), cs.Prefetcher.String())
 	}
-	cr := v.(ckptResult)
-	return cr.set, cr, nil
+	return hashKey(b.String() + geometryKey())
 }
 
-// Footprint resolves the Figure 12 code-size metrics for an analysis.
-func (r *Runner) Footprint(ctx context.Context, spec AnalysisSpec) (*crisp.Footprint, error) {
-	v, err := r.do(ctx, "footprint|"+spec.Key(), r.footprintTask(spec))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*crisp.Footprint), nil
-}
-
-// SubmitFootprint starts the footprint measurement without waiting.
-func (r *Runner) SubmitFootprint(spec AnalysisSpec) *FootprintHandle {
-	r.background("footprint|"+spec.Key(), r.footprintTask(spec))
-	return &FootprintHandle{r: r, Spec: spec}
-}
-
-// FootprintHandle is a submitted footprint measurement.
-type FootprintHandle struct {
-	r    *Runner
-	Spec AnalysisSpec
-}
-
-// Result blocks until the footprint resolves.
-func (h *FootprintHandle) Result(ctx context.Context) (*crisp.Footprint, error) {
-	return h.r.Footprint(ctx, h.Spec)
-}
-
-func (r *Runner) footprintTask(spec AnalysisSpec) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		w, err := resolveWorkload(spec.Workload)
-		if err != nil {
-			return nil, err
-		}
-		if r.remote != nil {
-			fp, err := r.remote.Footprint(ctx, spec)
+// multiCheckpointSet resolves the co-scheduled checkpoint capture for a
+// sampled MultiSpec. The capture warms untagged images — tags do not
+// change functional behaviour, so every CRISP/OOO scheduler config of
+// the same workload tuple shares the set.
+func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfgs []sim.Config) (captured[*checkpoint.MultiSet], error) {
+	key := multiCheckpointKey(spec)
+	return memo(ctx, r, kindMultiCkpt, key, func(ctx context.Context) (captured[*checkpoint.MultiSet], error) {
+		ws := make([]*workload.Workload, len(spec.Cores))
+		for i, cs := range spec.Cores {
+			w, err := resolveWorkload(cs.Workload)
 			if err != nil {
-				return nil, err
+				return captured[*checkpoint.MultiSet]{}, err
 			}
-			r.remoteRuns.Add(1)
-			return fp, nil
+			ws[i] = w
 		}
-		var cached crisp.Footprint
-		if r.store.Get(kindFootprint, spec.Key(), &cached) {
-			r.diskHits.Add(1)
-			return &cached, nil
+		build := func() []*sim.Image {
+			imgs := make([]*sim.Image, len(ws))
+			for i, w := range ws {
+				imgs[i] = w.Build(variantOf(spec.Cores[i]))
+			}
+			return imgs
 		}
-		unlock, _, err := r.lockTask(ctx, kindFootprint, spec.Key())
-		if err != nil {
-			return nil, err
-		}
-		defer unlock()
-		if r.store.Get(kindFootprint, spec.Key(), &cached) {
-			r.diskHits.Add(1)
-			return &cached, nil
-		}
-		a, err := r.Analysis(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := r.trace(ctx, spec.Workload, spec.Insts)
-		if err != nil {
-			return nil, err
-		}
-		fp := crisp.MeasureFootprint(w.Build(workload.Train).Prog, tr, a.CriticalPCs)
-		_ = r.store.Put(kindFootprint, spec.Key(), &fp)
-		return &fp, nil
-	}
+		return resolve(ctx, r, setTask(r, kindMultiCkpt, key, r.store.GetMultiCheckpoint,
+			func(set *checkpoint.MultiSet) error {
+				imgs := build()
+				mems := make([]*emu.Memory, len(imgs))
+				for i, img := range imgs {
+					mems[i] = img.Mem
+				}
+				return set.Attach(mems)
+			},
+			func(ctx context.Context) (*checkpoint.MultiSet, int64, uint64, error) {
+				set, err := sim.CaptureMultiCheckpointsContext(ctx, build(), cfgs, *spec.Sampling)
+				if err != nil {
+					return nil, 0, 0, err
+				}
+				return set, set.HostNS, set.WarmInsts, nil
+			}, r.store.PutMultiCheckpoint))
+	})
 }

@@ -3,7 +3,9 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 )
 
 // Strict spec decoding for the wire: specs arriving over HTTP (crispd)
@@ -13,16 +15,18 @@ import (
 // construction uses the struct literals directly and never passes
 // through this path.
 
-// decodeStrict decodes one JSON value into v, rejecting unknown fields
-// and trailing data.
-func decodeStrict(data []byte, v any, what string) error {
+// DecodeStrict decodes one JSON value into v, rejecting unknown fields
+// and anything but white space after the value. Every request body crispd
+// accepts goes through it.
+func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("sim: decode %s: %w", what, err)
+		return err
 	}
-	if dec.More() {
-		return fmt.Errorf("sim: decode %s: trailing data after the spec", what)
+	// Not dec.More: it reports false at a stray closing bracket.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the spec")
 	}
 	return nil
 }
@@ -32,8 +36,8 @@ func decodeStrict(data []byte, v any, what string) error {
 // normalization happens inside Key, so the round trip is loss-free.
 func DecodeRunSpec(data []byte) (RunSpec, error) {
 	var s RunSpec
-	if err := decodeStrict(data, &s, "RunSpec"); err != nil {
-		return RunSpec{}, err
+	if err := DecodeStrict(data, &s); err != nil {
+		return RunSpec{}, fmt.Errorf("sim: decode RunSpec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return RunSpec{}, err
@@ -44,8 +48,8 @@ func DecodeRunSpec(data []byte) (RunSpec, error) {
 // DecodeMultiSpec strictly decodes and validates a JSON MultiSpec.
 func DecodeMultiSpec(data []byte) (MultiSpec, error) {
 	var m MultiSpec
-	if err := decodeStrict(data, &m, "MultiSpec"); err != nil {
-		return MultiSpec{}, err
+	if err := DecodeStrict(data, &m); err != nil {
+		return MultiSpec{}, fmt.Errorf("sim: decode MultiSpec: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return MultiSpec{}, err

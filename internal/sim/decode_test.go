@@ -67,6 +67,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"bad scheduler", `{"workload":"mcf","insts":1000,"sched":"fifo"}`, "unknown scheduler"},
 		{"no workload", `{"insts":1000}`, "no workload"},
 		{"trailing garbage", `{"workload":"mcf","insts":1000} {"again":true}`, "trailing data"},
+		{"trailing bracket", `{"workload":"mcf","insts":1000} }`, "trailing data"},
 		{"not json", `insts=1000`, "decode RunSpec"},
 		{"both crisp and ibda", `{"workload":"mcf","insts":1,"crisp":{},"ibda":{}}`, "both"},
 		{"sampling and insts", `{"workload":"mcf","insts":5,"sampling":{"window":10,"count":2}}`, "mutually exclusive"},

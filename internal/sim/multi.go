@@ -7,7 +7,6 @@ import (
 	"crisp/internal/cache"
 	"crisp/internal/core"
 	"crisp/internal/dram"
-	"crisp/internal/emu"
 	"crisp/internal/ibda"
 	"crisp/internal/metrics"
 )
@@ -61,18 +60,14 @@ func (m *MultiResult) DRAMBandwidthShare() metrics.Attribution {
 	return a
 }
 
-// RunMulti executes one multi-core co-scheduled simulation of the images
-// under the per-core configs (see RunMultiContext).
-func RunMulti(imgs []*Image, cfgs []Config) (*MultiResult, error) {
-	return RunMultiContext(context.Background(), imgs, cfgs)
-}
-
-// RunMultiContext builds one shared memory system (a cache.SharedHierarchy:
-// per-core private L1s over one contended LLC and DRAM), wires each image
-// and config to a core over its own view, and steps all cores in lockstep
-// to completion (core.RunMulti). imgs[i] runs on core i under cfgs[i]; the
-// images are consumed. Every config must carry the same hierarchy
-// geometry. On cancellation it returns (nil, ctx.Err()).
+// RunMultiContext executes one multi-core co-scheduled simulation of the
+// images under the per-core configs. It builds one shared memory system
+// (a cache.SharedHierarchy: per-core private L1s over one contended LLC
+// and DRAM), wires each image and config to a core over its own view, and
+// steps all cores in lockstep to completion (core.RunMulti). imgs[i] runs
+// on core i under cfgs[i]; the images are consumed. Every config must
+// carry the same hierarchy geometry. On cancellation it returns
+// (nil, ctx.Err()).
 func RunMultiContext(ctx context.Context, imgs []*Image, cfgs []Config) (*MultiResult, error) {
 	n := len(imgs)
 	if n == 0 || len(cfgs) != n {
@@ -93,11 +88,7 @@ func RunMultiContext(ctx context.Context, imgs []*Image, cfgs []Config) (*MultiR
 		if cfgs[i].IBDA != nil {
 			marker = attachIBDA(ibda.New(*cfgs[i].IBDA), imgs[i].Prog, view)
 		}
-		em := emu.New(imgs[i].Prog, imgs[i].Mem)
-		for r, v := range imgs[i].Regs {
-			em.SetReg(r, v)
-		}
-		cores[i] = core.New(cfgs[i].Core, imgs[i].Prog, em, view, marker)
+		cores[i] = core.New(cfgs[i].Core, imgs[i].Prog, imgs[i].emulator(), view, marker)
 	}
 
 	results := core.RunMulti(cores, cancelCheck(ctx))
@@ -105,6 +96,14 @@ func RunMultiContext(ctx context.Context, imgs []*Image, cfgs []Config) (*MultiR
 		return nil, err
 	}
 
+	return sharedResult(sh, results), nil
+}
+
+// sharedResult puts the shared levels' totals and per-requester split
+// beside the cores' results of one lockstep run (or one lockstep window),
+// and counts the run in the process totals.
+func sharedResult(sh *cache.SharedHierarchy, results []*core.Result) *MultiResult {
+	n := len(results)
 	m := &MultiResult{
 		Cores:       results,
 		LLC:         sh.LLC.Stats(),
@@ -123,5 +122,5 @@ func RunMultiContext(ctx context.Context, imgs []*Image, cfgs []Config) (*MultiR
 		}
 	}
 	hostNS.Add(uint64(m.HostNS))
-	return m, nil
+	return m
 }

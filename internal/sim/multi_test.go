@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // (wall time, allocs) may differ.
 func TestMultiSingleCoreEquivalence(t *testing.T) {
 	single := Run(chaseImage(3000, false), cfgN(40_000))
-	m, err := RunMulti([]*Image{chaseImage(3000, false)}, []Config{cfgN(40_000)})
+	m, err := RunMultiContext(context.Background(), []*Image{chaseImage(3000, false)}, []Config{cfgN(40_000)})
 	if err != nil {
 		t.Fatalf("RunMulti: %v", err)
 	}
@@ -43,7 +44,7 @@ func TestMultiSingleCoreEquivalence(t *testing.T) {
 func TestMultiInterference(t *testing.T) {
 	const nodes = 12000 // 750 KiB each: fits a 1 MiB LLC alone, not together
 	solo := Run(chaseImage(nodes, false), cfgN(40_000))
-	m, err := RunMulti(
+	m, err := RunMultiContext(context.Background(),
 		[]*Image{chaseImage(nodes, false), chaseImage(nodes, false)},
 		[]Config{cfgN(40_000), cfgN(40_000)})
 	if err != nil {

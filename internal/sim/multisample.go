@@ -3,10 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"crisp/internal/branch"
 	"crisp/internal/cache"
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
@@ -16,7 +13,7 @@ import (
 	"crisp/internal/program"
 )
 
-// Sampled multi-core execution: CaptureMultiCheckpoints runs the
+// Sampled multi-core execution: CaptureMultiCheckpointsContext runs the
 // co-scheduled functional pass once per (workload tuple, schedule,
 // per-core prefetcher tuple), and RunMultiSampledContext restores the
 // aligned points into parallel detailed lockstep windows. Unlike the
@@ -38,9 +35,9 @@ const (
 	calTol      = 0.05
 )
 
-// CaptureMultiCheckpoints runs the co-scheduled functional fast-forward
-// pass over the images (one per core, consumed) and returns the
-// MultiSet their sampled co-runs restore from. The shared-hierarchy
+// CaptureMultiCheckpointsContext runs the co-scheduled functional
+// fast-forward pass over the images (one per core, consumed) and returns
+// the MultiSet their sampled co-runs restore from. The shared-hierarchy
 // geometry, frontend structure sizes and per-core prefetcher kinds come
 // from cfgs, which must match the configs that will restore the set
 // (RunMultiSampledContext verifies geometry and prefetcher tuple).
@@ -53,14 +50,10 @@ const (
 // The calibration scheduler is pinned to the baseline regardless of
 // cfgs, so configs that share a set (scheduler and window-size sweeps)
 // derive the same pace and therefore byte-identical sets.
-func CaptureMultiCheckpoints(imgs []*Image, cfgs []Config, s Sampling) (*checkpoint.MultiSet, error) {
-	return CaptureMultiCheckpointsContext(context.Background(), imgs, cfgs, s)
-}
-
-// CaptureMultiCheckpointsContext is CaptureMultiCheckpoints with
-// cancellation, observed by the calibration mini-captures and windows and
-// by the real capture. It then returns (nil, ctx.Err()), so a partial set
-// is never stored.
+//
+// Cancellation is observed by the calibration mini-captures and windows
+// and by the real capture. It then returns (nil, ctx.Err()), so a partial
+// set is never stored.
 func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling) (*checkpoint.MultiSet, error) {
 	n := len(imgs)
 	if n == 0 || len(cfgs) != n {
@@ -78,11 +71,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 		kinds := make([]string, n)
 		for i := range imgs {
 			progs[i] = imgs[i].Prog
-			em := emu.New(imgs[i].Prog, imgs[i].Mem)
-			for r, v := range imgs[i].Regs {
-				em.SetReg(r, v)
-			}
-			ems[i] = em
+			ems[i] = imgs[i].emulator()
 			pfs[i] = newPrefetcher(cfgs[i].Prefetcher)
 			kinds[i] = cfgs[i].Prefetcher.String()
 		}
@@ -168,15 +157,8 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 		cores := make([]*core.Core, n)
 		for i := 0; i < n; i++ {
 			ccfg := cfgs[i].Core
-			ccfg.MaxInsts = window
 			ccfg.Scheduler = core.SchedOldestFirst // pace must not depend on the swept scheduler
-			c := core.New(ccfg, progs[i], st.Ems[i], st.Hier.Views[i], nil)
-			var bp branch.Predictor
-			if !ccfg.PerfectBP {
-				bp = st.BPs[i]
-			}
-			c.SetBranchState(bp, st.BTBs[i], st.RASs[i])
-			cores[i] = c
+			cores[i] = windowCore(ccfg, window, progs[i], st.Ems[i], st.Hier.Views[i], nil, st.BPs[i], st.BTBs[i], st.RASs[i], nil)
 		}
 		results := core.RunMultiWindow(cores, nil)
 		next := make([]float64, n)
@@ -211,15 +193,10 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 	return pace, nil
 }
 
-// RunMultiSampled executes a sampled co-scheduled simulation over a
-// previously captured MultiSet.
-func RunMultiSampled(set *checkpoint.MultiSet, progs []*program.Program, cfgs []Config, s Sampling) (*MultiResult, error) {
-	return RunMultiSampledContext(context.Background(), set, progs, cfgs, s)
-}
-
-// RunMultiSampledContext restores each aligned checkpoint into a fresh
-// detailed lockstep window — a clone of the co-residency-warmed shared
-// hierarchy, per-core emulators over copy-on-write memory forks, cloned
+// RunMultiSampledContext executes a sampled co-scheduled simulation over
+// a previously captured MultiSet: it restores each aligned checkpoint
+// into a fresh detailed lockstep window — a clone of the
+// co-residency-warmed shared hierarchy, per-core emulators over copy-on-write memory forks, cloned
 // predictors and prefetchers — runs the cores to their pace-scaled
 // window budgets (set.WindowInsts) with core.RunMultiWindow, and
 // aggregates per core across windows exactly as the single-core sampled
@@ -228,8 +205,8 @@ func RunMultiSampled(set *checkpoint.MultiSet, progs []*program.Program, cfgs []
 // Budgets proportional to co-run speeds mean the cores finish each
 // window together: the windows measure the co-located phase itself, not
 // the solo drain a slow core would run after equal budgets let its
-// neighbours finish early. progs[i] must be position-identical to the program core i was
-// captured with. Runtime IBDA is rejected by MultiSpec.Validate — an
+// neighbours finish early. progs[i] must be position-identical to the
+// program core i was captured with. Runtime IBDA is rejected by MultiSpec.Validate — an
 // instance spans windows — so the windows are always independent and fan
 // out over the sampled worker pool; the merge runs in window-index
 // order, keeping the aggregate identical to a sequential execution.
@@ -252,83 +229,25 @@ func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs
 	}
 	check := cancelCheck(ctx)
 
-	type windowOut struct {
-		cores   []*core.Result
-		llc     cache.Stats
-		llcPer  []cache.Stats
-		dram    dram.Stats
-		dramPer []dram.Stats
-		hostNS  int64
-	}
-	runOne := func(pt *checkpoint.MultiPoint) (*windowOut, error) {
-		st, err := pt.Restore(progs)
+	outs := make([]*MultiResult, len(set.Points))
+	err := fanOut(ctx, len(set.Points), func(w int) error {
+		st, err := set.Points[w].Restore(progs)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
+			return fmt.Errorf("sim: %w", err)
 		}
 		cores := make([]*core.Core, n)
 		for i := 0; i < n; i++ {
-			ccfg := cfgs[i].Core
-			ccfg.MaxInsts = s.Window
+			budget := s.Window
 			if set.WindowInsts != nil {
-				ccfg.MaxInsts = set.WindowInsts[i]
+				budget = set.WindowInsts[i]
 			}
-			c := core.New(ccfg, progs[i], st.Ems[i], st.Hier.Views[i], nil)
-			var bp branch.Predictor
-			if !ccfg.PerfectBP {
-				bp = st.BPs[i]
-			}
-			c.SetBranchState(bp, st.BTBs[i], st.RASs[i])
-			if check != nil {
-				c.SetCancelCheck(check)
-			}
-			cores[i] = c
+			cores[i] = windowCore(cfgs[i].Core, budget, progs[i], st.Ems[i], st.Hier.Views[i], nil, st.BPs[i], st.BTBs[i], st.RASs[i], check)
 		}
-		results := core.RunMultiWindow(cores, check)
-		out := &windowOut{
-			cores:   results,
-			llc:     st.Hier.LLC.Stats(),
-			dram:    st.Hier.Mem.Stats(),
-			llcPer:  make([]cache.Stats, n),
-			dramPer: make([]dram.Stats, n),
-		}
-		for i := 0; i < n; i++ {
-			out.llcPer[i] = st.Hier.LLC.RequesterStats(i)
-			out.dramPer[i] = st.Hier.Mem.RequesterStats(i)
-			hostInsts.Add(results[i].Insts)
-			if results[i].HostNS > out.hostNS {
-				out.hostNS = results[i].HostNS // max core = whole lockstep window
-			}
-		}
-		hostNS.Add(uint64(out.hostNS))
-		return out, nil
-	}
-
-	outs := make([]*windowOut, len(set.Points))
-	errs := make([]error, len(set.Points))
-	workers := windowWorkers(ctx, len(set.Points))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(set.Points) || ctx.Err() != nil {
-					return
-				}
-				outs[i], errs[i] = runOne(set.Points[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		outs[w] = sharedResult(st.Hier, core.RunMultiWindow(cores, check))
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	m := &MultiResult{
@@ -339,16 +258,16 @@ func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs
 	for _, out := range outs {
 		for i := 0; i < n; i++ {
 			if m.Cores[i] == nil {
-				m.Cores[i] = out.cores[i]
+				m.Cores[i] = out.Cores[i]
 			} else {
-				m.Cores[i].Merge(out.cores[i])
+				m.Cores[i].Merge(out.Cores[i])
 			}
-			m.LLCPerCore[i].Add(&out.llcPer[i])
-			m.DRAMPerCore[i].Add(&out.dramPer[i])
+			m.LLCPerCore[i].Add(&out.LLCPerCore[i])
+			m.DRAMPerCore[i].Add(&out.DRAMPerCore[i])
 		}
-		m.LLC.Add(&out.llc)
-		m.DRAM.Add(&out.dram)
-		m.HostNS += out.hostNS
+		m.LLC.Add(&out.LLC)
+		m.DRAM.Add(&out.DRAM)
+		m.HostNS += out.HostNS // max core = whole lockstep window
 	}
 	for i := 0; i < n; i++ {
 		if m.Cores[i] == nil {

@@ -58,7 +58,7 @@ func TestMultiSampledEquivalence(t *testing.T) {
 			t.Parallel()
 			cfgs := []sim.Config{sim.DefaultConfig().WithSched(tc.sched), sim.DefaultConfig()}
 
-			set, err := sim.CaptureMultiCheckpoints(colocatePair(tc.pipe), cfgs, s)
+			set, err := sim.CaptureMultiCheckpointsContext(context.Background(), colocatePair(tc.pipe), cfgs, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,13 +74,13 @@ func TestMultiSampledEquivalence(t *testing.T) {
 				fcfgs[i] = cfgs[i]
 				fcfgs[i].Core.MaxInsts = set.FFPerCore[i]
 			}
-			full, err := sim.RunMulti(colocatePair(tc.pipe), fcfgs)
+			full, err := sim.RunMultiContext(context.Background(), colocatePair(tc.pipe), fcfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			imgs := colocatePair(tc.pipe)
 			progs := []*program.Program{imgs[0].Prog, imgs[1].Prog}
-			samp, err := sim.RunMultiSampled(set, progs, cfgs, s)
+			samp, err := sim.RunMultiSampledContext(context.Background(), set, progs, cfgs, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestMultiSampledEquivalence(t *testing.T) {
 			for _, pt := range set.Points {
 				pt.Hier.LLC.Invalidate()
 			}
-			cold, err := sim.RunMultiSampled(set, progs, cfgs, s)
+			cold, err := sim.RunMultiSampledContext(context.Background(), set, progs, cfgs, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func captureMultiSmall(t *testing.T) (*checkpoint.MultiSet, []*program.Program, 
 	for i := range cfgs {
 		cfgs[i].Prefetcher = sim.PFStride
 	}
-	set, err := sim.CaptureMultiCheckpoints(colocatePair(nil), cfgs, multiSmallSchedule)
+	set, err := sim.CaptureMultiCheckpointsContext(context.Background(), colocatePair(nil), cfgs, multiSmallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.WindowInsts, set.WindowInsts) {
 		t.Fatalf("decoded set metadata differs: %+v vs %+v", got, set)
 	}
-	a, err := sim.RunMultiSampled(set, progs, cfgs, multiSmallSchedule)
+	a, err := sim.RunMultiSampledContext(context.Background(), set, progs, cfgs, multiSmallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunMultiSampled(got, progs, cfgs, multiSmallSchedule); err == nil || !strings.Contains(err.Error(), "not attached") {
+	if _, err := sim.RunMultiSampledContext(context.Background(), got, progs, cfgs, multiSmallSchedule); err == nil || !strings.Contains(err.Error(), "not attached") {
 		t.Fatalf("run over an unattached set: error %v, want a refusal", err)
 	}
 	imgs := colocatePair(nil)
@@ -181,7 +181,7 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 	if err := got.Attach([]*emu.Memory{imgs[0].Mem, imgs[1].Mem}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunMultiSampled(got, progs, cfgs, multiSmallSchedule)
+	b, err := sim.RunMultiSampledContext(context.Background(), got, progs, cfgs, multiSmallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMultiSampledSharedSet(t *testing.T) {
 	var results []*sim.MultiResult
 	for _, sched := range []core.SchedulerKind{core.SchedOldestFirst, core.SchedRandom} {
 		c := []sim.Config{cfgs[0].WithSched(sched), cfgs[1]}
-		m, err := sim.RunMultiSampled(set, progs, c, multiSmallSchedule)
+		m, err := sim.RunMultiSampledContext(context.Background(), set, progs, c, multiSmallSchedule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,17 +266,17 @@ func TestMultiSampledRejections(t *testing.T) {
 
 	bad := []sim.Config{cfgs[0], cfgs[1]}
 	bad[1].Hier.L1D.SizeKiB *= 2
-	if _, err := sim.RunMultiSampled(set, progs, bad, multiSmallSchedule); err == nil {
+	if _, err := sim.RunMultiSampledContext(context.Background(), set, progs, bad, multiSmallSchedule); err == nil {
 		t.Error("geometry mismatch not rejected")
 	}
 
 	pfm := []sim.Config{cfgs[0], cfgs[1]}
 	pfm[1].Prefetcher = sim.PFNone
-	if _, err := sim.RunMultiSampled(set, progs, pfm, multiSmallSchedule); err == nil {
+	if _, err := sim.RunMultiSampledContext(context.Background(), set, progs, pfm, multiSmallSchedule); err == nil {
 		t.Error("prefetcher tuple mismatch not rejected")
 	}
 
-	if _, err := sim.CaptureMultiCheckpoints(colocatePair(nil), []sim.Config{sim.DefaultConfig()}, multiSmallSchedule); err == nil {
+	if _, err := sim.CaptureMultiCheckpointsContext(context.Background(), colocatePair(nil), []sim.Config{sim.DefaultConfig()}, multiSmallSchedule); err == nil {
 		t.Error("image/config count mismatch not rejected")
 	}
 }

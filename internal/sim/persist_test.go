@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,14 +28,17 @@ func TestSampledFromDecodedSet(t *testing.T) {
 		"pointerchase": sim.PFBOPStream, "mcf": sim.PFBOPStream, "moses": sim.PFGHB, "streambatch": sim.PFGHB,
 	} {
 		w := workload.ByName(name)
-		set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+		set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+		if err != nil {
+			t.Fatal(err)
+		}
 		enc := checkpoint.EncodeSet(set, "equiv-test")
 		dec, err := checkpoint.DecodeSet(enc, "equiv-test")
 		if err != nil {
 			t.Fatalf("%s: DecodeSet: %v", name, err)
 		}
 		prog := w.Build(workload.Ref).Prog
-		if _, err := sim.RunSampled(dec, prog, sim.DefaultConfig(), smallSchedule); err == nil || !strings.Contains(err.Error(), "not attached") {
+		if _, err := sim.RunSampledContext(context.Background(), dec, prog, sim.DefaultConfig(), smallSchedule); err == nil || !strings.Contains(err.Error(), "not attached") {
 			t.Fatalf("%s: run over an unattached set: error %v, want a refusal", name, err)
 		}
 		if err := dec.Attach(w.Build(workload.Train).Mem); err == nil {
@@ -46,11 +50,11 @@ func TestSampledFromDecodedSet(t *testing.T) {
 		for _, sched := range []core.SchedulerKind{core.SchedOldestFirst, core.SchedCRISP} {
 			cfg := sim.DefaultConfig().WithSched(sched)
 			cfg.Prefetcher = pf
-			ram, err := sim.RunSampled(set, prog, cfg, smallSchedule)
+			ram, err := sim.RunSampledContext(context.Background(), set, prog, cfg, smallSchedule)
 			if err != nil {
 				t.Fatalf("%s/%v: RAM run: %v", name, sched, err)
 			}
-			disk, err := sim.RunSampled(dec, prog, cfg, smallSchedule)
+			disk, err := sim.RunSampledContext(context.Background(), dec, prog, cfg, smallSchedule)
 			if err != nil {
 				t.Fatalf("%s/%v: decoded run: %v", name, sched, err)
 			}

@@ -30,8 +30,11 @@ func TestSampledEquivalence(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.Core.MaxInsts = s.Total()
 			full := sim.Run(w.Build(workload.Ref), cfg)
-			set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), s)
-			samp, err := sim.RunSampled(set, w.Build(workload.Ref).Prog, sim.DefaultConfig(), s)
+			set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samp, err := sim.RunSampledContext(context.Background(), set, w.Build(workload.Ref).Prog, sim.DefaultConfig(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,13 +58,16 @@ func captureSmall(t *testing.T, name string) *workload.Workload {
 
 func TestSampledDeterminism(t *testing.T) {
 	w := captureSmall(t, "mcf")
-	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
-	prog := w.Build(workload.Ref).Prog
-	a, err := sim.RunSampled(set, prog, sim.DefaultConfig(), smallSchedule)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunSampled(set, prog, sim.DefaultConfig(), smallSchedule)
+	prog := w.Build(workload.Ref).Prog
+	a, err := sim.RunSampledContext(context.Background(), set, prog, sim.DefaultConfig(), smallSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sim.RunSampledContext(context.Background(), set, prog, sim.DefaultConfig(), smallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +76,11 @@ func TestSampledDeterminism(t *testing.T) {
 			a.Cycles, a.Insts, b.Cycles, b.Insts)
 	}
 	// A fresh capture of the same schedule is also identical.
-	set2 := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
-	c, err := sim.RunSampled(set2, prog, sim.DefaultConfig(), smallSchedule)
+	set2, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sim.RunSampledContext(context.Background(), set2, prog, sim.DefaultConfig(), smallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +97,10 @@ func TestSampledDeterminism(t *testing.T) {
 func TestSampledParallelMatchesSequential(t *testing.T) {
 	w := captureSmall(t, "mcf")
 	sched := sim.Sampling{Warm: 20_000, Window: 5_000, Count: 4}
-	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), sched)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), sched)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prog := w.Build(workload.Ref).Prog
 	run := func(workers int) *core.Result {
 		ctx := sim.WithWindowWorkers(context.Background(), workers)
@@ -115,7 +127,10 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 // concurrently.
 func TestSampledCrossConfig(t *testing.T) {
 	w := captureSmall(t, "mcf")
-	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prog := w.Build(workload.Ref).Prog
 	cfgs := make([]sim.Config, 0, 4)
 	for _, pf := range []sim.PrefetcherKind{sim.PFBOPStream, sim.PFNone, sim.PFStride, sim.PFGHB} {
@@ -130,7 +145,7 @@ func TestSampledCrossConfig(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := sim.RunSampled(set, prog, cfg, smallSchedule)
+			r, err := sim.RunSampledContext(context.Background(), set, prog, cfg, smallSchedule)
 			if err != nil {
 				t.Error(err)
 				return
@@ -159,10 +174,13 @@ func TestSampledCrossConfig(t *testing.T) {
 
 func TestSampledHierMismatch(t *testing.T) {
 	w := captureSmall(t, "mcf")
-	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.Hier.L1D.SizeKiB *= 2
-	if _, err := sim.RunSampled(set, w.Build(workload.Ref).Prog, cfg, smallSchedule); err == nil {
+	if _, err := sim.RunSampledContext(context.Background(), set, w.Build(workload.Ref).Prog, cfg, smallSchedule); err == nil {
 		t.Fatal("geometry mismatch not rejected")
 	}
 }
@@ -170,8 +188,11 @@ func TestSampledHierMismatch(t *testing.T) {
 func TestSampledHostSplit(t *testing.T) {
 	sim.ResetHostTotals()
 	w := captureSmall(t, "pointerchase")
-	set := sim.CaptureCheckpoints(w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
-	r, err := sim.RunSampled(set, w.Build(workload.Ref).Prog, sim.DefaultConfig(), smallSchedule)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.RunSampledContext(context.Background(), set, w.Build(workload.Ref).Prog, sim.DefaultConfig(), smallSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}

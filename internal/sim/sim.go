@@ -9,7 +9,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"crisp/internal/branch"
@@ -43,6 +42,16 @@ type Image struct {
 // call).
 func (img *Image) withProg(p *program.Program) *Image {
 	return &Image{Prog: p, Mem: img.Mem, Regs: img.Regs}
+}
+
+// emulator returns a functional emulator at the image's entry state. It
+// executes over img.Mem itself: this is what consumes the image.
+func (img *Image) emulator() *emu.Emulator {
+	em := emu.New(img.Prog, img.Mem)
+	for r, v := range img.Regs {
+		em.SetReg(r, v)
+	}
+	return em
 }
 
 // PrefetcherKind selects the data-prefetch configuration.
@@ -181,11 +190,7 @@ func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, erro
 		marker = attachIBDA(ibda.New(*cfg.IBDA), img.Prog, hier)
 	}
 
-	em := emu.New(img.Prog, img.Mem)
-	for r, v := range img.Regs {
-		em.SetReg(r, v)
-	}
-	c := core.New(cfg.Core, img.Prog, em, hier, marker)
+	c := core.New(cfg.Core, img.Prog, img.emulator(), hier, marker)
 	if f := cancelCheck(ctx); f != nil {
 		c.SetCancelCheck(f)
 	}
@@ -198,26 +203,16 @@ func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, erro
 	return r, nil
 }
 
-// CaptureCheckpoints runs the single functional fast-forward pass over
-// the image and returns the checkpoint set for the schedule: the per-
+// CaptureCheckpointsContext runs the single functional fast-forward pass
+// over the image and returns the checkpoint set for the schedule: the per-
 // (workload, input, schedule) artifact every config's sampled run
 // restores from. The image is consumed. The warmed cache geometry and
 // frontend structure sizes come from cfg, which must match the configs
 // that will restore the set (RunSampledContext verifies the hierarchy
-// geometry).
-func CaptureCheckpoints(img *Image, cfg Config, s Sampling) *checkpoint.Set {
-	set, _ := CaptureCheckpointsContext(context.Background(), img, cfg, s)
-	return set
-}
-
-// CaptureCheckpointsContext is CaptureCheckpoints with cancellation
-// (observed every few milliseconds, see checkpoint.CaptureContext): it
-// then returns (nil, ctx.Err()), so a partial set is never stored.
+// geometry). Cancellation is observed every few milliseconds (see
+// checkpoint.CaptureContext) and returns (nil, ctx.Err()), so a partial
+// set is never stored.
 func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sampling) (*checkpoint.Set, error) {
-	em := emu.New(img.Prog, img.Mem)
-	for r, v := range img.Regs {
-		em.SetReg(r, v)
-	}
 	// Warm one cache-hierarchy/prefetcher variant per prefetcher kind:
 	// prefetched lines are part of steady-state cache content (resident
 	// prefetches dedup most later suggestions), and prefetcher training
@@ -228,7 +223,7 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	for _, kind := range []PrefetcherKind{PFBOPStream, PFStride, PFGHB, PFNone} {
 		pfs[kind.String()] = newPrefetcher(kind)
 	}
-	set, err := checkpoint.CaptureContext(ctx, img.Prog, em, cfg.Hier,
+	set, err := checkpoint.CaptureContext(ctx, img.Prog, img.emulator(), cfg.Hier,
 		cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, pfs,
 		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count})
 	if err != nil {
@@ -239,14 +234,9 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	return set, nil
 }
 
-// RunSampled executes a sampled simulation of prog under cfg over a
-// previously captured checkpoint set.
-func RunSampled(set *checkpoint.Set, prog *program.Program, cfg Config, s Sampling) (*core.Result, error) {
-	return RunSampledContext(context.Background(), set, prog, cfg, s)
-}
-
-// RunSampledContext restores each checkpoint into a fresh detailed window
-// (cloned warmed hierarchy and predictors, copy-on-write memory fork,
+// RunSampledContext executes a sampled simulation of prog under cfg over a
+// previously captured checkpoint set: it restores each checkpoint into a
+// fresh detailed window (cloned warmed hierarchy and predictors, copy-on-write memory fork,
 // per-config prefetcher/IBDA attachments) of Window instructions under
 // cfg, and aggregates the per-window results into one weighted
 // core.Result: windows are equal-length, so summing counters, breakdowns
@@ -276,37 +266,13 @@ func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.P
 			results[i] = r
 		}
 	} else {
-		// Without cross-window state the windows are independent: each
-		// restores from the read-only checkpoint set into its own emulator,
-		// hierarchy and predictors. Fan the loop out over a bounded worker
-		// set; the merge below runs in window-index order regardless of
-		// completion order, so the aggregate (including its float folds) is
-		// identical to the sequential path's.
-		errs := make([]error, len(set.Points))
-		workers := windowWorkers(ctx, len(set.Points))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(set.Points) || ctx.Err() != nil {
-						return
-					}
-					results[i], errs[i] = runWindow(set.Points[i], prog, cfg, s.Window, nil, check)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		// Without cross-window state the windows are independent.
+		err := fanOut(ctx, len(set.Points), func(i int) (err error) {
+			results[i], err = runWindow(set.Points[i], prog, cfg, s.Window, nil, check)
+			return err
+		})
+		if err != nil {
 			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
 		}
 	}
 	var agg *core.Result
@@ -339,21 +305,29 @@ func runWindow(pt *checkpoint.Point, prog *program.Program, cfg Config, window u
 	if ib != nil {
 		marker = attachIBDA(ib, prog, st.Hier)
 	}
-	ccfg := cfg.Core
-	ccfg.MaxInsts = window
-	c := core.New(ccfg, prog, st.Em, st.Hier, marker)
-	var bp branch.Predictor
-	if !ccfg.PerfectBP {
-		bp = st.BP
-	}
-	c.SetBranchState(bp, st.BTB, st.RAS)
-	if check != nil {
-		c.SetCancelCheck(check)
-	}
-	r := c.Run()
+	r := windowCore(cfg.Core, window, prog, st.Em, st.Hier, marker, st.BP, st.BTB, st.RAS, check).Run()
 	hostInsts.Add(r.Insts)
 	hostNS.Add(uint64(r.HostNS))
 	return r, nil
+}
+
+// windowCore builds the core of one restored detailed window: ccfg with
+// the window's instruction budget, over the restored emulator, hierarchy
+// and front-end state — the warmed predictor left out under PerfectBP —
+// polling check (nil = never) for cancellation.
+func windowCore(ccfg core.Config, budget uint64, prog *program.Program, em *emu.Emulator, hier *cache.Hierarchy,
+	marker core.Marker, tage *branch.TAGE, btb *branch.BTB, ras *branch.RAS, check func() bool) *core.Core {
+	ccfg.MaxInsts = budget
+	c := core.New(ccfg, prog, em, hier, marker)
+	var bp branch.Predictor
+	if !ccfg.PerfectBP {
+		bp = tage
+	}
+	c.SetBranchState(bp, btb, ras)
+	if check != nil {
+		c.SetCancelCheck(check)
+	}
+	return c
 }
 
 // Cumulative host-throughput counters across every Run in the process
@@ -386,11 +360,7 @@ func ResetHostTotals() {
 // CaptureTrace functionally executes the image and records up to limit
 // dynamic instructions with producer links (the tracing step of Figure 5).
 func CaptureTrace(img *Image, limit uint64) *trace.Trace {
-	em := emu.New(img.Prog, img.Mem)
-	for r, v := range img.Regs {
-		em.SetReg(r, v)
-	}
-	return trace.Capture(em, limit)
+	return trace.Capture(img.emulator(), limit)
 }
 
 // Pipeline bundles the outputs of the CRISP software flow for a workload.

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // windowWorkersKey carries the concurrent-window bound on a context.
@@ -28,4 +30,40 @@ func windowWorkers(ctx context.Context, points int) int {
 		workers = points
 	}
 	return workers
+}
+
+// fanOut runs fn(i) for every i below n on the sampled worker pool — a
+// run's detailed windows, each restoring from the read-only checkpoint set
+// into its own emulator, hierarchy and predictors. It returns ctx's error
+// if ctx was cancelled (workers stop taking windows), else fn's
+// lowest-index error. Callers fill a slice by index and merge it in index
+// order afterwards, so the aggregate (including its float folds) is
+// identical to a sequential execution's whatever the completion order.
+func fanOut(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := windowWorkers(ctx, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
