@@ -15,7 +15,8 @@ import (
 // properties, as for cache.FuzzDecodeHierarchy: a decoder never panics; it
 // allocates in proportion to its input, whatever sizes the input declares;
 // and bytes it accepts re-encode to exactly themselves, so no two inputs
-// decode to one state.
+// decode to one state. The predictor has a fourth: what its decoder accepts
+// is safe to use.
 
 // state is what the three structures have in common.
 type state interface{ EncodeState(w *codec.Writer) }
@@ -28,8 +29,8 @@ func encoded(s state) []byte {
 
 // fuzzDecoder seeds f with the encoding of good, half of it and a copy
 // with one bit flipped, and checks the three properties of decode on every
-// input.
-func fuzzDecoder[T state](f *testing.F, good T, decode func(r *codec.Reader) (T, error)) {
+// input; use, if not nil, then exercises what decode accepted.
+func fuzzDecoder[T state](f *testing.F, good T, decode func(r *codec.Reader) (T, error), use func(T)) {
 	seed := encoded(good)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -56,6 +57,9 @@ func fuzzDecoder[T state](f *testing.F, good T, decode func(r *codec.Reader) (T,
 		if consumed := data[:len(data)-r.Remaining()]; !bytes.Equal(encoded(got), consumed) {
 			t.Fatalf("accepted %d bytes that re-encode differently", len(consumed))
 		}
+		if use != nil {
+			use(got)
+		}
 	})
 }
 
@@ -65,10 +69,20 @@ func FuzzDecodeTAGE(f *testing.F) {
 	for i := 0; i < 300; i++ {
 		bp.PredictAndTrain(0x400000+uint64(rng.Intn(9))*4, rng.Intn(3) != 0)
 	}
-	fuzzDecoder(f, bp, DecodeTAGE)
+	// History lengths pushHistory cannot wrap with one compare: refused.
+	for _, hl := range []int{len(bp.hist), len(bp.hist) + 200, 0, -3} {
+		bad := bp.Clone()
+		bad.tables[2].histLen = hl
+		f.Add(encoded(bad))
+	}
+	fuzzDecoder(f, bp, DecodeTAGE, func(t *TAGE) {
+		for i := 0; i < 300; i++ {
+			t.PredictAndTrain(0x400000+uint64(i%11)*4, i%3 != 0)
+		}
+	})
 }
 
-func FuzzDecodeBTB(f *testing.F) { fuzzDecoder(f, warmedBTB(), DecodeBTB) }
+func FuzzDecodeBTB(f *testing.F) { fuzzDecoder(f, warmedBTB(), DecodeBTB, nil) }
 
 func FuzzDecodeRAS(f *testing.F) {
 	s := NewRAS(8)
@@ -76,5 +90,5 @@ func FuzzDecodeRAS(f *testing.F) {
 		s.Push(100 + i)
 	}
 	s.Pop()
-	fuzzDecoder(f, s, DecodeRAS)
+	fuzzDecoder(f, s, DecodeRAS, nil)
 }

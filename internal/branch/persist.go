@@ -88,12 +88,11 @@ func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 		tbl.histLen = r.Int()
 		tbl.tagBits = r.Uint()
 		for _, f := range []*folded{&tbl.idxFold, &tbl.tagFold1, &tbl.tagFold2} {
-			f.comp = r.U64()
-			f.compLen = r.Uint()
-			f.origLen = r.Int()
-			if f.compLen == 0 || f.compLen > 64 {
-				return nil, fmt.Errorf("branch: TAGE folded compLen %d out of range", f.compLen)
+			comp, compLen, origLen := r.U64(), r.Uint(), r.Int()
+			if compLen == 0 || compLen > 64 {
+				return nil, fmt.Errorf("branch: TAGE folded compLen %d out of range", compLen)
 			}
+			*f = newFolded(comp, compLen, origLen)
 		}
 		t.tables = append(t.tables, tbl)
 	}
@@ -109,6 +108,11 @@ func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 	}
 	if len(t.hist) == 0 || t.histPos < 0 || t.histPos >= len(t.hist) {
 		return nil, fmt.Errorf("branch: TAGE history position %d out of range (%d entries)", t.histPos, len(t.hist))
+	}
+	for i := range t.tables { // what pushHistory's wrap-by-compare relies on
+		if hl := t.tables[i].histLen; hl <= 0 || hl >= len(t.hist) {
+			return nil, fmt.Errorf("branch: TAGE component %d history length %d out of range (%d entries)", i, hl, len(t.hist))
+		}
 	}
 	return t, nil
 }

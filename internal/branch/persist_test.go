@@ -147,3 +147,20 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 		t.Errorf("unmodified TAGE: %v", err)
 	}
 }
+
+// TestDecodeTAGEHistoryLengths: pushHistory wraps the evicted position with
+// one compare, which needs 0 < histLen < len(hist); the decoder refuses the
+// rest (before PR 28 it accepted any, and the first branch indexed hist with
+// a negative remainder).
+func TestDecodeTAGEHistoryLengths(t *testing.T) {
+	good := NewTAGE(4, 4)
+	for _, hl := range []int{-3, 0, len(good.hist), len(good.hist) + 200} {
+		bad := good.Clone()
+		bad.tables[len(bad.tables)-1].histLen = hl
+		var w codec.Writer
+		bad.EncodeState(&w)
+		if _, err := DecodeTAGE(codec.NewReader(w.Bytes())); err == nil || !strings.Contains(err.Error(), "history length") {
+			t.Errorf("histLen %d: error %v, want the history length refused", hl, err)
+		}
+	}
+}

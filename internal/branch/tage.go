@@ -47,14 +47,20 @@ type tageTable struct {
 // (Seznec's circular shift register), compressing histLen bits of global
 // history into compLen bits.
 type folded struct {
-	comp    uint64
-	compLen uint
-	origLen int
+	comp     uint64
+	compLen  uint
+	origLen  int
+	outShift uint // origLen mod compLen: where the evicted bit has got to
+}
+
+// newFolded is where a folded is built, and where the one division is.
+func newFolded(comp uint64, compLen uint, origLen int) folded {
+	return folded{comp: comp, compLen: compLen, origLen: origLen, outShift: uint(origLen) % compLen}
 }
 
 func (f *folded) update(newBit, evictedBit uint64) {
 	f.comp = (f.comp << 1) | newBit
-	f.comp ^= evictedBit << (uint(f.origLen) % f.compLen)
+	f.comp ^= evictedBit << f.outShift
 	f.comp ^= f.comp >> f.compLen
 	f.comp &= (1 << f.compLen) - 1
 }
@@ -86,9 +92,9 @@ func NewTAGE(logBase, logTagged int) *TAGE {
 			histLen: hl,
 			tagBits: 11,
 		}
-		tt.idxFold = folded{compLen: uint(logTagged), origLen: hl}
-		tt.tagFold1 = folded{compLen: tt.tagBits, origLen: hl}
-		tt.tagFold2 = folded{compLen: tt.tagBits - 1, origLen: hl}
+		tt.idxFold = newFolded(0, uint(logTagged), hl)
+		tt.tagFold1 = newFolded(0, tt.tagBits, hl)
+		tt.tagFold2 = newFolded(0, tt.tagBits-1, hl)
 		t.tables = append(t.tables, tt)
 	}
 	return t
@@ -140,14 +146,14 @@ func (t *TAGE) PredictAndTrain(pc uint64, actual bool) bool {
 		}
 	}
 
-	t.update(pc, actual, pred, altPred, provider, provIdx, alt, providerWeak)
+	t.update(pc, actual, pred, altPred, provider, provIdx, providerWeak)
 	if pred != actual {
 		t.mispred++
 	}
 	return pred
 }
 
-func (t *TAGE) update(pc uint64, actual, pred, altPred bool, provider int, provIdx uint64, alt int, providerWeak bool) {
+func (t *TAGE) update(pc uint64, actual, pred, altPred bool, provider int, provIdx uint64, providerWeak bool) {
 	// Train useAltOnNA when the provider was newly allocated/weak.
 	if provider >= 0 && providerWeak && pred != altPred {
 		provCorrect := (t.tables[provider].entries[provIdx].ctr >= 0) == actual
@@ -220,7 +226,6 @@ func (t *TAGE) update(pc uint64, actual, pred, altPred bool, provider int, provI
 	}
 
 	t.pushHistory(actual)
-	_ = alt
 }
 
 func ctrInit(taken bool) int8 {
@@ -230,18 +235,25 @@ func ctrInit(taken bool) int8 {
 	return -1
 }
 
+// pushHistory wraps positions with a compare: NewTAGE and DecodeTAGE
+// establish 0 < histLen < len(hist) for every table and histPos < len(hist).
 func (t *TAGE) pushHistory(taken bool) {
 	newBit := b2u(taken)
 	t.hist[t.histPos] = uint8(newBit)
 	for i := range t.tables {
 		tbl := &t.tables[i]
-		evictPos := (t.histPos - tbl.histLen + len(t.hist)) % len(t.hist)
+		evictPos := t.histPos - tbl.histLen
+		if evictPos < 0 {
+			evictPos += len(t.hist)
+		}
 		evicted := uint64(t.hist[evictPos])
 		tbl.idxFold.update(newBit, evicted)
 		tbl.tagFold1.update(newBit, evicted)
 		tbl.tagFold2.update(newBit, evicted)
 	}
-	t.histPos = (t.histPos + 1) % len(t.hist)
+	if t.histPos++; t.histPos == len(t.hist) {
+		t.histPos = 0
+	}
 }
 
 // Clone returns a deep copy of the predictor: trained tables, folded

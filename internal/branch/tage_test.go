@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestFoldedHistoryMatchesNaive(t *testing.T) {
 		compLen := uint(compLen8%14) + 2
 		r := rand.New(rand.NewSource(seed))
 
-		fh := folded{compLen: compLen, origLen: histLen}
+		fh := newFolded(0, compLen, histLen)
 		// Raw history, newest first.
 		var hist []uint64
 
@@ -24,7 +25,7 @@ func TestFoldedHistoryMatchesNaive(t *testing.T) {
 			// shift-register accumulates them: bit i of the history (0 =
 			// newest) lands at position (histLen-1-i) mod compLen... easiest
 			// is to replay the updates on a fresh register.
-			replay := folded{compLen: compLen, origLen: histLen}
+			replay := refFolded{compLen: compLen, origLen: histLen}
 			// Replay from oldest to newest.
 			for i := len(hist) - 1; i >= 0; i-- {
 				evicted := uint64(0)
@@ -52,6 +53,68 @@ func TestFoldedHistoryMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refFolded is the folded register as it was before the out-shift was
+// precomputed: one division an update.
+type refFolded struct {
+	comp    uint64
+	compLen uint
+	origLen int
+}
+
+func (f *refFolded) update(newBit, evictedBit uint64) {
+	f.comp = (f.comp << 1) | newBit
+	f.comp ^= evictedBit << (uint(f.origLen) % f.compLen)
+	f.comp ^= f.comp >> f.compLen
+	f.comp &= (1 << f.compLen) - 1
+}
+
+// refPushHistory is pushHistory with both positions wrapped by %, on
+// reference registers kept beside the predictor's: folds[3*i..3*i+2] are
+// table i's idxFold, tagFold1, tagFold2.
+func refPushHistory(hist []uint8, histPos *int, histLens []int, folds []refFolded, taken bool) {
+	newBit := b2u(taken)
+	hist[*histPos] = uint8(newBit)
+	for i, hl := range histLens {
+		evictPos := (*histPos - hl + len(hist)) % len(hist)
+		for j := 0; j < 3; j++ {
+			folds[3*i+j].update(newBit, uint64(hist[evictPos]))
+		}
+	}
+	*histPos = (*histPos + 1) % len(hist)
+}
+
+// TestPushHistoryMatchesModulo drives 10k random outcomes through
+// pushHistory and through the % form it replaced, from a history position
+// near the wrap, and requires the same position, history bits and eighteen
+// folded registers after every one.
+func TestPushHistoryMatchesModulo(t *testing.T) {
+	p := NewTAGE(6, 5)
+	p.histPos = len(p.hist) - 3
+	hist, histPos := append([]uint8(nil), p.hist...), p.histPos
+	var folds []refFolded
+	for _, tbl := range p.tables {
+		for _, f := range []folded{tbl.idxFold, tbl.tagFold1, tbl.tagFold2} {
+			folds = append(folds, refFolded{compLen: f.compLen, origLen: f.origLen})
+		}
+	}
+	rng := rand.New(rand.NewSource(28))
+	for step := 0; step < 10000; step++ {
+		taken := rng.Intn(3) != 0
+		p.pushHistory(taken)
+		refPushHistory(hist, &histPos, tageHistLens, folds, taken)
+		if p.histPos != histPos || !bytes.Equal(p.hist, hist) {
+			t.Fatalf("step %d: position %d / history differ from the %% form's %d", step, p.histPos, histPos)
+		}
+		for i, tbl := range p.tables {
+			for j, f := range []folded{tbl.idxFold, tbl.tagFold1, tbl.tagFold2} {
+				if f.comp != folds[3*i+j].comp {
+					t.Fatalf("step %d: table %d register %d = %#x, the %% form has %#x", step, i, j, f.comp, folds[3*i+j].comp)
+				}
+			}
+		}
 	}
 }
 

@@ -142,10 +142,10 @@ func TestSetSizeAndSharing(t *testing.T) {
 // TestCaptureWarmerMatchesOracle: sharing one L1I between the variants, and
 // everything the warm path does per access, is not in the captured bytes.
 // A pointer chaser, a table updater, a streamer and a hashed service under
-// the sweep's schedule, warmed into three variants, encode to the bytes of
-// the capture over refWarmer (capture_test.go), whose variants each own and
-// warm a whole hierarchy. bop+stream is left out: it differs between two
-// captures by one commit (ROADMAP item 1), so no byte oracle can hold it.
+// the sweep's schedule, warmed into all four variants, encode to the bytes
+// of the capture over refWarmer (capture_test.go), whose variants each own
+// and warm a whole hierarchy. bop+stream is among them since PR 28 gave its
+// stream table a defined victim: two captures by one commit are one set.
 // Handing an L1I miss to the first variant's LLC only fails every app.
 func TestCaptureWarmerMatchesOracle(t *testing.T) {
 	if testing.Short() {
@@ -157,7 +157,10 @@ func TestCaptureWarmerMatchesOracle(t *testing.T) {
 	capture := func(name string, f func(*program.Program, *emu.Emulator, cache.HierConfig, int, int, int, map[string]prefetch.Prefetcher, checkpoint.Params) *checkpoint.Set) []byte {
 		img := workload.ByName(name).Build(workload.Ref)
 		em := emulatorOver(img)
-		pfs := map[string]prefetch.Prefetcher{"stride": prefetch.NewStride(256), "ghb": prefetch.NewGHB(512), "none": nil}
+		pfs := map[string]prefetch.Prefetcher{
+			"bop+stream": &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}},
+			"stride":     prefetch.NewStride(256), "ghb": prefetch.NewGHB(512), "none": nil,
+		}
 		set := f(img.Prog, em, cache.DefaultHierConfig(), core.BTBEntries, core.BTBWays, core.RASEntries, pfs, p)
 		if len(set.Points) != s.Count {
 			t.Fatalf("%s: captured %d points, want %d", name, len(set.Points), s.Count)

@@ -227,8 +227,21 @@ func classifySlowALUs(prog *program.Program, counts []uint64, totalInsts uint64,
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return counts[out[i]] > counts[out[j]] })
+	byCountThenPC(out, func(pc int) uint64 { return counts[pc] })
 	return out
+}
+
+// byCountThenPC orders root PCs hottest first, and equally hot ones by PC:
+// the candidates come out of a map, so a count alone would leave the order
+// of a tie — and with it Slices and the sum behind AvgLoadSliceDynLen — to
+// Go's map iteration.
+func byCountThenPC(pcs []int, count func(pc int) uint64) {
+	sort.Slice(pcs, func(i, j int) bool {
+		if ci, cj := count(pcs[i]), count(pcs[j]); ci != cj {
+			return ci > cj
+		}
+		return pcs[i] < pcs[j]
+	})
 }
 
 // classifyLoads applies the Section 3.2 heuristics.
@@ -262,9 +275,7 @@ func classifyLoads(prof *core.Result, opts Options) []int {
 		}
 		out = append(out, pc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return prof.Loads[out[i]].LLCMiss > prof.Loads[out[j]].LLCMiss
-	})
+	byCountThenPC(out, func(pc int) uint64 { return prof.Loads[pc].LLCMiss })
 	return out
 }
 
@@ -287,9 +298,7 @@ func classifyBranches(prof *core.Result, opts Options) []int {
 		}
 		out = append(out, pc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return prof.Branches[out[i]].Mispred > prof.Branches[out[j]].Mispred
-	})
+	byCountThenPC(out, func(pc int) uint64 { return prof.Branches[pc].Mispred })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package crisp
 
 import (
+	"slices"
 	"testing"
 
 	"crisp/internal/core"
@@ -205,6 +206,42 @@ func TestClassifyBranches(t *testing.T) {
 	got := classifyBranches(prof, DefaultOptions())
 	if len(got) != 1 || got[0] != 1 {
 		t.Errorf("classifyBranches = %v, want [1]", got)
+	}
+}
+
+// TestClassifyBreaksTiesByPC: roots with equal miss / mispredict / execution
+// counts come out in PC order, the same on every call, not in the order Go's
+// map iteration happened to yield them (ROADMAP 1b: before PR 28 the sort
+// key was the count alone, and ten tied loads took a new order most calls).
+func TestClassifyBreaksTiesByPC(t *testing.T) {
+	prof := &core.Result{Loads: map[int]*core.LoadProf{}, Branches: map[int]*core.BranchProf{}}
+	for pc := 10; pc < 20; pc++ {
+		prof.Loads[pc] = mkLoadProf(1000, 500, 500)
+		prof.Branches[pc] = &core.BranchProf{Count: 1000, Mispred: 300}
+	}
+	prof.Loads[5] = mkLoadProf(1000, 400, 400)
+	prof.Loads[30] = mkLoadProf(1000, 900, 900)
+	prof.Branches[5] = &core.BranchProf{Count: 1000, Mispred: 200}
+	prof.Branches[30] = &core.BranchProf{Count: 1000, Mispred: 900}
+	want := []int{30, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 5}
+	for try := 0; try < 50; try++ {
+		if got := classifyLoads(prof, DefaultOptions()); !slices.Equal(got, want) {
+			t.Fatalf("try %d: DelinquentLoads = %v, want %v", try, got, want)
+		}
+		if got := classifyBranches(prof, DefaultOptions()); !slices.Equal(got, want) {
+			t.Fatalf("try %d: HardBranches = %v, want %v", try, got, want)
+		}
+	}
+
+	b := program.NewBuilder("divs")
+	for i := 0; i < 6; i++ {
+		b.Div(isa.R(1), isa.R(2), isa.R(3))
+	}
+	b.Halt()
+	prog := b.MustBuild()
+	counts := []uint64{7, 9, 7, 7, 9, 7, 1}
+	if got, want := classifySlowALUs(prog, counts, 47, DefaultOptions()), []int{1, 4, 0, 2, 3, 5}; !slices.Equal(got, want) {
+		t.Errorf("SlowALUs = %v, want %v", got, want)
 	}
 }
 

@@ -129,11 +129,13 @@ func (b *BOP) ActiveOffset() int64 { return b.active }
 // to find the last occurrence of the current delta pair and replay the
 // deltas that followed it.
 type GHB struct {
-	buf   []ghbEntry
-	head  int
-	size  int
-	index map[uint64]int // pc -> most recent buffer position
-	Depth int            // deltas to replay per prediction
+	buf  []ghbEntry
+	head int
+	size int
+	// index is pc -> most recent buffer position. size PCs are enough: the
+	// least recently used of them names a position buf has since overwritten.
+	index table[int]
+	Depth int // deltas to replay per prediction
 
 	deltas []int64
 	out    []uint64
@@ -147,26 +149,12 @@ type ghbEntry struct {
 
 // NewGHB returns a GHB prefetcher with the given buffer size.
 func NewGHB(size int) *GHB {
-	g := &GHB{buf: make([]ghbEntry, size), size: size, index: make(map[uint64]int), Depth: 2}
+	g := &GHB{buf: make([]ghbEntry, size), size: size, index: table[int]{cap: size}, Depth: 2}
 	for i := range g.buf {
 		g.buf[i].prev = -1
 		g.buf[i].id = -1
 	}
 	return g
-}
-
-func (g *GHB) clone() *GHB {
-	c := &GHB{
-		buf:   append([]ghbEntry(nil), g.buf...),
-		head:  g.head,
-		size:  g.size,
-		index: make(map[uint64]int, len(g.index)),
-		Depth: g.Depth,
-	}
-	for k, v := range g.index {
-		c.index[k] = v
-	}
-	return c
 }
 
 // OnAccess implements the prefetcher interface: it trains on misses only.
@@ -177,14 +165,17 @@ func (g *GHB) OnAccess(pc, addr uint64, hit bool) []uint64 {
 	line := addr / lineSize
 
 	// Link the new entry into the per-PC chain.
-	prev, havePrev := g.index[pc]
 	id := g.head
 	e := ghbEntry{addr: line, prev: -1, id: id}
-	if havePrev && g.buf[prev%g.size].id == prev {
-		e.prev = prev
+	if prev := g.index.get(pc); prev == nil {
+		g.index.put(pc, id)
+	} else {
+		if g.buf[*prev%g.size].id == *prev {
+			e.prev = *prev
+		}
+		*prev = id
 	}
 	g.buf[id%g.size] = e
-	g.index[pc] = id
 	g.head++
 
 	// Walk the chain to collect recent per-PC deltas (newest first).

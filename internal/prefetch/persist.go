@@ -9,9 +9,9 @@ import (
 
 // This file serializes warmed prefetcher training state for the
 // persistent checkpoint store. Encoding is type-tagged (mirroring
-// Clone's type switch) and map-backed tables are written in sorted key
-// order, so encoding the same state twice produces identical bytes —
-// the store's round-trip and determinism tests rely on that.
+// Clone's type switch) and a table's entries are written from least to
+// most recently used, so one state has one encoding — the store's round-trip
+// and determinism tests rely on that — and decodes to the same LRU order.
 
 // Type tags in the encoded form. Order is part of the format; new kinds
 // append.
@@ -43,14 +43,45 @@ func tableLen(r *codec.Reader, what string, min, entrySize int) (int, error) {
 	return n, nil
 }
 
-// ascending reports a map-backed table's key that does not follow the
-// previous one. Encode writes keys sorted, so anything else — a repeated
-// key would silently overwrite its entry — is not an encoding.
-func ascending(what string, i int, prev, k uint64) error {
-	if i > 0 && k <= prev {
-		return fmt.Errorf("prefetch: %s key %#x does not follow %#x", what, k, prev)
+// maxDegree bounds a decoded prefetch degree, which OnAccess loops to, and
+// maxGHBHead a decoded miss count, which OnAccess increments and indexes by.
+const maxDegree, maxGHBHead = 64, 1 << 48
+
+// encodeTable writes t's entries from least to most recently used, each as
+// its key and what val writes: the order stands for the stamps.
+func encodeTable[V any](w *codec.Writer, t *table[V], val func(*V)) {
+	order := make([]int, len(t.keys))
+	for i := range order {
+		order[i] = i
 	}
-	return nil
+	sort.Slice(order, func(i, j int) bool { return t.stamp[order[i]] < t.stamp[order[j]] })
+	w.U32(uint32(len(order)))
+	for _, s := range order {
+		w.U64(t.keys[s])
+		val(&t.vals[s])
+	}
+}
+
+// decodeTable reads what encodeTable wrote, entrySize bytes an entry, into
+// a table of the given capacity. It refuses no capacity, one no hint names a
+// slot of, more entries than it, and a key twice (get finds only the first).
+func decodeTable[V any](r *codec.Reader, what string, capacity, entrySize int, val func() V) (table[V], error) {
+	t := table[V]{cap: capacity}
+	n, err := tableLen(r, what, 0, entrySize)
+	if err != nil {
+		return t, err
+	}
+	if capacity < 1 || capacity > maxTableCap || n > capacity {
+		return t, fmt.Errorf("prefetch: %s capacity %d out of range (%d entries)", what, capacity, n)
+	}
+	for i := 0; i < n; i++ {
+		k := r.U64()
+		if t.get(k) != nil {
+			return t, fmt.Errorf("prefetch: %s repeats key %#x", what, k)
+		}
+		t.put(k, val())
+	}
+	return t, r.Err()
 }
 
 // Encode serializes p (nil allowed: the no-prefetcher configuration).
@@ -63,38 +94,14 @@ func Encode(w *codec.Writer, p Prefetcher) {
 		w.Int(p.Degree)
 	case *Stride:
 		w.U8(tagStride)
-		w.Int(p.cap)
+		w.Int(p.table.cap)
 		w.Int(p.Distance)
-		keys := make([]uint64, 0, len(p.table))
-		for k := range p.table {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			e := p.table[k]
-			w.U64(k)
-			w.U64(e.lastAddr)
-			w.I64(e.stride)
-			w.I8(e.conf)
-		}
+		encodeTable(w, &p.table, func(e *strideEntry) { w.U64(e.lastAddr); w.I64(e.stride); w.I8(e.conf) })
 	case *Stream:
 		w.U8(tagStream)
-		w.Int(p.cap)
+		w.Int(p.regions.cap)
 		w.Int(p.Degree)
-		keys := make([]uint64, 0, len(p.regions))
-		for k := range p.regions {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			e := p.regions[k]
-			w.U64(k)
-			w.I64(e.lastLine)
-			w.I64(e.dir)
-			w.I8(e.count)
-		}
+		encodeTable(w, &p.regions, func(e *streamEntry) { w.I64(e.lastLine); w.I64(e.dir); w.I8(e.count) })
 	case *BOP:
 		w.U8(tagBOP)
 		w.U32(uint32(len(p.rr)))
@@ -126,16 +133,7 @@ func Encode(w *codec.Writer, p Prefetcher) {
 			w.Int(e.prev)
 			w.Int(e.id)
 		}
-		keys := make([]uint64, 0, len(p.index))
-		for k := range p.index {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			w.U64(k)
-			w.Int(p.index[k])
-		}
+		encodeTable(w, &p.index, func(v *int) { w.Int(*v) })
 	case *Composite:
 		w.U8(tagComposite)
 		w.U32(uint32(len(p.Parts)))
@@ -158,37 +156,32 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 	case tagNil:
 		return nil, nil
 	case tagNextLine:
-		return &NextLine{Degree: r.Int()}, r.Err()
+		p := &NextLine{Degree: r.Int()}
+		if p.Degree > maxDegree {
+			return nil, fmt.Errorf("prefetch: next-line degree %d out of range", p.Degree)
+		}
+		return p, r.Err()
 	case tagStride:
-		p := &Stride{cap: r.Int(), Distance: r.Int()}
-		n, err := tableLen(r, "stride table", 0, 25)
+		capacity, distance := r.Int(), r.Int()
+		t, err := decodeTable(r, "stride table", capacity, 25, func() strideEntry {
+			return strideEntry{lastAddr: r.U64(), stride: r.I64(), conf: r.I8()}
+		})
 		if err != nil {
 			return nil, err
 		}
-		p.table = make(map[uint64]*strideEntry, n)
-		for i, prev := 0, uint64(0); i < n; i++ {
-			k := r.U64()
-			if err := ascending("stride table", i, prev, k); err != nil {
-				return nil, err
-			}
-			p.table[k], prev = &strideEntry{lastAddr: r.U64(), stride: r.I64(), conf: r.I8()}, k
-		}
-		return p, r.Err()
+		return &Stride{table: t, Distance: distance}, nil
 	case tagStream:
-		p := &Stream{cap: r.Int(), Degree: r.Int()}
-		n, err := tableLen(r, "stream table", 0, 25)
+		capacity, degree := r.Int(), r.Int()
+		if degree > maxDegree {
+			return nil, fmt.Errorf("prefetch: stream degree %d out of range", degree)
+		}
+		t, err := decodeTable(r, "stream table", capacity, 25, func() streamEntry {
+			return streamEntry{lastLine: r.I64(), dir: r.I64(), count: r.I8()}
+		})
 		if err != nil {
 			return nil, err
 		}
-		p.regions = make(map[uint64]*streamEntry, n)
-		for i, prev := 0, uint64(0); i < n; i++ {
-			k := r.U64()
-			if err := ascending("stream table", i, prev, k); err != nil {
-				return nil, err
-			}
-			p.regions[k], prev = &streamEntry{lastLine: r.I64(), dir: r.I64(), count: r.I8()}, k
-		}
-		return p, r.Err()
+		return &Stream{regions: t, Degree: degree}, nil
 	case tagBOP:
 		p := &BOP{}
 		n, err := tableLen(r, "BOP rr table", 1, 8)
@@ -237,26 +230,25 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		if n != p.size {
 			return nil, fmt.Errorf("prefetch: GHB buffer size %d does not match geometry %d", n, p.size)
 		}
-		if p.head < 0 {
+		// OnAccess indexes buf with head and with every position the index
+		// holds, modulo size: neither may be negative, now or a run later.
+		if p.head < 0 || p.head > maxGHBHead {
 			return nil, fmt.Errorf("prefetch: GHB head %d out of range", p.head)
 		}
 		p.buf = make([]ghbEntry, n)
 		for i := range p.buf {
 			p.buf[i] = ghbEntry{addr: r.U64(), prev: r.Int(), id: r.Int()}
 		}
-		ni, err := tableLen(r, "GHB index", 0, 16)
+		p.index, err = decodeTable(r, "GHB index", p.size, 16, r.Int)
 		if err != nil {
 			return nil, err
 		}
-		p.index = make(map[uint64]int, ni)
-		for i, prev := 0, uint64(0); i < ni; i++ {
-			k := r.U64()
-			if err := ascending("GHB index", i, prev, k); err != nil {
-				return nil, err
+		for _, v := range p.index.vals {
+			if v < 0 {
+				return nil, fmt.Errorf("prefetch: GHB index holds position %d", v)
 			}
-			p.index[k], prev = r.Int(), k
 		}
-		return p, r.Err()
+		return p, nil
 	case tagComposite:
 		n := int(r.U32())
 		if n < 0 || n > 64 {

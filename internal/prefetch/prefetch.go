@@ -30,13 +30,13 @@ func Clone(p Prefetcher) Prefetcher {
 	case *NextLine:
 		return &NextLine{Degree: p.Degree}
 	case *Stride:
-		return p.clone()
+		return &Stride{table: p.table.clone(), Distance: p.Distance}
 	case *Stream:
-		return p.clone()
+		return &Stream{regions: p.regions.clone(), Degree: p.Degree}
 	case *BOP:
 		return p.clone()
 	case *GHB:
-		return p.clone()
+		return &GHB{buf: append([]ghbEntry(nil), p.buf...), head: p.head, size: p.size, index: p.index.clone(), Depth: p.Depth}
 	case *Composite:
 		parts := make([]Prefetcher, len(p.Parts))
 		for i, part := range p.Parts {
@@ -71,8 +71,7 @@ func (p *NextLine) OnAccess(_, addr uint64, _ bool) []uint64 {
 
 // Stride is a PC-indexed stride prefetcher with confidence counters.
 type Stride struct {
-	table map[uint64]*strideEntry
-	cap   int
+	table table[strideEntry]
 	// Distance is how many strides ahead to prefetch (default 4).
 	Distance int
 
@@ -87,30 +86,14 @@ type strideEntry struct {
 
 // NewStride returns a stride prefetcher with the given table capacity.
 func NewStride(capacity int) *Stride {
-	return &Stride{table: make(map[uint64]*strideEntry), cap: capacity, Distance: 4}
-}
-
-func (p *Stride) clone() *Stride {
-	c := &Stride{table: make(map[uint64]*strideEntry, len(p.table)), cap: p.cap, Distance: p.Distance}
-	for k, e := range p.table {
-		cp := *e
-		c.table[k] = &cp
-	}
-	return c
+	return &Stride{table: table[strideEntry]{cap: capacity}, Distance: 4}
 }
 
 // OnAccess implements the prefetcher interface.
 func (p *Stride) OnAccess(pc, addr uint64, _ bool) []uint64 {
-	e := p.table[pc]
+	e := p.table.get(pc)
 	if e == nil {
-		if len(p.table) >= p.cap {
-			// Cheap random-ish eviction: drop one arbitrary entry.
-			for k := range p.table {
-				delete(p.table, k)
-				break
-			}
-		}
-		p.table[pc] = &strideEntry{lastAddr: addr}
+		p.table.put(pc, strideEntry{lastAddr: addr})
 		return nil
 	}
 	stride := int64(addr) - int64(e.lastAddr)
@@ -136,8 +119,7 @@ func (p *Stride) OnAccess(pc, addr uint64, _ bool) []uint64 {
 // Stream detects ascending or descending line streams within aligned 4 KiB
 // regions and prefetches ahead of the stream with a configurable degree.
 type Stream struct {
-	regions map[uint64]*streamEntry
-	cap     int
+	regions table[streamEntry]
 	Degree  int
 
 	out []uint64
@@ -151,31 +133,16 @@ type streamEntry struct {
 
 // NewStream returns a stream prefetcher tracking up to capacity regions.
 func NewStream(capacity int) *Stream {
-	return &Stream{regions: make(map[uint64]*streamEntry), cap: capacity, Degree: 2}
-}
-
-func (p *Stream) clone() *Stream {
-	c := &Stream{regions: make(map[uint64]*streamEntry, len(p.regions)), cap: p.cap, Degree: p.Degree}
-	for k, e := range p.regions {
-		cp := *e
-		c.regions[k] = &cp
-	}
-	return c
+	return &Stream{regions: table[streamEntry]{cap: capacity}, Degree: 2}
 }
 
 // OnAccess implements the prefetcher interface.
 func (p *Stream) OnAccess(_, addr uint64, _ bool) []uint64 {
 	region := addr >> 12
 	line := int64(addr / lineSize)
-	e := p.regions[region]
+	e := p.regions.get(region)
 	if e == nil {
-		if len(p.regions) >= p.cap {
-			for k := range p.regions {
-				delete(p.regions, k)
-				break
-			}
-		}
-		p.regions[region] = &streamEntry{lastLine: line}
+		p.regions.put(region, streamEntry{lastLine: line})
 		return nil
 	}
 	delta := line - e.lastLine

@@ -18,9 +18,8 @@ import (
 // so what a runner reads back is only as good as the image it attaches.
 // These tests run the windows from a set another runner stored and compare
 // with windows run from a set captured in memory, and put sets over the
-// wrong image under the right key. Specs run under GHB: Table 1's
-// bop+stream does not reproduce from one execution to the next on the
-// writing workloads (bench README, "Known nondeterminism").
+// wrong image under the right key. Specs run under Table 1's bop+stream,
+// which reproduces on the writing workloads too since PR 28.
 
 var storedSchedule = sim.Sampling{Warm: 15_000, Window: 5_000, Count: 3}
 
@@ -40,7 +39,7 @@ func TestFreshRunnerRestoresStoredSets(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"moses", "streambatch"} {
 		dir := t.TempDir()
-		spec := sim.RunSpec{Workload: name, Prefetcher: sim.PFGHB, Sampling: &storedSchedule}
+		spec := sim.RunSpec{Workload: name, Sampling: &storedSchedule}
 		if _, err := newRunner(t, Options{CacheDir: dir}).Run(ctx, spec); err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +63,8 @@ func TestFreshRunnerRestoresStoredSets(t *testing.T) {
 
 	dir := t.TempDir()
 	spec := sim.MultiSpec{Cores: []sim.RunSpec{
-		{Workload: "tailchase", Prefetcher: sim.PFGHB},
-		{Workload: "streambatch", Prefetcher: sim.PFGHB},
+		{Workload: "tailchase"},
+		{Workload: "streambatch"},
 	}, Sampling: &storedSchedule}
 	if _, err := newRunner(t, Options{CacheDir: dir}).RunMulti(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func residentWord(t *testing.T, img *sim.Image) uint64 {
 func TestWrongImageIsRecaptured(t *testing.T) {
 	ctx := context.Background()
 	w := workload.ByName("moses")
-	spec := sim.RunSpec{Workload: "moses", Prefetcher: sim.PFGHB, Sampling: &storedSchedule}
+	spec := sim.RunSpec{Workload: "moses", Sampling: &storedSchedule}
 	key := checkpointKey("moses", workload.Ref, storedSchedule)
 	want, err := newRunner(t, Options{CacheDir: t.TempDir()}).Run(ctx, spec)
 	if err != nil {

@@ -123,14 +123,7 @@ var multiSmallSchedule = sim.Sampling{Warm: 20_000, Window: 5_000, Count: 3}
 
 func captureMultiSmall(t *testing.T) (*checkpoint.MultiSet, []*program.Program, []sim.Config) {
 	t.Helper()
-	// Stride on both cores: under sim.DefaultConfig's bop+stream two runs of
-	// this pair differ now and then (the stream table's victim is whatever
-	// its map yields first, ROADMAP item 1), and the tests built on this
-	// capture compare runs exactly.
 	cfgs := []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}
-	for i := range cfgs {
-		cfgs[i].Prefetcher = sim.PFStride
-	}
 	set, err := sim.CaptureMultiCheckpointsContext(context.Background(), colocatePair(nil), cfgs, multiSmallSchedule)
 	if err != nil {
 		t.Fatal(err)

@@ -14,12 +14,17 @@ import (
 // CodeVersion tags the simulator's observable behaviour. It is hashed
 // into every RunSpec key, so persistent result caches are invalidated
 // when a change makes simulations produce different numbers. Bump it
-// whenever timing behaviour changes — or, as for 6, whenever the bytes of
-// a stored or served result change shape: 5 → 6 changed no simulated
-// number (goldens and CSV output are the same), only the JSON of Hist,
-// LoadProf and BranchProf (flat integer rows), and the bump is what keeps
-// any process from asking for an entry written in the other shape.
-const CodeVersion = "crisp-sim-6"
+// whenever timing behaviour changes — or, as for 6 and 7, whenever the
+// bytes of a stored or served entry change shape: 5 → 6 changed no
+// simulated number (goldens and CSV output are the same), only the JSON of
+// Hist, LoadProf and BranchProf (flat integer rows); 6 → 7 moved no golden
+// either, only the order of a prefetcher table's entries inside a stored
+// checkpoint set (least recently used first, where it was sorted by key) —
+// and under bop+stream a key now names one result, where before it named
+// whichever the stream table's map-order evictions happened to give. The
+// bump is what keeps any process from asking for an entry written in the
+// other shape.
+const CodeVersion = "crisp-sim-7"
 
 // Input variants a RunSpec can run (Section 5.1's separate profiling and
 // evaluation inputs).

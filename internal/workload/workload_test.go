@@ -110,9 +110,6 @@ func pristineHash(w *Workload, v Variant) [sha256.Size]byte {
 func TestBuildForksAreIsolated(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.Core.MaxInsts = 20_000
-	// The default stream prefetcher evicts in map order, so its runs do not
-	// reproduce even on one image (bench/README.md); GHB's do.
-	cfg.Prefetcher = sim.PFGHB
 	run := func(img *sim.Image) *core.Result {
 		r := sim.Run(img, cfg)
 		r.HostNS, r.HostAllocs = 0, 0
