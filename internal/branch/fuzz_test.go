@@ -82,7 +82,16 @@ func FuzzDecodeTAGE(f *testing.F) {
 	})
 }
 
-func FuzzDecodeBTB(f *testing.F) { fuzzDecoder(f, warmedBTB(), DecodeBTB, nil) }
+func FuzzDecodeBTB(f *testing.F) {
+	fuzzDecoder(f, warmedBTB(), DecodeBTB, func(b *BTB) {
+		for i := 0; i < 300; i++ {
+			pc := uint64(i%53) * 4
+			if _, ok := b.Lookup(pc); !ok {
+				b.Insert(pc, i)
+			}
+		}
+	})
+}
 
 func FuzzDecodeRAS(f *testing.F) {
 	s := NewRAS(8)
@@ -90,5 +99,13 @@ func FuzzDecodeRAS(f *testing.F) {
 		s.Push(100 + i)
 	}
 	s.Pop()
-	fuzzDecoder(f, s, DecodeRAS, nil)
+	fuzzDecoder(f, s, DecodeRAS, func(s *RAS) {
+		for i := 0; i < 300; i++ { // deeper than the stack, then drained past empty
+			if i%5 < 3 || i > 200 && i%2 == 0 {
+				s.Push(i)
+			} else {
+				s.Pop()
+			}
+		}
+	})
 }

@@ -16,6 +16,7 @@ import (
 
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/ibda"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
@@ -534,6 +535,63 @@ func TestStatsz(t *testing.T) {
 		if _, ok := wire.ResultCache[field]; !ok {
 			t.Errorf("statsz result_cache has no %q field: %s", field, rb)
 		}
+	}
+}
+
+// TestSharedSimulations is runner.TestSharedSimulations through a server:
+// a client's runner delegates the two pairs of mcf specs with one SimKey
+// each (same-tag CRISP options, IBDA at 1K and ∞) at once; the server
+// simulates once per pair, statsz says so, both keys of each pair are in
+// its store, and a server restarted on the store executes nothing.
+func TestSharedSimulations(t *testing.T) {
+	ctx := context.Background()
+	base := sim.RunSpec{Workload: "mcf", Insts: 40_000}
+	loadOnly := crisp.DefaultOptions()
+	loadOnly.BranchSlices = false
+	specs := []sim.RunSpec{
+		base.WithCrisp(crisp.DefaultOptions()), base.WithCrisp(loadOnly),
+		base.WithIBDA(ibda.DefaultConfig()), base.WithIBDA(ibda.Config{DLTEntries: 32}),
+	}
+	dir := t.TempDir()
+	runAll := func(url string) {
+		r, err := runner.New(ctx, runner.Options{Workers: 4, Remote: NewClient(url)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := make([]*runner.RunHandle, len(specs))
+		for i, s := range specs {
+			hs[i] = r.Submit(s)
+		}
+		for _, h := range hs {
+			if _, err := h.Result(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	s1, ts1 := newTestServer(t, Options{Workers: 4, Store: dir})
+	runAll(ts1.URL)
+	st, err := NewClient(ts1.URL).Statsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two analyses' train profile, and the four specs.
+	if st.Runner.Executed != 5 || st.Runner.Shared != 2 {
+		t.Errorf("statsz: Executed %d, Shared %d; want 5 and 2", st.Runner.Executed, st.Runner.Shared)
+	}
+	for _, s := range specs {
+		if !s1.Runner().Store().Get(runner.KindRun, s.Key(), &core.Result{}) {
+			t.Errorf("%s: nothing stored under its key", s.Key())
+		}
+	}
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Options{Workers: 4, Store: dir})
+	runAll(ts2.URL)
+	if st := s2.Runner().Stats(); st.Executed != 0 || st.Shared != 0 {
+		t.Errorf("restarted on the store: Executed %d, Shared %d; want 0 and 0", st.Executed, st.Shared)
 	}
 }
 

@@ -26,13 +26,11 @@ type assocTable struct {
 	entries map[int]struct{} // used when infinite
 }
 
-func newAssocTable(entries, ways int) *assocTable {
-	if entries <= 0 {
+// newAssocTable returns a sets×ways table, or the unbounded one for
+// sets == 0.
+func newAssocTable(sets, ways int) *assocTable {
+	if sets == 0 {
 		return &assocTable{entries: make(map[int]struct{})}
-	}
-	sets := entries / ways
-	if sets < 1 {
-		sets = 1
 	}
 	return &assocTable{
 		sets: sets, ways: ways,
@@ -127,10 +125,32 @@ func New(cfg Config) *IBDA {
 	if cfg.DLTEntries == 0 {
 		cfg.DLTEntries = 32
 	}
-	if cfg.ISTWays == 0 {
-		cfg.ISTWays = 4
+	return &IBDA{ist: newAssocTable(cfg.istGeometry()), dltSize: cfg.DLTEntries}
+}
+
+// istGeometry returns the sets and ways of the IST New builds: 0 sets for
+// the unbounded one, and 4 ways where the config names none.
+func (c Config) istGeometry() (sets, ways int) {
+	if c.ISTEntries <= 0 {
+		return 0, 0
 	}
-	return &IBDA{ist: newAssocTable(cfg.ISTEntries, cfg.ISTWays), dltSize: cfg.DLTEntries}
+	ways = c.ISTWays
+	if ways == 0 {
+		ways = 4
+	}
+	return max(c.ISTEntries/ways, 1), ways
+}
+
+// NeverEvicts reports whether, on a program of n static instructions, the
+// IST of c marks exactly what the unbounded IST marks: it is the unbounded
+// one, or no set is ever asked to hold more PCs than it has ways. PCs are
+// 0..n-1 and a PC's set is pc % sets, so a set is claimed by at most
+// ⌈n/sets⌉ PCs, which is at most ways iff n ≤ sets·ways. A bounded IST
+// removes an entry only to make room for another, so one that never
+// evicts holds the map's entries.
+func (c Config) NeverEvicts(n int) bool {
+	sets, ways := c.istGeometry()
+	return sets == 0 || n <= sets*ways
 }
 
 // OnLLCMiss records an LLC demand miss by the load at pc, maintaining the

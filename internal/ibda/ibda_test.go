@@ -80,6 +80,30 @@ func TestInfiniteIST(t *testing.T) {
 	}
 }
 
+// TestNeverEvictsIsExact: the IST New builds from a config holds all of PCs
+// 0..n-1 at the largest n NeverEvicts admits, and evicts one at n+1.
+func TestNeverEvictsIsExact(t *testing.T) {
+	for _, c := range []Config{{ISTEntries: 8, ISTWays: 2}, {ISTEntries: 1024, ISTWays: 4}, {ISTEntries: 12}, {ISTEntries: 3, ISTWays: 4}} {
+		sets, ways := c.istGeometry()
+		n := sets * ways
+		if !c.NeverEvicts(n) || c.NeverEvicts(n+1) {
+			t.Errorf("%+v: NeverEvicts(%d) = %v, NeverEvicts(%d) = %v", c, n, c.NeverEvicts(n), n+1, c.NeverEvicts(n+1))
+		}
+		for _, m := range []int{n, n + 1} {
+			ib := New(c)
+			for pc := 0; pc < m; pc++ {
+				ib.ist.insert(pc)
+			}
+			if held := ib.ISTSize() == m; held != (m == n) {
+				t.Errorf("%+v: %d of %d PCs held", c, ib.ISTSize(), m)
+			}
+		}
+	}
+	if !(Config{}).NeverEvicts(1 << 20) {
+		t.Error("the unbounded IST evicts")
+	}
+}
+
 func TestDLTCapacity(t *testing.T) {
 	ib := New(Config{ISTEntries: 64, ISTWays: 4, DLTEntries: 4})
 	for pc := 0; pc < 10; pc++ {

@@ -58,6 +58,12 @@ type RunRecord struct {
 	// run that executed it, so summing the columns never double-counts.
 	CaptureNS int64  `json:"capture_ns,omitempty"`
 	WarmInsts uint64 `json:"warm_insts,omitempty"`
+
+	// Shared marks a result computed here by joining another spec's
+	// simulation (Stats.Shared): its HostNS and the rest of the host side
+	// are that simulation's, already in the other spec's row, so a sum of
+	// host columns skips shared rows.
+	Shared bool `json:"shared,omitempty"`
 }
 
 // newRunRecord flattens a spec/result pair into a record.
@@ -179,7 +185,7 @@ func csvHeader() []string {
 		"host_ns", "host_ff_ns", "ff_insts", "windows",
 		"skipped_cycles", "host_iters",
 		"checkpoint_store_hit", "spec_store_hit", "lock_wait_ns",
-		"capture_ns", "warm_insts")
+		"capture_ns", "warm_insts", "shared")
 }
 
 func csvRow(rec RunRecord) []string {
@@ -217,5 +223,6 @@ func csvRow(rec RunRecord) []string {
 		fmt.Sprintf("%t", rec.SpecStoreHit),
 		fmt.Sprintf("%d", rec.LockWaitNS),
 		fmt.Sprintf("%d", rec.CaptureNS),
-		fmt.Sprintf("%d", rec.WarmInsts))
+		fmt.Sprintf("%d", rec.WarmInsts),
+		fmt.Sprintf("%t", rec.Shared))
 }

@@ -53,7 +53,8 @@ type Stats struct {
 	Started      int64 // unique tasks registered (deduped)
 	Done         int64 // tasks finished (success or failure)
 	Failed       int64 // tasks finished with an error
-	Executed     int64 // timing simulations actually run on the pool
+	Executed     int64 // run and multi results computed here rather than loaded or delegated
+	Shared       int64 // of those, runs that joined another spec's simulation (see sim.RunSpec.SimKey)
 	DiskHits     int64 // results served from the persistent cache
 	CkptCaptured int64 // checkpoint sets captured (fast-forward executed)
 	CkptDiskHits int64 // checkpoint sets loaded from the persistent store
@@ -78,6 +79,7 @@ type Runner struct {
 	calls map[string]*call
 
 	started, done, failed, executed, diskHits atomic.Int64
+	shared                                    atomic.Int64
 	ckptCaptured, ckptDiskHits, lockWaitNS    atomic.Int64
 	captureNS, warmInsts                      atomic.Int64
 	remoteRuns                                atomic.Int64
@@ -140,6 +142,7 @@ func (r *Runner) Stats() Stats {
 		Done:         r.done.Load(),
 		Failed:       r.failed.Load(),
 		Executed:     r.executed.Load(),
+		Shared:       r.shared.Load(),
 		DiskHits:     r.diskHits.Load(),
 		CkptCaptured: r.ckptCaptured.Load(),
 		CkptDiskHits: r.ckptDiskHits.Load(),
@@ -189,8 +192,25 @@ func ctxErr(err error) bool {
 // callers release any token they hold while they wait, so a pool of
 // tasks blocked on one shared dependency does not idle the machine.
 // Failed computations are not memoized: cancellation of one caller
-// leaves the key recomputable by the next.
-func (r *Runner) do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
+// leaves the key recomputable by the next. A task that is not visible
+// counts in no Stats field and emits no TaskEvent: the runner's own
+// sharing beneath the tasks a caller asked for.
+func (r *Runner) do(ctx context.Context, key string, visible bool, fn func(context.Context) (any, error)) (any, error) {
+	track := func(state TaskState, err error) {
+		if !visible {
+			return
+		}
+		switch state {
+		case TaskQueued:
+			r.started.Add(1)
+		case TaskFailed:
+			r.failed.Add(1)
+		}
+		r.emit(key, state, err)
+		if state >= TaskDone {
+			r.done.Add(1)
+		}
+	}
 	for {
 		r.mu.Lock()
 		if c, ok := r.calls[key]; ok {
@@ -218,8 +238,7 @@ func (r *Runner) do(ctx context.Context, key string, fn func(context.Context) (a
 		c := &call{done: make(chan struct{})}
 		r.calls[key] = c
 		r.mu.Unlock()
-		r.started.Add(1)
-		r.emit(key, TaskQueued, nil)
+		track(TaskQueued, nil)
 
 		s, _ := ctx.Value(slotCtxKey{}).(*slot)
 		if s == nil {
@@ -230,7 +249,7 @@ func (r *Runner) do(ctx context.Context, key string, fn func(context.Context) (a
 		if err := r.acquire(ctx, s); err != nil {
 			c.err = err
 		} else {
-			r.emit(key, TaskRunning, nil)
+			track(TaskRunning, nil)
 			c.val, c.err = fn(ctx)
 			if !nested {
 				r.release(s)
@@ -244,12 +263,10 @@ func (r *Runner) do(ctx context.Context, key string, fn func(context.Context) (a
 				delete(r.calls, key)
 			}
 			r.mu.Unlock()
-			r.failed.Add(1)
-			r.emit(key, TaskFailed, c.err)
+			track(TaskFailed, c.err)
 		} else {
-			r.emit(key, TaskDone, nil)
+			track(TaskDone, nil)
 		}
-		r.done.Add(1)
 		close(c.done)
 		return c.val, c.err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/ibda"
 	"crisp/internal/sim"
 )
 
@@ -81,6 +82,61 @@ func TestCrispSharesProfile(t *testing.T) {
 	a2, _ := r.Analysis(ctx, AnalysisSpec{Workload: "pointerchase", Insts: 20_000, Opts: crisp.DefaultOptions()})
 	if a1 != a2 {
 		t.Error("analysis not memoized")
+	}
+}
+
+// TestSharedSimulations: of two pairs of specs with one SimKey each,
+// submitted together — mcf's default and load-only CRISP options, which tag
+// the same PCs at 40k instructions, and IBDA at 1K and ∞, which mcf's 37
+// static instructions never fill — one spec per pair runs the simulation
+// and the other joins it. Both are results computed here, each stored under
+// its own key, and a fresh runner on the store serves all four with
+// nothing executed.
+func TestSharedSimulations(t *testing.T) {
+	ctx := context.Background()
+	base := sim.RunSpec{Workload: "mcf", Insts: 40_000}
+	loadOnly := crisp.DefaultOptions()
+	loadOnly.BranchSlices = false
+	specs := []sim.RunSpec{
+		base.WithCrisp(crisp.DefaultOptions()), base.WithCrisp(loadOnly),
+		base.WithIBDA(ibda.DefaultConfig()), base.WithIBDA(ibda.Config{DLTEntries: 32}),
+	}
+	dir := t.TempDir()
+	runAll := func(r *Runner) []*core.Result {
+		hs := make([]*RunHandle, len(specs))
+		for i, s := range specs {
+			hs[i] = r.Submit(s)
+		}
+		out := make([]*core.Result, len(specs))
+		for i, h := range hs {
+			res, err := h.Result(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+
+	r := newRunner(t, Options{Workers: 4, CacheDir: dir})
+	res := runAll(r)
+	// The two analyses' train profile, and the four specs.
+	if s := r.Stats(); s.Executed != 5 || s.Shared != 2 {
+		t.Errorf("Executed %d, Shared %d; want 5 and 2", s.Executed, s.Shared)
+	}
+	if res[0] != res[1] || res[2] != res[3] {
+		t.Error("a pair with one SimKey got two results")
+	}
+	for _, s := range specs {
+		if !r.Store().Get(kindRun, s.Key(), &core.Result{}) {
+			t.Errorf("%s: nothing stored under its key", s.Key())
+		}
+	}
+
+	fresh := newRunner(t, Options{Workers: 4, CacheDir: dir})
+	runAll(fresh)
+	if s := fresh.Stats(); s.Executed != 0 || s.Shared != 0 || s.DiskHits != 4 {
+		t.Errorf("over the store: Executed %d, Shared %d, DiskHits %d; want 0, 0 and 4", s.Executed, s.Shared, s.DiskHits)
 	}
 }
 

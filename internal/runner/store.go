@@ -34,6 +34,10 @@ const (
 	kindMultiCkpt = "mckpt"
 )
 
+// kindSim names the in-memory simulation a run task joins (Run); it is
+// never stored, emits no TaskEvent and counts in no Stats field.
+const kindSim = "sim"
+
 // Exported kind names, for external readers of a shared store (crispd
 // serves already-published entries straight from disk) and for event
 // consumers matching TaskEvent.Kind.

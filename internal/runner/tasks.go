@@ -108,7 +108,7 @@ func resolve[T any](ctx context.Context, r *Runner, t task[T]) (T, error) {
 
 // memo runs fn as the single-flight task kind|key (see do), typed.
 func memo[T any](ctx context.Context, r *Runner, kind, key string, fn func(context.Context) (T, error)) (T, error) {
-	v, err := r.do(ctx, kind+"|"+key, func(ctx context.Context) (any, error) { return fn(ctx) })
+	v, err := r.do(ctx, kind+"|"+key, true, func(ctx context.Context) (any, error) { return fn(ctx) })
 	if err != nil {
 		var zero T
 		return zero, err
@@ -214,7 +214,10 @@ func (r *Runner) image(ctx context.Context, cs sim.RunSpec, s *sim.Sampling) (*s
 
 // Run resolves a timing spec to its result, executing the simulation at
 // most once per content key across all concurrent callers and processes
-// sharing the persistent cache.
+// sharing the persistent cache — and, within a process, once per
+// simulation key (sim.RunSpec.SimKey): specs that differ only in what the
+// simulation cannot see share one run, each storing the result under its
+// own key.
 func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error) {
 	key := spec.Key()
 	return memo(ctx, r, kindRun, key, func(ctx context.Context) (*core.Result, error) {
@@ -226,6 +229,7 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 			return nil, err
 		}
 		var ckpt captured[*checkpoint.Set]
+		var shared bool
 		t := jsonTask[core.Result](r, kindRun, key)
 		t.delegate = func(ctx context.Context, rm Remote) (*core.Result, error) { return rm.Run(ctx, spec) }
 		t.compute = func(ctx context.Context) (*core.Result, error) {
@@ -233,7 +237,6 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 			if err != nil {
 				return nil, err
 			}
-			var res *core.Result
 			if spec.Sampling != nil {
 				// Every config sharing (workload, input, schedule) restores
 				// from one memoized checkpoint set: the functional prefix runs
@@ -243,20 +246,32 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 				if ckpt, err = r.checkpointSet(ctx, spec, *spec.Sampling); err != nil {
 					return nil, err
 				}
-				res, err = sim.RunSampledContext(ctx, ckpt.set, img.Prog, cfg, *spec.Sampling)
-			} else {
-				res, err = sim.RunContext(ctx, img, cfg)
 			}
+			// The simulation is a task of its own, out of sight of Stats and
+			// OnEvent: whoever reaches a simulation key first runs it.
+			ran := false
+			res, err := r.do(ctx, kindSim+"|"+spec.SimKey(img.Prog), false, func(ctx context.Context) (any, error) {
+				ran = true
+				if spec.Sampling != nil {
+					return sim.RunSampledContext(ctx, ckpt.set, img.Prog, cfg, *spec.Sampling)
+				}
+				return sim.RunContext(ctx, img, cfg)
+			})
 			if err != nil {
 				return nil, err
 			}
 			r.executed.Add(1)
-			return res, nil
+			shared = !ran
+			if shared {
+				r.shared.Add(1)
+			}
+			return res.(*core.Result), nil
 		}
 		t.observe = func(res *core.Result, hit bool, lockNS int64) {
 			rec := newRunRecord(spec, res, hit)
 			rec.LockWaitNS = lockNS
 			if !hit {
+				rec.Shared = shared
 				rec.CkptStoreHit = ckpt.fromStore
 				rec.CaptureNS, rec.WarmInsts = ckpt.stats.claim()
 			}

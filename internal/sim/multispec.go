@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // MaxCores bounds a MultiSpec's width. The lockstep driver is O(cores) per
 // shared cycle; eight covers every co-location experiment the harness runs
@@ -50,14 +45,7 @@ func (m MultiSpec) normalize() MultiSpec {
 
 // Key returns the spec's deterministic content key. Two MultiSpecs with
 // equal keys describe byte-identical co-scheduled simulations.
-func (m MultiSpec) Key() string {
-	b, err := json.Marshal(m.normalize())
-	if err != nil { // unreachable: MultiSpec is plain data
-		panic(fmt.Sprintf("sim: marshal MultiSpec: %v", err))
-	}
-	h := sha256.Sum256(append([]byte(CodeVersion+"|multi|"), b...))
-	return hex.EncodeToString(h[:16])
-}
+func (m MultiSpec) Key() string { return contentKey("multi", m.normalize()) }
 
 // Validate reports spec-level errors: an empty or oversized core list, an
 // invalid clause, or clause features the requested execution path does

@@ -9,6 +9,7 @@ import (
 	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/ibda"
+	"crisp/internal/program"
 )
 
 // CodeVersion tags the simulator's observable behaviour. It is hashed
@@ -156,12 +157,50 @@ func (s RunSpec) normalize() RunSpec {
 // Key returns the spec's deterministic content key: a hex digest of the
 // normalized spec and CodeVersion. Two specs with equal keys describe
 // byte-identical simulations.
-func (s RunSpec) Key() string {
-	b, err := json.Marshal(s.normalize())
-	if err != nil { // unreachable: RunSpec is plain data
-		panic(fmt.Sprintf("sim: marshal RunSpec: %v", err))
+func (s RunSpec) Key() string { return contentKey("run", s.normalize()) }
+
+// SimKey returns the key of the simulation the spec runs over prog, the
+// program of the spec's image (tagged, for a CRISP spec). It hashes the
+// normalized spec with three rewrites, each of which leaves the Result
+// byte-identical (DESIGN.md, "Shared simulations"):
+//
+//  1. the CRISP options give way to the tags they produced, prog's
+//     critical PCs: a tagged program is the untagged one with those PCs
+//     prefixed (Analysis.Apply), and its layout follows from Insts alone;
+//  2. the CRISP scheduler with no tags and no IBDA is the OOO one: with
+//     the PRIO vector empty the picks are the age-order ones, and the
+//     counters of critical issue stay 0;
+//  3. an IST that never evicts on prog (ibda.Config.NeverEvicts) is the
+//     unbounded IST, and no Result field describes the IST.
+//
+// Specs with equal SimKeys over their own programs have equal Results,
+// host fields aside, so the runner simulates once per SimKey; Key still
+// names the entry each spec is stored and served under.
+func (s RunSpec) SimKey(prog *program.Program) string {
+	n := s.normalize()
+	n.Crisp = nil
+	tags := prog.CriticalPCs()
+	if n.Sched == SchedCRISP && len(tags) == 0 && n.IBDA == nil {
+		n.Sched = SchedOOO
 	}
-	h := sha256.Sum256(append([]byte(CodeVersion+"|run|"), b...))
+	if n.IBDA != nil && n.IBDA.NeverEvicts(prog.Len()) {
+		ib := *n.IBDA
+		ib.ISTEntries, ib.ISTWays = 0, 0
+		n.IBDA = &ib
+	}
+	return contentKey("sim", struct {
+		RunSpec
+		Tags []int `json:"tags,omitempty"`
+	}{n, tags})
+}
+
+// contentKey is a hex digest of CodeVersion, a kind and v's JSON.
+func contentKey(kind string, v any) string {
+	b, err := json.Marshal(v)
+	if err != nil { // unreachable: specs are plain data
+		panic(fmt.Sprintf("sim: marshal %s spec: %v", kind, err))
+	}
+	h := sha256.Sum256(append([]byte(CodeVersion+"|"+kind+"|"), b...))
 	return hex.EncodeToString(h[:16])
 }
 
