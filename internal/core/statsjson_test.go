@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -13,52 +15,58 @@ func sampleLoadProf() LoadProf {
 	return p
 }
 
-// TestProfileRows pins the two profile layouts and their round trip.
+const (
+	loadRow   = `[9,4,3,700,5,600,1,700,3,5,6,1,8,3]`
+	branchRow = `[10,2,7]`
+)
+
+// profileResult is a Result whose Loads and Branches hold the two rows.
+func profileResult(load, branch string) []byte {
+	return []byte(`{"Cycles":12,"Loads":{"3":` + load + `},"Branches":{"-5":` + branch + `}}`)
+}
+
+// allocSink makes the allocations TestProfileRows counts as the floor
+// escape, as the decoder's do.
+var allocSink Result
+
+// TestProfileRows pins the two profile layouts and their round trip
+// through the maps a Result holds them in, and shows the rows cost no
+// allocation beyond the maps and profiles they fill.
 func TestProfileRows(t *testing.T) {
-	lp := sampleLoadProf()
-	b, err := json.Marshal(lp)
+	lp, bp := sampleLoadProf(), BranchProf{Count: 10, Mispred: 2, Taken: 7}
+	res := Result{Cycles: 12, Loads: map[int]*LoadProf{3: &lp}, Branches: map[int]*BranchProf{-5: &bp}}
+	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `[9,4,3,700,5,600,1,700,3,5,6,1,8,3]`; string(b) != want {
-		t.Errorf("load profile row %s, want %s", b, want)
-	}
-	var gotL LoadProf
-	if err := json.Unmarshal(b, &gotL); err != nil || gotL != lp {
-		t.Errorf("load profile round trip: %v, %+v", err, gotL)
-	}
-
-	bp := BranchProf{Count: 10, Mispred: 2, Taken: 7}
-	if b, err = json.Marshal(bp); err != nil || string(b) != `[10,2,7]` {
-		t.Errorf("branch profile row %s (%v), want [10,2,7]", b, err)
-	}
-	var gotB BranchProf
-	if err := json.Unmarshal(b, &gotB); err != nil || gotB != bp {
-		t.Errorf("branch profile round trip: %v, %+v", err, gotB)
-	}
-
-	// Through the maps a Result holds them in, pointers and all.
-	res := Result{Loads: map[int]*LoadProf{3: &lp}, Branches: map[int]*BranchProf{5: &bp}}
-	if b, err = json.Marshal(res); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{`"Loads":{"3":` + loadRow + `}`, `"Branches":{"-5":` + branchRow + `}`} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("result %s lacks %s", b, want)
+		}
 	}
 	var back Result
-	if err := json.Unmarshal(b, &back); err != nil || *back.Loads[3] != lp || *back.Branches[5] != bp {
-		t.Errorf("profiles inside a Result: %v, %s", err, b)
+	if err := back.UnmarshalJSON(b); err != nil || !reflect.DeepEqual(back, res) {
+		t.Errorf("profiles inside a Result: %v, %+v", err, back)
 	}
+
+	in := profileResult(loadRow, branchRow)
+	floor := testing.AllocsPerRun(100, func() {
+		allocSink = Result{Loads: make(map[int]*LoadProf), Branches: make(map[int]*BranchProf)}
+		allocSink.Loads[3], allocSink.Branches[-5] = new(LoadProf), new(BranchProf)
+	})
 	if n := testing.AllocsPerRun(100, func() {
-		if gotL.UnmarshalJSON([]byte(`[9,4,3,700,5,600,1,700,3,5,6,1,8,3]`)) != nil || gotB.UnmarshalJSON([]byte(`[10,2,7]`)) != nil {
+		if allocSink.UnmarshalJSON(in) != nil {
 			t.Fatal("rejected")
 		}
-	}); n != 0 {
-		t.Errorf("profile decoders allocate %v times per pair of rows, want 0", n)
+	}); n != floor {
+		t.Errorf("decoding a result with one row of each kind allocates %v times, its maps and profiles %v", n, floor)
 	}
 }
 
 // TestProfileRowsReject: a foreign shape — the parent's keyed objects
 // first of all — is an error that leaves the receiver zero.
 func TestProfileRowsReject(t *testing.T) {
-	for name, in := range map[string]string{
+	for name, load := range map[string]string{
 		"parent shape":     `{"Count":9,"L1Miss":4,"LLCMiss":3,"TotalLat":700,"MLPSum":5,"HeadStall":600,"Forwards":1,"LatHist":{"counts":[0,0,0,5],"sum":700}}`,
 		"null":             `null`,
 		"scalars only":     `[9,4,3,700,5,600,1]`,
@@ -69,27 +77,39 @@ func TestProfileRowsReject(t *testing.T) {
 		"negative":         `[9,-4,3,700,5,600,1,700]`,
 		"nested hist":      `[9,4,3,700,5,600,1,[700,3,5]]`,
 	} {
-		p := sampleLoadProf()
-		if err := json.Unmarshal([]byte(in), &p); err == nil {
-			t.Errorf("load profile %s: %s decoded to %+v", name, in, p)
-		}
-		if p != (LoadProf{}) {
-			t.Errorf("load profile %s: rejected row left the receiver %+v, want zero", name, p)
-		}
+		checkRejected(t, "load profile "+name, profileResult(load, branchRow))
 	}
-	for name, in := range map[string]string{
+	for name, branch := range map[string]string{
 		"parent shape": `{"Count":10,"Mispred":2,"Taken":7}`,
 		"null":         `null`,
 		"two":          `[10,2]`,
 		"four":         `[10,2,7,0]`,
 		"fraction":     `[10,2,7.5]`,
 	} {
-		p := BranchProf{Count: 1, Mispred: 1, Taken: 1}
-		if err := json.Unmarshal([]byte(in), &p); err == nil {
-			t.Errorf("branch profile %s: %s decoded to %+v", name, in, p)
-		}
-		if p != (BranchProf{}) {
-			t.Errorf("branch profile %s: rejected row left the receiver %+v, want zero", name, p)
-		}
+		checkRejected(t, "branch profile "+name, profileResult(loadRow, branch))
+	}
+	for name, in := range map[string]string{
+		"key with a plus":    `{"Loads":{"+3":` + loadRow + `}}`,
+		"key with a zero":    `{"Loads":{"03":` + loadRow + `}}`,
+		"key not an integer": `{"Branches":{"pc":` + branchRow + `}}`,
+		"lower-case field":   `{"cycles":12}`,
+		"unknown field":      `{"Cycles":12,"IPC":1}`,
+		"hist out of order":  `{"Hists":{"load_lat":[5,3,1,2,1]}}`,
+		"unknown hist":       `{"Hists":{"l2_lat":[0]}}`,
+		"cache stat string":  `{"L1D":{"Hits":"1"}}`,
+		"trailing bytes":     `{"Cycles":12}}`,
+	} {
+		checkRejected(t, name, []byte(in))
+	}
+}
+
+func checkRejected(t *testing.T, name string, in []byte) {
+	t.Helper()
+	res := Result{Cycles: 1, Loads: map[int]*LoadProf{1: {}}}
+	if err := res.UnmarshalJSON(in); err == nil {
+		t.Errorf("%s: %s decoded to %+v", name, in, res)
+	}
+	if !reflect.DeepEqual(res, Result{}) {
+		t.Errorf("%s: rejected result left the receiver %+v, want zero", name, res)
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // The serving layer's own benchmarks (the end-to-end number is bench/'s
-// served workload). All three move one ~5 kB core.Result, the size the
+// served workload). All three move one ~2.5 kB core.Result, the size the
 // served workload's replay moves 6000 times a repetition:
 //
 //	go test -run '^$' -bench . -benchtime 2000x ./internal/crispd

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/metrics"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
@@ -113,20 +115,49 @@ func readReply(resp *http.Response) ([]byte, error) {
 }
 
 // reply is a response body decoded for a caller that knows the result
-// type: the outer Result field shadows the embedded JobStatus.Result (a
-// shallower field wins in encoding/json), so one json.Unmarshal validates
-// the body and decodes status and result together — the bytes are scanned
-// once, not once for the envelope, once to skip the raw result and twice
-// more to decode it. A missing or null result leaves Result nil.
+// type: JobStatus.Result stays nil, the result is decoded into a T. A
+// missing or null result leaves Result nil.
 type reply[T any] struct {
 	JobStatus
 	Result *T `json:"result"`
 }
 
+// decodeReply reads body, as the server's encoder writes it and nothing
+// else, in one pass; a core.Result in it is read by its own decoder.
 func decodeReply[T any](body []byte) (reply[T], error) {
 	var rep reply[T]
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return rep, fmt.Errorf("crispd client: decode job status: %w", err)
+	r := metrics.NewReader(body)
+	r.Object(func(key []byte) {
+		switch string(key) {
+		case "key":
+			rep.Key = r.String()
+		case "kind":
+			rep.Kind = r.String()
+		case "state":
+			rep.State = JobState(r.String())
+		case "error":
+			rep.Error = r.String()
+		case "submitted_unix_ns":
+			rep.Submitted = r.Int()
+		case "started_unix_ns":
+			rep.Started = r.Int()
+		case "finished_unix_ns":
+			rep.Finished = r.Int()
+		case "task":
+			rep.Task = r.String()
+		case "result":
+			if rep.Result = nil; !r.Null() {
+				rep.Result = new(T)
+				if err := runner.Unmarshal(r.Skip(), rep.Result); err != nil {
+					r.Fail(err)
+				}
+			}
+		default:
+			r.Fail(errors.New("unknown field"))
+		}
+	})
+	if err := r.End(); err != nil {
+		return reply[T]{}, fmt.Errorf("crispd client: decode job status: %w", err)
 	}
 	return rep, nil
 }

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -346,6 +348,10 @@ func TestSweepCorruptEntry(t *testing.T) {
 // cases the envelope-then-result decode used to tell apart.
 func TestClientReplies(t *testing.T) {
 	const done = `{"key":"k1","kind":"run","state":"done","result":{"Cycles":12,"Insts":7}}`
+	escaped, err := json.Marshal(JobStatus{Key: "k1", Kind: "run", State: StateFailed, Error: `a "quoted" <failure> & ü`})
+	if err != nil || !bytes.Contains(escaped, []byte(`\"quoted\"`)) {
+		t.Fatalf("%s, %v: want the escapes the server writes", escaped, err)
+	}
 	cases := []struct {
 		name       string
 		post, poll string // bodies of POST /v1/runs (202 when poll is set) and GET /v1/runs/k1
@@ -370,6 +376,11 @@ func TestClientReplies(t *testing.T) {
 		// a result in its shape must still be an error, not zeroed profiles.
 		{name: "old-shape result", post: `{"key":"k1","kind":"run","state":"done","result":` + oldShapeResult + `}`, wantErr: "decode job status"},
 		{name: "failed", post: `{"key":"k1","kind":"run","state":"failed","error":"boom"}`, wantErr: "job k1 failed: boom"},
+		// The server's encoder escapes quotes and HTML characters; the
+		// error reads as the server wrote it.
+		{name: "escaped error", post: string(escaped), wantErr: `job k1 failed: a "quoted" <failure> & ü`},
+		{name: "task-carrying status", post: `{"key":"k1","kind":"run","state":"done","submitted_unix_ns":1,"result":{"Cycles":12,"Insts":7},"task":"ckpt abc running"}`},
+		{name: "trailing garbage", post: done + `{}`, wantErr: "decode job status"},
 		{name: "202 then poll", post: `{"key":"k1","kind":"run","state":"running"}`, poll: done},
 		{name: "202 then failed poll", post: `{"key":"k1","kind":"run","state":"queued"}`,
 			poll: `{"key":"k1","kind":"run","state":"failed","error":"late boom"}`, wantErr: "job k1 failed: late boom"},
@@ -413,6 +424,62 @@ func TestClientReplies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReply feeds arbitrary bytes to the client's reply decoder. It must
+// never panic, must allocate at most a constant per input byte, and a
+// reply it accepts must be the value the parent's decoder — one
+// json.Unmarshal into the reply type — reads. The result inside is
+// decoded by core.Result's own decoder on both sides; FuzzResultJSON in
+// internal/runner holds that one to the parent's reflect-driven decode.
+func FuzzReply(f *testing.F) {
+	lp := core.LoadProf{Count: 9, L1Miss: 4, LLCMiss: 3, TotalLat: 700}
+	lp.LatHist.Observe(700)
+	res, err := json.Marshal(&core.Result{Cycles: 12, Insts: 7, DRAMAvgLat: 1.25, UPCWindows: []float64{0.5},
+		Loads: map[int]*core.LoadProf{3: &lp}, Branches: map[int]*core.BranchProf{-5: {Count: 2, Taken: 1}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(JobStatus{Key: "k1", Kind: "run", State: StateDone,
+		Error: `"<&>" ü`, Submitted: 1, Started: 22, Finished: 333, Result: res, Task: "ckpt abc running"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, body := range []string{
+		`{"key":"k1","kind":"run","state":"done","result":{"Cycles":12,"Insts":7}}`,
+		`{"key":"k1","kind":"run","state":"done","result":null,"result":{"Cycles":1}}`,
+		`{"key":"k1","kind":"run","state":"done","result":{"Cycles":1},"result":{"Insts":2}}`,
+		`{"key":"k1","kind":"run","state":"done","result":{"Cycles":"x"}}`,
+		`{"key":"k1","kind":"run","state":"done","result":` + oldShapeResult + `}`,
+		`{"key":"k1","state":"failed","error":"boom","submitted_unix_ns":-1}` + "\n",
+		`{"KEY":"k1","result":{}} `,
+	} {
+		f.Add([]byte(body))
+	}
+
+	var ms runtime.MemStats
+	f.Fuzz(func(t *testing.T, body []byte) {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		rep, err := decodeReply[core.Result](body)
+		runtime.ReadMemStats(&ms)
+		// FuzzResultJSON's budget for the result; the envelope's strings
+		// cost at most their own length.
+		if got, budget := ms.TotalAlloc-before, uint64(64*len(body)+64<<10); got > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(body), got, budget)
+		}
+		if err != nil {
+			return
+		}
+		var want reply[core.Result]
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("accepted %q, which json.Unmarshal rejects: %v", body, err)
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("accepted %q as %+v, json.Unmarshal reads %+v", body, rep, want)
+		}
+	})
 }
 
 // TestReadReply: the reply buffer starts at the stated length when there

@@ -15,9 +15,10 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
+	"sort"
+	"strconv"
 )
 
 // Bucket identifies one top-down stall class for a non-committing commit
@@ -148,31 +149,62 @@ func (b *Breakdown) Add(o *Breakdown) {
 	}
 }
 
-// MarshalJSON encodes the breakdown with stable named keys
-// ({"committed": N, "frontend": N, ...}) so JSONL consumers never depend
-// on bucket ordinals.
-func (b Breakdown) MarshalJSON() ([]byte, error) {
-	m := make(map[string]uint64, NumBuckets+1)
-	m["committed"] = b.Committed
-	for i, n := range bucketNames {
-		m[n] = b.Stalls[i]
-	}
-	return json.Marshal(m)
-}
+// breakdownKeys are a breakdown's JSON keys, sorted as json.Marshal
+// sorted the map this encoding was first written from.
+var breakdownKeys = func() []string {
+	keys := append(BucketNames(), "committed")
+	sort.Strings(keys)
+	return keys
+}()
 
-// UnmarshalJSON decodes the named-key form written by MarshalJSON.
-// Unknown keys are ignored (forward compatibility); missing keys load as
-// zero.
-func (b *Breakdown) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
+// counter returns the counter a JSON key names, or nil.
+func (b *Breakdown) counter(key string) *uint64 {
+	if key == "committed" {
+		return &b.Committed
 	}
-	*b = Breakdown{Committed: m["committed"]}
 	for i, n := range bucketNames {
-		b.Stalls[i] = m[n]
+		if n == key {
+			return &b.Stalls[i]
+		}
 	}
 	return nil
+}
+
+// MarshalJSON encodes the breakdown with stable named keys
+// ({"branch_redirect": N, "committed": N, ...}) so JSONL consumers never
+// depend on bucket ordinals.
+func (b Breakdown) MarshalJSON() ([]byte, error) {
+	dst := []byte{'{'}
+	for i, k := range breakdownKeys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(append(dst, '"'), k...), '"', ':')
+		dst = strconv.AppendUint(dst, *b.counter(k), 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// UnmarshalJSON decodes the named-key form written by MarshalJSON (see
+// Reader.Breakdown); on an error b is left zero.
+func (b *Breakdown) UnmarshalJSON(data []byte) error {
+	r := NewReader(data)
+	if r.Breakdown(b); r.End() != nil {
+		*b = Breakdown{}
+	}
+	return r.err
+}
+
+// Breakdown reads the named-key form into b. A key that names no counter
+// is ignored (forward compatibility) but must still hold an unsigned
+// integer; a missing key loads as zero.
+func (r *Reader) Breakdown(b *Breakdown) {
+	*b = Breakdown{}
+	r.Object(func(key []byte) {
+		if v, p := r.Uint(), b.counter(string(key)); p != nil {
+			*p = v
+		}
+	})
 }
 
 // HistBuckets is the number of power-of-two histogram buckets: bucket 0

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
@@ -17,17 +19,136 @@ import (
 	"crisp/internal/sim"
 )
 
-// The oracle for the row encoding of Hist, LoadProf and BranchProf: the
-// encoding they replaced, kept verbatim as mirror types. Up to
-// crisp-sim-5 the three were plain structs under encoding/json's
-// reflection — a Hist was {"counts":[24 numbers],"sum":N} — and these
-// mirrors still are, so marshalling a mirror gives the bytes that
-// simulator wrote for the same statistics. Nothing a result carried then
-// may be missing after a trip through the rows.
+// The oracles of a result's encoding, as mirror types of core.Result and
+// sim.MultiResult. Each mirror keeps two earlier codecs verbatim:
+//
+//   - Marshalling: the encoding the rows replaced. Up to crisp-sim-5
+//     Hist, LoadProf and BranchProf were plain structs under
+//     encoding/json's reflection — a Hist was {"counts":[24 numbers],
+//     "sum":N} — and the mirrors still marshal so, giving the bytes that
+//     simulator wrote for the same statistics. Nothing a result carried
+//     then may be missing after a trip through the rows.
+//   - Unmarshalling: the decode the metrics.Reader replaced, json.Unmarshal
+//     reflecting over the result with each row type's own hand-written
+//     UnmarshalJSON and the map-based Breakdown one. Whatever the reader
+//     accepts, this decode must accept as the same value.
 
 type refHist struct {
 	Counts [metrics.HistBuckets]uint64 `json:"counts"`
 	Sum    uint64                      `json:"sum"`
+}
+
+// refParseRow is the row parser the reader's Row replaced.
+func refParseRow(data []byte, dst []uint64) (int, error) {
+	end := len(data) - 1
+	if end < 1 || data[0] != '[' || data[end] != ']' {
+		return 0, errRefNotRow
+	}
+	n := 0
+	for i := 1; ; i++ { // i is at the first byte of an element
+		start := i
+		var v uint64
+		for ; data[i]-'0' <= 9; i++ { // stops at the closing bracket at the latest
+			d := uint64(data[i] - '0')
+			if v > (^uint64(0)-d)/10 {
+				return 0, fmt.Errorf("metrics: row element %d overflows uint64", n)
+			}
+			v = v*10 + d
+		}
+		if i == start || (data[start] == '0' && i-start > 1) {
+			return 0, errRefNotRow
+		}
+		if n == len(dst) {
+			return 0, fmt.Errorf("metrics: row longer than %d elements", len(dst))
+		}
+		dst[n] = v
+		n++
+		if i == end {
+			return n, nil
+		}
+		if data[i] != ',' {
+			return 0, errRefNotRow
+		}
+	}
+}
+
+var errRefNotRow = errors.New("metrics: not a row of unsigned decimals")
+
+func (h *refHist) UnmarshalJSON(data []byte) error {
+	*h = refHist{}
+	var buf [metrics.HistRowMax]uint64
+	n, err := refParseRow(data, buf[:])
+	if err != nil {
+		return err
+	}
+	return h.setRow(buf[:n])
+}
+
+func (h *refHist) setRow(row []uint64) error {
+	var m metrics.Hist
+	if err := m.SetRow(row); err != nil {
+		return err
+	}
+	*h = refHist{Counts: m.Counts, Sum: m.Sum}
+	return nil
+}
+
+func (p *refLoadProf) UnmarshalJSON(data []byte) error {
+	*p = refLoadProf{}
+	var buf [7 + metrics.HistRowMax]uint64
+	n, err := refParseRow(data, buf[:])
+	if err != nil {
+		return err
+	}
+	if n <= 7 {
+		return fmt.Errorf("core: load profile row of %d elements, want at least %d", n, 8)
+	}
+	var h refHist
+	if err := h.setRow(buf[7:n]); err != nil {
+		return err
+	}
+	*p = refLoadProf{Count: buf[0], L1Miss: buf[1], LLCMiss: buf[2], TotalLat: buf[3],
+		MLPSum: buf[4], HeadStall: buf[5], Forwards: buf[6], LatHist: h}
+	return nil
+}
+
+func (p *refBranchProf) UnmarshalJSON(data []byte) error {
+	*p = refBranchProf{}
+	var buf [3]uint64
+	n, err := refParseRow(data, buf[:])
+	if err != nil {
+		return err
+	}
+	if n != len(buf) {
+		return fmt.Errorf("core: branch profile row of %d elements, want %d", n, len(buf))
+	}
+	*p = refBranchProf{Count: buf[0], Mispred: buf[1], Taken: buf[2]}
+	return nil
+}
+
+// refBreakdown is metrics.Breakdown with the map-based codec its
+// MarshalJSON and UnmarshalJSON had before the reader.
+type refBreakdown metrics.Breakdown
+
+func (b refBreakdown) MarshalJSON() ([]byte, error) {
+	m := make(map[string]uint64, metrics.NumBuckets+1)
+	m["committed"] = b.Committed
+	for i, n := range metrics.BucketNames() {
+		m[n] = b.Stalls[i]
+	}
+	return json.Marshal(m)
+}
+
+func (b *refBreakdown) UnmarshalJSON(data []byte) error {
+	var m map[string]uint64
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*b = refBreakdown{Committed: m["committed"]}
+	for i, n := range metrics.BucketNames() {
+		b.Stalls[i] = m[n]
+	}
+	return nil
 }
 
 type refHists struct {
@@ -74,7 +195,7 @@ type refResult struct {
 	IssuedCritical uint64
 	QueueJumpSum   uint64
 
-	Breakdown metrics.Breakdown
+	Breakdown refBreakdown
 	Hists     refHists
 
 	L1I, L1D, LLC cache.Stats
@@ -115,12 +236,12 @@ type refMultiResult struct {
 	HostFFNS       int64  `json:"host_ff_ns,omitempty"`
 }
 
-// mirrorInto copies src into dst, a mirror of src's type: identical types
-// are assigned, mirrored structs copied field by field. It fails the test
-// when the two have drifted apart — a field added to core.Result must be
-// added to refResult — so the mirrors cannot silently stop covering what
-// a result carries. Only Hist's json tags may differ: they are the
-// encoding the rows replaced.
+// mirrorInto copies src into dst, one a mirror of the other's type:
+// identical types are assigned, mirrored structs copied field by field.
+// It fails the test when the two have drifted apart — a field added to
+// core.Result must be added to refResult — so the mirrors cannot silently
+// stop covering what a result carries. Only Hist's json tags may differ:
+// they are the encoding the rows replaced.
 func mirrorInto(t testing.TB, dst, src reflect.Value) {
 	t.Helper()
 	if dst.Type() == src.Type() {
@@ -135,9 +256,10 @@ func mirrorInto(t testing.TB, dst, src reflect.Value) {
 		if dst.NumField() != src.NumField() {
 			t.Fatalf("mirror %s has %d fields, %s has %d", dst.Type(), dst.NumField(), src.Type(), src.NumField())
 		}
+		hist := reflect.TypeOf(metrics.Hist{})
 		for i := 0; i < dst.NumField(); i++ {
 			df, sf := dst.Type().Field(i), src.Type().Field(i)
-			if df.Name != sf.Name || (df.Tag != sf.Tag && src.Type() != reflect.TypeOf(metrics.Hist{})) {
+			if df.Name != sf.Name || (df.Tag != sf.Tag && src.Type() != hist && dst.Type() != hist) {
 				t.Fatalf("mirror field %s.%s `%s` does not match %s.%s `%s`", dst.Type(), df.Name, df.Tag, src.Type(), sf.Name, sf.Tag)
 			}
 			mirrorInto(t, dst.Field(i), src.Field(i))
@@ -168,19 +290,24 @@ func mirrorInto(t testing.TB, dst, src reflect.Value) {
 	}
 }
 
+// mirrorOf returns a new mirror for v (a *core.Result or a
+// *sim.MultiResult).
+func mirrorOf(t testing.TB, v any) any {
+	switch v.(type) {
+	case *core.Result:
+		return new(refResult)
+	case *sim.MultiResult:
+		return new(refMultiResult)
+	}
+	t.Fatalf("no mirror for %T", v)
+	return nil
+}
+
 // refJSON is the crisp-sim-5 encoding of v (a *core.Result or a
 // *sim.MultiResult).
 func refJSON(t testing.TB, v any) []byte {
 	t.Helper()
-	var ref any
-	switch v.(type) {
-	case *core.Result:
-		ref = new(refResult)
-	case *sim.MultiResult:
-		ref = new(refMultiResult)
-	default:
-		t.Fatalf("no mirror for %T", v)
-	}
+	ref := mirrorOf(t, v)
 	mirrorInto(t, reflect.ValueOf(ref).Elem(), reflect.ValueOf(v).Elem())
 	b, err := json.Marshal(ref)
 	if err != nil {
@@ -189,21 +316,45 @@ func refJSON(t testing.TB, v any) []byte {
 	return b
 }
 
-// checkLossless: r survives encode → decode exactly; the decoded value
-// still marshals, in the old encoding, to the old bytes of r; and encode
-// is a fixed point of encode∘decode.
+// refDecode decodes data as the parent's reflect-driven decode did and
+// returns the value as a *T.
+func refDecode[T any](t testing.TB, data []byte) (*T, error) {
+	t.Helper()
+	v := new(T)
+	ref := mirrorOf(t, v)
+	if err := json.Unmarshal(data, ref); err != nil {
+		return nil, err
+	}
+	mirrorInto(t, reflect.ValueOf(v).Elem(), reflect.ValueOf(ref).Elem())
+	return v, nil
+}
+
+// checkLossless: r survives encode → decode exactly, through the decode
+// a store hit or a reply makes (Unmarshal), through json.Unmarshal and
+// through the parent's decode; the decoded value still marshals, in the
+// old encoding, to the old bytes of r; and encode is a fixed point of
+// encode∘decode.
 func checkLossless[T any](t *testing.T, name string, r *T) {
 	t.Helper()
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	d := new(T)
-	if err := json.Unmarshal(b, d); err != nil {
+	d, viaJSON := new(T), new(T)
+	if err := Unmarshal(b, d); err != nil {
 		t.Fatalf("%s: own encoding rejected: %v", name, err)
 	}
-	if !reflect.DeepEqual(d, r) {
-		t.Errorf("%s: decode(encode(r)) differs from r", name)
+	if err := json.Unmarshal(b, viaJSON); err != nil {
+		t.Fatalf("%s: own encoding rejected by json.Unmarshal: %v", name, err)
+	}
+	viaRef, err := refDecode[T](t, b)
+	if err != nil {
+		t.Fatalf("%s: own encoding rejected by the parent's decode: %v", name, err)
+	}
+	for decoder, got := range map[string]*T{"Unmarshal": d, "json.Unmarshal": viaJSON, "the parent's decode": viaRef} {
+		if !reflect.DeepEqual(got, r) {
+			t.Errorf("%s: decode(encode(r)) through %s differs from r", name, decoder)
+		}
 	}
 	old := refJSON(t, r)
 	if got := refJSON(t, d); !bytes.Equal(got, old) {
@@ -260,11 +411,12 @@ func TestResultEncodingLossless(t *testing.T) {
 
 // FuzzResultJSON feeds arbitrary bytes to the decoder every stored entry
 // and every reply goes through. It must never panic; it must not allocate
-// more than a constant per input byte (the row decoders parse into stack
-// buffers and refuse a row that does not fit); and a result it accepts is
-// a fixed point: its encoding decodes to an equal value and encodes to
-// itself, so no two stored byte strings a reader would re-publish stand
-// for one result.
+// more than a constant per input byte (the rows parse into stack buffers
+// and a row that does not fit is refused); a result it accepts, the
+// parent's reflect-driven decode accepts as the same value; and that
+// result is a fixed point: its encoding decodes to an equal value and
+// encodes to itself, so no two stored byte strings a reader would
+// re-publish stand for one result.
 func FuzzResultJSON(f *testing.F) {
 	golden, err := os.ReadFile(resultGolden)
 	if err != nil {
@@ -276,6 +428,8 @@ func FuzzResultJSON(f *testing.F) {
 	f.Add([]byte(`{"Hists":{"load_lat":{"counts":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"sum":0}}}`))
 	f.Add([]byte(`{"Loads":{"1":[1,2,3,4,5,6,7,8,24,1]},"Branches":{"1":[1,2]}}`))
 	f.Add([]byte(`{"Hists":{"dram_lat":[5,3,0],"occ_rs":[5,3,1,2,1],"occ_lq":[18446744073709551616],"occ_sq":[01],"occ_mshr":[1,2]}}`))
+	f.Add([]byte(`{"Hists":{"load_lat":[1]},"Hists":{"dram_lat":[2]},"Loads":{},"Branches":null,"UPCWindows":[],"L1D":{"Hits":1},"L1D":{"Misses":2}}` + "\n"))
+	f.Add([]byte(`{"Loads":{"1":[1,2,3,4,5,6,7,8]},"Loads":{"-2":[1,2,3,4,5,6,7,8]},"Breakdown":{"committed":1,"x":2},"Breakdown":{"mem_dram":3},"HostNS":-9223372036854775808}`))
 	f.Add(golden[:len(golden)/2])
 
 	var ms runtime.MemStats
@@ -283,7 +437,7 @@ func FuzzResultJSON(f *testing.F) {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		var res core.Result
-		err := json.Unmarshal(data, &res)
+		err := Unmarshal(data, &res)
 		runtime.ReadMemStats(&ms)
 		// 64 B per input byte: the densest accepted input is a map entry
 		// of ~20 bytes that costs a 256-byte LoadProf and its map slot. The
@@ -294,12 +448,19 @@ func FuzzResultJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
+		want, err := refDecode[core.Result](t, data)
+		if err != nil {
+			t.Fatalf("accepted %q, which the parent's decode rejects: %v", data, err)
+		}
+		if !reflect.DeepEqual(&res, want) {
+			t.Fatalf("accepted %q as %+v, the parent's decode reads %+v", data, res, *want)
+		}
 		b, err := json.Marshal(&res)
 		if err != nil {
 			t.Fatalf("accepted result does not marshal: %v", err)
 		}
 		var again core.Result
-		if err := json.Unmarshal(b, &again); err != nil {
+		if err := Unmarshal(b, &again); err != nil {
 			t.Fatalf("accepted %q, but its re-marshalled form %s is rejected: %v", data, b, err)
 		}
 		if !reflect.DeepEqual(&again, &res) {

@@ -148,12 +148,22 @@ func (s *Store) Get(kind, key string, v any) bool {
 	}
 	fresh, ok := get(s, kind, key, func(b []byte) (reflect.Value, error) {
 		fresh := reflect.New(rv.Type().Elem())
-		return fresh, json.Unmarshal(b, fresh.Interface())
+		return fresh, Unmarshal(b, fresh.Interface())
 	})
 	if ok {
 		rv.Elem().Set(fresh.Elem())
 	}
 	return ok
+}
+
+// Unmarshal decodes a stored or served result into v. A v that decodes
+// its own JSON (*core.Result), and checks every byte doing so, is handed
+// data directly, without json.Unmarshal's validating pass over it.
+func Unmarshal(data []byte, v any) error {
+	if u, ok := v.(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(data)
+	}
+	return json.Unmarshal(data, v)
 }
 
 // Put persists v as JSON under (kind, key), atomically and durably.
