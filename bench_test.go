@@ -8,6 +8,8 @@
 package repro
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"crisp/internal/core"
@@ -313,6 +315,50 @@ func BenchmarkHostThroughput(b *testing.B) {
 			b.ReportMetric(float64(hostNS)/float64(insts), "host_ns/inst")
 			b.ReportMetric(float64(hostAllocs)/float64(insts), "allocs/inst")
 			b.ReportMetric(float64(skipped)/float64(cycles), "skipped_frac")
+		})
+	}
+}
+
+// BenchmarkHostThroughputMulti is BenchmarkHostThroughput for the
+// multi-core driver (core.RunMulti): tailchase and streambatch alternating
+// on 1, 2 and 4 cores over one shared LLC/DRAM under the stride
+// prefetcher, benchInsts per core. sim_MIPS and host_ns/inst count every
+// core's instructions against the co-run's wall time; cN_skipped_frac is
+// the fraction of core N's cycles it slept through. One core is the
+// multi-core driver's single-core baseline.
+func BenchmarkHostThroughputMulti(b *testing.B) {
+	names := []string{"tailchase", "streambatch", "tailchase", "streambatch"}
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("%dcore", n), func(b *testing.B) {
+			cfgs := make([]sim.Config, n)
+			for i := range cfgs {
+				cfgs[i] = sim.DefaultConfig()
+				cfgs[i].Prefetcher = sim.PFStride
+				cfgs[i].Core.MaxInsts = benchInsts
+			}
+			var insts, hostNS uint64
+			cycles, skipped := make([]uint64, n), make([]uint64, n)
+			for i := 0; i < b.N; i++ {
+				imgs := make([]*sim.Image, n)
+				for c := range imgs {
+					imgs[c] = workload.ByName(names[c]).Build(workload.Ref)
+				}
+				m, err := sim.RunMultiContext(context.Background(), imgs, cfgs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				hostNS += uint64(m.HostNS)
+				for c, r := range m.Cores {
+					insts += r.Insts
+					cycles[c] += r.Cycles
+					skipped[c] += r.SkippedCycles
+				}
+			}
+			b.ReportMetric(float64(insts)*1e3/float64(hostNS), "sim_MIPS")
+			b.ReportMetric(float64(hostNS)/float64(insts), "host_ns/inst")
+			for c := range cycles {
+				b.ReportMetric(float64(skipped[c])/float64(cycles[c]), fmt.Sprintf("c%d_skipped_frac", c))
+			}
 		})
 	}
 }

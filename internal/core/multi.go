@@ -5,29 +5,31 @@ import (
 	"time"
 )
 
-// RunMulti steps the given cores in lockstep against one shared clock and
-// returns each core's Result, indexed like cores. The cores must have been
-// built over views of one cache.SharedHierarchy (RunMulti itself only
-// requires that they start at cycle 0); a single core over a private
-// hierarchy reproduces Core.Run exactly, which is what pins the refactor.
+// RunMulti steps the given cores against one shared clock and returns each
+// core's Result, indexed like cores. The cores must have been built over
+// views of one cache.SharedHierarchy (RunMulti itself only requires that
+// they start at cycle 0); a single core over a private hierarchy
+// reproduces Core.Run exactly, which is what pins the refactor.
 //
-// Lockstep is load-bearing, not cosmetic: the shared LLC/DRAM busy state
-// serializes same-cycle requests in arrival order, so all cores must reach
-// a cycle before any core proceeds past it. Idle skipping therefore merges
-// across cores — the clock jumps only when every live core proves its own
-// skipTarget, and only to the minimum target. That min is safe for every
-// core (any prefix of a proven-idle interval is proven idle), and a
-// skipped interval makes no memory-system requests on any core, so no
-// core's recorded completion times can be invalidated by a neighbour
-// during the jump. Finished cores drop out of the merge and make no
-// further requests; the survivors keep full-length skips.
+// The clock is the least cycle over the live cores, and each iteration
+// steps only the cores whose own cycle it is, in index order: the shared
+// LLC/DRAM busy state serializes same-cycle requests in arrival order, so
+// no core may pass a cycle another core has yet to step. Right after its
+// step a core applies its own idle skip (skipTarget/applySkip) and sleeps
+// ahead of the clock until the clock reaches its next event. That is
+// exact, not an approximation: the skip proof is purely per-core, and a
+// sleeping core makes no hierarchy call, so the shared levels see the same
+// calls at the same cycles as if every core stepped every cycle, and a
+// neighbour's activity meanwhile cannot create work for the sleeper (its
+// completion times were fixed when its accesses issued). A finished core
+// drops out and makes no further requests.
 //
-// cancel is polled once per shared cycle; on cancellation the results
-// reflect the simulated-so-far state, like a cancelled Core.Run. Host
-// counters (HostNS/HostAllocs) are process-wide measurements from the
-// RunMulti start to each core's finish — the cores interleave on one host
-// thread, so per-core host attribution is not meaningful and the same
-// wall/alloc window is reported to each.
+// cancel is polled once per iteration; on cancellation the results reflect
+// the simulated-so-far state, like a cancelled Core.Run. Host counters
+// (HostNS/HostAllocs) are process-wide measurements from the RunMulti
+// start to each core's finish — the cores interleave on one host thread,
+// so per-core host attribution is not meaningful and the same wall/alloc
+// window is reported to each.
 func RunMulti(cores []*Core, cancel func() bool) []*Result {
 	if len(cores) == 0 {
 		return nil
@@ -35,22 +37,14 @@ func RunMulti(cores []*Core, cancel func() bool) []*Result {
 	startAllocs := cores[0].heapAllocs()
 	start := time.Now()
 
-	allowSkip := true
-	for _, c := range cores {
-		if c.cfg.DebugNoSkip {
-			allowSkip = false
-		}
-	}
-
 	live := make([]bool, len(cores))
-	liveCount := 0
 	coOpen := len(cores) >= 2
 	finalize := func(i int) {
 		live[i] = false
-		liveCount--
 		if coOpen {
-			// First core out: snapshot every core's progress at this shared
-			// cycle. Up to here all cores were live, so CoInsts/CoCycles is
+			// First core out: snapshot every core's progress once every core
+			// has stepped this cycle (a sleeper retires nothing until it
+			// wakes). Up to here all cores were live, so CoInsts/CoCycles is
 			// each core's drain-free co-located rate (see Result.CoInsts).
 			coOpen = false
 			for _, c := range cores {
@@ -60,15 +54,17 @@ func RunMulti(cores []*Core, cancel func() bool) []*Result {
 		}
 		cores[i].finishRun(start, startAllocs)
 	}
+	now := never
 	for i, c := range cores {
 		live[i] = true
-		liveCount++
 		if c.finished() {
 			finalize(i)
+		} else {
+			now = min(now, c.cycle)
 		}
 	}
 
-	for liveCount > 0 {
+	for now != never {
 		if cancel != nil && cancel() {
 			for i := range cores {
 				if live[i] {
@@ -77,45 +73,37 @@ func RunMulti(cores []*Core, cancel func() bool) []*Result {
 			}
 			break
 		}
-		for i, c := range cores {
-			if live[i] {
-				c.stats.HostIters++
-				c.stepCycle()
-			}
-		}
-		if allowSkip {
-			target := ^uint64(0)
-			merged := true
-			for i, c := range cores {
-				if !live[i] {
-					continue
-				}
-				next, ok := c.skipTarget()
-				if !ok {
-					merged = false
-					break
-				}
-				if next < target {
-					target = next
-				}
-			}
-			if merged {
-				for i, c := range cores {
-					if live[i] {
-						c.applySkip(target)
-					}
-				}
-			}
-		}
+		next, out := never, false
 		for i, c := range cores {
 			if !live[i] {
 				continue
 			}
-			c.advanceCycle()
-			if c.finished() {
-				finalize(i)
+			if c.cycle == now {
+				c.stats.HostIters++
+				c.stepCycle()
+				if !c.cfg.DebugNoSkip {
+					if t, ok := c.skipTarget(); ok {
+						c.applySkip(t)
+					}
+				}
+				c.advanceCycle()
+				if c.finished() {
+					out = true
+					continue
+				}
+			}
+			next = min(next, c.cycle)
+		}
+		if out {
+			// Cores that finished this cycle finalize only after the pass,
+			// so the first-out snapshot sees every core's step at it.
+			for i, c := range cores {
+				if live[i] && c.finished() {
+					finalize(i)
+				}
 			}
 		}
+		now = next
 	}
 
 	results := make([]*Result, len(cores))
@@ -126,14 +114,13 @@ func RunMulti(cores []*Core, cancel func() bool) []*Result {
 }
 
 // RunMultiWindow drives checkpoint-restored cores through one detailed
-// sampling window in lockstep: the same shared clock, arrival-order
-// memory serialization and min-across-cores idle-skip merge as a
-// full-detail RunMulti, applied to cores whose MaxInsts budgets are the
-// window length. A core that retires its budget first drops out of the
-// merge while the neighbours finish theirs — the same drain semantics a
-// full-detail co-run has at each core's own budget. Every core must
-// carry a budget: the suite's kernels never halt, so a window core
-// without one would never finish.
+// sampling window: the same shared clock, arrival-order memory
+// serialization and per-core sleeping as a full-detail RunMulti, applied
+// to cores whose MaxInsts budgets are the window length. A core that
+// retires its budget first drops out while the neighbours finish theirs —
+// the same drain semantics a full-detail co-run has at each core's own
+// budget. Every core must carry a budget: the suite's kernels never halt,
+// so a window core without one would never finish.
 func RunMultiWindow(cores []*Core, cancel func() bool) []*Result {
 	for i, c := range cores {
 		if c.cfg.MaxInsts == 0 {

@@ -30,11 +30,11 @@ import "crisp/internal/isa"
 // — skipping is never required for correctness, only for host speed.
 //
 // The proof is purely per-core: it reads only this core's frozen pipeline
-// state and already-recorded completion times. That is what makes the
-// multi-core min-merge sound — a neighbour's activity during the interval
-// cannot create work for this core before `next` (all of this core's
-// in-flight completion times were fixed when the accesses were issued),
-// so applySkip remains valid for any target ≤ next.
+// state and already-recorded completion times. That is what lets the
+// multi-core driver sleep each core to its own `next` while its
+// neighbours keep stepping — their activity during the interval cannot
+// create work for this core before `next` (all of this core's in-flight
+// completion times were fixed when the accesses were issued).
 func (c *Core) skipTarget() (uint64, bool) {
 	if c.finished() {
 		return 0, false // the run ends at the next loop check; don't pad Cycles
@@ -123,13 +123,9 @@ func (c *Core) skipTarget() (uint64, bool) {
 
 // applySkip charges cycles cycle+1 .. next-1 in bulk and sets
 // cycle = next-1 (the loop's increment then lands exactly on the event
-// cycle). The caller must hold a skipTarget() proof for some value ≥ next:
-// any prefix of a proven-idle interval is itself proven idle, which is how
-// the multi-core driver applies the min across cores.
+// cycle). next is the value skipTarget() just proved, so next > cycle+1;
+// both drivers, Core.Run and RunMulti, apply a core's own target.
 func (c *Core) applySkip(next uint64) {
-	if next <= c.cycle+1 {
-		return // another core's event lands next cycle: nothing to skip
-	}
 	delta := next - c.cycle - 1 // skipped cycle values: cycle+1 .. next-1
 
 	// Bulk accounting: exactly what commit()/fetch() would have recorded

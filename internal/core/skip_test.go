@@ -101,8 +101,8 @@ func TestSkipCoverage(t *testing.T) {
 // scheduled for the current cycle, no jump passes a pending one): bwaves
 // under sim.DefaultConfig, whose loads queue behind a DRAM bank for longer
 // than the wheel spans, so this is also where the suite takes the overflow
-// heap; and a latency-bound core beside a DRAM-bound one in lockstep, whose
-// jumps are the minimum over both and so stop short of one core's target.
+// heap; and a latency-bound core beside a DRAM-bound one on one clock, each
+// sleeping to its own next event while the other steps.
 func TestWakeupsFireOnTime(t *testing.T) {
 	newCore := func(name string, sched core.SchedulerKind) *core.Core {
 		cfg := sim.DefaultConfig().WithSched(sched)

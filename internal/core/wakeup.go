@@ -22,7 +22,7 @@ import "math/bits"
 // Nothing is sorted. A wakeup less than wheelSize cycles out is pushed on
 // the list of bucket at%wheelSize; it is always for a later cycle than the
 // current one and the clock stops at every cycle that has a wakeup
-// (skipTarget and RunMulti's minimum over cores never jump past earliest,
+// (a core's skip, in Core.Run or RunMulti, never jumps past earliest,
 // which is why that is exact and not a bound), so a bucket holds one
 // cycle's wakeups and due(now) finds exactly those. Their order is free:
 // decrements and bit sets commute and nothing reads in between. The few

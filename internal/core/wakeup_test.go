@@ -20,8 +20,8 @@ var wakeupLatencies = []uint64{1, 2, 4, 30, 200, wheelSize - 1, wheelSize, wheel
 // one stream of schedules, drains and clock jumps, as the core makes them:
 // a node is pending at most once, a wakeup is for a later cycle than the
 // current one, the clock moves by one cycle or jumps to any cycle up to the
-// earliest pending wakeup (a core's own skip goes all the way, RunMulti's
-// minimum over cores may stop short). Every cycle visited must wake the
+// earliest pending wakeup (a core's skip goes all the way, or stops short
+// at an occupancy-sample or UPC-window edge). Every cycle visited must wake the
 // same nodes, and earliest must name the heap's minimum exactly. Mutation
 // checks: sending a wakeup wheelSize cycles out to the wheel (`>` for `>=`
 // in schedule) wakes it a turn early; starting earliest's scan at now's

@@ -110,8 +110,7 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 // (tags don't change functional behaviour), so this is the fast way to
 // sweep co-location configs. The attribution self-check still holds
 // per core: merged window breakdowns partition Cycles x CommitWidth
-// exactly, which pins the min-across-cores idle-skip merge inside
-// windows too.
+// exactly, which pins each core's bulk-charged sleeps inside windows too.
 func (l *Lab) ColocateSampled() *Pending {
 	s := sim.AutoSampling(l.Insts)
 	// sampledClause converts a full-detail spec into a window clause: the
