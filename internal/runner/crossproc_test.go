@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"crisp/internal/core"
 	"crisp/internal/sim"
 )
 
@@ -29,16 +30,25 @@ func sweepSpecs() []sim.RunSpec {
 
 // childEnvDir is the env var that turns TestCrossProcessChild from a
 // skip into a sweep worker; its value is the shared store directory.
-const childEnvDir = "CRISP_CROSSPROC_DIR"
+// childEnvCrash, set as well, makes it the writer that dies mid-publish
+// instead (crashMidPublish).
+const (
+	childEnvDir   = "CRISP_CROSSPROC_DIR"
+	childEnvCrash = "CRISP_CROSSPROC_CRASH"
+)
 
-// TestCrossProcessChild is the worker half of TestCrossProcessDedup: a
-// re-exec of this test binary that sweeps the shared store and reports
-// its counters on stdout. It skips when run as part of a normal test
-// pass.
+// TestCrossProcessChild is the worker half of TestCrossProcessDedup and
+// TestCrossProcessCrashMidPublish: a re-exec of this test binary that
+// sweeps the shared store and reports its counters on stdout, or crashes
+// mid-publish. It skips when run as part of a normal test pass.
 func TestCrossProcessChild(t *testing.T) {
 	dir := os.Getenv(childEnvDir)
 	if dir == "" {
-		t.Skip("helper process for TestCrossProcessDedup")
+		t.Skip("helper process for the cross-process tests")
+	}
+	if os.Getenv(childEnvCrash) != "" {
+		crashMidPublish(t, dir)
+		return
 	}
 	r, err := New(context.Background(), Options{Workers: 2, CacheDir: dir})
 	if err != nil {
@@ -201,5 +211,86 @@ func TestCrossProcessDedup(t *testing.T) {
 	}
 	if checked < int(specs)+2 { // one result per spec + two checkpoint sets
 		t.Errorf("store holds %d entries, want at least %d", checked, specs+2)
+	}
+}
+
+// crashSpec is the run the crashing child claims and the parent resolves.
+func crashSpec() sim.RunSpec { return chaseSpec(20_000) }
+
+// crashMidPublish is what put does up to its rename, then an exit: claim
+// the run key, write half the encoded result over the lock body, and end
+// the process holding the claim, as a writer killed mid-publish would.
+func crashMidPublish(t *testing.T, dir string) {
+	ctx, spec := context.Background(), crashSpec()
+	res, err := newRunner(t, Options{Workers: 1}).Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Lock(ctx, kindRun, spec.Key()); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := s.held.Load(s.lockPath(kindRun, spec.Key()))
+	if _, err := f.(*os.File).WriteAt(data[:len(data)/2], 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrossProcessCrashMidPublish: a process that dies between writing
+// an entry over its lock body and the rename leaves a lock holding half
+// an entry, the one crash state publishing through the lock adds. Its
+// content is no lock body, so a runner sharing the store must break it
+// within one poll of its turning lockEmptyTTL old and take it a poll
+// later, then compute the spec once and leave a decodable entry and no
+// lock.
+func TestCrossProcessCrashMidPublish(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(exe, "-test.run=^TestCrossProcessChild$", "-test.v")
+	cmd.Env = append(os.Environ(), childEnvDir+"="+dir, childEnvCrash+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child failed: %v\n%s", err, out)
+	}
+	spec := crashSpec()
+	r := newRunner(t, Options{Workers: 1, CacheDir: dir})
+	lock := r.store.lockPath(kindRun, spec.Key())
+	fi, err := os.Stat(lock)
+	if err != nil {
+		t.Fatalf("the child left no lock: %v", err)
+	}
+	young := time.Since(fi.ModTime()) < lockEmptyTTL-lockPollInterval
+	if _, err := r.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.Executed != 1 || st.DiskHits != 0 {
+		t.Errorf("Executed %d, DiskHits %d; want one recompute", st.Executed, st.DiskHits)
+	}
+	// A poll to notice the lock has aged out, one more to take it; the
+	// slack is scheduling.
+	const slack = 250 * time.Millisecond
+	wait := time.Duration(st.LockWaitNS)
+	t.Logf("waited %v on the half-written lock", wait)
+	if wait > lockEmptyTTL+2*lockPollInterval+slack || young && wait < lockPollInterval {
+		t.Errorf("lock wait %v (lock young at start: %v), want the half-written lock broken once %v old", wait, young, lockEmptyTTL)
+	}
+	if !r.store.Get(kindRun, spec.Key(), &core.Result{}) {
+		t.Error("no decodable entry after the recompute")
+	}
+	if _, err := os.Stat(lock); !os.IsNotExist(err) {
+		t.Errorf("lock left behind (stat err = %v)", err)
 	}
 }

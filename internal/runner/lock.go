@@ -16,20 +16,22 @@ import (
 
 // Cross-process advisory locks. A lock is a file created with
 // O_CREATE|O_EXCL next to the store entry it guards, holding
-// "pid startUnixNano hostname". Creation is the atomic acquire; removal
-// is the release. Writers hold the lock across compute-and-publish, so
-// two processes sweeping one store never capture the same checkpoint or
-// run the same spec concurrently — the loser blocks, then finds the
-// winner's entry on its post-acquire store re-check.
+// "pid startUnixNano hostname". Creation is the atomic acquire; release
+// is put's rename of the file (then holding the entry) onto the entry's
+// name, or removal if nothing is published. Writers hold the lock across
+// compute-and-publish, so two processes sweeping one store never capture
+// the same checkpoint or run the same spec concurrently — the loser
+// blocks, then finds the winner's entry on its post-acquire re-check.
 //
 // Crash recovery: a holder that dies leaves its lock file behind. A
 // waiter judges a lock stale when the recorded pid is no longer alive on
 // this host (same-host locks, the common case), or — when liveness
 // cannot be determined, e.g. the lock was taken on another machine or
 // the pid was recycled — when the lock has outlived lockStaleTTL.
-// Unparseable lock files (a crash between create and write) go stale
-// after lockEmptyTTL. Breaking re-reads the file first so a lock
-// released and re-acquired during the staleness check is not clobbered.
+// Unparseable lock files (a crash between create and write, or between a
+// put's write of the entry and its rename) go stale after lockEmptyTTL.
+// Breaking re-reads the file first so a lock released and re-acquired
+// during the staleness check is not clobbered.
 const (
 	lockPollInterval = 20 * time.Millisecond
 	lockEmptyTTL     = 2 * time.Second
@@ -40,15 +42,12 @@ func (s *Store) lockPath(kind, key string) string {
 	return filepath.Join(s.dir, kind+"-"+key+".lock")
 }
 
-// lockWrite writes the lock body and closes the file, reporting the
-// first error. It is a variable only so tests can inject the full-disk
-// failure that is otherwise impractical to provoke in a temp dir.
+// lockWrite writes the lock body. It is a variable only so tests can
+// inject the full-disk failure that is otherwise impractical to provoke
+// in a temp dir.
 var lockWrite = func(f *os.File, body string) error {
-	if _, err := io.WriteString(f, body); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	_, err := io.WriteString(f, body)
+	return err
 }
 
 // lockSnapshotGap is a test seam invoked between the content read and
@@ -83,14 +82,32 @@ func lockSnapshot(path string) (content []byte, mod time.Time, ok bool) {
 }
 
 // Lock acquires the advisory cross-process lock for (kind, key),
-// polling until it is free, a stale lock is broken, or ctx is done. It
-// returns the release function and how long acquisition blocked. On a
-// nil-dir store it is an immediate no-op.
+// polling until it is free, a stale lock is broken, or ctx is done, and
+// records the claim for a put of the key to publish through. It returns
+// the release function, which removes the lock unless a put took the
+// claim, and how long acquisition blocked. On a nil-dir store it is a no-op.
 func (s *Store) Lock(ctx context.Context, kind, key string) (release func(), waited time.Duration, err error) {
 	if s.dir == "" {
 		return func() {}, 0, nil
 	}
 	path := s.lockPath(kind, key)
+	f, waited, err := s.claim(ctx, path)
+	if err != nil {
+		return nil, waited, err
+	}
+	s.held.Store(path, f)
+	return func() {
+		if s.held.CompareAndDelete(path, f) {
+			f.Close()
+			os.Remove(path)
+		}
+	}, waited, nil
+}
+
+// claim creates the lock file path and writes its body, polling as Lock
+// does, and returns the file still open for the put that publishes
+// through it.
+func (s *Store) claim(ctx context.Context, path string) (*os.File, time.Duration, error) {
 	start := time.Now()
 	for {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -98,15 +115,14 @@ func (s *Store) Lock(ctx context.Context, kind, key string) (release func(), wai
 			host, _ := os.Hostname()
 			body := fmt.Sprintf("%d %d %s", os.Getpid(), time.Now().UnixNano(), host)
 			if werr := lockWrite(f, body); werr != nil {
-				// A failed body write (full disk, dying filesystem) must not
-				// leave an empty lock behind: peers would judge it stale
-				// after lockEmptyTTL and break it mid-compute — exactly the
-				// duplicate execution the lock exists to prevent. Remove the
-				// file and fail the acquire instead of proceeding unlocked.
+				// A failed body write (full disk) must not leave an empty
+				// lock: peers would break it after lockEmptyTTL, mid-compute.
+				// Remove it and fail the acquire instead.
+				f.Close()
 				os.Remove(path)
 				return nil, time.Since(start), fmt.Errorf("runner: write lock %s: %w", path, werr)
 			}
-			return func() { os.Remove(path) }, time.Since(start), nil
+			return f, time.Since(start), nil
 		}
 		if !errors.Is(err, os.ErrExist) {
 			return nil, time.Since(start), fmt.Errorf("runner: create lock %s: %w", path, err)

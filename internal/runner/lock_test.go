@@ -150,8 +150,7 @@ func TestLockWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := lockWrite
-	lockWrite = func(f *os.File, body string) error {
-		f.Close()
+	lockWrite = func(*os.File, string) error {
 		return fmt.Errorf("write: no space left on device")
 	}
 	defer func() { lockWrite = orig }()

@@ -1,12 +1,13 @@
 package runner
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"time"
+	"sync"
 
 	"crisp/internal/checkpoint"
 )
@@ -16,11 +17,13 @@ import (
 // key. Keys already hash sim.CodeVersion, so a simulator change
 // naturally misses every stale entry instead of serving wrong numbers.
 // Small results (runs, analyses, footprints) are JSON; checkpoint sets
-// use the binary checkpoint codec. All writes are atomic
-// (fsync-before-rename), and corrupt entries are deleted on read so the
-// next producer recomputes them. A nil-dir Store stores nothing.
+// use the binary checkpoint codec. An entry is published through the lock
+// file that claims its key (see put), so every write is atomic and
+// durable, and corrupt entries are deleted on read so the next producer
+// recomputes them. A nil-dir Store stores nothing.
 type Store struct {
-	dir string
+	dir  string
+	held sync.Map // lock path → the *os.File of a claim this Store holds (Lock)
 }
 
 // Store kinds: the file-name prefix of each persisted task family, which
@@ -58,52 +61,15 @@ var kindExt = map[string]string{
 	kindCkpt: ".bin", kindMultiCkpt: ".bin",
 }
 
-// tmpSweepTTL is how old a *.tmp file must be before NewStore removes
-// it. put deletes its temp file on every error path, so a .tmp
-// that outlives this is debris from a crashed process (killed between
-// CreateTemp and rename); an hour is far beyond any live write — even a
-// checkpoint-set encode finishes in seconds — so sweeping cannot race a
-// writer in another process.
-const tmpSweepTTL = time.Hour
-
-// NewStore returns a Store rooted at dir, creating it if needed, and
-// sweeps temp-file debris left by crashed writers. An empty dir
-// disables persistence.
+// NewStore returns a Store rooted at dir, creating it if needed. An
+// empty dir disables persistence.
 func NewStore(dir string) (*Store, error) {
-	if dir == "" {
-		return &Store{}, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("runner: create cache dir: %w", err)
-	}
-	s := &Store{dir: dir}
-	s.sweepTmp(time.Now())
-	return s, nil
-}
-
-// sweepTmp removes stale *.tmp files under the store root. A process
-// that crashes between CreateTemp and rename orphans its temp file;
-// without a sweep they accumulate forever in a shared store directory.
-// Only files older than tmpSweepTTL go, so live writers in other
-// processes are untouched, and every error is ignored — the sweep is
-// best-effort hygiene, never a reason to fail an open.
-func (s *Store) sweepTmp(now time.Time) {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".tmp" {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		if now.Sub(info.ModTime()) > tmpSweepTTL {
-			os.Remove(filepath.Join(s.dir, e.Name()))
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("runner: create cache dir: %w", err)
 		}
 	}
+	return &Store{dir: dir}, nil
 }
 
 // Enabled reports whether the store persists anything.
@@ -205,11 +171,18 @@ func (s *Store) PutMultiCheckpoint(key string, set *checkpoint.MultiSet) error {
 	return s.put(kindMultiCkpt, key, func() ([]byte, error) { return checkpoint.EncodeMultiSet(set, key), nil })
 }
 
+// publishGap is a test seam invoked between a put's flush and its
+// rename: the window in which a peer may break the claim.
+var publishGap = func() {}
+
 // put is the one write path: encode (only when the store persists
-// anything) and write atomically and durably — temp file, fsync, rename,
-// directory fsync — so neither an interrupted sweep nor a crash right
-// after the rename can leave a torn or vanishing entry for another
-// process to read.
+// anything), then publish through the key's claim — the lock this Store
+// holds on it (Lock), or one taken here for a put nobody locked. The
+// entry's bytes overwrite the lock body; the file is fsynced, renamed onto
+// the entry's name, and the directory fsynced. The rename publishes and
+// releases at once, so an entry costs one file creation, and no crash can
+// leave a torn or vanishing entry: one before the rename leaves a lock
+// holding entry bytes, which peers break after lockEmptyTTL.
 func (s *Store) put(kind, key string, encode func() ([]byte, error)) error {
 	if s.dir == "" {
 		return nil
@@ -218,32 +191,43 @@ func (s *Store) put(kind, key string, encode func() ([]byte, error)) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, kind+"-*.tmp")
+	lock := s.lockPath(kind, key)
+	var f *os.File
+	if v, ok := s.held.LoadAndDelete(lock); ok {
+		f = v.(*os.File)
+	} else if f, _, err = s.claim(context.Background(), lock); err != nil {
+		return err
+	}
+	// Open until after the rename, for the SameFile check below: a closed
+	// file that a peer unlinked frees its inode number for the peer's new
+	// lock. Its data is fsynced by then, so Close has nothing to report.
+	defer f.Close()
+	// Overwrite, then cut: the file never reads empty mid-publish.
+	if _, err = f.WriteAt(data, 0); err == nil {
+		err = f.Truncate(int64(len(data)))
+	}
+	// fsync before rename, or a crash can leave the renamed file empty or
+	// truncated: the torn entry the atomic rename exists to prevent.
+	if err == nil {
+		err = f.Sync()
+	}
+	publishGap()
+	// Entry bytes are no lock body: a peer that finds them older than
+	// lockEmptyTTL (a stalled publish, a skewed clock) may have broken the
+	// claim and taken the key, and the path is then its to rename or remove.
+	fi, _ := f.Stat() // nil on error, which SameFile matches to no file
+	if li, serr := os.Stat(lock); serr != nil || !os.SameFile(fi, li) {
+		return fmt.Errorf("runner: claim %s broken before publish", lock)
+	}
+	if err == nil {
+		err = os.Rename(lock, s.path(kind, key))
+	}
 	if err != nil {
-		return err
-	}
-	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.Write(data); err != nil {
-		cleanup()
-		return err
-	}
-	// fsync before rename: otherwise a crash can leave the renamed file
-	// present but empty or truncated — exactly the torn entry the atomic
-	// rename is supposed to prevent.
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path(kind, key)); err != nil {
-		os.Remove(tmp.Name())
+		os.Remove(lock)
 		return err
 	}
 	// fsync the directory so the rename itself survives a crash; other
-	// processes polling Has must not observe the entry and then lose it.
+	// processes must not observe the entry and then lose it.
 	if d, err := os.Open(s.dir); err == nil {
 		d.Sync()
 		d.Close()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -143,43 +142,6 @@ func TestStoreOldShapeIsAMiss(t *testing.T) {
 	}
 }
 
-// TestStoreSweepsStaleTmp: NewStore removes *.tmp debris left by a
-// process that crashed between CreateTemp and rename — but only files
-// older than tmpSweepTTL, so a live writer in another process keeps its
-// in-flight temp file, and non-tmp entries are never touched.
-func TestStoreSweepsStaleTmp(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "run-12345678.tmp")
-	fresh := filepath.Join(dir, "ckpt-87654321.tmp")
-	entry := filepath.Join(dir, "run-deadbeef.json")
-	for _, p := range []string{stale, fresh, entry} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * tmpSweepTTL)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	// The real entry is also old: age must only matter for .tmp files.
-	if err := os.Chtimes(entry, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := NewStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale temp file survived NewStore (stat err = %v)", err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Errorf("fresh temp file swept: a live writer's in-flight file was removed (%v)", err)
-	}
-	if _, err := os.Stat(entry); err != nil {
-		t.Errorf("non-tmp store entry swept: %v", err)
-	}
-}
-
 // TestStoreCheckpointEntry: checkpoint sets round-trip through the
 // binary codec path, a truncated file (the torn write the fsync+rename
 // discipline prevents, injected by hand) is a miss that deletes the
@@ -242,14 +204,102 @@ func TestStoreCheckpointEntry(t *testing.T) {
 		t.Error("checkpoint served under a mismatched content key")
 	}
 
-	// No temp files left behind by any of the writes above.
+	// No lock or temp files left behind by any of the writes above.
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Errorf("stray temp file %s", filepath.Join(s.dir, e.Name()))
+		if ext := filepath.Ext(e.Name()); ext == ".tmp" || ext == ".lock" {
+			t.Errorf("stray file %s", filepath.Join(s.dir, e.Name()))
 		}
+	}
+}
+
+// TestPublishLostClaim: between a put's write and its rename the lock
+// file holds entry bytes, which a peer judges by mtime alone. A peer that
+// finds them older than lockEmptyTTL (here backdated; in life a stalled
+// publish or a skewed clock) breaks the claim and takes the key, and the
+// lock path is its own from then on. The holder's put must fail — resolve
+// ignores that — and its release must do nothing: the peer's lock keeps
+// its body, and no entry holds lock bytes. Without put's SameFile check
+// the holder renames the peer's lock onto the entry.
+func TestPublishLostClaim(t *testing.T) {
+	dir := t.TempDir()
+	holder, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	release, _, err := holder.Lock(ctx, kindRun, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock := holder.lockPath(kindRun, "k")
+	var peerRelease func()
+	publishGap = func() {
+		publishGap = func() {}
+		old := time.Now().Add(-2 * lockEmptyTTL)
+		if err := os.Chtimes(lock, old, old); err != nil {
+			t.Error(err)
+		}
+		var err error
+		if peerRelease, _, err = peer.Lock(ctx, kindRun, "k"); err != nil {
+			t.Errorf("peer could not break the stalled publish: %v", err)
+		}
+	}
+	defer func() { publishGap = func() {} }()
+
+	if err := holder.Put(kindRun, "k", storedThing{A: 1, B: 2, Name: "late"}); err == nil {
+		t.Error("put published through a claim a peer had taken")
+	}
+	release()
+	if !peer.LockHeld(kindRun, "k") {
+		t.Error("the peer's lock lost its body or its file")
+	}
+	if b, err := os.ReadFile(holder.path(kindRun, "k")); err == nil {
+		t.Errorf("an entry was published: %q", b)
+	}
+	if peerRelease != nil {
+		peerRelease()
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("store not empty after the peer released: %d files", len(ents))
+	}
+}
+
+// TestResolveFailureLeavesNothing: a compute that fails, or that a
+// cancelled context stops, publishes nothing and releases its claim, so
+// the store holds neither a lock nor an entry.
+func TestResolveFailureLeavesNothing(t *testing.T) {
+	for _, name := range []string{"compute error", "cancelled"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := newRunner(t, Options{CacheDir: dir})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := resolve(ctx, r, task[int]{
+				kind: kindRun, key: "k",
+				load: func() (int, bool) { return 0, false },
+				compute: func(ctx context.Context) (int, error) {
+					if name == "cancelled" {
+						cancel()
+						return 0, ctx.Err()
+					}
+					return 0, os.ErrInvalid
+				},
+				save: func(v int) error { return r.store.Put(kindRun, "k", v) },
+			})
+			if err == nil {
+				t.Fatal("resolve reported no error")
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Errorf("%d files left in the store, want none", len(ents))
+			}
+		})
 	}
 }
