@@ -23,7 +23,8 @@
 // (503), finishes and persists in-flight jobs, then exits; a second
 // signal cancels the in-flight jobs instead of waiting (their file
 // locks are still released on the way out). -drain-timeout bounds the
-// graceful phase.
+// graceful phase. -metrics appends one JSON record per run the server
+// resolves; a record the file refused makes the exit status 1.
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		listen       = flag.String("listen", ":8080", "address to serve the job API on")
 		storeDir     = flag.String("store", "", "shared persistent result store directory (strongly recommended: without it a restart loses all results)")
@@ -54,7 +55,6 @@ func run() int {
 		queue        = flag.Int("queue", 256, "max jobs queued or running before submissions get 429")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "how long to let in-flight jobs finish on SIGTERM before cancelling them")
 		metricsOut   = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
-		metricsCSV   = flag.String("metrics-csv", "", "append per-run cycle-accounting rows to this CSV file")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); keep it off the public listener")
 	)
 	flag.Parse()
@@ -83,13 +83,17 @@ func run() int {
 		Workers:      *workers,
 		Queue:        *queue,
 		MetricsJSONL: *metricsOut,
-		MetricsCSV:   *metricsCSV,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crispd:", err)
 		return 1
 	}
-	defer s.Close()
+	defer func() {
+		if err := s.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "crispd:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	hs := &http.Server{Addr: *listen, Handler: s.Handler()}
 	serveErr := make(chan error, 1)

@@ -25,7 +25,9 @@
 // windows (ibda) are rejected with a clear error rather than silently
 // falling back to full detail. -server delegates the simulations to a
 // crispd job server, which dedups them against its shared store across
-// all connected clients.
+// all connected clients. -metrics appends one JSON record per resolved
+// run (its fields: DESIGN.md, "Cycle accounting and telemetry"); a
+// record the file refused makes the command exit 1.
 package main
 
 import (
@@ -51,7 +53,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		name       = flag.String("workload", "pointerchase", "workload name (-list to enumerate)")
 		sched      = flag.String("sched", "crisp", "scheduler: ooo, crisp, random, ibda, perfect-bp")
@@ -63,7 +65,6 @@ func run() int {
 		storeDir   = flag.String("store", "", "persist/reuse results and checkpoint sets in this directory (process-safe)")
 		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL (e.g. http://host:8080); excludes -store")
 		metricsOut = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
-		metricsCSV = flag.String("metrics-csv", "", "append per-run cycle-accounting rows to this CSV file")
 		list       = flag.Bool("list", false, "list workloads and exit")
 		verbose    = flag.Bool("v", false, "print per-load profiles of the hottest loads")
 		sampled    = flag.Bool("sampled", false, "sample: fast-forward with functional warming, simulate short detailed windows (schedule from -insts)")
@@ -117,24 +118,25 @@ func run() int {
 
 	var remote runner.Remote
 	if *server != "" {
-		if *storeDir != "" {
-			fmt.Fprintln(os.Stderr, "crispsim: -server excludes -store (the server owns the store)")
-			return 2
-		}
 		remote = crispd.NewClient(*server)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	r, err := runner.New(ctx, runner.Options{
 		Workers: 1, CacheDir: *storeDir,
-		MetricsJSONL: *metricsOut, MetricsCSV: *metricsCSV,
-		Remote: remote,
+		MetricsJSONL: *metricsOut,
+		Remote:       remote,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crispsim:", err)
 		return 1
 	}
-	defer r.Close()
+	defer func() {
+		if err := r.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "crispsim:", err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *cores != "" {
 		return runMulti(ctx, r, spec, strings.Split(*cores, ","))

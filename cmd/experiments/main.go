@@ -30,6 +30,12 @@
 // so n harness processes pointed at one server cost each spec once and
 // each prints the complete (identical) figure output. That is how a
 // sweep scales past one process.
+//
+// The text output ends with footers read from the runner's Stats: the
+// speed of the detailed simulations and the cost of the checkpoint
+// captures this process executed. -metrics appends one JSON record per
+// resolved run (its fields: DESIGN.md, "Cycle accounting and
+// telemetry"); a record the file refused makes the command exit 1.
 package main
 
 import (
@@ -46,7 +52,6 @@ import (
 	"crisp/internal/crispd"
 	"crisp/internal/harness"
 	"crisp/internal/runner"
-	"crisp/internal/sim"
 )
 
 func main() {
@@ -56,7 +61,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		fig        = flag.String("fig", "", "figure to run: 1, 4, 7, 8, 9, 10, 11, 12, 3.1, pf, cycles, sampling, colocate, colocate-sampled")
 		table      = flag.String("table", "", "table to run: 1")
@@ -68,7 +73,6 @@ func run() int {
 		storeDir   = flag.String("store", "", "persist results and checkpoint sets in this directory, shared safely between processes")
 		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL; excludes -store")
 		metricsOut = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")
-		metricsCSV = flag.String("metrics-csv", "", "append per-run cycle-accounting rows to this CSV file")
 		timeout    = flag.Duration("timeout", 0, "abort the sweep after this long (0 = no limit)")
 		progress   = flag.Bool("progress", true, "print a progress line to stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -130,23 +134,24 @@ func run() int {
 
 	var remote runner.Remote
 	if *server != "" {
-		if *storeDir != "" {
-			fmt.Fprintln(os.Stderr, "experiments: -server excludes -store (the server owns the store)")
-			return 2
-		}
 		remote = crispd.NewClient(*server)
 	}
 
 	r, err := runner.New(ctx, runner.Options{
 		Workers: *jobs, CacheDir: *storeDir,
-		MetricsJSONL: *metricsOut, MetricsCSV: *metricsCSV,
-		Remote: remote,
+		MetricsJSONL: *metricsOut,
+		Remote:       remote,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
-	defer r.Close()
+	defer func() {
+		if err := r.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			code = max(code, 1)
+		}
+	}()
 	lab := harness.NewLabWithRunner(*insts, r)
 	lab.Only = onlyNames
 	lab.HostNotes = !*csv
@@ -209,7 +214,7 @@ func run() int {
 		}
 		if !*csv {
 			t.Notes = append(t.Notes, fmt.Sprintf("elapsed %.1fs at %d insts/run", time.Since(pf.start).Seconds(), *insts))
-			if n := harness.HostThroughputNote(); n != "" {
+			if n := lab.HostThroughputNote(); n != "" {
 				t.Notes = append(t.Notes, n)
 			}
 		}
@@ -222,21 +227,22 @@ func run() int {
 	}
 	stopProgress()
 
-	if simInsts, simNS := sim.HostTotals(); simNS > 0 && !*csv {
+	s := r.Stats()
+	if s.DetailNS > 0 && !*csv {
 		fmt.Printf("# host throughput: %.2f simulated MIPS (%d insts in %.1fs of core.Run)\n",
-			float64(simInsts)*1e3/float64(simNS), simInsts, float64(simNS)/1e9)
+			float64(s.DetailInsts)*1e3/float64(s.DetailNS), s.DetailInsts, float64(s.DetailNS)/1e9)
 	}
-	if ffInsts, ffNS := sim.HostFFTotals(); ffNS > 0 && !*csv {
-		fmt.Printf("# fast-forward: %.2f functional MIPS (%d insts in %.1fs of checkpoint capture)\n",
-			float64(ffInsts)*1e3/float64(ffNS), ffInsts, float64(ffNS)/1e9)
+	if s.CaptureNS > 0 && !*csv {
+		fmt.Printf("# fast-forward: %d checkpoint sets captured in %.1fs (%d insts warmed)\n",
+			s.CkptCaptured, float64(s.CaptureNS)/1e9, s.WarmInsts)
 	}
-	if s := r.Stats(); !*csv && (s.DiskHits > 0 || s.CkptDiskHits > 0 || s.LockWaitNS > 0) {
+	if !*csv && (s.DiskHits > 0 || s.CkptDiskHits > 0 || s.LockWaitNS > 0) {
 		fmt.Printf("# store: %d results loaded from %s, %d simulations executed\n",
 			s.DiskHits, *storeDir, s.Executed)
 		fmt.Printf("# store: %d checkpoint sets captured, %d loaded from disk, %.2fs blocked on cross-process locks\n",
 			s.CkptCaptured, s.CkptDiskHits, float64(s.LockWaitNS)/1e9)
 	}
-	if s := r.Stats(); !*csv && s.RemoteRuns > 0 {
+	if !*csv && s.RemoteRuns > 0 {
 		fmt.Printf("# server: %d tasks resolved by %s\n", s.RemoteRuns, *server)
 	}
 	return 0

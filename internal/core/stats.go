@@ -231,22 +231,6 @@ func (r *Result) HostMIPS() float64 {
 	return float64(r.Insts) * 1e3 / float64(r.HostNS)
 }
 
-// HostNSPerInst returns host nanoseconds per simulated instruction.
-func (r *Result) HostNSPerInst() float64 {
-	if r.Insts == 0 {
-		return 0
-	}
-	return float64(r.HostNS) / float64(r.Insts)
-}
-
-// HostAllocsPerInst returns heap allocations per simulated instruction.
-func (r *Result) HostAllocsPerInst() float64 {
-	if r.Insts == 0 {
-		return 0
-	}
-	return float64(r.HostAllocs) / float64(r.Insts)
-}
-
 // IPC returns committed instructions per cycle.
 func (r *Result) IPC() float64 {
 	if r.Cycles == 0 {

@@ -56,10 +56,9 @@ type Options struct {
 	// Queue bounds jobs that are queued or running; submissions beyond
 	// it get 429 + Retry-After (0 = 256).
 	Queue int
-	// MetricsJSONL/MetricsCSV mirror the runner options: per-run cycle
-	// accounting appended server-side.
+	// MetricsJSONL mirrors the runner option: per-run cycle accounting
+	// appended server-side.
 	MetricsJSONL string
-	MetricsCSV   string
 }
 
 // Server is the crispd job server. Create with New, mount Handler on an
@@ -119,7 +118,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		Workers:      opts.Workers,
 		CacheDir:     opts.Store,
 		MetricsJSONL: opts.MetricsJSONL,
-		MetricsCSV:   opts.MetricsCSV,
 		OnEvent:      s.onTaskEvent,
 	})
 	if err != nil {
@@ -350,7 +348,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // path); their goroutines still run to completion recording the error.
 func (s *Server) Abort() { s.stopJobs() }
 
-// Close aborts outstanding work and closes the runner's metric streams.
+// Close aborts outstanding work and closes the runner's metrics file,
+// returning the first error writing it.
 func (s *Server) Close() error {
 	s.stopJobs()
 	return s.r.Close()

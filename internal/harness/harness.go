@@ -234,17 +234,19 @@ func (l *Lab) RunIBDA(w *workload.Workload, istEntries, istWays int) *core.Resul
 // gain returns the IPC improvement of r over base in percent.
 func gain(r, base *core.Result) float64 { return (r.IPC()/base.IPC() - 1) * 100 }
 
-// HostThroughputNote formats the process-cumulative simulator speed
-// (sim.HostTotals) as a table footnote, so every figure records how fast
-// the runs behind it were simulated. It returns "" before any run.
-// Results served from the persistent cache add nothing here.
-func HostThroughputNote() string {
-	insts, ns := sim.HostTotals()
-	if ns == 0 {
+// HostThroughputNote formats the cumulative speed of the detailed
+// simulations the Lab's runner has executed (runner.Stats DetailNS and
+// DetailInsts) as a table footnote, so every figure records how fast the
+// runs behind it were simulated. It returns "" before any run. Results
+// served from the store or a server, or shared with another spec, add
+// nothing here.
+func (l *Lab) HostThroughputNote() string {
+	s := l.R.Stats()
+	if s.DetailNS == 0 {
 		return ""
 	}
 	return fmt.Sprintf("host throughput: %.2f simulated MIPS cumulative (%d insts)",
-		float64(insts)*1e3/float64(ns), insts)
+		float64(s.DetailInsts)*1e3/float64(s.DetailNS), s.DetailInsts)
 }
 
 // suite returns the workload names a figure should cover.

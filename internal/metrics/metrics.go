@@ -84,20 +84,13 @@ var bucketNames = [NumBuckets]string{
 	"core_exec",
 }
 
-// String returns the bucket's stable snake_case name (the JSONL/CSV
-// column name).
+// String returns the bucket's stable snake_case name (its key in a
+// breakdown's JSON).
 func (b Bucket) String() string {
 	if int(b) < len(bucketNames) {
 		return bucketNames[b]
 	}
 	return fmt.Sprintf("bucket_%d", int(b))
-}
-
-// BucketNames returns the stall bucket names in index order.
-func BucketNames() []string {
-	names := make([]string, NumBuckets)
-	copy(names, bucketNames[:])
-	return names
 }
 
 // Breakdown is the per-run cycle accounting: Committed counts commit
@@ -152,7 +145,7 @@ func (b *Breakdown) Add(o *Breakdown) {
 // breakdownKeys are a breakdown's JSON keys, sorted as json.Marshal
 // sorted the map this encoding was first written from.
 var breakdownKeys = func() []string {
-	keys := append(BucketNames(), "committed")
+	keys := append(bucketNames[:NumBuckets:NumBuckets], "committed")
 	sort.Strings(keys)
 	return keys
 }()

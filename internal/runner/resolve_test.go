@@ -171,7 +171,10 @@ func TestResolveLadder(t *testing.T) {
 				if captured := want.CkptCaptured > 0; (got.CaptureNS > 0) != captured || (got.WarmInsts > 0) != captured {
 					t.Errorf("CaptureNS = %d, WarmInsts = %d, captured: %v", got.CaptureNS, got.WarmInsts, captured)
 				}
-				got.LockWaitNS, got.CaptureNS, got.WarmInsts = 0, 0, 0
+				if executed := want.Executed > 0; (got.DetailNS > 0) != executed || (got.DetailInsts > 0) != executed {
+					t.Errorf("DetailNS = %d, DetailInsts = %d, executed: %v", got.DetailNS, got.DetailInsts, executed)
+				}
+				got.LockWaitNS, got.CaptureNS, got.WarmInsts, got.DetailNS, got.DetailInsts = 0, 0, 0, 0, 0
 				want.Started++
 				want.Done++
 				if got != want {

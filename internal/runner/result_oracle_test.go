@@ -133,8 +133,8 @@ type refBreakdown metrics.Breakdown
 func (b refBreakdown) MarshalJSON() ([]byte, error) {
 	m := make(map[string]uint64, metrics.NumBuckets+1)
 	m["committed"] = b.Committed
-	for i, n := range metrics.BucketNames() {
-		m[n] = b.Stalls[i]
+	for i := range b.Stalls {
+		m[metrics.Bucket(i).String()] = b.Stalls[i]
 	}
 	return json.Marshal(m)
 }
@@ -145,8 +145,8 @@ func (b *refBreakdown) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*b = refBreakdown{Committed: m["committed"]}
-	for i, n := range metrics.BucketNames() {
-		b.Stalls[i] = m[n]
+	for i := range b.Stalls {
+		b.Stalls[i] = m[metrics.Bucket(i).String()]
 	}
 	return nil
 }

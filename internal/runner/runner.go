@@ -32,9 +32,6 @@ type Options struct {
 	// MetricsJSONL, when non-empty, appends one JSON record per resolved
 	// timing run (identity + cycle-accounting breakdown + histograms).
 	MetricsJSONL string
-	// MetricsCSV, when non-empty, appends the same records as flat CSV
-	// rows (bucket slot counts, histogram means/p99s).
-	MetricsCSV string
 	// OnEvent, when non-nil, observes every owned task's lifecycle
 	// (queued → running → done/failed). The callback runs on task
 	// goroutines with no runner locks held; it must be fast and must not
@@ -60,6 +57,8 @@ type Stats struct {
 	CkptDiskHits int64 // checkpoint sets loaded from the persistent store
 	CaptureNS    int64 // host time spent inside checkpoint captures
 	WarmInsts    int64 // instructions streamed through capture warming
+	DetailNS     int64 // host time of the detailed simulations executed here (core.Run)
+	DetailInsts  int64 // instructions those simulations committed
 	LockWaitNS   int64 // total time blocked on cross-process file locks
 	RemoteRuns   int64 // tasks resolved by a remote crispd server
 }
@@ -82,6 +81,7 @@ type Runner struct {
 	shared                                    atomic.Int64
 	ckptCaptured, ckptDiskHits, lockWaitNS    atomic.Int64
 	captureNS, warmInsts                      atomic.Int64
+	detailNS, detailInsts                     atomic.Int64
 	remoteRuns                                atomic.Int64
 }
 
@@ -108,7 +108,7 @@ func New(ctx context.Context, opts Options) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, err := newMetricsSink(opts.MetricsJSONL, opts.MetricsCSV)
+	sink, err := newMetricsSink(opts.MetricsJSONL)
 	if err != nil {
 		return nil, err
 	}
@@ -128,9 +128,9 @@ func New(ctx context.Context, opts Options) (*Runner, error) {
 // serve already-published results without occupying a queue slot.
 func (r *Runner) Store() *Store { return r.store }
 
-// Close flushes and closes the metrics streams (no-op when none are
-// configured). The runner remains usable for simulation afterwards; only
-// metrics export stops.
+// Close closes the metrics file (no-op when none is configured) and
+// returns the first error writing it. The runner remains usable for
+// simulation afterwards; only metrics export stops.
 func (r *Runner) Close() error { return r.sink.close() }
 
 // Stats returns a snapshot of the progress counters. Started grows as
@@ -148,6 +148,8 @@ func (r *Runner) Stats() Stats {
 		CkptDiskHits: r.ckptDiskHits.Load(),
 		CaptureNS:    r.captureNS.Load(),
 		WarmInsts:    r.warmInsts.Load(),
+		DetailNS:     r.detailNS.Load(),
+		DetailInsts:  r.detailInsts.Load(),
 		LockWaitNS:   r.lockWaitNS.Load(),
 		RemoteRuns:   r.remoteRuns.Load(),
 	}

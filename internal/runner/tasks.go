@@ -261,11 +261,15 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 				return nil, err
 			}
 			r.executed.Add(1)
-			shared = !ran
-			if shared {
+			out := res.(*core.Result)
+			// Only the spec that ran the simulation adds its host time.
+			if shared = !ran; shared {
 				r.shared.Add(1)
+			} else {
+				r.detailNS.Add(out.HostNS)
+				r.detailInsts.Add(int64(out.Insts))
 			}
-			return res.(*core.Result), nil
+			return out, nil
 		}
 		t.observe = func(res *core.Result, hit bool, lockNS int64) {
 			rec := newRunRecord(spec, res, hit)
@@ -323,6 +327,10 @@ func (r *Runner) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiRe
 				return nil, err
 			}
 			r.executed.Add(1)
+			r.detailNS.Add(res.HostNS)
+			for _, c := range res.Cores {
+				r.detailInsts.Add(int64(c.Insts))
+			}
 			return res, nil
 		}
 		return resolve(ctx, r, t)

@@ -100,8 +100,7 @@ func RunMultiContext(ctx context.Context, imgs []*Image, cfgs []Config) (*MultiR
 }
 
 // sharedResult puts the shared levels' totals and per-requester split
-// beside the cores' results of one lockstep run (or one lockstep window),
-// and counts the run in the process totals.
+// beside the cores' results of one lockstep run (or one lockstep window).
 func sharedResult(sh *cache.SharedHierarchy, results []*core.Result) *MultiResult {
 	n := len(results)
 	m := &MultiResult{
@@ -114,13 +113,11 @@ func sharedResult(sh *cache.SharedHierarchy, results []*core.Result) *MultiResul
 	for i := 0; i < n; i++ {
 		m.LLCPerCore[i] = sh.LLC.RequesterStats(i)
 		m.DRAMPerCore[i] = sh.Mem.RequesterStats(i)
-		hostInsts.Add(results[i].Insts)
 		if results[i].HostNS > m.HostNS {
 			// Each core reports start→its-finish wall time; the max is the
-			// whole run. Count it once in the process totals.
+			// whole run.
 			m.HostNS = results[i].HostNS
 		}
 	}
-	hostNS.Add(uint64(m.HostNS))
 	return m
 }

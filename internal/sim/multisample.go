@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"crisp/internal/cache"
 	"crisp/internal/checkpoint"
@@ -51,10 +52,12 @@ const (
 // cfgs, so configs that share a set (scheduler and window-size sweeps)
 // derive the same pace and therefore byte-identical sets.
 //
-// Cancellation is observed by the calibration mini-captures and windows
-// and by the real capture. It then returns (nil, ctx.Err()), so a partial
-// set is never stored.
+// The set's HostNS is the host time of the whole call, calibration
+// included. Cancellation is observed by the calibration mini-captures and
+// windows and by the real capture. It then returns (nil, ctx.Err()), so a
+// partial set is never stored.
 func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling) (*checkpoint.MultiSet, error) {
+	start := time.Now()
 	n := len(imgs)
 	if n == 0 || len(cfgs) != n {
 		return nil, fmt.Errorf("sim: CaptureMultiCheckpoints needs one config per image (%d images, %d configs)", n, len(cfgs))
@@ -102,8 +105,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 	}
 	set.PFKinds = kinds
 	set.Images = images
-	hostFFInsts.Add(set.FFInsts)
-	hostFFNS.Add(uint64(set.HostNS))
+	set.HostNS = time.Since(start).Nanoseconds()
 	return set, nil
 }
 
@@ -145,8 +147,6 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 		if err != nil {
 			return nil, err
 		}
-		hostFFInsts.Add(cal.FFInsts)
-		hostFFNS.Add(uint64(cal.HostNS))
 		if len(cal.Points) == 0 {
 			return nil, nil
 		}

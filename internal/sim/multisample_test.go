@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
@@ -130,6 +131,23 @@ func captureMultiSmall(t *testing.T) (*checkpoint.MultiSet, []*program.Program, 
 	}
 	imgs := colocatePair(nil)
 	return set, []*program.Program{imgs[0].Prog, imgs[1].Prog}, cfgs
+}
+
+// TestMultiCaptureTimesCalibration: a co-scheduled set's HostNS is the
+// whole capture call, pace calibration included. On this small schedule
+// calibration is most of the call, so the real capture alone reads low.
+func TestMultiCaptureTimesCalibration(t *testing.T) {
+	cfgs := []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}
+	imgs := colocatePair(nil)
+	start := time.Now()
+	set, err := sim.CaptureMultiCheckpointsContext(context.Background(), imgs, cfgs, multiSmallSchedule)
+	wall := time.Since(start).Nanoseconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.HostNS > wall || set.HostNS < wall*3/4 {
+		t.Errorf("set HostNS %d ns, want the call's %d ns", set.HostNS, wall)
+	}
 }
 
 // zeroHost clears the wall-clock fields so deterministic comparisons can

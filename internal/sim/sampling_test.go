@@ -185,29 +185,6 @@ func TestSampledHierMismatch(t *testing.T) {
 	}
 }
 
-func TestSampledHostSplit(t *testing.T) {
-	sim.ResetHostTotals()
-	w := captureSmall(t, "pointerchase")
-	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sim.RunSampledContext(context.Background(), set, w.Build(workload.Ref).Prog, sim.DefaultConfig(), smallSchedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FFInsts != set.FFInsts || r.HostFFNS != set.HostNS || r.SampledWindows != len(set.Points) {
-		t.Errorf("result host split not filled: %+v", r)
-	}
-	ffInsts, ffNS := sim.HostFFTotals()
-	if ffInsts != set.FFInsts || ffNS != uint64(set.HostNS) {
-		t.Errorf("HostFFTotals = %d/%d, want %d/%d", ffInsts, ffNS, set.FFInsts, set.HostNS)
-	}
-	if insts, _ := sim.HostTotals(); insts != r.Insts {
-		t.Errorf("HostTotals insts = %d, want %d", insts, r.Insts)
-	}
-}
-
 func TestAutoSampling(t *testing.T) {
 	for _, total := range []uint64{400_000, 1_200_000, 3_000_000, 12_000_000} {
 		s := sim.AutoSampling(total)

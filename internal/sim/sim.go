@@ -9,7 +9,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"crisp/internal/branch"
 	"crisp/internal/cache"
@@ -180,7 +179,7 @@ func cancelCheck(ctx context.Context) func() bool {
 // polled inside the core's cycle loop (every few thousand simulated
 // cycles), so a cancelled or timed-out sweep stops mid-simulation instead
 // of running its instruction budget out. On cancellation it returns
-// (nil, ctx.Err()) and the partial run is not counted in HostTotals.
+// (nil, ctx.Err()).
 func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, error) {
 	hier := cache.NewHierarchy(cfg.Hier)
 	attachPrefetcher(cfg.Prefetcher, hier)
@@ -198,8 +197,6 @@ func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	hostInsts.Add(r.Insts)
-	hostNS.Add(uint64(r.HostNS))
 	return r, nil
 }
 
@@ -223,15 +220,9 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	for _, kind := range []PrefetcherKind{PFBOPStream, PFStride, PFGHB, PFNone} {
 		pfs[kind.String()] = newPrefetcher(kind)
 	}
-	set, err := checkpoint.CaptureContext(ctx, img.Prog, img.emulator(), cfg.Hier,
+	return checkpoint.CaptureContext(ctx, img.Prog, img.emulator(), cfg.Hier,
 		cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, pfs,
 		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count})
-	if err != nil {
-		return nil, err
-	}
-	hostFFInsts.Add(set.FFInsts)
-	hostFFNS.Add(uint64(set.HostNS))
-	return set, nil
 }
 
 // RunSampledContext executes a sampled simulation of prog under cfg over a
@@ -305,10 +296,7 @@ func runWindow(pt *checkpoint.Point, prog *program.Program, cfg Config, window u
 	if ib != nil {
 		marker = attachIBDA(ib, prog, st.Hier)
 	}
-	r := windowCore(cfg.Core, window, prog, st.Em, st.Hier, marker, st.BP, st.BTB, st.RAS, check).Run()
-	hostInsts.Add(r.Insts)
-	hostNS.Add(uint64(r.HostNS))
-	return r, nil
+	return windowCore(cfg.Core, window, prog, st.Em, st.Hier, marker, st.BP, st.BTB, st.RAS, check).Run(), nil
 }
 
 // windowCore builds the core of one restored detailed window: ccfg with
@@ -328,33 +316,6 @@ func windowCore(ccfg core.Config, budget uint64, prog *program.Program, em *emu.
 		c.SetCancelCheck(check)
 	}
 	return c
-}
-
-// Cumulative host-throughput counters across every Run in the process
-// (timing runs only; trace captures are not counted). The FF pair counts
-// the functional fast-forward/checkpoint-capture side of sampled
-// simulation, kept separate so the detailed-vs-functional host split is
-// observable.
-var hostInsts, hostNS, hostFFInsts, hostFFNS atomic.Uint64
-
-// HostTotals returns the total simulated instructions and host
-// nanoseconds spent inside core.Run since process start (or the last
-// ResetHostTotals). With concurrent runs the nanoseconds are summed
-// per-run CPU-ish time, not wall time.
-func HostTotals() (insts, ns uint64) { return hostInsts.Load(), hostNS.Load() }
-
-// HostFFTotals returns the total instructions executed functionally and
-// host nanoseconds spent in checkpoint capture (fast-forward + warming +
-// snapshots) since process start or the last ResetHostTotals. Capture
-// cost is counted once per checkpoint set, however many configs share it.
-func HostFFTotals() (insts, ns uint64) { return hostFFInsts.Load(), hostFFNS.Load() }
-
-// ResetHostTotals zeroes the cumulative host-throughput counters.
-func ResetHostTotals() {
-	hostInsts.Store(0)
-	hostNS.Store(0)
-	hostFFInsts.Store(0)
-	hostFFNS.Store(0)
 }
 
 // CaptureTrace functionally executes the image and records up to limit
