@@ -324,8 +324,8 @@ func BenchmarkHostThroughput(b *testing.B) {
 // on 1, 2 and 4 cores over one shared LLC/DRAM under the stride
 // prefetcher, benchInsts per core. sim_MIPS and host_ns/inst count every
 // core's instructions against the co-run's wall time; cN_skipped_frac is
-// the fraction of core N's cycles it slept through. One core is the
-// multi-core driver's single-core baseline.
+// the fraction of core N's cycles it slept through. A single-core run is
+// the one-core co-run, so BenchmarkHostThroughput runs this same driver.
 func BenchmarkHostThroughputMulti(b *testing.B) {
 	names := []string{"tailchase", "streambatch", "tailchase", "streambatch"}
 	for _, n := range []int{1, 2, 4} {

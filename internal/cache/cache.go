@@ -100,9 +100,9 @@ type mshrEntry struct {
 }
 
 // Cache is one set-associative level. A level shared between cores (the
-// multi-core LLC) keeps one set of tags, MSHRs, and timing state — every
-// requester contends for them — but routes statistics and miss-observer
-// callbacks to the active requester (SetRequesters/SetRequester).
+// LLC) keeps one set of tags, MSHRs, and timing state — every requester
+// contends for them — but routes statistics and miss-observer callbacks to
+// the active requester (SetRequesters/SetRequester).
 //
 // Line state is held as parallel arrays indexed set*ways+way (25 bytes a
 // line) so that a lookup walks only tag words and a victim search only tag
@@ -132,10 +132,9 @@ type Cache struct {
 	perReq   []Stats // per-requester counters when shared (SetRequesters)
 	req      int     // active requester index
 
-	// Primary demand misses are reported to miss observers (at the LLC:
-	// per-PC profiling, IBDA's delinquent load table).
-	missObs func(pc, lineAddr uint64)
-	perObs  []func(pc, lineAddr uint64) // per-requester observers when shared
+	// Primary demand misses are reported to the active requester's miss
+	// observer (at the LLC: per-PC profiling, IBDA's delinquent load table).
+	perObs []func(pc, lineAddr uint64)
 }
 
 // New returns a cache level in front of next.
@@ -196,11 +195,6 @@ func (c *Cache) SetRequesterMissObserver(i int, f func(pc, lineAddr uint64)) {
 
 // SetPrefetcher attaches a prefetcher to this level.
 func (c *Cache) SetPrefetcher(p Prefetcher) { c.pf = p }
-
-// SetMissObserver registers a callback invoked on every primary demand
-// miss at this level with the access PC (used at the LLC for profiling and
-// for IBDA's delinquent load table).
-func (c *Cache) SetMissObserver(f func(pc, lineAddr uint64)) { c.missObs = f }
 
 // Stats returns a copy of this level's counters, summed across requesters
 // when per-requester attribution is active.
@@ -343,13 +337,8 @@ func (c *Cache) AccessPC(pc, addr uint64, write bool, cycle uint64) (done uint64
 
 	// Primary miss.
 	c.cur.Misses++
-	if pc != NoPC {
-		if c.missObs != nil {
-			c.missObs(pc, la)
-		}
-		if c.perObs != nil && c.perObs[c.req] != nil {
-			c.perObs[c.req](pc, la)
-		}
+	if pc != NoPC && c.perObs != nil && c.perObs[c.req] != nil {
+		c.perObs[c.req](pc, la)
 	}
 	done, depth = c.miss(pc, la, set, flagIf(write, lineDirty), cycle)
 	c.firePrefetch(pc, addr, false, cycle)

@@ -117,15 +117,15 @@ func BenchmarkMSHROccupancy(b *testing.B) {
 }
 
 // BenchmarkHierarchyClone is a checkpoint restore's cache half: copying a
-// warmed template for one detailed window.
+// warmed one-core template for one detailed window.
 func BenchmarkHierarchyClone(b *testing.B) {
-	h := NewHierarchy(DefaultHierConfig())
+	sh := NewSharedHierarchy(DefaultHierConfig(), 1)
 	for a := uint64(0); a < 2<<20; a += 64 {
-		h.WarmData(a, a&128 != 0)
+		sh.Views[0].WarmData(a, a&128 != 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkInt += h.Clone().OutstandingMisses(0)
+		sinkInt += sh.CloneState().Views[0].OutstandingMisses(0)
 	}
 }

@@ -155,7 +155,8 @@ func TestMissObserverFiltersNoPC(t *testing.T) {
 	mem := &flatMem{latency: 10}
 	c := small(mem)
 	var pcs []uint64
-	c.SetMissObserver(func(pc, _ uint64) { pcs = append(pcs, pc) })
+	c.SetRequesters(1)
+	c.SetRequesterMissObserver(0, func(pc, _ uint64) { pcs = append(pcs, pc) })
 	c.AccessPC(42, 0x1000, false, 0)
 	c.Access(0x2000, false, 0) // NoPC
 	c.Prefetch(0x3000, 0)

@@ -25,7 +25,6 @@ type level interface {
 	SetRequesters(n int)
 	SetRequester(i int)
 	SetRequesterMissObserver(i int, f func(pc, lineAddr uint64))
-	SetMissObserver(f func(pc, lineAddr uint64))
 	SetPrefetcher(p Prefetcher)
 	EncodeState(w *codec.Writer)
 }
@@ -94,7 +93,7 @@ type missEvent struct {
 type equivCase struct {
 	sizeKiB     int // 0 = 1 KiB, 16 lines
 	ways, mshrs int
-	requesters  int    // 0 = private level
+	requesters  int    // 0 = an L1: no requesters, no miss observer
 	prefetch    int    // prefetcher degree, 0 = none
 	pfStride    uint64 // bytes between its suggestions
 }
@@ -140,9 +139,7 @@ func (p *pair) adopt(got *Cache, ref *refCache) {
 		log *[]missEvent
 	}{{p.got, &p.gotMisses}, {p.want, &p.wantMisses}} {
 		log := side.log
-		if p.ec.requesters == 0 {
-			side.l.SetMissObserver(func(pc, la uint64) { *log = append(*log, missEvent{-1, pc, la}) })
-		} else {
+		if p.ec.requesters > 0 {
 			side.l.SetRequesters(p.ec.requesters)
 			for r := 0; r < p.ec.requesters; r++ {
 				side.l.SetRequesterMissObserver(r, func(pc, la uint64) { *log = append(*log, missEvent{r, pc, la}) })

@@ -46,11 +46,10 @@ func DefaultHierConfig() HierConfig {
 // outstanding long-latency misses for MLP measurement, and attributes
 // per-level service for profiling.
 //
-// A Hierarchy is either private (the single-core case: it owns every
-// level, req is -1) or a per-core view of a SharedHierarchy (L1I/L1D are
-// private, LLC and Mem are shared with the sibling views; req identifies
-// this core to the shared levels and base offsets its addresses into a
-// disjoint slice of the shared physical address space).
+// A Hierarchy is one core's view of a SharedHierarchy: L1I/L1D are its
+// own, LLC and Mem are shared with the sibling views. req identifies this
+// core to the shared levels, and base offsets its addresses into a
+// disjoint slice of the shared physical address space.
 type Hierarchy struct {
 	L1I *Cache
 	L1D *Cache
@@ -59,7 +58,7 @@ type Hierarchy struct {
 
 	cfg HierConfig
 
-	req  int    // requester index at the shared LLC/DRAM; -1 = private
+	req  int    // requester index at the shared LLC/DRAM
 	base uint64 // physical-address offset for this core's view
 
 	// outstanding completion cycles of in-flight DRAM-served loads, used
@@ -67,69 +66,39 @@ type Hierarchy struct {
 	outstanding []uint64
 }
 
-// NewHierarchy builds a private single-core hierarchy from cfg.
-func NewHierarchy(cfg HierConfig) *Hierarchy {
-	mem := dram.New(cfg.DRAM)
-	llc := New(cfg.LLC, mem)
-	return &Hierarchy{
-		L1I: New(cfg.L1I, llc),
-		L1D: New(cfg.L1D, llc),
-		LLC: llc,
-		Mem: mem,
-		cfg: cfg,
-		req: -1,
-	}
-}
+// NewHierarchy builds the single-core machine: the one view of a one-core
+// SharedHierarchy.
+func NewHierarchy(cfg HierConfig) *Hierarchy { return NewSharedHierarchy(cfg, 1).Views[0] }
 
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() HierConfig { return h.cfg }
 
 // Activate routes shared-level statistics and miss observers to this view's
-// requester. The multi-core driver calls it before stepping each core; it
-// is a no-op on a private hierarchy, so core code can call it
-// unconditionally.
+// requester. The core calls it before each step, so that with several
+// cores in one co-run every step is attributed to the core taking it.
 func (h *Hierarchy) Activate() {
-	if h.req < 0 {
-		return
-	}
 	h.LLC.SetRequester(h.req)
 	h.Mem.SetRequester(h.req)
 }
 
-// SetMissObserver registers an LLC primary-miss callback for this view:
-// directly on a private LLC, per-requester on a shared one.
+// SetMissObserver registers an LLC primary-miss callback fired only for
+// this view's misses.
 func (h *Hierarchy) SetMissObserver(f func(pc, lineAddr uint64)) {
-	if h.req < 0 {
-		h.LLC.SetMissObserver(f)
-		return
-	}
 	h.LLC.SetRequesterMissObserver(h.req, f)
 }
 
-// LLCStats returns this view's share of LLC activity (all of it on a
-// private hierarchy).
-func (h *Hierarchy) LLCStats() Stats {
-	if h.req < 0 {
-		return h.LLC.Stats()
-	}
-	return h.LLC.RequesterStats(h.req)
-}
+// LLCStats returns this view's share of LLC activity.
+func (h *Hierarchy) LLCStats() Stats { return h.LLC.RequesterStats(h.req) }
 
 // DRAMStats returns this view's share of DRAM activity.
-func (h *Hierarchy) DRAMStats() dram.Stats {
-	if h.req < 0 {
-		return h.Mem.Stats()
-	}
-	return h.Mem.RequesterStats(h.req)
-}
+func (h *Hierarchy) DRAMStats() dram.Stats { return h.Mem.RequesterStats(h.req) }
 
-// SharedHierarchy is the multi-core memory system: one LLC and one DRAM
-// contended by n cores, each of which sees its own Hierarchy view with
-// private L1I/L1D. Core i's addresses are offset by i<<40 — cores run
-// disjoint address spaces (no coherence traffic to model) but collide in
-// the shared LLC index and DRAM banks exactly as co-located processes do.
-// View 0 has base 0, so a 1-core SharedHierarchy times identically to a
-// private Hierarchy.
+// SharedHierarchy is the memory system of every simulated machine: one LLC
+// and one DRAM contended by n cores, each of which sees its own Hierarchy
+// view with private L1I/L1D. The single-core machine is the one-core
+// system. Core i's addresses are offset by i<<40 — cores run disjoint
+// address spaces (no coherence traffic to model) but collide in the shared
+// LLC index and DRAM banks exactly as co-located processes do.
 type SharedHierarchy struct {
 	Views []*Hierarchy
 	LLC   *Cache
@@ -145,20 +114,21 @@ const coreAddrStride = uint64(1) << 40
 // NewSharedHierarchy builds one shared LLC+DRAM and n per-core views.
 func NewSharedHierarchy(cfg HierConfig, n int) *SharedHierarchy {
 	mem := dram.New(cfg.DRAM)
+	sh := share(cfg, New(cfg.LLC, mem), mem, n)
+	for _, v := range sh.Views {
+		v.L1I, v.L1D = New(cfg.L1I, sh.LLC), New(cfg.L1D, sh.LLC)
+	}
+	return sh
+}
+
+// share sets llc and mem up for n requesters and hangs n views off them,
+// their L1s still to be built.
+func share(cfg HierConfig, llc *Cache, mem *dram.DRAM, n int) *SharedHierarchy {
 	mem.SetRequesters(n)
-	llc := New(cfg.LLC, mem)
 	llc.SetRequesters(n)
 	sh := &SharedHierarchy{LLC: llc, Mem: mem, Views: make([]*Hierarchy, n)}
-	for i := 0; i < n; i++ {
-		sh.Views[i] = &Hierarchy{
-			L1I:  New(cfg.L1I, llc),
-			L1D:  New(cfg.L1D, llc),
-			LLC:  llc,
-			Mem:  mem,
-			cfg:  cfg,
-			req:  i,
-			base: uint64(i) * coreAddrStride,
-		}
+	for i := range sh.Views {
+		sh.Views[i] = &Hierarchy{LLC: llc, Mem: mem, cfg: cfg, req: i, base: uint64(i) * coreAddrStride}
 	}
 	return sh
 }
@@ -228,47 +198,17 @@ func (h *Hierarchy) WarmInst(addr uint64) (l1hit bool) {
 // single L1I.
 func (h *Hierarchy) WarmInstLLC(addr uint64) { h.LLC.Warm(addr+h.base, false) }
 
-// Clone returns a hierarchy carrying this one's warmed tag/LRU state over
-// fresh timing state: empty MSHRs, a fresh DRAM, no prefetchers or miss
-// observers, zeroed statistics. Each detailed sampling window restores
-// into its own clone.
-func (h *Hierarchy) Clone() *Hierarchy {
-	mem := dram.New(h.cfg.DRAM)
-	llc := h.LLC.CloneState(mem)
-	return &Hierarchy{
-		L1I: h.L1I.CloneState(llc),
-		L1D: h.L1D.CloneState(llc),
-		LLC: llc,
-		Mem: mem,
-		cfg: h.cfg,
-		req: -1,
-	}
-}
-
 // CloneState returns a shared hierarchy carrying this one's warmed
 // tag/LRU state — every view's private L1s plus the one shared LLC —
 // over fresh timing state: empty MSHRs, a fresh DRAM, no prefetchers or
-// miss observers, zeroed per-requester statistics. Each detailed
-// multi-core sampling window restores into its own clone, exactly as
-// Hierarchy.Clone serves the single-core windows.
+// miss observers, zeroed per-requester statistics. Each detailed sampling
+// window restores into its own clone.
 func (sh *SharedHierarchy) CloneState() *SharedHierarchy {
-	n := len(sh.Views)
 	cfg := sh.Views[0].cfg
 	mem := dram.New(cfg.DRAM)
-	mem.SetRequesters(n)
-	llc := sh.LLC.CloneState(mem)
-	llc.SetRequesters(n)
-	out := &SharedHierarchy{LLC: llc, Mem: mem, Views: make([]*Hierarchy, n)}
-	for i, v := range sh.Views {
-		out.Views[i] = &Hierarchy{
-			L1I:  v.L1I.CloneState(llc),
-			L1D:  v.L1D.CloneState(llc),
-			LLC:  llc,
-			Mem:  mem,
-			cfg:  cfg,
-			req:  i,
-			base: uint64(i) * coreAddrStride,
-		}
+	out := share(cfg, sh.LLC.CloneState(mem), mem, len(sh.Views))
+	for i, v := range out.Views {
+		v.L1I, v.L1D = sh.Views[i].L1I.CloneState(out.LLC), sh.Views[i].L1D.CloneState(out.LLC)
 	}
 	return out
 }

@@ -151,29 +151,21 @@ func (cfg HierConfig) checkDecodable(views, remaining int) error {
 	return nil
 }
 
-// EncodeState serializes the hierarchy's warmed state: the three levels'
-// lines and LRU clocks. The geometry (cfg) is carried out of band by the
-// checkpoint codec.
+// EncodeState serializes a one-core system's warmed state through its
+// view: the three levels' lines and LRU clocks, with no view count. The
+// geometry (cfg) is carried out of band by the checkpoint codec.
 func (h *Hierarchy) EncodeState(w *codec.Writer) {
 	h.L1I.EncodeState(w)
 	h.L1D.EncodeState(w)
 	h.LLC.EncodeState(w)
 }
 
-// DecodeHierarchy builds a fresh hierarchy from cfg and overlays encoded
-// warm state onto its levels. Timing state (MSHRs, DRAM, statistics) is
-// fresh, exactly as Hierarchy.Clone hands to a detailed window.
-func DecodeHierarchy(r *codec.Reader, cfg HierConfig) (*Hierarchy, error) {
-	if err := cfg.checkDecodable(1, r.Remaining()); err != nil {
-		return nil, err
-	}
-	h := NewHierarchy(cfg)
-	for _, c := range []*Cache{h.L1I, h.L1D, h.LLC} {
-		if err := c.DecodeState(r); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
+// DecodeHierarchy builds a fresh one-core system from cfg and overlays
+// the warm state Hierarchy.EncodeState wrote onto its levels. Timing state
+// (MSHRs, DRAM, statistics) is fresh, exactly as SharedHierarchy.CloneState
+// hands to a detailed window.
+func DecodeHierarchy(r *codec.Reader, cfg HierConfig) (*SharedHierarchy, error) {
+	return decodeShared(r, cfg, 1)
 }
 
 // EncodeState serializes the shared hierarchy's warmed state: every
@@ -200,6 +192,12 @@ func DecodeSharedHierarchy(r *codec.Reader, cfg HierConfig, n int) (*SharedHiera
 	if got != n {
 		return nil, fmt.Errorf("cache: shared hierarchy encoded with %d views, want %d", got, n)
 	}
+	return decodeShared(r, cfg, n)
+}
+
+// decodeShared is the body both decoders share, after any view count:
+// every view's L1I/L1D, then the LLC.
+func decodeShared(r *codec.Reader, cfg HierConfig, n int) (*SharedHierarchy, error) {
 	if err := cfg.checkDecodable(n, r.Remaining()); err != nil {
 		return nil, err
 	}

@@ -83,7 +83,8 @@ func warmBoth(rng *rand.Rand, h *Hierarchy, ref refView, shared bool, n int) {
 	}
 }
 
-// levels lists a private hierarchy's caches in encoding order.
+// levels lists a one-core system's caches, through its view, in encoding
+// order.
 func levels(h *Hierarchy) []*Cache { return []*Cache{h.L1I, h.L1D, h.LLC} }
 
 // sharedLevels lists a shared hierarchy's caches in encoding order.
@@ -97,7 +98,7 @@ func sharedLevels(sh *SharedHierarchy) []*Cache {
 
 // TestEncodeMatchesReference pins what the dense line form carries, with
 // the version-1 codec (refcache_test.go) as the account of a level's
-// state. A warmed private and a warmed 2-view shared hierarchy hold, by
+// state. A warmed one-core and a warmed 2-view shared hierarchy hold, by
 // that account, exactly what the AoS reference holds after the same
 // warming stream; decoding their dense encoding gives hierarchies that
 // hold the same again; and the dense bytes decode and re-encode to
@@ -107,7 +108,8 @@ func TestEncodeMatchesReference(t *testing.T) {
 
 	t.Run("private", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
-		h := NewHierarchy(cfg)
+		sys := NewSharedHierarchy(cfg, 1)
+		h := sys.Views[0]
 		ref := newRefView(cfg, newRefCache(cfg.LLC, nil), 0)
 		warmBoth(rng, h, ref, false, 4000)
 
@@ -118,7 +120,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 		ref.llc.EncodeState(&want)
 		state := refEncode(levels(h)...)
 		if !bytes.Equal(state, want.Bytes()) {
-			t.Fatalf("private hierarchy holds different state than the reference")
+			t.Fatalf("one-core hierarchy holds different state than the reference")
 		}
 		if 3*got.Len() > len(state) {
 			t.Errorf("dense encoding takes %d bytes, version 1 took %d: not a third", got.Len(), len(state))
@@ -128,18 +130,18 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(refEncode(levels(back)...), state) {
+		if !bytes.Equal(refEncode(levels(back.Views[0])...), state) {
 			t.Errorf("encode then decode changed the state")
 		}
 		var again codec.Writer
-		back.EncodeState(&again)
+		back.Views[0].EncodeState(&again)
 		if !bytes.Equal(again.Bytes(), got.Bytes()) {
 			t.Errorf("decode then encode changed the bytes")
 		}
 		var cloned codec.Writer
-		h.Clone().EncodeState(&cloned)
+		sys.CloneState().Views[0].EncodeState(&cloned)
 		if !bytes.Equal(cloned.Bytes(), got.Bytes()) {
-			t.Errorf("Clone encodes to different bytes than its template")
+			t.Errorf("CloneState encodes to different bytes than its template")
 		}
 		old, r := NewHierarchy(cfg), codec.NewReader(state)
 		for _, c := range levels(old) {
@@ -211,7 +213,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(refEncode(levels(back)...), state) {
+		if !bytes.Equal(refEncode(levels(back.Views[0])...), state) {
 			t.Errorf("encode then decode changed the state")
 		}
 		fields := 0
@@ -441,7 +443,7 @@ func FuzzDecodeHierarchy(f *testing.F) {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		r := codec.NewReader(data)
-		h, err := DecodeHierarchy(r, cfg)
+		sys, err := DecodeHierarchy(r, cfg)
 		runtime.ReadMemStats(&ms)
 		if got := ms.TotalAlloc - before; got > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), got, budget)
@@ -449,6 +451,7 @@ func FuzzDecodeHierarchy(f *testing.F) {
 		if err != nil {
 			return
 		}
+		h := sys.Views[0]
 		var w codec.Writer
 		h.EncodeState(&w)
 		consumed := data[:len(data)-r.Remaining()]

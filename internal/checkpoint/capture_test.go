@@ -128,7 +128,7 @@ func (w *refWarmer) snapshot() map[string]*Variant {
 	out := make(map[string]*Variant, len(w.variants))
 	for i := range w.variants {
 		v := &w.variants[i]
-		sv := &Variant{Hier: v.hier.Clone()}
+		sv := &Variant{Hier: v.sys.CloneState()}
 		if v.pf != nil {
 			sv.PF = prefetch.Clone(v.pf)
 		}
@@ -145,7 +145,8 @@ func newRefCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntrie
 		ras:  branch.NewRAS(rasEntries),
 	}
 	for name, pf := range pfs {
-		w.variants = append(w.variants, liveVariant{name: name, hier: cache.NewHierarchy(hcfg), pf: pf})
+		sys := cache.NewSharedHierarchy(hcfg, 1)
+		w.variants = append(w.variants, liveVariant{name: name, sys: sys, hier: sys.Views[0], pf: pf})
 	}
 	sort.Slice(w.variants, func(i, j int) bool { return w.variants[i].name < w.variants[j].name })
 	return w

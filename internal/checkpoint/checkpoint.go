@@ -45,7 +45,7 @@ type Params struct {
 func (p Params) Total() uint64 { return (p.Skip + p.Warm + p.Window) * uint64(p.Count) }
 
 // Variant is the warmed state that depends on the prefetcher
-// configuration: the cache hierarchy (prefetched lines change cache
+// configuration: a one-core memory system (prefetched lines change cache
 // content, and resident prefetched lines are what dedups most later
 // suggestions in a steady-state run) and the prefetcher's own training
 // state (BOP in particular converges over thousands of training misses,
@@ -53,7 +53,7 @@ func (p Params) Total() uint64 { return (p.Skip + p.Warm + p.Window) * uint64(p.
 // traffic). Branch-predictor and architectural state are
 // prefetcher-independent and live on the Point directly.
 type Variant struct {
-	Hier *cache.Hierarchy
+	Hier *cache.SharedHierarchy
 	PF   prefetch.Prefetcher // nil when the kind runs without a prefetcher
 }
 
@@ -79,45 +79,28 @@ type Point struct {
 	FFInsts uint64 // instructions executed functionally to reach this point
 }
 
-// Restored is the per-run state handed out by Point.Restore: fresh copies
-// the detailed window may mutate freely. The hierarchy carries the warmed
-// tag/LRU state of the requested prefetcher variant, with a clone of that
-// variant's warmed prefetcher already attached.
-type Restored struct {
-	Em   *emu.Emulator
-	Hier *cache.Hierarchy
-	BP   *branch.TAGE
-	BTB  *branch.BTB
-	RAS  *branch.RAS
-}
-
 // Restore clones the checkpoint's pfKind variant for one detailed window
-// over prog. The program must be position-identical to the one the
-// checkpoint was captured with (CRISP's critical-tagged clone qualifies:
-// tags do not change functional behaviour or instruction addresses).
+// over prog: the one-core MultiRestored of the co-scheduled point this
+// point and variant make, the variant's warmed prefetcher clone attached
+// to the view's L1D. The program must be position-identical to the one
+// the checkpoint was captured with (CRISP's critical-tagged clone
+// qualifies: tags do not change functional behaviour or instruction
+// addresses).
 //
 // Safe for concurrent use: the point's memory snapshot is pristine (all
 // pages shared), so re-snapshotting it performs no writes, and the
 // structure clones only read their templates.
-func (p *Point) Restore(prog *program.Program, pfKind string) (Restored, error) {
+func (p *Point) Restore(prog *program.Program, pfKind string) (MultiRestored, error) {
 	if p.unattached {
-		return Restored{}, errUnattached
+		return MultiRestored{}, errUnattached
 	}
 	v := p.Variants[pfKind]
 	if v == nil {
-		return Restored{}, fmt.Errorf("checkpoint: no warmed variant for prefetcher kind %q", pfKind)
+		return MultiRestored{}, fmt.Errorf("checkpoint: no warmed variant for prefetcher kind %q", pfKind)
 	}
-	hier := v.Hier.Clone()
-	if v.PF != nil {
-		hier.L1D.SetPrefetcher(prefetch.Clone(v.PF))
-	}
-	return Restored{
-		Em:   emu.Resume(prog, p.Mem.Snapshot(), p.PC, p.Regs),
-		Hier: hier,
-		BP:   p.BP.Clone(),
-		BTB:  p.BTB.Clone(),
-		RAS:  p.RAS.Clone(),
-	}, nil
+	cs := &CoreState{PC: p.PC, Regs: p.Regs, Mem: p.Mem, BP: p.BP, BTB: p.BTB, RAS: p.RAS, PF: v.PF}
+	mp := &MultiPoint{Cores: []*CoreState{cs}, Hier: v.Hier}
+	return mp.Restore([]*program.Program{prog})
 }
 
 // errUnattached is what restoring from a decoded set returns until the set
@@ -180,9 +163,12 @@ func checkImage(image *emu.Memory, want emu.ImageID) error {
 	return nil
 }
 
-// liveVariant is one prefetcher kind's warming state during capture.
+// liveVariant is one prefetcher kind's warming state during capture: the
+// view hier warms through and, in a single-core capture, the one-core
+// system it is the view of, which snapshot clones.
 type liveVariant struct {
 	name string
+	sys  *cache.SharedHierarchy
 	hier *cache.Hierarchy
 	pf   prefetch.Prefetcher
 }
@@ -264,7 +250,7 @@ func (w *warmer) snapshot() map[string]*Variant {
 	out := make(map[string]*Variant, len(w.variants))
 	for i := range w.variants {
 		v := &w.variants[i]
-		sv := &Variant{Hier: v.hier.Clone()}
+		sv := &Variant{Hier: v.sys.CloneState()}
 		if v.pf != nil {
 			sv.PF = prefetch.Clone(v.pf)
 		}
@@ -304,7 +290,7 @@ func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator
 //
 // The hierarchies share one L1I. What an L1I holds follows from the
 // code-line stream alone, which is the same for every variant, so warming
-// four would write four identical copies; snapshot's Hierarchy.Clone still
+// four would write four identical copies; snapshot's CloneState still
 // gives each Variant its own. L1D cannot be shared the same way: every
 // prefetcher trains on its hits and installs into it.
 func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher) *warmer {
@@ -315,7 +301,8 @@ func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, 
 		ras:  branch.NewRAS(rasEntries),
 	}
 	for name, pf := range pfs {
-		w.variants = append(w.variants, liveVariant{name: name, hier: cache.NewHierarchy(hcfg), pf: pf})
+		sys := cache.NewSharedHierarchy(hcfg, 1)
+		w.variants = append(w.variants, liveVariant{name: name, sys: sys, hier: sys.Views[0], pf: pf})
 	}
 	sort.Slice(w.variants, func(i, j int) bool { return w.variants[i].name < w.variants[j].name })
 	for i := range w.variants {

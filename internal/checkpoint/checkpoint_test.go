@@ -80,7 +80,7 @@ func TestCaptureWarmsState(t *testing.T) {
 	pt := set.Points[0]
 	// The array lines the warm phase streamed must be resident in the
 	// warmed L1D (probe a clone so the template stays untouched).
-	l1d := pt.Variants["none"].Hier.Clone().L1D
+	l1d := pt.Variants["none"].Hier.CloneState().Views[0].L1D
 	if !l1d.Warm(0x4000, false) || !l1d.Warm(0x4000+8*63, false) {
 		t.Errorf("warmed L1D missing array lines")
 	}
@@ -109,14 +109,15 @@ func TestRestoreIsolation(t *testing.T) {
 	}
 	// Advance one restore (its stores mutate memory); the other must see
 	// the checkpointed state, not the mutations.
-	a.Em.Run(5000)
-	aSum := a.Em.Mem().ReadWord(0x4000)
-	if got := b.Em.Mem().ReadWord(0x4000); got == aSum {
+	aEm, bEm := a.Ems[0], b.Ems[0]
+	aEm.Run(5000)
+	aSum := aEm.Mem().ReadWord(0x4000)
+	if got := bEm.Mem().ReadWord(0x4000); got == aSum {
 		t.Fatalf("restores share memory: both read %d", got)
 	}
-	b.Em.Run(5000)
-	if a.Em.PC() != b.Em.PC() || a.Em.Regs() != b.Em.Regs() {
-		t.Errorf("identical restores diverged: pc %d vs %d", a.Em.PC(), b.Em.PC())
+	bEm.Run(5000)
+	if aEm.PC() != bEm.PC() || aEm.Regs() != bEm.Regs() {
+		t.Errorf("identical restores diverged: pc %d vs %d", aEm.PC(), bEm.PC())
 	}
 }
 
@@ -141,8 +142,8 @@ func TestConcurrentRestores(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					st.Em.Run(1000)
-					st.Hier.WarmData(0x9000, true)
+					st.Ems[0].Run(1000)
+					st.Hier.Views[0].WarmData(0x9000, true)
 				}
 			}
 		}()

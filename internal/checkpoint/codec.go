@@ -100,7 +100,7 @@ func EncodeSet(set *Set, key string) []byte {
 		for _, name := range names {
 			v := pt.Variants[name]
 			pw.String(name)
-			v.Hier.EncodeState(&pw)
+			v.Hier.Views[0].EncodeState(&pw)
 			prefetch.Encode(&pw, v.PF)
 		}
 		pt.Mem.EncodeState(&pw, dict, set.Image)

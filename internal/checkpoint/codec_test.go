@@ -105,11 +105,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Restore(%q) on decoded point: %v", kind, err)
 		}
-		if st.Em.PC() != set.Points[0].PC {
-			t.Errorf("restored PC = %d, want %d", st.Em.PC(), set.Points[0].PC)
+		if st.Ems[0].PC() != set.Points[0].PC {
+			t.Errorf("restored PC = %d, want %d", st.Ems[0].PC(), set.Points[0].PC)
 		}
 		for _, addr := range []uint64{0x4000, 0x4008, 0x100000 + 31*4096} {
-			if got, want := st.Em.Mem().ReadWord(addr), set.Points[0].Mem.ReadWord(addr); got != want {
+			if got, want := st.Ems[0].Mem().ReadWord(addr), set.Points[0].Mem.ReadWord(addr); got != want {
 				t.Errorf("restored word %#x = %d, want %d", addr, got, want)
 			}
 		}
@@ -272,7 +272,7 @@ func TestCodecZeroPageMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore on decoded zero-page point: %v", err)
 	}
-	if pc := st.Em.PC(); pc != set.Points[0].PC {
+	if pc := st.Ems[0].PC(); pc != set.Points[0].PC {
 		t.Errorf("restored PC = %d, want %d", pc, set.Points[0].PC)
 	}
 }

@@ -101,7 +101,7 @@ func TestStoreDrainKeepsDelinquentTableEmpty(t *testing.T) {
 
 	ib := ibda.New(ibda.DefaultConfig())
 	hier := cache.NewHierarchy(cache.DefaultHierConfig())
-	hier.LLC.SetMissObserver(func(pc, lineAddr uint64) {
+	hier.LLC.SetRequesterMissObserver(0, func(pc, lineAddr uint64) {
 		ib.OnLLCMiss(int(pc))
 	})
 	c := New(DefaultConfig(), p, emu.New(p, nil), hier, nil)

@@ -115,7 +115,6 @@ type Core struct {
 
 	cycle       uint64
 	stats       Result
-	cancelCheck func() bool
 	allocSample [1]rtmetrics.Sample // heapAllocs' read buffer
 
 	upcAccum       uint64
@@ -219,15 +218,6 @@ func (c *Core) nextRand() uint64 {
 	return c.rng
 }
 
-// SetCancelCheck installs a callback polled on every cycle-loop iteration
-// during Run; when it returns true the simulation stops early and Run
-// returns the partial statistics. It must be set before Run. Polling
-// per iteration (not per simulated cycle) keeps cancellation latency
-// bounded in host time: an idle-cycle skip can advance the clock by
-// hundreds of cycles in one iteration, so any cycle-count modulus could
-// be jumped over.
-func (c *Core) SetCancelCheck(f func() bool) { c.cancelCheck = f }
-
 // SetBranchState replaces the core's frontend prediction structures with
 // pre-warmed ones (checkpoint restore for sampled simulation). Nil
 // arguments keep the structures New built. Must be called before Run.
@@ -244,29 +234,9 @@ func (c *Core) SetBranchState(bp branch.Predictor, btb *branch.BTB, ras *branch.
 	}
 }
 
-// Run simulates to completion and returns the results. It is the
-// single-core composition of the step primitives the multi-core driver
-// (RunMulti) sequences across cores: stepCycle / skipTarget+applySkip /
-// advanceCycle / finishRun.
-func (c *Core) Run() *Result {
-	startAllocs := c.heapAllocs()
-	start := time.Now()
-	for !c.finished() {
-		c.stats.HostIters++
-		if c.cancelCheck != nil && c.cancelCheck() {
-			break
-		}
-		c.stepCycle()
-		if !c.cfg.DebugNoSkip {
-			if next, ok := c.skipTarget(); ok {
-				c.applySkip(next)
-			}
-		}
-		c.advanceCycle()
-	}
-	c.finishRun(start, startAllocs)
-	return &c.stats
-}
+// Run simulates to completion and returns the results: a single-core run
+// is the one-core co-run.
+func (c *Core) Run() *Result { return RunMulti([]*Core{c}, nil)[0] }
 
 // stepCycle runs the four pipeline stages of the current cycle plus the
 // occupancy sample that precedes any skip decision.

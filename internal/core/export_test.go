@@ -2,14 +2,14 @@ package core
 
 import "testing"
 
-// RunChecked is Run for one core and RunMulti's loop for several (without
-// cancellation, host counters and the co-run snapshot), asserting on every
-// step what the wakeup wheel takes for granted and the cycle loop does not
-// check: a wakeup is scheduled for a later cycle than the current one, so
-// once a cycle's stages have run its own bucket is empty; and no core's
-// jump goes past its earliest pending wakeup, so every wakeup fires in the
-// cycle it was scheduled for. It returns how many steps found a wakeup in
-// the stepped core's overflow heap.
+// RunChecked is RunMulti's loop (without cancellation, host counters and
+// the co-run snapshot), asserting on every step what the wakeup wheel
+// takes for granted and the cycle loop does not check: a wakeup is
+// scheduled for a later cycle than the current one, so once a cycle's
+// stages have run its own bucket is empty; and no core's jump goes past
+// its earliest pending wakeup, so every wakeup fires in the cycle it was
+// scheduled for. It returns how many steps found a wakeup in the stepped
+// core's overflow heap.
 func RunChecked(t testing.TB, cores ...*Core) (farIters int) {
 	for {
 		now := never

@@ -6,10 +6,10 @@ import (
 )
 
 // RunMulti steps the given cores against one shared clock and returns each
-// core's Result, indexed like cores. The cores must have been built over
+// core's Result, indexed like cores. It is the only cycle loop: a
+// single-core run is one core here. The cores must have been built over
 // views of one cache.SharedHierarchy (RunMulti itself only requires that
-// they start at cycle 0); a single core over a private hierarchy
-// reproduces Core.Run exactly, which is what pins the refactor.
+// they start at cycle 0).
 //
 // The clock is the least cycle over the live cores, and each iteration
 // steps only the cores whose own cycle it is, in index order: the shared
@@ -24,12 +24,13 @@ import (
 // completion times were fixed when its accesses issued). A finished core
 // drops out and makes no further requests.
 //
-// cancel is polled once per iteration; on cancellation the results reflect
-// the simulated-so-far state, like a cancelled Core.Run. Host counters
-// (HostNS/HostAllocs) are process-wide measurements from the RunMulti
-// start to each core's finish — the cores interleave on one host thread,
-// so per-core host attribution is not meaningful and the same wall/alloc
-// window is reported to each.
+// cancel (nil = never) is polled once per iteration, not per simulated
+// cycle, so cancellation latency stays bounded in host time however far a
+// skip jumps; on cancellation the results reflect the simulated-so-far
+// state. Host counters (HostNS/HostAllocs) are process-wide measurements
+// from the RunMulti start to each core's finish — the cores interleave on
+// one host thread, so per-core host attribution is not meaningful and the
+// same wall/alloc window is reported to each.
 func RunMulti(cores []*Core, cancel func() bool) []*Result {
 	if len(cores) == 0 {
 		return nil

@@ -15,15 +15,18 @@ import (
 )
 
 // coRunCases are the co-runs the multi-core driver is held to: a
-// latency-bound chase beside a bandwidth hog, so the cores sleep for very
-// different spans, and all four kernels on four cores. The budgets are
-// unequal, so the cores drop out at different cycles and the survivors run
-// on alone; in pointerchase+mcf under ooo, mcf commits in the cycle the
-// first core out, pointerchase, finishes.
+// latency-bound chase and a memory-bound mcf each alone (a single-core run
+// is the one-core co-run), a latency-bound chase beside a bandwidth hog,
+// so the cores sleep for very different spans, and all four kernels on
+// four cores. The budgets are unequal, so the cores drop out at different
+// cycles and the survivors run on alone; in pointerchase+mcf under ooo,
+// mcf commits in the cycle the first core out, pointerchase, finishes.
 var coRunCases = []struct {
 	names []string
 	insts []uint64
 }{
+	{[]string{"pointerchase"}, []uint64{25_000}},
+	{[]string{"mcf"}, []uint64{40_000}},
 	{[]string{"tailchase", "streambatch"}, []uint64{40_000, 30_000}},
 	{[]string{"pointerchase", "mcf"}, []uint64{25_000, 40_000}},
 	{[]string{"tailchase", "streambatch", "pointerchase", "mcf"}, []uint64{40_000, 25_000, 35_000, 30_000}},

@@ -124,7 +124,7 @@ func (c *Core) skipTarget() (uint64, bool) {
 // applySkip charges cycles cycle+1 .. next-1 in bulk and sets
 // cycle = next-1 (the loop's increment then lands exactly on the event
 // cycle). next is the value skipTarget() just proved, so next > cycle+1;
-// both drivers, Core.Run and RunMulti, apply a core's own target.
+// the driver, RunMulti, applies each core's own target.
 func (c *Core) applySkip(next uint64) {
 	delta := next - c.cycle - 1 // skipped cycle values: cycle+1 .. next-1
 

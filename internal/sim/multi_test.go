@@ -2,48 +2,28 @@ package sim
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"crisp/internal/metrics"
 )
 
-// TestMultiSingleCoreEquivalence pins the refactor's no-regression bar:
-// a 1-core multi-core run is the same machine as a single-core run —
-// view 0 has base offset 0 and requester stats route to slot 0, so every
-// architectural number must match exactly. Only host-side measurements
-// (wall time, allocs) may differ.
-func TestMultiSingleCoreEquivalence(t *testing.T) {
-	single := Run(chaseImage(3000, false), cfgN(40_000))
-	m, err := RunMultiContext(context.Background(), []*Image{chaseImage(3000, false)}, []Config{cfgN(40_000)})
-	if err != nil {
-		t.Fatalf("RunMulti: %v", err)
-	}
-	multi := m.Cores[0]
-	single.HostNS, single.HostAllocs = 0, 0
-	multi.HostNS, multi.HostAllocs = 0, 0
-	if !reflect.DeepEqual(single, multi) {
-		t.Errorf("1-core multi run diverged from single-core run:\n"+
-			"  cycles    %d vs %d\n  insts     %d vs %d\n  breakdown %v vs %v\n"+
-			"  llc       %+v vs %+v\n  dram      %d/%0.1f vs %d/%0.1f",
-			multi.Cycles, single.Cycles, multi.Insts, single.Insts,
-			multi.Breakdown, single.Breakdown, multi.LLC, single.LLC,
-			multi.DRAMReads, multi.DRAMAvgLat, single.DRAMReads, single.DRAMAvgLat)
-	}
-	// The shared-level aggregates must agree with the one core's own view.
-	if m.LLC != m.LLCPerCore[0] || m.DRAM != m.DRAMPerCore[0] {
-		t.Errorf("aggregate/per-core shared stats disagree for n=1")
-	}
-}
-
 // TestMultiInterference pins that contention is actually modelled: two
 // pointer chases whose combined working set overflows the shared LLC
 // (while each alone fits) slow each other down measurably, every core's
 // breakdown still partitions its cycles exactly, and the per-core
-// attribution decomposes the shared totals with nothing missing.
+// attribution decomposes the shared totals with nothing missing. Alone,
+// the chase is a one-core co-run, whose shared totals are its own share.
 func TestMultiInterference(t *testing.T) {
 	const nodes = 12000 // 750 KiB each: fits a 1 MiB LLC alone, not together
-	solo := Run(chaseImage(nodes, false), cfgN(40_000))
+	one, err := RunMultiContext(context.Background(), []*Image{chaseImage(nodes, false)}, []Config{cfgN(40_000)})
+	if err != nil {
+		t.Fatalf("RunMulti: %v", err)
+	}
+	if one.LLC != one.LLCPerCore[0] || one.DRAM != one.DRAMPerCore[0] {
+		t.Errorf("one core: shared totals LLC %+v DRAM %+v, its share LLC %+v DRAM %+v",
+			one.LLC, one.DRAM, one.LLCPerCore[0], one.DRAMPerCore[0])
+	}
+	solo := one.Cores[0]
 	m, err := RunMultiContext(context.Background(),
 		[]*Image{chaseImage(nodes, false), chaseImage(nodes, false)},
 		[]Config{cfgN(40_000), cfgN(40_000)})

@@ -158,7 +158,7 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 		for i := 0; i < n; i++ {
 			ccfg := cfgs[i].Core
 			ccfg.Scheduler = core.SchedOldestFirst // pace must not depend on the swept scheduler
-			cores[i] = windowCore(ccfg, window, progs[i], st.Ems[i], st.Hier.Views[i], nil, st.BPs[i], st.BTBs[i], st.RASs[i], nil)
+			cores[i] = windowCore(ccfg, window, progs[i], st, i, nil)
 		}
 		results := core.RunMultiWindow(cores, nil)
 		next := make([]float64, n)
@@ -241,7 +241,7 @@ func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs
 			if set.WindowInsts != nil {
 				budget = set.WindowInsts[i]
 			}
-			cores[i] = windowCore(cfgs[i].Core, budget, progs[i], st.Ems[i], st.Hier.Views[i], nil, st.BPs[i], st.BTBs[i], st.RASs[i], check)
+			cores[i] = windowCore(cfgs[i].Core, budget, progs[i], st, i, nil)
 		}
 		outs[w] = sharedResult(st.Hier, core.RunMultiWindow(cores, check))
 		return nil

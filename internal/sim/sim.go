@@ -175,29 +175,17 @@ func cancelCheck(ctx context.Context) func() bool {
 	}
 }
 
-// RunContext is Run with cancellation: the context's Done channel is
-// polled inside the core's cycle loop (every few thousand simulated
-// cycles), so a cancelled or timed-out sweep stops mid-simulation instead
-// of running its instruction budget out. On cancellation it returns
-// (nil, ctx.Err()).
+// RunContext is Run with cancellation: the one-core co-run of img under
+// cfg (RunMultiContext). The context's Done channel is polled once per
+// iteration of the cycle loop, so a cancelled or timed-out sweep stops
+// mid-simulation instead of running its instruction budget out. On
+// cancellation it returns (nil, ctx.Err()).
 func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, error) {
-	hier := cache.NewHierarchy(cfg.Hier)
-	attachPrefetcher(cfg.Prefetcher, hier)
-
-	var marker core.Marker
-	if cfg.IBDA != nil {
-		marker = attachIBDA(ibda.New(*cfg.IBDA), img.Prog, hier)
-	}
-
-	c := core.New(cfg.Core, img.Prog, img.emulator(), hier, marker)
-	if f := cancelCheck(ctx); f != nil {
-		c.SetCancelCheck(f)
-	}
-	r := c.Run()
-	if err := ctx.Err(); err != nil {
+	m, err := RunMultiContext(ctx, []*Image{img}, []Config{cfg})
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return m.Cores[0], nil
 }
 
 // CaptureCheckpointsContext runs the single functional fast-forward pass
@@ -283,9 +271,9 @@ func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.P
 	return agg, nil
 }
 
-// runWindow restores one checkpoint into a fresh detailed window (cloned
-// warmed hierarchy and predictors, copy-on-write memory fork) and runs
-// Window instructions of it under cfg. ib may be nil; when set, the
+// runWindow restores one checkpoint into a fresh one-core lockstep window
+// (cloned warmed hierarchy and predictors, copy-on-write memory fork) and
+// runs Window instructions of it under cfg. ib may be nil; when set, the
 // caller is responsible for running windows sequentially.
 func runWindow(pt *checkpoint.Point, prog *program.Program, cfg Config, window uint64, ib *ibda.IBDA, check func() bool) (*core.Result, error) {
 	st, err := pt.Restore(prog, cfg.Prefetcher.String())
@@ -294,27 +282,22 @@ func runWindow(pt *checkpoint.Point, prog *program.Program, cfg Config, window u
 	}
 	var marker core.Marker
 	if ib != nil {
-		marker = attachIBDA(ib, prog, st.Hier)
+		marker = attachIBDA(ib, prog, st.Hier.Views[0])
 	}
-	return windowCore(cfg.Core, window, prog, st.Em, st.Hier, marker, st.BP, st.BTB, st.RAS, check).Run(), nil
+	return core.RunMultiWindow([]*core.Core{windowCore(cfg.Core, window, prog, st, 0, marker)}, check)[0], nil
 }
 
-// windowCore builds the core of one restored detailed window: ccfg with
-// the window's instruction budget, over the restored emulator, hierarchy
-// and front-end state — the warmed predictor left out under PerfectBP —
-// polling check (nil = never) for cancellation.
-func windowCore(ccfg core.Config, budget uint64, prog *program.Program, em *emu.Emulator, hier *cache.Hierarchy,
-	marker core.Marker, tage *branch.TAGE, btb *branch.BTB, ras *branch.RAS, check func() bool) *core.Core {
+// windowCore builds core i of one restored detailed window: ccfg with the
+// window's instruction budget, over core i's restored emulator, view and
+// front-end state — the warmed predictor left out under PerfectBP.
+func windowCore(ccfg core.Config, budget uint64, prog *program.Program, st checkpoint.MultiRestored, i int, marker core.Marker) *core.Core {
 	ccfg.MaxInsts = budget
-	c := core.New(ccfg, prog, em, hier, marker)
+	c := core.New(ccfg, prog, st.Ems[i], st.Hier.Views[i], marker)
 	var bp branch.Predictor
 	if !ccfg.PerfectBP {
-		bp = tage
+		bp = st.BPs[i]
 	}
-	c.SetBranchState(bp, btb, ras)
-	if check != nil {
-		c.SetCancelCheck(check)
-	}
+	c.SetBranchState(bp, st.BTBs[i], st.RASs[i])
 	return c
 }
 
