@@ -12,6 +12,7 @@
 package crisp
 
 import (
+	"fmt"
 	"sort"
 
 	"crisp/internal/core"
@@ -97,6 +98,18 @@ func DefaultOptions() Options {
 	}
 }
 
+// Validate reports option values the pipeline cannot run with: a negative
+// slice-instance bound or critical-path slack.
+func (o Options) Validate() error {
+	if o.MaxSliceInstances < 0 {
+		return fmt.Errorf("crisp: negative MaxSliceInstances %d", o.MaxSliceInstances)
+	}
+	if o.CriticalPathSlack < 0 {
+		return fmt.Errorf("crisp: negative CriticalPathSlack %d", o.CriticalPathSlack)
+	}
+	return nil
+}
+
 // SliceStats describes one extracted slice.
 type SliceStats struct {
 	RootPC     int
@@ -159,7 +172,7 @@ func Analyze(prof *core.Result, tr *trace.Trace, prog *program.Program, opts Opt
 		a.SlowALUs = classifySlowALUs(prog, counts, totalInsts, opts)
 	}
 
-	sl := newSlicer(tr, prog)
+	sl := newSlicer(tr, prog, counts)
 	var totalDyn float64
 	var nLoadSlices int
 	for _, pc := range a.DelinquentLoads {

@@ -72,7 +72,7 @@ func captureFig2(t *testing.T) (*program.Program, *trace.Trace, map[string]int) 
 
 func TestSlicerFollowsMemoryDependencies(t *testing.T) {
 	p, tr, pcs := captureFig2(t)
-	sl := newSlicer(tr, p)
+	sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 	opts := DefaultOptions()
 	opts.FilterCriticalPath = false
 	res := sl.extract(pcs["ptrload"], 4, func(int) int { return 100 }, opts)
@@ -102,7 +102,7 @@ func TestSlicerFollowsMemoryDependencies(t *testing.T) {
 
 func TestSlicerTerminatesOnLoopCarriedRecursion(t *testing.T) {
 	p, tr, pcs := captureFig2(t)
-	sl := newSlicer(tr, p)
+	sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 	opts := DefaultOptions()
 	opts.FilterCriticalPath = false
 	res := sl.extract(pcs["ptrload"], 8, func(int) int { return 100 }, opts)
@@ -137,7 +137,7 @@ func TestCriticalPathFilterDropsCheapSideChains(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 	tr := trace.Capture(emu.New(p, emu.NewMemory()), 0)
-	sl := newSlicer(tr, p)
+	sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 	rootPC := 5 // the root load
 	if p.Insts[rootPC].Op != isa.OpLoad {
 		t.Fatalf("bookkeeping: pc %d is %v", rootPC, p.Insts[rootPC].Op)

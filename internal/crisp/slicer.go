@@ -1,7 +1,7 @@
 package crisp
 
 import (
-	"sort"
+	"slices"
 
 	"crisp/internal/program"
 	"crisp/internal/trace"
@@ -14,17 +14,12 @@ import (
 type slicer struct {
 	tr   *trace.Trace
 	prog *program.Program
-	// instancesOf caches trace indices per static PC.
-	instances map[int][]uint32
+	// counts is the trace's per-PC execution count (Trace.ExecCounts).
+	counts []uint64
 }
 
-func newSlicer(tr *trace.Trace, prog *program.Program) *slicer {
-	s := &slicer{tr: tr, prog: prog, instances: make(map[int][]uint32)}
-	for i := range tr.Records {
-		pc := tr.Records[i].PC
-		s.instances[pc] = append(s.instances[pc], uint32(i))
-	}
-	return s
+func newSlicer(tr *trace.Trace, prog *program.Program, counts []uint64) *slicer {
+	return &slicer{tr: tr, prog: prog, counts: counts}
 }
 
 // sliceResult is the outcome of extract for one root PC.
@@ -38,24 +33,21 @@ type sliceResult struct {
 // extract unions backward slices over up to maxInst dynamic instances of
 // root. amat supplies per-PC load latencies for the DAG filter.
 func (s *slicer) extract(root int, maxInst int, amat func(pc int) int, opts Options) sliceResult {
-	inst := s.instances[root]
-	if len(inst) == 0 {
+	if s.counts[root] == 0 {
 		return sliceResult{}
 	}
 	// Use the last maxInst instances: state (caches, predictors, the
 	// slice's own loop-carried structure) is warmed up by then.
-	if len(inst) > maxInst {
-		inst = inst[len(inst)-maxInst:]
-	}
+	inst := s.tr.LastInstances(root, min(maxInst, int(s.counts[root])))
 
-	fullSet := make(map[int]bool)
-	filtSet := make(map[int]bool)
+	fullSet := make([]bool, s.prog.Len())
+	filtSet := make([]bool, s.prog.Len())
 	var totalDyn int
 	// Filter out uncommon code paths (Section 4.1): ancestors that
 	// executed rarely relative to the root (one-time setup code) would
 	// otherwise dominate the latency DAG with their cold-miss AMATs and
 	// crowd the hot loop path out of the critical path.
-	minExecs := len(s.instances[root]) / 20
+	minExecs := s.counts[root] / 20
 	for _, rootIdx := range inst {
 		nodes := s.backwardSlice(rootIdx)
 		nodes = s.dropColdAncestors(nodes, rootIdx, minExecs)
@@ -64,34 +56,40 @@ func (s *slicer) extract(root int, maxInst int, amat func(pc int) int, opts Opti
 			fullSet[s.tr.Records[n].PC] = true
 		}
 		if opts.FilterCriticalPath {
-			for _, n := range criticalNodes(s.tr, nodes, amat, opts.CriticalPathSlack) {
-				filtSet[s.tr.Records[n].PC] = true
-			}
-		} else {
-			for _, n := range nodes {
-				filtSet[s.tr.Records[n].PC] = true
-			}
+			nodes = criticalNodes(s.tr, s.prog, nodes, amat, opts.CriticalPathSlack)
+		}
+		for _, n := range nodes {
+			filtSet[s.tr.Records[n].PC] = true
 		}
 	}
 
 	res := sliceResult{
-		Full:      setToSlice(fullSet),
-		Filtered:  setToSlice(filtSet),
+		// Never nil: an empty slice is stored as [], not null.
+		Full:      []int{},
+		Filtered:  []int{},
 		AvgDynLen: float64(totalDyn) / float64(len(inst)),
 		Instances: len(inst),
+	}
+	for pc := range fullSet {
+		if fullSet[pc] {
+			res.Full = append(res.Full, pc)
+		}
+		if filtSet[pc] {
+			res.Filtered = append(res.Filtered, pc)
+		}
 	}
 	return res
 }
 
 // dropColdAncestors removes slice nodes whose static PC executed fewer
 // than minExecs times in the trace (always keeping the root instance).
-func (s *slicer) dropColdAncestors(nodes []uint32, rootIdx uint32, minExecs int) []uint32 {
+func (s *slicer) dropColdAncestors(nodes []uint32, rootIdx uint32, minExecs uint64) []uint32 {
 	if minExecs <= 1 {
 		return nodes
 	}
 	out := nodes[:0]
 	for _, n := range nodes {
-		if n == rootIdx || len(s.instances[s.tr.Records[n].PC]) >= minExecs {
+		if n == rootIdx || s.counts[s.tr.Records[n].PC] >= minExecs {
 			out = append(out, n)
 		}
 	}
@@ -105,7 +103,7 @@ func (s *slicer) dropColdAncestors(nodes []uint32, rootIdx uint32, minExecs int)
 // operand has no producer in the trace window (rules 2 and 4), or at the
 // window boundary.
 func (s *slicer) backwardSlice(rootIdx uint32) []uint32 {
-	inSlice := make(map[int]bool) // static PCs already in the slice
+	inSlice := make([]bool, s.prog.Len()) // static PCs already in the slice
 	visited := make(map[uint32]bool)
 	frontier := []uint32{rootIdx}
 	visited[rootIdx] = true
@@ -136,28 +134,25 @@ func (s *slicer) backwardSlice(rootIdx uint32) []uint32 {
 			frontier = append(frontier, dep)
 		}
 	}
-	sortU32(order)
+	slices.Sort(order)
 	return order
 }
 
 // criticalNodes applies the Section 3.5 filter: treat the dynamic slice as
 // a latency DAG, compute earliest/latest start times, and keep nodes whose
-// slack is at most `slack` cycles.
-func criticalNodes(tr *trace.Trace, nodes []uint32, amat func(pc int) int, slack int) []uint32 {
+// slack is at most `slack` cycles. nodes is ascending, so a producer's
+// position is found by binary search.
+func criticalNodes(tr *trace.Trace, prog *program.Program, nodes []uint32, amat func(pc int) int, slack int) []uint32 {
 	if len(nodes) <= 2 {
 		return nodes
 	}
-	pos := make(map[uint32]int, len(nodes))
-	for i, n := range nodes {
-		pos[n] = i
-	}
 	lat := make([]int, len(nodes))
 	for i, n := range nodes {
-		r := &tr.Records[n]
-		if r.Inst.Op.IsMem() && r.Inst.Op.Latency() == 4 {
-			lat[i] = amat(r.PC)
+		pc := int(tr.Records[n].PC)
+		if op := prog.Insts[pc].Op; op.IsMem() && op.Latency() == 4 {
+			lat[i] = amat(pc)
 		} else {
-			lat[i] = r.Inst.Op.Latency()
+			lat[i] = op.Latency()
 		}
 	}
 
@@ -167,7 +162,7 @@ func criticalNodes(tr *trace.Trace, nodes []uint32, amat func(pc int) int, slack
 	for i, n := range nodes {
 		depBuf = tr.Deps(int(n), depBuf[:0])
 		for _, d := range depBuf {
-			if j, ok := pos[d]; ok {
+			if j, ok := slices.BinarySearch(nodes, d); ok {
 				if t := est[j] + lat[j]; t > est[i] {
 					est[i] = t
 				}
@@ -186,7 +181,7 @@ func criticalNodes(tr *trace.Trace, nodes []uint32, amat func(pc int) int, slack
 		n := nodes[i]
 		depBuf = tr.Deps(int(n), depBuf[:0])
 		for _, d := range depBuf {
-			if j, ok := pos[d]; ok && lst[i] != inf {
+			if j, ok := slices.BinarySearch(nodes, d); ok && lst[i] != inf {
 				if t := lst[i] - lat[j]; t < lst[j] {
 					lst[j] = t
 				}
@@ -205,17 +200,4 @@ func criticalNodes(tr *trace.Trace, nodes []uint32, amat func(pc int) int, slack
 		}
 	}
 	return out
-}
-
-func setToSlice(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for pc := range set {
-		out = append(out, pc)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortU32(a []uint32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }

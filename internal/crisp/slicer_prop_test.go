@@ -67,7 +67,7 @@ func TestSlicerClosureProperty(t *testing.T) {
 			return true
 		}
 		tr := trace.Capture(emu.New(p, mem), 0)
-		sl := newSlicer(tr, p)
+		sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 		opts := DefaultOptions()
 		opts.FilterCriticalPath = false
 		res := sl.extract(root, 6, func(int) int { return 50 }, opts)
@@ -84,16 +84,16 @@ func TestSlicerClosureProperty(t *testing.T) {
 		// Closure: every producer of every slice member is in the slice,
 		// unless it was dropped by the uncommon-code-path filter (executed
 		// fewer than 1/20th as often as the root).
-		rootExecs := len(sl.instances[root])
-		cold := func(pc int) bool { return len(sl.instances[pc]) < rootExecs/20 }
+		rootExecs := sl.counts[root]
+		cold := func(pc int) bool { return sl.counts[pc] < rootExecs/20 }
 		var deps []uint32
 		for i := range tr.Records {
-			if !inSlice[tr.Records[i].PC] {
+			if !inSlice[int(tr.Records[i].PC)] {
 				continue
 			}
 			deps = tr.Deps(i, deps[:0])
 			for _, d := range deps {
-				pc := tr.Records[d].PC
+				pc := int(tr.Records[d].PC)
 				if !inSlice[pc] && !cold(pc) {
 					return false
 				}
@@ -115,7 +115,7 @@ func TestFilteredSubsetProperty(t *testing.T) {
 			return true
 		}
 		tr := trace.Capture(emu.New(p, mem), 0)
-		sl := newSlicer(tr, p)
+		sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 		opts := DefaultOptions()
 		opts.CriticalPathSlack = int(slack % 16)
 		res := sl.extract(root, 6, func(int) int { return 50 }, opts)
@@ -151,7 +151,7 @@ func TestSlackMonotoneProperty(t *testing.T) {
 			return true
 		}
 		tr := trace.Capture(emu.New(p, mem), 0)
-		sl := newSlicer(tr, p)
+		sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 		prev := -1
 		for _, slack := range []int{0, 2, 8, 1 << 20} {
 			opts := DefaultOptions()
@@ -177,7 +177,7 @@ func TestInfiniteSlackEqualsFull(t *testing.T) {
 		t.Skip("no loads in kernel")
 	}
 	tr := trace.Capture(emu.New(p, mem), 0)
-	sl := newSlicer(tr, p)
+	sl := newSlicer(tr, p, tr.ExecCounts(p.Len()))
 	opts := DefaultOptions()
 	opts.CriticalPathSlack = 1 << 30
 	res := sl.extract(root, 6, func(int) int { return 50 }, opts)

@@ -485,6 +485,35 @@ func TestRejects(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeSliceOptions: CRISP options out of range are a 400 on
+// both routes that carry them, a pipeline spec and a run's CRISP clause,
+// and start no work; a negative MaxSliceInstances used to reach the slicer
+// and panic the server. The server keeps serving afterwards.
+func TestRejectsNegativeSliceOptions(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	maxInst := crisp.DefaultOptions()
+	maxInst.MaxSliceInstances = -1
+	slack := crisp.DefaultOptions()
+	slack.CriticalPathSlack = -1
+	for name, opts := range map[string]crisp.Options{"MaxSliceInstances": maxInst, "CriticalPathSlack": slack} {
+		specs := map[string]any{
+			"/v1/analyses": runner.AnalysisSpec{Workload: "mcf", Insts: 20_000, Opts: opts},
+			"/v1/runs":     sim.RunSpec{Workload: "mcf", Insts: 20_000}.WithCrisp(opts),
+		}
+		for route, spec := range specs {
+			if resp, rb := postSpec(t, ts.URL+route+"?wait=1", spec); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s, negative %s: HTTP %d (%s), want 400", route, name, resp.StatusCode, rb)
+			}
+		}
+	}
+	if st := s.Runner().Stats(); st.Started != 0 {
+		t.Errorf("rejected requests started %d tasks", st.Started)
+	}
+	if resp, rb := postSpec(t, ts.URL+"/v1/runs?wait=1", fastSpec()); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid run after the rejects: HTTP %d (%s), want 200", resp.StatusCode, rb)
+	}
+}
+
 // TestStatsz: the counters reflect completed work, and requests answered
 // from the store or the published-result cache are counted there, not as
 // jobs.

@@ -359,9 +359,9 @@ func (s AnalysisSpec) Key() string {
 
 // Validate reports spec-level errors a remote submission must reject
 // before any work starts: a missing workload name (existence is checked
-// by the executor, which owns the registry) or a zero instruction
-// budget, which would profile to Halt — and the workload kernels never
-// halt, they run until a budget stops them.
+// by the executor, which owns the registry), a zero instruction budget,
+// which would profile to Halt — and the workload kernels never halt, they
+// run until a budget stops them — or pipeline options out of range.
 func (s AnalysisSpec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("runner: AnalysisSpec has no workload")
@@ -369,7 +369,7 @@ func (s AnalysisSpec) Validate() error {
 	if s.Insts == 0 {
 		return fmt.Errorf("runner: AnalysisSpec has no instruction budget (the profiling run would never halt)")
 	}
-	return nil
+	return s.Opts.Validate()
 }
 
 // DecodeAnalysisSpec strictly decodes and validates a JSON AnalysisSpec

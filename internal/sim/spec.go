@@ -205,8 +205,8 @@ func contentKey(kind string, v any) string {
 }
 
 // Validate reports spec-level errors: unknown input or scheduler names,
-// or a missing workload name. Workload existence is checked by the
-// executor, which owns the workload registry.
+// a missing workload name, or CRISP options out of range. Workload
+// existence is checked by the executor, which owns the workload registry.
 func (s RunSpec) Validate() error {
 	if s.Workload == "" {
 		return fmt.Errorf("sim: RunSpec has no workload")
@@ -222,6 +222,11 @@ func (s RunSpec) Validate() error {
 	}
 	if s.Crisp != nil && s.IBDA != nil {
 		return fmt.Errorf("sim: RunSpec requests both static CRISP tags and runtime IBDA marking")
+	}
+	if s.Crisp != nil {
+		if err := s.Crisp.Validate(); err != nil {
+			return err
+		}
 	}
 	if s.Sampling != nil {
 		if s.Sampling.Window == 0 || s.Sampling.Count <= 0 {

@@ -2,12 +2,14 @@
 // emulator and precomputes producer links (through registers and through
 // memory) that the CRISP slicer walks backwards. This stands in for the
 // DynamoRIO-Memtrace / Intel-PT tracing step of the paper's software
-// pipeline (Section 3.3): it carries exactly the information a memory
-// trace provides, including store-to-load dependencies that register-only
-// hardware IBDA cannot observe.
+// pipeline (Section 3.3): it reads exactly the information a memory trace
+// provides and keeps what the slicer needs of it, including store-to-load
+// dependencies that register-only hardware IBDA cannot observe.
 package trace
 
 import (
+	"slices"
+
 	"crisp/internal/emu"
 	"crisp/internal/isa"
 )
@@ -15,7 +17,9 @@ import (
 // NoDep marks an absent producer link.
 const NoDep = ^uint32(0)
 
-// Record is one traced dynamic instruction with resolved producer links.
+// Record is one traced dynamic instruction: its static PC and resolved
+// producer links, all the slicer reads. The effective address is used up
+// at capture, resolving MemDep; the instruction is the program's at PC.
 // Producer links are indices into the owning Trace's Records slice (not
 // Seq numbers) so slices of a bounded trace index directly.
 //
@@ -24,13 +28,10 @@ const NoDep = ^uint32(0)
 // an overlapping 8-byte word — the "dependency through memory" of
 // Section 3.3 footnote 2.
 type Record struct {
-	PC      int
-	Addr    uint64
-	Taken   bool
+	PC      uint32
 	RegDep1 uint32
 	RegDep2 uint32
 	MemDep  uint32
-	Inst    *isa.Inst
 }
 
 // Trace is a captured window of dynamic execution.
@@ -99,18 +100,10 @@ func Capture(e *emu.Emulator, limit uint64) *Trace {
 	}
 	lastStore := &storeIndex{pages: make(map[uint64]*[storeIndexPageWords]uint32)}
 
-	var n uint64
-	for limit <= 0 || n < limit {
-		d, ok := e.Step()
-		if !ok {
-			break
-		}
-		n++
+	var d emu.DynInst
+	for n := uint64(0); (limit <= 0 || n < limit) && e.StepInto(&d); n++ {
 		idx := uint32(len(tr.Records))
-		rec := Record{
-			PC: d.PC, Addr: d.Addr, Taken: d.Taken, Inst: d.Inst,
-			RegDep1: NoDep, RegDep2: NoDep, MemDep: NoDep,
-		}
+		rec := Record{PC: uint32(d.PC), RegDep1: NoDep, RegDep2: NoDep, MemDep: NoDep}
 		in := d.Inst
 		if in.Src1.Valid() {
 			rec.RegDep1 = lastRegWriter[in.Src1]
@@ -150,15 +143,17 @@ func (t *Trace) Deps(i int, dst []uint32) []uint32 {
 	return dst
 }
 
-// InstancesOf returns the trace indices at which static PC pc executed, in
-// program order.
-func (t *Trace) InstancesOf(pc int) []uint32 {
+// LastInstances returns the trace indices of the last n executions of
+// static PC pc, in program order: fewer if pc ran fewer times. It scans
+// backwards from the end and stops at the n-th hit.
+func (t *Trace) LastInstances(pc, n int) []uint32 {
 	var out []uint32
-	for i := range t.Records {
-		if t.Records[i].PC == pc {
+	for i := len(t.Records) - 1; i >= 0 && len(out) < n; i-- {
+		if int(t.Records[i].PC) == pc {
 			out = append(out, uint32(i))
 		}
 	}
+	slices.Reverse(out)
 	return out
 }
 

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"crisp/internal/emu"
 	"crisp/internal/isa"
@@ -98,15 +100,18 @@ func TestInstancesAndExecCounts(t *testing.T) {
 	b.Label("l")
 	b.AddI(isa.R(1), isa.R(1), 1) // pc 2
 	b.Blt(isa.R(1), isa.R(2), "l")
+	b.Jmp("end")
+	b.AddI(isa.R(3), isa.R(3), 1) // pc 5: never runs
+	b.Label("end")
 	b.Halt()
 	p := b.MustBuild()
 	tr := Capture(emu.New(p, nil), 0)
-	inst := tr.InstancesOf(2)
+	inst := tr.LastInstances(2, 5)
 	if len(inst) != 5 {
-		t.Errorf("InstancesOf(2) = %d executions, want 5", len(inst))
+		t.Fatalf("LastInstances(2, 5) = %d executions, want 5", len(inst))
 	}
 	counts := tr.ExecCounts(p.Len())
-	if counts[2] != 5 || counts[3] != 5 || counts[0] != 1 {
+	if counts[2] != 5 || counts[3] != 5 || counts[0] != 1 || counts[5] != 0 {
 		t.Errorf("ExecCounts = %v", counts)
 	}
 	// Loop-carried dependency: iteration i's AddI depends on iteration i-1's.
@@ -114,6 +119,32 @@ func TestInstancesAndExecCounts(t *testing.T) {
 		if tr.Records[inst[i]].RegDep1 != inst[i-1] {
 			t.Errorf("iteration %d dep = %d, want %d", i, tr.Records[inst[i]].RegDep1, inst[i-1])
 		}
+	}
+	// Every PC and bound against a forward scan: the last n hits, in order.
+	for pc := 0; pc < p.Len(); pc++ {
+		var all []uint32
+		for i, r := range tr.Records {
+			if int(r.PC) == pc {
+				all = append(all, uint32(i))
+			}
+		}
+		for _, n := range []int{0, 1, 3, 5, 100} {
+			want := all[len(all)-min(n, len(all)):]
+			if got := tr.LastInstances(pc, n); !slices.Equal(got, want) {
+				t.Errorf("LastInstances(%d, %d) = %v, want %v", pc, n, got, want)
+			}
+		}
+	}
+	if got := tr.LastInstances(5, 12); len(got) != 0 {
+		t.Errorf("LastInstances of a PC that never ran = %v, want none", got)
+	}
+}
+
+// TestRecordIs16Bytes: a record is its PC and three producer links, so a
+// trace costs 16 bytes per instruction.
+func TestRecordIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 16 {
+		t.Errorf("sizeof(Record) = %d, want 16", n)
 	}
 }
 
