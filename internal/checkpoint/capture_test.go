@@ -6,8 +6,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"crisp/internal/branch"
 	"crisp/internal/cache"
@@ -166,14 +168,16 @@ func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, 
 			break
 		}
 		set.Points = append(set.Points, &Point{
-			PC:       em.PC(),
-			Regs:     em.Regs(),
-			Mem:      em.Mem().Snapshot(),
+			CoreState: CoreState{
+				PC:      em.PC(),
+				Regs:    em.Regs(),
+				Mem:     em.Mem().Snapshot(),
+				BP:      w.bp.Clone(),
+				BTB:     w.btb.Clone(),
+				RAS:     w.ras.Clone(),
+				FFInsts: set.FFInsts,
+			},
 			Variants: w.snapshot(),
-			BP:       w.bp.Clone(),
-			BTB:      w.btb.Clone(),
-			RAS:      w.ras.Clone(),
-			FFInsts:  set.FFInsts,
 		})
 		n = em.FastForward(p.Window, w)
 		set.FFInsts += n
@@ -195,7 +199,7 @@ func refCaptureSequential(ctx context.Context, em *emu.Emulator, w *warmer, p Pa
 		if ctx.Err() != nil || em.Done() {
 			return
 		}
-		set.Points = append(set.Points, snapshotPoint(em, w, set.FFInsts))
+		set.Points = append(set.Points, &Point{CoreState: snapshotCore(em, w, set.FFInsts), Variants: w.snapshot()})
 		// Execute the window region functionally too (with warming): the
 		// detailed run covers it from the restored state, and the next
 		// checkpoint's state must include it.
@@ -254,15 +258,271 @@ func TestCaptureMultiMatchesParent(t *testing.T) {
 	set, err := CaptureMultiContext(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
-		cache.DefaultHierConfig(), 128, 4, 16, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
+		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
 		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 2}, []float64{1.0, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.HostNS = 0                        // wall time legitimately differs
-	set.PFKinds = []string{"bop", "none"} // the sim layer fills this in
+	set.HostNS = 0 // wall time legitimately differs
 	if got := fmt.Sprintf("%x", sha256.Sum256(EncodeMultiSet(set, "multi-equivalence-key"))); got != parentMultiSetSHA256 {
 		t.Errorf("two-core set hashes to %s, the parent commit's to %s", got, parentMultiSetSHA256)
+	}
+}
+
+// refCaptureMultiContext is CaptureMultiContext as it stood before the
+// single-core and the co-scheduled capture became one loop (capture),
+// kept verbatim as the oracle of TestCaptureMultiMatchesOracle: its
+// advance closure interleaves the warmed phases in pace-scaled chunks,
+// each one FastForward with its own code-line dedup state, and cuts the
+// unwarmed ones at sliceInsts. It leaves PFKinds unset, as the sim layer
+// filled them in then.
+//
+// refCaptureMultiContext runs the co-scheduled functional pass over ems (one
+// emulator per core, positioned at its workload entry) and returns the
+// MultiSet for the given per-core schedule. One shared hierarchy is
+// warmed for the whole pass: skip phases advance cores without warming,
+// warm and window phases interleave the cores' streams in pace-scaled
+// round-robin slices so LLC insertions contend at the timed co-run's
+// rate ratio. pfs supplies one fresh prefetcher per core (nil for a core
+// that runs without one), trained in place against that core's view.
+// pace holds each core's relative co-run speed (nil = all 1.0; see
+// MultiSet.Pace); entries are clamped to [minPace, 1]. The pass looks at
+// ctx between interleave rounds, and on cancellation returns
+// (nil, ctx.Err()), the partial capture discarded.
+func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) (*MultiSet, error) {
+	start := time.Now()
+	n := len(ems)
+	pc := make([]float64, n)
+	for i := range pc {
+		pc[i] = 1.0
+		if pace != nil {
+			pc[i] = pace[i]
+		}
+		if pc[i] > 1 || pc[i] != pc[i] { // also catches NaN
+			pc[i] = 1
+		}
+		if pc[i] < minPace {
+			pc[i] = minPace
+		}
+	}
+	sh := cache.NewSharedHierarchy(hcfg, n)
+	ws := make([]*warmer, n)
+	for i := range ws {
+		ws[i] = &warmer{
+			prog:     progs[i],
+			variants: []liveVariant{{hier: sh.Views[i], pf: pfs[i]}},
+			bp:       branch.NewTAGE(branch.DefaultTAGELogBase, branch.DefaultTAGELogTagged),
+			btb:      branch.NewBTB(btbEntries, btbWays),
+			ras:      branch.NewRAS(rasEntries),
+			shared:   true,
+		}
+	}
+	set := &MultiSet{Hier: hcfg, Cores: n, FFPerCore: make([]uint64, n),
+		Pace: pc, WindowInsts: make([]uint64, n), Images: make([]*emu.Memory, n)}
+	for i := range set.WindowInsts {
+		set.WindowInsts[i] = scalePace(p.Window, pc[i])
+		set.Images[i] = ems[i].Mem().Snapshot()
+	}
+
+	// advance moves every live core forward by its pace-scaled share of
+	// insts instructions, in pace-scaled round-robin chunks when warming
+	// (unwarmed skip phases cannot interact: they are cut at sliceInsts
+	// only so that ctx is looked at, once a round). Scaling both the
+	// budget and the chunk keeps every core's stream flowing for the whole
+	// phase: all cores exhaust their budgets after the same number of
+	// rounds, so the shared LLC sees a steady pace-ratio mix right up to
+	// the snapshot.
+	advance := func(insts uint64, warm bool) {
+		remaining := make([]uint64, n)
+		chunks := make([]uint64, n)
+		for i := range remaining {
+			remaining[i] = scalePace(insts, pc[i])
+			chunks[i] = sliceInsts
+			if warm {
+				chunks[i] = scalePace(interleaveChunk, pc[i])
+			}
+		}
+		for {
+			if ctx.Err() != nil {
+				return
+			}
+			advanced := false
+			for i, em := range ems {
+				if remaining[i] == 0 || em.Done() {
+					continue
+				}
+				step := chunks[i]
+				if step > remaining[i] {
+					step = remaining[i]
+				}
+				var done uint64
+				if warm {
+					done = em.FastForward(step, ws[i])
+					set.WarmInsts += done
+				} else {
+					done = em.FastForward(step, nil)
+				}
+				set.FFInsts += done
+				set.FFPerCore[i] += done
+				remaining[i] -= step
+				if done > 0 {
+					advanced = true
+				}
+			}
+			if !advanced {
+				return
+			}
+		}
+	}
+
+	for k := 0; k < p.Count; k++ {
+		advance(p.Skip, false)
+		advance(p.Warm, true)
+		if ctx.Err() != nil {
+			break
+		}
+		anyDone := false
+		for _, em := range ems {
+			if em.Done() {
+				anyDone = true
+			}
+		}
+		if anyDone {
+			break // a lockstep window needs every core live
+		}
+		pt := &MultiPoint{Hier: sh.CloneState(), Cores: make([]*CoreState, n)}
+		for i, em := range ems {
+			cs := &CoreState{
+				PC:      em.PC(),
+				Regs:    em.Regs(),
+				Mem:     em.Mem().Snapshot(),
+				BP:      ws[i].bp.Clone(),
+				BTB:     ws[i].btb.Clone(),
+				RAS:     ws[i].ras.Clone(),
+				FFInsts: set.FFPerCore[i],
+			}
+			if pf := ws[i].variants[0].pf; pf != nil {
+				cs.PF = prefetch.Clone(pf)
+			}
+			pt.Cores[i] = cs
+		}
+		set.Points = append(set.Points, pt)
+		// Execute the window region functionally too (with warming): the
+		// detailed lockstep run covers it from the restored state, and the
+		// next checkpoint's shared-LLC content must include it.
+		advance(p.Window, true)
+	}
+	set.HostNS = time.Since(start).Nanoseconds()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return set, nil
+}
+
+// TestCaptureMultiMatchesOracle: the co-scheduled capture is the n-core
+// pass of the one capture loop, and encodes to the bytes of the loop it
+// replaced (refCaptureMultiContext), for 2 and 4 cores under uniform and
+// skewed paces, with skip phases longer than a slice, and with a core
+// whose program halts in the third window. Carrying a core's code-line
+// dedup state from one interleave chunk to its next fails it.
+func TestCaptureMultiMatchesOracle(t *testing.T) {
+	hcfg := cache.DefaultHierConfig()
+	type leg struct {
+		progs []*program.Program
+		ems   func() []*emu.Emulator
+		kinds []string
+		pfs   func() []prefetch.Prefetcher
+		p     Params
+	}
+	chase, stream, count, halt := chaseProgram(t), storeProgram(t), countProgram(t), haltProgram(t, 12_000)
+	p := Params{Skip: sliceInsts + 5000, Warm: 15_000, Window: 1500, Count: 3}
+	legs := map[string]leg{
+		"2 cores": {[]*program.Program{chase, stream},
+			func() []*emu.Emulator { return []*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())} },
+			[]string{"bop", "none"},
+			func() []prefetch.Prefetcher { return []prefetch.Prefetcher{prefetch.NewBOP(), nil} }, p},
+		"4 cores": {[]*program.Program{chase, stream, count, chase},
+			func() []*emu.Emulator {
+				return []*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory()), emu.New(count, emu.NewMemory()), chaseEmu(t, chase)}
+			},
+			[]string{"bop", "none", "stride", "ghb"},
+			func() []prefetch.Prefetcher {
+				return []prefetch.Prefetcher{prefetch.NewBOP(), nil, prefetch.NewStride(256), prefetch.NewGHB(512)}
+			}, p},
+		"a core halts": {[]*program.Program{chase, halt},
+			func() []*emu.Emulator { return []*emu.Emulator{chaseEmu(t, chase), emu.New(halt, emu.NewMemory())} },
+			[]string{"stride", "none"},
+			func() []prefetch.Prefetcher { return []prefetch.Prefetcher{prefetch.NewStride(256), nil} },
+			Params{Warm: 15_000, Window: 1500, Count: 5}},
+	}
+	for name, l := range legs {
+		for _, pace := range [][]float64{nil, {1, 0.6}, {0.3, 1, 0.5, 1}} {
+			var pc []float64
+			for i := range l.progs {
+				if pace != nil {
+					pc = append(pc, pace[i%len(pace)])
+				}
+			}
+			oracle, err := refCaptureMultiContext(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.pfs(), l.p, pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle.PFKinds = l.kinds
+			set, err := CaptureMultiContext(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.kinds, l.pfs(), l.p, pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(set.Points) == 0 || (name == "a core halts") == (len(set.Points) == l.p.Count) {
+				t.Errorf("%s, pace %v: %d points of %d: the leg does not test what it is for", name, pc, len(set.Points), l.p.Count)
+			}
+			oracle.HostNS, set.HostNS = 0, 0
+			if !bytes.Equal(EncodeMultiSet(set, "k"), EncodeMultiSet(oracle, "k")) || set.WarmInsts != oracle.WarmInsts {
+				t.Errorf("%s, pace %v: the set differs from the oracle's (warmed %d, the oracle %d)", name, pc, set.WarmInsts, oracle.WarmInsts)
+			}
+		}
+	}
+}
+
+// haltProgram runs its counting loop n times, three instructions each,
+// and halts.
+func haltProgram(t testing.TB, n int64) *program.Program {
+	t.Helper()
+	b := program.NewBuilder("halt")
+	b.MovI(isa.R(1), 0)
+	b.MovI(isa.R(3), 0x4000)
+	b.MovI(isa.R(5), n)
+	b.Label("loop")
+	b.AddI(isa.R(1), isa.R(1), 1)
+	b.Load(isa.R(2), isa.R(3), 0)
+	b.Blt(isa.R(1), isa.R(5), "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestCaptureMultiDecodes: a set straight out of CaptureMultiContext
+// carries its cores' prefetcher names, so it encodes and decodes as it
+// is. It did not when the names were left for the sim layer to fill in:
+// the header counted two cores and the body held no name.
+func TestCaptureMultiDecodes(t *testing.T) {
+	chase, stream := chaseProgram(t), storeProgram(t)
+	set, err := CaptureMultiContext(context.Background(),
+		[]*program.Program{chase, stream},
+		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
+		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
+		Params{Warm: 15_000, Window: 1500, Count: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := EncodeMultiSet(set, "k")
+	dec, err := DecodeMultiSet(enc, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"bop", "none"}; !reflect.DeepEqual(dec.PFKinds, want) {
+		t.Errorf("decoded PFKinds %q, want %q", dec.PFKinds, want)
+	}
+	if !bytes.Equal(EncodeMultiSet(dec, "k"), enc) {
+		t.Errorf("the decoded set encodes to other bytes")
 	}
 }
 
@@ -335,7 +595,7 @@ func TestCaptureContextCancel(t *testing.T) {
 
 		ems := []*emu.Emulator{emu.New(prog, emu.NewMemory()), emu.New(prog, emu.NewMemory())}
 		mset, err := CaptureMultiContext(tc.ctx(), []*program.Program{prog, prog}, ems,
-			hcfg, 128, 4, 16, []prefetch.Prefetcher{nil, nil}, p, nil)
+			hcfg, 128, 4, 16, []string{"none", "none"}, []prefetch.Prefetcher{nil, nil}, p, nil)
 		if !errors.Is(err, context.Canceled) || mset != nil {
 			t.Errorf("%s: two-core capture returned set=%v err=%v, want nil set and context.Canceled", name, mset != nil, err)
 		}

@@ -62,21 +62,14 @@ type Variant struct {
 // immutable templates after capture — Restore clones them — so one Point
 // may serve any number of concurrent detailed runs.
 type Point struct {
-	PC   int
-	Regs [isa.NumRegs]int64
-	// Mem is a copy-on-write snapshot, never written directly. On a point
-	// of a decoded set it holds only the pages the run had written by this
-	// point, until Set.Attach lays them over the workload image.
-	Mem *emu.Memory
+	// CoreState is the core's architectural state and its
+	// prefetcher-independent frontend. Its PF is nil: each variant
+	// carries its own prefetcher.
+	CoreState
 
 	unattached bool // decoded, and Mem is not yet laid over the image
 
 	Variants map[string]*Variant // warmed caches+prefetcher per kind
-	BP       *branch.TAGE
-	BTB      *branch.BTB
-	RAS      *branch.RAS
-
-	FFInsts uint64 // instructions executed functionally to reach this point
 }
 
 // Restore clones the checkpoint's pfKind variant for one detailed window
@@ -98,8 +91,9 @@ func (p *Point) Restore(prog *program.Program, pfKind string) (MultiRestored, er
 	if v == nil {
 		return MultiRestored{}, fmt.Errorf("checkpoint: no warmed variant for prefetcher kind %q", pfKind)
 	}
-	cs := &CoreState{PC: p.PC, Regs: p.Regs, Mem: p.Mem, BP: p.BP, BTB: p.BTB, RAS: p.RAS, PF: v.PF}
-	mp := &MultiPoint{Cores: []*CoreState{cs}, Hier: v.Hier}
+	cs := p.CoreState
+	cs.PF = v.PF
+	mp := &MultiPoint{Cores: []*CoreState{&cs}, Hier: v.Hier}
 	return mp.Restore([]*program.Program{prog})
 }
 
@@ -283,10 +277,21 @@ func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator
 	return set, nil
 }
 
-// newCaptureWarmer assembles the warming state for one capture pass:
-// the prefetcher-independent frontend structures plus one cache
-// hierarchy per prefetcher kind, sorted by name so capture order (and
-// hence any warming that iterated variants) is deterministic.
+// newWarmer returns a warmer over fresh frontend structures and no
+// variants.
+func newWarmer(prog *program.Program, btbEntries, btbWays, rasEntries int) *warmer {
+	return &warmer{
+		prog: prog,
+		bp:   branch.NewTAGE(branch.DefaultTAGELogBase, branch.DefaultTAGELogTagged),
+		btb:  branch.NewBTB(btbEntries, btbWays),
+		ras:  branch.NewRAS(rasEntries),
+	}
+}
+
+// newCaptureWarmer assembles the warming state for one single-core
+// capture pass: the prefetcher-independent frontend structures plus one
+// cache hierarchy per prefetcher kind, sorted by name so capture order
+// (and hence any warming that iterated variants) is deterministic.
 //
 // The hierarchies share one L1I. What an L1I holds follows from the
 // code-line stream alone, which is the same for every variant, so warming
@@ -294,12 +299,7 @@ func CaptureContext(ctx context.Context, prog *program.Program, em *emu.Emulator
 // gives each Variant its own. L1D cannot be shared the same way: every
 // prefetcher trains on its hits and installs into it.
 func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher) *warmer {
-	w := &warmer{
-		prog: prog,
-		bp:   branch.NewTAGE(branch.DefaultTAGELogBase, branch.DefaultTAGELogTagged),
-		btb:  branch.NewBTB(btbEntries, btbWays),
-		ras:  branch.NewRAS(rasEntries),
-	}
+	w := newWarmer(prog, btbEntries, btbWays, rasEntries)
 	for name, pf := range pfs {
 		sys := cache.NewSharedHierarchy(hcfg, 1)
 		w.variants = append(w.variants, liveVariant{name: name, sys: sys, hier: sys.Views[0], pf: pf})
@@ -311,18 +311,17 @@ func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, 
 	return w
 }
 
-// snapshotPoint clones the warmer's state into one restorable Point at
-// the emulator's current position.
-func snapshotPoint(em *emu.Emulator, w *warmer, ffInsts uint64) *Point {
-	return &Point{
-		PC:       em.PC(),
-		Regs:     em.Regs(),
-		Mem:      em.Mem().Snapshot(),
-		Variants: w.snapshot(),
-		BP:       w.bp.Clone(),
-		BTB:      w.btb.Clone(),
-		RAS:      w.ras.Clone(),
-		FFInsts:  ffInsts,
+// snapshotCore clones one core's architectural state and warmed frontend
+// at the emulator's current position; PF is left for the caller.
+func snapshotCore(em *emu.Emulator, w *warmer, ffInsts uint64) CoreState {
+	return CoreState{
+		PC:      em.PC(),
+		Regs:    em.Regs(),
+		Mem:     em.Mem().Snapshot(),
+		BP:      w.bp.Clone(),
+		BTB:     w.btb.Clone(),
+		RAS:     w.ras.Clone(),
+		FFInsts: ffInsts,
 	}
 }
 
@@ -335,13 +334,12 @@ func snapshotPoint(em *emu.Emulator, w *warmer, ffInsts uint64) *Point {
 // schedule, at one ctx.Err() per slice.
 const sliceInsts = 64 << 10
 
-// fastForward runs one phase of the schedule, limit instructions on em
-// streamed into w (nil: unobserved), as slices of at most slice
-// instructions with ctx looked at before each. The code-line dedup state
-// carries from slice to slice, so w sees one stream however the phase is
-// cut: the slice size is not part of the captured bytes. It returns the
-// instructions executed, short of limit when the program halted or ctx was
-// cancelled.
+// fastForward runs limit instructions on em streamed into w (nil:
+// unobserved), as slices of at most slice instructions with ctx looked at
+// before each. The code-line dedup state carries from slice to slice, so
+// w sees one stream however the run is cut: the slice size is not part of
+// the captured bytes. It returns the instructions executed, short of limit
+// when the program halted or ctx was cancelled.
 func fastForward(ctx context.Context, em *emu.Emulator, limit uint64, w emu.Warmer, slice uint64) uint64 {
 	var n uint64
 	lastLine := emu.NoLine
@@ -357,27 +355,89 @@ func fastForward(ctx context.Context, em *emu.Emulator, limit uint64, w emu.Warm
 	return n
 }
 
-// captureSliced is the capture loop: one goroutine, the warm stream
-// delivered live through the Warmer interface, each phase cut into slices
-// of at most slice instructions (see fastForward).
-func captureSliced(ctx context.Context, em *emu.Emulator, w *warmer, p Params, set *Set, slice uint64) {
-	for i := 0; i < p.Count; i++ {
-		set.FFInsts += fastForward(ctx, em, p.Skip, nil, slice)
-		n := fastForward(ctx, em, p.Warm, w, slice)
-		set.FFInsts += n
-		set.WarmInsts += n
-		if ctx.Err() != nil || em.Done() {
-			return
-		}
-		set.Points = append(set.Points, snapshotPoint(em, w, set.FFInsts))
-		// Execute the window region functionally too (with warming): the
-		// detailed run covers it from the restored state, and the next
-		// checkpoint's state must include it.
-		n = fastForward(ctx, em, p.Window, w, slice)
-		set.FFInsts += n
-		set.WarmInsts += n
+// captureCore is one core of a capture pass: its emulator, the warmer its
+// stream feeds, its pace (see MultiSet.Pace; 1 for a lone core) and the
+// instructions it has executed so far.
+type captureCore struct {
+	em   *emu.Emulator
+	w    *warmer
+	pace float64
+	ff   uint64
+}
+
+// capture is the capture loop, for one core and for a co-scheduled
+// tuple: per window, every core runs its pace-scaled share of the skip
+// phase unobserved and of the warm phase into its warmer; then, unless ctx
+// was cancelled or a core's program halted (a lockstep window needs every
+// core live), snapshot is called; then the window phase runs warmed too,
+// since the detailed run covers it from the restored state and the next
+// point's state must include it. It returns the instructions streamed
+// through the warmers.
+func capture(ctx context.Context, cores []captureCore, p Params, slice uint64, snapshot func()) (warmed uint64) {
+	for k := 0; k < p.Count; k++ {
+		runPhase(ctx, cores, p.Skip, false, slice)
+		warmed += runPhase(ctx, cores, p.Warm, true, slice)
 		if ctx.Err() != nil {
-			return
+			return warmed
+		}
+		for i := range cores {
+			if cores[i].em.Done() {
+				return warmed
+			}
+		}
+		snapshot()
+		warmed += runPhase(ctx, cores, p.Window, true, slice)
+	}
+	return warmed
+}
+
+// runPhase moves every live core forward by its pace-scaled share of
+// insts, through fastForward in slices of at most slice instructions. With
+// more than one core a warmed phase goes round-robin in pace-scaled chunks
+// of interleaveChunk, so the shared LLC sees the streams mixed at the
+// co-run's rate ratio right up to the snapshot: scaling both the share and
+// the chunk, every core exhausts its share after the same number of
+// rounds. A lone core, and every unwarmed phase, runs the phase as one
+// chunk: the single-core code-line dedup state spans the phase, and
+// unwarmed streams cannot interact. It returns the instructions warmed.
+func runPhase(ctx context.Context, cores []captureCore, insts uint64, warm bool, slice uint64) (warmed uint64) {
+	left := make([]uint64, len(cores))
+	for i := range cores {
+		left[i] = scalePace(insts, cores[i].pace)
+	}
+	for advanced := true; advanced; {
+		advanced = false
+		for i := range cores {
+			c := &cores[i]
+			if left[i] == 0 || c.em.Done() {
+				continue
+			}
+			step := left[i]
+			var w emu.Warmer
+			if warm {
+				w = c.w
+				if len(cores) > 1 {
+					step = min(step, scalePace(interleaveChunk, c.pace))
+				}
+			}
+			done := fastForward(ctx, c.em, step, w, slice)
+			c.ff += done
+			if warm {
+				warmed += done
+			}
+			left[i] -= step
+			advanced = advanced || done > 0
 		}
 	}
+	return warmed
+}
+
+// captureSliced is the single-core capture: the one-core pass of capture,
+// each point the frontend plus a snapshot of every variant.
+func captureSliced(ctx context.Context, em *emu.Emulator, w *warmer, p Params, set *Set, slice uint64) {
+	cores := []captureCore{{em: em, w: w, pace: 1}}
+	set.WarmInsts += capture(ctx, cores, p, slice, func() {
+		set.Points = append(set.Points, &Point{CoreState: snapshotCore(em, w, cores[0].ff), Variants: w.snapshot()})
+	})
+	set.FFInsts += cores[0].ff
 }

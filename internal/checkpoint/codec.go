@@ -83,14 +83,7 @@ func EncodeSet(set *Set, key string) []byte {
 	var pw codec.Writer
 	dict := emu.NewPageDict()
 	for i, pt := range set.Points {
-		pw.Int(pt.PC)
-		for _, v := range pt.Regs {
-			pw.I64(v)
-		}
-		pw.U64(pt.FFInsts)
-		pt.BP.EncodeState(&pw)
-		pt.BTB.EncodeState(&pw)
-		pt.RAS.EncodeState(&pw)
+		encodeCore(&pw, &pt.CoreState)
 		names := make([]string, 0, len(pt.Variants))
 		for name := range pt.Variants {
 			names = append(names, name)
@@ -118,6 +111,36 @@ func EncodeSet(set *Set, key string) []byte {
 	encodeImageID(&w.Writer, set.Image, set.imageID)
 	w.U32(uint32(len(set.Points)))
 	return w.seal(dict, &pw)
+}
+
+// encodeCore writes the state every core of every point carries: pc,
+// regs, ffInsts, TAGE, BTB, RAS.
+func encodeCore(w *codec.Writer, cs *CoreState) {
+	w.Int(cs.PC)
+	for _, v := range cs.Regs {
+		w.I64(v)
+	}
+	w.U64(cs.FFInsts)
+	cs.BP.EncodeState(w)
+	cs.BTB.EncodeState(w)
+	cs.RAS.EncodeState(w)
+}
+
+// decodeCore reads into cs what encodeCore wrote.
+func decodeCore(p *codec.Reader, cs *CoreState) (err error) {
+	cs.PC = p.Int()
+	for j := range cs.Regs {
+		cs.Regs[j] = p.I64()
+	}
+	cs.FFInsts = p.U64()
+	if cs.BP, err = branch.DecodeTAGE(p); err != nil {
+		return err
+	}
+	if cs.BTB, err = branch.DecodeBTB(p); err != nil {
+		return err
+	}
+	cs.RAS, err = branch.DecodeRAS(p)
+	return err
 }
 
 // hierJSON is the form a set's hierarchy configuration is stored in.
@@ -229,18 +252,8 @@ func DecodeSet(data []byte, expectKey string) (*Set, error) {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		pt := &Point{PC: p.Int(), unattached: true}
-		for j := range pt.Regs {
-			pt.Regs[j] = p.I64()
-		}
-		pt.FFInsts = p.U64()
-		if pt.BP, err = branch.DecodeTAGE(p); err != nil {
-			return nil, fmt.Errorf("checkpoint: point %d: %w", i, err)
-		}
-		if pt.BTB, err = branch.DecodeBTB(p); err != nil {
-			return nil, fmt.Errorf("checkpoint: point %d: %w", i, err)
-		}
-		if pt.RAS, err = branch.DecodeRAS(p); err != nil {
+		pt := &Point{unattached: true}
+		if err := decodeCore(p, &pt.CoreState); err != nil {
 			return nil, fmt.Errorf("checkpoint: point %d: %w", i, err)
 		}
 		nv := int(p.U32())

@@ -166,12 +166,11 @@ func multiCapture(t *testing.T) *MultiSet {
 	mset, err := CaptureMultiContext(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEm, emu.New(stream, emu.NewMemory())},
-		cache.DefaultHierConfig(), 128, 4, 16, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
+		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
 		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 3}, []float64{1.0, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mset.PFKinds = []string{"bop", "none"} // the sim layer fills this in
 	return mset
 }
 

@@ -78,12 +78,11 @@ func tinyMultiSet(t testing.TB) *MultiSet {
 	chase, stream := chaseProgram(t), storeProgram(t)
 	set, err := CaptureMultiContext(context.Background(), []*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
-		tinyHier(), 16, 2, 4, []prefetch.Prefetcher{prefetch.NewStride(8), nil},
+		tinyHier(), 16, 2, 4, []string{"stride", "none"}, []prefetch.Prefetcher{prefetch.NewStride(8), nil},
 		Params{Skip: 10, Warm: 300, Window: 100, Count: 2}, []float64{1.0, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.PFKinds = []string{"stride", "none"}
 	set.HostNS = 1234
 	for i, pt := range set.Points {
 		for c, cs := range pt.Cores {

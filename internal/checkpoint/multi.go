@@ -45,13 +45,16 @@ const interleaveChunk = 4096
 // nothing).
 const minPace = 0.02
 
-// CoreState is one core's slice of a MultiPoint: architectural state
-// plus the prefetcher-independent warmed frontend structures, all
-// immutable templates after capture.
+// CoreState is one core's slice of a MultiPoint, and the core a Point
+// embeds: architectural state plus the prefetcher-independent warmed
+// frontend structures, all immutable templates after capture.
 type CoreState struct {
 	PC   int
 	Regs [isa.NumRegs]int64
-	Mem  *emu.Memory // copy-on-write snapshot, as Point.Mem
+	// Mem is a copy-on-write snapshot, never written directly. On a point
+	// of a decoded set it holds only the pages the run had written by this
+	// point, until the set's Attach lays them over the workload image.
+	Mem *emu.Memory
 
 	BP  *branch.TAGE
 	BTB *branch.BTB
@@ -186,8 +189,12 @@ func (s *MultiSet) Attach(images []*emu.Memory) error {
 	return nil
 }
 
-// scalePace returns insts scaled by the core's pace, floored at 1.
+// scalePace returns insts scaled by the core's pace, floored at 1; at pace
+// 1 it is insts exactly, with no round trip through float64.
 func scalePace(insts uint64, pace float64) uint64 {
+	if pace == 1 {
+		return insts
+	}
 	out := uint64(float64(insts)*pace + 0.5)
 	if out == 0 && insts > 0 {
 		out = 1
@@ -197,138 +204,55 @@ func scalePace(insts uint64, pace float64) uint64 {
 
 // CaptureMultiContext runs the co-scheduled functional pass over ems (one
 // emulator per core, positioned at its workload entry) and returns the
-// MultiSet for the given per-core schedule. One shared hierarchy is
-// warmed for the whole pass: skip phases advance cores without warming,
-// warm and window phases interleave the cores' streams in pace-scaled
-// round-robin slices so LLC insertions contend at the timed co-run's
-// rate ratio. pfs supplies one fresh prefetcher per core (nil for a core
-// that runs without one), trained in place against that core's view.
-// pace holds each core's relative co-run speed (nil = all 1.0; see
-// MultiSet.Pace); entries are clamped to [minPace, 1]. The pass looks at
-// ctx between interleave rounds, and on cancellation returns
-// (nil, ctx.Err()), the partial capture discarded.
-func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) (*MultiSet, error) {
+// MultiSet for the given per-core schedule: the n-core pass of capture.
+// One shared hierarchy is warmed for the whole pass: skip phases advance
+// cores without warming, warm and window phases interleave the cores'
+// streams in pace-scaled round-robin chunks so LLC insertions contend at
+// the timed co-run's rate ratio. pfs supplies one fresh prefetcher per
+// core (nil for a core that runs without one), trained in place against
+// that core's view, and pfKinds their names, which the set records as
+// PFKinds. pace holds each core's relative co-run speed (nil = all 1.0;
+// see MultiSet.Pace); entries are clamped to [minPace, 1]. The pass looks
+// at ctx before every chunk, and on cancellation returns (nil,
+// ctx.Err()), the partial capture discarded.
+func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfKinds []string, pfs []prefetch.Prefetcher, p Params, pace []float64) (*MultiSet, error) {
 	start := time.Now()
 	n := len(ems)
-	pc := make([]float64, n)
-	for i := range pc {
-		pc[i] = 1.0
-		if pace != nil {
-			pc[i] = pace[i]
-		}
-		if pc[i] > 1 || pc[i] != pc[i] { // also catches NaN
-			pc[i] = 1
-		}
-		if pc[i] < minPace {
-			pc[i] = minPace
-		}
-	}
 	sh := cache.NewSharedHierarchy(hcfg, n)
-	ws := make([]*warmer, n)
-	for i := range ws {
-		ws[i] = &warmer{
-			prog:     progs[i],
-			variants: []liveVariant{{hier: sh.Views[i], pf: pfs[i]}},
-			bp:       branch.NewTAGE(branch.DefaultTAGELogBase, branch.DefaultTAGELogTagged),
-			btb:      branch.NewBTB(btbEntries, btbWays),
-			ras:      branch.NewRAS(rasEntries),
-			shared:   true,
+	set := &MultiSet{Hier: hcfg, Cores: n, PFKinds: pfKinds, FFPerCore: make([]uint64, n),
+		Pace: make([]float64, n), WindowInsts: make([]uint64, n), Images: make([]*emu.Memory, n)}
+	cores := make([]captureCore, n)
+	for i, em := range ems {
+		pc := 1.0
+		if pace != nil {
+			pc = pace[i]
 		}
+		if pc > 1 || pc != pc { // also catches NaN
+			pc = 1
+		}
+		pc = max(pc, minPace)
+		set.Pace[i] = pc
+		set.WindowInsts[i] = scalePace(p.Window, pc)
+		set.Images[i] = em.Mem().Snapshot()
+		w := newWarmer(progs[i], btbEntries, btbWays, rasEntries)
+		w.variants = []liveVariant{{hier: sh.Views[i], pf: pfs[i]}}
+		w.shared = true
+		cores[i] = captureCore{em: em, w: w, pace: pc}
 	}
-	set := &MultiSet{Hier: hcfg, Cores: n, FFPerCore: make([]uint64, n),
-		Pace: pc, WindowInsts: make([]uint64, n), Images: make([]*emu.Memory, n)}
-	for i := range set.WindowInsts {
-		set.WindowInsts[i] = scalePace(p.Window, pc[i])
-		set.Images[i] = ems[i].Mem().Snapshot()
-	}
-
-	// advance moves every live core forward by its pace-scaled share of
-	// insts instructions, in pace-scaled round-robin chunks when warming
-	// (unwarmed skip phases cannot interact: they are cut at sliceInsts
-	// only so that ctx is looked at, once a round). Scaling both the
-	// budget and the chunk keeps every core's stream flowing for the whole
-	// phase: all cores exhaust their budgets after the same number of
-	// rounds, so the shared LLC sees a steady pace-ratio mix right up to
-	// the snapshot.
-	advance := func(insts uint64, warm bool) {
-		remaining := make([]uint64, n)
-		chunks := make([]uint64, n)
-		for i := range remaining {
-			remaining[i] = scalePace(insts, pc[i])
-			chunks[i] = sliceInsts
-			if warm {
-				chunks[i] = scalePace(interleaveChunk, pc[i])
-			}
-		}
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			advanced := false
-			for i, em := range ems {
-				if remaining[i] == 0 || em.Done() {
-					continue
-				}
-				step := chunks[i]
-				if step > remaining[i] {
-					step = remaining[i]
-				}
-				var done uint64
-				if warm {
-					done = em.FastForward(step, ws[i])
-					set.WarmInsts += done
-				} else {
-					done = em.FastForward(step, nil)
-				}
-				set.FFInsts += done
-				set.FFPerCore[i] += done
-				remaining[i] -= step
-				if done > 0 {
-					advanced = true
-				}
-			}
-			if !advanced {
-				return
-			}
-		}
-	}
-
-	for k := 0; k < p.Count; k++ {
-		advance(p.Skip, false)
-		advance(p.Warm, true)
-		if ctx.Err() != nil {
-			break
-		}
-		anyDone := false
-		for _, em := range ems {
-			if em.Done() {
-				anyDone = true
-			}
-		}
-		if anyDone {
-			break // a lockstep window needs every core live
-		}
+	set.WarmInsts = capture(ctx, cores, p, sliceInsts, func() {
 		pt := &MultiPoint{Hier: sh.CloneState(), Cores: make([]*CoreState, n)}
-		for i, em := range ems {
-			cs := &CoreState{
-				PC:      em.PC(),
-				Regs:    em.Regs(),
-				Mem:     em.Mem().Snapshot(),
-				BP:      ws[i].bp.Clone(),
-				BTB:     ws[i].btb.Clone(),
-				RAS:     ws[i].ras.Clone(),
-				FFInsts: set.FFPerCore[i],
+		for i := range cores {
+			cs := snapshotCore(cores[i].em, cores[i].w, cores[i].ff)
+			if pfs[i] != nil {
+				cs.PF = prefetch.Clone(pfs[i])
 			}
-			if pf := ws[i].variants[0].pf; pf != nil {
-				cs.PF = prefetch.Clone(pf)
-			}
-			pt.Cores[i] = cs
+			pt.Cores[i] = &cs
 		}
 		set.Points = append(set.Points, pt)
-		// Execute the window region functionally too (with warming): the
-		// detailed lockstep run covers it from the restored state, and the
-		// next checkpoint's shared-LLC content must include it.
-		advance(p.Window, true)
+	})
+	for i := range cores {
+		set.FFPerCore[i] = cores[i].ff
+		set.FFInsts += cores[i].ff
 	}
 	set.HostNS = time.Since(start).Nanoseconds()
 	if err := ctx.Err(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"crisp/internal/branch"
 	"crisp/internal/cache"
 	"crisp/internal/codec"
 	"crisp/internal/emu"
@@ -62,14 +61,7 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 	}
 	for i, pt := range set.Points {
 		for _, cs := range pt.Cores {
-			pw.Int(cs.PC)
-			for _, v := range cs.Regs {
-				pw.I64(v)
-			}
-			pw.U64(cs.FFInsts)
-			cs.BP.EncodeState(&pw)
-			cs.BTB.EncodeState(&pw)
-			cs.RAS.EncodeState(&pw)
+			encodeCore(&pw, cs)
 			prefetch.Encode(&pw, cs.PF)
 		}
 		pt.Hier.EncodeState(&pw)
@@ -172,18 +164,8 @@ func DecodeMultiSet(data []byte, expectKey string) (*MultiSet, error) {
 	for i := 0; i < n; i++ {
 		pt := &MultiPoint{Cores: make([]*CoreState, set.Cores), unattached: true}
 		for c := range pt.Cores {
-			cs := &CoreState{PC: p.Int()}
-			for j := range cs.Regs {
-				cs.Regs[j] = p.I64()
-			}
-			cs.FFInsts = p.U64()
-			if cs.BP, err = branch.DecodeTAGE(p); err != nil {
-				return nil, fmt.Errorf("checkpoint: point %d core %d: %w", i, c, err)
-			}
-			if cs.BTB, err = branch.DecodeBTB(p); err != nil {
-				return nil, fmt.Errorf("checkpoint: point %d core %d: %w", i, c, err)
-			}
-			if cs.RAS, err = branch.DecodeRAS(p); err != nil {
+			cs := &CoreState{}
+			if err := decodeCore(p, cs); err != nil {
 				return nil, fmt.Errorf("checkpoint: point %d core %d: %w", i, c, err)
 			}
 			if cs.PF, err = prefetch.Decode(p); err != nil {

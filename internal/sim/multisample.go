@@ -3,6 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"crisp/internal/cache"
@@ -10,6 +13,7 @@ import (
 	"crisp/internal/core"
 	"crisp/internal/dram"
 	"crisp/internal/emu"
+	"crisp/internal/ibda"
 	"crisp/internal/prefetch"
 	"crisp/internal/program"
 )
@@ -98,12 +102,11 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 
 	progs, ems, pfs, kinds := newEms()
 	set, err := checkpoint.CaptureMultiContext(ctx, progs, ems, cfgs[0].Hier,
-		cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, pfs,
+		cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, kinds, pfs,
 		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}, pace)
 	if err != nil {
 		return nil, err
 	}
-	set.PFKinds = kinds
 	set.Images = images
 	set.HostNS = time.Since(start).Nanoseconds()
 	return set, nil
@@ -140,9 +143,9 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 	}
 	var pace []float64
 	for iter := 0; iter < calMaxIters; iter++ {
-		progs, ems, pfs, _ := newEms()
+		progs, ems, pfs, kinds := newEms()
 		cal, err := checkpoint.CaptureMultiContext(ctx, progs, ems, cfgs[0].Hier,
-			cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, pfs,
+			cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, kinds, pfs,
 			checkpoint.Params{Warm: warm, Window: window, Count: 1}, pace)
 		if err != nil {
 			return nil, err
@@ -194,54 +197,85 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 }
 
 // RunMultiSampledContext executes a sampled co-scheduled simulation over
-// a previously captured MultiSet: it restores each aligned checkpoint
-// into a fresh detailed lockstep window — a clone of the
-// co-residency-warmed shared hierarchy, per-core emulators over copy-on-write memory forks, cloned
-// predictors and prefetchers — runs the cores to their pace-scaled
-// window budgets (set.WindowInsts) with core.RunMultiWindow, and
-// aggregates per core across windows exactly as the single-core sampled
-// path does (each core's windows are equal length, so per-core summing
-// is the weighted aggregate; shared-level stats sum the same way).
-// Budgets proportional to co-run speeds mean the cores finish each
-// window together: the windows measure the co-located phase itself, not
-// the solo drain a slow core would run after equal budgets let its
-// neighbours finish early. progs[i] must be position-identical to the
-// program core i was captured with. Runtime IBDA is rejected by MultiSpec.Validate — an
-// instance spans windows — so the windows are always independent and fan
-// out over the sampled worker pool; the merge runs in window-index
-// order, keeping the aggregate identical to a sequential execution.
+// a previously captured MultiSet: each aligned checkpoint restores into a
+// fresh detailed lockstep window — a clone of the co-residency-warmed
+// shared hierarchy, per-core emulators over copy-on-write memory forks,
+// cloned predictors and prefetchers — whose cores run to their
+// pace-scaled window budgets (set.WindowInsts), aggregated per core by
+// sampledWindows. Budgets proportional to co-run speeds mean the cores
+// finish each window together: the windows measure the co-located phase
+// itself, not the solo drain a slow core would run after equal budgets let
+// its neighbours finish early. progs[i] must be position-identical to the
+// program core i was captured with.
 func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs []*program.Program, cfgs []Config, s Sampling) (*MultiResult, error) {
 	n := set.Cores
 	if len(progs) != n || len(cfgs) != n {
 		return nil, fmt.Errorf("sim: %d-core checkpoint set, %d programs, %d configs", n, len(progs), len(cfgs))
 	}
+	budgets := make([]uint64, n)
 	for i := range cfgs {
 		if cfgs[i].Hier != set.Hier {
 			return nil, fmt.Errorf("sim: core %d config hierarchy geometry differs from the checkpoint set's", i)
-		}
-		if cfgs[i].IBDA != nil {
-			return nil, fmt.Errorf("sim: core %d uses runtime IBDA marking; sampled multi-core runs do not support it", i)
 		}
 		if set.PFKinds != nil && set.PFKinds[i] != cfgs[i].Prefetcher.String() {
 			return nil, fmt.Errorf("sim: checkpoint set warmed core %d for prefetcher %q, config wants %q (the prefetcher tuple is part of the capture)",
 				i, set.PFKinds[i], cfgs[i].Prefetcher.String())
 		}
+		budgets[i] = s.Window
+		if set.WindowInsts != nil {
+			budgets[i] = set.WindowInsts[i]
+		}
+	}
+	m, err := sampledWindows(ctx, len(set.Points), func(w int) (checkpoint.MultiRestored, error) {
+		return set.Points[w].Restore(progs)
+	}, progs, cfgs, budgets)
+	if err != nil {
+		return nil, err
+	}
+	for i, ff := range set.FFPerCore {
+		m.Cores[i].FFInsts = ff
+	}
+	m.FFInsts = set.FFInsts
+	m.HostFFNS = set.HostNS
+	return m, nil
+}
+
+// sampledWindows is the window runner of both sampled paths: it restores
+// each of points checkpoints (restore(w) clones point w) into a detailed
+// lockstep window whose core i runs budgets[i] instructions of progs[i]
+// under cfgs[i], and aggregates per core across windows — each core's
+// windows are equal length, so summing counters, breakdowns and histograms
+// is the weighted aggregate, and shared-level stats sum the same way. A
+// core under runtime IBDA keeps one instance across its windows: the
+// mechanism would have been learning continuously over the whole
+// execution, so then the windows run one after another in execution
+// order. Otherwise the windows are independent and fan out over GOMAXPROCS
+// workers. Either way the merge runs in window order, so the aggregate
+// (its float folds included) is a sequential execution's.
+func sampledWindows(ctx context.Context, points int, restore func(w int) (checkpoint.MultiRestored, error), progs []*program.Program, cfgs []Config, budgets []uint64) (*MultiResult, error) {
+	n := len(cfgs)
+	ibs := make([]*ibda.IBDA, n)
+	workers := runtime.GOMAXPROCS(0)
+	for i := range cfgs {
+		if cfgs[i].IBDA != nil {
+			ibs[i] = ibda.New(*cfgs[i].IBDA)
+			workers = 1
+		}
 	}
 	check := cancelCheck(ctx)
-
-	outs := make([]*MultiResult, len(set.Points))
-	err := fanOut(ctx, len(set.Points), func(w int) error {
-		st, err := set.Points[w].Restore(progs)
+	outs := make([]*MultiResult, points)
+	err := fanOut(ctx, points, workers, func(w int) error {
+		st, err := restore(w)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 		cores := make([]*core.Core, n)
-		for i := 0; i < n; i++ {
-			budget := s.Window
-			if set.WindowInsts != nil {
-				budget = set.WindowInsts[i]
+		for i := range cores {
+			var marker core.Marker
+			if ibs[i] != nil {
+				marker = attachIBDA(ibs[i], progs[i], st.Hier.Views[i])
 			}
-			cores[i] = windowCore(cfgs[i].Core, budget, progs[i], st, i, nil)
+			cores[i] = windowCore(cfgs[i].Core, budgets[i], progs[i], st, i, marker)
 		}
 		outs[w] = sharedResult(st.Hier, core.RunMultiWindow(cores, check))
 		return nil
@@ -251,9 +285,10 @@ func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs
 	}
 
 	m := &MultiResult{
-		Cores:       make([]*core.Result, n),
-		LLCPerCore:  make([]cache.Stats, n),
-		DRAMPerCore: make([]dram.Stats, n),
+		Cores:          make([]*core.Result, n),
+		LLCPerCore:     make([]cache.Stats, n),
+		DRAMPerCore:    make([]dram.Stats, n),
+		SampledWindows: points,
 	}
 	for _, out := range outs {
 		for i := 0; i < n; i++ {
@@ -273,13 +308,44 @@ func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs
 		if m.Cores[i] == nil {
 			m.Cores[i] = &core.Result{Loads: map[int]*core.LoadProf{}, Branches: map[int]*core.BranchProf{}}
 		}
-		m.Cores[i].SampledWindows = len(set.Points)
-		if set.FFPerCore != nil {
-			m.Cores[i].FFInsts = set.FFPerCore[i]
+		m.Cores[i].SampledWindows = points
+	}
+	return m, nil
+}
+
+// fanOut runs fn(i) for every i below n on at most workers goroutines —
+// a sampled run's detailed windows, each restoring from the read-only
+// checkpoint set into its own emulator, hierarchy and predictors. One
+// worker takes the windows in index order. It returns ctx's error
+// if ctx was cancelled (workers stop taking windows), else fn's
+// lowest-index error. Callers fill a slice by index and merge it in index
+// order afterwards, so the aggregate (including its float folds) is
+// identical to a sequential execution's whatever the completion order.
+func fanOut(ctx context.Context, n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	m.SampledWindows = len(set.Points)
-	m.FFInsts = set.FFInsts
-	m.HostFFNS = set.HostNS
-	return m, nil
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -212,21 +213,22 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 }
 
 // TestMultiSampledParallelMatchesSequential pins the window fan-out: the
-// lockstep windows are independent (IBDA is rejected), so the bounded
-// worker pool's window-index-order merge must reproduce the sequential
-// path exactly — per-core results and shared-level stats alike.
+// lockstep windows are independent (no core runs IBDA), so the
+// window-index-order merge of GOMAXPROCS 4 workers must reproduce the
+// one-worker run exactly — per-core results and shared-level stats alike.
 func TestMultiSampledParallelMatchesSequential(t *testing.T) {
 	set, progs, cfgs := captureMultiSmall(t)
-	run := func(workers int) *sim.MultiResult {
-		ctx := sim.WithWindowWorkers(context.Background(), workers)
-		m, err := sim.RunMultiSampledContext(ctx, set, progs, cfgs, multiSmallSchedule)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) *sim.MultiResult {
+		runtime.GOMAXPROCS(procs)
+		m, err := sim.RunMultiSampledContext(context.Background(), set, progs, cfgs, multiSmallSchedule)
 		if err != nil {
 			t.Fatal(err)
 		}
 		zeroHost(m)
 		return m
 	}
-	seq, par := run(1), run(3)
+	seq, par := run(1), run(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("parallel sampled multi run diverged from sequential:\n  core0 cycles %d vs %d\n  core1 cycles %d vs %d\n  llc %+v vs %+v",
 			seq.Cores[0].Cycles, par.Cores[0].Cycles,
@@ -270,8 +272,8 @@ func TestMultiSampledSharedSet(t *testing.T) {
 }
 
 // TestMultiSampledRejections pins the clean-error paths: geometry
-// mismatch, prefetcher-tuple mismatch (the tuple is part of the
-// capture) and runtime IBDA all reject instead of running wrong.
+// mismatch and prefetcher-tuple mismatch (the tuple is part of the
+// capture) reject instead of running wrong.
 func TestMultiSampledRejections(t *testing.T) {
 	set, progs, cfgs := captureMultiSmall(t)
 

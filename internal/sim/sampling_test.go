@@ -4,10 +4,14 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"crisp/internal/core"
+	"crisp/internal/crisp"
+	"crisp/internal/ibda"
+	"crisp/internal/program"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
@@ -90,8 +94,8 @@ func TestSampledDeterminism(t *testing.T) {
 }
 
 // TestSampledParallelMatchesSequential pins the window fan-out: without
-// IBDA the per-window loop runs on a bounded worker set, and its
-// window-index-order merge must reproduce the sequential path exactly —
+// IBDA the windows run on GOMAXPROCS workers, and their window-index-order
+// merge under GOMAXPROCS 4 must reproduce the one-worker run exactly —
 // including the order-sensitive float folds (DRAMAvgLat) and the UPC
 // timeline concatenation.
 func TestSampledParallelMatchesSequential(t *testing.T) {
@@ -102,9 +106,10 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := w.Build(workload.Ref).Prog
-	run := func(workers int) *core.Result {
-		ctx := sim.WithWindowWorkers(context.Background(), workers)
-		r, err := sim.RunSampledContext(ctx, set, prog, sim.DefaultConfig(), sched)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) *core.Result {
+		runtime.GOMAXPROCS(procs)
+		r, err := sim.RunSampledContext(context.Background(), set, prog, sim.DefaultConfig(), sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +119,78 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 		r.HostNS, r.HostAllocs = 0, 0
 		return r
 	}
-	seq, par := run(1), run(3)
+	seq, par := run(1), run(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Errorf("parallel sampled run diverged from sequential:\n  cycles %d vs %d\n  insts %d vs %d\n  dram_avg_lat %v vs %v\n  upcwindows %d vs %d",
 			seq.Cycles, par.Cycles, seq.Insts, par.Insts,
 			seq.DRAMAvgLat, par.DRAMAvgLat, len(seq.UPCWindows), len(par.UPCWindows))
+	}
+}
+
+// TestSampledMatchesOracle: a single-core sampled run is the one-core run
+// of the shared window runner, and gives what the runner it replaced
+// (sim.RefRunSampledContext, kept verbatim) gave, every simulated field
+// alike. Six kernels, one set each, run under ooo, the CRISP scheduler
+// over the kernel's tagged program, and IBDA with a 1K and an unbounded
+// IST, each with bop+stream and with stride, under GOMAXPROCS 4 so that
+// windows fan out even on a small host. Letting IBDA windows fan out, or
+// merging the windows out of order, fails it.
+func TestSampledMatchesOracle(t *testing.T) {
+	sched := sim.Sampling{Warm: 20_000, Window: 5_000, Count: 4}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	scrub := func(r *core.Result) *core.Result {
+		r.HostNS, r.HostAllocs = 0, 0
+		return r
+	}
+	var tagged, marked int
+	for _, name := range []string{"mcf", "lbm", "moses", "pointerchase", "memcached", "bwaves"} {
+		w := workload.ByName(name)
+		set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acfg := sim.DefaultConfig()
+		acfg.Core.MaxInsts = 60_000
+		pipe := sim.AnalyzeTrain(w.Build(workload.Train), w.Build(workload.Train), acfg, crisp.DefaultOptions())
+		prog := w.Build(workload.Ref).Prog
+		tagged += len(pipe.Analysis.CriticalPCs)
+		for _, pf := range []sim.PrefetcherKind{sim.PFBOPStream, sim.PFStride} {
+			base := sim.DefaultConfig()
+			base.Prefetcher = pf
+			ibda1K, ibdaInf := base.WithSched(core.SchedCRISP), base.WithSched(core.SchedCRISP)
+			ibda1K.IBDA = &ibda.Config{ISTEntries: 1024, ISTWays: 4, DLTEntries: 32}
+			ibdaInf.IBDA = &ibda.Config{DLTEntries: 32}
+			for _, tc := range []struct {
+				what string
+				prog *program.Program
+				cfg  sim.Config
+			}{
+				{"ooo", prog, base},
+				{"crisp", pipe.Analysis.Apply(prog), base.WithSched(core.SchedCRISP)},
+				{"ibda-1k", prog, ibda1K},
+				{"ibda-inf", prog, ibdaInf},
+			} {
+				want, err := sim.RefRunSampledContext(context.Background(), set, tc.prog, tc.cfg, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sim.RunSampledContext(context.Background(), set, tc.prog, tc.cfg, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.cfg.IBDA != nil {
+					marked += int(got.IssuedCritical)
+				}
+				if !reflect.DeepEqual(scrub(got), scrub(want)) {
+					t.Errorf("%s %s %v: %d cycles, %d insts, the oracle %d cycles, %d insts",
+						name, tc.what, pf, got.Cycles, got.Insts, want.Cycles, want.Insts)
+				}
+			}
+		}
+	}
+	if tagged == 0 || marked == 0 {
+		t.Errorf("%d critical PCs tagged, %d IBDA-marked issues: the crisp and ibda cases compare nothing", tagged, marked)
 	}
 }
 

@@ -214,77 +214,28 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 }
 
 // RunSampledContext executes a sampled simulation of prog under cfg over a
-// previously captured checkpoint set: it restores each checkpoint into a
-// fresh detailed window (cloned warmed hierarchy and predictors, copy-on-write memory fork,
-// per-config prefetcher/IBDA attachments) of Window instructions under
-// cfg, and aggregates the per-window results into one weighted
-// core.Result: windows are equal-length, so summing counters, breakdowns
-// and histograms is the weighted aggregate. prog must be position-
-// identical to the program the set was captured from (a critical-tagged
-// clone qualifies). The set is only read, never mutated, so any number of
-// configs may run over it concurrently.
+// previously captured checkpoint set: the one-core run of sampledWindows,
+// each checkpoint restored into a fresh detailed window (cloned warmed
+// hierarchy and predictors of cfg's prefetcher variant, copy-on-write
+// memory fork, per-config IBDA attachment) of Window instructions under
+// cfg, the window results aggregated into one weighted core.Result. prog
+// must be position-identical to the program the set was captured from (a
+// critical-tagged clone qualifies). The set is only read, never mutated,
+// so any number of configs may run over it concurrently.
 func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.Program, cfg Config, s Sampling) (*core.Result, error) {
 	if set.Hier != cfg.Hier {
 		return nil, fmt.Errorf("sim: checkpoint set warmed with different hierarchy geometry than the run config")
 	}
-	check := cancelCheck(ctx)
-	results := make([]*core.Result, len(set.Points))
-	if cfg.IBDA != nil {
-		// One IBDA instance spans the windows: the runtime mechanism would
-		// have been learning continuously across the whole execution, so
-		// the windows must run sequentially in execution order.
-		ib := ibda.New(*cfg.IBDA)
-		for i, pt := range set.Points {
-			r, err := runWindow(pt, prog, cfg, s.Window, ib, check)
-			if err != nil {
-				return nil, err
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-	} else {
-		// Without cross-window state the windows are independent.
-		err := fanOut(ctx, len(set.Points), func(i int) (err error) {
-			results[i], err = runWindow(set.Points[i], prog, cfg, s.Window, nil, check)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var agg *core.Result
-	for _, r := range results {
-		if agg == nil {
-			agg = r
-		} else {
-			agg.Merge(r)
-		}
-	}
-	if agg == nil {
-		agg = &core.Result{Loads: map[int]*core.LoadProf{}, Branches: map[int]*core.BranchProf{}}
-	}
-	agg.SampledWindows = len(set.Points)
-	agg.FFInsts = set.FFInsts
-	agg.HostFFNS = set.HostNS
-	return agg, nil
-}
-
-// runWindow restores one checkpoint into a fresh one-core lockstep window
-// (cloned warmed hierarchy and predictors, copy-on-write memory fork) and
-// runs Window instructions of it under cfg. ib may be nil; when set, the
-// caller is responsible for running windows sequentially.
-func runWindow(pt *checkpoint.Point, prog *program.Program, cfg Config, window uint64, ib *ibda.IBDA, check func() bool) (*core.Result, error) {
-	st, err := pt.Restore(prog, cfg.Prefetcher.String())
+	m, err := sampledWindows(ctx, len(set.Points), func(w int) (checkpoint.MultiRestored, error) {
+		return set.Points[w].Restore(prog, cfg.Prefetcher.String())
+	}, []*program.Program{prog}, []Config{cfg}, []uint64{s.Window})
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return nil, err
 	}
-	var marker core.Marker
-	if ib != nil {
-		marker = attachIBDA(ib, prog, st.Hier.Views[0])
-	}
-	return core.RunMultiWindow([]*core.Core{windowCore(cfg.Core, window, prog, st, 0, marker)}, check)[0], nil
+	r := m.Cores[0]
+	r.FFInsts = set.FFInsts
+	r.HostFFNS = set.HostNS
+	return r, nil
 }
 
 // windowCore builds core i of one restored detailed window: ccfg with the
