@@ -28,11 +28,12 @@ import (
 // covers the payload, so a torn or bit-flipped entry decodes to a clean
 // error — callers treat that as a miss, delete the file and recapture.
 //
-// Payload (version 2):
+// Payload (version 3; page numbers, imagePages and the dict's pages are in
+// units of emu.PageSize, so a page-size change is a version change):
 //
 //	string hierJSON | u64 ffInsts | i64 hostNS |
 //	u64 imagePages | u32 imageSum | u32 pointCount |
-//	page dict (u32 count, raw 4 KiB pages) |
+//	page dict (u32 count, raw pages) |
 //	per point: pc, regs, ffInsts, TAGE, BTB, RAS,
 //	           u32 variantCount, per variant (sorted by name):
 //	               string name | hierarchy | prefetcher |
@@ -70,7 +71,7 @@ import (
 
 const (
 	codecMagic   = "CRSPCKP1"
-	codecVersion = 2
+	codecVersion = 3
 )
 
 // maxPoints bounds the decoded point count (a schedule has tens of

@@ -15,7 +15,7 @@ import (
 // length over the payload) under its own magic so a multi-set file can
 // never decode as a single-core set or vice versa.
 //
-// Payload (version 2):
+// Payload (version 3; pages counted as in the single-core container):
 //
 //	string hierJSON | u32 cores | per core: string pfKind |
 //	per core: f64 pace | per core: u64 windowInsts |
@@ -38,7 +38,7 @@ import (
 
 const (
 	multiCodecMagic   = "CRSPMCK1"
-	multiCodecVersion = 2
+	multiCodecVersion = 3
 )
 
 // maxMultiCores bounds the decoded core count (sim.MaxCores is 8; the

@@ -6,9 +6,11 @@
 package emu
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"crisp/internal/isa"
@@ -28,68 +30,80 @@ type DynInst struct {
 }
 
 const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
+	// A page is 1 KiB; 256 translations keep the 256 KiB reach (DESIGN.md).
+	pageShift = 10
+	PageSize  = 1 << pageShift // bytes in a page, the unit Pages counts in
+	pageSize  = PageSize
 	pageMask  = pageSize - 1
+
+	groupShift = 6 // a page-table entry is a group of 64 pages
+	groupMask  = 1<<groupShift - 1
 
 	// pcacheSize is the direct-mapped page-translation cache in front of
 	// the page tables. Must be a power of two.
-	pcacheSize = 64
+	pcacheSize = 256
 	pcacheMask = pcacheSize - 1
 )
 
 // page is one page of backing storage.
 type page = [pageSize]byte
 
+// group is a page-table entry; owned bit i marks pages[i] private.
+type group struct {
+	pages [1 << groupShift]*page // nil = unbacked
+	owned uint64
+}
+
+// translation is a translation-cache entry; its tag is (pn+1)<<1 |
+// writable, 0 when invalid.
+type translation struct {
+	tag uint64
+	pg  *page
+}
+
 // Memory is a sparse, paged byte-addressable memory. The zero value is
 // ready to use. Reads of unbacked addresses return zero.
 //
 // A memory is a frozen base page table plus a private overlay. The base
-// (map and pages alike) is shared with every fork and never mutated once
-// it is shared; the overlay holds the pages this memory has written since
-// its last fork and shadows the base. Snapshot folds the overlay into a
-// new base and hands the fork a pointer to it, so forking a clean memory
-// — a checkpoint image, a workload's pristine image — is O(1) and needs
-// no lock, and checkpointed state stays pristine while the emulator and
-// restored runs keep executing.
+// (table, groups and pages alike) is shared with every fork and never
+// mutated once it is shared; the overlay holds copies of the groups this
+// memory has written since its last fork and shadows the base. Snapshot
+// folds the overlay into a new base and hands the fork a pointer to it,
+// so forking a clean memory is O(1) and needs no lock, and checkpointed
+// state stays pristine while the emulator and restored runs execute.
 //
 // Page translation is served by a last-page register per direction and a
-// small direct-mapped cache whose tags carry a writable bit, so the
-// common sequential- and strided-access cases skip hashing entirely and
+// direct-mapped cache, allocated at the first translation, whose tags
+// carry a writable bit: sequential and strided accesses skip hashing and
 // a store to an already-private page never consults a map. Pages are
-// never deallocated; a translation changes only when a store privatises
-// the page (pageW refreshes it) or a fork freezes it (Snapshot clears the
-// writable bits).
+// never freed: only a store privatising a page (pageW refreshes its
+// translation) or a fork (Snapshot drops the cache) changes one.
 type Memory struct {
-	base *frozen          // shared with forks; nil = no page
-	own  map[uint64]*page // private: written since the last fork
+	base *frozen           // shared with forks; nil = no page
+	own  map[uint64]*group // private: groups written since the last fork
+	grew []uint64          // own's groups the base lacks
 
 	lastPN, lastWPN uint64 // last page read, last page written
 	lastPg, lastWPg *page
 
-	pcacheTag [pcacheSize]uint64 // (pn+1)<<1 | writable; 0 = invalid
-	pcachePg  [pcacheSize]*page
+	pcache *[pcacheSize]translation
 }
 
 // frozen is a page table no memory writes any more: the base of every
 // fork taken since it was built. Being immutable and shared by identity,
 // it is also where a fact about its contents is worth keeping (see ID).
 type frozen struct {
-	pages  map[uint64]*page
+	groups map[uint64]*group
+	gns    []uint64 // the groups' numbers, ascending
 	idOnce sync.Once
 	id     ImageID
 }
 
-// table returns the frozen pages; a nil base holds none.
-func (f *frozen) table() map[uint64]*page {
-	if f == nil {
-		return nil
-	}
-	return f.pages
-}
+// noPages is the table of a memory that has never been frozen.
+var noPages = &frozen{groups: map[uint64]*group{}}
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory { return &Memory{own: make(map[uint64]*page)} }
+func NewMemory() *Memory { return &Memory{} }
 
 // Snapshot forks the memory copy-on-write and returns the fork. Both
 // sides share every page until one of them writes it, which copies it
@@ -99,28 +113,45 @@ func NewMemory() *Memory { return &Memory{own: make(map[uint64]*page)} }
 // A clean memory (nothing written since it was forked, decoded or last
 // snapshotted) is not mutated: the fork costs one allocation whatever the
 // page count, and concurrent Snapshot calls on one clean memory are safe.
-// A dirty memory first builds one merged table, O(resident pages).
+// A dirty memory first builds one merged table, O(resident groups).
 func (m *Memory) Snapshot() *Memory {
 	if len(m.own) != 0 {
-		m.base, m.own, m.lastWPg = &frozen{pages: m.table()}, nil, nil
-		for i := range m.pcacheTag {
-			m.pcacheTag[i] &^= 1
-		}
+		m.base, m.own, m.grew, m.lastWPg, m.pcache = m.table(), nil, nil, nil, nil
 	}
 	return &Memory{base: m.base}
 }
 
 // table returns the whole page table: the base itself when the memory is
-// clean, else a merged copy. Callers must not mutate it.
-func (m *Memory) table() map[uint64]*page {
-	base := m.base.table()
+// clean, else a merged copy that shares every group the overlay did not
+// copy. Callers must not mutate it.
+func (m *Memory) table() *frozen {
+	base := cmp.Or(m.base, noPages)
 	if len(m.own) == 0 {
 		return base
 	}
-	t := make(map[uint64]*page, len(base)+len(m.own))
-	maps.Copy(t, base)
-	maps.Copy(t, m.own)
+	t := &frozen{groups: maps.Clone(base.groups), gns: slices.Concat(base.gns, m.grew)}
+	maps.Copy(t.groups, m.own)
+	slices.Sort(t.gns)
 	return t
+}
+
+// ownGroup returns the overlay's group gn, copying it from the base (or
+// starting an empty one) at the first write to it since the last fork.
+func (m *Memory) ownGroup(gn uint64) *group {
+	if g := m.own[gn]; g != nil {
+		return g
+	}
+	g := new(group)
+	if b := cmp.Or(m.base, noPages).groups[gn]; b != nil {
+		g.pages = b.pages
+	} else {
+		m.grew = append(m.grew, gn)
+	}
+	if m.own == nil {
+		m.own = make(map[uint64]*group)
+	}
+	m.own[gn] = g
+	return g
 }
 
 // page resolves addr's page for reading; nil if unbacked (not cached: the
@@ -130,48 +161,55 @@ func (m *Memory) page(addr uint64) *page {
 	if m.lastPg != nil && m.lastPN == pn {
 		return m.lastPg
 	}
-	idx := pn & pcacheMask
-	p := m.pcachePg[idx]
-	if m.pcacheTag[idx]>>1 != pn+1 {
-		w := uint64(1)
-		if p = m.own[pn]; p == nil {
-			if p = m.base.table()[pn]; p == nil {
-				return nil
-			}
-			w = 0
+	if m.pcache == nil {
+		m.pcache = new([pcacheSize]translation)
+	}
+	t := &m.pcache[pn&pcacheMask]
+	p := t.pg
+	if t.tag>>1 != pn+1 {
+		g, w := m.own[pn>>groupShift], uint64(0)
+		if g != nil {
+			w = g.owned >> (pn & groupMask) & 1
+		} else if g = cmp.Or(m.base, noPages).groups[pn>>groupShift]; g == nil {
+			return nil
 		}
-		m.pcacheTag[idx], m.pcachePg[idx] = (pn+1)<<1|w, p
+		if p = g.pages[pn&groupMask]; p == nil {
+			return nil
+		}
+		*t = translation{(pn+1)<<1 | w, p}
 	}
 	m.lastPN, m.lastPg = pn, p
 	return p
 }
 
 // pageW resolves addr's page for writing. Only a store's first touch of a
-// page since the last fork reaches the maps: it allocates the page, or
-// copies the frozen one into the overlay, and repoints the read
-// translations so no stale shared pointer is read after the write.
+// page since the last fork reaches the maps: it takes the page's group
+// into the overlay, allocates the page or copies the frozen one, and
+// repoints the read translations so no stale shared pointer is read after
+// the write.
 func (m *Memory) pageW(addr uint64) *page {
 	pn := addr >> pageShift
 	if m.lastWPg != nil && m.lastWPN == pn {
 		return m.lastWPg
 	}
-	idx := pn & pcacheMask
-	p := m.pcachePg[idx]
-	if m.pcacheTag[idx] != (pn+1)<<1|1 {
-		if p = m.own[pn]; p == nil {
+	if m.pcache == nil {
+		m.pcache = new([pcacheSize]translation)
+	}
+	t := &m.pcache[pn&pcacheMask]
+	p := t.pg
+	if t.tag != (pn+1)<<1|1 {
+		g, i := m.ownGroup(pn>>groupShift), pn&groupMask
+		if p = g.pages[i]; g.owned>>i&1 == 0 {
 			p = new(page)
-			if b := m.base.table()[pn]; b != nil {
+			if b := g.pages[i]; b != nil {
 				*p = *b
 			}
-			if m.own == nil {
-				m.own = make(map[uint64]*page)
-			}
-			m.own[pn] = p
+			g.pages[i], g.owned = p, g.owned|1<<i
 			if m.lastPN == pn {
 				m.lastPg = p
 			}
 		}
-		m.pcacheTag[idx], m.pcachePg[idx] = (pn+1)<<1|1, p
+		*t = translation{(pn+1)<<1 | 1, p}
 	}
 	m.lastWPN, m.lastWPg = pn, p
 	return p
@@ -273,7 +311,7 @@ func (m *Memory) writeByte(addr uint64, b byte) {
 }
 
 // Pages returns the number of resident pages (for footprint reporting).
-func (m *Memory) Pages() int { return len(m.table()) }
+func (m *Memory) Pages() int { return int(m.ID().Pages) }
 
 // Emulator executes a program functionally, one instruction per Step.
 type Emulator struct {

@@ -10,7 +10,7 @@ import (
 
 func TestMemoryRoundTrip(t *testing.T) {
 	m := NewMemory()
-	addrs := []uint64{0, 8, 4096, 4090, 1 << 40, (1 << 40) + 4093}
+	addrs := []uint64{0, 8, pageSize, pageSize - 6, 1 << 40, 1<<40 + pageSize - 3}
 	for i, a := range addrs {
 		want := int64(0x0102030405060708)*int64(i+1) - 7
 		m.WriteWord(a, want)
@@ -45,11 +45,57 @@ func TestMemoryRoundTripQuick(t *testing.T) {
 func TestMemoryPageStraddle(t *testing.T) {
 	m := NewMemory()
 	// A write straddling a page boundary must not clobber neighbours.
-	m.WriteWord(4096-8, 0x1111111111111111)
-	m.WriteWord(4096-4, -1)
-	m.WriteWord(4096+4, 0x2222222222222222)
-	if got := m.ReadWord(4096 - 4); got != -1 {
+	m.WriteWord(pageSize-8, 0x1111111111111111)
+	m.WriteWord(pageSize-4, -1)
+	m.WriteWord(pageSize+4, 0x2222222222222222)
+	if got := m.ReadWord(pageSize - 4); got != -1 {
 		t.Errorf("straddle read = %#x", got)
+	}
+}
+
+// TestMemoryStraddleOffFourKiB: words that straddle a page boundary which
+// is not a 4 KiB boundary (1020 with 1 KiB pages) — one read and written a
+// word at a time, a run written and read in one call, and a fork written
+// across the boundary — so that an access path still assuming 4 KiB pages
+// fails here instead of passing on boundaries both sizes share.
+func TestMemoryStraddleOffFourKiB(t *testing.T) {
+	const a = pageSize - 4
+	if (a+4)%4096 == 0 {
+		t.Fatalf("page boundary %d is a 4 KiB boundary", a+4)
+	}
+	m := NewMemory()
+	m.WriteWord(a, 0x0102030405060708)
+	if got := m.ReadWord(a); got != 0x0102030405060708 {
+		t.Errorf("ReadWord(%d) = %#x", a, got)
+	}
+	if got := m.ReadWord(pageSize); got != 0x01020304 {
+		t.Errorf("the word's high half reads %#x at the next page", got)
+	}
+	if m.Pages() != 2 {
+		t.Errorf("a straddling word backs %d pages, want 2", m.Pages())
+	}
+
+	vals := []int64{-1, -2, -3}
+	m.WriteWords(a-8, vals)
+	got := make([]int64, len(vals))
+	m.ReadWords(a-8, got)
+	for i, v := range vals {
+		if got[i] != v || m.ReadWord(a-8+uint64(8*i)) != v {
+			t.Errorf("word %d: ReadWords %d, ReadWord %d; want %d", i, got[i], m.ReadWord(a-8+uint64(8*i)), v)
+		}
+	}
+
+	image := m.Snapshot()
+	fork := image.Snapshot()
+	fork.WriteWord(a, 7)
+	if got := fork.ReadWord(a); got != 7 {
+		t.Errorf("fork reads %d after its straddling write, want 7", got)
+	}
+	if got := fork.ReadWord(a + 8); got != -3 {
+		t.Errorf("fork's next word = %d, want -3", got)
+	}
+	if got := image.ReadWord(a); got != -2 {
+		t.Errorf("the fork's straddling write leaked into its image: %d", got)
 	}
 }
 

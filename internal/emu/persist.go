@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"maps"
-	"slices"
 
 	"crisp/internal/codec"
 )
@@ -55,21 +53,23 @@ func (m *Memory) EncodeState(w *codec.Writer, d *PageDict, image *Memory) {
 		w.U64(0)
 		return
 	}
-	pages := m.table()
-	var held map[uint64]*page
+	t := m.table()
+	held := noPages
 	if image != nil {
 		held = image.table()
 	}
 	var pns []uint64
-	for pn, p := range pages {
-		if held[pn] != p {
-			pns = append(pns, pn)
+	for _, gn := range t.gns {
+		h := held.groups[gn]
+		for i, p := range t.groups[gn].pages {
+			if p != nil && (h == nil || h.pages[i] != p) {
+				pns = append(pns, gn<<groupShift|uint64(i))
+			}
 		}
 	}
-	slices.Sort(pns)
 	w.U64(uint64(len(pns)))
 	for _, pn := range pns {
-		p := pages[pn]
+		p := t.groups[pn>>groupShift].pages[pn&groupMask]
 		idx, ok := d.index[p]
 		if !ok {
 			idx = uint32(len(d.pages))
@@ -131,7 +131,7 @@ func DecodeMemory(r *codec.Reader, d *PageDict) (*Memory, error) {
 	if max := uint64(r.Remaining() / entrySize); n > max {
 		return nil, fmt.Errorf("emu: page table claims %d entries, only %d encoded", n, max)
 	}
-	pages := make(map[uint64]*page, n)
+	m := &Memory{}
 	var last uint64
 	for i := uint64(0); i < n; i++ {
 		pn := r.U64()
@@ -149,26 +149,28 @@ func DecodeMemory(r *codec.Reader, d *PageDict) (*Memory, error) {
 		if int(idx) == d.used {
 			d.used++
 		}
-		pages[pn], last = d.pages[idx], pn
+		m.ownGroup(pn >> groupShift).pages[pn&groupMask], last = d.pages[idx], pn
 	}
-	return &Memory{base: &frozen{pages: pages}}, nil
+	return m.Snapshot(), nil
 }
 
 // Overlay returns a clean memory reading as image with private's pages
 // laid over it, the inverse of encoding a memory over image. When private
 // holds no page the result shares image's frozen table and costs one
 // allocation whatever the page count; otherwise it costs one table of
-// image's size, and no page is copied either way. image is forked as by
-// Snapshot; private must be clean (a DecodeMemory result is).
+// image's size in groups, and no page is copied either way. image is
+// forked as by Snapshot; private must be clean (a DecodeMemory result is).
 func Overlay(image, private *Memory) *Memory {
-	m := image.Snapshot()
-	if over := private.table(); len(over) != 0 {
-		under := m.base.table()
-		t := make(map[uint64]*page, len(under)+len(over))
-		maps.Copy(t, under)
-		maps.Copy(t, over)
-		m.base = &frozen{pages: t}
+	m, over := image.Snapshot(), private.table()
+	for _, gn := range over.gns {
+		g := m.ownGroup(gn)
+		for i, p := range over.groups[gn].pages {
+			if p != nil {
+				g.pages[i] = p
+			}
+		}
 	}
+	m.base, m.own, m.grew = m.table(), nil, nil // a fresh fork: no translation yet
 	return m
 }
 
@@ -179,8 +181,8 @@ type ImageID struct {
 	Sum   uint32
 }
 
-// ID returns m's ImageID. Computing one reads every resident page, at
-// memory bandwidth: 16 ms for bwaves's 67 MB. A clean memory keeps the
+// ID returns m's ImageID, reading every resident page at memory bandwidth
+// (1.6 ms for bwaves's 17 MB, 2.1 GHz Xeon). A clean memory keeps the
 // result on its frozen page table, which every fork of it shares, so each
 // image a workload memoises is summed once per process however many sets
 // are encoded over it or attached to it; concurrent calls are safe.
@@ -188,22 +190,22 @@ func (m *Memory) ID() ImageID {
 	if len(m.own) != 0 || m.base == nil {
 		return sumPages(m.table())
 	}
-	m.base.idOnce.Do(func() { m.base.id = sumPages(m.base.pages) })
+	m.base.idOnce.Do(func() { m.base.id = sumPages(m.base) })
 	return m.base.id
 }
 
-func sumPages(pages map[uint64]*page) ImageID {
-	pns := make([]uint64, 0, len(pages))
-	for pn := range pages {
-		pns = append(pns, pn)
-	}
-	slices.Sort(pns)
-	id := ImageID{Pages: uint64(len(pns))}
+func sumPages(t *frozen) ImageID {
+	var id ImageID
 	var num [8]byte
-	for _, pn := range pns {
-		binary.LittleEndian.PutUint64(num[:], pn)
-		id.Sum = crc32.Update(id.Sum, crc32.IEEETable, num[:])
-		id.Sum = crc32.Update(id.Sum, crc32.IEEETable, pages[pn][:])
+	for _, gn := range t.gns {
+		for i, p := range t.groups[gn].pages {
+			if p != nil {
+				id.Pages++
+				binary.LittleEndian.PutUint64(num[:], gn<<groupShift|uint64(i))
+				id.Sum = crc32.Update(id.Sum, crc32.IEEETable, num[:])
+				id.Sum = crc32.Update(id.Sum, crc32.IEEETable, p[:])
+			}
+		}
 	}
 	return id
 }

@@ -14,9 +14,10 @@ import (
 // verbatim: the whole page table, every page interned. It is the reference
 // for what a memory's state is — two memories with the same bytes here
 // (against one dict) hold the same pages with the same sharing — and what
-// EncodeState over a nil image must still write.
+// EncodeState over a nil image must still write. It reads the page
+// table as the flat map it was then (flatTable).
 func refEncodeMemory(m *Memory, w *codec.Writer, d *PageDict) {
-	pages := m.table()
+	pages := flatTable(m)
 	pns := make([]uint64, 0, len(pages))
 	for pn := range pages {
 		pns = append(pns, pn)
@@ -34,6 +35,20 @@ func refEncodeMemory(m *Memory, w *codec.Writer, d *PageDict) {
 		w.U64(pn)
 		w.U32(idx)
 	}
+}
+
+// flatTable returns m's page table keyed by page number.
+func flatTable(m *Memory) map[uint64]*page {
+	pages := map[uint64]*page{}
+	t := m.table()
+	for _, gn := range t.gns {
+		for i, p := range t.groups[gn].pages {
+			if p != nil {
+				pages[gn<<groupShift|uint64(i)] = p
+			}
+		}
+	}
+	return pages
 }
 
 // TestPageDictSharing: memories forked copy-on-write must intern their

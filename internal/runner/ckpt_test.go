@@ -177,11 +177,13 @@ func TestWrongImageIsRecaptured(t *testing.T) {
 	}
 }
 
-// TestStoreVersion1IsAMiss: a file written by the version-1 codec (every
-// page of every point, 26-byte lines) must not reach the version-2
-// decoder's payload parser. The version field sits outside the CRC, so a
-// well-formed file with the old number in it stands in for one; it is a
-// miss, deleted like any entry the reader cannot use. Same for a multi-set.
+// TestStoreVersion1IsAMiss: a file written by an older codec — version 1
+// (every page of every point, 26-byte lines), version 2 (4 KiB pages) —
+// must not reach the current decoder's payload parser. The version field
+// sits outside the CRC, so a well-formed file with an old number in it
+// stands in for one; it is a miss, deleted like any entry the reader
+// cannot use. Every version below the one the encoder writes is planted,
+// so the test follows the next bump. Same for a multi-set.
 func TestStoreVersion1IsAMiss(t *testing.T) {
 	s, err := NewStore(t.TempDir())
 	if err != nil {
@@ -215,16 +217,19 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 			t.Fatalf("%s: current-version entry is a miss", kind)
 		}
 		const versionAt = 8 // behind the 8-byte magic
-		if v := binary.LittleEndian.Uint32(enc[versionAt:]); v != 2 {
-			t.Fatalf("%s: codec version %d at offset %d, want 2", kind, v, versionAt)
+		current := binary.LittleEndian.Uint32(enc[versionAt:])
+		if current < 3 {
+			t.Fatalf("%s: codec version %d at offset %d, want 3 or later", kind, current, versionAt)
 		}
-		binary.LittleEndian.PutUint32(enc[versionAt:], 1)
-		plant()
-		if get() {
-			t.Errorf("%s: version-1 entry served", kind)
-		}
-		if _, err := os.Stat(s.path(kind, "k")); err == nil {
-			t.Errorf("%s: version-1 entry not deleted on the miss", kind)
+		for v := uint32(1); v < current; v++ {
+			binary.LittleEndian.PutUint32(enc[versionAt:], v)
+			plant()
+			if get() {
+				t.Errorf("%s: version-%d entry served", kind, v)
+			}
+			if _, err := os.Stat(s.path(kind, "k")); err == nil {
+				t.Errorf("%s: version-%d entry not deleted on the miss", kind, v)
+			}
 		}
 	}
 }

@@ -201,3 +201,31 @@ func TestCalibrateSuite(t *testing.T) {
 		})
 	}
 }
+
+// TestImageFootprint pins what the images a sweep keeps for its whole life
+// cost: resident pages times the page size, per kernel and variant. The
+// streaming kernels write one word per 4 KiB, so a 4 KiB page would hold
+// each of their words at 512 times its size; bwaves's ref image alone
+// would be 67 MB and all 19 × 2 204 MB (16.8 and 110 MB at 1 KiB).
+func TestImageFootprint(t *testing.T) {
+	const (
+		mb          = 1e6
+		bwavesLimit = 20 * mb
+		totalLimit  = 120 * mb
+	)
+	total := 0.0
+	for _, w := range All() {
+		for _, v := range []Variant{Train, Ref} {
+			n := float64(w.Build(v).Mem.Pages() * emu.PageSize)
+			total += n
+			t.Logf("%-12s %-5v %6.1f MB", w.Name, v, n/mb)
+			if w.Name == "bwaves" && v == Ref && n > bwavesLimit {
+				t.Errorf("bwaves ref image holds %.1f MB, want at most %.0f MB", n/mb, bwavesLimit/mb)
+			}
+		}
+	}
+	t.Logf("all images: %.1f MB", total/mb)
+	if total > totalLimit {
+		t.Errorf("all images hold %.1f MB, want at most %.0f MB", total/mb, totalLimit/mb)
+	}
+}

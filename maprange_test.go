@@ -21,9 +21,7 @@ var modelPackages = []string{"core", "cache", "prefetch", "branch", "dram", "ibd
 // reach a result. internal/prefetch has no entry since PR 28: GHB's index,
 // whose encoder and clone ranged over it, was that package's last map.
 var mapRangeAllowed = map[string]string{
-	"core/stats.go: Merge":        "adds integer counters key by key: any order gives the same sums",
-	"emu/persist.go: EncodeState": "collects page numbers and sorts them before writing",
-	"emu/persist.go: sumPages":    "collects page numbers and sorts them before summing",
+	"core/stats.go: Merge": "adds integer counters key by key: any order gives the same sums",
 }
 
 // TestNoMapRangeInModel fails on a `for … range m` with m of map type in
