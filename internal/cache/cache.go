@@ -5,8 +5,6 @@
 // available, threading timing through to the DRAM backend.
 package cache
 
-import "slices"
-
 // Backend is anything that can service a line request: the next cache
 // level or DRAM.
 type Backend interface {
@@ -115,8 +113,8 @@ type Cache struct {
 	tags     []uint64 // line address | lineFlags bits
 	// hint is, per set, the way find last matched or victim last chose: where
 	// find looks before it scans. It is derived state and only ever a guess —
-	// never encoded, zero on every new, cloned, decoded or invalidated level,
-	// and find compares the tag before believing it. One entry a set, not a
+	// never frozen, zero on every new (so restored) level, and find compares
+	// the tag before believing it. One entry a set, not a
 	// line: an array the size of tags is one more cache miss a lookup. uint16
 	// holds every way count the decoder admits (checkDecodable: 1024).
 	hint     []uint16
@@ -138,33 +136,41 @@ type Cache struct {
 }
 
 // New returns a cache level in front of next.
-func New(cfg Config, next Backend) *Cache {
-	if cfg.LineSize == 0 {
-		cfg.LineSize = 64
-	}
-	lines := cfg.SizeKiB * 1024 / cfg.LineSize
-	sets := lines / cfg.Ways
-	if sets < 1 {
-		sets = 1
-	}
-	if cfg.MSHRs == 0 {
-		cfg.MSHRs = 16
-	}
+func New(cfg Config, next Backend) *Cache { return newOver(cfg, next, nil) }
+
+// newOver is New holding the given tag words, all lines empty when nil.
+func newOver(cfg Config, next Backend, tags []uint64) *Cache {
+	cfg, sets, lineBits := shape(cfg)
 	n := sets * cfg.Ways
+	if tags == nil {
+		tags = make([]uint64, n)
+	}
 	c := &Cache{
-		cfg: cfg, sets: sets, next: next,
-		tags: make([]uint64, n), lru: make([]uint64, n), readyAt: make([]uint64, n), depth: make([]int8, n),
+		cfg: cfg, sets: sets, lineBits: lineBits, next: next,
+		tags: tags, lru: make([]uint64, n), readyAt: make([]uint64, n), depth: make([]int8, n),
 		hint: make([]uint16, sets),
 		mshr: make([]mshrEntry, 0, cfg.MSHRs),
 	}
 	c.cur = &c.stats
-	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
-		c.lineBits++
-	}
 	if 1<<c.lineBits <= lineFlags {
 		panic("cache: line size too small to carry the flag bits in a tag word")
 	}
 	return c
+}
+
+// shape returns cfg with its defaults filled in, its set count and the
+// bits of a line offset: the geometry New builds and a template decodes.
+func shape(cfg Config) (_ Config, sets int, lineBits uint) {
+	if cfg.LineSize == 0 {
+		cfg.LineSize = 64
+	}
+	if cfg.MSHRs == 0 {
+		cfg.MSHRs = 16
+	}
+	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
+		lineBits++
+	}
+	return cfg, max(cfg.SizeKiB*1024/cfg.LineSize/cfg.Ways, 1), lineBits
 }
 
 // SetRequesters switches this level to per-requester statistics and miss
@@ -507,22 +513,6 @@ func (c *Cache) WarmPrefetch(addr uint64) bool {
 	return false
 }
 
-// CloneState returns a copy of this level's warmed tag/LRU state wired in
-// front of next, with fresh (empty) MSHRs, no prefetcher, no miss
-// observer, and zeroed statistics. Checkpoint restore clones the warmed
-// template once per detailed window so configs sharing a checkpoint never
-// see each other's mutations.
-func (c *Cache) CloneState(next Backend) *Cache {
-	cl := &Cache{
-		cfg: c.cfg, sets: c.sets, lineBits: c.lineBits, lruClock: c.lruClock, next: next,
-		tags: slices.Clone(c.tags), lru: slices.Clone(c.lru), readyAt: slices.Clone(c.readyAt), depth: slices.Clone(c.depth),
-		hint: make([]uint16, c.sets),
-		mshr: make([]mshrEntry, 0, c.cfg.MSHRs),
-	}
-	cl.cur = &cl.stats
-	return cl
-}
-
 // MarkDirty sets the dirty bit on the resident line holding addr, if
 // any, without touching LRU, statistics or timing. A store merging into an
 // in-flight miss uses it, and co-scheduled warming uses it to deliver a
@@ -533,19 +523,6 @@ func (c *Cache) MarkDirty(addr uint64) {
 	if i := c.find(set, la); i >= 0 {
 		c.tags[i] |= lineDirty
 	}
-}
-
-// Invalidate drops every resident line and resets the LRU clock,
-// leaving the level as cold as a fresh build (test hook: the sampling
-// equivalence tests cool one level of a warmed checkpoint to prove the
-// tolerance check would catch missing warm-up).
-func (c *Cache) Invalidate() {
-	clear(c.tags)
-	clear(c.lru)
-	clear(c.readyAt)
-	clear(c.depth)
-	clear(c.hint)
-	c.lruClock = 0
 }
 
 // Contains reports whether the line holding addr is resident (test hook).

@@ -116,16 +116,17 @@ func BenchmarkMSHROccupancy(b *testing.B) {
 	}
 }
 
-// BenchmarkHierarchyClone is a checkpoint restore's cache half: copying a
-// warmed one-core template for one detailed window.
+// BenchmarkHierarchyClone is a checkpoint restore's cache half: a fresh
+// one-core hierarchy from a warmed template, for one detailed window.
 func BenchmarkHierarchyClone(b *testing.B) {
 	sh := NewSharedHierarchy(DefaultHierConfig(), 1)
 	for a := uint64(0); a < 2<<20; a += 64 {
 		sh.Views[0].WarmData(a, a&128 != 0)
 	}
+	tmpl := sh.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkInt += sh.CloneState().Views[0].OutstandingMisses(0)
+		sinkInt += tmpl.Restore().Views[0].OutstandingMisses(0)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"crisp/internal/codec"
@@ -17,7 +18,6 @@ type level interface {
 	Warm(addr uint64, write bool) bool
 	WarmPrefetch(addr uint64) bool
 	MarkDirty(addr uint64)
-	Invalidate()
 	MSHROccupancy(cycle uint64) int
 	Contains(addr uint64) bool
 	Stats() Stats
@@ -26,7 +26,6 @@ type level interface {
 	SetRequester(i int)
 	SetRequesterMissObserver(i int, f func(pc, lineAddr uint64))
 	SetPrefetcher(p Prefetcher)
-	EncodeState(w *codec.Writer)
 }
 
 // serialMem is a backend whose completion times are all distinct (each is
@@ -133,7 +132,7 @@ func newPair(t *testing.T, ec equivCase) *pair {
 // them, and no hint on a level nobody has looked anything up in.
 func (p *pair) adopt(got *Cache, ref *refCache) {
 	p.got, p.want, p.ref = got, ref, ref
-	p.hintsZero("a new, cloned or decoded level")
+	p.hintsZero("a new or restored level")
 	for _, side := range []struct {
 		l   level
 		log *[]missEvent
@@ -152,9 +151,9 @@ func (p *pair) adopt(got *Cache, ref *refCache) {
 }
 
 // hintsZero is the one look inside: a hint is a guess about lines, so a
-// level whose lines were just made, copied, overwritten or dropped starts
-// from none. A stale one is harmless while every set holds a line once,
-// which bytes from disk need not (FuzzDecodeHierarchy).
+// level whose lines were just made or restored starts from none. A stale
+// one is harmless while every set holds a line once, which bytes from disk
+// need not (FuzzDecodeHierarchy).
 func (p *pair) hintsZero(when string) {
 	p.t.Helper()
 	for set, h := range p.got.(*Cache).hint {
@@ -165,8 +164,8 @@ func (p *pair) hintsZero(when string) {
 }
 
 // compareState checks everything observable without a call that mutates:
-// statistics, residency of every pool line, occupancy, encoded bytes and
-// the traffic and miss callbacks so far.
+// statistics, residency of every pool line, occupancy, the lines and their
+// LRU order, and the traffic and miss callbacks so far.
 func (p *pair) compareState(step int, pool []uint64, cycle uint64) {
 	p.t.Helper()
 	ec := p.ec
@@ -186,22 +185,10 @@ func (p *pair) compareState(step int, pool []uint64, cycle uint64) {
 	if g, w := p.got.MSHROccupancy(cycle), p.want.MSHROccupancy(cycle); g != w {
 		p.t.Fatalf("step %d: MSHROccupancy(%d) = %d, reference %d", step, cycle, g, w)
 	}
-	// Line state by the version-1 codec's account, and the dense form
-	// carrying it through a round trip unchanged.
-	c := p.got.(*Cache)
-	state := refEncode(c)
-	var ww, dense codec.Writer
-	p.want.EncodeState(&ww)
-	if !bytes.Equal(state, ww.Bytes()) {
+	// Line state: tags, fill times and depths, and each set's LRU order;
+	// the stamps themselves may differ, a restored level's being its ranks.
+	if !bytes.Equal(accountOf(p.got.(*Cache)), p.ref.account()) {
 		p.t.Fatalf("step %d: line state differs from the reference's", step)
-	}
-	c.EncodeState(&dense)
-	back := New(c.cfg, nil)
-	if err := back.DecodeState(codec.NewReader(dense.Bytes())); err != nil {
-		p.t.Fatalf("step %d: DecodeState of EncodeState: %v", step, err)
-	}
-	if !bytes.Equal(refEncode(back), state) {
-		p.t.Fatalf("step %d: EncodeState then DecodeState changed the line state", step)
 	}
 	if len(p.gotMem.log) != len(p.wantMem.log) {
 		p.t.Fatalf("step %d: %d backend requests, reference %d", step, len(p.gotMem.log), len(p.wantMem.log))
@@ -219,6 +206,28 @@ func (p *pair) compareState(step int, pool []uint64, cycle uint64) {
 			p.t.Fatalf("step %d: miss callback %d = %+v, reference %+v", step, i, g, p.wantMisses[i])
 		}
 	}
+}
+
+// restored is the level under test frozen and restored in front of its
+// backend, through the template's codec when coded: a checkpoint's path
+// for what the reference takes through refCache.CloneState.
+func (p *pair) restored(step int, coded bool) *Cache {
+	p.t.Helper()
+	c := p.got.(*Cache)
+	l := freeze(c)
+	if coded {
+		var w codec.Writer
+		l.encode(&w)
+		var back Lines
+		if err := back.decode(codec.NewReader(w.Bytes()), c.cfg); err != nil {
+			p.t.Fatalf("step %d: decoding an encoded template: %v", step, err)
+		}
+		if !reflect.DeepEqual(back, l) {
+			p.t.Fatalf("step %d: encode then decode changed the template", step)
+		}
+		l = back
+	}
+	return l.restore(c.cfg, p.gotMem)
 }
 
 // noTies fails if two entries of the reference's MSHR map complete in the
@@ -310,26 +319,25 @@ func runEquiv(t *testing.T, ec equivCase, seed int64) {
 			p.want.SetRequester(r)
 		}
 		addr := pool[r*per+rng.Intn(per)] + uint64(rng.Intn(64))
-		// Three times the stream carries on over lines that were dropped,
-		// copied, or written back over themselves from their encoding: the
-		// clone starts from no MSHRs and zero statistics on both sides, the
-		// decode touches neither.
+		// At a quarter both sides start over from new levels, and until half
+		// way they are only warmed, as a capture warms: no fill time, no miss
+		// in flight. Twice in that phase — with sets still filling, whose
+		// empty ways tie on their stamps, and at its end — the level goes
+		// through freeze and restore (the second time through the template's
+		// codec too) where the reference is cloned; both then start from no
+		// MSHRs and zero statistics.
 		switch step {
 		case steps / 4:
-			p.got.Invalidate()
-			p.want.Invalidate()
-			p.hintsZero("an invalidated level")
-		case steps / 2:
-			p.adopt(p.got.(*Cache).CloneState(p.gotMem), p.ref.CloneState(p.wantMem))
-		case steps * 3 / 4:
-			var w codec.Writer
-			p.got.EncodeState(&w)
-			if err := p.got.(*Cache).DecodeState(codec.NewReader(w.Bytes())); err != nil {
-				t.Fatalf("seed %d step %d: DecodeState of EncodeState: %v", seed, step, err)
-			}
-			p.hintsZero("a level decoded over")
+			p.adopt(New(ec.config(), p.gotMem), newRefCache(ec.config(), p.wantMem))
+		case steps/4 + len(p.ref.lines)/2, steps / 2:
+			p.adopt(p.restored(step, step == steps/2), p.ref.CloneState(p.wantMem))
+			p.compareState(step, pool, cycle)
 		}
-		switch op := rng.Intn(100); {
+		op := rng.Intn(100)
+		if step >= steps/4 && step < steps/2 {
+			op = 75 + rng.Intn(20) // Warm, WarmPrefetch, MarkDirty
+		}
+		switch {
 		case op < 60:
 			pc := uint64(rng.Intn(8))
 			if pc == 7 {

@@ -198,21 +198,6 @@ func (h *Hierarchy) WarmInst(addr uint64) (l1hit bool) {
 // single L1I.
 func (h *Hierarchy) WarmInstLLC(addr uint64) { h.LLC.Warm(addr+h.base, false) }
 
-// CloneState returns a shared hierarchy carrying this one's warmed
-// tag/LRU state — every view's private L1s plus the one shared LLC —
-// over fresh timing state: empty MSHRs, a fresh DRAM, no prefetchers or
-// miss observers, zeroed per-requester statistics. Each detailed sampling
-// window restores into its own clone.
-func (sh *SharedHierarchy) CloneState() *SharedHierarchy {
-	cfg := sh.Views[0].cfg
-	mem := dram.New(cfg.DRAM)
-	out := share(cfg, sh.LLC.CloneState(mem), mem, len(sh.Views))
-	for i, v := range out.Views {
-		v.L1I, v.L1D = sh.Views[i].L1I.CloneState(out.LLC), sh.Views[i].L1D.CloneState(out.LLC)
-	}
-	return out
-}
-
 // Data services a demand data access for the instruction at pc and returns
 // the completion cycle and serving level.
 func (h *Hierarchy) Data(pc, addr uint64, write bool, cycle uint64) (done uint64, by ServedBy) {

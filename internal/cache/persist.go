@@ -6,123 +6,34 @@ import (
 	"crisp/internal/codec"
 )
 
-// This file serializes warmed cache tag/LRU state for the persistent
-// checkpoint store. Geometry is not encoded: the store keys checkpoint
-// sets by hierarchy configuration, and the decoder rebuilds structure
-// from the same HierConfig the warmer used, so only the warm contents —
-// lines and the LRU clock — travel. MSHRs, statistics and attachments
-// are per-window state that CloneState already resets; they are never
-// warm at capture time and are not encoded.
+// This file serializes a Template for the persistent checkpoint store.
+// Geometry is not encoded: the store keys checkpoint sets by hierarchy
+// configuration, and the decoder sizes the template from the same
+// HierConfig the warmer used, so only the lines travel. A template holds
+// no timing state, and the clock is the way count, so neither is encoded.
 //
-// A level is u32 line count | uvarint lruClock | lines, and a line is
+// A level is u32 line count | lines, and a line is
 //
-//	0x00                                  a way never filled: tag word, LRU
-//	                                      stamp, readyAt and depth all zero
-//	head | uvarint tag word | uvarint lruClock-lru | [uvarint readyAt] | [i8 depth]
+//	0x00                       a way never filled (tag word zero)
+//	uvarint tag word | uvarint rank
 //
-// with head = encPresent, plus encReadyAt / encDepth when that field is
-// non-zero and follows. The tag word is the one cache.go holds (line
-// address | flags). A stamp is stored as its distance behind the clock,
-// which is small for every recently touched line where the stamp itself
-// grows with the run. Warming leaves readyAt and depth zero, so a warmed
-// line is about nine bytes and an untouched way one. Each state has one
-// encoding: the decoder refuses a present line that is all zero, a zero in
-// an announced field, a stamp ahead of the clock, and a tag word with a bit
-// set between the flags and the line address.
+// The tag word is the one cache.go holds (line address | flags), so a
+// filled way's has the valid bit and is not zero. Ranks are stored for
+// filled ways only: a set's invalid ways rank lowest, in way order, so the
+// decoder gives them 1, 2, ... and requires the filled ways' ranks to be
+// the rest of 1..ways, each once. A filled line is its tag word's varint
+// and a byte of rank, five or six bytes under Table 1; an untouched way
+// one. Each template has one encoding: the decoder refuses a tag word
+// without the valid bit or with a bit set between the flags and the line
+// address, a rank above the way count, and a set whose ranks repeat or
+// leave a gap.
 
-// Head bits of an encoded line.
-const (
-	encPresent = 1 << iota
-	encReadyAt
-	encDepth
-)
-
-// EncodeState serializes the level's warmed lines and LRU clock.
-func (c *Cache) EncodeState(w *codec.Writer) {
-	w.U32(uint32(len(c.tags)))
-	w.Uvarint(c.lruClock)
-	for i, t := range c.tags {
-		lru, ready, depth := c.lru[i], c.readyAt[i], c.depth[i]
-		if t == 0 && lru == 0 && ready == 0 && depth == 0 {
-			w.U8(0)
-			continue
-		}
-		head := uint8(encPresent)
-		if ready != 0 {
-			head |= encReadyAt
-		}
-		if depth != 0 {
-			head |= encDepth
-		}
-		w.U8(head)
-		w.Uvarint(t)
-		w.Uvarint(c.lruClock - lru)
-		if ready != 0 {
-			w.Uvarint(ready)
-		}
-		if depth != 0 {
-			w.I8(depth)
-		}
-	}
-}
-
-// DecodeState overwrites the level's lines and LRU clock with encoded
-// warm state. The line count must match this cache's geometry — the
-// caller builds the hierarchy from the config the state was warmed with —
-// and every line must be the one encoding EncodeState gives its state.
-func (c *Cache) DecodeState(r *codec.Reader) error {
-	n := int(r.U32())
-	clock := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n != len(c.tags) {
-		return fmt.Errorf("cache: %s encoded with %d lines, geometry has %d", c.cfg.Name, n, len(c.tags))
-	}
-	unpackable := (uint64(1)<<c.lineBits - 1) &^ lineFlags
-	clear(c.hint) // guesses about the lines being overwritten
-	for i := range c.tags {
-		head := r.U8()
-		var tag, lru, ready uint64
-		var depth int8
-		if head != 0 {
-			var dist uint64
-			tag, dist = r.Uvarint(), r.Uvarint()
-			if head&encReadyAt != 0 {
-				ready = r.Uvarint()
-			}
-			if head&encDepth != 0 {
-				depth = r.I8()
-			}
-			if r.Err() != nil {
-				return r.Err()
-			}
-			switch {
-			case head&encPresent == 0 || head&^(encPresent|encReadyAt|encDepth) != 0:
-				return fmt.Errorf("cache: %s line %d: head byte %#x", c.cfg.Name, i, head)
-			case tag&unpackable != 0:
-				return fmt.Errorf("cache: %s line %d: tag word %#x has a bit set between the flags and the line address", c.cfg.Name, i, tag)
-			case dist > clock:
-				return fmt.Errorf("cache: %s line %d: LRU stamp %d touches ahead of the clock %d", c.cfg.Name, i, dist, clock)
-			case head&encReadyAt != 0 && ready == 0, head&encDepth != 0 && depth == 0:
-				return fmt.Errorf("cache: %s line %d: head %#x announces a field that is zero", c.cfg.Name, i, head)
-			case head == encPresent && tag == 0 && dist == clock:
-				return fmt.Errorf("cache: %s line %d: present but all zero", c.cfg.Name, i)
-			}
-			lru = clock - dist
-		}
-		c.tags[i], c.lru[i], c.readyAt[i], c.depth[i] = tag, lru, ready, depth
-	}
-	c.lruClock = clock
-	return r.Err()
-}
-
-// checkDecodable refuses a geometry the hierarchy decoders must not build
-// from bytes they cannot trust: one a constructor would panic on, or one
-// whose tables are larger than the bytes left to fill them (a line costs
-// at least one byte, and no level has more MSHRs than lines, nor the DRAM
-// more banks than the hierarchy has lines). A decoder that checks first allocates in proportion to its
-// input however a corrupt configuration reads.
+// checkDecodable refuses a geometry read from bytes DecodeTemplate cannot
+// trust: one a constructor (Restore's) would panic on, or one whose tables
+// are larger than the bytes left to fill them (a line costs at least one
+// byte, and no level has more MSHRs than lines, nor the DRAM more banks
+// than the hierarchy has lines). A decoder that checks first allocates in
+// proportion to its input however a corrupt configuration reads.
 func (cfg HierConfig) checkDecodable(views, remaining int) error {
 	total := 0
 	for _, l := range []struct {
@@ -151,67 +62,96 @@ func (cfg HierConfig) checkDecodable(views, remaining int) error {
 	return nil
 }
 
-// EncodeState serializes a one-core system's warmed state through its
-// view: the three levels' lines and LRU clocks, with no view count. The
-// geometry (cfg) is carried out of band by the checkpoint codec.
-func (h *Hierarchy) EncodeState(w *codec.Writer) {
-	h.L1I.EncodeState(w)
-	h.L1D.EncodeState(w)
-	h.LLC.EncodeState(w)
+// Encode writes the template's lines: every view's L1I and L1D, then the
+// LLC. The view count and the geometry travel out of band with the
+// checkpoint codec.
+func (t *Template) Encode(w *codec.Writer) {
+	for i := range t.l1s {
+		t.l1s[i].encode(w)
+	}
+	t.LLC.encode(w)
 }
 
-// DecodeHierarchy builds a fresh one-core system from cfg and overlays
-// the warm state Hierarchy.EncodeState wrote onto its levels. Timing state
-// (MSHRs, DRAM, statistics) is fresh, exactly as SharedHierarchy.CloneState
-// hands to a detailed window.
-func DecodeHierarchy(r *codec.Reader, cfg HierConfig) (*SharedHierarchy, error) {
-	return decodeShared(r, cfg, 1)
-}
-
-// EncodeState serializes the shared hierarchy's warmed state: every
-// view's private L1I/L1D, then the one shared LLC exactly once. The
-// view count and geometry travel out of band with the checkpoint codec.
-func (sh *SharedHierarchy) EncodeState(w *codec.Writer) {
-	w.U32(uint32(len(sh.Views)))
-	for _, v := range sh.Views {
-		v.L1I.EncodeState(w)
-		v.L1D.EncodeState(w)
-	}
-	sh.LLC.EncodeState(w)
-}
-
-// DecodeSharedHierarchy builds a fresh n-core shared hierarchy from cfg
-// and overlays encoded warm state onto every private L1 and the shared
-// LLC. Timing state is fresh, as SharedHierarchy.CloneState hands to a
-// detailed window.
-func DecodeSharedHierarchy(r *codec.Reader, cfg HierConfig, n int) (*SharedHierarchy, error) {
-	got := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if got != n {
-		return nil, fmt.Errorf("cache: shared hierarchy encoded with %d views, want %d", got, n)
-	}
-	return decodeShared(r, cfg, n)
-}
-
-// decodeShared is the body both decoders share, after any view count:
-// every view's L1I/L1D, then the LLC.
-func decodeShared(r *codec.Reader, cfg HierConfig, n int) (*SharedHierarchy, error) {
-	if err := cfg.checkDecodable(n, r.Remaining()); err != nil {
-		return nil, err
-	}
-	sh := NewSharedHierarchy(cfg, n)
-	for _, v := range sh.Views {
-		if err := v.L1I.DecodeState(r); err != nil {
-			return nil, err
+func (l *Lines) encode(w *codec.Writer) {
+	w.U32(uint32(len(l.tags)))
+	for i, t := range l.tags {
+		w.Uvarint(t)
+		if t != 0 {
+			w.Uvarint(uint64(l.ranks[i]))
 		}
-		if err := v.L1D.DecodeState(r); err != nil {
+	}
+}
+
+// DecodeTemplate reads the template of a views-core hierarchy of geometry
+// cfg that Encode wrote, allocating the lines of that geometry and nothing
+// sized by the input.
+func DecodeTemplate(r *codec.Reader, cfg HierConfig, views int) (*Template, error) {
+	if err := cfg.checkDecodable(views, r.Remaining()); err != nil {
+		return nil, err
+	}
+	t := &Template{cfg: cfg, l1s: make([]Lines, 2*views)}
+	for i := range t.l1s {
+		lc := cfg.L1I
+		if i%2 == 1 {
+			lc = cfg.L1D
+		}
+		if err := t.l1s[i].decode(r, lc); err != nil {
 			return nil, err
 		}
 	}
-	if err := sh.LLC.DecodeState(r); err != nil {
+	if err := t.LLC.decode(r, cfg.LLC); err != nil {
 		return nil, err
 	}
-	return sh, nil
+	return t, nil
+}
+
+// decode reads one level of geometry cfg into l.
+func (l *Lines) decode(r *codec.Reader, cfg Config) error {
+	cfg, sets, lineBits := shape(cfg)
+	w, n := cfg.Ways, int(r.U32())
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if n != sets*w {
+		return fmt.Errorf("cache: %s encoded with %d lines, geometry has %d", cfg.Name, n, sets*w)
+	}
+	*l = Lines{ways: w, tags: make([]uint64, n), ranks: make([]uint16, n)}
+	unpackable := (uint64(1)<<lineBits - 1) &^ lineFlags
+	seen := make([]bool, w+1)
+	for base := 0; base < n; base += w {
+		empty := 0
+		for i := base; i < base+w; i++ {
+			tag := r.Uvarint()
+			if tag == 0 {
+				empty++
+				continue
+			}
+			rank := r.Uvarint()
+			switch {
+			case tag&lineValid == 0:
+				return fmt.Errorf("cache: %s line %d: tag word %#x without the valid bit", cfg.Name, i, tag)
+			case tag&unpackable != 0:
+				return fmt.Errorf("cache: %s line %d: tag word %#x has a bit set between the flags and the line address", cfg.Name, i, tag)
+			case rank > uint64(w):
+				return fmt.Errorf("cache: %s line %d: rank %d above the way count %d", cfg.Name, i, rank, w)
+			}
+			l.tags[i], l.ranks[i] = tag, uint16(rank)
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		clear(seen)
+		for i, next := base, uint16(0); i < base+w; i++ {
+			switch rank := l.ranks[i]; {
+			case l.tags[i] == 0:
+				next++
+				l.ranks[i] = next
+			case int(rank) <= empty || seen[rank]:
+				return fmt.Errorf("cache: %s line %d: rank %d repeated, or not above the set's %d empty ways", cfg.Name, i, rank, empty)
+			default:
+				seen[rank] = true
+			}
+		}
+	}
+	return nil
 }

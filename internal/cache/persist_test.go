@@ -3,7 +3,9 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -96,13 +98,85 @@ func sharedLevels(sh *SharedHierarchy) []*Cache {
 	return append(out, sh.LLC)
 }
 
-// TestEncodeMatchesReference pins what the dense line form carries, with
-// the version-1 codec (refcache_test.go) as the account of a level's
-// state. A warmed one-core and a warmed 2-view shared hierarchy hold, by
-// that account, exactly what the AoS reference holds after the same
-// warming stream; decoding their dense encoding gives hierarchies that
-// hold the same again; and the dense bytes decode and re-encode to
-// themselves, as do a clone's and a version-1 decode's.
+// account is a level's lines as its decisions read them: each set's ways
+// in the order of their stamps, ties to the lower way, then every line's
+// tag word, fill time and fill depth. The stamps themselves are not in it:
+// a restored level's are its ranks.
+func account(ways int, tags, lru, ready []uint64, depth []int8) []byte {
+	var w codec.Writer
+	order := make([]int, ways)
+	for base := 0; base < len(tags); base += ways {
+		for j := range order {
+			order[j] = j
+		}
+		sort.SliceStable(order, func(a, b int) bool { return lru[base+order[a]] < lru[base+order[b]] })
+		for _, j := range order {
+			w.U32(uint32(j))
+		}
+	}
+	for i, t := range tags {
+		w.U64(t)
+		w.U64(ready[i])
+		w.I8(depth[i])
+	}
+	return w.Bytes()
+}
+
+// accountOf is account over a sequence of levels.
+func accountOf(levels ...*Cache) []byte {
+	var out []byte
+	for _, c := range levels {
+		out = append(out, account(c.cfg.Ways, c.tags, c.lru, c.readyAt, c.depth)...)
+	}
+	return out
+}
+
+// account is accountOf for a reference level.
+func (c *refCache) account() []byte {
+	n := len(c.lines)
+	tags, lru, ready, depth := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]int8, n)
+	for i, ln := range c.lines {
+		tags[i] = ln.tag | flagIf(ln.valid, lineValid) | flagIf(ln.dirty, lineDirty) | flagIf(ln.prefetched, linePrefetched)
+		lru[i], ready[i], depth[i] = ln.lru, ln.readyAt, ln.fillDepth
+	}
+	return account(c.cfg.Ways, tags, lru, ready, depth)
+}
+
+// checkTemplate checks a template frozen from sh: restored, it holds sh's
+// lines in sh's LRU order; it encodes to under a third of the version-1
+// bytes of sh's levels; and it decodes to itself and re-encodes to its
+// bytes.
+func checkTemplate(t *testing.T, tmpl *Template, sh *SharedHierarchy) {
+	t.Helper()
+	if !bytes.Equal(accountOf(sharedLevels(tmpl.Restore())...), accountOf(sharedLevels(sh)...)) {
+		t.Errorf("freeze then restore changed the lines or their LRU order")
+	}
+	var got codec.Writer
+	tmpl.Encode(&got)
+	if v1 := len(refEncode(sharedLevels(sh)...)); 3*got.Len() > v1 {
+		t.Errorf("template encodes to %d bytes, version 1 took %d: not a third", got.Len(), v1)
+	}
+	back, err := DecodeTemplate(codec.NewReader(got.Bytes()), sh.Views[0].cfg, len(sh.Views))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, tmpl) {
+		t.Errorf("encode then decode changed the template")
+	}
+	var again codec.Writer
+	back.Encode(&again)
+	if !bytes.Equal(again.Bytes(), got.Bytes()) {
+		t.Errorf("decode then encode changed the bytes")
+	}
+}
+
+// TestEncodeMatchesReference pins what a template keeps, with the AoS
+// reference levels (refcache_test.go) warmed alike as the account of a
+// level's state. A warmed one-core and a warmed 2-view shared hierarchy
+// hold what the reference holds; frozen, each is a template that restores
+// to the same lines in the same LRU order and survives its codec (see
+// checkTemplate); and a version-1 decode of the state freezes to the same
+// template.
 func TestEncodeMatchesReference(t *testing.T) {
 	cfg := tinyHierConfig()
 
@@ -113,8 +187,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 		ref := newRefView(cfg, newRefCache(cfg.LLC, nil), 0)
 		warmBoth(rng, h, ref, false, 4000)
 
-		var got, want codec.Writer
-		h.EncodeState(&got)
+		var want codec.Writer
 		ref.l1i.EncodeState(&want)
 		ref.l1d.EncodeState(&want)
 		ref.llc.EncodeState(&want)
@@ -122,37 +195,16 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if !bytes.Equal(state, want.Bytes()) {
 			t.Fatalf("one-core hierarchy holds different state than the reference")
 		}
-		if 3*got.Len() > len(state) {
-			t.Errorf("dense encoding takes %d bytes, version 1 took %d: not a third", got.Len(), len(state))
-		}
-
-		back, err := DecodeHierarchy(codec.NewReader(got.Bytes()), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refEncode(levels(back.Views[0])...), state) {
-			t.Errorf("encode then decode changed the state")
-		}
-		var again codec.Writer
-		back.Views[0].EncodeState(&again)
-		if !bytes.Equal(again.Bytes(), got.Bytes()) {
-			t.Errorf("decode then encode changed the bytes")
-		}
-		var cloned codec.Writer
-		sys.CloneState().Views[0].EncodeState(&cloned)
-		if !bytes.Equal(cloned.Bytes(), got.Bytes()) {
-			t.Errorf("CloneState encodes to different bytes than its template")
-		}
-		old, r := NewHierarchy(cfg), codec.NewReader(state)
-		for _, c := range levels(old) {
+		tmpl := sys.Freeze()
+		checkTemplate(t, tmpl, sys)
+		old, r := NewSharedHierarchy(cfg, 1), codec.NewReader(state)
+		for _, c := range levels(old.Views[0]) {
 			if err := c.refDecodeState(r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var fromOld codec.Writer
-		old.EncodeState(&fromOld)
-		if !bytes.Equal(fromOld.Bytes(), got.Bytes()) {
-			t.Errorf("a version-1 decode of the state encodes to different bytes")
+		if !reflect.DeepEqual(old.Freeze(), tmpl) {
+			t.Errorf("a version-1 decode of the state freezes to another template")
 		}
 	})
 
@@ -167,104 +219,73 @@ func TestEncodeMatchesReference(t *testing.T) {
 			}
 		}
 
-		var got, want codec.Writer
-		sh.EncodeState(&got)
+		var want codec.Writer
 		for _, r := range refs {
 			r.l1i.EncodeState(&want)
 			r.l1d.EncodeState(&want)
 		}
 		llc.EncodeState(&want)
-		state := refEncode(sharedLevels(sh)...)
-		if !bytes.Equal(state, want.Bytes()) {
+		if !bytes.Equal(refEncode(sharedLevels(sh)...), want.Bytes()) {
 			t.Fatalf("shared hierarchy holds different state than the reference")
 		}
-
-		back, err := DecodeSharedHierarchy(codec.NewReader(got.Bytes()), cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refEncode(sharedLevels(back)...), state) {
-			t.Errorf("encode then decode changed the state")
-		}
-		var again codec.Writer
-		back.EncodeState(&again)
-		if !bytes.Equal(again.Bytes(), got.Bytes()) {
-			t.Errorf("decode then encode changed the bytes")
-		}
-		var cloned codec.Writer
-		sh.CloneState().EncodeState(&cloned)
-		if !bytes.Equal(cloned.Bytes(), got.Bytes()) {
-			t.Errorf("CloneState encodes to different bytes than its template")
-		}
+		checkTemplate(t, sh.Freeze(), sh)
 	})
 
 	// Timed accesses leave what warming never does: fill times, fill depths
-	// and lines still in flight. The optional fields must carry them.
+	// and lines still in flight. A template keeps the lines and their LRU
+	// order and none of that, so no line of a restored hierarchy is in
+	// flight.
 	t.Run("timed", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
-		h := NewHierarchy(cfg)
+		sys := NewSharedHierarchy(cfg, 1)
 		for cycle := uint64(1); cycle < 3000; cycle += uint64(rng.Intn(5)) {
-			h.Data(uint64(rng.Intn(64)), uint64(rng.Intn(300))*64, rng.Intn(4) == 0, cycle)
+			sys.Views[0].Data(uint64(rng.Intn(64)), uint64(rng.Intn(300))*64, rng.Intn(4) == 0, cycle)
 		}
-		state := refEncode(levels(h)...)
-		var got codec.Writer
-		h.EncodeState(&got)
-		back, err := DecodeHierarchy(codec.NewReader(got.Bytes()), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refEncode(levels(back.Views[0])...), state) {
-			t.Errorf("encode then decode changed the state")
-		}
-		fields := 0
-		for _, off := range lineOffsets(t, got.Bytes(), h.L1D) {
-			if got.Bytes()[off]&(encReadyAt|encDepth) == encReadyAt|encDepth {
-				fields++
+		tmpl := sys.Freeze()
+		timed := 0
+		for _, c := range sharedLevels(sys) {
+			for i := range c.readyAt {
+				if c.readyAt[i] != 0 && c.depth[i] != 0 {
+					timed++
+				}
 			}
+			clear(c.readyAt)
+			clear(c.depth)
 		}
-		if fields == 0 {
-			t.Errorf("no L1D line carries a fill time and depth: the case is not exercised")
+		if timed == 0 {
+			t.Errorf("no line carries a fill time and depth: the case is not exercised")
 		}
+		checkTemplate(t, tmpl, sys)
 	})
 }
 
-// lineOffsets walks the encoding of the hierarchy c belongs to and returns
-// the offset of each of c's lines' head bytes. c must be the first level
-// (L1I) or the second (L1D) of a tiny hierarchy.
-func lineOffsets(t testing.TB, b []byte, c *Cache) []int {
+// lineOffsets walks a one-core template's encoding and returns the offset
+// of each line of its level-th level (0 L1I, 1 L1D, 2 LLC).
+func lineOffsets(t testing.TB, b []byte, level int) []int {
 	t.Helper()
 	r := codec.NewReader(b)
-	var offs []int
-	for level := 0; ; level++ {
-		n := int(r.U32())
-		r.Uvarint()
-		offs = offs[:0]
-		for i := 0; i < n; i++ {
+	for l := 0; ; l++ {
+		var offs []int
+		for i, n := 0, int(r.U32()); i < n; i++ {
 			offs = append(offs, len(b)-r.Remaining())
-			head := r.U8()
-			if head != 0 {
+			if r.Uvarint() != 0 {
 				r.Uvarint()
-				r.Uvarint()
-			}
-			if head&encReadyAt != 0 {
-				r.Uvarint()
-			}
-			if head&encDepth != 0 {
-				r.U8()
 			}
 		}
 		if r.Err() != nil {
 			t.Fatal(r.Err())
 		}
-		if level == 1 || c.cfg.Name == "L1I" {
+		if l == level {
 			return offs
 		}
 	}
 }
 
-// warmedTiny returns a warmed tiny hierarchy and its encoding.
-func warmedTiny() (*Hierarchy, []byte) {
-	h := NewHierarchy(tinyHierConfig())
+// warmedTiny returns the template of a warmed tiny one-core hierarchy and
+// its encoding.
+func warmedTiny() (*Template, []byte) {
+	sys := NewSharedHierarchy(tinyHierConfig(), 1)
+	h := sys.Views[0]
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 2000; i++ {
 		addr := uint64(rng.Intn(300)) * 64
@@ -272,64 +293,59 @@ func warmedTiny() (*Hierarchy, []byte) {
 		h.WarmData(addr+64, rng.Intn(3) == 0)
 		h.WarmPrefetch(addr + 128)
 	}
+	tmpl := sys.Freeze()
 	var w codec.Writer
-	h.EncodeState(&w)
-	return h, w.Bytes()
+	tmpl.Encode(&w)
+	return tmpl, w.Bytes()
 }
 
-// TestDecodeRejectsUnpackableLines: a line must decode from exactly one
-// byte string. In memory the flags live in the low bits of the tag word, so
-// a stored word with a bit set between them and the line address would
-// alias another line's state; a stamp ahead of the clock would wrap; and a
-// present line that is all zero, a head with unknown bits, or an announced
-// field that is zero each spell a state the encoder writes another way.
-func TestDecodeRejectsUnpackableLines(t *testing.T) {
-	h, good := warmedTiny()
-	if _, err := DecodeHierarchy(codec.NewReader(good), tinyHierConfig()); err != nil {
-		t.Fatalf("unmodified bytes: %v", err)
-	}
-	offs := lineOffsets(t, good, h.L1I)
-	// A present line whose stamp is one byte and trails the clock, so the
-	// edits below change its fields without moving any later byte.
-	line, clock := -1, h.L1I.lruClock
-	for i, off := range offs {
-		if good[off] == encPresent && h.L1I.tags[i] >= 1<<7 && h.L1I.tags[i] < 1<<14 && clock-h.L1I.lru[i] < 1<<7 {
-			line = i
+// pairedLine returns a line of tmpl's L1I (2 ways) whose tag word encodes
+// in two bytes and whose set's other way is filled too, and its offset in
+// good, the template's encoding.
+func pairedLine(t testing.TB, tmpl *Template, good []byte) (line, at int) {
+	t.Helper()
+	l1i := &tmpl.l1s[0]
+	for i, off := range lineOffsets(t, good, 0) {
+		if tg := l1i.tags[i]; tg >= 1<<7 && tg < 1<<14 && l1i.tags[i^1] != 0 {
+			return i, off
 		}
 	}
-	if line < 0 {
-		t.Fatal("no L1I line with a two-byte tag word and a one-byte stamp")
+	t.Fatal("no L1I line with a two-byte tag word beside another filled way")
+	return 0, 0
+}
+
+// TestDecodeRejectsUnpackableLines: a template must decode from exactly one
+// byte string. In memory the flags live in the low bits of the tag word,
+// so a stored word with a bit set between them and the line address would
+// alias another line's state, and a filled way's word has the valid bit. A
+// set's ranks are 1..ways, each once, its empty ways' the lowest.
+func TestDecodeRejectsUnpackableLines(t *testing.T) {
+	tmpl, good := warmedTiny()
+	if _, err := DecodeTemplate(codec.NewReader(good), tinyHierConfig(), 1); err != nil {
+		t.Fatalf("unmodified bytes: %v", err)
 	}
-	at := offs[line]
+	// The edits below change the line's fields without moving any later
+	// byte: its rank is the byte after the tag word's two.
+	line, at := pairedLine(t, tmpl, good)
+	other := byte(tmpl.l1s[0].ranks[line^1])
 	edit := func(f func(b []byte)) []byte {
 		b := bytes.Clone(good)
 		f(b)
 		return b
 	}
-	zeroLine := func(b []byte) []byte { // line becomes head | tag 0 | distance = clock: all zero
-		var w codec.Writer
-		w.Raw(b[:at])
-		w.U8(encPresent)
-		w.Uvarint(0)
-		w.Uvarint(clock)
-		w.Raw(b[at+4:])
-		return w.Bytes()
-	}
 	for _, c := range []struct {
 		name, want string
 		in         []byte
 	}{
-		{"tag bit 3, between flags and address", "between the flags", edit(func(b []byte) { b[at+1] |= 1 << 3 })},
-		{"tag bit 5, between flags and address", "between the flags", edit(func(b []byte) { b[at+1] |= 1 << 5 })},
-		{"head bit 3", "head byte", edit(func(b []byte) { b[at] |= 1 << 3 })},
-		{"head without the present bit", "head byte", edit(func(b []byte) { b[at] = encReadyAt; b[at+4] = 1 })},
-		{"stamp ahead of the clock", "ahead of the clock", edit(func(b []byte) { b[at+3] = 0x7f; b[4] = 0x7e; b[5] = 0 })},
-		{"announced fill time is zero", "announces a field", edit(func(b []byte) { b[at] |= encReadyAt; b[at+4] = 0 })},
-		{"announced depth is zero", "announces a field", edit(func(b []byte) { b[at] |= encDepth; b[at+4] = 0 })},
-		{"present but all zero", "present but all zero", zeroLine(good)},
-		{"padded varint", "varint", edit(func(b []byte) { b[at+3] = 0x80; b[at+4] = 0 })},
+		{"tag bit 3, between flags and address", "between the flags", edit(func(b []byte) { b[at] |= 1 << 3 })},
+		{"tag bit 5, between flags and address", "between the flags", edit(func(b []byte) { b[at] |= 1 << 5 })},
+		{"tag word without the valid bit", "without the valid bit", edit(func(b []byte) { b[at] &^= lineValid })},
+		{"rank above the way count", "above the way count", edit(func(b []byte) { b[at+2] = 3 })},
+		{"rank twice in a set", "repeated", edit(func(b []byte) { b[at+2] = other })},
+		{"rank zero", "not above", edit(func(b []byte) { b[at+2] = 0 })},
+		{"padded varint", "varint", edit(func(b []byte) { b[at+2] |= 0x80; b[at+3] = 0 })},
 	} {
-		_, err := DecodeHierarchy(codec.NewReader(c.in), tinyHierConfig())
+		_, err := DecodeTemplate(codec.NewReader(c.in), tinyHierConfig(), 1)
 		if err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
@@ -340,7 +356,7 @@ func TestDecodeRejectsUnpackableLines(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsHostileGeometry: the hierarchy decoders are handed a
+// TestDecodeRejectsHostileGeometry: the template decoder is handed a
 // configuration that was itself read from disk. One that would panic a
 // constructor, or size tables beyond the bytes there to fill them, must
 // fail before anything is built.
@@ -362,8 +378,8 @@ func TestDecodeRejectsHostileGeometry(t *testing.T) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		_, err := DecodeHierarchy(codec.NewReader(good), cfg)
-		_, err2 := DecodeSharedHierarchy(codec.NewReader(append([]byte{1, 0, 0, 0}, good...)), cfg, 1)
+		_, err := DecodeTemplate(codec.NewReader(good), cfg, 1)
+		_, err2 := DecodeTemplate(codec.NewReader(good), cfg, 2)
 		runtime.ReadMemStats(&ms)
 		if err == nil || err2 == nil {
 			t.Errorf("%s: decoded without error", name)
@@ -400,34 +416,107 @@ func TestHintCoversAdmittedWays(t *testing.T) {
 	}
 }
 
-// FuzzDecodeHierarchy feeds arbitrary bytes to the hierarchy decoder. It
-// must never panic; it must allocate the fixed geometry and nothing sized
-// by the input; whatever it accepts must encode back to the bytes it
-// consumed, so no two inputs decode to one state; and a thousand warming
-// calls later it must hold what the reference levels hold.
-func FuzzDecodeHierarchy(f *testing.F) {
-	h, good := warmedTiny()
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	flipped := append([]byte(nil), good...)
-	flipped[lineOffsets(f, good, h.L1I)[7]] ^= 1 << 4
-	f.Add(flipped)
-	// A fill time and a depth behind the first line of each level.
-	timed := NewHierarchy(tinyHierConfig())
-	timed.Data(1, 0x40, false, 10)
-	var tw codec.Writer
-	timed.EncodeState(&tw)
-	f.Add(tw.Bytes())
-	// Every set's last way holding its first way's line a second time.
-	twice, _ := warmedTiny()
-	for _, c := range []*Cache{twice.L1D, twice.LLC} {
-		for base := 0; base < len(c.tags); base += c.cfg.Ways {
-			c.tags[base+c.cfg.Ways-1] = c.tags[base]
+// v3Encode is a one-core hierarchy's lines as container version 3 wrote
+// them — per level u32 count | uvarint clock, and a filled line head | tag
+// word | clock distance | [fill time] | [fill depth] — kept to build the
+// seed the decoder must refuse.
+func v3Encode(h *Hierarchy) []byte {
+	var w codec.Writer
+	for _, c := range levels(h) {
+		w.U32(uint32(len(c.tags)))
+		w.Uvarint(c.lruClock)
+		for i, t := range c.tags {
+			if t == 0 {
+				w.U8(0)
+				continue
+			}
+			head := uint8(1) | uint8(flagIf(c.readyAt[i] != 0, 2)|flagIf(c.depth[i] != 0, 4))
+			w.U8(head)
+			w.Uvarint(t)
+			w.Uvarint(c.lruClock - c.lru[i])
+			if head&2 != 0 {
+				w.Uvarint(c.readyAt[i])
+			}
+			if head&4 != 0 {
+				w.I8(c.depth[i])
+			}
 		}
 	}
-	var dw codec.Writer
-	twice.EncodeState(&dw)
-	f.Add(dw.Bytes())
+	return w.Bytes()
+}
+
+// hierarchySeed is one of FuzzDecodeHierarchy's seeds and whether the
+// decoder takes it.
+type hierarchySeed struct {
+	name string
+	in   []byte
+	ok   bool
+}
+
+// hierarchySeeds are a warmed template; its first half; one with bit 4 of
+// an L1I line's first byte flipped (a bit between the flags and the line
+// address, or an empty way's word without the valid bit); version 3's
+// lines of a hierarchy with a fill time and a depth; a set holding one
+// rank twice; and every set's last way holding its first way's line.
+func hierarchySeeds(tb testing.TB) []hierarchySeed {
+	tmpl, good := warmedTiny()
+	flipped := bytes.Clone(good)
+	flipped[lineOffsets(tb, good, 0)[7]] ^= 1 << 4
+	timed := NewHierarchy(tinyHierConfig())
+	timed.Data(1, 0x40, false, 10)
+	line, at := pairedLine(tb, tmpl, good)
+	twiceRank := bytes.Clone(good)
+	twiceRank[at+2] = byte(tmpl.l1s[0].ranks[line^1])
+	twice, _ := warmedTiny()
+	for _, l := range []*Lines{&twice.l1s[1], &twice.LLC} {
+		for base := 0; base < len(l.tags); base += l.ways {
+			if last := base + l.ways - 1; l.tags[base] != 0 && l.tags[last] != 0 {
+				l.tags[last] = l.tags[base]
+			}
+		}
+	}
+	var tw codec.Writer
+	twice.Encode(&tw)
+	return []hierarchySeed{
+		{"warmed", good, true},
+		{"half", good[:len(good)/2], false},
+		{"flipped", flipped, false},
+		{"timed", v3Encode(timed), false},
+		{"twice", tw.Bytes(), true},
+		{"rank twice", twiceRank, false},
+	}
+}
+
+// TestHierarchyFuzzSeedsAreWhatTheySay keeps FuzzDecodeHierarchy's seeds
+// honest: the ones the decoder takes re-encode to themselves, and it
+// refuses the others.
+func TestHierarchyFuzzSeedsAreWhatTheySay(t *testing.T) {
+	for _, s := range hierarchySeeds(t) {
+		tmpl, err := DecodeTemplate(codec.NewReader(s.in), tinyHierConfig(), 1)
+		if (err == nil) != s.ok {
+			t.Errorf("%s: decoded %v, want %v (err %v)", s.name, err == nil, s.ok, err)
+			continue
+		}
+		if s.ok {
+			var w codec.Writer
+			tmpl.Encode(&w)
+			if !bytes.Equal(w.Bytes(), s.in) {
+				t.Errorf("%s: re-encodes to other bytes", s.name)
+			}
+		}
+	}
+}
+
+// FuzzDecodeHierarchy feeds arbitrary bytes to the template decoder. It
+// must never panic; it must allocate the fixed geometry and nothing sized
+// by the input; whatever it accepts must encode back to the bytes it
+// consumed, so no two inputs decode to one template; and, restored, a
+// thousand warming calls later it must hold what reference levels hold
+// that were given the same lines under other stamps of the same order.
+func FuzzDecodeHierarchy(f *testing.F) {
+	for _, s := range hierarchySeeds(f) {
+		f.Add(s.in)
+	}
 
 	cfg := tinyHierConfig()
 	// What building the hierarchy costs, plus slack for an error value and
@@ -443,7 +532,7 @@ func FuzzDecodeHierarchy(f *testing.F) {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		r := codec.NewReader(data)
-		sys, err := DecodeHierarchy(r, cfg)
+		tmpl, err := DecodeTemplate(r, cfg, 1)
 		runtime.ReadMemStats(&ms)
 		if got := ms.TotalAlloc - before; got > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), got, budget)
@@ -451,33 +540,18 @@ func FuzzDecodeHierarchy(f *testing.F) {
 		if err != nil {
 			return
 		}
-		h := sys.Views[0]
 		var w codec.Writer
-		h.EncodeState(&w)
+		tmpl.Encode(&w)
 		consumed := data[:len(data)-r.Remaining()]
 		if !bytes.Equal(w.Bytes(), consumed) {
 			t.Fatalf("accepted %d bytes that re-encode differently", len(consumed))
 		}
 
-		// What was accepted warms like the reference holding the same lines,
-		// whether it was decoded into new levels or over used ones. Accepted
-		// bytes may hold a line twice in a set, or in a set it does not
-		// index to: the one state in which a way hint left over from the
-		// overwritten lines would find another copy than the scan.
-		used, _ := warmedTiny()
-		ur := codec.NewReader(consumed)
-		for _, c := range []*Cache{used.L1I, used.L1D, used.LLC} {
-			if err := c.DecodeState(ur); err != nil {
-				t.Fatalf("decoding over a used hierarchy: %v", err)
-			}
-		}
-		old := NewHierarchy(cfg)
-		or := codec.NewReader(refEncode(h.L1I, h.L1D, h.LLC))
-		for _, c := range []*Cache{old.L1I, old.L1D, old.LLC} {
-			if err := c.refDecodeState(or); err != nil {
-				t.Fatalf("version-1 decode of the accepted state: %v", err)
-			}
-		}
+		// Restored, it warms like the reference levels holding the same
+		// lines, whose stamps are three times the ranks plus one: a window
+		// reads the order of the stamps, never their values. Accepted bytes
+		// may hold a line twice in a set, or in a set it does not index to.
+		h := tmpl.Restore().Views[0]
 		ref := refViewOf(h)
 		resident := append(append(append([]uint64(nil), h.L1D.tags...), h.LLC.tags...), h.L1I.tags...)
 		rng := rand.New(rand.NewSource(int64(len(data))))
@@ -490,46 +564,35 @@ func FuzzDecodeHierarchy(f *testing.F) {
 			if i < len(resident) { // first every line it came with, as data: each set's first lookup
 				addr, op = resident[i]&^lineFlags, 2
 			}
-			for _, h := range []*Hierarchy{h, used, old} {
-				switch op {
-				case 0:
-					h.WarmInst(addr)
-				case 1:
-					h.WarmPrefetch(addr)
-				default:
-					h.WarmDataShared(addr, write)
-				}
-			}
 			switch op {
 			case 0:
+				h.WarmInst(addr)
 				ref.warmInst(addr)
 			case 1:
+				h.WarmPrefetch(addr)
 				ref.warmPrefetch(addr)
 			default:
+				h.WarmDataShared(addr, write)
 				ref.warmData(addr, write, true)
 			}
 		}
-		var want codec.Writer
-		ref.l1i.EncodeState(&want)
-		ref.l1d.EncodeState(&want)
-		ref.llc.EncodeState(&want)
-		for name, h := range map[string]*Hierarchy{"decoded": h, "decoded over a used hierarchy": used, "decoded by the version-1 decoder": old} {
-			if !bytes.Equal(refEncode(h.L1I, h.L1D, h.LLC), want.Bytes()) {
-				t.Fatalf("%s, then warmed: holds different lines than the reference warmed alike", name)
-			}
+		want := append(append(ref.l1i.account(), ref.l1d.account()...), ref.llc.account()...)
+		if !bytes.Equal(accountOf(levels(h)...), want) {
+			t.Fatalf("restored, then warmed: holds different lines than the reference warmed alike")
 		}
 	})
 }
 
-// refViewOf returns reference levels holding h's lines and clocks.
+// refViewOf returns reference levels holding h's lines, each stamp and
+// clock c mapped to 3c+1.
 func refViewOf(h *Hierarchy) refView {
 	of := func(c *Cache, next Backend) *refCache {
 		r := newRefCache(c.cfg, next)
 		for i, t := range c.tags {
 			r.lines[i] = refLine{tag: t &^ lineFlags, valid: t&lineValid != 0, dirty: t&lineDirty != 0,
-				prefetched: t&linePrefetched != 0, readyAt: c.readyAt[i], lru: c.lru[i], fillDepth: c.depth[i]}
+				prefetched: t&linePrefetched != 0, readyAt: c.readyAt[i], lru: 3*c.lru[i] + 1, fillDepth: c.depth[i]}
 		}
-		r.lruClock = c.lruClock
+		r.lruClock = 3*c.lruClock + 1
 		return r
 	}
 	llc := of(h.LLC, nil)

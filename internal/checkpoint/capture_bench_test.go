@@ -69,3 +69,30 @@ func BenchmarkCaptureWarm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRestore is what a sampled window pays before its first cycle:
+// Point.Restore of mcf's set under the sweep's schedule (AutoSampling of
+// 2M, six points), stride variant — a resumed emulator, the frontend's
+// clones, and a hierarchy built from the warmed template. The set is
+// captured once, outside the timing. Exported names only, like
+// BenchmarkCaptureWarm:
+//
+//	go test -run '^$' -bench BenchmarkRestore -benchmem ./internal/checkpoint
+func BenchmarkRestore(b *testing.B) {
+	img := workload.ByName("mcf").Build(workload.Ref)
+	set, err := sim.CaptureCheckpointsContext(context.Background(), img, sim.DefaultConfig(), sim.AutoSampling(2_000_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := set.Points[i%len(set.Points)].Restore(img.Prog, sim.PFStride.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(st.Ems) != 1 {
+			b.Fatalf("restored %d cores, want 1", len(st.Ems))
+		}
+	}
+}

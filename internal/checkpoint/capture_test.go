@@ -130,7 +130,7 @@ func (w *refWarmer) snapshot() map[string]*Variant {
 	out := make(map[string]*Variant, len(w.variants))
 	for i := range w.variants {
 		v := &w.variants[i]
-		sv := &Variant{Hier: v.sys.CloneState()}
+		sv := &Variant{Hier: v.sys.Freeze()}
 		if v.pf != nil {
 			sv.PF = prefetch.Clone(v.pf)
 		}
@@ -246,12 +246,14 @@ func TestCaptureSlicedMatchesOracle(t *testing.T) {
 }
 
 // parentMultiSetSHA256 is the sha-256 of the set TestCaptureMultiMatchesParent
-// captures, as container version 3 (1 KiB pages) encodes it. The
-// version-2 bytes, which the commit before this loop's (7ce86b0) wrote
-// through its sequential path and its pipelined one alike, hashed to
-// 680f7072…; decoded, the two hold the same hierarchies, predictors,
-// prefetchers and words (the cross-commit check in PERFLOG.md).
-const parentMultiSetSHA256 = "5561ec0b9678f19ace658184f4049f602d657b0814c9430d0eb7384d3de86db6"
+// captures, as container version 4 (a line's LRU rank, not its stamp)
+// encodes it. The version-3 bytes (1 KiB pages) hashed to 5561ec0b…, and
+// the version-2 bytes, which the commit before this loop's (7ce86b0)
+// wrote through its sequential path and its pipelined one alike, to
+// 680f7072…; restored, each holds the same lines in the same LRU order,
+// predictors, prefetchers and words (the cross-commit checks in
+// PERFLOG.md).
+const parentMultiSetSHA256 = "2a21a38b8b3acd534628e0b2780c8ec7ad0d3c5745322afbe37c3bb5e00ecb81"
 
 // TestCaptureMultiMatchesParent: the co-scheduled capture (shared-LLC
 // occupancy, store dirtiness, per-core frontends, paced snapshots) still
@@ -393,7 +395,7 @@ func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems [
 		if anyDone {
 			break // a lockstep window needs every core live
 		}
-		pt := &MultiPoint{Hier: sh.CloneState(), Cores: make([]*CoreState, n)}
+		pt := &MultiPoint{Hier: sh.Freeze(), Cores: make([]*CoreState, n)}
 		for i, em := range ems {
 			cs := &CoreState{
 				PC:      em.PC(),

@@ -45,15 +45,15 @@ type Params struct {
 func (p Params) Total() uint64 { return (p.Skip + p.Warm + p.Window) * uint64(p.Count) }
 
 // Variant is the warmed state that depends on the prefetcher
-// configuration: a one-core memory system (prefetched lines change cache
-// content, and resident prefetched lines are what dedups most later
-// suggestions in a steady-state run) and the prefetcher's own training
-// state (BOP in particular converges over thousands of training misses,
-// so a cold instance inside a short window badly overstates prefetch
-// traffic). Branch-predictor and architectural state are
-// prefetcher-independent and live on the Point directly.
+// configuration: a one-core memory system's warmed lines (prefetched
+// lines change cache content, and resident prefetched lines are what
+// dedups most later suggestions in a steady-state run) and the
+// prefetcher's own training state (BOP in particular converges over
+// thousands of training misses, so a cold instance inside a short window
+// badly overstates prefetch traffic). Branch-predictor and architectural
+// state are prefetcher-independent and live on the Point directly.
 type Variant struct {
-	Hier *cache.SharedHierarchy
+	Hier *cache.Template
 	PF   prefetch.Prefetcher // nil when the kind runs without a prefetcher
 }
 
@@ -159,7 +159,7 @@ func checkImage(image *emu.Memory, want emu.ImageID) error {
 
 // liveVariant is one prefetcher kind's warming state during capture: the
 // view hier warms through and, in a single-core capture, the one-core
-// system it is the view of, which snapshot clones.
+// system it is the view of, which snapshot freezes.
 type liveVariant struct {
 	name string
 	sys  *cache.SharedHierarchy
@@ -239,12 +239,12 @@ func (w *warmer) WarmBranch(pc int, in *isa.Inst, taken bool, nextPC int) {
 	}
 }
 
-// snapshot clones every variant into a Point-ready template map.
+// snapshot freezes every variant into a Point-ready template map.
 func (w *warmer) snapshot() map[string]*Variant {
 	out := make(map[string]*Variant, len(w.variants))
 	for i := range w.variants {
 		v := &w.variants[i]
-		sv := &Variant{Hier: v.sys.CloneState()}
+		sv := &Variant{Hier: v.sys.Freeze()}
 		if v.pf != nil {
 			sv.PF = prefetch.Clone(v.pf)
 		}
@@ -295,8 +295,8 @@ func newWarmer(prog *program.Program, btbEntries, btbWays, rasEntries int) *warm
 //
 // The hierarchies share one L1I. What an L1I holds follows from the
 // code-line stream alone, which is the same for every variant, so warming
-// four would write four identical copies; snapshot's CloneState still
-// gives each Variant its own. L1D cannot be shared the same way: every
+// four would write four identical copies; snapshot's Freeze still gives
+// each Variant its own. L1D cannot be shared the same way: every
 // prefetcher trains on its hits and installs into it.
 func newCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher) *warmer {
 	w := newWarmer(prog, btbEntries, btbWays, rasEntries)
@@ -328,10 +328,10 @@ func snapshotCore(em *emu.Emulator, w *warmer, ffInsts uint64) CoreState {
 // sliceInsts bounds the instructions a capture fast-forwards between two
 // looks at its context. A phase may be billions of instructions long (a
 // crispd job's schedule is its client's to choose) and warms into four
-// variants at some fourteen million a second (bench's traced
-// checkpoint.capture_mips; 9 to 12 on this sandbox's slow days), so a
-// cancelled capture is gone within five to ten milliseconds whatever the
-// schedule, at one ctx.Err() per slice.
+// variants at 8 to 25 million a second (bench's traced
+// checkpoint.capture_mips on a 2-CPU Xeon, as fast or slow as the host
+// runs), so a cancelled capture is gone within three to eight
+// milliseconds whatever the schedule, at one ctx.Err() per slice.
 const sliceInsts = 64 << 10
 
 // fastForward runs limit instructions on em streamed into w (nil:

@@ -79,8 +79,8 @@ func TestCaptureWarmsState(t *testing.T) {
 	prog, set := testCapture(t, Params{Warm: 2000, Window: 100, Count: 1})
 	pt := set.Points[0]
 	// The array lines the warm phase streamed must be resident in the
-	// warmed L1D (probe a clone so the template stays untouched).
-	l1d := pt.Variants["none"].Hier.CloneState().Views[0].L1D
+	// warmed L1D (probe a restored hierarchy: the template is only read).
+	l1d := pt.Variants["none"].Hier.Restore().Views[0].L1D
 	if !l1d.Warm(0x4000, false) || !l1d.Warm(0x4000+8*63, false) {
 		t.Errorf("warmed L1D missing array lines")
 	}

@@ -28,8 +28,9 @@ import (
 // covers the payload, so a torn or bit-flipped entry decodes to a clean
 // error — callers treat that as a miss, delete the file and recapture.
 //
-// Payload (version 3; page numbers, imagePages and the dict's pages are in
-// units of emu.PageSize, so a page-size change is a version change):
+// Payload (version 4; page numbers, imagePages and the dict's pages are in
+// units of emu.PageSize, so a page-size change is a version change; a
+// hierarchy is a cache.Template's lines, tag words and LRU ranks):
 //
 //	string hierJSON | u64 ffInsts | i64 hostNS |
 //	u64 imagePages | u32 imageSum | u32 pointCount |
@@ -71,7 +72,7 @@ import (
 
 const (
 	codecMagic   = "CRSPCKP1"
-	codecVersion = 3
+	codecVersion = 4
 )
 
 // maxPoints bounds the decoded point count (a schedule has tens of
@@ -94,7 +95,7 @@ func EncodeSet(set *Set, key string) []byte {
 		for _, name := range names {
 			v := pt.Variants[name]
 			pw.String(name)
-			v.Hier.Views[0].EncodeState(&pw)
+			v.Hier.Encode(&pw)
 			prefetch.Encode(&pw, v.PF)
 		}
 		pt.Mem.EncodeState(&pw, dict, set.Image)
@@ -272,7 +273,7 @@ func DecodeSet(data []byte, expectKey string) (*Set, error) {
 			}
 			prev = name
 			v := &Variant{}
-			if v.Hier, err = cache.DecodeHierarchy(p, set.Hier); err != nil {
+			if v.Hier, err = cache.DecodeTemplate(p, set.Hier, 1); err != nil {
 				return nil, fmt.Errorf("checkpoint: point %d variant %q: %w", i, name, err)
 			}
 			if v.PF, err = prefetch.Decode(p); err != nil {

@@ -53,7 +53,7 @@ func refEncodeSet(set *Set, key string) []byte {
 		for _, name := range names {
 			v := pt.Variants[name]
 			pw.String(name)
-			v.Hier.Views[0].EncodeState(&pw)
+			v.Hier.Encode(&pw)
 			prefetch.Encode(&pw, v.PF)
 		}
 		pt.Mem.EncodeState(&pw, dict, nil)
@@ -100,7 +100,7 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 			cs.RAS.EncodeState(&pw)
 			prefetch.Encode(&pw, cs.PF)
 		}
-		pt.Hier.EncodeState(&pw)
+		pt.Hier.Encode(&pw)
 		for _, cs := range pt.Cores {
 			cs.Mem.EncodeState(&pw, dict, nil)
 		}

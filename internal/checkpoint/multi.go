@@ -70,7 +70,7 @@ type CoreState struct {
 // LLC in one structure).
 type MultiPoint struct {
 	Cores []*CoreState
-	Hier  *cache.SharedHierarchy // warmed template; Restore clones it
+	Hier  *cache.Template // warmed lines; Restore builds a hierarchy from them
 
 	unattached bool // decoded, and no core's Mem is laid over its image yet
 }
@@ -99,7 +99,7 @@ func (p *MultiPoint) Restore(progs []*program.Program) (MultiRestored, error) {
 	if len(progs) != n {
 		return MultiRestored{}, fmt.Errorf("checkpoint: %d programs for a %d-core point", len(progs), n)
 	}
-	sh := p.Hier.CloneState()
+	sh := p.Hier.Restore()
 	st := MultiRestored{
 		Ems:  make([]*emu.Emulator, n),
 		Hier: sh,
@@ -240,7 +240,7 @@ func CaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*e
 		cores[i] = captureCore{em: em, w: w, pace: pc}
 	}
 	set.WarmInsts = capture(ctx, cores, p, sliceInsts, func() {
-		pt := &MultiPoint{Hier: sh.CloneState(), Cores: make([]*CoreState, n)}
+		pt := &MultiPoint{Hier: sh.Freeze(), Cores: make([]*CoreState, n)}
 		for i := range cores {
 			cs := snapshotCore(cores[i].em, cores[i].w, cores[i].ff)
 			if pfs[i] != nil {

@@ -15,7 +15,8 @@ import (
 // length over the payload) under its own magic so a multi-set file can
 // never decode as a single-core set or vice versa.
 //
-// Payload (version 3; pages counted as in the single-core container):
+// Payload (version 4; pages and hierarchies as in the single-core
+// container):
 //
 //	string hierJSON | u32 cores | per core: string pfKind |
 //	per core: f64 pace | per core: u64 windowInsts |
@@ -38,7 +39,7 @@ import (
 
 const (
 	multiCodecMagic   = "CRSPMCK1"
-	multiCodecVersion = 3
+	multiCodecVersion = 4
 )
 
 // maxMultiCores bounds the decoded core count (sim.MaxCores is 8; the
@@ -64,7 +65,7 @@ func EncodeMultiSet(set *MultiSet, key string) []byte {
 			encodeCore(&pw, cs)
 			prefetch.Encode(&pw, cs.PF)
 		}
-		pt.Hier.EncodeState(&pw)
+		pt.Hier.Encode(&pw)
 		for c, cs := range pt.Cores {
 			cs.Mem.EncodeState(&pw, dict, images[c])
 		}
@@ -173,7 +174,7 @@ func DecodeMultiSet(data []byte, expectKey string) (*MultiSet, error) {
 			}
 			pt.Cores[c] = cs
 		}
-		if pt.Hier, err = cache.DecodeSharedHierarchy(p, set.Hier, set.Cores); err != nil {
+		if pt.Hier, err = cache.DecodeTemplate(p, set.Hier, set.Cores); err != nil {
 			return nil, fmt.Errorf("checkpoint: point %d: %w", i, err)
 		}
 		for c := range pt.Cores {

@@ -178,8 +178,9 @@ func TestWrongImageIsRecaptured(t *testing.T) {
 }
 
 // TestStoreVersion1IsAMiss: a file written by an older codec — version 1
-// (every page of every point, 26-byte lines), version 2 (4 KiB pages) —
-// must not reach the current decoder's payload parser. The version field
+// (every page of every point, 26-byte lines), version 2 (4 KiB pages),
+// version 3 (LRU stamps, fill times and depths in every line) — must not
+// reach the current decoder's payload parser. The version field
 // sits outside the CRC, so a well-formed file with an old number in it
 // stands in for one; it is a miss, deleted like any entry the reader
 // cannot use. Every version below the one the encoder writes is planted,
@@ -218,8 +219,8 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 		}
 		const versionAt = 8 // behind the 8-byte magic
 		current := binary.LittleEndian.Uint32(enc[versionAt:])
-		if current < 3 {
-			t.Fatalf("%s: codec version %d at offset %d, want 3 or later", kind, current, versionAt)
+		if current < 4 {
+			t.Fatalf("%s: codec version %d at offset %d, want 4 or later", kind, current, versionAt)
 		}
 		for v := uint32(1); v < current; v++ {
 			binary.LittleEndian.PutUint32(enc[versionAt:], v)
