@@ -98,6 +98,9 @@ type Statsz struct {
 	// entries. A request answered from it (or from the store at all) never
 	// becomes a job, so Jobs does not count it.
 	ResultCache ResultCacheStats `json:"result_cache"`
+	// HeapLiveBytes is the heap the last GC found live (runtime/metrics
+	// /gc/heap/live:bytes), all of it, not only the runner's.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
 }
 
 // ResultCacheStats counts the published-result cache's traffic since the

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"net/http"
 	"os"
+	"runtime"
 	"testing"
 
 	"crisp/internal/sim"
@@ -20,13 +21,15 @@ const statszGolden = "testdata/statsz.golden.json"
 // TestStatszGolden: a server that computed one full-detail and one sampled
 // run, then answered the first again from the store, reports these
 // counters. The time and host fields are zeroed (and the cached result's
-// size, whose host fields vary in width); the counts are deterministic.
+// size, whose host fields vary in width, and the live heap); the counts
+// are deterministic.
 func TestStatszGolden(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Queue: 7, Store: t.TempDir()})
 	sampled := sim.RunSpec{Workload: "pointerchase", Sampling: &sim.Sampling{Warm: 15_000, Window: 5_000, Count: 2}}
 	for _, spec := range []sim.RunSpec{fastSpec(), sampled, fastSpec()} {
 		serveResult(t, ts.URL, spec)
 	}
+	runtime.GC() // heap_live_bytes is what the last collection marked
 	resp, err := http.Get(ts.URL + "/v1/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +45,10 @@ func TestStatszGolden(t *testing.T) {
 	if st.Runner.DetailNS <= 0 || st.Runner.CaptureNS <= 0 {
 		t.Errorf("host times not counted: %+v", st.Runner)
 	}
-	st.UptimeS, st.ResultCache.Bytes = 0, 0
+	if st.HeapLiveBytes == 0 {
+		t.Error("heap_live_bytes not reported")
+	}
+	st.UptimeS, st.ResultCache.Bytes, st.HeapLiveBytes = 0, 0, 0
 	st.Runner.LockWaitNS, st.Runner.CaptureNS, st.Runner.DetailNS = 0, 0, 0
 	got, err := json.Marshal(st)
 	if err != nil {

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -675,7 +676,16 @@ func (s *Server) handleStatsz(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Unlock()
 	st.ResultCache = s.published.stats()
+	st.HeapLiveBytes = heapLive()
 	writeJSON(w, http.StatusOK, st)
+}
+
+// heapLive is the heap the last garbage collection found reachable: what a
+// long-lived server holds, memoized results and workload images included.
+func heapLive() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s) // a metric of every Go since 1.21; go.mod asks for 1.22
+	return s[0].Value.Uint64()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
