@@ -11,9 +11,10 @@
 // sweep (Ctrl-C, -timeout) resumes where it stopped and a repeated
 // invocation completes from the store in seconds.
 //
-// The store is safe to share between concurrent processes: advisory
-// file locks guarantee each spec simulates and each checkpoint schedule
-// fast-forwards once globally.
+// The store is safe to share between concurrent processes on one host:
+// a claim is a kernel lock (flock), held while its process lives, so
+// each spec simulates and each checkpoint schedule fast-forwards once.
+// Machines share a store through crispd (-server).
 //
 // Usage:
 //

@@ -31,23 +31,30 @@ func sweepSpecs() []sim.RunSpec {
 // childEnvDir is the env var that turns TestCrossProcessChild from a
 // skip into a sweep worker; its value is the shared store directory.
 // childEnvCrash, set as well, makes it the writer that dies mid-publish
-// instead (crashMidPublish).
+// instead (crashMidPublish); childEnvHold, the holder that is killed
+// (holdClaim).
 const (
 	childEnvDir   = "CRISP_CROSSPROC_DIR"
 	childEnvCrash = "CRISP_CROSSPROC_CRASH"
+	childEnvHold  = "CRISP_CROSSPROC_HOLD"
 )
 
-// TestCrossProcessChild is the worker half of TestCrossProcessDedup and
-// TestCrossProcessCrashMidPublish: a re-exec of this test binary that
-// sweeps the shared store and reports its counters on stdout, or crashes
-// mid-publish. It skips when run as part of a normal test pass.
+// TestCrossProcessChild is the worker half of TestCrossProcessDedup,
+// TestCrossProcessCrashMidPublish and TestCrossProcessKilledHolder: a
+// re-exec of this test binary that sweeps the shared store and reports
+// its counters on stdout, crashes mid-publish, or holds a claim until it
+// is killed. It skips when run as part of a normal test pass.
 func TestCrossProcessChild(t *testing.T) {
 	dir := os.Getenv(childEnvDir)
 	if dir == "" {
 		t.Skip("helper process for the cross-process tests")
 	}
-	if os.Getenv(childEnvCrash) != "" {
+	switch {
+	case os.Getenv(childEnvCrash) != "":
 		crashMidPublish(t, dir)
+		return
+	case os.Getenv(childEnvHold) != "":
+		holdClaim(t, dir)
 		return
 	}
 	r, err := New(context.Background(), Options{Workers: 2, CacheDir: dir})
@@ -244,12 +251,11 @@ func crashMidPublish(t *testing.T, dir string) {
 }
 
 // TestCrossProcessCrashMidPublish: a process that dies between writing
-// an entry over its lock body and the rename leaves a lock holding half
-// an entry, the one crash state publishing through the lock adds. Its
-// content is no lock body, so a runner sharing the store must break it
-// within one poll of its turning lockEmptyTTL old and take it a poll
-// later, then compute the spec once and leave a decodable entry and no
-// lock.
+// an entry over its lock file and the rename leaves a lock file holding
+// half an entry, the one crash state publishing through the lock adds.
+// The kernel dropped the dead writer's claim, so a runner sharing the
+// store takes the lock without waiting out any age, computes the spec
+// once and leaves a decodable entry and no lock.
 func TestCrossProcessCrashMidPublish(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
@@ -267,27 +273,95 @@ func TestCrossProcessCrashMidPublish(t *testing.T) {
 	spec := crashSpec()
 	r := newRunner(t, Options{Workers: 1, CacheDir: dir})
 	lock := r.store.lockPath(kindRun, spec.Key())
-	fi, err := os.Stat(lock)
-	if err != nil {
+	if _, err := os.Stat(lock); err != nil {
 		t.Fatalf("the child left no lock: %v", err)
 	}
-	young := time.Since(fi.ModTime()) < lockEmptyTTL-lockPollInterval
 	if _, err := r.Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
+	checkRecomputedOnce(t, r, lock)
+}
+
+// holdClaim claims crashSpec's run key, says so on stdout and blocks
+// until the parent kills it.
+func holdClaim(t *testing.T, dir string) {
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Lock(context.Background(), kindRun, crashSpec().Key()); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Println("CLAIMED")
+	time.Sleep(time.Hour)
+}
+
+// TestCrossProcessKilledHolder: a process killed with SIGKILL while it
+// holds a claim frees it at once, even while its pid lives on as an
+// unreaped zombie. A runner on the same store resolves the spec before
+// the child is reaped, computes it once, and leaves a decodable entry and
+// no lock.
+func TestCrossProcessKilledHolder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(exe, "-test.run=^TestCrossProcessChild$", "-test.v")
+	cmd.Env = append(os.Environ(), childEnvDir+"="+dir, childEnvHold+"=1")
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	defer cmd.Process.Kill()
+	var out []string
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() && !strings.HasPrefix(sc.Text(), "CLAIMED") {
+		out = append(out, sc.Text())
+	}
+	spec := crashSpec()
+	r := newRunner(t, Options{Workers: 1, CacheDir: dir})
+	lock := r.store.lockPath(kindRun, spec.Key())
+	if !r.store.LockHeld(kindRun, spec.Key()) {
+		t.Fatalf("the child holds no claim; it printed:\n%s", strings.Join(out, "\n"))
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	// Before cmd.Wait: the child is a zombie, or about to be one.
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if _, err := r.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	checkRecomputedOnce(t, r, lock)
+}
+
+// checkRecomputedOnce checks what a runner that resolved crashSpec over a
+// dead writer's lock leaves: one computed result, a wait of at most two
+// polls (the kernel may not have let the lock go yet), a decodable entry
+// and no lock.
+func checkRecomputedOnce(t *testing.T, r *Runner, lock string) {
+	t.Helper()
 	st := r.Stats()
 	if st.Executed != 1 || st.DiskHits != 0 {
 		t.Errorf("Executed %d, DiskHits %d; want one recompute", st.Executed, st.DiskHits)
 	}
-	// A poll to notice the lock has aged out, one more to take it; the
-	// slack is scheduling.
-	const slack = 250 * time.Millisecond
+	const slack = 250 * time.Millisecond // scheduling
 	wait := time.Duration(st.LockWaitNS)
-	t.Logf("waited %v on the half-written lock", wait)
-	if wait > lockEmptyTTL+2*lockPollInterval+slack || young && wait < lockPollInterval {
-		t.Errorf("lock wait %v (lock young at start: %v), want the half-written lock broken once %v old", wait, young, lockEmptyTTL)
+	t.Logf("waited %v on the dead writer's lock", wait)
+	if wait > 2*lockPollInterval+slack {
+		t.Errorf("lock wait %v, want at most two polls (%v) and slack", wait, 2*lockPollInterval)
 	}
-	if !r.store.Get(kindRun, spec.Key(), &core.Result{}) {
+	if !r.store.Get(kindRun, crashSpec().Key(), &core.Result{}) {
 		t.Error("no decodable entry after the recompute")
 	}
 	if _, err := os.Stat(lock); !os.IsNotExist(err) {

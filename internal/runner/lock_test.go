@@ -4,18 +4,24 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
 
-// LockHeld reports whether a live process currently holds the advisory
-// lock for (kind, key), without waiting for it: the judgement a waiter
-// makes before it breaks a lock (lockSnapshot + lockStale), which nothing
-// in the program needs on its own and these tests observe a holder through.
+// LockHeld reports whether some open file holds the lock for (kind,
+// key), without waiting for it: a non-blocking flock probe on a fresh
+// descriptor, which nothing in the program needs and these tests observe
+// a holder through.
 func (s *Store) LockHeld(kind, key string) bool {
-	b, mod, ok := lockSnapshot(s.lockPath(kind, key))
-	return ok && !lockStale(b, mod)
+	f, err := os.Open(s.lockPath(kind, key))
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB) != nil
 }
 
 // TestLockMutualExclusion: the second acquirer blocks until the first
@@ -81,130 +87,100 @@ func TestLockCtxCancel(t *testing.T) {
 	}
 }
 
-// TestLockStaleRecovery: lock files left by crashed processes — dead
-// pid, or an empty file from a crash between create and write — must be
-// broken and reacquired, not waited on forever.
+// TestClaimStress: stores on one directory, one per goroutine as if one
+// per process, claim one key over and over; half the claims are released
+// and half publish with Put. The critical sections must never overlap:
+// that is what claim's check that the path still names the locked file
+// keeps, once a holder has renamed or removed it.
+func TestClaimStress(t *testing.T) {
+	dir := t.TempDir()
+	const workers, claims = 8, 60
+	var inside, overlaps atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		s, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < claims; i++ {
+				rel, _, err := s.Lock(context.Background(), kindRun, "k")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if inside.Add(1) > 1 {
+					overlaps.Add(1)
+				}
+				time.Sleep(200 * time.Microsecond)
+				inside.Add(-1)
+				if i%2 == 1 {
+					if err := s.Put(kindRun, "k", storedThing{A: w, B: i}); err != nil {
+						t.Error(err)
+					}
+				}
+				rel()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n > 0 {
+		t.Errorf("%d claims overlapped another's critical section", n)
+	}
+	if !(&Store{dir: dir}).Get(kindRun, "k", &storedThing{}) {
+		t.Error("no decodable entry after the stress")
+	}
+	if _, err := os.Stat((&Store{dir: dir}).lockPath(kindRun, "k")); !os.IsNotExist(err) {
+		t.Errorf("lock left behind (stat err = %v)", err)
+	}
+}
+
+// TestLockStaleRecovery: a lock file a crashed process left behind —
+// empty, holding a dead or a live pid's body, or half an entry — has no
+// holder, so it is taken at once, whatever its content or age says, and
+// a put through it leaves only the entry.
 func TestLockStaleRecovery(t *testing.T) {
 	s, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	host, _ := os.Hostname()
-	// A pid far beyond the kernel's pid space is definitely dead.
-	dead := fmt.Sprintf("%d %d %s", 1<<30, time.Now().UnixNano(), host)
-	if err := os.WriteFile(s.lockPath(kindCkpt, "crashed"), []byte(dead), 0o644); err != nil {
-		t.Fatal(err)
+	leftovers := map[string]string{
+		"empty": "",
+		// A pid far beyond the kernel's pid space is definitely dead.
+		"dead":  fmt.Sprintf("%d %d %s", 1<<30, time.Now().UnixNano(), host),
+		"live":  fmt.Sprintf("%d %d %s", os.Getpid(), time.Now().UnixNano(), host),
+		"entry": `{"A":1,"B":2,"Name":"half an ent`,
 	}
-	if s.LockHeld(kindCkpt, "crashed") {
-		t.Error("dead holder's lock reported as held")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	rel, _, err := s.Lock(ctx, kindCkpt, "crashed")
-	if err != nil {
-		t.Fatalf("stale lock (dead pid) not recovered: %v", err)
-	}
-	rel()
-
-	// Empty lock file: stale only after lockEmptyTTL, judged by mtime.
-	path := s.lockPath(kindCkpt, "torn")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * lockEmptyTTL)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-	rel, _, err = s.Lock(ctx, kindCkpt, "torn")
-	if err != nil {
-		t.Fatalf("stale empty lock not recovered: %v", err)
-	}
-	rel()
-
-	// A live holder (this process) must NOT be judged stale.
-	live := fmt.Sprintf("%d %d %s", os.Getpid(), time.Now().UnixNano(), host)
-	if lockStale([]byte(live), time.Now()) {
-		t.Error("live holder judged stale")
-	}
-	if !lockStale([]byte(dead), time.Now()) {
-		t.Error("dead holder judged live")
-	}
-	// A foreign host's lock is only broken by the TTL.
-	foreign := fmt.Sprintf("%d %d not-%s", 1<<30, time.Now().UnixNano(), host)
-	if lockStale([]byte(foreign), time.Now()) {
-		t.Error("young foreign-host lock judged stale (pid check must be host-local)")
-	}
-	expired := fmt.Sprintf("%d %d not-%s", 1<<30, time.Now().Add(-2*lockStaleTTL).UnixNano(), host)
-	if !lockStale([]byte(expired), time.Now()) {
-		t.Error("TTL-expired foreign-host lock judged live")
-	}
-}
-
-// TestLockWriteFailure: a failed lock-body write (the full-disk case)
-// must fail the acquire and remove the lock file, instead of proceeding
-// with an empty lock that peers judge stale after lockEmptyTTL and
-// break mid-compute — the duplicate-capture case the lock prevents.
-func TestLockWriteFailure(t *testing.T) {
-	s, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := lockWrite
-	lockWrite = func(*os.File, string) error {
-		return fmt.Errorf("write: no space left on device")
-	}
-	defer func() { lockWrite = orig }()
-
-	if _, _, err := s.Lock(context.Background(), kindRun, "k"); err == nil {
-		t.Fatal("Lock succeeded despite a failed lock-body write")
-	}
-	if _, err := os.Stat(s.lockPath(kindRun, "k")); !os.IsNotExist(err) {
-		t.Errorf("failed acquire left the lock file behind (stat err = %v)", err)
-	}
-
-	// With the write working again the same key must be acquirable
-	// immediately — no stale debris to wait out.
-	lockWrite = orig
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	rel, _, err := s.Lock(ctx, kindRun, "k")
-	if err != nil {
-		t.Fatalf("re-acquire after failed write: %v", err)
-	}
-	rel()
-}
-
-// TestLockHeldSnapshotRace: LockHeld must judge content and mtime from
-// one file, not pair an old file's content with its replacement's
-// mtime. The seam fires between the read and the stat; replacing a
-// stale empty lock with a fresh one there made the old implementation
-// report the stale lock as held (old empty content + new fresh mtime),
-// which is also how breakIfStale would leave a crashed holder's lock in
-// place for every waiter.
-func TestLockHeldSnapshotRace(t *testing.T) {
-	s, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := s.lockPath(kindRun, "raced")
-	// A crashed holder's empty lock, old enough to be stale.
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * lockEmptyTTL)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-	lockSnapshotGap = func() {
-		lockSnapshotGap = nil // fire once: the replacement re-stats too
-		os.Remove(path)
-		if err := os.WriteFile(path, nil, 0o644); err != nil {
-			t.Error(err)
+	for _, name := range []string{"empty", "dead", "live", "entry"} {
+		if err := os.WriteFile(s.lockPath(kindRun, name), []byte(leftovers[name]), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	defer func() { lockSnapshotGap = nil }()
-	if s.LockHeld(kindRun, "raced") {
-		t.Error("LockHeld judged the stale lock by its replacement's mtime")
+		if s.LockHeld(kindRun, name) {
+			t.Errorf("%s: a leftover lock file reported as held", name)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		rel, waited, err := s.Lock(ctx, kindRun, name)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: leftover lock not taken: %v", name, err)
+		}
+		if waited >= lockPollInterval {
+			t.Errorf("%s: waited %v on a leftover lock, want no poll", name, waited)
+		}
+		if err := s.Put(kindRun, name, storedThing{A: 1, Name: name}); err != nil {
+			t.Fatal(err)
+		}
+		rel()
+		var got storedThing
+		if !s.Get(kindRun, name, &got) || got.Name != name {
+			t.Errorf("%s: entry %+v after a put over the leftover", name, got)
+		}
+		if _, err := os.Stat(s.lockPath(kindRun, name)); !os.IsNotExist(err) {
+			t.Errorf("%s: lock left behind (stat err = %v)", name, err)
+		}
 	}
 }
 

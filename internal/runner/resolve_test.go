@@ -147,13 +147,13 @@ func TestResolveLadder(t *testing.T) {
 				if onWait != nil {
 					waiting := make(chan struct{})
 					var once sync.Once
-					lockSnapshotGap = func() { once.Do(func() { close(waiting) }) } // a waiter judging the held lock
+					lockBusy = func() { once.Do(func() { close(waiting) }) } // a waiter finding the lock held
 					done := make(chan error, 1)
 					go func() { done <- k.run(ctx, r) }()
 					<-waiting
 					onWait()
 					err = <-done
-					lockSnapshotGap = nil
+					lockBusy = nil
 				} else {
 					err = k.run(ctx, r)
 				}

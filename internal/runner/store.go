@@ -171,18 +171,15 @@ func (s *Store) PutMultiCheckpoint(key string, set *checkpoint.MultiSet) error {
 	return s.put(kindMultiCkpt, key, func() ([]byte, error) { return checkpoint.EncodeMultiSet(set, key), nil })
 }
 
-// publishGap is a test seam invoked between a put's flush and its
-// rename: the window in which a peer may break the claim.
-var publishGap = func() {}
-
 // put is the one write path: encode (only when the store persists
 // anything), then publish through the key's claim — the lock this Store
 // holds on it (Lock), or one taken here for a put nobody locked. The
-// entry's bytes overwrite the lock body; the file is fsynced, renamed onto
-// the entry's name, and the directory fsynced. The rename publishes and
+// entry's bytes overwrite the lock file; it is fsynced, renamed onto the
+// entry's name, and the directory fsynced. The rename publishes and
 // releases at once, so an entry costs one file creation, and no crash can
 // leave a torn or vanishing entry: one before the rename leaves a lock
-// holding entry bytes, which peers break after lockEmptyTTL.
+// file holding entry bytes, which the next claimer takes at once and
+// overwrites.
 func (s *Store) put(kind, key string, encode func() ([]byte, error)) error {
 	if s.dir == "" {
 		return nil
@@ -195,14 +192,13 @@ func (s *Store) put(kind, key string, encode func() ([]byte, error)) error {
 	var f *os.File
 	if v, ok := s.held.LoadAndDelete(lock); ok {
 		f = v.(*os.File)
-	} else if f, _, err = s.claim(context.Background(), lock); err != nil {
+	} else if f, _, err = claim(context.Background(), lock); err != nil {
 		return err
 	}
-	// Open until after the rename, for the SameFile check below: a closed
-	// file that a peer unlinked frees its inode number for the peer's new
-	// lock. Its data is fsynced by then, so Close has nothing to report.
+	// Closed, which lets the claim go, only once the path is renamed or
+	// removed (see claim). Its data is fsynced by then, so Close has
+	// nothing to report.
 	defer f.Close()
-	// Overwrite, then cut: the file never reads empty mid-publish.
 	if _, err = f.WriteAt(data, 0); err == nil {
 		err = f.Truncate(int64(len(data)))
 	}
@@ -210,14 +206,6 @@ func (s *Store) put(kind, key string, encode func() ([]byte, error)) error {
 	// truncated: the torn entry the atomic rename exists to prevent.
 	if err == nil {
 		err = f.Sync()
-	}
-	publishGap()
-	// Entry bytes are no lock body: a peer that finds them older than
-	// lockEmptyTTL (a stalled publish, a skewed clock) may have broken the
-	// claim and taken the key, and the path is then its to rename or remove.
-	fi, _ := f.Stat() // nil on error, which SameFile matches to no file
-	if li, serr := os.Stat(lock); serr != nil || !os.SameFile(fi, li) {
-		return fmt.Errorf("runner: claim %s broken before publish", lock)
 	}
 	if err == nil {
 		err = os.Rename(lock, s.path(kind, key))

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -216,15 +218,12 @@ func TestStoreCheckpointEntry(t *testing.T) {
 	}
 }
 
-// TestPublishLostClaim: between a put's write and its rename the lock
-// file holds entry bytes, which a peer judges by mtime alone. A peer that
-// finds them older than lockEmptyTTL (here backdated; in life a stalled
-// publish or a skewed clock) breaks the claim and takes the key, and the
-// lock path is its own from then on. The holder's put must fail — resolve
-// ignores that — and its release must do nothing: the peer's lock keeps
-// its body, and no entry holds lock bytes. Without put's SameFile check
-// the holder renames the peer's lock onto the entry.
-func TestPublishLostClaim(t *testing.T) {
+// TestHeldClaimIsNeverTaken: a claim's holder keeps it for as long as it
+// lives, however old the lock file looks. Here the file says, in the
+// pid-body format older stores wrote, that it was taken 11 minutes ago,
+// and its mtime is an hour old; a peer on the same store must still wait
+// out its context, and the holder's put must publish.
+func TestHeldClaimIsNeverTaken(t *testing.T) {
 	dir := t.TempDir()
 	holder, err := NewStore(dir)
 	if err != nil {
@@ -234,41 +233,39 @@ func TestPublishLostClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	release, _, err := holder.Lock(ctx, kindRun, "k")
+	release, _, err := holder.Lock(context.Background(), kindRun, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	lock := holder.lockPath(kindRun, "k")
-	var peerRelease func()
-	publishGap = func() {
-		publishGap = func() {}
-		old := time.Now().Add(-2 * lockEmptyTTL)
-		if err := os.Chtimes(lock, old, old); err != nil {
-			t.Error(err)
-		}
-		var err error
-		if peerRelease, _, err = peer.Lock(ctx, kindRun, "k"); err != nil {
-			t.Errorf("peer could not break the stalled publish: %v", err)
-		}
+	host, _ := os.Hostname()
+	body := fmt.Sprintf("%d %d %s", os.Getpid(), time.Now().Add(-11*time.Minute).UnixNano(), host)
+	if err := os.WriteFile(lock, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	defer func() { publishGap = func() {} }()
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(lock, old, old); err != nil {
+		t.Fatal(err)
+	}
 
-	if err := holder.Put(kindRun, "k", storedThing{A: 1, B: 2, Name: "late"}); err == nil {
-		t.Error("put published through a claim a peer had taken")
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if peerRelease, _, err := peer.Lock(ctx, kindRun, "k"); !errors.Is(err, context.DeadlineExceeded) {
+		if err == nil {
+			peerRelease()
+		}
+		t.Fatalf("peer Lock = %v, want %v: a live holder's claim was taken", err, context.DeadlineExceeded)
 	}
-	release()
-	if !peer.LockHeld(kindRun, "k") {
-		t.Error("the peer's lock lost its body or its file")
+	if err := holder.Put(kindRun, "k", storedThing{A: 1, B: 2, Name: "late"}); err != nil {
+		t.Fatal(err)
 	}
-	if b, err := os.ReadFile(holder.path(kindRun, "k")); err == nil {
-		t.Errorf("an entry was published: %q", b)
+	var got storedThing
+	if !peer.Get(kindRun, "k", &got) || got.Name != "late" {
+		t.Errorf("entry %+v after the holder's put", got)
 	}
-	if peerRelease != nil {
-		peerRelease()
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Errorf("store not empty after the peer released: %d files", len(ents))
+	if _, err := os.Stat(lock); !os.IsNotExist(err) {
+		t.Errorf("lock left behind (stat err = %v)", err)
 	}
 }
 
