@@ -49,15 +49,16 @@ func (t *TAGE) EncodeState(w *codec.Writer) {
 }
 
 // maxTableLen bounds decoded table sizes. Every decoder also checks a
-// length prefix against the bytes left before it allocates, so a corrupt
-// prefix cannot drive an allocation larger than its input.
+// length prefix against the bytes left before it allocates
+// (codec.Reader.Len), so a corrupt prefix cannot drive an allocation
+// larger than its input.
 const maxTableLen = 1 << 24
 
 // DecodeTAGE reconstructs a predictor encoded by EncodeState.
 func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
-	nb := int(r.U32())
-	if nb <= 0 || nb > maxTableLen || nb > r.Remaining() {
-		return nil, fmt.Errorf("branch: TAGE base size %d out of range (%d bytes encoded)", nb, r.Remaining())
+	nb, err := r.Len(uint64(r.U32()), "TAGE base", 1, maxTableLen, 1)
+	if err != nil {
+		return nil, err
 	}
 	t := &TAGE{base: make([]int8, nb)}
 	for i := range t.base {
@@ -73,9 +74,9 @@ func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 	}
 	for i := 0; i < nt; i++ {
 		var tbl tageTable
-		ne := int(r.U32())
-		if ne <= 0 || ne > maxTableLen || ne > r.Remaining()/4 {
-			return nil, fmt.Errorf("branch: TAGE component size %d out of range (%d bytes encoded)", ne, r.Remaining())
+		ne, err := r.Len(uint64(r.U32()), "TAGE component", 1, maxTableLen, 4)
+		if err != nil {
+			return nil, err
 		}
 		tbl.entries = make([]tageEntry, ne)
 		for j := range tbl.entries {
@@ -158,12 +159,12 @@ func (b *BTB) EncodeState(w *codec.Writer) {
 func DecodeBTB(r *codec.Reader) (*BTB, error) {
 	sets := r.Int()
 	ways := r.Int()
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
+	n, err := r.Len(uint64(r.U32()), "BTB geometry", 1, maxTableLen, 1)
+	if err != nil {
+		return nil, err
 	}
-	if sets <= 0 || ways <= 0 || n > maxTableLen || n/ways != sets || n%ways != 0 || n > r.Remaining() {
-		return nil, fmt.Errorf("branch: BTB geometry %dx%d does not match %d entries in %d bytes", sets, ways, n, r.Remaining())
+	if sets <= 0 || ways <= 0 || n/ways != sets || n%ways != 0 {
+		return nil, fmt.Errorf("branch: BTB geometry %dx%d does not match %d entries", sets, ways, n)
 	}
 	b := &BTB{
 		sets: sets, ways: ways,
@@ -212,9 +213,9 @@ func (s *RAS) EncodeState(w *codec.Writer) {
 
 // DecodeRAS reconstructs a RAS encoded by EncodeState.
 func DecodeRAS(r *codec.Reader) (*RAS, error) {
-	n := int(r.U32())
-	if n <= 0 || n > maxTableLen || n > r.Remaining()/8 {
-		return nil, fmt.Errorf("branch: RAS size %d out of range (%d bytes encoded)", n, r.Remaining())
+	n, err := r.Len(uint64(r.U32()), "RAS", 1, maxTableLen, 8)
+	if err != nil {
+		return nil, err
 	}
 	s := &RAS{stack: make([]int, n)}
 	for i := range s.stack {

@@ -25,9 +25,9 @@ func emulatorOver(img *sim.Image) *emu.Emulator {
 
 // BenchmarkCaptureWarm is the capture's warm path alone: 200k instructions
 // of mcf streamed into one warmed variant (stride) and into the four a
-// sweep's capture warms, no skip phase and a single snapshot. It uses only
-// the exported surface, so the file also builds against an older
-// internal/checkpoint for a parent → change comparison:
+// sweep's capture warms, no skip phase and a single snapshot. It captures
+// through the one-core test helper (CaptureOne, over Capture); a parent
+// from before Capture replaced CaptureContext needs the call renamed:
 //
 //	go test -run '^$' -bench CaptureWarm -benchtime 20x ./internal/checkpoint
 func BenchmarkCaptureWarm(b *testing.B) {
@@ -56,7 +56,7 @@ func BenchmarkCaptureWarm(b *testing.B) {
 					pfs[k.name] = k.mk()
 				}
 				b.StartTimer()
-				set, err := checkpoint.CaptureContext(context.Background(), img.Prog, em, cache.DefaultHierConfig(), 8192, 4, 32, pfs,
+				set, err := checkpoint.CaptureOne(context.Background(), img.Prog, em, cache.DefaultHierConfig(), 8192, 4, 32, pfs,
 					checkpoint.Params{Warm: insts - 1000, Window: 1000, Count: 1})
 				if err != nil {
 					b.Fatal(err)

@@ -63,6 +63,24 @@ func capturePFS() map[string]prefetch.Prefetcher {
 	}
 }
 
+// captureOne is Capture of a one-core set with one variant per named
+// prefetcher, warmed tags-only, as the single-core sets are captured.
+func captureOne(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) (*Set, error) {
+	plan := Plan{Hier: hcfg, BTBEntries: btbEntries, BTBWays: btbWays, RASEntries: rasEntries, Variants: map[string][]prefetch.Prefetcher{}}
+	for name, pf := range pfs {
+		plan.Variants[name] = []prefetch.Prefetcher{pf}
+	}
+	return Capture(ctx, []*program.Program{prog}, []*emu.Emulator{em}, plan, p)
+}
+
+// captureMulti is Capture of a co-scheduled set: the one variant of the
+// cores' prefetcher kinds, warmed with store dirtiness, at the given pace.
+func captureMulti(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string, pfs []prefetch.Prefetcher, p Params, pace []float64) (*Set, error) {
+	plan := Plan{Hier: hcfg, BTBEntries: btbEntries, BTBWays: btbWays, RASEntries: rasEntries,
+		Variants: map[string][]prefetch.Prefetcher{VariantName(kinds): pfs}, Shared: true, Pace: pace}
+	return Capture(ctx, progs, ems, plan, p)
+}
+
 // refWarmer is the warmer as it stood before the variants shared an L1I,
 // kept verbatim as the oracle: every variant owns a whole hierarchy, every
 // code line is warmed into each of them, and every data access goes through
@@ -130,9 +148,9 @@ func (w *refWarmer) snapshot() map[string]*Variant {
 	out := make(map[string]*Variant, len(w.variants))
 	for i := range w.variants {
 		v := &w.variants[i]
-		sv := &Variant{Hier: v.sys.Freeze()}
+		sv := &Variant{Hier: v.sys.Freeze(), PFs: make([]prefetch.Prefetcher, 1)}
 		if v.pf != nil {
-			sv.PF = prefetch.Clone(v.pf)
+			sv.PFs[0] = prefetch.Clone(v.pf)
 		}
 		out[v.name] = sv
 	}
@@ -158,7 +176,7 @@ func newRefCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntrie
 // phase is sliced is TestCaptureSlicedMatchesOracle's subject).
 func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) *Set {
 	w := newRefCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, pfs)
-	set := &Set{Hier: hcfg, Image: em.Mem().Snapshot()}
+	set := &Set{Hier: hcfg, Cores: 1, Images: []*emu.Memory{em.Mem().Snapshot()}, Pace: []float64{1}, WindowInsts: []uint64{p.Window}}
 	for i := 0; i < p.Count; i++ {
 		set.FFInsts += em.FastForward(p.Skip, nil)
 		n := em.FastForward(p.Warm, w)
@@ -168,7 +186,7 @@ func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, 
 			break
 		}
 		set.Points = append(set.Points, &Point{
-			CoreState: CoreState{
+			Cores: []*CoreState{{
 				PC:      em.PC(),
 				Regs:    em.Regs(),
 				Mem:     em.Mem().Snapshot(),
@@ -176,13 +194,14 @@ func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, 
 				BTB:     w.btb.Clone(),
 				RAS:     w.ras.Clone(),
 				FFInsts: set.FFInsts,
-			},
+			}},
 			Variants: w.snapshot(),
 		})
 		n = em.FastForward(p.Window, w)
 		set.FFInsts += n
 		set.WarmInsts += n
 	}
+	set.FFPerCore = []uint64{set.FFInsts}
 	return set
 }
 
@@ -190,7 +209,7 @@ func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, 
 // cut into slices, kept verbatim as the oracle: one FastForward call a
 // phase, so one code-line dedup state a phase, and cancellation seen only
 // between phases.
-func refCaptureSequential(ctx context.Context, em *emu.Emulator, w *warmer, p Params, set *Set) {
+func refCaptureSequential(ctx context.Context, em *emu.Emulator, w *refWarmer, p Params, set *Set) {
 	for i := 0; i < p.Count; i++ {
 		set.FFInsts += em.FastForward(p.Skip, nil)
 		n := em.FastForward(p.Warm, w)
@@ -199,7 +218,8 @@ func refCaptureSequential(ctx context.Context, em *emu.Emulator, w *warmer, p Pa
 		if ctx.Err() != nil || em.Done() {
 			return
 		}
-		set.Points = append(set.Points, &Point{CoreState: snapshotCore(em, w, set.FFInsts), Variants: w.snapshot()})
+		set.Points = append(set.Points, &Point{Cores: []*CoreState{{PC: em.PC(), Regs: em.Regs(), Mem: em.Mem().Snapshot(),
+			BP: w.bp.Clone(), BTB: w.btb.Clone(), RAS: w.ras.Clone(), FFInsts: set.FFInsts}}, Variants: w.snapshot()})
 		// Execute the window region functionally too (with warming): the
 		// detailed run covers it from the restored state, and the next
 		// checkpoint's state must include it.
@@ -225,16 +245,23 @@ func TestCaptureSlicedMatchesOracle(t *testing.T) {
 	hcfg := cache.DefaultHierConfig()
 	for _, prog := range []*program.Program{chaseProgram(t), storeProgram(t)} {
 		em := chaseEmu(t, prog)
-		oracle := &Set{Hier: hcfg, Image: em.Mem().Snapshot()}
-		refCaptureSequential(context.Background(), em, newCaptureWarmer(prog, hcfg, 128, 4, 16, capturePFS()), p, oracle)
+		oracle := &Set{Hier: hcfg, Cores: 1, Images: []*emu.Memory{em.Mem().Snapshot()}, Pace: []float64{1}, WindowInsts: []uint64{p.Window}}
+		refCaptureSequential(context.Background(), em, newRefCaptureWarmer(prog, hcfg, 128, 4, 16, capturePFS()), p, oracle)
 		if len(oracle.Points) != p.Count {
 			t.Fatalf("%s: oracle captured %d points, want %d", prog.Name, len(oracle.Points), p.Count)
 		}
+		oracle.FFPerCore = []uint64{oracle.FFInsts}
 		want := EncodeSet(oracle, prog.Name)
 		for _, slice := range []uint64{1, 7, 8192, p.Warm} {
-			em := chaseEmu(t, prog)
-			set := &Set{Hier: hcfg, Image: em.Mem().Snapshot()}
-			captureSliced(context.Background(), em, newCaptureWarmer(prog, hcfg, 128, 4, 16, capturePFS()), p, set, slice)
+			plan := Plan{Hier: hcfg, BTBEntries: 128, BTBWays: 4, RASEntries: 16, Variants: map[string][]prefetch.Prefetcher{}, slice: slice}
+			for name, pf := range capturePFS() {
+				plan.Variants[name] = []prefetch.Prefetcher{pf}
+			}
+			set, err := Capture(context.Background(), []*program.Program{prog}, []*emu.Emulator{chaseEmu(t, prog)}, plan, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.HostNS = 0
 			if !bytes.Equal(EncodeSet(set, prog.Name), want) {
 				t.Errorf("%s, slices of %d: the set encodes differently from the unsliced oracle's", prog.Name, slice)
 			}
@@ -246,21 +273,22 @@ func TestCaptureSlicedMatchesOracle(t *testing.T) {
 }
 
 // parentMultiSetSHA256 is the sha-256 of the set TestCaptureMultiMatchesParent
-// captures, as container version 4 (a line's LRU rank, not its stamp)
-// encodes it. The version-3 bytes (1 KiB pages) hashed to 5561ec0b…, and
-// the version-2 bytes, which the commit before this loop's (7ce86b0)
-// wrote through its sequential path and its pipelined one alike, to
-// 680f7072…; restored, each holds the same lines in the same LRU order,
-// predictors, prefetchers and words (the cross-commit checks in
-// PERFLOG.md).
-const parentMultiSetSHA256 = "2a21a38b8b3acd534628e0b2780c8ec7ad0d3c5745322afbe37c3bb5e00ecb81"
+// captures, as container version 5 (one container for every set: per-core
+// head fields, the prefetchers inside the named variant) encodes it. The
+// version-4 bytes of the co-scheduled container hashed to 2a21a38b…, the
+// version-3 bytes (1 KiB pages) to 5561ec0b…, and the version-2 bytes,
+// which the commit before this loop's (7ce86b0) wrote through its
+// sequential path and its pipelined one alike, to 680f7072…; restored,
+// each holds the same lines in the same LRU order, predictors,
+// prefetchers and words (the cross-commit checks in PERFLOG.md).
+const parentMultiSetSHA256 = "9201ba43e62ab68717e97891a782876856dac6ebd0cfe7e8e916873c9c074a8a"
 
 // TestCaptureMultiMatchesParent: the co-scheduled capture (shared-LLC
 // occupancy, store dirtiness, per-core frontends, paced snapshots) still
 // produces, byte for byte, the set its predecessor did.
 func TestCaptureMultiMatchesParent(t *testing.T) {
 	chase, stream := chaseProgram(t), storeProgram(t)
-	set, err := CaptureMultiContext(context.Background(),
+	set, err := captureMulti(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
 		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
@@ -269,7 +297,7 @@ func TestCaptureMultiMatchesParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	set.HostNS = 0 // wall time legitimately differs
-	if got := fmt.Sprintf("%x", sha256.Sum256(EncodeMultiSet(set, "multi-equivalence-key"))); got != parentMultiSetSHA256 {
+	if got := fmt.Sprintf("%x", sha256.Sum256(EncodeSet(set, "multi-equivalence-key"))); got != parentMultiSetSHA256 {
 		t.Errorf("two-core set hashes to %s, the parent commit's to %s", got, parentMultiSetSHA256)
 	}
 }
@@ -279,22 +307,23 @@ func TestCaptureMultiMatchesParent(t *testing.T) {
 // kept verbatim as the oracle of TestCaptureMultiMatchesOracle: its
 // advance closure interleaves the warmed phases in pace-scaled chunks,
 // each one FastForward with its own code-line dedup state, and cuts the
-// unwarmed ones at sliceInsts. It leaves PFKinds unset, as the sim layer
-// filled them in then.
+// unwarmed ones at sliceInsts. It names no prefetcher kinds, as the sim
+// layer filled them in then: its points keep their one variant under "",
+// which the test renames.
 //
 // refCaptureMultiContext runs the co-scheduled functional pass over ems (one
 // emulator per core, positioned at its workload entry) and returns the
-// MultiSet for the given per-core schedule. One shared hierarchy is
+// set for the given per-core schedule. One shared hierarchy is
 // warmed for the whole pass: skip phases advance cores without warming,
 // warm and window phases interleave the cores' streams in pace-scaled
 // round-robin slices so LLC insertions contend at the timed co-run's
 // rate ratio. pfs supplies one fresh prefetcher per core (nil for a core
 // that runs without one), trained in place against that core's view.
 // pace holds each core's relative co-run speed (nil = all 1.0; see
-// MultiSet.Pace); entries are clamped to [minPace, 1]. The pass looks at
+// Set.Pace); entries are clamped to [minPace, 1]. The pass looks at
 // ctx between interleave rounds, and on cancellation returns
 // (nil, ctx.Err()), the partial capture discarded.
-func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) (*MultiSet, error) {
+func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs []prefetch.Prefetcher, p Params, pace []float64) (*Set, error) {
 	start := time.Now()
 	n := len(ems)
 	pc := make([]float64, n)
@@ -322,7 +351,7 @@ func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems [
 			shared:   true,
 		}
 	}
-	set := &MultiSet{Hier: hcfg, Cores: n, FFPerCore: make([]uint64, n),
+	set := &Set{Hier: hcfg, Cores: n, FFPerCore: make([]uint64, n),
 		Pace: pc, WindowInsts: make([]uint64, n), Images: make([]*emu.Memory, n)}
 	for i := range set.WindowInsts {
 		set.WindowInsts[i] = scalePace(p.Window, pc[i])
@@ -395,7 +424,7 @@ func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems [
 		if anyDone {
 			break // a lockstep window needs every core live
 		}
-		pt := &MultiPoint{Hier: sh.Freeze(), Cores: make([]*CoreState, n)}
+		pt := &Point{Cores: make([]*CoreState, n), Variants: map[string]*Variant{"": {Hier: sh.Freeze(), PFs: make([]prefetch.Prefetcher, n)}}}
 		for i, em := range ems {
 			cs := &CoreState{
 				PC:      em.PC(),
@@ -407,7 +436,7 @@ func refCaptureMultiContext(ctx context.Context, progs []*program.Program, ems [
 				FFInsts: set.FFPerCore[i],
 			}
 			if pf := ws[i].variants[0].pf; pf != nil {
-				cs.PF = prefetch.Clone(pf)
+				pt.Variants[""].PFs[i] = prefetch.Clone(pf)
 			}
 			pt.Cores[i] = cs
 		}
@@ -472,8 +501,10 @@ func TestCaptureMultiMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.PFKinds = l.kinds
-			set, err := CaptureMultiContext(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.kinds, l.pfs(), l.p, pc)
+			for _, pt := range oracle.Points { // the oracle's one variant, under its name
+				pt.Variants = map[string]*Variant{VariantName(l.kinds): pt.Variants[""]}
+			}
+			set, err := captureMulti(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.kinds, l.pfs(), l.p, pc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +512,7 @@ func TestCaptureMultiMatchesOracle(t *testing.T) {
 				t.Errorf("%s, pace %v: %d points of %d: the leg does not test what it is for", name, pc, len(set.Points), l.p.Count)
 			}
 			oracle.HostNS, set.HostNS = 0, 0
-			if !bytes.Equal(EncodeMultiSet(set, "k"), EncodeMultiSet(oracle, "k")) || set.WarmInsts != oracle.WarmInsts {
+			if !bytes.Equal(EncodeSet(set, "k"), EncodeSet(oracle, "k")) || set.WarmInsts != oracle.WarmInsts {
 				t.Errorf("%s, pace %v: the set differs from the oracle's (warmed %d, the oracle %d)", name, pc, set.WarmInsts, oracle.WarmInsts)
 			}
 		}
@@ -504,13 +535,12 @@ func haltProgram(t testing.TB, n int64) *program.Program {
 	return b.MustBuild()
 }
 
-// TestCaptureMultiDecodes: a set straight out of CaptureMultiContext
-// carries its cores' prefetcher names, so it encodes and decodes as it
-// is. It did not when the names were left for the sim layer to fill in:
-// the header counted two cores and the body held no name.
+// TestCaptureMultiDecodes: a set straight out of a co-scheduled capture
+// names its variant by its cores' prefetcher kinds, so it encodes and
+// decodes as it is, and restores that tuple and no other.
 func TestCaptureMultiDecodes(t *testing.T) {
 	chase, stream := chaseProgram(t), storeProgram(t)
-	set, err := CaptureMultiContext(context.Background(),
+	set, err := captureMulti(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
 		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
@@ -518,16 +548,46 @@ func TestCaptureMultiDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := EncodeMultiSet(set, "k")
-	dec, err := DecodeMultiSet(enc, "k")
+	enc := EncodeSet(set, "k")
+	dec, err := DecodeSet(enc, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"bop", "none"}; !reflect.DeepEqual(dec.PFKinds, want) {
-		t.Errorf("decoded PFKinds %q, want %q", dec.PFKinds, want)
-	}
-	if !bytes.Equal(EncodeMultiSet(dec, "k"), enc) {
+	if !bytes.Equal(EncodeSet(dec, "k"), enc) {
 		t.Errorf("the decoded set encodes to other bytes")
+	}
+	if err := dec.Attach(set.Images...); err != nil {
+		t.Fatal(err)
+	}
+	progs := []*program.Program{chase, stream}
+	if _, err := dec.Points[0].RestoreVariant(progs, "bop,none"); err != nil {
+		t.Errorf("restore of the captured tuple: %v", err)
+	}
+	if _, err := dec.Points[0].RestoreVariant(progs, "none,bop"); err == nil {
+		t.Errorf("restored a tuple the set never warmed")
+	}
+}
+
+// TestHandBuiltSetRoundTrips: a set that leaves per-core fields out (no
+// FFPerCore, no Pace, no WindowInsts, as the co-scheduled oracle's did
+// before it kept them) still encodes every per-core field once a core, so
+// its bytes decode and re-encode to themselves. The version-4 multi-set
+// encoder wrote such fields by their slice lengths and its decoder read
+// them by the core count, so a two-core set without them was refused by
+// its own decoder.
+func TestHandBuiltSetRoundTrips(t *testing.T) {
+	set := multiCapture(t)
+	set.FFPerCore, set.Pace, set.WindowInsts = nil, nil, nil
+	enc := EncodeSet(set, "k")
+	dec, err := DecodeSet(enc, "k")
+	if err != nil {
+		t.Fatalf("a two-core set without per-core fields does not decode: %v", err)
+	}
+	if !bytes.Equal(EncodeSet(dec, "k"), enc) {
+		t.Errorf("the decoded set encodes to other bytes")
+	}
+	if !reflect.DeepEqual(dec.Pace, []float64{1, 1}) || !reflect.DeepEqual(dec.WindowInsts, []uint64{0, 0}) || len(dec.FFPerCore) != 2 {
+		t.Errorf("decoded per-core fields: pace %v, windows %v, ff %v", dec.Pace, dec.WindowInsts, dec.FFPerCore)
 	}
 }
 
@@ -590,7 +650,7 @@ func TestCaptureContextCancel(t *testing.T) {
 		"cancelled in the first warm phase": {func() context.Context { return newCancelAtCheck(3) }, 1, 4 * sliceInsts},
 	} {
 		em := emu.New(prog, emu.NewMemory())
-		set, err := CaptureContext(tc.ctx(), prog, em, hcfg, 128, 4, 16, capturePFS(), p)
+		set, err := captureOne(tc.ctx(), prog, em, hcfg, 128, 4, 16, capturePFS(), p)
 		if !errors.Is(err, context.Canceled) || set != nil {
 			t.Errorf("%s: capture returned set=%v err=%v, want nil set and context.Canceled", name, set != nil, err)
 		}
@@ -599,7 +659,7 @@ func TestCaptureContextCancel(t *testing.T) {
 		}
 
 		ems := []*emu.Emulator{emu.New(prog, emu.NewMemory()), emu.New(prog, emu.NewMemory())}
-		mset, err := CaptureMultiContext(tc.ctx(), []*program.Program{prog, prog}, ems,
+		mset, err := captureMulti(tc.ctx(), []*program.Program{prog, prog}, ems,
 			hcfg, 128, 4, 16, []string{"none", "none"}, []prefetch.Prefetcher{nil, nil}, p, nil)
 		if !errors.Is(err, context.Canceled) || mset != nil {
 			t.Errorf("%s: two-core capture returned set=%v err=%v, want nil set and context.Canceled", name, mset != nil, err)

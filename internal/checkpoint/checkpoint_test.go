@@ -43,7 +43,7 @@ func testCapture(t *testing.T, p Params) (*program.Program, *Set) {
 		"bop":  prefetch.NewBOP(),
 		"none": nil,
 	}
-	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs, p)
+	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +58,15 @@ func TestCaptureSchedule(t *testing.T) {
 	}
 	for i, pt := range set.Points {
 		want := uint64(i+1)*(p.Skip+p.Warm) + uint64(i)*p.Window
-		if pt.FFInsts != want {
-			t.Errorf("point %d FFInsts = %d, want %d", i, pt.FFInsts, want)
+		if pt.Cores[0].FFInsts != want {
+			t.Errorf("point %d FFInsts = %d, want %d", i, pt.Cores[0].FFInsts, want)
 		}
 		for _, kind := range []string{"bop", "none"} {
 			if pt.Variants[kind] == nil {
 				t.Errorf("point %d missing variant %q", i, kind)
 			}
 		}
-		if pt.Variants["bop"].PF == nil || pt.Variants["none"].PF != nil {
+		if pt.Variants["bop"].PFs[0] == nil || pt.Variants["none"].PFs[0] != nil {
 			t.Errorf("point %d prefetcher templates wrong", i)
 		}
 	}
@@ -91,7 +91,7 @@ func TestCaptureWarmsState(t *testing.T) {
 			branchPC = i
 		}
 	}
-	if _, ok := pt.BTB.Clone().Lookup(prog.ByteAddr(branchPC)); !ok {
+	if _, ok := pt.Cores[0].BTB.Clone().Lookup(prog.ByteAddr(branchPC)); !ok {
 		t.Errorf("warmed BTB missing loop branch")
 	}
 }
@@ -156,7 +156,7 @@ func TestCaptureHaltingProgram(t *testing.T) {
 	b.MovI(isa.R(1), 1)
 	b.Halt()
 	prog := b.MustBuild()
-	set, err := CaptureContext(context.Background(), prog, emu.New(prog, nil), cache.DefaultHierConfig(), 128, 4, 16, nil, Params{Warm: 100, Window: 100, Count: 4})
+	set, err := captureOne(context.Background(), prog, emu.New(prog, nil), cache.DefaultHierConfig(), 128, 4, 16, nil, Params{Warm: 100, Window: 100, Count: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func codecCapture(t *testing.T) *Set {
 		"ghb":        prefetch.NewGHB(512),
 		"none":       nil,
 	}
-	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs,
+	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs,
 		Params{Skip: 100, Warm: 2000, Window: 500, Count: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +76,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	// The wrong image: same page numbers, one word different; and one page
 	// more. Both refused, and the set left as it was.
-	wrong := set.Image.Snapshot()
+	wrong := set.Images[0].Snapshot()
 	wrong.WriteWord(0x100000, -1)
-	more := set.Image.Snapshot()
+	more := set.Images[0].Snapshot()
 	more.WriteWord(0x900000, 0)
 	for name, image := range map[string]*emu.Memory{"one word changed": wrong, "one page more": more} {
 		if err := dec.Attach(image); err == nil {
@@ -88,10 +88,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := dec.Points[0].Restore(prog, "none"); err == nil || !bytes.Equal(EncodeSet(dec, key), enc) {
 		t.Fatal("a refused Attach changed the set")
 	}
-	if err := dec.Attach(set.Image); err != nil {
+	if err := dec.Attach(set.Images...); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if err := dec.Attach(set.Image); err == nil {
+	if err := dec.Attach(set.Images...); err == nil {
 		t.Error("attaching twice succeeded")
 	}
 	if !bytes.Equal(EncodeSet(dec, key), enc) {
@@ -105,11 +105,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Restore(%q) on decoded point: %v", kind, err)
 		}
-		if st.Ems[0].PC() != set.Points[0].PC {
-			t.Errorf("restored PC = %d, want %d", st.Ems[0].PC(), set.Points[0].PC)
+		if st.Ems[0].PC() != set.Points[0].Cores[0].PC {
+			t.Errorf("restored PC = %d, want %d", st.Ems[0].PC(), set.Points[0].Cores[0].PC)
 		}
 		for _, addr := range []uint64{0x4000, 0x4008, 0x100000 + 31*4096} {
-			if got, want := st.Ems[0].Mem().ReadWord(addr), set.Points[0].Mem.ReadWord(addr); got != want {
+			if got, want := st.Ems[0].Mem().ReadWord(addr), set.Points[0].Cores[0].Mem.ReadWord(addr); got != want {
 				t.Errorf("restored word %#x = %d, want %d", addr, got, want)
 			}
 		}
@@ -147,7 +147,7 @@ func TestCodecPageDedup(t *testing.T) {
 	for pg := int64(0); pg < 32; pg++ {
 		mem.WriteWord(uint64(0x100000+pg*4096), pg)
 	}
-	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
+	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
 		map[string]prefetch.Prefetcher{"none": nil}, Params{Skip: 100, Warm: 500, Window: 100, Count: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestCodecPageDedup(t *testing.T) {
 		t.Fatalf("captured %d points, want 3", len(set.Points))
 	}
 	for i, pt := range set.Points {
-		if pt.Mem.Pages() != 33 {
-			t.Fatalf("point %d holds %d pages, want 33", i, pt.Mem.Pages())
+		if pt.Cores[0].Mem.Pages() != 33 {
+			t.Fatalf("point %d holds %d pages, want 33", i, pt.Cores[0].Mem.Pages())
 		}
 	}
 	enc := EncodeSet(set, "k")
@@ -169,10 +169,14 @@ func TestCodecPageDedup(t *testing.T) {
 	r.U32()                // crc
 	r.U64()                // payload length
 	_ = r.String()         // hierarchy config JSON
+	r.U32()                // core count
 	r.U64()                // ff insts
 	r.I64()                // host ns
 	imagePages := r.U64()
 	r.U32() // image checksum
+	r.U64() // pace
+	r.U64() // window insts
+	r.U64() // the core's ff insts
 	r.U32() // point count
 	dictPages := int(r.U32())
 	if err := r.Err(); err != nil {
@@ -188,7 +192,7 @@ func TestCodecPageDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Attach(set.Image); err != nil {
+	if err := dec.Attach(set.Images...); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refEncodeSet(dec, "k"), refEncodeSet(set, "k")) {
@@ -205,7 +209,7 @@ func TestCodecSingleVariant(t *testing.T) {
 	for i := int64(0); i < 64; i++ {
 		mem.WriteWord(uint64(0x4000+8*i), i)
 	}
-	set, err := CaptureContext(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
+	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
 		map[string]prefetch.Prefetcher{"stride": prefetch.NewStride(256)},
 		Params{Warm: 2000, Window: 500, Count: 2})
 	if err != nil {
@@ -220,7 +224,7 @@ func TestCodecSingleVariant(t *testing.T) {
 	if !bytes.Equal(enc, EncodeSet(dec, key)) {
 		t.Fatal("single-variant set did not round-trip byte-identically")
 	}
-	if err := dec.Attach(set.Image); err != nil {
+	if err := dec.Attach(set.Images...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.Points[0].Restore(prog, "stride"); err != nil {
@@ -242,7 +246,7 @@ func TestCodecZeroPageMemory(t *testing.T) {
 	b.AddI(isa.R(1), isa.R(1), 1)
 	b.Jmp("loop")
 	prog := b.MustBuild()
-	set, err := CaptureContext(context.Background(), prog, emu.New(prog, emu.NewMemory()), cache.DefaultHierConfig(), 128, 4, 16,
+	set, err := captureOne(context.Background(), prog, emu.New(prog, emu.NewMemory()), cache.DefaultHierConfig(), 128, 4, 16,
 		map[string]prefetch.Prefetcher{"none": nil},
 		Params{Warm: 1000, Window: 200, Count: 2})
 	if err != nil {
@@ -252,8 +256,8 @@ func TestCodecZeroPageMemory(t *testing.T) {
 		t.Fatal("no points captured")
 	}
 	for i, pt := range set.Points {
-		if pt.Mem.Pages() != 0 {
-			t.Fatalf("point %d snapshot holds %d pages, want 0", i, pt.Mem.Pages())
+		if pt.Cores[0].Mem.Pages() != 0 {
+			t.Fatalf("point %d snapshot holds %d pages, want 0", i, pt.Cores[0].Mem.Pages())
 		}
 	}
 	const key = "zero-page-key"
@@ -272,8 +276,8 @@ func TestCodecZeroPageMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore on decoded zero-page point: %v", err)
 	}
-	if pc := st.Ems[0].PC(); pc != set.Points[0].PC {
-		t.Errorf("restored PC = %d, want %d", pc, set.Points[0].PC)
+	if pc := st.Ems[0].PC(); pc != set.Points[0].Cores[0].PC {
+		t.Errorf("restored PC = %d, want %d", pc, set.Points[0].Cores[0].PC)
 	}
 }
 

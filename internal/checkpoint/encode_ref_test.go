@@ -36,14 +36,14 @@ func refEncodeSet(set *Set, key string) []byte {
 	var pw codec.Writer
 	dict := emu.NewPageDict()
 	for _, pt := range set.Points {
-		pw.Int(pt.PC)
-		for _, v := range pt.Regs {
+		pw.Int(pt.Cores[0].PC)
+		for _, v := range pt.Cores[0].Regs {
 			pw.I64(v)
 		}
-		pw.U64(pt.FFInsts)
-		pt.BP.EncodeState(&pw)
-		pt.BTB.EncodeState(&pw)
-		pt.RAS.EncodeState(&pw)
+		pw.U64(pt.Cores[0].FFInsts)
+		pt.Cores[0].BP.EncodeState(&pw)
+		pt.Cores[0].BTB.EncodeState(&pw)
+		pt.Cores[0].RAS.EncodeState(&pw)
 		names := make([]string, 0, len(pt.Variants))
 		for name := range pt.Variants {
 			names = append(names, name)
@@ -54,9 +54,9 @@ func refEncodeSet(set *Set, key string) []byte {
 			v := pt.Variants[name]
 			pw.String(name)
 			v.Hier.Encode(&pw)
-			prefetch.Encode(&pw, v.PF)
+			prefetch.Encode(&pw, v.PFs[0])
 		}
-		pt.Mem.EncodeState(&pw, dict, nil)
+		pt.Cores[0].Mem.EncodeState(&pw, dict, nil)
 	}
 
 	// Pass 2: assemble the payload with the dict ahead of the page
@@ -84,12 +84,24 @@ func refEncodeSet(set *Set, key string) []byte {
 	return out.Bytes()
 }
 
-func refEncodeMultiSet(set *MultiSet, key string) []byte {
+// multiVariant is the one variant of a co-scheduled point, and its name:
+// the version-1 account wrote the cores' prefetcher kinds in the head and
+// each core's prefetcher beside its core, and writes them per point here.
+func multiVariant(pt *Point) (string, *Variant) {
+	for name, v := range pt.Variants {
+		return name, v
+	}
+	return "", nil
+}
+
+func refEncodeMultiSet(set *Set, key string) []byte {
 	// Pass 1: encode point state into a scratch writer, interning pages.
 	var pw codec.Writer
 	dict := emu.NewPageDict()
 	for _, pt := range set.Points {
-		for _, cs := range pt.Cores {
+		name, v := multiVariant(pt)
+		pw.String(name)
+		for c, cs := range pt.Cores {
 			pw.Int(cs.PC)
 			for _, v := range cs.Regs {
 				pw.I64(v)
@@ -98,9 +110,9 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 			cs.BP.EncodeState(&pw)
 			cs.BTB.EncodeState(&pw)
 			cs.RAS.EncodeState(&pw)
-			prefetch.Encode(&pw, cs.PF)
+			prefetch.Encode(&pw, v.PFs[c])
 		}
-		pt.Hier.Encode(&pw)
+		v.Hier.Encode(&pw)
 		for _, cs := range pt.Cores {
 			cs.Mem.EncodeState(&pw, dict, nil)
 		}
@@ -115,9 +127,6 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 	}
 	w.String(string(hierJSON))
 	w.U32(uint32(set.Cores))
-	for _, kind := range set.PFKinds {
-		w.String(kind)
-	}
 	for i := 0; i < set.Cores; i++ {
 		pace := 1.0
 		if i < len(set.Pace) {
@@ -143,7 +152,7 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 	payload := w.Bytes()
 
 	var out codec.Writer
-	out.Raw([]byte(multiCodecMagic))
+	out.Raw([]byte("CRSPMCK1"))
 	out.U32(1)
 	out.String(key)
 	out.U32(crc32.ChecksumIEEE(payload))
@@ -156,14 +165,14 @@ func refEncodeMultiSet(set *MultiSet, key string) []byte {
 // the one page its accumulator store lands in and leaves the rest of its
 // image alone, and a store stream that builds its whole buffer from
 // nothing.
-func multiCapture(t *testing.T) *MultiSet {
+func multiCapture(t *testing.T) *Set {
 	t.Helper()
 	chase, stream := chaseProgram(t), storeProgram(t)
 	chaseEm := chaseEmu(t, chase)
 	for pg := uint64(0); pg < 8; pg++ {
 		chaseEm.Mem().WriteWord(0x100000+pg*4096, int64(pg))
 	}
-	mset, err := CaptureMultiContext(context.Background(),
+	mset, err := captureMulti(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEm, emu.New(stream, emu.NewMemory())},
 		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
@@ -193,14 +202,14 @@ func TestRoundTripMatchesReference(t *testing.T) {
 		if bytes.Equal(refEncodeSet(dec, key), want) {
 			t.Errorf("key %q: an unattached set already passes for the captured one: the check is vacuous", key)
 		}
-		if err := dec.Attach(set.Image); err != nil {
+		if err := dec.Attach(set.Images[0]); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(refEncodeSet(dec, key), want) {
 			t.Errorf("key %q: encode, decode and Attach changed the set", key)
 		}
 	}
-	empty := &Set{}
+	empty := &Set{Cores: 1}
 	dec, err := DecodeSet(EncodeSet(empty, "empty"), "empty")
 	if err != nil {
 		t.Fatal(err)
@@ -215,14 +224,14 @@ func TestRoundTripMatchesReference(t *testing.T) {
 	mset := multiCapture(t)
 	for _, key := range []string{"m", "crisp-sim-5/mckpt/0123456789abcdef0123456789abcdef"} {
 		want := refEncodeMultiSet(mset, key)
-		dec, err := DecodeMultiSet(EncodeMultiSet(mset, key), key)
+		dec, err := DecodeSet(EncodeSet(mset, key), key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bytes.Equal(refEncodeMultiSet(dec, key), want) {
 			t.Errorf("key %q: an unattached multi-set already passes for the captured one", key)
 		}
-		if err := dec.Attach(mset.Images); err != nil {
+		if err := dec.Attach(mset.Images...); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(refEncodeMultiSet(dec, key), want) {

@@ -17,7 +17,8 @@ import (
 )
 
 // A stored set is the largest input the system reads back, so DecodeSet
-// and DecodeMultiSet are fuzzed natively. The envelope's CRC would turn
+// is fuzzed natively, from a one-core set of four variants (FuzzDecodeSet)
+// and a two-core set of one (FuzzDecodeMultiSet). The envelope's CRC would turn
 // every mutation into the same early refusal, so the fuzzers mutate the
 // payload and seal it themselves; TestCodecDetectsCorruption covers the
 // envelope. Three properties, as for cache.FuzzDecodeHierarchy: the
@@ -63,20 +64,20 @@ func tinySet(t testing.TB) *Set {
 		"ghb":        prefetch.NewGHB(16),
 		"none":       nil,
 	}
-	set, err := CaptureContext(context.Background(), prog, em, tinyHier(), 16, 2, 4, pfs, Params{Skip: 10, Warm: 300, Window: 100, Count: 2})
+	set, err := captureOne(context.Background(), prog, em, tinyHier(), 16, 2, 4, pfs, Params{Skip: 10, Warm: 300, Window: 100, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pt := range set.Points {
-		pt.BP = tinyTAGE(uint64(i) + 3)
+		pt.Cores[0].BP = tinyTAGE(uint64(i) + 3)
 	}
 	set.HostNS = 1234
 	return set
 }
 
-func tinyMultiSet(t testing.TB) *MultiSet {
+func tinyMultiSet(t testing.TB) *Set {
 	chase, stream := chaseProgram(t), storeProgram(t)
-	set, err := CaptureMultiContext(context.Background(), []*program.Program{chase, stream},
+	set, err := captureMulti(context.Background(), []*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
 		tinyHier(), 16, 2, 4, []string{"stride", "none"}, []prefetch.Prefetcher{prefetch.NewStride(8), nil},
 		Params{Skip: 10, Warm: 300, Window: 100, Count: 2}, []float64{1.0, 0.5})
@@ -93,9 +94,9 @@ func tinyMultiSet(t testing.TB) *MultiSet {
 }
 
 // payloadOf strips the envelope off an encoded set; sealed puts one on.
-func payloadOf(t testing.TB, enc []byte, magic string) []byte {
+func payloadOf(t testing.TB, enc []byte) []byte {
 	r := codec.NewReader(enc)
-	r.Raw(len(magic))
+	r.Raw(len(codecMagic))
 	r.U32()
 	_ = r.String()
 	r.U32()
@@ -106,16 +107,20 @@ func payloadOf(t testing.TB, enc []byte, magic string) []byte {
 	return bytes.Clone(r.Raw(n))
 }
 
-func sealed(magic string, version uint32, payload []byte) []byte {
+func sealed(payload []byte) []byte {
 	var w codec.Writer
-	w.Raw([]byte(magic))
-	w.U32(version)
+	w.Raw([]byte(codecMagic))
+	w.U32(codecVersion)
 	w.String(fuzzKey)
 	w.U32(crc32.ChecksumIEEE(payload))
 	w.U64(uint64(len(payload)))
 	w.Raw(payload)
 	return w.Bytes()
 }
+
+// imageField is the payload offset of the first core's image page count:
+// behind the configuration, the core count, ffInsts and hostNS.
+func imageField(set *Set) int { return 4 + len(hierJSON(set.Hier)) + 4 + 8 + 8 }
 
 // allocBudget is what decoding n payload bytes may allocate: a line of a
 // byte decodes to 25 bytes of arrays, and the smallest hierarchy a
@@ -124,28 +129,36 @@ func sealed(magic string, version uint32, payload []byte) []byte {
 // errors and the fuzzing engine's own allocations alongside.
 func allocBudget(n int) uint64 { return 128*uint64(n) + 256<<10 }
 
-// fuzzPayloads seeds f with a good payload, a truncated one, one with a
-// flipped bit in the point state and one whose head names another image
-// (imageField is the offset of the first image's page count), and checks
-// the three properties on every payload. decode returns the set's encoder
-// and what restoring its first point says.
-func fuzzPayloads(f *testing.F, magic string, version uint32, good []byte, imageField int,
-	decode func(data []byte) (encode func() []byte, restore error, err error)) {
+// FuzzDecodeSet seeds the one-core set's good payload, a truncated one,
+// one with a flipped bit in the point state and one whose head names
+// another image, and checks the three properties on every payload.
+func FuzzDecodeSet(f *testing.F) {
+	fuzzDecode(f, tinySet(f), DecodeSet)
+}
+
+// FuzzDecodeMultiSet does the same from the two-core set, through the name
+// the benchmark decodes stored sets by.
+func FuzzDecodeMultiSet(f *testing.F) {
+	fuzzDecode(f, tinyMultiSet(f), DecodeMultiSet)
+}
+
+func fuzzDecode(f *testing.F, seed *Set, decode func([]byte, string) (*Set, error)) {
+	good := payloadOf(f, EncodeSet(seed, fuzzKey))
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)*2/3] ^= 1 << 3
 	f.Add(flipped)
 	wrongImage := bytes.Clone(good)
-	wrongImage[imageField]++
+	wrongImage[imageField(seed)]++
 	f.Add(wrongImage)
 
 	var ms runtime.MemStats
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		data := sealed(magic, version, payload)
+		data := sealed(payload)
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		encode, restore, err := decode(data)
+		set, err := decode(data, fuzzKey)
 		runtime.ReadMemStats(&ms)
 		if got := ms.TotalAlloc - before; got > allocBudget(len(payload)) {
 			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(payload), got, allocBudget(len(payload)))
@@ -153,95 +166,60 @@ func fuzzPayloads(f *testing.F, magic string, version uint32, good []byte, image
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encode(), data) {
+		if !bytes.Equal(EncodeSet(set, fuzzKey), data) {
 			t.Fatalf("accepted %d bytes that re-encode differently", len(payload))
 		}
-		if restore != nil && restore != errUnattached {
-			t.Fatalf("Restore on a decoded, unattached point: %v", restore)
+		if len(set.Points) == 0 {
+			return
+		}
+		if _, err := set.Points[0].RestoreVariant(make([]*program.Program, set.Cores), ""); err != errUnattached {
+			t.Fatalf("Restore on a decoded, unattached point: %v", err)
 		}
 	})
 }
 
-func FuzzDecodeSet(f *testing.F) {
-	set := tinySet(f)
-	good := payloadOf(f, EncodeSet(set, fuzzKey), codecMagic)
-	fuzzPayloads(f, codecMagic, codecVersion, good, 4+len(hierJSON(set.Hier))+8+8,
-		func(data []byte) (func() []byte, error, error) {
-			set, err := DecodeSet(data, fuzzKey)
-			if err != nil {
-				return nil, nil, err
-			}
-			restore := errUnattached
-			if len(set.Points) > 0 {
-				_, restore = set.Points[0].Restore(nil, "none")
-			}
-			return func() []byte { return EncodeSet(set, fuzzKey) }, restore, nil
-		})
-}
-
-func FuzzDecodeMultiSet(f *testing.F) {
-	set := tinyMultiSet(f)
-	good := payloadOf(f, EncodeMultiSet(set, fuzzKey), multiCodecMagic)
-	kinds := 0
-	for _, k := range set.PFKinds {
-		kinds += 4 + len(k)
-	}
-	fuzzPayloads(f, multiCodecMagic, multiCodecVersion, good, 4+len(hierJSON(set.Hier))+4+kinds+set.Cores*(8+8)+8+set.Cores*8+8,
-		func(data []byte) (func() []byte, error, error) {
-			set, err := DecodeMultiSet(data, fuzzKey)
-			if err != nil {
-				return nil, nil, err
-			}
-			restore := errUnattached
-			if len(set.Points) > 0 {
-				_, restore = set.Points[0].Restore(make([]*program.Program, set.Cores))
-			}
-			return func() []byte { return EncodeMultiSet(set, fuzzKey) }, restore, nil
-		})
-}
-
 // TestFuzzSeedsAreWhatTheySay keeps the seeds honest: the good payloads
-// decode, the wrong-image one decodes too — the payload is well-formed —
-// and is refused by Attach, and the truncated one is refused by the
+// decode, the wrong-image ones decode too — the payload is well-formed —
+// and are refused by Attach, and the truncated ones are refused by the
 // decoder. (The flipped bit may land in a field any value of which is
-// state; it is there for the fuzzer to move.)
+// state; it is there for the fuzzer to move.) A two-core set does not
+// attach to one image.
 func TestFuzzSeedsAreWhatTheySay(t *testing.T) {
-	set := tinySet(t)
-	enc := EncodeSet(set, fuzzKey)
-	if len(enc) > 32<<10 {
-		t.Errorf("tiny set encodes to %d bytes; the fuzzer wants kilobytes, not the 400 kB of a default-geometry set", len(enc))
-	}
-	good := payloadOf(t, enc, codecMagic)
-	if !bytes.Equal(sealed(codecMagic, codecVersion, good), enc) {
-		t.Fatalf("sealing a payload does not give the file back")
-	}
-	field := 4 + len(hierJSON(set.Hier)) + 8 + 8
-	wrong := bytes.Clone(good)
-	wrong[field]++
-	dec, err := DecodeSet(sealed(codecMagic, codecVersion, wrong), fuzzKey)
-	if err != nil {
-		t.Fatalf("payload naming another image: %v", err)
-	}
-	if dec.imageID.Pages != set.Image.ID().Pages+1 {
-		t.Fatalf("byte %d of the payload is not the image's page count", field)
-	}
-	if err := dec.Attach(set.Image); err == nil {
-		t.Errorf("a set naming an image of %d pages attached to one of %d", dec.imageID.Pages, set.Image.ID().Pages)
-	}
-	if _, err := DecodeSet(sealed(codecMagic, codecVersion, good[:len(good)/2]), fuzzKey); err == nil {
-		t.Errorf("truncated payload decoded without error")
+	for _, set := range []*Set{tinySet(t), tinyMultiSet(t)} {
+		enc := EncodeSet(set, fuzzKey)
+		if len(enc) > 32<<10 {
+			t.Errorf("%d-core tiny set encodes to %d bytes; the fuzzer wants kilobytes, not the 400 kB of a default-geometry set", set.Cores, len(enc))
+		}
+		good := payloadOf(t, enc)
+		if !bytes.Equal(sealed(good), enc) {
+			t.Fatalf("sealing a payload does not give the file back")
+		}
+		wrong := bytes.Clone(good)
+		wrong[imageField(set)]++
+		dec, err := DecodeSet(sealed(wrong), fuzzKey)
+		if err != nil {
+			t.Fatalf("payload naming another image: %v", err)
+		}
+		if dec.imageIDs[0].Pages != set.Images[0].ID().Pages+1 {
+			t.Fatalf("byte %d of the payload is not the image's page count", imageField(set))
+		}
+		if err := dec.Attach(set.Images...); err == nil {
+			t.Errorf("a set naming an image of %d pages attached to one of %d", dec.imageIDs[0].Pages, set.Images[0].ID().Pages)
+		}
+		if _, err := DecodeSet(sealed(good[:len(good)/2]), fuzzKey); err == nil {
+			t.Errorf("truncated payload decoded without error")
+		}
 	}
 
 	mset := tinyMultiSet(t)
-	menc := EncodeMultiSet(mset, fuzzKey)
-	mdec, err := DecodeMultiSet(sealed(multiCodecMagic, multiCodecVersion, payloadOf(t, menc, multiCodecMagic)), fuzzKey)
+	mdec, err := DecodeSet(EncodeSet(mset, fuzzKey), fuzzKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mdec.Attach(mset.Images[:1]); err == nil {
+	if err := mdec.Attach(mset.Images[:1]...); err == nil {
 		t.Errorf("a two-core set attached to one image")
 	}
-	if err := mdec.Attach(mset.Images); err != nil {
+	if err := mdec.Attach(mset.Images...); err != nil {
 		t.Errorf("Attach: %v", err)
 	}
 }

@@ -26,7 +26,7 @@ var oracleSchedule = sim.Sampling{Warm: 20_000, Window: 5_000, Count: 3}
 func privatePages(set *checkpoint.Set) int {
 	n := 0
 	for _, pt := range set.Points {
-		n += pt.Mem.Pages()
+		n += pt.Cores[0].Mem.Pages()
 	}
 	return n
 }
@@ -76,7 +76,7 @@ func TestWorkloadSetsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := checkpoint.RefEncodeMultiSet(mset, "pair")
-	dec, err := checkpoint.DecodeMultiSet(checkpoint.EncodeMultiSet(mset, "pair"), "pair")
+	dec, err := checkpoint.DecodeSet(checkpoint.EncodeSet(mset, "pair"), "pair")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWorkloadSetsRoundTrip(t *testing.T) {
 		t.Errorf("an unattached multi-set already passes for the captured one: the check is vacuous")
 	}
 	imgs := build()
-	if err := dec.Attach([]*emu.Memory{imgs[0].Mem, imgs[1].Mem}); err != nil {
+	if err := dec.Attach(imgs[0].Mem, imgs[1].Mem); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	if !bytes.Equal(checkpoint.RefEncodeMultiSet(dec, "pair"), want) {
@@ -169,7 +169,7 @@ func TestCaptureWarmerMatchesOracle(t *testing.T) {
 		return checkpoint.EncodeSet(set, name)
 	}
 	captureContext := func(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p checkpoint.Params) *checkpoint.Set {
-		set, err := checkpoint.CaptureContext(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p)
+		set, err := checkpoint.CaptureOne(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,3 +237,19 @@ func (r *Reader) Blob() []byte {
 
 // String reads a u32-length-prefixed string.
 func (r *Reader) String() string { return string(r.Blob()) }
+
+// Len checks n, the decoded entry count of a table whose entries take at
+// least size bytes each: it must lie in [min, max], and the bytes left
+// must hold n entries, so a corrupt count cannot drive an allocation
+// larger than the input. A count that fails is the reader's error, as a
+// truncation is. Len returns n as an int, or 0 and the error.
+func (r *Reader) Len(n uint64, what string, min, max, size int) (int, error) {
+	if r.err != nil {
+		return 0, r.err
+	}
+	if n < uint64(min) || n > uint64(max) || n > uint64(r.Remaining()/size) {
+		r.fail("%s claims %d entries, out of range [%d, %d] or more than %d bytes hold", what, n, min, max, r.Remaining())
+		return 0, r.err
+	}
+	return int(n), nil
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"crisp/internal/codec"
 )
@@ -95,16 +96,14 @@ func (d *PageDict) EncodePages(w *codec.Writer) {
 
 // DecodePageDict reads the page contents emitted by EncodePages.
 func DecodePageDict(r *codec.Reader) (*PageDict, error) {
-	n := int(r.U32())
-	d := &PageDict{}
-	for i := 0; i < n; i++ {
-		b := r.Raw(pageSize)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		p := new([pageSize]byte)
-		copy(p[:], b)
-		d.pages = append(d.pages, p)
+	n, err := r.Len(uint64(r.U32()), "page dict", 0, math.MaxInt, pageSize)
+	if err != nil {
+		return nil, err
+	}
+	d := &PageDict{pages: make([]*page, n)}
+	for i := range d.pages {
+		d.pages[i] = new(page)
+		copy(d.pages[i][:], r.Raw(pageSize))
 	}
 	return d, nil
 }
@@ -126,14 +125,14 @@ func (d *PageDict) Unreferenced() int { return len(d.pages) - d.used }
 // base, making the result behave like a fresh Snapshot: pristine until
 // written, and safe for concurrent Snapshot calls.
 func DecodeMemory(r *codec.Reader, d *PageDict) (*Memory, error) {
-	n := r.U64()
 	const entrySize = 12 // u64 page number + u32 dict index
-	if max := uint64(r.Remaining() / entrySize); n > max {
-		return nil, fmt.Errorf("emu: page table claims %d entries, only %d encoded", n, max)
+	n, err := r.Len(r.U64(), "page table", 0, math.MaxInt, entrySize)
+	if err != nil {
+		return nil, err
 	}
 	m := &Memory{}
 	var last uint64
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		pn := r.U64()
 		idx := r.U32()
 		if r.Err() != nil {

@@ -25,23 +25,9 @@ const (
 	tagComposite
 )
 
-// maxEntries bounds decoded table sizes. tableLen also checks a length
-// prefix against the bytes left, so a corrupt prefix cannot drive an
-// allocation larger than its input.
+// maxEntries bounds decoded table sizes; codec.Reader.Len also checks a
+// count against the bytes left.
 const maxEntries = 1 << 24
-
-// tableLen reads a u32 entry count and refuses one below min, above
-// maxEntries, or that entrySize bytes per entry would overrun the input.
-func tableLen(r *codec.Reader, what string, min, entrySize int) (int, error) {
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if n < min || n > maxEntries || n > r.Remaining()/entrySize {
-		return 0, fmt.Errorf("prefetch: %s size %d out of range (%d bytes encoded)", what, n, r.Remaining())
-	}
-	return n, nil
-}
 
 // maxDegree bounds a decoded prefetch degree, which OnAccess loops to, and
 // maxGHBHead a decoded miss count, which OnAccess increments and indexes by.
@@ -67,7 +53,7 @@ func encodeTable[V any](w *codec.Writer, t *table[V], val func(*V)) {
 // slot of, more entries than it, and a key twice (get finds only the first).
 func decodeTable[V any](r *codec.Reader, what string, capacity, entrySize int, val func() V) (table[V], error) {
 	t := table[V]{cap: capacity}
-	n, err := tableLen(r, what, 0, entrySize)
+	n, err := r.Len(uint64(r.U32()), what, 0, maxEntries, entrySize)
 	if err != nil {
 		return t, err
 	}
@@ -184,7 +170,7 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		return &Stream{regions: t, Degree: degree}, nil
 	case tagBOP:
 		p := &BOP{}
-		n, err := tableLen(r, "BOP rr table", 1, 8)
+		n, err := r.Len(uint64(r.U32()), "BOP rr table", 1, maxEntries, 8)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +182,7 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		if p.rrMask != uint64(n-1) {
 			return nil, fmt.Errorf("prefetch: BOP rr mask %d does not match %d entries", p.rrMask, n)
 		}
-		no, err := tableLen(r, "BOP offset list", 1, 16)
+		no, err := r.Len(uint64(r.U32()), "BOP offset list", 1, maxEntries, 16)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +209,7 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 		return p, nil
 	case tagGHB:
 		p := &GHB{size: r.Int(), head: r.Int(), Depth: r.Int()}
-		n, err := tableLen(r, "GHB buffer", 1, 24)
+		n, err := r.Len(uint64(r.U32()), "GHB buffer", 1, maxEntries, 24)
 		if err != nil {
 			return nil, err
 		}

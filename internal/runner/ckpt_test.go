@@ -179,12 +179,13 @@ func TestWrongImageIsRecaptured(t *testing.T) {
 
 // TestStoreVersion1IsAMiss: a file written by an older codec — version 1
 // (every page of every point, 26-byte lines), version 2 (4 KiB pages),
-// version 3 (LRU stamps, fill times and depths in every line) — must not
-// reach the current decoder's payload parser. The version field
-// sits outside the CRC, so a well-formed file with an old number in it
-// stands in for one; it is a miss, deleted like any entry the reader
-// cannot use. Every version below the one the encoder writes is planted,
-// so the test follows the next bump. Same for a multi-set.
+// version 3 (LRU stamps, fill times and depths in every line), version 4
+// (a co-scheduled set in a container of its own) — must not reach the
+// current decoder's payload parser. The version field sits outside the
+// CRC, so a well-formed file with an old number in it stands in for one;
+// it is a miss, deleted like any entry the reader cannot use. Every
+// version below the one the encoder writes is planted, so the test
+// follows the next bump, under both set kinds.
 func TestStoreVersion1IsAMiss(t *testing.T) {
 	s, err := NewStore(t.TempDir())
 	if err != nil {
@@ -199,7 +200,7 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind, enc := range map[string][]byte{kindCkpt: checkpoint.EncodeSet(set, "k"), kindMultiCkpt: checkpoint.EncodeMultiSet(mset, "k")} {
+	for kind, enc := range map[string][]byte{kindCkpt: checkpoint.EncodeSet(set, "k"), kindMultiCkpt: checkpoint.EncodeSet(mset, "k")} {
 		get := func() bool {
 			if kind == kindCkpt {
 				_, ok := s.GetCheckpoint("k")
@@ -219,8 +220,8 @@ func TestStoreVersion1IsAMiss(t *testing.T) {
 		}
 		const versionAt = 8 // behind the 8-byte magic
 		current := binary.LittleEndian.Uint32(enc[versionAt:])
-		if current < 4 {
-			t.Fatalf("%s: codec version %d at offset %d, want 4 or later", kind, current, versionAt)
+		if current < 5 {
+			t.Fatalf("%s: codec version %d at offset %d, want 5 or later", kind, current, versionAt)
 		}
 		for v := uint32(1); v < current; v++ {
 			binary.LittleEndian.PutUint32(enc[versionAt:], v)

@@ -61,7 +61,7 @@ func TestRunMultiDedup(t *testing.T) {
 // TestMultiSampledStoreFastPath: the co-scheduled capture is the
 // expensive prefix a sampled colocate sweep amortizes, so a second
 // process sweeping a different scheduler of the same workload tuple
-// must load the persisted MultiSet instead of re-running the
+// must load the persisted set instead of re-running the
 // fast-forward — and the capture's own lifecycle must surface as
 // "mckpt" task events so observers can see what a cold run is doing.
 func TestMultiSampledStoreFastPath(t *testing.T) {

@@ -150,25 +150,34 @@ func (s *Store) Delete(kind, key string) {
 // corrupt or key-mismatched file is a deleted miss, like any entry. The
 // set is a delta over its workload image and restores nothing until the
 // caller attaches that image (checkpoint.Set.Attach).
-func (s *Store) GetCheckpoint(key string) (*checkpoint.Set, bool) {
-	return get(s, kindCkpt, key, func(b []byte) (*checkpoint.Set, error) { return checkpoint.DecodeSet(b, key) })
-}
+func (s *Store) GetCheckpoint(key string) (*checkpoint.Set, bool) { return s.getSet(kindCkpt, key) }
 
 // PutCheckpoint persists a captured checkpoint set under key, atomically
 // and durably.
 func (s *Store) PutCheckpoint(key string, set *checkpoint.Set) error {
-	return s.put(kindCkpt, key, func() ([]byte, error) { return checkpoint.EncodeSet(set, key), nil })
+	return s.putSet(kindCkpt, key, set)
 }
 
-// GetMultiCheckpoint is GetCheckpoint for a co-scheduled multi-core set;
-// it too comes back unattached.
-func (s *Store) GetMultiCheckpoint(key string) (*checkpoint.MultiSet, bool) {
-	return get(s, kindMultiCkpt, key, func(b []byte) (*checkpoint.MultiSet, error) { return checkpoint.DecodeMultiSet(b, key) })
+// GetMultiCheckpoint is GetCheckpoint for a co-scheduled set, stored under
+// its own kind; kept until the benchmark stops calling it (ROADMAP item
+// 9(iii)).
+func (s *Store) GetMultiCheckpoint(key string) (*checkpoint.Set, bool) {
+	return s.getSet(kindMultiCkpt, key)
 }
 
-// PutMultiCheckpoint is PutCheckpoint for a co-scheduled multi-core set.
-func (s *Store) PutMultiCheckpoint(key string, set *checkpoint.MultiSet) error {
-	return s.put(kindMultiCkpt, key, func() ([]byte, error) { return checkpoint.EncodeMultiSet(set, key), nil })
+// PutMultiCheckpoint is PutCheckpoint for a co-scheduled set; kept until
+// the benchmark stops calling it (ROADMAP item 9(iii)).
+func (s *Store) PutMultiCheckpoint(key string, set *checkpoint.Set) error {
+	return s.putSet(kindMultiCkpt, key, set)
+}
+
+// getSet and putSet are the set kinds' Get and Put, in the set codec.
+func (s *Store) getSet(kind, key string) (*checkpoint.Set, bool) {
+	return get(s, kind, key, func(b []byte) (*checkpoint.Set, error) { return checkpoint.DecodeSet(b, key) })
+}
+
+func (s *Store) putSet(kind, key string, set *checkpoint.Set) error {
+	return s.put(kind, key, func() ([]byte, error) { return checkpoint.EncodeSet(set, key), nil })
 }
 
 // put is the one write path: encode (only when the store persists

@@ -228,7 +228,7 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 		if err != nil {
 			return nil, err
 		}
-		var ckpt captured[*checkpoint.Set]
+		var ckpt captured
 		var shared bool
 		t := jsonTask[core.Result](r, kindRun, key)
 		t.delegate = func(ctx context.Context, rm Remote) (*core.Result, error) { return rm.Run(ctx, spec) }
@@ -311,7 +311,7 @@ func (r *Runner) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiRe
 				// One capture per workload/schedule/prefetcher tuple, shared
 				// by every scheduler config and every process on the store;
 				// the detailed lockstep windows run over the tagged programs.
-				var set captured[*checkpoint.MultiSet]
+				var set captured
 				if set, err = r.multiCheckpointSet(ctx, spec, cfgs); err != nil {
 					return nil, err
 				}
@@ -462,8 +462,8 @@ func (r *Runner) trace(ctx context.Context, name string, insts uint64) (*trace.T
 // along with whether it was loaded from the persistent store (fed into
 // per-run metrics) rather than captured by fast-forwarding, and — for a
 // fresh capture — its claim-once cost record.
-type captured[S any] struct {
-	set       S
+type captured struct {
+	set       *checkpoint.Set
 	fromStore bool
 	stats     *captureStats // nil unless this process ran the capture
 }
@@ -489,41 +489,40 @@ func (cs *captureStats) claim() (int64, uint64) {
 }
 
 // setTask is the task of the two checkpoint-set kinds. Within a process
-// a set is memoized; across processes it persists under the kind's binary
-// codec, so a second process (or a re-run) decodes the warmed state and
-// skips the functional fast-forward. A stored set is a delta over the
-// image its workload builds, and enters the memo only attached to it.
-// One that refuses the image (a kernel edited without a CodeVersion
-// bump) is as useless as a corrupt one: delete it and recapture.
-// Captures honour cancellation: a cancelled capture returns the
-// context's error without publishing a store entry.
-func setTask[S any](r *Runner, kind, key string, get func(string) (S, bool), attach func(S) error,
-	capture func(context.Context) (set S, hostNS int64, warmInsts uint64, err error), put func(string, S) error) task[captured[S]] {
-	return task[captured[S]]{
+// a set is memoized; across processes it persists under the set codec, so
+// a second process (or a re-run) decodes the warmed state and skips the
+// functional fast-forward. A stored set is a delta over the images its
+// workloads build (images), and enters the memo only attached to them.
+// One that refuses them (a kernel edited without a CodeVersion bump) is
+// as useless as a corrupt one: delete it and recapture. Captures honour
+// cancellation: a cancelled capture returns the context's error without
+// publishing a store entry.
+func setTask(r *Runner, kind, key string, images func() []*emu.Memory, capture func(context.Context) (*checkpoint.Set, error)) task[captured] {
+	return task[captured]{
 		kind: kind, key: key,
-		load: func() (captured[S], bool) {
-			set, ok := get(key)
+		load: func() (captured, bool) {
+			set, ok := r.store.getSet(kind, key)
 			if !ok {
-				return captured[S]{}, false
+				return captured{}, false
 			}
-			if attach(set) != nil {
+			if set.Attach(images()...) != nil {
 				r.store.Delete(kind, key)
-				return captured[S]{}, false
+				return captured{}, false
 			}
 			r.ckptDiskHits.Add(1)
-			return captured[S]{set: set, fromStore: true}, true
+			return captured{set: set, fromStore: true}, true
 		},
-		compute: func(ctx context.Context) (captured[S], error) {
-			set, hostNS, warmInsts, err := capture(ctx)
+		compute: func(ctx context.Context) (captured, error) {
+			set, err := capture(ctx)
 			if err != nil {
-				return captured[S]{}, err
+				return captured{}, err
 			}
 			r.ckptCaptured.Add(1)
-			r.captureNS.Add(hostNS)
-			r.warmInsts.Add(int64(warmInsts))
-			return captured[S]{set: set, stats: &captureStats{captureNS: hostNS, warmInsts: warmInsts}}, nil
+			r.captureNS.Add(set.HostNS)
+			r.warmInsts.Add(int64(set.WarmInsts))
+			return captured{set: set, stats: &captureStats{captureNS: set.HostNS, warmInsts: set.WarmInsts}}, nil
 		},
-		save: func(c captured[S]) error { return put(key, c.set) },
+		save: func(c captured) error { return r.store.putSet(kind, key, c.set) },
 	}
 }
 
@@ -555,22 +554,18 @@ func checkpointKey(name string, variant workload.Variant, s sim.Sampling) string
 // checkpointSet resolves the sampled-simulation checkpoint capture per
 // (workload, variant, schedule): the cross-config sharing at the heart
 // of sampling.
-func (r *Runner) checkpointSet(ctx context.Context, cs sim.RunSpec, s sim.Sampling) (captured[*checkpoint.Set], error) {
+func (r *Runner) checkpointSet(ctx context.Context, cs sim.RunSpec, s sim.Sampling) (captured, error) {
 	key := checkpointKey(cs.Workload, variantOf(cs), s)
-	return memo(ctx, r, kindCkpt, key, func(ctx context.Context) (captured[*checkpoint.Set], error) {
+	return memo(ctx, r, kindCkpt, key, func(ctx context.Context) (captured, error) {
 		w, err := resolveWorkload(cs.Workload)
 		if err != nil {
-			return captured[*checkpoint.Set]{}, err
+			return captured{}, err
 		}
-		return resolve(ctx, r, setTask(r, kindCkpt, key, r.store.GetCheckpoint,
-			func(set *checkpoint.Set) error { return set.Attach(w.Build(variantOf(cs)).Mem) },
-			func(ctx context.Context) (*checkpoint.Set, int64, uint64, error) {
-				set, err := sim.CaptureCheckpointsContext(ctx, w.Build(variantOf(cs)), sim.DefaultConfig(), s)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return set, set.HostNS, set.WarmInsts, nil
-			}, r.store.PutCheckpoint))
+		return resolve(ctx, r, setTask(r, kindCkpt, key,
+			func() []*emu.Memory { return []*emu.Memory{w.Build(variantOf(cs)).Mem} },
+			func(ctx context.Context) (*checkpoint.Set, error) {
+				return sim.CaptureCheckpointsContext(ctx, w.Build(variantOf(cs)), sim.DefaultConfig(), s)
+			}))
 	})
 }
 
@@ -594,14 +589,14 @@ func multiCheckpointKey(spec sim.MultiSpec) string {
 // sampled MultiSpec. The capture warms untagged images — tags do not
 // change functional behaviour, so every CRISP/OOO scheduler config of
 // the same workload tuple shares the set.
-func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfgs []sim.Config) (captured[*checkpoint.MultiSet], error) {
+func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfgs []sim.Config) (captured, error) {
 	key := multiCheckpointKey(spec)
-	return memo(ctx, r, kindMultiCkpt, key, func(ctx context.Context) (captured[*checkpoint.MultiSet], error) {
+	return memo(ctx, r, kindMultiCkpt, key, func(ctx context.Context) (captured, error) {
 		ws := make([]*workload.Workload, len(spec.Cores))
 		for i, cs := range spec.Cores {
 			w, err := resolveWorkload(cs.Workload)
 			if err != nil {
-				return captured[*checkpoint.MultiSet]{}, err
+				return captured{}, err
 			}
 			ws[i] = w
 		}
@@ -612,21 +607,17 @@ func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfg
 			}
 			return imgs
 		}
-		return resolve(ctx, r, setTask(r, kindMultiCkpt, key, r.store.GetMultiCheckpoint,
-			func(set *checkpoint.MultiSet) error {
+		return resolve(ctx, r, setTask(r, kindMultiCkpt, key,
+			func() []*emu.Memory {
 				imgs := build()
 				mems := make([]*emu.Memory, len(imgs))
 				for i, img := range imgs {
 					mems[i] = img.Mem
 				}
-				return set.Attach(mems)
+				return mems
 			},
-			func(ctx context.Context) (*checkpoint.MultiSet, int64, uint64, error) {
-				set, err := sim.CaptureMultiCheckpointsContext(ctx, build(), cfgs, *spec.Sampling)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return set, set.HostNS, set.WarmInsts, nil
-			}, r.store.PutMultiCheckpoint))
+			func(ctx context.Context) (*checkpoint.Set, error) {
+				return sim.CaptureMultiCheckpointsContext(ctx, build(), cfgs, *spec.Sampling)
+			}))
 	})
 }

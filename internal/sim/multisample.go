@@ -23,10 +23,9 @@ import (
 // per-core prefetcher tuple), and RunMultiSampledContext restores the
 // aligned points into parallel detailed lockstep windows. Unlike the
 // single-core capture — which warms every prefetcher kind side by side
-// and lets each config pick its variant — one shared LLC can only hold
-// one co-resident occupancy, so the prefetcher tuple is part of the
-// capture: scheduler and window-size sweeps share a set, prefetcher
-// sweeps recapture.
+// and lets each config pick its variant — the co-scheduled capture warms
+// the one variant its prefetcher tuple names, so scheduler and
+// window-size sweeps share a set and prefetcher sweeps recapture.
 
 // Calibration bounds: each mini-capture that measures per-core co-run
 // speeds warms for at most calWarm instructions per core and runs one
@@ -42,7 +41,7 @@ const (
 
 // CaptureMultiCheckpointsContext runs the co-scheduled functional
 // fast-forward pass over the images (one per core, consumed) and returns
-// the MultiSet their sampled co-runs restore from. The shared-hierarchy
+// the set their sampled co-runs restore from. The shared-hierarchy
 // geometry, frontend structure sizes and per-core prefetcher kinds come
 // from cfgs, which must match the configs that will restore the set
 // (RunMultiSampledContext verifies geometry and prefetcher tuple).
@@ -60,7 +59,7 @@ const (
 // included. Cancellation is observed by the calibration mini-captures and
 // windows and by the real capture. It then returns (nil, ctx.Err()), so a
 // partial set is never stored.
-func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling) (*checkpoint.MultiSet, error) {
+func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling) (*checkpoint.Set, error) {
 	start := time.Now()
 	n := len(imgs)
 	if n == 0 || len(cfgs) != n {
@@ -71,18 +70,19 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 			return nil, fmt.Errorf("sim: core %d hierarchy geometry differs from core 0", i)
 		}
 	}
-	newEms := func() ([]*program.Program, []*emu.Emulator, []prefetch.Prefetcher, []string) {
+	newEms := func() ([]*program.Program, []*emu.Emulator, checkpoint.Plan) {
 		progs := make([]*program.Program, n)
 		ems := make([]*emu.Emulator, n)
 		pfs := make([]prefetch.Prefetcher, n)
-		kinds := make([]string, n)
 		for i := range imgs {
 			progs[i] = imgs[i].Prog
 			ems[i] = imgs[i].emulator()
 			pfs[i] = newPrefetcher(cfgs[i].Prefetcher)
-			kinds[i] = cfgs[i].Prefetcher.String()
 		}
-		return progs, ems, pfs, kinds
+		plan := capturePlan(cfgs[0])
+		plan.Variants[variantOf(cfgs)] = pfs
+		plan.Shared = true
+		return progs, ems, plan
 	}
 
 	// The set is stored as a delta over the images the workloads built.
@@ -100,10 +100,9 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 		return nil, err
 	}
 
-	progs, ems, pfs, kinds := newEms()
-	set, err := checkpoint.CaptureMultiContext(ctx, progs, ems, cfgs[0].Hier,
-		cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, kinds, pfs,
-		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}, pace)
+	progs, ems, plan := newEms()
+	plan.Pace = pace
+	set, err := checkpoint.Capture(ctx, progs, ems, plan, checkpoint.Params(s))
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +127,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 // (uniform pace) for single-core sets or when calibration cannot produce
 // a point (a program halting inside the mini-capture). A non-nil error
 // only ever reports cancellation of ctx.
-func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling, newEms func() ([]*program.Program, []*emu.Emulator, []prefetch.Prefetcher, []string)) ([]float64, error) {
+func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling, newEms func() ([]*program.Program, []*emu.Emulator, checkpoint.Plan)) ([]float64, error) {
 	n := len(imgs)
 	if n < 2 {
 		return nil, nil
@@ -143,17 +142,16 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 	}
 	var pace []float64
 	for iter := 0; iter < calMaxIters; iter++ {
-		progs, ems, pfs, kinds := newEms()
-		cal, err := checkpoint.CaptureMultiContext(ctx, progs, ems, cfgs[0].Hier,
-			cfgs[0].Core.BTBEntries, cfgs[0].Core.BTBWays, cfgs[0].Core.RASEntries, kinds, pfs,
-			checkpoint.Params{Warm: warm, Window: window, Count: 1}, pace)
+		progs, ems, plan := newEms()
+		plan.Pace = pace
+		cal, err := checkpoint.Capture(ctx, progs, ems, plan, checkpoint.Params{Warm: warm, Window: window, Count: 1})
 		if err != nil {
 			return nil, err
 		}
 		if len(cal.Points) == 0 {
 			return nil, nil
 		}
-		st, err := cal.Points[0].Restore(progs)
+		st, err := cal.Points[0].RestoreVariant(progs, variantOf(cfgs))
 		if err != nil {
 			return nil, nil
 		}
@@ -197,7 +195,7 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 }
 
 // RunMultiSampledContext executes a sampled co-scheduled simulation over
-// a previously captured MultiSet: each aligned checkpoint restores into a
+// a previously captured set: each aligned checkpoint restores into a
 // fresh detailed lockstep window — a clone of the co-residency-warmed
 // shared hierarchy, per-core emulators over copy-on-write memory forks,
 // cloned predictors and prefetchers — whose cores run to their
@@ -207,53 +205,49 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 // itself, not the solo drain a slow core would run after equal budgets let
 // its neighbours finish early. progs[i] must be position-identical to the
 // program core i was captured with.
-func RunMultiSampledContext(ctx context.Context, set *checkpoint.MultiSet, progs []*program.Program, cfgs []Config, s Sampling) (*MultiResult, error) {
-	n := set.Cores
-	if len(progs) != n || len(cfgs) != n {
-		return nil, fmt.Errorf("sim: %d-core checkpoint set, %d programs, %d configs", n, len(progs), len(cfgs))
+func RunMultiSampledContext(ctx context.Context, set *checkpoint.Set, progs []*program.Program, cfgs []Config, _ Sampling) (*MultiResult, error) {
+	return sampledWindows(ctx, set, progs, cfgs)
+}
+
+// variantOf names the set variant a tuple of per-core configs restores:
+// their prefetcher kinds.
+func variantOf(cfgs []Config) string {
+	kinds := make([]string, len(cfgs))
+	for i := range cfgs {
+		kinds[i] = cfgs[i].Prefetcher.String()
 	}
-	budgets := make([]uint64, n)
+	return checkpoint.VariantName(kinds)
+}
+
+// sampledWindows is the window runner of both sampled paths. It first
+// checks the set's shape, and returns an error for another core count, no
+// variant warmed for cfgs' prefetcher tuple (a co-scheduled set warms only
+// the tuple it was captured for: the shared LLC's content depends on every
+// core's prefetch traffic) or other hierarchy geometry. Then it restores
+// each of the set's points into a detailed lockstep window whose core i
+// runs set.WindowInsts[i] instructions of progs[i] under cfgs[i], and
+// aggregates per core across windows — each core's windows are equal
+// length, so summing counters, breakdowns and histograms is the weighted
+// aggregate, and shared-level stats sum the same way. A core under
+// runtime IBDA keeps one instance across its windows: the mechanism would
+// have been learning continuously over the whole execution, so then the
+// windows run one after another in execution order. Otherwise the windows
+// are independent and fan out over GOMAXPROCS workers. Either way the
+// merge runs in window order, so the aggregate (its float folds included)
+// is a sequential execution's.
+func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.Program, cfgs []Config) (*MultiResult, error) {
+	n, variant, points := len(cfgs), variantOf(cfgs), len(set.Points)
+	if len(progs) != n || n != set.Cores {
+		return nil, fmt.Errorf("sim: %d-core checkpoint set, %d programs, %d configs", set.Cores, len(progs), n)
+	}
 	for i := range cfgs {
 		if cfgs[i].Hier != set.Hier {
 			return nil, fmt.Errorf("sim: core %d config hierarchy geometry differs from the checkpoint set's", i)
 		}
-		if set.PFKinds != nil && set.PFKinds[i] != cfgs[i].Prefetcher.String() {
-			return nil, fmt.Errorf("sim: checkpoint set warmed core %d for prefetcher %q, config wants %q (the prefetcher tuple is part of the capture)",
-				i, set.PFKinds[i], cfgs[i].Prefetcher.String())
-		}
-		budgets[i] = s.Window
-		if set.WindowInsts != nil {
-			budgets[i] = set.WindowInsts[i]
-		}
 	}
-	m, err := sampledWindows(ctx, len(set.Points), func(w int) (checkpoint.MultiRestored, error) {
-		return set.Points[w].Restore(progs)
-	}, progs, cfgs, budgets)
-	if err != nil {
-		return nil, err
+	if points > 0 && set.Points[0].Variants[variant] == nil {
+		return nil, fmt.Errorf("sim: checkpoint set has no variant warmed for prefetchers %q", variant)
 	}
-	for i, ff := range set.FFPerCore {
-		m.Cores[i].FFInsts = ff
-	}
-	m.FFInsts = set.FFInsts
-	m.HostFFNS = set.HostNS
-	return m, nil
-}
-
-// sampledWindows is the window runner of both sampled paths: it restores
-// each of points checkpoints (restore(w) clones point w) into a detailed
-// lockstep window whose core i runs budgets[i] instructions of progs[i]
-// under cfgs[i], and aggregates per core across windows — each core's
-// windows are equal length, so summing counters, breakdowns and histograms
-// is the weighted aggregate, and shared-level stats sum the same way. A
-// core under runtime IBDA keeps one instance across its windows: the
-// mechanism would have been learning continuously over the whole
-// execution, so then the windows run one after another in execution
-// order. Otherwise the windows are independent and fan out over GOMAXPROCS
-// workers. Either way the merge runs in window order, so the aggregate
-// (its float folds included) is a sequential execution's.
-func sampledWindows(ctx context.Context, points int, restore func(w int) (checkpoint.MultiRestored, error), progs []*program.Program, cfgs []Config, budgets []uint64) (*MultiResult, error) {
-	n := len(cfgs)
 	ibs := make([]*ibda.IBDA, n)
 	workers := runtime.GOMAXPROCS(0)
 	for i := range cfgs {
@@ -265,7 +259,7 @@ func sampledWindows(ctx context.Context, points int, restore func(w int) (checkp
 	check := cancelCheck(ctx)
 	outs := make([]*MultiResult, points)
 	err := fanOut(ctx, points, workers, func(w int) error {
-		st, err := restore(w)
+		st, err := set.Points[w].RestoreVariant(progs, variant)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
@@ -275,7 +269,7 @@ func sampledWindows(ctx context.Context, points int, restore func(w int) (checkp
 			if ibs[i] != nil {
 				marker = attachIBDA(ibs[i], progs[i], st.Hier.Views[i])
 			}
-			cores[i] = windowCore(cfgs[i].Core, budgets[i], progs[i], st, i, marker)
+			cores[i] = windowCore(cfgs[i].Core, set.WindowInsts[i], progs[i], st, i, marker)
 		}
 		outs[w] = sharedResult(st.Hier, core.RunMultiWindow(cores, check))
 		return nil
@@ -309,7 +303,10 @@ func sampledWindows(ctx context.Context, points int, restore func(w int) (checkp
 			m.Cores[i] = &core.Result{Loads: map[int]*core.LoadProf{}, Branches: map[int]*core.BranchProf{}}
 		}
 		m.Cores[i].SampledWindows = points
+		m.Cores[i].FFInsts = set.FFPerCore[i]
 	}
+	m.FFInsts = set.FFInsts
+	m.HostFFNS = set.HostNS
 	return m, nil
 }
 

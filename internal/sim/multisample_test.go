@@ -12,7 +12,6 @@ import (
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
-	"crisp/internal/emu"
 	"crisp/internal/ibda"
 	"crisp/internal/program"
 	"crisp/internal/sim"
@@ -100,7 +99,9 @@ func TestMultiSampledEquivalence(t *testing.T) {
 			// same windows. If the equivalence bar still passed, the 3%
 			// tolerance would be too loose to catch a broken warming path.
 			for _, pt := range set.Points {
-				pt.Hier.LLC.Invalidate()
+				for _, v := range pt.Variants {
+					v.Hier.LLC.Invalidate()
+				}
 			}
 			cold, err := sim.RunMultiSampledContext(context.Background(), set, progs, cfgs, s)
 			if err != nil {
@@ -123,7 +124,7 @@ func TestMultiSampledEquivalence(t *testing.T) {
 // multiSmallSchedule keeps the structural multi-core sampled tests fast.
 var multiSmallSchedule = sim.Sampling{Warm: 20_000, Window: 5_000, Count: 3}
 
-func captureMultiSmall(t *testing.T) (*checkpoint.MultiSet, []*program.Program, []sim.Config) {
+func captureMultiSmall(t *testing.T) (*checkpoint.Set, []*program.Program, []sim.Config) {
 	t.Helper()
 	cfgs := []sim.Config{sim.DefaultConfig(), sim.DefaultConfig()}
 	set, err := sim.CaptureMultiCheckpointsContext(context.Background(), colocatePair(nil), cfgs, multiSmallSchedule)
@@ -151,6 +152,21 @@ func TestMultiCaptureTimesCalibration(t *testing.T) {
 	}
 }
 
+// TestSampledWrongShapeIsAnError: a set restores only windows of its own
+// shape. A two-core set handed to the one-core run, and a prefetcher tuple
+// the set warmed no variant for, are errors, not panics.
+func TestSampledWrongShapeIsAnError(t *testing.T) {
+	set, progs, cfgs := captureMultiSmall(t)
+	if _, err := sim.RunSampledContext(context.Background(), set, progs[0], cfgs[0], multiSmallSchedule); err == nil {
+		t.Error("a two-core set restored one-core windows")
+	}
+	stride := []sim.Config{cfgs[0], cfgs[1]}
+	stride[1].Prefetcher = sim.PFStride
+	if _, err := sim.RunMultiSampledContext(context.Background(), set, progs, stride, multiSmallSchedule); err == nil || !strings.Contains(err.Error(), "no variant") {
+		t.Errorf("a set warmed for bop+stream on both cores restored stride on core 1: error %v", err)
+	}
+}
+
 // zeroHost clears the wall-clock fields so deterministic comparisons can
 // use DeepEqual on everything simulated.
 func zeroHost(m *sim.MultiResult) {
@@ -167,13 +183,13 @@ func zeroHost(m *sim.MultiResult) {
 func TestMultiSampledCodecRoundTrip(t *testing.T) {
 	set, progs, cfgs := captureMultiSmall(t)
 	const key = "roundtrip-key"
-	data := checkpoint.EncodeMultiSet(set, key)
-	got, err := checkpoint.DecodeMultiSet(data, key)
+	data := checkpoint.EncodeSet(set, key)
+	got, err := checkpoint.DecodeSet(data, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cores != set.Cores || len(got.Points) != len(set.Points) ||
-		got.FFInsts != set.FFInsts || !reflect.DeepEqual(got.PFKinds, set.PFKinds) ||
+		got.FFInsts != set.FFInsts || got.Points[0].Variants["bop+stream,bop+stream"] == nil ||
 		!reflect.DeepEqual(got.FFPerCore, set.FFPerCore) ||
 		!reflect.DeepEqual(got.Pace, set.Pace) ||
 		!reflect.DeepEqual(got.WindowInsts, set.WindowInsts) {
@@ -187,10 +203,10 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 		t.Fatalf("run over an unattached set: error %v, want a refusal", err)
 	}
 	imgs := colocatePair(nil)
-	if err := got.Attach([]*emu.Memory{imgs[1].Mem, imgs[0].Mem}); err == nil {
+	if err := got.Attach(imgs[1].Mem, imgs[0].Mem); err == nil {
 		t.Fatal("the two cores' images attached the wrong way round")
 	}
-	if err := got.Attach([]*emu.Memory{imgs[0].Mem, imgs[1].Mem}); err != nil {
+	if err := got.Attach(imgs[0].Mem, imgs[1].Mem); err != nil {
 		t.Fatal(err)
 	}
 	b, err := sim.RunMultiSampledContext(context.Background(), got, progs, cfgs, multiSmallSchedule)
@@ -203,11 +219,11 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 		t.Errorf("decoded set's run diverged: cycles %d/%d vs %d/%d, llc %+v vs %+v",
 			a.Cores[0].Cycles, a.Cores[1].Cycles, b.Cores[0].Cycles, b.Cores[1].Cycles, a.LLC, b.LLC)
 	}
-	if _, err := checkpoint.DecodeMultiSet(data, "other-key"); err == nil {
+	if _, err := checkpoint.DecodeSet(data, "other-key"); err == nil {
 		t.Error("key mismatch not rejected")
 	}
 	data[len(data)-1] ^= 0x40
-	if _, err := checkpoint.DecodeMultiSet(data, key); err == nil {
+	if _, err := checkpoint.DecodeSet(data, key); err == nil {
 		t.Error("corrupt payload not rejected")
 	}
 }

@@ -24,8 +24,8 @@ type MultiSpec struct {
 	Cores []RunSpec `json:"cores"`
 	// Sampling, when non-nil, runs the co-scheduled simulation sampled:
 	// one shared schedule aligns every core's window boundaries, and the
-	// cores restore from one co-scheduled checkpoint set (MultiSet)
-	// instead of executing full detail from cycle 0. The schedule is
+	// cores restore from one co-scheduled checkpoint set instead of
+	// executing full detail from cycle 0. The schedule is
 	// spec-level because co-scheduling needs aligned boundaries — per-core
 	// Sampling clauses stay rejected. With Sampling set, every clause's
 	// Insts must be 0 (the per-core budget is Sampling.Total()) and no

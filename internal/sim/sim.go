@@ -195,8 +195,8 @@ func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, erro
 // frontend structure sizes come from cfg, which must match the configs
 // that will restore the set (RunSampledContext verifies the hierarchy
 // geometry). Cancellation is observed every few milliseconds (see
-// checkpoint.CaptureContext) and returns (nil, ctx.Err()), so a partial
-// set is never stored.
+// checkpoint.Capture) and returns (nil, ctx.Err()), so a partial set is
+// never stored.
 func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sampling) (*checkpoint.Set, error) {
 	// Warm one cache-hierarchy/prefetcher variant per prefetcher kind:
 	// prefetched lines are part of steady-state cache content (resident
@@ -204,36 +204,35 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	// itself converges slowly, so both must be warmed per kind. The
 	// functional execution — the expensive part — still happens once, and
 	// every scheduler config of every kind shares the result.
-	pfs := make(map[string]prefetch.Prefetcher)
+	plan := capturePlan(cfg)
 	for _, kind := range []PrefetcherKind{PFBOPStream, PFStride, PFGHB, PFNone} {
-		pfs[kind.String()] = newPrefetcher(kind)
+		plan.Variants[kind.String()] = []prefetch.Prefetcher{newPrefetcher(kind)}
 	}
-	return checkpoint.CaptureContext(ctx, img.Prog, img.emulator(), cfg.Hier,
-		cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, pfs,
-		checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count})
+	return checkpoint.Capture(ctx, []*program.Program{img.Prog}, []*emu.Emulator{img.emulator()}, plan, checkpoint.Params(s))
+}
+
+// capturePlan is a capture warmed at cfg's geometry and frontend sizes,
+// its variants still to be added.
+func capturePlan(cfg Config) checkpoint.Plan {
+	return checkpoint.Plan{Hier: cfg.Hier, BTBEntries: cfg.Core.BTBEntries, BTBWays: cfg.Core.BTBWays,
+		RASEntries: cfg.Core.RASEntries, Variants: map[string][]prefetch.Prefetcher{}}
 }
 
 // RunSampledContext executes a sampled simulation of prog under cfg over a
-// previously captured checkpoint set: the one-core run of sampledWindows,
-// each checkpoint restored into a fresh detailed window (cloned warmed
-// hierarchy and predictors of cfg's prefetcher variant, copy-on-write
-// memory fork, per-config IBDA attachment) of Window instructions under
-// cfg, the window results aggregated into one weighted core.Result. prog
-// must be position-identical to the program the set was captured from (a
-// critical-tagged clone qualifies). The set is only read, never mutated,
-// so any number of configs may run over it concurrently.
-func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.Program, cfg Config, s Sampling) (*core.Result, error) {
-	if set.Hier != cfg.Hier {
-		return nil, fmt.Errorf("sim: checkpoint set warmed with different hierarchy geometry than the run config")
-	}
-	m, err := sampledWindows(ctx, len(set.Points), func(w int) (checkpoint.MultiRestored, error) {
-		return set.Points[w].Restore(prog, cfg.Prefetcher.String())
-	}, []*program.Program{prog}, []Config{cfg}, []uint64{s.Window})
+// previously captured one-core checkpoint set: the one-core run of
+// sampledWindows, each checkpoint restored into a fresh detailed window
+// (cloned warmed hierarchy and predictors of cfg's prefetcher variant,
+// copy-on-write memory fork, per-config IBDA attachment) of the set's
+// window budget under cfg, the window results aggregated into one weighted
+// core.Result. prog must be position-identical to the program the set was
+// captured from (a critical-tagged clone qualifies). The set is only read,
+// never mutated, so any number of configs may run over it concurrently.
+func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.Program, cfg Config, _ Sampling) (*core.Result, error) {
+	m, err := sampledWindows(ctx, set, []*program.Program{prog}, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
 	r := m.Cores[0]
-	r.FFInsts = set.FFInsts
 	r.HostFFNS = set.HostNS
 	return r, nil
 }
@@ -241,7 +240,7 @@ func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.P
 // windowCore builds core i of one restored detailed window: ccfg with the
 // window's instruction budget, over core i's restored emulator, view and
 // front-end state — the warmed predictor left out under PerfectBP.
-func windowCore(ccfg core.Config, budget uint64, prog *program.Program, st checkpoint.MultiRestored, i int, marker core.Marker) *core.Core {
+func windowCore(ccfg core.Config, budget uint64, prog *program.Program, st checkpoint.Restored, i int, marker core.Marker) *core.Core {
 	ccfg.MaxInsts = budget
 	c := core.New(ccfg, prog, st.Ems[i], st.Hier.Views[i], marker)
 	var bp branch.Predictor
