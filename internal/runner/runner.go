@@ -11,6 +11,9 @@
 // checkpoint-set kinds — and each reaches its value through the one
 // ladder in resolve (tasks.go): delegate to a crispd server if the runner
 // has one, else load, lock, load again, compute, publish.
+//
+// The memo keeps every value for the runner's life but a checkpoint set,
+// which a runner with a store keeps only while a run over it is pending.
 package runner
 
 import (
@@ -74,8 +77,9 @@ type Runner struct {
 	onEvent func(TaskEvent)
 	remote  Remote
 
-	mu    sync.Mutex
-	calls map[string]*call
+	mu     sync.Mutex
+	calls  map[string]*call
+	demand map[string]int // per set memo key, the sampled runs not yet returned (need)
 
 	started, done, failed, executed, diskHits atomic.Int64
 	shared                                    atomic.Int64
@@ -120,6 +124,7 @@ func New(ctx context.Context, opts Options) (*Runner, error) {
 		onEvent: opts.OnEvent,
 		remote:  opts.Remote,
 		calls:   make(map[string]*call),
+		demand:  make(map[string]int),
 	}, nil
 }
 
@@ -271,6 +276,35 @@ func (r *Runner) do(ctx context.Context, key string, visible bool, fn func(conte
 		}
 		close(c.done)
 		return c.val, c.err
+	}
+}
+
+// need counts one demand for the checkpoint set under memo key key ("" for
+// none) and returns its end. At the last end a finished set leaves the memo,
+// to be read back from the store, not recaptured; a storeless runner has no
+// copy and keeps it. A run's demand starts at submission: started at its
+// token or its join, a sibling queued behind the first run finds the set gone.
+func (r *Runner) need(key string) (done func()) {
+	if key == "" || !r.store.Enabled() {
+		return func() {}
+	}
+	r.mu.Lock()
+	r.demand[key]++
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.demand[key]--; r.demand[key] > 0 {
+			return
+		}
+		delete(r.demand, key)
+		if c, ok := r.calls[key]; ok {
+			select {
+			case <-c.done: // finished, so successful: do drops failures first
+				delete(r.calls, key)
+			default: // in flight: never dropped
+			}
+		}
 	}
 }
 

@@ -106,9 +106,12 @@ func resolve[T any](ctx context.Context, r *Runner, t task[T]) (T, error) {
 	return v, nil
 }
 
+// memoKey names the single-flight task kind|key in the memo table.
+func memoKey(kind, key string) string { return kind + "|" + key }
+
 // memo runs fn as the single-flight task kind|key (see do), typed.
 func memo[T any](ctx context.Context, r *Runner, kind, key string, fn func(context.Context) (T, error)) (T, error) {
-	v, err := r.do(ctx, kind+"|"+key, true, func(ctx context.Context) (any, error) { return fn(ctx) })
+	v, err := r.do(ctx, memoKey(kind, key), true, func(ctx context.Context) (any, error) { return fn(ctx) })
 	if err != nil {
 		var zero T
 		return zero, err
@@ -152,25 +155,32 @@ type (
 
 // submit starts result(spec) on the pool under the runner's base context
 // without waiting; the handle's Result joins it through the memo table.
-func submit[S, T any](r *Runner, spec S, result func(context.Context, S) (*T, error)) *Handle[S, T] {
-	go result(r.ctx, spec) //nolint:errcheck // result observed via the memo table
+// The demand for the set under setKey (need) starts before the goroutine.
+func submit[S, T any](r *Runner, spec S, setKey string, result func(context.Context, S) (*T, error)) *Handle[S, T] {
+	done := r.need(setKey)
+	go func() {
+		defer done()
+		result(r.ctx, spec) //nolint:errcheck // result observed via the memo table
+	}()
 	return &Handle[S, T]{Spec: spec, result: result}
 }
 
 // Submit starts a timing run without waiting.
-func (r *Runner) Submit(spec sim.RunSpec) *RunHandle { return submit(r, spec, r.Run) }
+func (r *Runner) Submit(spec sim.RunSpec) *RunHandle { return submit(r, spec, runSetKey(spec), r.Run) }
 
 // SubmitMulti starts a multi-core timing run without waiting.
-func (r *Runner) SubmitMulti(spec sim.MultiSpec) *MultiHandle { return submit(r, spec, r.RunMulti) }
+func (r *Runner) SubmitMulti(spec sim.MultiSpec) *MultiHandle {
+	return submit(r, spec, multiSetKey(spec), r.RunMulti)
+}
 
 // SubmitAnalysis starts the software pipeline without waiting.
 func (r *Runner) SubmitAnalysis(spec AnalysisSpec) *AnalysisHandle {
-	return submit(r, spec, r.Analysis)
+	return submit(r, spec, "", r.Analysis)
 }
 
 // SubmitFootprint starts the footprint measurement without waiting.
 func (r *Runner) SubmitFootprint(spec AnalysisSpec) *FootprintHandle {
-	return submit(r, spec, r.Footprint)
+	return submit(r, spec, "", r.Footprint)
 }
 
 // ---------------------------------------------------------- timing runs
@@ -219,6 +229,7 @@ func (r *Runner) image(ctx context.Context, cs sim.RunSpec, s *sim.Sampling) (*s
 // simulation cannot see share one run, each storing the result under its
 // own key.
 func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error) {
+	defer r.need(runSetKey(spec))()
 	key := spec.Key()
 	return memo(ctx, r, kindRun, key, func(ctx context.Context) (*core.Result, error) {
 		if _, err := resolveWorkload(spec.Workload); err != nil {
@@ -288,6 +299,7 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 // RunMulti resolves a multi-core co-location spec to its result with
 // Run's discipline. Only Run exports metrics rows.
 func (r *Runner) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiResult, error) {
+	defer r.need(multiSetKey(spec))()
 	key := spec.Key()
 	return memo(ctx, r, kindMulti, key, func(ctx context.Context) (*sim.MultiResult, error) {
 		cfgs, err := spec.Configs() // validates the spec as a side effect
@@ -489,9 +501,9 @@ func (cs *captureStats) claim() (int64, uint64) {
 }
 
 // setTask is the task of the two checkpoint-set kinds. Within a process
-// a set is memoized; across processes it persists under the set codec, so
-// a second process (or a re-run) decodes the warmed state and skips the
-// functional fast-forward. A stored set is a delta over the images its
+// a set is memoized while runs need it; across processes it persists
+// under the set codec, so a second process (or a re-run) decodes the
+// warmed state and skips the functional fast-forward. A stored set is a delta over the images its
 // workloads build (images), and enters the memo only attached to them.
 // One that refuses them (a kernel edited without a CodeVersion bump) is
 // as useless as a corrupt one: delete it and recapture. Captures honour
@@ -551,6 +563,14 @@ func checkpointKey(name string, variant workload.Variant, s sim.Sampling) string
 	return hashKey(fmt.Sprintf("%s|ckpt|%s|%d|%d|%d|%d|%d", sim.CodeVersion, name, variant, s.Skip, s.Warm, s.Window, s.Count) + geometryKey())
 }
 
+// runSetKey is the memo key of checkpointSet for spec, "" if it is not sampled.
+func runSetKey(spec sim.RunSpec) string {
+	if spec.Sampling == nil {
+		return ""
+	}
+	return memoKey(kindCkpt, checkpointKey(spec.Workload, variantOf(spec), *spec.Sampling))
+}
+
 // checkpointSet resolves the sampled-simulation checkpoint capture per
 // (workload, variant, schedule): the cross-config sharing at the heart
 // of sampling.
@@ -583,6 +603,14 @@ func multiCheckpointKey(spec sim.MultiSpec) string {
 		fmt.Fprintf(&b, "|core=%s/%d/pf=%s", cs.Workload, variantOf(cs), cs.Prefetcher.String())
 	}
 	return hashKey(b.String() + geometryKey())
+}
+
+// multiSetKey is the memo key of multiCheckpointSet for spec, "" if it is not sampled.
+func multiSetKey(spec sim.MultiSpec) string {
+	if spec.Sampling == nil {
+		return ""
+	}
+	return memoKey(kindMultiCkpt, multiCheckpointKey(spec))
 }
 
 // multiCheckpointSet resolves the co-scheduled checkpoint capture for a
