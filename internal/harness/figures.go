@@ -347,13 +347,6 @@ func (l *Lab) Section31() *Pending {
 	}}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PrefetcherSensitivity reproduces the Section 5.1 observation that
 // CRISP's improvement is similar regardless of the baseline data
 // prefetcher (the paper reports BOP, plain stride, and GHB baselines).

@@ -16,9 +16,11 @@ import (
 //
 // The in-process single-flight memo still applies on top: a figure
 // suite that references one baseline from ten rows posts it to the
-// server once and shares the decoded result. Remote results are not
-// recorded in the local metrics sink (the server records its own); they
-// are counted in Stats.RemoteRuns.
+// server once and shares the decoded result. Sharing by simulation key
+// does not: each distinct Run or RunMulti key is posted, and the server
+// shares the simulations behind them. Remote results are not recorded in
+// the local metrics sink (the server records its own); they are counted in
+// Stats.RemoteRuns.
 //
 // internal/crispd.Client is the HTTP implementation.
 type Remote interface {

@@ -81,10 +81,11 @@ func TestResolveLadder(t *testing.T) {
 	run := chaseSpec(20_000)
 	multi := sim.MultiSpec{Cores: []sim.RunSpec{chaseSpec(20_000), {Workload: "streambatch", Insts: 20_000}}}
 	pipe := AnalysisSpec{Workload: "pointerchase", Insts: 20_000, Opts: crisp.DefaultOptions()}
-	clause := sim.RunSpec{Workload: "pointerchase"}
+	set := runTiming(sim.RunSpec{Workload: "pointerchase", Sampling: &sched})
 	mset := sim.MultiSpec{Cores: []sim.RunSpec{{Workload: "tailchase"}, {Workload: "streambatch"}}, Sampling: &sched}
-	msetCfgs, err := mset.Configs()
-	if err != nil {
+	mtm := multiTiming(mset)
+	var err error
+	if mtm.cfgs, err = mset.Configs(); err != nil {
 		t.Fatal(err)
 	}
 	kinds := []ladderKind{
@@ -99,11 +100,11 @@ func TestResolveLadder(t *testing.T) {
 		{kindFootprint, pipe.Key(), func(ctx context.Context, r *Runner) error { _, err := r.Footprint(ctx, pipe); return err },
 			true, Stats{DiskHits: 1}, Stats{Executed: 1, Started: 3, Done: 3}},
 		{kindCkpt, checkpointKey("pointerchase", workload.Ref, sched), func(ctx context.Context, r *Runner) error {
-			_, err := r.checkpointSet(ctx, clause, sched)
+			_, err := r.checkpointSet(ctx, &set)
 			return err
 		}, false, Stats{CkptDiskHits: 1}, Stats{CkptCaptured: 1}},
 		{kindMultiCkpt, multiCheckpointKey(mset), func(ctx context.Context, r *Runner) error {
-			_, err := r.multiCheckpointSet(ctx, mset, msetCfgs)
+			_, err := r.checkpointSet(ctx, &mtm)
 			return err
 		}, false, Stats{CkptDiskHits: 1}, Stats{CkptCaptured: 1}},
 	}

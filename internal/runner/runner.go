@@ -10,7 +10,11 @@
 // safely between processes — run, multi, analysis, footprint, and the two
 // checkpoint-set kinds — and each reaches its value through the one
 // ladder in resolve (tasks.go): delegate to a crispd server if the runner
-// has one, else load, lock, load again, compute, publish.
+// has one, else load, lock, load again, compute, publish. Run and RunMulti
+// compute through one timing path (simulate), Run as the one-core co-run,
+// and a process runs each distinct simulation once: once per checkpoint
+// set and per-core sim.RunSpec.SimKey, for single-core runs and co-runs
+// alike.
 //
 // The memo keeps every value for the runner's life but a checkpoint set,
 // which a runner with a store keeps only while a run over it is pending.
@@ -54,7 +58,7 @@ type Stats struct {
 	Done         int64 // tasks finished (success or failure)
 	Failed       int64 // tasks finished with an error
 	Executed     int64 // run and multi results computed here rather than loaded or delegated
-	Shared       int64 // of those, runs that joined another spec's simulation (see sim.RunSpec.SimKey)
+	Shared       int64 // of those, results that joined another spec's simulation (see sim.RunSpec.SimKey)
 	DiskHits     int64 // results served from the persistent cache
 	CkptCaptured int64 // checkpoint sets captured (fast-forward executed)
 	CkptDiskHits int64 // checkpoint sets loaded from the persistent store

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -91,7 +92,8 @@ func TestCrispSharesProfile(t *testing.T) {
 // static instructions never fill — one spec per pair runs the simulation
 // and the other joins it. Both are results computed here, each stored under
 // its own key, and a fresh runner on the store serves all four with
-// nothing executed.
+// nothing executed. The subtests share across Run and RunMulti
+// (sharedTimings).
 func TestSharedSimulations(t *testing.T) {
 	ctx := context.Background()
 	base := sim.RunSpec{Workload: "mcf", Insts: 40_000}
@@ -138,6 +140,78 @@ func TestSharedSimulations(t *testing.T) {
 	if s := fresh.Stats(); s.Executed != 0 || s.Shared != 0 || s.DiskHits != 4 {
 		t.Errorf("over the store: Executed %d, Shared %d, DiskHits %d; want 0, 0 and 4", s.Executed, s.Shared, s.DiskHits)
 	}
+	sharedTimings(t)
+}
+
+// sharedTimings: a simulation's key is its set's memo key and its cores'
+// SimKeys, whether Run or RunMulti asks for it. So (a) a co-run whose core 0
+// runs the CRISP scheduler untagged joins the OOO co-run, its host time
+// counted once; (b) a full-detail Run joins the one-core RunMulti of its
+// clause; and (c) a sampled Run and the sampled one-core RunMulti of its
+// clause do not share, because one restores the four-variant set and the
+// other a co-run's. Each pair runs on a fresh runner, the second spec after
+// the first has returned. Mutation this fails under: the set key dropped
+// from the simulation key ((c) shares).
+func sharedTimings(t *testing.T) {
+	ctx := context.Background()
+	// check runs first then second on a fresh runner and returns its Stats
+	// and first's result.
+	check := func(t *testing.T, first, second func(*Runner) (*sim.MultiResult, error), shared bool) (Stats, *sim.MultiResult) {
+		t.Helper()
+		r := newRunner(t, Options{Workers: 2})
+		m, err := first(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := second(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		want := int64(0)
+		if shared {
+			want = 1
+		}
+		if st.Executed != 2 || st.Shared != want {
+			t.Errorf("Executed %d, Shared %d; want 2 and %d", st.Executed, st.Shared, want)
+		}
+		if same := m.Cores[0] == m2.Cores[0]; same != shared {
+			t.Errorf("the two specs got one result: %v, want %v", same, shared)
+		}
+		return st, m
+	}
+	run := func(spec sim.RunSpec) func(*Runner) (*sim.MultiResult, error) {
+		return func(r *Runner) (*sim.MultiResult, error) {
+			res, err := r.Run(ctx, spec)
+			return &sim.MultiResult{Cores: []*core.Result{res}}, err
+		}
+	}
+	multi := func(spec sim.MultiSpec) func(*Runner) (*sim.MultiResult, error) {
+		return func(r *Runner) (*sim.MultiResult, error) { return r.RunMulti(ctx, spec) }
+	}
+
+	t.Run("co-run", func(t *testing.T) {
+		ooo := sim.MultiSpec{Cores: []sim.RunSpec{{Workload: "tailchase", Insts: 20_000}, {Workload: "streambatch", Insts: 20_000}}}
+		untagged := sim.MultiSpec{Cores: append([]sim.RunSpec(nil), ooo.Cores...)}
+		untagged.Cores[0].Sched = sim.SchedCRISP
+		st, m := check(t, multi(ooo), multi(untagged), true)
+		if st.DetailNS != m.HostNS || uint64(st.DetailInsts) != m.Cores[0].Insts+m.Cores[1].Insts {
+			t.Errorf("DetailNS %d, DetailInsts %d; want one co-run's %d and %d",
+				st.DetailNS, st.DetailInsts, m.HostNS, m.Cores[0].Insts+m.Cores[1].Insts)
+		}
+	})
+	t.Run("full detail", func(t *testing.T) {
+		spec := chaseSpec(20_000)
+		check(t, run(spec), multi(sim.MultiSpec{Cores: []sim.RunSpec{spec}}), true)
+	})
+	t.Run("sampled", func(t *testing.T) {
+		s := sim.Sampling{Warm: 15_000, Window: 5_000, Count: 2}
+		spec := sim.RunSpec{Workload: "pointerchase", Sampling: &s}
+		st, _ := check(t, run(spec), multi(sim.MultiSpec{Cores: []sim.RunSpec{{Workload: "pointerchase"}}, Sampling: &s}), false)
+		if st.CkptCaptured != 2 {
+			t.Errorf("CkptCaptured %d; want 2, a four-variant set and a co-run's", st.CkptCaptured)
+		}
+	})
 }
 
 // TestDiskCache: a second runner over the same cache dir serves results
@@ -240,6 +314,83 @@ func TestCancelMidCapture(t *testing.T) {
 	}
 	if st := r.Stats(); st.CkptCaptured != 0 || st.CaptureNS != 0 || st.WarmInsts != 0 {
 		t.Errorf("cancelled capture counted as completed: %+v", st)
+	}
+}
+
+// TestCancelMidCaptureWithWaitingPeer: a runner whose capture is cancelled
+// between slices while a second runner on the same store waits on the
+// set's lock hands the claim over. The two sweep the same set under two
+// schedulers, so the second waits on the set's lock, not on the run's. The
+// waiter takes the claim within a second of the cancellation, captures
+// once and publishes the set; the cancelled runner counts no capture and
+// leaves no entry and no lock file.
+func TestCancelMidCaptureWithWaitingPeer(t *testing.T) {
+	dir := t.TempDir()
+	s := sim.Sampling{Warm: 4_000_000, Window: 1000, Count: 2}
+	if raceEnabled {
+		s.Warm /= 8
+	}
+	spec := sim.RunSpec{Workload: "pointerchase", Sampling: &s}
+	peer := spec
+	peer.Sched = sim.SchedRandom
+	setLock := filepath.Join(dir, kindCkpt+"-"+checkpointKey(spec.Workload, variantOf(spec), s)+".lock")
+
+	cancelled := newRunner(t, Options{Workers: 1, CacheDir: dir})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { _, err := cancelled.Run(ctx, spec); errc <- err }()
+	for { // the lock file appears when the first runner claims the set
+		if _, err := os.Stat(setLock); err == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	waiting := make(chan struct{})
+	var once sync.Once
+	lockBusy = func() { once.Do(func() { close(waiting) }) }
+	defer func() { lockBusy = nil }()
+	waiter := newRunner(t, Options{Workers: 1, CacheDir: dir})
+	done := make(chan error, 1)
+	go func() { _, err := waiter.Run(context.Background(), peer); done <- err }()
+	<-waiting
+	busy := time.Now()
+	cancel()
+	cancelledAt := time.Now()
+	if err := <-errc; !ctxErr(err) {
+		t.Fatalf("the cancelled run returned %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// The waiter's lock wait runs from before busy to its claim.
+	if late := time.Duration(waiter.Stats().LockWaitNS) - cancelledAt.Sub(busy); late > time.Second {
+		t.Errorf("the waiter took the claim %v after the cancellation, want within 1s", late)
+	}
+	if st := waiter.Stats(); st.CkptCaptured != 1 || st.CkptDiskHits != 0 || st.Executed != 1 {
+		t.Errorf("waiter: captured %d, disk hits %d, executed %d; want 1, 0, 1", st.CkptCaptured, st.CkptDiskHits, st.Executed)
+	}
+	if st := cancelled.Stats(); st.CkptCaptured != 0 || st.CaptureNS != 0 || st.WarmInsts != 0 || st.Executed != 0 {
+		t.Errorf("the cancelled runner counted work: %+v", st)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		filepath.Base(strings.TrimSuffix(setLock, ".lock")) + ".bin": true,
+		kindRun + "-" + peer.Key() + ".json":                         true,
+	}
+	for _, e := range entries {
+		if !want[e.Name()] {
+			t.Errorf("unexpected %q in the store", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("the waiter published no %q", name)
 	}
 }
 

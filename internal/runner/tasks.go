@@ -166,11 +166,13 @@ func submit[S, T any](r *Runner, spec S, setKey string, result func(context.Cont
 }
 
 // Submit starts a timing run without waiting.
-func (r *Runner) Submit(spec sim.RunSpec) *RunHandle { return submit(r, spec, runSetKey(spec), r.Run) }
+func (r *Runner) Submit(spec sim.RunSpec) *RunHandle {
+	return submit(r, spec, runTiming(spec).setMemoKey(), r.Run)
+}
 
 // SubmitMulti starts a multi-core timing run without waiting.
 func (r *Runner) SubmitMulti(spec sim.MultiSpec) *MultiHandle {
-	return submit(r, spec, multiSetKey(spec), r.RunMulti)
+	return submit(r, spec, multiTiming(spec).setMemoKey(), r.RunMulti)
 }
 
 // SubmitAnalysis starts the software pipeline without waiting.
@@ -222,14 +224,111 @@ func (r *Runner) image(ctx context.Context, cs sim.RunSpec, s *sim.Sampling) (*s
 	return img, nil
 }
 
+// timing is a Run or a RunMulti as simulate sees it: one clause per core,
+// their configs, the schedule (nil in full detail) and the store kind and
+// key of the set a sampled run restores. simulate records the set it
+// restored and whether the run joined another spec's simulation.
+type timing struct {
+	cores           []sim.RunSpec
+	cfgs            []sim.Config
+	sampling        *sim.Sampling
+	setKind, setKey string // "" in full detail
+	set             captured
+	shared          bool
+}
+
+// runTiming is Run's: a one-core set holds every prefetcher variant, warmed
+// side by side, per (workload, input, schedule). Its clause carries no
+// schedule, as a MultiSpec's clauses do not, so that the set key alone
+// tells a sampled Run from the one-core RunMulti of its clause.
+func runTiming(spec sim.RunSpec) timing {
+	clause := spec
+	clause.Sampling = nil
+	t := timing{cores: []sim.RunSpec{clause}, sampling: spec.Sampling}
+	if spec.Sampling != nil {
+		t.setKind, t.setKey = kindCkpt, checkpointKey(spec.Workload, variantOf(spec), *spec.Sampling)
+	}
+	return t
+}
+
+// multiTiming is RunMulti's: a co-run's set is warmed over one shared
+// hierarchy for its (workload/input/prefetcher tuple, schedule) alone.
+func multiTiming(spec sim.MultiSpec) timing {
+	t := timing{cores: spec.Cores, sampling: spec.Sampling}
+	if spec.Sampling != nil {
+		t.setKind, t.setKey = kindMultiCkpt, multiCheckpointKey(spec)
+	}
+	return t
+}
+
+// setMemoKey is the memo key of t's set ("" in full detail): the key of its
+// demand (need) and the prefix of t's simulation key.
+func (t timing) setMemoKey() string {
+	if t.setKey == "" {
+		return ""
+	}
+	return memoKey(t.setKind, t.setKey)
+}
+
+// simulate is the one timing compute path, of Run on one core and RunMulti
+// on n. It builds each core's image, resolves a sampled run's set, and
+// joins the simulation keyed by the set's memo key and each core's
+// sim.RunSpec.SimKey: specs that differ only in what the simulation cannot
+// see share one run — a co-run whose CRISP core tags nothing with the OOO
+// co-run, a full-detail Run with the one-core RunMulti of its clause — and
+// each stores the result under its own key. The simulation is a task of
+// its own, out of sight of Stats and OnEvent: whoever reaches its key
+// first runs it, and only that spec adds its host time.
+func (r *Runner) simulate(ctx context.Context, t *timing) (*sim.MultiResult, error) {
+	imgs := make([]*sim.Image, len(t.cores))
+	progs := make([]*program.Program, len(t.cores))
+	simKey := t.setMemoKey()
+	for i, cs := range t.cores {
+		img, err := r.image(ctx, cs, t.sampling)
+		if err != nil {
+			return nil, err
+		}
+		imgs[i], progs[i] = img, img.Prog
+		simKey += "|" + cs.SimKey(img.Prog)
+	}
+	if t.sampling != nil {
+		var err error
+		if t.set, err = r.checkpointSet(ctx, t); err != nil {
+			return nil, err
+		}
+	}
+	ran := false
+	v, err := r.do(ctx, memoKey(kindSim, simKey), false, func(ctx context.Context) (any, error) {
+		ran = true
+		if t.sampling != nil {
+			return sim.RunMultiSampledContext(ctx, t.set.set, progs, t.cfgs, *t.sampling)
+		}
+		return sim.RunMultiContext(ctx, imgs, t.cfgs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := v.(*sim.MultiResult)
+	r.executed.Add(1)
+	if t.shared = !ran; t.shared {
+		r.shared.Add(1)
+	} else {
+		r.detailNS.Add(res.HostNS)
+		for _, c := range res.Cores {
+			r.detailInsts.Add(int64(c.Insts))
+		}
+	}
+	return res, nil
+}
+
 // Run resolves a timing spec to its result, executing the simulation at
 // most once per content key across all concurrent callers and processes
 // sharing the persistent cache — and, within a process, once per
-// simulation key (sim.RunSpec.SimKey): specs that differ only in what the
-// simulation cannot see share one run, each storing the result under its
-// own key.
+// simulation key (simulate). It is simulate's one-core co-run; what it
+// keeps of its own is core 0's result and the -metrics row.
 func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error) {
-	defer r.need(runSetKey(spec))()
+	tm := runTiming(spec)
+	defer r.need(tm.setMemoKey())()
 	key := spec.Key()
 	return memo(ctx, r, kindRun, key, func(ctx context.Context) (*core.Result, error) {
 		if _, err := resolveWorkload(spec.Workload); err != nil {
@@ -239,56 +338,23 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 		if err != nil {
 			return nil, err
 		}
-		var ckpt captured
-		var shared bool
+		tm.cfgs = []sim.Config{cfg}
 		t := jsonTask[core.Result](r, kindRun, key)
 		t.delegate = func(ctx context.Context, rm Remote) (*core.Result, error) { return rm.Run(ctx, spec) }
 		t.compute = func(ctx context.Context) (*core.Result, error) {
-			img, err := r.image(ctx, spec, spec.Sampling)
+			m, err := r.simulate(ctx, &tm)
 			if err != nil {
 				return nil, err
 			}
-			if spec.Sampling != nil {
-				// Every config sharing (workload, input, schedule) restores
-				// from one memoized checkpoint set: the functional prefix runs
-				// once per set, not once per config. Critical tags change
-				// neither functional behaviour nor instruction positions, so
-				// untagged checkpoints serve tagged programs.
-				if ckpt, err = r.checkpointSet(ctx, spec, *spec.Sampling); err != nil {
-					return nil, err
-				}
-			}
-			// The simulation is a task of its own, out of sight of Stats and
-			// OnEvent: whoever reaches a simulation key first runs it.
-			ran := false
-			res, err := r.do(ctx, kindSim+"|"+spec.SimKey(img.Prog), false, func(ctx context.Context) (any, error) {
-				ran = true
-				if spec.Sampling != nil {
-					return sim.RunSampledContext(ctx, ckpt.set, img.Prog, cfg, *spec.Sampling)
-				}
-				return sim.RunContext(ctx, img, cfg)
-			})
-			if err != nil {
-				return nil, err
-			}
-			r.executed.Add(1)
-			out := res.(*core.Result)
-			// Only the spec that ran the simulation adds its host time.
-			if shared = !ran; shared {
-				r.shared.Add(1)
-			} else {
-				r.detailNS.Add(out.HostNS)
-				r.detailInsts.Add(int64(out.Insts))
-			}
-			return out, nil
+			return m.Cores[0], nil
 		}
 		t.observe = func(res *core.Result, hit bool, lockNS int64) {
 			rec := newRunRecord(spec, res, hit)
 			rec.LockWaitNS = lockNS
 			if !hit {
-				rec.Shared = shared
-				rec.CkptStoreHit = ckpt.fromStore
-				rec.CaptureNS, rec.WarmInsts = ckpt.stats.claim()
+				rec.Shared = tm.shared
+				rec.CkptStoreHit = tm.set.fromStore
+				rec.CaptureNS, rec.WarmInsts = tm.set.stats.claim()
 			}
 			r.sink.record(rec)
 		}
@@ -297,54 +363,21 @@ func (r *Runner) Run(ctx context.Context, spec sim.RunSpec) (*core.Result, error
 }
 
 // RunMulti resolves a multi-core co-location spec to its result with
-// Run's discipline. Only Run exports metrics rows.
+// Run's discipline: simulate on n cores, whose runs it shares with Run and
+// other co-runs. Only Run exports metrics rows.
 func (r *Runner) RunMulti(ctx context.Context, spec sim.MultiSpec) (*sim.MultiResult, error) {
-	defer r.need(multiSetKey(spec))()
+	tm := multiTiming(spec)
+	defer r.need(tm.setMemoKey())()
 	key := spec.Key()
 	return memo(ctx, r, kindMulti, key, func(ctx context.Context) (*sim.MultiResult, error) {
 		cfgs, err := spec.Configs() // validates the spec as a side effect
 		if err != nil {
 			return nil, err
 		}
+		tm.cfgs = cfgs
 		t := jsonTask[sim.MultiResult](r, kindMulti, key)
 		t.delegate = func(ctx context.Context, rm Remote) (*sim.MultiResult, error) { return rm.RunMulti(ctx, spec) }
-		t.compute = func(ctx context.Context) (*sim.MultiResult, error) {
-			imgs := make([]*sim.Image, len(spec.Cores))
-			for i, cs := range spec.Cores {
-				img, err := r.image(ctx, cs, spec.Sampling)
-				if err != nil {
-					return nil, err
-				}
-				imgs[i] = img
-			}
-			var res *sim.MultiResult
-			var err error
-			if spec.Sampling != nil {
-				// One capture per workload/schedule/prefetcher tuple, shared
-				// by every scheduler config and every process on the store;
-				// the detailed lockstep windows run over the tagged programs.
-				var set captured
-				if set, err = r.multiCheckpointSet(ctx, spec, cfgs); err != nil {
-					return nil, err
-				}
-				progs := make([]*program.Program, len(imgs))
-				for i := range imgs {
-					progs[i] = imgs[i].Prog
-				}
-				res, err = sim.RunMultiSampledContext(ctx, set.set, progs, cfgs, *spec.Sampling)
-			} else {
-				res, err = sim.RunMultiContext(ctx, imgs, cfgs)
-			}
-			if err != nil {
-				return nil, err
-			}
-			r.executed.Add(1)
-			r.detailNS.Add(res.HostNS)
-			for _, c := range res.Cores {
-				r.detailInsts.Add(int64(c.Insts))
-			}
-			return res, nil
-		}
+		t.compute = func(ctx context.Context) (*sim.MultiResult, error) { return r.simulate(ctx, &tm) }
 		return resolve(ctx, r, t)
 	})
 }
@@ -500,44 +533,6 @@ func (cs *captureStats) claim() (int64, uint64) {
 	return cs.captureNS, cs.warmInsts
 }
 
-// setTask is the task of the two checkpoint-set kinds. Within a process
-// a set is memoized while runs need it; across processes it persists
-// under the set codec, so a second process (or a re-run) decodes the
-// warmed state and skips the functional fast-forward. A stored set is a delta over the images its
-// workloads build (images), and enters the memo only attached to them.
-// One that refuses them (a kernel edited without a CodeVersion bump) is
-// as useless as a corrupt one: delete it and recapture. Captures honour
-// cancellation: a cancelled capture returns the context's error without
-// publishing a store entry.
-func setTask(r *Runner, kind, key string, images func() []*emu.Memory, capture func(context.Context) (*checkpoint.Set, error)) task[captured] {
-	return task[captured]{
-		kind: kind, key: key,
-		load: func() (captured, bool) {
-			set, ok := r.store.getSet(kind, key)
-			if !ok {
-				return captured{}, false
-			}
-			if set.Attach(images()...) != nil {
-				r.store.Delete(kind, key)
-				return captured{}, false
-			}
-			r.ckptDiskHits.Add(1)
-			return captured{set: set, fromStore: true}, true
-		},
-		compute: func(ctx context.Context) (captured, error) {
-			set, err := capture(ctx)
-			if err != nil {
-				return captured{}, err
-			}
-			r.ckptCaptured.Add(1)
-			r.captureNS.Add(set.HostNS)
-			r.warmInsts.Add(int64(set.WarmInsts))
-			return captured{set: set, stats: &captureStats{captureNS: set.HostNS, warmInsts: set.WarmInsts}}, nil
-		},
-		save: func(c captured) error { return r.store.putSet(kind, key, c.set) },
-	}
-}
-
 // geometryKey is the part of a checkpoint key that names the warmed
 // cache geometry and front-end structure sizes.
 func geometryKey() string {
@@ -563,32 +558,6 @@ func checkpointKey(name string, variant workload.Variant, s sim.Sampling) string
 	return hashKey(fmt.Sprintf("%s|ckpt|%s|%d|%d|%d|%d|%d", sim.CodeVersion, name, variant, s.Skip, s.Warm, s.Window, s.Count) + geometryKey())
 }
 
-// runSetKey is the memo key of checkpointSet for spec, "" if it is not sampled.
-func runSetKey(spec sim.RunSpec) string {
-	if spec.Sampling == nil {
-		return ""
-	}
-	return memoKey(kindCkpt, checkpointKey(spec.Workload, variantOf(spec), *spec.Sampling))
-}
-
-// checkpointSet resolves the sampled-simulation checkpoint capture per
-// (workload, variant, schedule): the cross-config sharing at the heart
-// of sampling.
-func (r *Runner) checkpointSet(ctx context.Context, cs sim.RunSpec, s sim.Sampling) (captured, error) {
-	key := checkpointKey(cs.Workload, variantOf(cs), s)
-	return memo(ctx, r, kindCkpt, key, func(ctx context.Context) (captured, error) {
-		w, err := resolveWorkload(cs.Workload)
-		if err != nil {
-			return captured{}, err
-		}
-		return resolve(ctx, r, setTask(r, kindCkpt, key,
-			func() []*emu.Memory { return []*emu.Memory{w.Build(variantOf(cs)).Mem} },
-			func(ctx context.Context) (*checkpoint.Set, error) {
-				return sim.CaptureCheckpointsContext(ctx, w.Build(variantOf(cs)), sim.DefaultConfig(), s)
-			}))
-	})
-}
-
 // multiCheckpointKey is the content key a co-scheduled checkpoint set
 // persists under. Beyond the single-core key's inputs (code version,
 // schedule, warmed geometry, front-end sizes) it hashes the ordered
@@ -605,47 +574,63 @@ func multiCheckpointKey(spec sim.MultiSpec) string {
 	return hashKey(b.String() + geometryKey())
 }
 
-// multiSetKey is the memo key of multiCheckpointSet for spec, "" if it is not sampled.
-func multiSetKey(spec sim.MultiSpec) string {
-	if spec.Sampling == nil {
-		return ""
-	}
-	return memoKey(kindMultiCkpt, multiCheckpointKey(spec))
-}
-
-// multiCheckpointSet resolves the co-scheduled checkpoint capture for a
-// sampled MultiSpec. The capture warms untagged images — tags do not
-// change functional behaviour, so every CRISP/OOO scheduler config of
-// the same workload tuple shares the set.
-func (r *Runner) multiCheckpointSet(ctx context.Context, spec sim.MultiSpec, cfgs []sim.Config) (captured, error) {
-	key := multiCheckpointKey(spec)
-	return memo(ctx, r, kindMultiCkpt, key, func(ctx context.Context) (captured, error) {
-		ws := make([]*workload.Workload, len(spec.Cores))
-		for i, cs := range spec.Cores {
-			w, err := resolveWorkload(cs.Workload)
-			if err != nil {
-				return captured{}, err
-			}
-			ws[i] = w
-		}
+// checkpointSet resolves the checkpoint set t's sampled windows restore
+// from: the cross-config sharing at the heart of sampling. The capture
+// warms untagged images — tags change neither functional behaviour nor
+// instruction positions — so every scheduler config of the same workloads
+// shares the set. Within a process a set is memoized while runs need it;
+// across processes it persists under the set codec, so a second process
+// decodes the warmed state and skips the functional fast-forward. A stored
+// set is a delta over the images its workloads build, and enters the memo
+// only attached to them. One that refuses them (a kernel edited without a
+// CodeVersion bump) is as useless as a corrupt one: delete it and
+// recapture. A cancelled capture returns the context's error and publishes
+// nothing. t's workloads are known: simulate built their images first.
+func (r *Runner) checkpointSet(ctx context.Context, t *timing) (captured, error) {
+	kind, key := t.setKind, t.setKey
+	return memo(ctx, r, kind, key, func(ctx context.Context) (captured, error) {
 		build := func() []*sim.Image {
-			imgs := make([]*sim.Image, len(ws))
-			for i, w := range ws {
-				imgs[i] = w.Build(variantOf(spec.Cores[i]))
+			imgs := make([]*sim.Image, len(t.cores))
+			for i, cs := range t.cores {
+				imgs[i] = workload.ByName(cs.Workload).Build(variantOf(cs))
 			}
 			return imgs
 		}
-		return resolve(ctx, r, setTask(r, kindMultiCkpt, key,
-			func() []*emu.Memory {
-				imgs := build()
-				mems := make([]*emu.Memory, len(imgs))
-				for i, img := range imgs {
+		return resolve(ctx, r, task[captured]{
+			kind: kind, key: key,
+			load: func() (captured, bool) {
+				set, ok := r.store.getSet(kind, key)
+				if !ok {
+					return captured{}, false
+				}
+				mems := make([]*emu.Memory, len(t.cores))
+				for i, img := range build() {
 					mems[i] = img.Mem
 				}
-				return mems
+				if set.Attach(mems...) != nil {
+					r.store.Delete(kind, key)
+					return captured{}, false
+				}
+				r.ckptDiskHits.Add(1)
+				return captured{set: set, fromStore: true}, true
 			},
-			func(ctx context.Context) (*checkpoint.Set, error) {
-				return sim.CaptureMultiCheckpointsContext(ctx, build(), cfgs, *spec.Sampling)
-			}))
+			compute: func(ctx context.Context) (captured, error) {
+				var set *checkpoint.Set
+				var err error
+				if kind == kindCkpt {
+					set, err = sim.CaptureCheckpointsContext(ctx, build()[0], sim.DefaultConfig(), *t.sampling)
+				} else {
+					set, err = sim.CaptureMultiCheckpointsContext(ctx, build(), t.cfgs, *t.sampling)
+				}
+				if err != nil {
+					return captured{}, err
+				}
+				r.ckptCaptured.Add(1)
+				r.captureNS.Add(set.HostNS)
+				r.warmInsts.Add(int64(set.WarmInsts))
+				return captured{set: set, stats: &captureStats{captureNS: set.HostNS, warmInsts: set.WarmInsts}}, nil
+			},
+			save: func(c captured) error { return r.store.putSet(kind, key, c.set) },
+		})
 	})
 }

@@ -234,7 +234,8 @@ func variantOf(cfgs []Config) string {
 // windows run one after another in execution order. Otherwise the windows
 // are independent and fan out over GOMAXPROCS workers. Either way the
 // merge runs in window order, so the aggregate (its float folds included)
-// is a sequential execution's.
+// is a sequential execution's. The aggregate and each core's result carry
+// the set's capture time as HostFFNS.
 func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.Program, cfgs []Config) (*MultiResult, error) {
 	n, variant, points := len(cfgs), variantOf(cfgs), len(set.Points)
 	if len(progs) != n || n != set.Cores {
@@ -304,6 +305,7 @@ func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.P
 		}
 		m.Cores[i].SampledWindows = points
 		m.Cores[i].FFInsts = set.FFPerCore[i]
+		m.Cores[i].HostFFNS = set.HostNS
 	}
 	m.FFInsts = set.FFInsts
 	m.HostFFNS = set.HostNS

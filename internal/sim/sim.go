@@ -218,23 +218,19 @@ func capturePlan(cfg Config) checkpoint.Plan {
 		RASEntries: cfg.Core.RASEntries, Variants: map[string][]prefetch.Prefetcher{}}
 }
 
-// RunSampledContext executes a sampled simulation of prog under cfg over a
-// previously captured one-core checkpoint set: the one-core run of
-// sampledWindows, each checkpoint restored into a fresh detailed window
-// (cloned warmed hierarchy and predictors of cfg's prefetcher variant,
-// copy-on-write memory fork, per-config IBDA attachment) of the set's
-// window budget under cfg, the window results aggregated into one weighted
-// core.Result. prog must be position-identical to the program the set was
-// captured from (a critical-tagged clone qualifies). The set is only read,
-// never mutated, so any number of configs may run over it concurrently.
-func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.Program, cfg Config, _ Sampling) (*core.Result, error) {
-	m, err := sampledWindows(ctx, set, []*program.Program{prog}, []Config{cfg})
+// RunSampledContext is the one-core RunMultiSampledContext: a sampled
+// simulation of prog under cfg over a previously captured one-core
+// checkpoint set, the windows restored into cfg's prefetcher variant and
+// aggregated into one weighted core.Result. prog must be
+// position-identical to the program the set was captured from (a
+// critical-tagged clone qualifies). The set is only read, never mutated,
+// so any number of configs may run over it concurrently.
+func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.Program, cfg Config, s Sampling) (*core.Result, error) {
+	m, err := RunMultiSampledContext(ctx, set, []*program.Program{prog}, []Config{cfg}, s)
 	if err != nil {
 		return nil, err
 	}
-	r := m.Cores[0]
-	r.HostFFNS = set.HostNS
-	return r, nil
+	return m.Cores[0], nil
 }
 
 // windowCore builds core i of one restored detailed window: ccfg with the

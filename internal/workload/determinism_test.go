@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/ibda"
+	"crisp/internal/program"
 	"crisp/internal/sim"
 )
 
@@ -93,7 +96,8 @@ var sharedShort = map[string]bool{"mcf": true, "omnetpp": true, "lbm": true, "bw
 // instructions (d), which for some kernel gives another result than ∞.
 // Mutations this fails under: SimKey without the capacity check (d),
 // without the tags (two tag sets, one key) or without rule 2's IBDA guard
-// (IBDA's run under CRISP and under OOO, one key, two results).
+// (IBDA's run under CRISP and under OOO, one key, two results). Then the
+// same for co-runs (coRunsShareOnlyEqualRuns).
 func TestSimKeySharesOnlyEqualRuns(t *testing.T) {
 	const insts = 40_000
 	opts := map[string]crisp.Options{}
@@ -210,6 +214,146 @@ func TestSimKeySharesOnlyEqualRuns(t *testing.T) {
 	}
 	if !untagged {
 		t.Error("every option tagged something on every kernel: rule 2 is untested through CRISP")
+	}
+	coRunsShareOnlyEqualRuns(t, insts, opts)
+}
+
+// coRunsShareOnlyEqualRuns is the co-run half of
+// TestSimKeySharesOnlyEqualRuns. The runner keys a co-run's simulation by
+// its cores' SimKeys (after its set's key, when sampled), so 2-core
+// tailchase+streambatch co-runs whose core keys agree must give DeepEqual
+// MultiResults, host fields aside: through sim.RunMultiContext at insts per
+// core, and through sim.RunMultiSampledContext over one set captured for
+// the pair (never through the runner). The rows move one core off OOO:
+// tailchase under the CRISP scheduler, untagged and under each option, and
+// streambatch under IBDA at 1K, ∞ and 8 entries and under OOO (an 8-entry
+// IST moves a co-run through streambatch's 54 instructions, not through
+// tailchase's 29). Every check bites on this one pair, so -short keeps it:
+// the CRISP scheduler on untagged tailchase, the branch-only option (which
+// tags nothing there) and IBDA-1K each share another row's key, the other
+// options' tags give tailchase a key of its own, and the 8-entry IST moves
+// both co-runs. The pair has one non-empty tag set, so it leaves two tag
+// sets under one key to the single-core half. Mutations this half fails
+// under: SimKey without the capacity check, or without rule 2's IBDA guard.
+func coRunsShareOnlyEqualRuns(t *testing.T, insts uint64, opts map[string]crisp.Options) {
+	ctx := context.Background()
+	lc, batch := ByName("tailchase"), ByName("streambatch")
+	ooo := [2]sim.RunSpec{{Workload: lc.Name, Insts: insts}, {Workload: batch.Name, Insts: insts}}
+	config := func(spec sim.RunSpec) sim.Config {
+		cfg, err := spec.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+
+	// A row is a co-run's two clauses and, for a CRISP option, the analysis
+	// that tags core 0.
+	type row struct {
+		specs [2]sim.RunSpec
+		a     *crisp.Analysis
+	}
+	rows := map[string]row{"ooo": {specs: ooo}}
+	untagged := ooo
+	untagged[0].Sched = sim.SchedCRISP
+	rows["crisp untagged"] = row{specs: untagged}
+	train := ooo[0]
+	train.Input = sim.InputTrain
+	prof := sim.Run(lc.Build(Train), config(train))
+	tr := sim.CaptureTrace(lc.Build(Train), insts)
+	for name, o := range opts {
+		r := row{specs: ooo, a: crisp.Analyze(prof, tr, lc.Build(Train).Prog, o)}
+		r.specs[0] = r.specs[0].WithCrisp(o)
+		rows["crisp "+name] = r
+	}
+	for name, size := range map[string][2]int{"1K": {1024, 4}, "inf": {0, 0}, "8": {8, 2}} {
+		r := row{specs: ooo}
+		r.specs[1] = r.specs[1].WithIBDA(ibda.Config{ISTEntries: size[0], ISTWays: size[1], DLTEntries: 32})
+		rows["ibda "+name] = r
+	}
+	r := rows["ibda inf"]
+	r.specs[1].Sched = sim.SchedOOO
+	rows["ibda inf under ooo"] = r
+
+	// No warming: streambatch's IBDA marks nothing in windows over a warmed
+	// hierarchy, and so could not show an IST size there.
+	s := sim.Sampling{Skip: 20_000, Window: 20_000, Count: 2}
+	set, err := sim.CaptureMultiCheckpointsContext(ctx, []*sim.Image{lc.Build(Ref), batch.Build(Ref)},
+		[]sim.Config{config(ooo[0]), config(ooo[1])}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := map[string]func([]*sim.Image, []sim.Config) (*sim.MultiResult, error){
+		"full detail": func(imgs []*sim.Image, cfgs []sim.Config) (*sim.MultiResult, error) {
+			return sim.RunMultiContext(ctx, imgs, cfgs)
+		},
+		"sampled": func(imgs []*sim.Image, cfgs []sim.Config) (*sim.MultiResult, error) {
+			return sim.RunMultiSampledContext(ctx, set, []*program.Program{imgs[0].Prog, imgs[1].Prog}, cfgs, s)
+		},
+	}
+
+	type run struct {
+		key string
+		res *sim.MultiResult
+	}
+	for mode, simulate := range modes {
+		runs := map[string]run{}
+		for name, r := range rows {
+			imgs := []*sim.Image{lc.Build(Ref), batch.Build(Ref)}
+			if r.a != nil {
+				imgs[0].Prog = r.a.Apply(imgs[0].Prog)
+			}
+			key := r.specs[0].SimKey(imgs[0].Prog) + "|" + r.specs[1].SimKey(imgs[1].Prog)
+			res, err := simulate(imgs, []sim.Config{config(r.specs[0]), config(r.specs[1])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.HostNS, res.HostFFNS = 0, 0
+			for _, c := range res.Cores {
+				c.HostNS, c.HostAllocs, c.HostFFNS = 0, 0, 0
+			}
+			runs[name] = run{key, res}
+		}
+		// One key, one result.
+		for a, ra := range runs {
+			for b, rb := range runs {
+				if a < b && ra.key == rb.key && !reflect.DeepEqual(ra.res, rb.res) {
+					t.Errorf("%s co-run: %s and %s share a key but not a result (%d vs %d cycles on core 0)",
+						mode, a, b, ra.res.Cores[0].Cycles, rb.res.Cores[0].Cycles)
+				}
+			}
+		}
+		if runs["crisp untagged"].key != runs["ooo"].key {
+			t.Errorf("%s co-run: the CRISP scheduler on untagged core 0 does not share OOO's key", mode)
+		}
+		tagSets := map[string]bool{}
+		for a := range opts {
+			tags := rows["crisp "+a].a.CriticalPCs
+			if same := runs["crisp "+a].key == runs["ooo"].key; same != (len(tags) == 0) {
+				t.Errorf("%s co-run: crisp %s tags %d PCs on core 0, shares OOO's key: %v", mode, a, len(tags), same)
+			}
+			tagSets[fmt.Sprint(tags)] = true
+			for b := range opts {
+				sameTags := reflect.DeepEqual(tags, rows["crisp "+b].a.CriticalPCs)
+				if sameKey := runs["crisp "+a].key == runs["crisp "+b].key; a < b && sameKey != sameTags {
+					t.Errorf("%s co-run: crisp %s and %s: same tags %v, same key %v", mode, a, b, sameTags, sameKey)
+				}
+			}
+		}
+		if !tagSets["[]"] || len(tagSets) < 2 {
+			t.Errorf("%s co-run: the options give tailchase the tag sets %v at %d instructions, want none and some", mode, tagSets, insts)
+		}
+		inf := runs["ibda inf"]
+		if runs["ibda 1K"].key != inf.key {
+			t.Errorf("%s co-run: IBDA-1K on core 1 does not share IBDA-∞'s key", mode)
+		}
+		if small := runs["ibda 8"]; small.key == inf.key || reflect.DeepEqual(small.res, inf.res) {
+			t.Errorf("%s co-run: an 8-entry IST on core 1 shares IBDA-∞'s key (%v) or its result (%v)",
+				mode, small.key == inf.key, reflect.DeepEqual(small.res, inf.res))
+		}
+		if runs["ibda inf under ooo"].key == inf.key {
+			t.Errorf("%s co-run: IBDA under the OOO scheduler shares IBDA's key", mode)
+		}
 	}
 }
 
