@@ -2,9 +2,9 @@ package crisp_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"crisp/internal/crisp"
 	"crisp/internal/sim"
@@ -41,9 +41,10 @@ var sinkAnalysis *crisp.Analysis
 
 // BenchmarkAnalyze is the software pipeline past its profiling run: one
 // op captures mcf's train input at 200k instructions and analyses the
-// trace under every figure option set. B/inst is what the trace's records
-// hold per instruction, ns/analysis one Analyze call, capture_ns the
-// capture. It uses exported names only, so it runs in a parent tree too.
+// trace under every figure option set. B/inst is the heap the trace
+// retains per instruction (after a collection, against one before the
+// capture), ns/analysis one Analyze call, capture_ns the capture. It uses
+// exported names only, so it runs in a parent tree too.
 func BenchmarkAnalyze(b *testing.B) {
 	const insts = 200_000
 	w := workload.ByName("mcf")
@@ -59,16 +60,23 @@ func BenchmarkAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		img := w.Build(workload.Train)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		b.StartTimer()
 		t0 := time.Now()
 		tr := sim.CaptureTrace(img, insts)
+		capture += time.Since(t0)
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		bytesPerInst = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(tr.Len())
+		b.StartTimer()
 		t1 := time.Now()
 		for _, opts := range sets {
 			sinkAnalysis = crisp.Analyze(prof, tr, img.Prog, opts)
 		}
-		capture += t1.Sub(t0)
 		analyze += time.Since(t1)
-		bytesPerInst = float64(cap(tr.Records)) * float64(unsafe.Sizeof(tr.Records[0])) / float64(tr.Len())
 	}
 	b.ReportMetric(bytesPerInst, "B/inst")
 	b.ReportMetric(float64(analyze.Nanoseconds())/float64(b.N*len(sets)), "ns/analysis")

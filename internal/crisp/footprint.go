@@ -36,11 +36,15 @@ func (f *Footprint) DynOverhead() float64 {
 // MeasureFootprint computes the Figure 12 metrics for tagging criticalPCs
 // in prog, using the trace's execution counts as dynamic weights.
 func MeasureFootprint(prog *program.Program, tr *trace.Trace, criticalPCs []int) Footprint {
+	return measureFootprint(prog, tr.ExecCounts(prog.Len()), criticalPCs)
+}
+
+// measureFootprint is MeasureFootprint over per-PC execution counts.
+func measureFootprint(prog *program.Program, counts []uint64, criticalPCs []int) Footprint {
 	crit := make(map[int]bool, len(criticalPCs))
 	for _, pc := range criticalPCs {
 		crit[pc] = true
 	}
-	counts := tr.ExecCounts(prog.Len())
 
 	var f Footprint
 	var critDyn, totalDyn uint64

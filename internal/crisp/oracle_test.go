@@ -1,6 +1,7 @@
 package crisp_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -131,33 +132,63 @@ func refCaptureImage(img *sim.Image, limit uint64) *refTrace {
 }
 
 // narrow drops what the slicer does not read: the trace RefAnalyze slices.
-func (t *refTrace) narrow() *trace.Trace {
-	out := &trace.Trace{Records: make([]trace.Record, len(t.Records))}
+func (t *refTrace) narrow() *crisp.RefTrace {
+	out := &crisp.RefTrace{Records: make([]trace.Record, len(t.Records))}
 	for i, r := range t.Records {
 		out.Records[i] = trace.Record{PC: uint32(r.PC), RegDep1: r.RegDep1, RegDep2: r.RegDep2, MemDep: r.MemDep}
 	}
 	return out
 }
 
-// TestCaptureMatchesOracle: on every kernel's train input the 16-byte
-// capture records the PC and producer links of the 40-byte one.
+// sameRecords reports, as an error, the first record of tr whose PC or
+// producer links differ from ref's; memDeps counts ref's store producers.
+func sameRecords(t *testing.T, name string, tr *trace.Trace, ref *refTrace) (memDeps int) {
+	t.Helper()
+	if tr.Len() != len(ref.Records) {
+		t.Errorf("%s: %d records, oracle %d", name, tr.Len(), len(ref.Records))
+		return 0
+	}
+	for i, r := range ref.Records {
+		got := tr.Record(i)
+		if int(got.PC) != r.PC || got.RegDep1 != r.RegDep1 || got.RegDep2 != r.RegDep2 || got.MemDep != r.MemDep {
+			t.Errorf("%s: record %d = %+v, oracle PC %d deps %d/%d/%d",
+				name, i, got, r.PC, r.RegDep1, r.RegDep2, r.MemDep)
+			return memDeps
+		}
+		if r.MemDep != NoDep {
+			memDeps++
+		}
+	}
+	return memDeps
+}
+
+// TestCaptureMatchesOracle: on every kernel's train input the capture
+// derives the PC and producer links the 40-byte one recorded.
 func TestCaptureMatchesOracle(t *testing.T) {
 	const insts = 200_000
 	for _, w := range workload.All() {
 		tr := sim.CaptureTrace(w.Build(workload.Train), insts)
-		ref := refCaptureImage(w.Build(workload.Train), insts)
-		if tr.Len() != len(ref.Records) {
-			t.Errorf("%s: %d records, oracle %d", w.Name, tr.Len(), len(ref.Records))
-			continue
-		}
-		for i, r := range ref.Records {
-			got := tr.Records[i]
-			if int(got.PC) != r.PC || got.RegDep1 != r.RegDep1 || got.RegDep2 != r.RegDep2 || got.MemDep != r.MemDep {
-				t.Errorf("%s: record %d = %+v, oracle PC %d deps %d/%d/%d",
-					w.Name, i, got, r.PC, r.RegDep1, r.RegDep2, r.MemDep)
-				break
-			}
-		}
+		sameRecords(t, w.Name, tr, refCaptureImage(w.Build(workload.Train), insts))
+	}
+}
+
+// TestRandomCaptureMatchesOracle: on random kernels that loop long enough
+// to span dozens of the trace's 256-record blocks, with registers written
+// once before the loop and stores the loop's loads read back, every record
+// the capture derives equals the 40-byte capture's.
+func TestRandomCaptureMatchesOracle(t *testing.T) {
+	var records, memDeps int
+	for seed := int64(0); seed < 200; seed++ {
+		// A capture writes its kernel's memory: each gets its own.
+		p, mem, _ := crisp.RandomKernel(seed, 1000)
+		tr := trace.Capture(emu.New(p, mem), 0)
+		p, mem, _ = crisp.RandomKernel(seed, 1000)
+		memDeps += sameRecords(t, fmt.Sprintf("seed %d", seed), tr, refCapture(emu.New(p, mem), 0))
+		records += tr.Len()
+	}
+	t.Logf("%d records, %d with a store producer", records, memDeps)
+	if memDeps == 0 {
+		t.Error("no load read a traced store: the side table went unchecked")
 	}
 }
 
@@ -193,9 +224,9 @@ func boundaryKernel() (*sim.Image, *core.Result) {
 }
 
 // TestAnalyzeMatchesOracle: on every kernel, train budget and figure
-// option set, and on boundaryKernel, Analyze over the 16-byte trace and
-// MeasureFootprint give exactly what the predecessor slicer over the
-// predecessor capture gave.
+// option set, and on boundaryKernel, Analyze and MeasureFootprint over the
+// trace give exactly what the predecessor slicer and the predecessor
+// capture's counts gave.
 func TestAnalyzeMatchesOracle(t *testing.T) {
 	sets := figureOptions()
 	var sliced int
@@ -213,7 +244,7 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 				continue
 			}
 			gotFP := crisp.MeasureFootprint(img.Prog, tr, got.CriticalPCs)
-			wantFP := crisp.MeasureFootprint(img.Prog, ref, want.CriticalPCs)
+			wantFP := crisp.RefMeasureFootprint(img.Prog, ref, want.CriticalPCs)
 			if gotFP != wantFP {
 				t.Errorf("%s at %d, %s: footprint = %+v, oracle %+v", name, insts, set, gotFP, wantFP)
 			}

@@ -53,13 +53,13 @@ func (s *slicer) extract(root int, maxInst int, amat func(pc int) int, opts Opti
 		nodes = s.dropColdAncestors(nodes, rootIdx, minExecs)
 		totalDyn += len(nodes)
 		for _, n := range nodes {
-			fullSet[s.tr.Records[n].PC] = true
+			fullSet[s.tr.PC(int(n))] = true
 		}
 		if opts.FilterCriticalPath {
 			nodes = criticalNodes(s.tr, s.prog, nodes, amat, opts.CriticalPathSlack)
 		}
 		for _, n := range nodes {
-			filtSet[s.tr.Records[n].PC] = true
+			filtSet[s.tr.PC(int(n))] = true
 		}
 	}
 
@@ -89,7 +89,7 @@ func (s *slicer) dropColdAncestors(nodes []uint32, rootIdx uint32, minExecs uint
 	}
 	out := nodes[:0]
 	for _, n := range nodes {
-		if n == rootIdx || s.counts[s.tr.Records[n].PC] >= minExecs {
+		if n == rootIdx || s.counts[s.tr.PC(int(n))] >= minExecs {
 			out = append(out, n)
 		}
 	}
@@ -107,7 +107,7 @@ func (s *slicer) backwardSlice(rootIdx uint32) []uint32 {
 	visited := make(map[uint32]bool)
 	frontier := []uint32{rootIdx}
 	visited[rootIdx] = true
-	inSlice[s.tr.Records[rootIdx].PC] = true
+	inSlice[s.tr.PC(int(rootIdx))] = true
 	var order []uint32
 	var depBuf []uint32
 
@@ -121,7 +121,7 @@ func (s *slicer) backwardSlice(rootIdx uint32) []uint32 {
 			if visited[dep] {
 				continue
 			}
-			pc := s.tr.Records[dep].PC
+			pc := s.tr.PC(int(dep))
 			if inSlice[pc] {
 				// Rule 1: ancestor's PC already in the load slice — record
 				// the instance but do not expand further.
@@ -148,7 +148,7 @@ func criticalNodes(tr *trace.Trace, prog *program.Program, nodes []uint32, amat 
 	}
 	lat := make([]int, len(nodes))
 	for i, n := range nodes {
-		pc := int(tr.Records[n].PC)
+		pc := tr.PC(int(n))
 		if op := prog.Insts[pc].Op; op.IsMem() && op.Latency() == 4 {
 			lat[i] = amat(pc)
 		} else {

@@ -4,7 +4,8 @@ package crisp
 // verbatim as the oracle of TestAnalyzeMatchesOracle: it indexes every
 // record by static PC, and keeps its per-PC sets in maps. Only its field
 // accesses changed, to read the instruction from the program and to widen
-// the record's uint32 PC.
+// the record's uint32 PC, and it slices RefTrace, the trace as stored
+// while it kept one 16-byte record per instruction.
 
 import (
 	"sort"
@@ -14,8 +15,44 @@ import (
 	"crisp/internal/trace"
 )
 
+// RefTrace is a trace in its 16-byte form: every record with its links
+// stored. Its methods are the trace's as they were in that form.
+type RefTrace struct {
+	Records []trace.Record
+}
+
+// Deps appends the producer indices of record i to dst and returns it.
+func (t *RefTrace) Deps(i int, dst []uint32) []uint32 {
+	r := &t.Records[i]
+	if r.RegDep1 != trace.NoDep {
+		dst = append(dst, r.RegDep1)
+	}
+	if r.RegDep2 != trace.NoDep && r.RegDep2 != r.RegDep1 {
+		dst = append(dst, r.RegDep2)
+	}
+	if r.MemDep != trace.NoDep {
+		dst = append(dst, r.MemDep)
+	}
+	return dst
+}
+
+// ExecCounts returns per-static-PC dynamic execution counts, indexed by PC
+// up to progLen.
+func (t *RefTrace) ExecCounts(progLen int) []uint64 {
+	counts := make([]uint64, progLen)
+	for i := range t.Records {
+		counts[t.Records[i].PC]++
+	}
+	return counts
+}
+
+// RefMeasureFootprint is MeasureFootprint over a RefTrace's counts.
+func RefMeasureFootprint(prog *program.Program, tr *RefTrace, criticalPCs []int) Footprint {
+	return measureFootprint(prog, tr.ExecCounts(prog.Len()), criticalPCs)
+}
+
 // RefAnalyze is Analyze over refSlicer.
-func RefAnalyze(prof *core.Result, tr *trace.Trace, prog *program.Program, opts Options) *Analysis {
+func RefAnalyze(prof *core.Result, tr *RefTrace, prog *program.Program, opts Options) *Analysis {
 	a := &Analysis{
 		LoadSlices:   make(map[int][]int),
 		BranchSlices: make(map[int][]int),
@@ -101,13 +138,13 @@ func RefAnalyze(prof *core.Result, tr *trace.Trace, prog *program.Program, opts 
 // (store-to-load) are both followed — the latter is the capability
 // register-only hardware IBDA lacks.
 type refSlicer struct {
-	tr   *trace.Trace
+	tr   *RefTrace
 	prog *program.Program
 	// instancesOf caches trace indices per static PC.
 	instances map[int][]uint32
 }
 
-func newRefSlicer(tr *trace.Trace, prog *program.Program) *refSlicer {
+func newRefSlicer(tr *RefTrace, prog *program.Program) *refSlicer {
 	s := &refSlicer{tr: tr, prog: prog, instances: make(map[int][]uint32)}
 	for i := range tr.Records {
 		pc := int(tr.Records[i].PC)
@@ -224,7 +261,7 @@ func (s *refSlicer) backwardSlice(rootIdx uint32) []uint32 {
 // criticalNodes applies the Section 3.5 filter: treat the dynamic slice as
 // a latency DAG, compute earliest/latest start times, and keep nodes whose
 // slack is at most `slack` cycles.
-func refCriticalNodes(tr *trace.Trace, prog *program.Program, nodes []uint32, amat func(pc int) int, slack int) []uint32 {
+func refCriticalNodes(tr *RefTrace, prog *program.Program, nodes []uint32, amat func(pc int) int, slack int) []uint32 {
 	if len(nodes) <= 2 {
 		return nodes
 	}

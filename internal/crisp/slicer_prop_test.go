@@ -11,10 +11,11 @@ import (
 	"crisp/internal/trace"
 )
 
-// randomKernel builds a random but well-formed looping kernel: a mix of
-// ALU ops, loads, and stores over a small memory region, ending with a
-// loop branch. Returns the program and the PC of a load to slice.
-func randomKernel(seed int64) (*program.Program, *emu.Memory, int) {
+// RandomKernel builds a random but well-formed kernel that loops iters
+// times: a mix of ALU ops, loads, and stores over a small memory region,
+// ending with a loop branch. Returns the program and the PC of a load to
+// slice.
+func RandomKernel(seed int64, iters int64) (*program.Program, *emu.Memory, int) {
 	r := rand.New(rand.NewSource(seed))
 	b := program.NewBuilder("rand")
 	mem := emu.NewMemory()
@@ -23,7 +24,7 @@ func randomKernel(seed int64) (*program.Program, *emu.Memory, int) {
 	}
 	b.MovI(isa.R(1), 0x10000)
 	b.MovI(isa.R(2), 0)
-	b.MovI(isa.R(3), 40)
+	b.MovI(isa.R(3), iters)
 	b.Label("loop")
 	loadPCs := []int{}
 	n := 5 + r.Intn(15)
@@ -62,7 +63,7 @@ func randomKernel(seed int64) (*program.Program, *emu.Memory, int) {
 // static PC inside the slice.
 func TestSlicerClosureProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		p, mem, root := randomKernel(seed)
+		p, mem, root := RandomKernel(seed, 40)
 		if root < 0 {
 			return true
 		}
@@ -87,13 +88,13 @@ func TestSlicerClosureProperty(t *testing.T) {
 		rootExecs := sl.counts[root]
 		cold := func(pc int) bool { return sl.counts[pc] < rootExecs/20 }
 		var deps []uint32
-		for i := range tr.Records {
-			if !inSlice[int(tr.Records[i].PC)] {
+		for i := range tr.Len() {
+			if !inSlice[tr.PC(i)] {
 				continue
 			}
 			deps = tr.Deps(i, deps[:0])
 			for _, d := range deps {
-				pc := int(tr.Records[d].PC)
+				pc := tr.PC(int(d))
 				if !inSlice[pc] && !cold(pc) {
 					return false
 				}
@@ -110,7 +111,7 @@ func TestSlicerClosureProperty(t *testing.T) {
 // subset of the full slice and still contains the root.
 func TestFilteredSubsetProperty(t *testing.T) {
 	f := func(seed int64, slack uint8) bool {
-		p, mem, root := randomKernel(seed)
+		p, mem, root := RandomKernel(seed, 40)
 		if root < 0 {
 			return true
 		}
@@ -146,7 +147,7 @@ func TestFilteredSubsetProperty(t *testing.T) {
 // filtered slice.
 func TestSlackMonotoneProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		p, mem, root := randomKernel(seed)
+		p, mem, root := RandomKernel(seed, 40)
 		if root < 0 {
 			return true
 		}
@@ -172,7 +173,7 @@ func TestSlackMonotoneProperty(t *testing.T) {
 // TestInfiniteSlackEqualsFull: with unbounded slack the filter must keep
 // the whole slice.
 func TestInfiniteSlackEqualsFull(t *testing.T) {
-	p, mem, root := randomKernel(12345)
+	p, mem, root := RandomKernel(12345, 40)
 	if root < 0 {
 		t.Skip("no loads in kernel")
 	}

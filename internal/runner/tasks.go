@@ -488,9 +488,12 @@ func (r *Runner) Footprint(ctx context.Context, spec AnalysisSpec) (*crisp.Footp
 		})
 }
 
-// trace memoizes the train-input trace capture per (workload, budget).
-// Traces are large, so they live in memory only; the analyses and
-// footprints derived from them are what the disk cache persists.
+// trace memoizes the train-input trace capture per (workload, budget),
+// for the runner's life: every option set's analysis and footprint over
+// that budget reads it. A trace keeps about 2.5 B per instruction (4.5 MB
+// at 1.8M) and is cheap to recapture, so it lives in memory only; the
+// analyses and footprints derived from it are what the disk cache
+// persists.
 func (r *Runner) trace(ctx context.Context, name string, insts uint64) (*trace.Trace, error) {
 	return memo(ctx, r, "trace", fmt.Sprintf("%s|%d", name, insts), func(context.Context) (*trace.Trace, error) {
 		w, err := resolveWorkload(name)

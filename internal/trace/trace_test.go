@@ -2,8 +2,8 @@ package trace
 
 import (
 	"slices"
+	"strings"
 	"testing"
-	"unsafe"
 
 	"crisp/internal/emu"
 	"crisp/internal/isa"
@@ -30,13 +30,13 @@ func TestCaptureRegisterDeps(t *testing.T) {
 	if tr.Len() != 8 {
 		t.Fatalf("trace len = %d, want 8", tr.Len())
 	}
-	if tr.Records[1].RegDep1 != 0 {
-		t.Errorf("rec1 regdep = %d, want 0", tr.Records[1].RegDep1)
+	if tr.Record(1).RegDep1 != 0 {
+		t.Errorf("rec1 regdep = %d, want 0", tr.Record(1).RegDep1)
 	}
-	if tr.Records[2].RegDep1 != 1 {
-		t.Errorf("rec2 regdep = %d, want 1", tr.Records[2].RegDep1)
+	if tr.Record(2).RegDep1 != 1 {
+		t.Errorf("rec2 regdep = %d, want 1", tr.Record(2).RegDep1)
 	}
-	st := tr.Records[4]
+	st := tr.Record(4)
 	if st.RegDep1 != 3 || st.RegDep2 != 2 {
 		t.Errorf("store deps = %d,%d, want 3,2", st.RegDep1, st.RegDep2)
 	}
@@ -44,7 +44,7 @@ func TestCaptureRegisterDeps(t *testing.T) {
 
 func TestCaptureMemoryDeps(t *testing.T) {
 	tr := Capture(emu.New(chainProgram(t), nil), 0)
-	ld := tr.Records[5]
+	ld := tr.Record(5)
 	if ld.MemDep != 4 {
 		t.Errorf("load memdep = %d, want 4 (the store)", ld.MemDep)
 	}
@@ -61,7 +61,7 @@ func TestCaptureNoFalseMemDep(t *testing.T) {
 	b.Load(isa.R(3), isa.R(1), 64) // load from 0x1040: no overlap
 	b.Halt()
 	tr := Capture(emu.New(b.MustBuild(), nil), 0)
-	if dep := tr.Records[3].MemDep; dep != NoDep {
+	if dep := tr.Record(3).MemDep; dep != NoDep {
 		t.Errorf("disjoint load has memdep %d, want none", dep)
 	}
 }
@@ -85,11 +85,11 @@ func TestDepOutsideWindowIsNoDep(t *testing.T) {
 	tr := Capture(e, 0)
 	// First captured record is static pc 2 (AddI r3,r2,1); its producer ran
 	// before the window.
-	if tr.Records[0].PC != 2 {
-		t.Fatalf("first captured pc = %d, want 2", tr.Records[0].PC)
+	if tr.Record(0).PC != 2 {
+		t.Fatalf("first captured pc = %d, want 2", tr.Record(0).PC)
 	}
-	if tr.Records[0].RegDep1 != NoDep {
-		t.Errorf("pre-window dep = %d, want NoDep", tr.Records[0].RegDep1)
+	if tr.Record(0).RegDep1 != NoDep {
+		t.Errorf("pre-window dep = %d, want NoDep", tr.Record(0).RegDep1)
 	}
 }
 
@@ -116,15 +116,15 @@ func TestInstancesAndExecCounts(t *testing.T) {
 	}
 	// Loop-carried dependency: iteration i's AddI depends on iteration i-1's.
 	for i := 1; i < len(inst); i++ {
-		if tr.Records[inst[i]].RegDep1 != inst[i-1] {
-			t.Errorf("iteration %d dep = %d, want %d", i, tr.Records[inst[i]].RegDep1, inst[i-1])
+		if tr.Record(int(inst[i])).RegDep1 != inst[i-1] {
+			t.Errorf("iteration %d dep = %d, want %d", i, tr.Record(int(inst[i])).RegDep1, inst[i-1])
 		}
 	}
 	// Every PC and bound against a forward scan: the last n hits, in order.
 	for pc := 0; pc < p.Len(); pc++ {
 		var all []uint32
-		for i, r := range tr.Records {
-			if int(r.PC) == pc {
+		for i := range tr.Len() {
+			if tr.PC(i) == pc {
 				all = append(all, uint32(i))
 			}
 		}
@@ -140,14 +140,6 @@ func TestInstancesAndExecCounts(t *testing.T) {
 	}
 }
 
-// TestRecordIs16Bytes: a record is its PC and three producer links, so a
-// trace costs 16 bytes per instruction.
-func TestRecordIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Record{}); n != 16 {
-		t.Errorf("sizeof(Record) = %d, want 16", n)
-	}
-}
-
 func TestCaptureLimit(t *testing.T) {
 	b := program.NewBuilder("inf")
 	b.Label("l")
@@ -158,4 +150,23 @@ func TestCaptureLimit(t *testing.T) {
 	if tr.Len() != 100 {
 		t.Errorf("limited capture len = %d, want 100", tr.Len())
 	}
+}
+
+// TestCaptureRefusesWidePC: a trace keeps 16-bit PCs, so a program that
+// runs a PC above MaxPC is refused with the limit named, not truncated.
+func TestCaptureRefusesWidePC(t *testing.T) {
+	b := program.NewBuilder("wide")
+	b.Jmp("end")
+	for b.PC() <= MaxPC {
+		b.Nop()
+	}
+	b.Label("end")
+	b.Halt() // PC 65536
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "65536") {
+			t.Errorf("capture of PC %d: panic %q, want one naming the limit 65536", MaxPC+1, msg)
+		}
+	}()
+	Capture(emu.New(b.MustBuild(), nil), 0)
 }
