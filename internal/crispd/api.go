@@ -53,9 +53,10 @@ type JobStatus struct {
 	// core.Result for runs, sim.MultiResult for multi, crisp.Analysis /
 	// crisp.Footprint for the pipeline kinds. Status polls include it;
 	// progress events omit it. On the server it is always json.Marshal
-	// output shared with the job or the published-result cache — never
-	// mutated, and spliced into the response as is (writeStatus); the
-	// client shadows it with a typed field and never sees it raw (reply).
+	// output shared with the table entry, the one copy of the result the
+	// server holds — never mutated, and spliced into the response as is
+	// (writeStatus); the client shadows it with a typed field and never
+	// sees it raw (reply).
 	Result json.RawMessage `json:"result,omitempty"`
 	// Task, set only on progress-stream events, describes dependency-task
 	// activity observed while the job is live: checkpoint-set captures
@@ -88,25 +89,29 @@ type SweepResponse struct {
 // Statsz is the GET /v1/statsz payload: the runner's progress counters
 // plus the server's own job accounting, for scraping.
 type Statsz struct {
-	UptimeS    float64        `json:"uptime_s"`
-	Draining   bool           `json:"draining"`
-	QueueDepth int            `json:"queue_depth"` // jobs queued or running
-	QueueLimit int            `json:"queue_limit"`
-	Jobs       map[string]int `json:"jobs"` // job count by state
-	Runner     runner.Stats   `json:"runner"`
-	// ResultCache describes the in-memory copies of published store
-	// entries. A request answered from it (or from the store at all) never
-	// becomes a job, so Jobs does not count it.
+	UptimeS    float64 `json:"uptime_s"`
+	Draining   bool    `json:"draining"`
+	QueueDepth int     `json:"queue_depth"` // jobs queued or running
+	QueueLimit int     `json:"queue_limit"`
+	// Jobs counts the submitted entries of the job table by state. An
+	// entry read from the store was never submitted and is not counted,
+	// and a done job that leaves the table under its byte budget leaves
+	// the count.
+	Jobs   map[string]int `json:"jobs"`
+	Runner runner.Stats   `json:"runner"`
+	// ResultCache describes the done entries of the job table: the one
+	// in-memory copy of each result the server holds.
 	ResultCache ResultCacheStats `json:"result_cache"`
 	// HeapLiveBytes is the heap the last GC found live (runtime/metrics
 	// /gc/heap/live:bytes), all of it, not only the runner's.
 	HeapLiveBytes uint64 `json:"heap_live_bytes"`
 }
 
-// ResultCacheStats counts the published-result cache's traffic since the
-// server started: lookups answered from memory, lookups that went to the
-// store (whether or not it had the entry), bytes currently held and
-// entries dropped to stay within the budget.
+// ResultCacheStats counts the job table's result traffic since the server
+// started: hits are done entries served from memory, misses are store
+// reads (whether or not the store had the entry), bytes are the done bytes
+// held (a storeless server's too), and evictions are done entries a
+// store-backed server dropped to stay within its budget.
 type ResultCacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

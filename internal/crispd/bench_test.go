@@ -53,11 +53,11 @@ func benchServe(b *testing.B, opts Options) {
 	}
 }
 
-// BenchmarkServeHit: submit-to-result for a published store entry.
+// BenchmarkServeHit: submit-to-result for a result a store-backed server
+// computed and holds (its done table entry answers).
 func BenchmarkServeHit(b *testing.B) { benchServe(b, Options{Workers: 1, Store: b.TempDir()}) }
 
-// BenchmarkServeHitRAMOnly: the same through the job table of a server
-// without a store (the finished job answers).
+// BenchmarkServeHitRAMOnly: the same on a server without a store.
 func BenchmarkServeHitRAMOnly(b *testing.B) { benchServe(b, Options{Workers: 1}) }
 
 // cannedTransport answers every request with one body, so

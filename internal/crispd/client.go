@@ -27,9 +27,9 @@ import (
 //
 // Submissions use ?wait=1 so the response carries the result; 429
 // backpressure is retried honoring Retry-After until the caller's
-// context expires. The request path is a set of package-level generic
-// functions over the result type (submit, finish, status), so each reply
-// body is parsed once, straight into the typed result (reply).
+// context expires. The request path is a pair of package-level generic
+// functions over the result type (submit, finish), so each reply body is
+// parsed once, straight into the typed result (reply).
 type Client struct {
 	base string
 	hc   *http.Client
@@ -186,46 +186,27 @@ func submit[T any](ctx context.Context, c *Client, path string, spec any) (*T, e
 			if err != nil {
 				return nil, err
 			}
-			return finish(ctx, c, rep)
+			return finish(rep)
 		default:
 			return nil, fmt.Errorf("crispd client: %s %s: %s: %s", http.MethodPost, path, resp.Status, strings.TrimSpace(string(rb)))
 		}
 	}
 }
 
-// finish turns a terminal reply into its result or an error, polling the
-// job if the server answered before it reached a terminal state.
-func finish[T any](ctx context.Context, c *Client, rep reply[T]) (*T, error) {
-	for !rep.State.terminal() {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-		var err error
-		if rep, err = status[T](ctx, c, rep.Key); err != nil {
-			return nil, err
-		}
-	}
-	if rep.State == StateFailed {
+// finish turns a reply into its result or an error. A ?wait=1 submission
+// is answered only once its job is terminal, so a reply that is not is an
+// error, never a reason to poll: GET /v1/runs/{key} names no kind, and an
+// analysis and a footprint share a key.
+func finish[T any](rep reply[T]) (*T, error) {
+	switch {
+	case rep.State == StateFailed:
 		return nil, fmt.Errorf("crispd client: job %s failed: %s", rep.Key, rep.Error)
-	}
-	if rep.Result == nil {
+	case rep.State != StateDone:
+		return nil, fmt.Errorf("crispd client: job %s answered %q to a waited submission, not a terminal state", rep.Key, rep.State)
+	case rep.Result == nil:
 		return nil, fmt.Errorf("crispd client: job %s is done but the reply carries no result", rep.Key)
 	}
 	return rep.Result, nil
-}
-
-// status polls GET /v1/runs/{key}.
-func status[T any](ctx context.Context, c *Client, key string) (reply[T], error) {
-	resp, rb, err := c.do(ctx, http.MethodGet, "/v1/runs/"+key, nil)
-	if err != nil {
-		return reply[T]{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return reply[T]{}, fmt.Errorf("crispd client: status %s: %s: %s", key, resp.Status, strings.TrimSpace(string(rb)))
-	}
-	return decodeReply[T](rb)
 }
 
 // retryAfter parses the Retry-After header, defaulting (and capping)

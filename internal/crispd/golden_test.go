@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/statsz.golden.js
 const statszGolden = "testdata/statsz.golden.json"
 
 // TestStatszGolden: a server that computed one full-detail and one sampled
-// run, then answered the first again from the store, reports these
+// run, then answered the first again from the job's own bytes, reports these
 // counters. The time and host fields are zeroed (and the cached result's
 // size, whose host fields vary in width, and the live heap); the counts
 // are deterministic.

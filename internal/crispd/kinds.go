@@ -14,10 +14,10 @@ type execFunc func(context.Context) (any, error)
 
 // kind is one row of the kind table: everything crispd knows about one
 // submittable task family. Handler registers a route per row, the
-// submission handler and the sweep admit through its gate, storeResult
-// reads through its loader, storeLookup walks the rows in order and
-// Client posts to its path — so a new kind is one runner method plus one
-// row.
+// submission handler and the sweep admit through its gate, lookup reads
+// the store through its loader (a kind-blind status poll walks the rows
+// in order) and Client posts to its path — so a new kind is one runner
+// method plus one row.
 type kind struct {
 	name string // wire name (JobStatus.Kind) and the store's file-name prefix
 	path string // POST route
@@ -61,7 +61,8 @@ func newKind[S spec, T any](name, path string, decode func([]byte) (S, error), c
 	}
 }
 
-// The kind table. kinds is its order, which is storeLookup's.
+// The kind table. kinds is its order, which is a status poll's lookup
+// order.
 var (
 	runKind       = newKind(runner.KindRun, "/v1/runs", sim.DecodeRunSpec, checkRun, (*runner.Runner).Run)
 	multiKind     = newKind(runner.KindMulti, "/v1/multi", sim.DecodeMultiSpec, checkMulti, (*runner.Runner).RunMulti)

@@ -24,8 +24,8 @@ import (
 	"crisp/internal/sim"
 )
 
-// Tests of the encode-once serving path: the spliced envelope, the
-// published-result cache and the one-pass client.
+// Tests of the encode-once serving path: the spliced envelope, the job
+// table's byte budget and the one-pass client.
 
 // TestWriteStatusMatchesWriteJSON pins the spliced envelope to the
 // encoder it replaced: for every result kind, with and without
@@ -100,6 +100,13 @@ func publish(t *testing.T, s *Server, spec sim.RunSpec, cycles uint64) []byte {
 	return raw
 }
 
+// cacheStats reads the table's counters, as statsz reports them.
+func cacheStats(s *Server) ResultCacheStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache
+}
+
 // serveResult submits spec with ?wait=1 and returns the done status's
 // result bytes.
 func serveResult(t *testing.T, url string, spec sim.RunSpec) []byte {
@@ -118,10 +125,10 @@ func serveResult(t *testing.T, url string, spec sim.RunSpec) []byte {
 	return st.Result
 }
 
-// TestResultCacheLRU: the cache holds published results up to its byte
-// budget, evicts the least recently served, never caches an entry larger
-// than the budget, and an evicted key is served from the store again —
-// none of which costs a simulation or a job-table entry.
+// TestResultCacheLRU: the job table holds published results up to its
+// byte budget, evicts the least recently served, never keeps an entry
+// larger than the budget, and an evicted key is served from the store
+// again — none of which costs a simulation or counts as a job.
 func TestResultCacheLRU(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, Store: t.TempDir()})
 	specs := []sim.RunSpec{
@@ -139,7 +146,7 @@ func TestResultCacheLRU(t *testing.T) {
 			t.Fatalf("fabricated results differ in size: %d vs %d", len(raw), size)
 		}
 	}
-	s.published.budget = 2 * size // room for two
+	s.budget = 2 * size // room for two
 	serve := func(i int) {
 		t.Helper()
 		if got := serveResult(t, ts.URL, specs[i]); !bytes.Equal(got, raws[i]) {
@@ -148,7 +155,7 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 	wantStats := func(want ResultCacheStats) {
 		t.Helper()
-		if got := s.published.stats(); got != want {
+		if got := cacheStats(s); got != want {
 			t.Errorf("result cache %+v, want %+v", got, want)
 		}
 	}
@@ -177,7 +184,7 @@ func TestResultCacheLRU(t *testing.T) {
 
 	// An entry above the whole budget is served but not kept, and does
 	// not flush what is cached to make room it cannot use.
-	s.published.budget = size - 1
+	s.budget = size - 1
 	big := sim.RunSpec{Workload: "pointerchase", Insts: 23_000}
 	bigRaw := publish(t, s, big, 1003)
 	for i := 0; i < 2; i++ {
@@ -196,6 +203,101 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 }
 
+// TestJobTableBudget: crispd keeps one table, and a done job's bytes are
+// its published result under the table's byte budget. A store-backed
+// server with room for two computes three specs: the least recently served
+// job leaves the table, and its key is served again from the store with
+// nothing recomputed. A storeless server keeps all three, because the job
+// is the only copy, and a failed entry never leaves.
+func TestJobTableBudget(t *testing.T) {
+	specs := []sim.RunSpec{
+		{Workload: "pointerchase", Insts: 20_000},
+		{Workload: "pointerchase", Insts: 21_000},
+		{Workload: "pointerchase", Insts: 22_000},
+	}
+	// compute fails one run on its deadline, then computes the specs with
+	// room for two of their results, and returns what it served.
+	compute := func(t *testing.T, s *Server, url string) [][]byte {
+		t.Helper()
+		resp, rb := postSpec(t, url+"/v1/runs?wait=1&timeout=1ns", sim.RunSpec{Workload: "pointerchase", Insts: 100_000})
+		var st JobStatus
+		if err := json.Unmarshal(rb, &st); err != nil || st.State != StateFailed {
+			t.Fatalf("deadline run: HTTP %d: %s", resp.StatusCode, rb)
+		}
+		var raws [][]byte
+		for i, spec := range specs {
+			raws = append(raws, serveResult(t, url, spec))
+			if i == 0 { // the results differ in size by a few bytes at most
+				s.mu.Lock()
+				s.budget = 5 * int64(len(raws[0])) / 2
+				s.mu.Unlock()
+			}
+		}
+		return raws
+	}
+	statsz := func(t *testing.T, url string) Statsz {
+		t.Helper()
+		z, err := NewClient(url).Statsz(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return z
+	}
+
+	t.Run("store", func(t *testing.T) {
+		s, ts := newTestServer(t, Options{Workers: 1, Store: t.TempDir()})
+		raws := compute(t, s, ts.URL)
+		z := statsz(t, ts.URL)
+		if z.Jobs[string(StateDone)] > 2 || z.ResultCache.Evictions < 1 {
+			t.Errorf("jobs %v, result_cache %+v: want at most 2 done jobs kept and an eviction", z.Jobs, z.ResultCache)
+		}
+		if z.Jobs[string(StateFailed)] != 1 {
+			t.Errorf("jobs %v: the failed entry left the table", z.Jobs)
+		}
+		executed, misses := z.Runner.Executed, z.ResultCache.Misses
+
+		// specs[0] was served least recently: its status poll reads it back
+		// from the store, and its resubmission is then served from memory.
+		resp, err := http.Get(ts.URL + "/v1/runs/" + specs[0].Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := readAllBody(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(rb, &st); err != nil || st.State != StateDone || !bytes.Equal(st.Result, raws[0]) {
+			t.Errorf("status poll of the evicted key: HTTP %d: %.200s", resp.StatusCode, rb)
+		}
+		if got := serveResult(t, ts.URL, specs[0]); !bytes.Equal(got, raws[0]) {
+			t.Errorf("resubmission of the evicted key served %.200s, want %.200s", got, raws[0])
+		}
+		z = statsz(t, ts.URL)
+		if z.ResultCache.Misses != misses+1 {
+			t.Errorf("result_cache misses %d -> %d, want one store read", misses, z.ResultCache.Misses)
+		}
+		if z.Runner.Executed != executed || z.Jobs[string(StateFailed)] != 1 {
+			t.Errorf("Executed %d -> %d, jobs %v: want nothing recomputed and the failed entry kept", executed, z.Runner.Executed, z.Jobs)
+		}
+	})
+
+	t.Run("storeless", func(t *testing.T) {
+		s, ts := newTestServer(t, Options{Workers: 1})
+		raws := compute(t, s, ts.URL)
+		z := statsz(t, ts.URL)
+		held := int64(len(raws[0]) + len(raws[1]) + len(raws[2]))
+		if z.Jobs[string(StateDone)] != 3 || z.Jobs[string(StateFailed)] != 1 || z.ResultCache.Evictions != 0 || z.ResultCache.Bytes != held {
+			t.Errorf("jobs %v, result_cache %+v: want all 3 done jobs (%d bytes) and the failed one kept", z.Jobs, z.ResultCache, held)
+		}
+		for i, spec := range specs {
+			if got := serveResult(t, ts.URL, spec); !bytes.Equal(got, raws[i]) {
+				t.Errorf("spec %d: resubmission served different bytes", i)
+			}
+		}
+	})
+}
+
 // TestResultCacheConcurrent: 8 goroutines hammer 4 published keys through
 // a cache with room for 2, so hits, first touches and evictions of one
 // key interleave; every response is the key's own result. Run with -race.
@@ -208,7 +310,7 @@ func TestResultCacheConcurrent(t *testing.T) {
 		specs = append(specs, spec)
 		raws = append(raws, publish(t, s, spec, uint64(1000+i)))
 	}
-	s.published.budget = 2 * int64(len(raws[0]))
+	s.budget = 2 * int64(len(raws[0]))
 	h := s.Handler()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -237,9 +339,9 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.published.stats()
-	if st.Bytes > s.published.budget || st.Hits+st.Misses != 8*200 || st.Evictions == 0 {
-		t.Errorf("result cache %+v after 1600 lookups under budget %d", st, s.published.budget)
+	st := cacheStats(s)
+	if st.Bytes > s.budget || st.Hits+st.Misses != 8*200 || st.Evictions == 0 {
+		t.Errorf("result cache %+v after 1600 lookups under budget %d", st, s.budget)
 	}
 	if ex := s.Runner().Stats().Executed; ex != 0 {
 		t.Errorf("Executed = %d, want 0", ex)
@@ -287,8 +389,8 @@ func checkRecomputed(t *testing.T, s *Server, path string, spec sim.RunSpec) {
 }
 
 // TestCorruptEntryFirstTouch: the first touch of a corrupt entry deletes
-// it and recomputes — the cache sits behind the validating load, never in
-// front of it — and the recomputed result is then served from memory.
+// it and recomputes — the table sits behind the validating load, never in
+// front of it — and the recomputed job's bytes then serve the key.
 func TestCorruptEntryFirstTouch(t *testing.T) { firstTouch(t, tornResult) }
 
 // TestOldShapeEntryFirstTouch: an entry in the pre-row encoding under a
@@ -309,8 +411,8 @@ func firstTouch(t *testing.T, entry string) {
 			t.Errorf("resubmission %d served different bytes", i)
 		}
 	}
-	if st := s.published.stats(); st.Hits != 1 || st.Misses != 2 {
-		t.Errorf("result cache %+v, want 1 hit after 2 misses (corrupt, then recomputed)", st)
+	if st := cacheStats(s); st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("result cache %+v, want 2 hits after 1 miss (the corrupt entry; the recomputed job's bytes serve the rest)", st)
 	}
 	if ex := s.Runner().Stats().Executed; ex != 1 {
 		t.Errorf("Executed = %d after resubmissions, want 1", ex)
@@ -353,11 +455,12 @@ func TestClientReplies(t *testing.T) {
 		t.Fatalf("%s, %v: want the escapes the server writes", escaped, err)
 	}
 	cases := []struct {
-		name       string
-		post, poll string // bodies of POST /v1/runs (202 when poll is set) and GET /v1/runs/k1
-		wantErr    string // "" = a result with Cycles 12
-		chunked    bool   // the POST reply states no Content-Length
-		lie        int    // the POST reply states a Content-Length this far from the truth
+		name     string
+		post     string // body of POST /v1/runs
+		accepted bool   // the POST reply is a 202
+		wantErr  string // "" = a result with Cycles 12
+		chunked  bool   // the POST reply states no Content-Length
+		lie      int    // the POST reply states a Content-Length this far from the truth
 	}{
 		{name: "done", post: done},
 		// The client sizes its buffer from Content-Length; what it reads is
@@ -381,9 +484,11 @@ func TestClientReplies(t *testing.T) {
 		{name: "escaped error", post: string(escaped), wantErr: `job k1 failed: a "quoted" <failure> & ü`},
 		{name: "task-carrying status", post: `{"key":"k1","kind":"run","state":"done","submitted_unix_ns":1,"result":{"Cycles":12,"Insts":7},"task":"ckpt abc running"}`},
 		{name: "trailing garbage", post: done + `{}`, wantErr: "decode job status"},
-		{name: "202 then poll", post: `{"key":"k1","kind":"run","state":"running"}`, poll: done},
-		{name: "202 then failed poll", post: `{"key":"k1","kind":"run","state":"queued"}`,
-			poll: `{"key":"k1","kind":"run","state":"failed","error":"late boom"}`, wantErr: "job k1 failed: late boom"},
+		// A waited submission is answered once its job is terminal. The
+		// client used to poll the kind-blind status route on anything else,
+		// which can answer with another kind's result under the same key.
+		{name: "202 then poll", post: `{"key":"k1","kind":"run","state":"running"}`, accepted: true, wantErr: `job k1 answered "running"`},
+		{name: "202 then failed poll", post: `{"key":"k1","kind":"run","state":"queued"}`, accepted: true, wantErr: `job k1 answered "queued"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -394,7 +499,7 @@ func TestClientReplies(t *testing.T) {
 				if tc.lie != 0 {
 					w.Header().Set("Content-Length", strconv.Itoa(len(body)+tc.lie))
 				}
-				if tc.poll != "" {
+				if tc.accepted {
 					w.WriteHeader(http.StatusAccepted)
 				}
 				if tc.chunked {
@@ -406,7 +511,7 @@ func TestClientReplies(t *testing.T) {
 			})
 			mux.HandleFunc("GET /v1/runs/k1", func(w http.ResponseWriter, r *http.Request) {
 				polls.Add(1)
-				fmt.Fprintln(w, tc.poll)
+				fmt.Fprintln(w, done)
 			})
 			ts := httptest.NewServer(mux)
 			defer ts.Close()
@@ -419,8 +524,8 @@ func TestClientReplies(t *testing.T) {
 			case err != nil || res == nil || res.Cycles != 12 || res.Insts != 7:
 				t.Errorf("result %+v, error %v; want Cycles 12, Insts 7", res, err)
 			}
-			if got, want := polls.Load(), map[bool]int32{false: 0, true: 1}[tc.poll != ""]; got != want {
-				t.Errorf("%d status polls, want %d", got, want)
+			if got := polls.Load(); got != 0 {
+				t.Errorf("%d status polls, want 0", got)
 			}
 		})
 	}

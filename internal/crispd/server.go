@@ -2,9 +2,9 @@
 // service in front of the runner/store machinery that accepts specs of
 // the kinds in its kind table (kinds.go: one row per kind, from which the
 // routes, the admission gate, the store loaders and the client's paths
-// all come) from many clients, deduplicates them against the persistent
-// store and the in-flight job table, executes them on a bounded worker
-// pool, and streams progress.
+// all come) from many clients, deduplicates them against its job table
+// and the persistent store, executes them on a bounded worker pool, and
+// streams progress.
 //
 // The layering is strict: crispd adds no simulation semantics. A spec's
 // kind and content key are its identity here exactly as they are in the
@@ -31,6 +31,7 @@
 package crispd
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,31 +71,44 @@ type Server struct {
 	stopJobs   context.CancelFunc
 	queueLimit int
 	start      time.Time
-
-	published *resultCache // wire bytes of validated store entries; has its own lock
+	stored     bool // the runner has a persistent store: a done entry may leave the table
 
 	mu       sync.Mutex
-	jobs     map[jobID]*job
-	active   int // jobs queued or running
+	jobs     map[jobID]*job   // submissions and validated store entries: the one table
+	lru      *list.List       // done entries in the table, most recently served first
+	budget   int64            // resultCacheBudget; the done bytes a store-backed table keeps
+	cache    ResultCacheStats // the table's traffic, and its done bytes
+	active   int              // jobs queued or running
 	draining bool
 	wg       sync.WaitGroup // one per job goroutine
 }
 
-// jobID names a job, and the published entry it leaves: an analysis and a
-// footprint of one AnalysisSpec share a content key, so the key alone
-// does not.
+// resultCacheBudget bounds the done bytes a store-backed server keeps in
+// its table: 64 MiB is ~13 000 single-core results (≈5 kB each), far
+// beyond the distinct keys of a figure sweep, and small next to the
+// simulator's own heap. It is a constant, not a knob: an entry that leaves
+// is read back from the store when next asked for, so no workload needs
+// another value to be correct. Without a store nothing leaves, because the
+// entry is the only copy.
+const resultCacheBudget = 64 << 20
+
+// jobID names a table entry: an analysis and a footprint of one
+// AnalysisSpec share a content key, so the key alone does not.
 type jobID struct{ kind, key string }
 
-// job is one tracked submission. All fields are guarded by Server.mu
-// except done, which is closed exactly once by the job goroutine.
+// job is one table entry: a submission, or a validated store entry, which
+// is born done and has no submission time. All fields are guarded by
+// Server.mu except done, which is closed exactly once: by the job
+// goroutine, or at birth.
 type job struct {
 	id                           jobID
 	state                        JobState
 	err                          error
 	submitted, started, finished time.Time
-	raw                          json.RawMessage // the result's wire bytes, encoded once by execute
+	raw                          json.RawMessage // a done entry's wire bytes, its one copy; never mutated
 	done                         chan struct{}
 	subs                         []chan JobStatus
+	elem                         *list.Element // on Server.lru while done and in the table
 }
 
 // New returns a Server executing jobs under ctx: cancelling it aborts
@@ -110,7 +124,8 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		queueLimit: opts.Queue,
 		start:      time.Now(),
 		jobs:       make(map[jobID]*job),
-		published:  newResultCache(resultCacheBudget),
+		lru:        list.New(),
+		budget:     resultCacheBudget,
 	}
 	if s.queueLimit <= 0 {
 		s.queueLimit = 256
@@ -125,7 +140,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		stop()
 		return nil, err
 	}
-	s.r = r
+	s.r, s.stored = r, r.Store().Enabled()
 	return s, nil
 }
 
@@ -187,8 +202,8 @@ func refuse(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), code)
 }
 
-// submitLocked attaches to an existing job for id or starts a new one.
-// Callers hold s.mu and have already consulted the store.
+// submitLocked attaches to a live or done entry for id or starts a new
+// job. Callers hold s.mu and have already looked id up (lookup).
 func (s *Server) submitLocked(id jobID, timeout time.Duration, exec execFunc) (*job, error) {
 	if s.draining {
 		return nil, errDraining
@@ -235,6 +250,7 @@ func (s *Server) execute(j *job, timeout time.Duration, exec execFunc) {
 		j.state, j.err = StateFailed, err
 	} else {
 		j.state, j.raw = StateDone, raw
+		s.keepLocked(j)
 	}
 	s.active--
 	j.notifyLocked("")
@@ -281,27 +297,94 @@ func (j *job) notifyLocked(task string) {
 	}
 }
 
-// jobLocked finds the job of any kind under key, in table order: a status
-// poll names no kind.
-func (s *Server) jobLocked(key string) *job {
-	for _, k := range kinds {
-		if j := s.jobs[jobID{k.name, key}]; j != nil {
+// lookup finds key under the first of ks that holds it, in the order
+// every request follows: the table, then the store, then nothing (a
+// submission starts a job). A failed entry holds no result, so the store
+// is asked before it answers. A validated store entry joins the table born
+// done. Hits count done entries served from memory, misses store reads.
+func (s *Server) lookup(key string, ks ...*kind) *job {
+	var failed *job
+	s.mu.Lock()
+	for _, k := range ks {
+		switch j := s.jobs[jobID{k.name, key}]; {
+		case j == nil:
+		case j.state == StateFailed:
+			if failed == nil {
+				failed = j
+			}
+		default:
+			if j.state == StateDone {
+				s.cache.Hits++
+				s.lru.MoveToFront(j.elem)
+			}
+			s.mu.Unlock()
 			return j
 		}
 	}
-	return nil
+	s.mu.Unlock()
+	if !s.stored {
+		return failed
+	}
+	for _, k := range ks {
+		raw, ok := k.load(s.r.Store(), k.name, key)
+		s.mu.Lock()
+		s.cache.Misses++
+		if ok {
+			j := s.adoptLocked(jobID{k.name, key}, raw)
+			s.mu.Unlock()
+			return j
+		}
+		s.mu.Unlock()
+	}
+	return failed
+}
+
+// adoptLocked enters a validated store entry into the table, born done,
+// and returns the entry that answers for id: a live or done one that got
+// there first stands (a store entry is content-addressed, so its bytes
+// are equal), a failed one is replaced.
+func (s *Server) adoptLocked(id jobID, raw json.RawMessage) *job {
+	if j := s.jobs[id]; j != nil && j.state != StateFailed {
+		return j
+	}
+	j := &job{id: id, state: StateDone, raw: raw, done: make(chan struct{})}
+	close(j.done)
+	s.jobs[id] = j
+	s.keepLocked(j)
+	return j
+}
+
+// keepLocked charges the done entry j, which is in the table, to the
+// budget. With a store, the least recently served done entries leave the
+// table until their bytes fit it again; an entry larger than the whole
+// budget is served by whoever holds it but not kept, and evicts nothing.
+// Without a store nothing leaves.
+func (s *Server) keepLocked(j *job) {
+	size := int64(len(j.raw))
+	if s.stored && size > s.budget {
+		delete(s.jobs, j.id)
+		return
+	}
+	j.elem = s.lru.PushFront(j)
+	s.cache.Bytes += size
+	for s.stored && s.cache.Bytes > s.budget {
+		old := s.lru.Remove(s.lru.Back()).(*job)
+		delete(s.jobs, old.id)
+		s.cache.Bytes -= int64(len(old.raw))
+		s.cache.Evictions++
+	}
 }
 
 // subscribe registers a progress listener for key, returning the
 // current status alongside. A nil channel with ok=true means the job is
 // already terminal: the snapshot is all there is to stream.
 func (s *Server) subscribe(key string) (cur JobStatus, ch chan JobStatus, cancel func(), ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobLocked(key)
+	j := s.lookup(key, kinds...)
 	if j == nil {
 		return JobStatus{}, nil, nil, false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	cur = j.statusLocked(false)
 	if j.state.terminal() {
 		return cur, nil, func() {}, true
@@ -394,9 +477,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeStatus writes a result-carrying status as writeJSON would, byte
 // for byte, without sending the result back through the encoder: st.Result
 // is canonical already (json.Marshal output, the only way bytes enter a
-// job or the published-result cache), so compacting and re-validating it
-// per response is pure cost. The small head is marshalled and the result
-// spliced in as the last field, which it is unless Task is set.
+// table entry), so compacting and re-validating it per response is pure
+// cost. The small head is marshalled and the result spliced in as the
+// last field, which it is unless Task is set.
 func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	raw := st.Result
 	if len(raw) == 0 || st.Task != "" {
@@ -437,15 +520,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Dedup against the store before any work starts: a result another
-	// process (or a previous life of this server) already published is
-	// served without costing a queue slot.
-	if raw, ok := s.storeResult(k, key); ok {
-		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: k.name, State: StateDone, Result: raw})
-		return
-	}
+	// A result this server holds, or another process (or a previous life
+	// of this server) published, is served without costing a queue slot.
+	j := s.lookup(key, k)
 	s.mu.Lock()
-	j, err := s.submitLocked(jobID{k.name, key}, timeout, exec)
+	if j == nil || j.state == StateFailed {
+		j, err = s.submitLocked(jobID{k.name, key}, timeout, exec)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		refuse(w, err)
@@ -468,12 +549,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 	writeStatus(w, code, st)
 }
 
-// sweepItem is one spec of a sweep, admitted.
+// sweepItem is one spec of a sweep, admitted, and the entry lookup found
+// for it.
 type sweepItem struct {
-	k      *kind
-	key    string
-	exec   execFunc
-	stored bool
+	k    *kind
+	key  string
+	exec execFunc
+	j    *job
 }
 
 // admitAll runs one list of a sweep through its kind's admission gate.
@@ -522,12 +604,12 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// Store pass outside the lock: published results cost no queue slot.
-	// The same validated lookup as a single submission, not Store.Has: a
+	// Lookup pass outside the lock: held and published results cost no
+	// queue slot. The store step is a validated read, not Store.Has: a
 	// torn entry reported "done" here could never be fetched (the status
 	// poll deletes it and answers 404), so it is a miss and is submitted.
 	for i := range items {
-		_, items[i].stored = s.storeResult(items[i].k, items[i].key)
+		items[i].j = s.lookup(items[i].key, items[i].k)
 	}
 
 	// Admission and submission are one atomic step: either the whole
@@ -543,7 +625,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	seen := make(map[jobID]bool, len(items))
 	for _, it := range items {
 		id := jobID{it.k.name, it.key}
-		if it.stored || seen[id] {
+		if it.held() || seen[id] {
 			continue
 		}
 		seen[id] = true
@@ -558,15 +640,14 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	}
 	resp := SweepResponse{Jobs: make([]JobStatus, 0, len(items))}
 	for _, it := range items {
-		if it.stored {
-			resp.Jobs = append(resp.Jobs, JobStatus{Key: it.key, Kind: it.k.name, State: StateDone})
-			continue
-		}
-		j, err := s.submitLocked(jobID{it.k.name, it.key}, timeout, it.exec)
-		if err != nil { // capacity was pre-checked, draining seen under this lock: cannot happen
-			s.mu.Unlock()
-			refuse(w, err)
-			return
+		j := it.j
+		if !it.held() {
+			if j, err = s.submitLocked(jobID{it.k.name, it.key}, timeout, it.exec); err != nil {
+				// capacity was pre-checked, draining seen under this lock: cannot happen
+				s.mu.Unlock()
+				refuse(w, err)
+				return
+			}
 		}
 		resp.Jobs = append(resp.Jobs, j.statusLocked(false))
 	}
@@ -574,35 +655,26 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
+// held reports whether lookup found a live or done entry for the item.
+// Callers hold s.mu.
+func (it sweepItem) held() bool { return it.j != nil && it.j.state != StateFailed }
+
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	key := req.PathValue("key")
+	j := s.lookup(key, kinds...)
+	if j == nil {
+		http.Error(w, "unknown job key "+key, http.StatusNotFound)
+		return
+	}
 	s.mu.Lock()
-	j := s.jobLocked(key)
-	var st JobStatus
-	if j != nil {
-		st = j.statusLocked(true)
-	}
+	st := j.statusLocked(true)
 	s.mu.Unlock()
-	if j != nil {
-		writeStatus(w, http.StatusOK, st)
-		return
-	}
-	if kind, raw, ok := s.storeLookup(key); ok {
-		writeStatus(w, http.StatusOK, JobStatus{Key: key, Kind: kind, State: StateDone, Result: raw})
-		return
-	}
-	http.Error(w, "unknown job key "+key, http.StatusNotFound)
+	writeStatus(w, http.StatusOK, st)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	key := req.PathValue("key")
 	cur, ch, cancel, ok := s.subscribe(key)
-	if !ok {
-		if kind, _, found := s.storeLookup(key); found {
-			cur, ok = JobStatus{Key: key, Kind: kind, State: StateDone}, true
-			cancel = func() {}
-		}
-	}
 	if !ok {
 		http.Error(w, "unknown job key "+key, http.StatusNotFound)
 		return
@@ -664,18 +736,20 @@ func (s *Server) handleStatsz(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	byState := make(map[string]int, 4)
 	for _, j := range s.jobs {
-		byState[string(j.state)]++
+		if !j.submitted.IsZero() { // a store entry was never a job
+			byState[string(j.state)]++
+		}
 	}
 	st := Statsz{
-		UptimeS:    time.Since(s.start).Seconds(),
-		Draining:   s.draining,
-		QueueDepth: s.active,
-		QueueLimit: s.queueLimit,
-		Jobs:       byState,
-		Runner:     s.r.Stats(),
+		UptimeS:     time.Since(s.start).Seconds(),
+		Draining:    s.draining,
+		QueueDepth:  s.active,
+		QueueLimit:  s.queueLimit,
+		Jobs:        byState,
+		Runner:      s.r.Stats(),
+		ResultCache: s.cache,
 	}
 	s.mu.Unlock()
-	st.ResultCache = s.published.stats()
 	st.HeapLiveBytes = heapLive()
 	writeJSON(w, http.StatusOK, st)
 }
@@ -701,29 +775,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 // ------------------------------------------------------- store plumbing
 
-// storeResult returns the wire bytes of the result published under
-// (kind, key). The first touch of an entry is the row's loadResult — the
-// only way bytes enter — and its output is kept in s.published; every
-// later request for the key is answered from memory with no file read,
-// decode or marshal. That is sound because a store entry is
-// content-addressed (the key hashes the spec and sim.CodeVersion) and
-// never rewritten with different content: the validated copy cannot go
-// stale, only cold.
-func (s *Server) storeResult(k *kind, key string) (json.RawMessage, bool) {
-	st := s.r.Store()
-	if !st.Enabled() {
-		return nil, false
-	}
-	if raw, ok := s.published.get(k.name, key); ok {
-		return raw, true
-	}
-	raw, ok := k.load(st, k.name, key)
-	if ok {
-		s.published.add(k.name, key, raw)
-	}
-	return raw, ok
-}
-
 // loadResult reads the store entry for (kind, key) through its result
 // type — Store.Get validates it and deletes a corrupt entry so the next
 // producer recomputes it — and re-marshals it to the exact JSON a fresh
@@ -736,17 +787,6 @@ func loadResult[T any](st *runner.Store, kind, key string) (json.RawMessage, boo
 	}
 	raw, err := json.Marshal(&res)
 	return raw, err == nil
-}
-
-// storeLookup finds a published entry for key under any job kind, in
-// table order (for status polls of results from a previous server life).
-func (s *Server) storeLookup(key string) (kind string, raw json.RawMessage, ok bool) {
-	for _, k := range kinds {
-		if raw, ok := s.storeResult(k, key); ok {
-			return k.name, raw, true
-		}
-	}
-	return "", nil, false
 }
 
 // --------------------------------------------------------- query params

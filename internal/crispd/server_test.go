@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -324,6 +325,19 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	}
 }
 
+// status polls GET /v1/runs/{key}, which names no kind: the first kind in
+// table order that holds the key answers.
+func status[T any](ctx context.Context, c *Client, key string) (reply[T], error) {
+	resp, rb, err := c.do(ctx, http.MethodGet, "/v1/runs/"+key, nil)
+	if err != nil {
+		return reply[T]{}, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return reply[T]{}, fmt.Errorf("crispd client: status %s: %s: %s", key, resp.Status, strings.TrimSpace(string(rb)))
+	}
+	return decodeReply[T](rb)
+}
+
 // pollTerminal polls a run job's status until it is done or failed.
 func pollTerminal(t *testing.T, url, key string) reply[core.Result] {
 	t.Helper()
@@ -515,12 +529,11 @@ func TestRejectsNegativeSliceOptions(t *testing.T) {
 }
 
 // TestStatsz: the counters reflect completed work, and requests answered
-// from the store or the published-result cache are counted there, not as
-// jobs.
+// from a done entry's bytes are counted in result_cache, not as jobs.
 func TestStatsz(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Queue: 7, Store: t.TempDir()})
-	// Computed (a cache miss, then a job); read back from the store (a
-	// miss, cached); served from memory (a hit).
+	// Computed (a store miss, then a job); then served twice from the
+	// job's own bytes (two hits).
 	var result []byte
 	for i := 0; i < 3; i++ {
 		result = serveResult(t, ts.URL, fastSpec())
@@ -541,7 +554,7 @@ func TestStatsz(t *testing.T) {
 	if st.Draining || st.QueueDepth != 0 {
 		t.Errorf("unexpected statsz %+v", st)
 	}
-	if want := (ResultCacheStats{Hits: 1, Misses: 2, Bytes: int64(len(result))}); st.ResultCache != want {
+	if want := (ResultCacheStats{Hits: 2, Misses: 1, Bytes: int64(len(result))}); st.ResultCache != want {
 		t.Errorf("result_cache %+v, want %+v", st.ResultCache, want)
 	}
 
