@@ -9,22 +9,25 @@
 //	crispd -store S -workers 16 -queue 256
 //	crispd -store S -pprof localhost:6060   # profiling side listener
 //
-// Endpoints (see internal/crispd and DESIGN.md):
+// Endpoints (see internal/crispd and DESIGN.md). Each kind has a route
+// prefix: /v1/runs (sim.RunSpec), /v1/multi (sim.MultiSpec),
+// /v1/analyses and /v1/footprints (runner.AnalysisSpec). A job is its
+// kind and its key, so status and events are asked for under the prefix
+// of the kind submitted:
 //
-//	POST /v1/runs[?wait=1&timeout=30s]   submit a sim.RunSpec
-//	POST /v1/multi                       submit a sim.MultiSpec
-//	POST /v1/analyses, /v1/footprints    submit a runner.AnalysisSpec
-//	POST /v1/sweeps                      submit a spec batch atomically
-//	GET  /v1/runs/{key}                  job status + result
-//	GET  /v1/runs/{key}/events           progress stream (SSE or JSONL)
+//	POST {prefix}[?wait=1&timeout=30s]   submit a spec
+//	GET  {prefix}/{key}                  job status + result
+//	GET  {prefix}/{key}/events           progress stream (SSE or JSONL)
+//	POST /v1/sweeps                      submit runs and multis atomically
 //	GET  /v1/statsz, /healthz            counters, liveness
 //
-// On SIGINT/SIGTERM the server drains: it stops accepting submissions
-// (503), finishes and persists in-flight jobs, then exits; a second
-// signal cancels the in-flight jobs instead of waiting (their file
-// locks are still released on the way out). -drain-timeout bounds the
-// graceful phase. -metrics appends one JSON record per run the server
-// resolves; a record the file refused makes the exit status 1.
+// On SIGINT/SIGTERM the server drains: it refuses fresh work (503) while
+// still answering results it holds, finishes and persists in-flight jobs,
+// then exits; a second signal cancels the in-flight jobs instead of
+// waiting (their file locks are still released on the way out).
+// -drain-timeout bounds the graceful phase. -metrics appends one JSON
+// record per run the server resolves; a record the file refused makes the
+// exit status 1.
 package main
 
 import (

@@ -75,12 +75,6 @@ type Config struct {
 	// many cycles (Figure 1 timelines).
 	UPCWindow int
 
-	// OccSampleEvery is the occupancy-sampling period in cycles for the
-	// ROB/RS/LQ/SQ/MSHR histograms; it is rounded up to a power of two.
-	// <= 0 selects the default (256). Cycle attribution itself is always
-	// on and per-cycle exact — only occupancy is sampled.
-	OccSampleEvery int
-
 	// DebugNoSkip disables next-event idle-cycle skipping, stepping every
 	// simulated cycle through the full stage loop. Results are identical
 	// either way — skipping is cycle-exact by construction and the

@@ -93,11 +93,9 @@ type Core struct {
 
 	// Cycle-accounting state (internal/metrics): dispStall records which
 	// backend resources blocked dispatch last cycle, redirectUntil marks
-	// the end of the latest mispredict-redirect window, occMask gates
-	// occupancy sampling to power-of-two cycle boundaries.
+	// the end of the latest mispredict-redirect window.
 	dispStall     uint8
 	redirectUntil uint64
-	occMask       uint64
 	robMask       uint64 // len(rob)-1; ring capacity is a power of two
 
 	// Incremental scheduler state (see wakeup.go): persistent BID/PRIO
@@ -184,15 +182,6 @@ func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierar
 	c.loadProfs = make([]LoadProf, prog.Len())
 	c.branchProfs = make([]BranchProf, prog.Len())
 	c.curFetchLine = ^uint64(0)
-	occ := cfg.OccSampleEvery
-	if occ <= 0 {
-		occ = 256
-	}
-	period := 1
-	for period < occ {
-		period <<= 1
-	}
-	c.occMask = uint64(period - 1)
 	c.robMask = uint64(len(c.rob) - 1)
 	return c
 }
@@ -246,7 +235,7 @@ func (c *Core) stepCycle() {
 	c.issue()
 	c.dispatch()
 	c.fetch()
-	if c.cycle&c.occMask == 0 {
+	if c.cycle&occMask == 0 {
 		c.sampleOccupancy()
 	}
 }
@@ -406,8 +395,13 @@ func (c *Core) headBucket(e *entry) metrics.Bucket {
 	return metrics.CoreDep
 }
 
+// occMask gates occupancy sampling to every 256th cycle: the period is a
+// power of two, so the gate is one mask test. Cycle attribution itself is
+// always on and per-cycle exact; only occupancy is sampled.
+const occMask = 256 - 1
+
 // sampleOccupancy records one occupancy sample of each bounded backend
-// structure (period OccSampleEvery, default 256 cycles).
+// structure, every occMask+1 cycles.
 func (c *Core) sampleOccupancy() {
 	h := &c.stats.Hists
 	h.OccROB.Observe(c.tailSeq - c.headSeq)

@@ -105,7 +105,7 @@ func (c *Core) skipTarget() (uint64, bool) {
 	// Clip to the observability boundaries so sampling is unchanged: the
 	// next occupancy sample (the loop lands on it and samples normally)
 	// and the next UPC-window edge (the post-increment check fires on it).
-	if b := (c.cycle | c.occMask) + 1; b < next {
+	if b := (c.cycle | occMask) + 1; b < next {
 		next = b
 	}
 	if c.cfg.UPCWindow > 0 {

@@ -53,10 +53,11 @@ type JobStatus struct {
 	// core.Result for runs, sim.MultiResult for multi, crisp.Analysis /
 	// crisp.Footprint for the pipeline kinds. Status polls include it;
 	// progress events omit it. On the server it is always json.Marshal
-	// output shared with the table entry, the one copy of the result the
-	// server holds — never mutated, and spliced into the response as is
-	// (writeStatus); the client shadows it with a typed field and never
-	// sees it raw (reply).
+	// output shared with the table entry, the server's one copy of the
+	// result's wire bytes (the runner memo holds the decoded result too)
+	// — never mutated, and spliced into the response as is (writeStatus);
+	// the client shadows it with a typed field and never sees it raw
+	// (reply).
 	Result json.RawMessage `json:"result,omitempty"`
 	// Task, set only on progress-stream events, describes dependency-task
 	// activity observed while the job is live: checkpoint-set captures
@@ -68,9 +69,11 @@ type JobStatus struct {
 }
 
 // SweepRequest is the POST /v1/sweeps payload: a batch of specs
-// submitted as one atomic unit against the queue bound. The server
-// dedups each spec against the store, the job table and the runner's
-// single-flight before it costs a queue slot.
+// submitted as one atomic unit against the queue bound. Each spec goes
+// through its kind's own decoder, and the batch through the admission a
+// single submission takes: the server dedups each spec against the job
+// table, the store and the runner's single-flight before it costs a queue
+// slot.
 type SweepRequest struct {
 	Runs   []sim.RunSpec   `json:"runs,omitempty"`
 	Multis []sim.MultiSpec `json:"multis,omitempty"`
@@ -99,8 +102,9 @@ type Statsz struct {
 	// the count.
 	Jobs   map[string]int `json:"jobs"`
 	Runner runner.Stats   `json:"runner"`
-	// ResultCache describes the done entries of the job table: the one
-	// in-memory copy of each result the server holds.
+	// ResultCache describes the done entries of the job table, which hold
+	// each result's wire bytes. The runner memo holds the decoded results
+	// for the runner's life beside them (HeapLiveBytes counts both).
 	ResultCache ResultCacheStats `json:"result_cache"`
 	// HeapLiveBytes is the heap the last GC found live (runtime/metrics
 	// /gc/heap/live:bytes), all of it, not only the runner's.

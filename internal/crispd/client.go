@@ -195,8 +195,7 @@ func submit[T any](ctx context.Context, c *Client, path string, spec any) (*T, e
 
 // finish turns a reply into its result or an error. A ?wait=1 submission
 // is answered only once its job is terminal, so a reply that is not is an
-// error, never a reason to poll: GET /v1/runs/{key} names no kind, and an
-// analysis and a footprint share a key.
+// error, never a reason to poll.
 func finish[T any](rep reply[T]) (*T, error) {
 	switch {
 	case rep.State == StateFailed:

@@ -13,56 +13,42 @@ import (
 type execFunc func(context.Context) (any, error)
 
 // kind is one row of the kind table: everything crispd knows about one
-// submittable task family. Handler registers a route per row, the
-// submission handler and the sweep admit through its gate, lookup reads
-// the store through its loader (a kind-blind status poll walks the rows
-// in order) and Client posts to its path — so a new kind is one runner
-// method plus one row.
+// submittable task family. Handler registers the row's submission, status
+// and events routes, a sweep's specs go through the row's job, lookup reads
+// the store through its loader and Client posts to its path, so a new kind
+// is one runner method plus one row.
 type kind struct {
 	name string // wire name (JobStatus.Kind) and the store's file-name prefix
-	path string // POST route
+	path string // route prefix: POST path, GET path/{key}[/events]
 	// job takes a request body to the job it names: the strict wire
 	// decoder of the kind's spec (unknown field or trailing data is an
-	// error), the spec's own Validate, then admit.
+	// error), the spec's own Validate, then the server's gate (its
+	// workloads exist and it is bounded). It returns the content key and
+	// the execution.
 	job func(r *runner.Runner, body []byte) (key string, exec execFunc, err error)
-	// admit is the server's gate on a valid spec — its workloads exist and
-	// it is bounded — and names the job: content key and execution. A
-	// sweep's specs, decoded inside the sweep's body, enter here.
-	admit func(r *runner.Runner, spec any) (key string, exec execFunc, err error)
 	// load reads a published entry through the kind's result type.
 	load func(st *runner.Store, kind, key string) (json.RawMessage, bool)
 }
 
-// spec is what the three spec types have in common.
-type spec interface {
-	Key() string
-	Validate() error
-}
-
-func newKind[S spec, T any](name, path string, decode func([]byte) (S, error), check func(S) error,
+func newKind[S interface{ Key() string }, T any](name, path string, decode func([]byte) (S, error), check func(S) error,
 	run func(*runner.Runner, context.Context, S) (*T, error)) *kind {
-	admit := func(r *runner.Runner, sp S) (string, execFunc, error) {
-		if err := check(sp); err != nil {
-			return "", nil, err
-		}
-		return sp.Key(), func(ctx context.Context) (any, error) { return run(r, ctx, sp) }, nil
-	}
 	return &kind{
 		name: name, path: path,
 		job: func(r *runner.Runner, body []byte) (string, execFunc, error) {
 			sp, err := decode(body)
+			if err == nil {
+				err = check(sp)
+			}
 			if err != nil {
 				return "", nil, err
 			}
-			return admit(r, sp)
+			return sp.Key(), func(ctx context.Context) (any, error) { return run(r, ctx, sp) }, nil
 		},
-		admit: func(r *runner.Runner, v any) (string, execFunc, error) { return admit(r, v.(S)) },
-		load:  loadResult[T],
+		load: loadResult[T],
 	}
 }
 
-// The kind table. kinds is its order, which is a status poll's lookup
-// order.
+// The kind table.
 var (
 	runKind       = newKind(runner.KindRun, "/v1/runs", sim.DecodeRunSpec, checkRun, (*runner.Runner).Run)
 	multiKind     = newKind(runner.KindMulti, "/v1/multi", sim.DecodeMultiSpec, checkMulti, (*runner.Runner).RunMulti)

@@ -616,3 +616,251 @@ func TestReadReply(t *testing.T) {
 		t.Errorf("reading a 5 kB body allocates %v times with its length stated, %v without; want the growth saved", with, without)
 	}
 }
+
+// Tests of the kind on every route: status, events and admission.
+
+// getStatus GETs a status route and decodes the reply when it is a 200.
+func getStatus(t *testing.T, url string) (int, JobStatus) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := readAllBody(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	if resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(rb, &st); err != nil {
+			t.Fatalf("GET %s: %v: %.200s", url, err, rb)
+		}
+	}
+	return resp.StatusCode, st
+}
+
+// readEvents reads an event stream to its end: JSONL, or with sse the
+// frames a text/event-stream client gets, each of which must be an
+// `event: state` frame.
+func readEvents(t *testing.T, url string, sse bool) (int, []JobStatus) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantType, sep, prefix := "application/x-ndjson", "\n", ""
+	if sse {
+		req.Header.Set("Accept", "text/event-stream")
+		wantType, sep, prefix = "text/event-stream", "\n\n", "event: state\ndata: "
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := readAllBody(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != wantType {
+		t.Errorf("GET %s: Content-Type %q, want %q", url, ct, wantType)
+	}
+	frames := strings.Split(string(rb), sep)
+	if frames[len(frames)-1] != "" {
+		t.Errorf("GET %s: stream ends mid-frame: %q", url, rb)
+	}
+	var evs []JobStatus
+	for _, frame := range frames[:len(frames)-1] {
+		data, ok := strings.CutPrefix(frame, prefix)
+		var st JobStatus
+		if err := json.Unmarshal([]byte(data), &st); !ok || err != nil {
+			t.Fatalf("GET %s: bad frame %q: %v", url, frame, err)
+		}
+		evs = append(evs, st)
+	}
+	return resp.StatusCode, evs
+}
+
+// TestKindRoutes: a job is its kind and its key on every route. An
+// analysis and a footprint of one AnalysisSpec share a content key; each
+// row's status route answers with the row's own result, and its event
+// stream (JSONL and SSE) with the row's own state, both live and after a
+// restart over the store. The other rows' routes do not know the key.
+// Before the status and events routes named the kind, the footprint's key
+// was answered with the analysis, which decodes to an all-zero
+// crisp.Footprint.
+func TestKindRoutes(t *testing.T) {
+	pipe := runner.AnalysisSpec{Workload: "pointerchase", Insts: 20_000, Opts: crisp.DefaultOptions()}
+	key := pipe.Key()
+	rows := []*kind{analysisKind, footprintKind}
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Options{Workers: 2, Store: dir})
+	posted := map[*kind][]byte{}
+	for _, k := range rows {
+		resp, rb := postSpec(t, ts1.URL+k.path+"?wait=1", pipe)
+		var st JobStatus
+		if err := json.Unmarshal(rb, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone || st.Key != key {
+			t.Fatalf("POST %s?wait=1: HTTP %d: %.200s", k.path, resp.StatusCode, rb)
+		}
+		posted[k] = st.Result
+	}
+	var fp crisp.Footprint
+	if err := json.Unmarshal(posted[footprintKind], &fp); err != nil || fp.StaticBytesBase == 0 {
+		t.Fatalf("the footprint POST's result %.200s (%v) is not a footprint", posted[footprintKind], err)
+	}
+
+	check := func(t *testing.T, url string) {
+		t.Helper()
+		for _, k := range rows {
+			code, st := getStatus(t, url+k.path+"/"+key)
+			if code != http.StatusOK || st.Kind != k.name || st.State != StateDone || !bytes.Equal(st.Result, posted[k]) {
+				t.Errorf("GET %s/{key}: HTTP %d, kind %q, state %s, result %.80s; want the %s POST's result", k.path, code, st.Kind, st.State, st.Result, k.name)
+			}
+			for _, sse := range []bool{false, true} {
+				code, evs := readEvents(t, url+k.path+"/"+key+"/events", sse)
+				if code != http.StatusOK || len(evs) != 1 || evs[0].Kind != k.name || evs[0].Key != key || evs[0].State != StateDone || evs[0].Result != nil {
+					t.Errorf("GET %s/{key}/events (sse %v): HTTP %d, events %+v; want one done %s snapshot", k.path, sse, code, evs, k.name)
+				}
+			}
+		}
+		for _, k := range []*kind{runKind, multiKind} {
+			if code, _ := getStatus(t, url+k.path+"/"+key); code != http.StatusNotFound {
+				t.Errorf("GET %s/{key} of a pipeline key: HTTP %d, want 404", k.path, code)
+			}
+			if code, _ := readEvents(t, url+k.path+"/"+key+"/events", false); code != http.StatusNotFound {
+				t.Errorf("GET %s/{key}/events of a pipeline key: HTTP %d, want 404", k.path, code)
+			}
+		}
+	}
+	t.Run("live", func(t *testing.T) { check(t, ts1.URL) })
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("store", func(t *testing.T) {
+		s2, ts2 := newTestServer(t, Options{Workers: 2, Store: dir})
+		check(t, ts2.URL)
+		if st := s2.Runner().Stats(); st.Started != 0 {
+			t.Errorf("the restarted server started %d tasks", st.Started)
+		}
+	})
+}
+
+// TestEventsSSE: a client that asks for text/event-stream follows a live
+// job in `event: state` frames to its terminal state.
+func TestEventsSSE(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	spec := fastSpec()
+	if resp, rb := postSpec(t, ts.URL+"/v1/runs", spec); resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
+	}
+	code, evs := readEvents(t, ts.URL+"/v1/runs/"+spec.Key()+"/events", true)
+	if code != http.StatusOK || len(evs) == 0 {
+		t.Fatalf("HTTP %d, %d events", code, len(evs))
+	}
+	for _, ev := range evs {
+		if ev.Key != spec.Key() || ev.Kind != runner.KindRun {
+			t.Errorf("event %+v, want key %s kind run", ev, spec.Key())
+		}
+	}
+	if last := evs[len(evs)-1]; last.State != StateDone {
+		t.Errorf("stream ended at state %s, want done", last.State)
+	}
+}
+
+// TestDrainAnswersHeld: a submission is a sweep of one spec, so both POST
+// paths admit alike while draining: fresh work is refused with 503 and
+// held results are answered. A sweep of one spec the table holds and one
+// only the store holds gets 202 with both done; the same sweep with one
+// fresh spec more gets 503 and starts nothing.
+func TestDrainAnswersHeld(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, Store: t.TempDir()})
+	inTable, inStore := fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
+	fresh := sim.RunSpec{Workload: "pointerchase", Insts: 22_000}
+	serveResult(t, ts.URL, inTable)
+	publish(t, s, inStore, 1234)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(runs ...sim.RunSpec) (int, []byte) {
+		t.Helper()
+		body, _ := json.Marshal(SweepRequest{Runs: runs})
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := readAllBody(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, rb
+	}
+	executed := s.Runner().Stats().Executed
+
+	code, rb := sweep(inTable, inStore)
+	var sr SweepResponse
+	if err := json.Unmarshal(rb, &sr); code != http.StatusAccepted || err != nil || len(sr.Jobs) != 2 {
+		t.Fatalf("sweep of held specs while draining: HTTP %d: %s; want 202 and two statuses", code, rb)
+	}
+	for i, spec := range []sim.RunSpec{inTable, inStore} {
+		if st := sr.Jobs[i]; st.Key != spec.Key() || st.State != StateDone || st.Result != nil {
+			t.Errorf("job %d: %+v, want done under %s without a result", i, st, spec.Key())
+		}
+	}
+	if code, rb := sweep(inTable, inStore, fresh); code != http.StatusServiceUnavailable {
+		t.Errorf("sweep with a fresh spec while draining: HTTP %d: %s; want 503", code, rb)
+	}
+	serveResult(t, ts.URL, inStore) // a single held spec is answered
+	if resp, rb := postSpec(t, ts.URL+"/v1/runs", fresh); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("fresh submission while draining: HTTP %d: %s; want 503", resp.StatusCode, rb)
+	}
+	if code, _ := getStatus(t, ts.URL+"/v1/runs/"+fresh.Key()); code != http.StatusNotFound {
+		t.Errorf("the refused spec has a status: HTTP %d, want 404", code)
+	}
+	if now := s.Runner().Stats().Executed; now != executed {
+		t.Errorf("Executed %d -> %d while draining", executed, now)
+	}
+}
+
+// TestAdmitConcurrent: sweeps and single submissions of two overlapping
+// specs race through the one admission path; each spec is simulated once,
+// and every reply names its own key. Run with -race.
+func TestAdmitConcurrent(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 2})
+	a, b := fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
+	sweep, _ := json.Marshal(SweepRequest{Runs: []sim.RunSpec{a, b, a}})
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				rec := httptest.NewRecorder()
+				if (g+n)%2 == 0 {
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(sweep)))
+					var sr SweepResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusAccepted || len(sr.Jobs) != 3 ||
+						sr.Jobs[0].Key != a.Key() || sr.Jobs[1].Key != b.Key() || sr.Jobs[2].Key != a.Key() {
+						t.Errorf("goroutine %d: sweep: HTTP %d: %s", g, rec.Code, rec.Body)
+						return
+					}
+					continue
+				}
+				spec := []sim.RunSpec{a, b}[n%2]
+				body, _ := json.Marshal(spec)
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
+				var st JobStatus
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK || st.State != StateDone || st.Key != spec.Key() {
+					t.Errorf("goroutine %d: submission: HTTP %d: %.200s", g, rec.Code, rec.Body)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if ex := s.Runner().Stats().Executed; ex != 2 {
+		t.Errorf("Executed = %d, want 2", ex)
+	}
+}

@@ -1,7 +1,7 @@
 // Package crispd implements the sweep job server: a long-lived HTTP
 // service in front of the runner/store machinery that accepts specs of
 // the kinds in its kind table (kinds.go: one row per kind, from which the
-// routes, the admission gate, the store loaders and the client's paths
+// routes, the decoder and gate, the store loaders and the client's paths
 // all come) from many clients, deduplicates them against its job table
 // and the persistent store, executes them on a bounded worker pool, and
 // streams progress.
@@ -24,10 +24,10 @@
 //     Retry-After rather than unbounded memory growth;
 //   - resubmission is idempotent: a key that is queued, running or done
 //     attaches, a failed key restarts;
-//   - SIGTERM drains gracefully: new work is refused (503), in-flight
-//     jobs finish and publish to the store, locks are released; if the
-//     drain deadline expires the jobs are cancelled, which also
-//     releases their locks.
+//   - SIGTERM drains gracefully: fresh work is refused (503) while held
+//     results are still answered, in-flight jobs finish and publish to
+//     the store, locks are released; if the drain deadline expires the
+//     jobs are cancelled, which also releases their locks.
 package crispd
 
 import (
@@ -88,8 +88,9 @@ type Server struct {
 // beyond the distinct keys of a figure sweep, and small next to the
 // simulator's own heap. It is a constant, not a knob: an entry that leaves
 // is read back from the store when next asked for, so no workload needs
-// another value to be correct. Without a store nothing leaves, because the
-// entry is the only copy.
+// another value to be correct. Without a store nothing leaves: the runner
+// memo keeps the decoded result, but only a submission reaches it, so a
+// status poll would no longer find the key.
 const resultCacheBudget = 64 << 20
 
 // jobID names a table entry: an analysis and a footprint of one
@@ -191,8 +192,8 @@ var (
 	errBusy     = errors.New("crispd: job queue full")
 )
 
-// refuse answers a submission the queue did not take: 503 while
-// draining, 429 with Retry-After when full.
+// refuse answers a submission admit did not take: 503 while draining,
+// 429 with Retry-After when full.
 func refuse(w http.ResponseWriter, err error) {
 	code := http.StatusServiceUnavailable
 	if errors.Is(err, errBusy) {
@@ -202,30 +203,9 @@ func refuse(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), code)
 }
 
-// submitLocked attaches to a live or done entry for id or starts a new
-// job. Callers hold s.mu and have already looked id up (lookup).
-func (s *Server) submitLocked(id jobID, timeout time.Duration, exec execFunc) (*job, error) {
-	if s.draining {
-		return nil, errDraining
-	}
-	if j, ok := s.jobs[id]; ok && j.state != StateFailed {
-		return j, nil // idempotent: queued/running attaches, done returns
-	}
-	if s.active >= s.queueLimit {
-		return nil, errBusy
-	}
-	j := &job{id: id, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
-	s.jobs[id] = j // a failed predecessor is replaced: resubmission restarts
-	s.active++
-	s.wg.Add(1)
-	go s.execute(j, timeout, exec)
-	return j, nil
-}
-
 // execute runs one job to completion on the server's job context, with
-// the submission's deadline (if any) layered on top — this is the
-// per-request deadline the issue promises: it flows into sim.RunContext
-// and stops the cycle loop mid-simulation.
+// the submission's deadline (if any) layered on top: it flows into
+// sim.RunContext and stops the cycle loop mid-simulation.
 func (s *Server) execute(j *job, timeout time.Duration, exec execFunc) {
 	defer s.wg.Done()
 	ctx := s.jobsCtx
@@ -297,46 +277,31 @@ func (j *job) notifyLocked(task string) {
 	}
 }
 
-// lookup finds key under the first of ks that holds it, in the order
-// every request follows: the table, then the store, then nothing (a
-// submission starts a job). A failed entry holds no result, so the store
-// is asked before it answers. A validated store entry joins the table born
-// done. Hits count done entries served from memory, misses store reads.
-func (s *Server) lookup(key string, ks ...*kind) *job {
-	var failed *job
+// lookup finds the entry for (k, key) in the order every request
+// follows: the table, then the store, then nothing (a submission starts a
+// job). A failed entry holds no result, so the store is asked before it
+// answers. A validated store entry joins the table born done. Hits count
+// done entries served from memory, misses store reads.
+func (s *Server) lookup(k *kind, key string) *job {
+	id := jobID{k.name, key}
 	s.mu.Lock()
-	for _, k := range ks {
-		switch j := s.jobs[jobID{k.name, key}]; {
-		case j == nil:
-		case j.state == StateFailed:
-			if failed == nil {
-				failed = j
-			}
-		default:
-			if j.state == StateDone {
-				s.cache.Hits++
-				s.lru.MoveToFront(j.elem)
-			}
-			s.mu.Unlock()
-			return j
-		}
+	j := s.jobs[id]
+	if j != nil && j.state == StateDone {
+		s.cache.Hits++
+		s.lru.MoveToFront(j.elem)
 	}
 	s.mu.Unlock()
-	if !s.stored {
-		return failed
+	if !s.stored || live(j) {
+		return j
 	}
-	for _, k := range ks {
-		raw, ok := k.load(s.r.Store(), k.name, key)
-		s.mu.Lock()
-		s.cache.Misses++
-		if ok {
-			j := s.adoptLocked(jobID{k.name, key}, raw)
-			s.mu.Unlock()
-			return j
-		}
-		s.mu.Unlock()
+	raw, ok := k.load(s.r.Store(), k.name, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cache.Misses++
+	if ok {
+		return s.adoptLocked(id, raw)
 	}
-	return failed
+	return s.jobs[id]
 }
 
 // adoptLocked enters a validated store entry into the table, born done,
@@ -344,7 +309,7 @@ func (s *Server) lookup(key string, ks ...*kind) *job {
 // there first stands (a store entry is content-addressed, so its bytes
 // are equal), a failed one is replaced.
 func (s *Server) adoptLocked(id jobID, raw json.RawMessage) *job {
-	if j := s.jobs[id]; j != nil && j.state != StateFailed {
+	if j := s.jobs[id]; live(j) {
 		return j
 	}
 	j := &job{id: id, state: StateDone, raw: raw, done: make(chan struct{})}
@@ -375,11 +340,11 @@ func (s *Server) keepLocked(j *job) {
 	}
 }
 
-// subscribe registers a progress listener for key, returning the
+// subscribe registers a progress listener for (k, key), returning the
 // current status alongside. A nil channel with ok=true means the job is
 // already terminal: the snapshot is all there is to stream.
-func (s *Server) subscribe(key string) (cur JobStatus, ch chan JobStatus, cancel func(), ok bool) {
-	j := s.lookup(key, kinds...)
+func (s *Server) subscribe(k *kind, key string) (cur JobStatus, ch chan JobStatus, cancel func(), ok bool) {
+	j := s.lookup(k, key)
 	if j == nil {
 		return JobStatus{}, nil, nil, false
 	}
@@ -446,10 +411,10 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, k := range kinds {
 		mux.HandleFunc("POST "+k.path, func(w http.ResponseWriter, req *http.Request) { s.handleSubmit(w, req, k) })
+		mux.HandleFunc("GET "+k.path+"/{key}", func(w http.ResponseWriter, req *http.Request) { s.handleStatus(w, req, k) })
+		mux.HandleFunc("GET "+k.path+"/{key}/events", func(w http.ResponseWriter, req *http.Request) { s.handleEvents(w, req, k) })
 	}
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweeps)
-	mux.HandleFunc("GET /v1/runs/{key}", s.handleStatus)
-	mux.HandleFunc("GET /v1/runs/{key}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
@@ -503,9 +468,74 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	w.Write(body) //nolint:errcheck // client gone = nothing to do
 }
 
-// handleSubmit is the one submission handler: the row's strict decode
-// and admission gate, the store fast path, queue admission, an optional
-// synchronous wait, the status response.
+// item is one spec on its way through admit: its row and what the row's
+// job made of it, then the entry that answers for it and that entry's
+// status at admission.
+type item struct {
+	k    *kind
+	key  string
+	exec execFunc
+	j    *job
+	st   JobStatus
+}
+
+// live reports whether j is an entry that answers for its id: queued,
+// running or done.
+func live(j *job) bool { return j != nil && j.state != StateFailed }
+
+// admit is the one admission path: a submission is a sweep of one spec.
+// Results this server holds, or another process (or a previous life of
+// this server) published, are found outside the lock and cost no queue
+// slot. The rest are admitted as one atomic step under it: while draining
+// or when the fresh jobs overflow the queue none of them start, since a
+// half-admitted sweep would deadlock clients that wait for all their keys.
+// On success every item holds its entry and status, result included.
+func (s *Server) admit(items []item, timeout time.Duration) error {
+	for i := range items {
+		items[i].j = s.lookup(items[i].k, items[i].key)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh := 0
+	var seen map[jobID]bool // the ids that start a job; made only if there is one
+	for _, it := range items {
+		id := jobID{it.k.name, it.key}
+		if live(it.j) || live(s.jobs[id]) || seen[id] {
+			continue // attaches: to what lookup found, what came since, or what this batch starts
+		}
+		if seen == nil {
+			seen = make(map[jobID]bool, len(items))
+		}
+		seen[id] = true
+		fresh++
+	}
+	switch {
+	case fresh == 0:
+	case s.draining:
+		return errDraining
+	case s.active+fresh > s.queueLimit:
+		return fmt.Errorf("%w: %d new jobs over limit %d", errBusy, fresh, s.queueLimit)
+	}
+	for i := range items {
+		it := &items[i]
+		id := jobID{it.k.name, it.key}
+		if !live(it.j) {
+			it.j = s.jobs[id]
+		}
+		if !live(it.j) { // a new job; a failed predecessor is replaced, so resubmission restarts
+			it.j = &job{id: id, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
+			s.jobs[id] = it.j
+			s.active++
+			s.wg.Add(1)
+			go s.execute(it.j, timeout, it.exec)
+		}
+		it.st = it.j.statusLocked(true)
+	}
+	return nil
+}
+
+// handleSubmit is the one submission handler: the row's job, admission,
+// an optional synchronous wait, the status response.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind) {
 	body, ok := readBody(w, req)
 	if !ok {
@@ -520,28 +550,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// A result this server holds, or another process (or a previous life
-	// of this server) published, is served without costing a queue slot.
-	j := s.lookup(key, k)
-	s.mu.Lock()
-	if j == nil || j.state == StateFailed {
-		j, err = s.submitLocked(jobID{k.name, key}, timeout, exec)
-	}
-	s.mu.Unlock()
-	if err != nil {
+	it := [1]item{{k: k, key: key, exec: exec}}
+	if err := s.admit(it[:], timeout); err != nil {
 		refuse(w, err)
 		return
 	}
-	if wantWait(req) {
+	st := it[0].st
+	if wantWait(req) && !st.State.terminal() {
 		select {
-		case <-j.done:
+		case <-it[0].j.done:
 		case <-req.Context().Done():
 			return // client gone; the job keeps running for other attachers
 		}
+		s.mu.Lock()
+		st = it[0].j.statusLocked(true)
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	st := j.statusLocked(true)
-	s.mu.Unlock()
 	code := http.StatusAccepted
 	if st.State.terminal() {
 		code = http.StatusOK
@@ -549,31 +573,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 	writeStatus(w, code, st)
 }
 
-// sweepItem is one spec of a sweep, admitted, and the entry lookup found
-// for it.
-type sweepItem struct {
-	k    *kind
-	key  string
-	exec execFunc
-	j    *job
-}
-
-// admitAll runs one list of a sweep through its kind's admission gate.
-// The specs arrived inside the sweep's strictly decoded body, not through
-// the row's decode, so their own Validate runs here.
-func admitAll[S spec](r *runner.Runner, k *kind, field string, specs []S, items []sweepItem) ([]sweepItem, error) {
-	for i, sp := range specs {
-		err := sp.Validate()
-		it := sweepItem{k: k}
-		if err == nil {
-			it.key, it.exec, err = k.admit(r, sp)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s[%d]: %v", field, i, err)
-		}
-		items = append(items, it)
-	}
-	return items, nil
+// sweepBody is SweepRequest as the server reads it: each spec stays raw
+// until its row's job decodes it.
+type sweepBody struct {
+	Runs    []json.RawMessage `json:"runs"`
+	Multis  []json.RawMessage `json:"multis"`
+	Timeout string            `json:"timeout"`
 }
 
 func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
@@ -581,89 +586,51 @@ func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	var sr SweepRequest
-	if err := sim.DecodeStrict(body, &sr); err != nil {
+	var sb sweepBody
+	if err := sim.DecodeStrict(body, &sb); err != nil {
 		http.Error(w, fmt.Sprintf("decode sweep: %v", err), http.StatusBadRequest)
 		return
 	}
 	var timeout time.Duration
-	if sr.Timeout != "" {
+	if sb.Timeout != "" {
 		var err error
-		if timeout, err = time.ParseDuration(sr.Timeout); err != nil || timeout < 0 {
-			http.Error(w, fmt.Sprintf("bad sweep timeout %q", sr.Timeout), http.StatusBadRequest)
+		if timeout, err = time.ParseDuration(sb.Timeout); err != nil || timeout < 0 {
+			http.Error(w, fmt.Sprintf("bad sweep timeout %q", sb.Timeout), http.StatusBadRequest)
 			return
 		}
 	}
-
-	items, err := admitAll(s.r, runKind, "runs", sr.Runs, make([]sweepItem, 0, len(sr.Runs)+len(sr.Multis)))
-	if err == nil {
-		items, err = admitAll(s.r, multiKind, "multis", sr.Multis, items)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	// Lookup pass outside the lock: held and published results cost no
-	// queue slot. The store step is a validated read, not Store.Has: a
-	// torn entry reported "done" here could never be fetched (the status
-	// poll deletes it and answers 404), so it is a miss and is submitted.
-	for i := range items {
-		items[i].j = s.lookup(items[i].key, items[i].k)
-	}
-
-	// Admission and submission are one atomic step: either the whole
-	// batch fits the queue or none of it starts (a half-admitted sweep
-	// would deadlock clients that wait for all their keys).
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		refuse(w, errDraining)
-		return
-	}
-	fresh := 0
-	seen := make(map[jobID]bool, len(items))
-	for _, it := range items {
-		id := jobID{it.k.name, it.key}
-		if it.held() || seen[id] {
-			continue
-		}
-		seen[id] = true
-		if j, ok := s.jobs[id]; !ok || j.state == StateFailed {
-			fresh++
-		}
-	}
-	if s.active+fresh > s.queueLimit {
-		s.mu.Unlock()
-		refuse(w, fmt.Errorf("%w: %d new jobs over limit %d", errBusy, fresh, s.queueLimit))
-		return
-	}
-	resp := SweepResponse{Jobs: make([]JobStatus, 0, len(items))}
-	for _, it := range items {
-		j := it.j
-		if !it.held() {
-			if j, err = s.submitLocked(jobID{it.k.name, it.key}, timeout, it.exec); err != nil {
-				// capacity was pre-checked, draining seen under this lock: cannot happen
-				s.mu.Unlock()
-				refuse(w, err)
-				return
+	items := make([]item, 0, len(sb.Runs)+len(sb.Multis))
+	add := func(k *kind, field string, specs []json.RawMessage) bool {
+		for i, raw := range specs {
+			key, exec, err := k.job(s.r, raw)
+			if err != nil {
+				http.Error(w, fmt.Sprintf("%s[%d]: %v", field, i, err), http.StatusBadRequest)
+				return false
 			}
+			items = append(items, item{k: k, key: key, exec: exec})
 		}
-		resp.Jobs = append(resp.Jobs, j.statusLocked(false))
+		return true
 	}
-	s.mu.Unlock()
+	if !add(runKind, "runs", sb.Runs) || !add(multiKind, "multis", sb.Multis) {
+		return
+	}
+	if err := s.admit(items, timeout); err != nil {
+		refuse(w, err)
+		return
+	}
+	resp := SweepResponse{Jobs: make([]JobStatus, len(items))}
+	for i, it := range items {
+		resp.Jobs[i] = it.st
+		resp.Jobs[i].Result = nil
+	}
 	writeJSON(w, http.StatusAccepted, resp)
 }
 
-// held reports whether lookup found a live or done entry for the item.
-// Callers hold s.mu.
-func (it sweepItem) held() bool { return it.j != nil && it.j.state != StateFailed }
-
-func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
+func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request, k *kind) {
 	key := req.PathValue("key")
-	j := s.lookup(key, kinds...)
+	j := s.lookup(k, key)
 	if j == nil {
-		http.Error(w, "unknown job key "+key, http.StatusNotFound)
+		http.Error(w, "unknown "+k.name+" key "+key, http.StatusNotFound)
 		return
 	}
 	s.mu.Lock()
@@ -672,11 +639,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	writeStatus(w, http.StatusOK, st)
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
+func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request, k *kind) {
 	key := req.PathValue("key")
-	cur, ch, cancel, ok := s.subscribe(key)
+	cur, ch, cancel, ok := s.subscribe(k, key)
 	if !ok {
-		http.Error(w, "unknown job key "+key, http.StatusNotFound)
+		http.Error(w, "unknown "+k.name+" key "+key, http.StatusNotFound)
 		return
 	}
 	defer cancel()

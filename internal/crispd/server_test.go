@@ -325,10 +325,9 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	}
 }
 
-// status polls GET /v1/runs/{key}, which names no kind: the first kind in
-// table order that holds the key answers.
-func status[T any](ctx context.Context, c *Client, key string) (reply[T], error) {
-	resp, rb, err := c.do(ctx, http.MethodGet, "/v1/runs/"+key, nil)
+// status polls GET {path}/{key}, the status route of path's kind.
+func status[T any](ctx context.Context, c *Client, path, key string) (reply[T], error) {
+	resp, rb, err := c.do(ctx, http.MethodGet, path+"/"+key, nil)
 	if err != nil {
 		return reply[T]{}, err
 	}
@@ -343,7 +342,7 @@ func pollTerminal(t *testing.T, url, key string) reply[core.Result] {
 	t.Helper()
 	c := NewClient(url)
 	for {
-		rep, err := status[core.Result](context.Background(), c, key)
+		rep, err := status[core.Result](context.Background(), c, runKind.path, key)
 		if err != nil {
 			t.Fatalf("poll %s: %v", key, err)
 		}
@@ -640,7 +639,7 @@ func TestSharedSimulations(t *testing.T) {
 // TestKindTable walks the kind table: each row's route takes the row's
 // spec and answers with the row's kind — 202 or 200 at once, 200 and the
 // result when waited for; after a restart over the same store the entry is
-// served with nothing executed, and a status poll of the key finds it. The
+// served with nothing executed, and the row's status route finds it. The
 // analysis and footprint rows post one spec, so one content key: a job is
 // its kind and its key.
 func TestKindTable(t *testing.T) {
@@ -712,7 +711,7 @@ func TestKindTable(t *testing.T) {
 		if code != http.StatusOK || st.State != StateDone || st.Key != keys[k] || !decoded[k](st.Result) {
 			t.Errorf("%s after the restart: HTTP %d, state %s, key %s, result %.60s", k.path, code, st.State, st.Key, st.Result)
 		}
-		resp, err := http.Get(ts2.URL + "/v1/runs/" + keys[k])
+		resp, err := http.Get(ts2.URL + k.path + "/" + keys[k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -722,7 +721,7 @@ func TestKindTable(t *testing.T) {
 		}
 		var got JobStatus
 		if err := json.Unmarshal(rb, &got); err != nil || resp.StatusCode != http.StatusOK || got.State != StateDone {
-			t.Errorf("GET /v1/runs/%s: HTTP %d: %.80s", keys[k], resp.StatusCode, rb)
+			t.Errorf("GET %s/%s: HTTP %d: %.80s", k.path, keys[k], resp.StatusCode, rb)
 		}
 	}
 	if st := s2.Runner().Stats(); st.Started != 0 {

@@ -308,7 +308,7 @@ type Hists struct {
 	// MLPAtMiss is the number of outstanding DRAM misses observed when a
 	// DRAM-served load issues (memory-level parallelism at miss time).
 	MLPAtMiss Hist `json:"mlp_at_miss"`
-	// Occupancy samples, taken every OccSampleEvery cycles.
+	// Occupancy samples, taken every 256 cycles (core.occMask).
 	OccROB  Hist `json:"occ_rob"`
 	OccRS   Hist `json:"occ_rs"`
 	OccLQ   Hist `json:"occ_lq"`
