@@ -73,7 +73,8 @@ type JobStatus struct {
 // through its kind's own decoder, and the batch through the admission a
 // single submission takes: the server dedups each spec against the job
 // table, the store and the runner's single-flight before it costs a queue
-// slot.
+// slot. The server reads it as sweepBody, whose fields must name the same
+// JSON fields (TestSweepBodyMatchesSweepRequest checks them).
 type SweepRequest struct {
 	Runs   []sim.RunSpec   `json:"runs,omitempty"`
 	Multis []sim.MultiSpec `json:"multis,omitempty"`

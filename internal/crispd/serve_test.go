@@ -827,40 +827,113 @@ func TestDrainAnswersHeld(t *testing.T) {
 // specs race through the one admission path; each spec is simulated once,
 // and every reply names its own key. Run with -race.
 func TestAdmitConcurrent(t *testing.T) {
-	s, _ := newTestServer(t, Options{Workers: 2})
-	a, b := fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
-	sweep, _ := json.Marshal(SweepRequest{Runs: []sim.RunSpec{a, b, a}})
+	// With a store, lookup also reads the entries of jobs still queued
+	// or running, so -race sees it against their state changes.
+	for _, name := range []string{"memory", "store"} {
+		t.Run(name, func(t *testing.T) {
+			opts := Options{Workers: 2}
+			if name == "store" {
+				opts.Store = t.TempDir()
+			}
+			s, _ := newTestServer(t, opts)
+			a, b := fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
+			sweep, _ := json.Marshal(SweepRequest{Runs: []sim.RunSpec{a, b, a}})
+			h := s.Handler()
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for n := 0; n < 20; n++ {
+						rec := httptest.NewRecorder()
+						if (g+n)%2 == 0 {
+							h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(sweep)))
+							var sr SweepResponse
+							if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusAccepted || len(sr.Jobs) != 3 ||
+								sr.Jobs[0].Key != a.Key() || sr.Jobs[1].Key != b.Key() || sr.Jobs[2].Key != a.Key() {
+								t.Errorf("goroutine %d: sweep: HTTP %d: %s", g, rec.Code, rec.Body)
+								return
+							}
+							continue
+						}
+						spec := []sim.RunSpec{a, b}[n%2]
+						body, _ := json.Marshal(spec)
+						h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
+						var st JobStatus
+						if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK || st.State != StateDone || st.Key != spec.Key() {
+							t.Errorf("goroutine %d: submission: HTTP %d: %.200s", g, rec.Code, rec.Body)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if ex := s.Runner().Stats().Executed; ex != 2 {
+				t.Errorf("Executed = %d, want 2", ex)
+			}
+		})
+	}
+}
+
+// TestStatusPollsLiveJobs: status polls on a server with a store race
+// the state changes of a sweep's jobs from queued to done; each poll
+// reads an entry's state under the table's lock. Run with -race.
+func TestStatusPollsLiveJobs(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1, Store: t.TempDir()})
+	var sweep SweepRequest
+	for i := 0; i < 12; i++ {
+		sweep.Runs = append(sweep.Runs, sim.RunSpec{Workload: "pointerchase", Insts: 20_000 + 1000*uint64(i)})
+	}
+	body, _ := json.Marshal(sweep)
 	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("sweep: HTTP %d: %s", rec.Code, rec.Body)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for n := 0; n < 20; n++ {
-				rec := httptest.NewRecorder()
-				if (g+n)%2 == 0 {
-					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(sweep)))
-					var sr SweepResponse
-					if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusAccepted || len(sr.Jobs) != 3 ||
-						sr.Jobs[0].Key != a.Key() || sr.Jobs[1].Key != b.Key() || sr.Jobs[2].Key != a.Key() {
-						t.Errorf("goroutine %d: sweep: HTTP %d: %s", g, rec.Code, rec.Body)
+			for _, spec := range sweep.Runs {
+				for {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+spec.Key(), nil))
+					var st JobStatus
+					if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK || st.Key != spec.Key() {
+						t.Errorf("poll: HTTP %d: %.200s", rec.Code, rec.Body)
 						return
 					}
-					continue
-				}
-				spec := []sim.RunSpec{a, b}[n%2]
-				body, _ := json.Marshal(spec)
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
-				var st JobStatus
-				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK || st.State != StateDone || st.Key != spec.Key() {
-					t.Errorf("goroutine %d: submission: HTTP %d: %.200s", g, rec.Code, rec.Body)
-					return
+					if st.State == StateDone {
+						break
+					}
+					if st.State.terminal() {
+						t.Errorf("poll: state %s: %s", st.State, st.Error)
+						return
+					}
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if ex := s.Runner().Stats().Executed; ex != 2 {
-		t.Errorf("Executed = %d, want 2", ex)
+}
+
+// TestSweepBodyMatchesSweepRequest: the server reads a sweep as
+// sweepBody, which keeps each spec raw for its row's decoder, and clients
+// marshal SweepRequest. The two name the same JSON fields, so a field
+// added to one and not the other fails here, not in every client sweep.
+func TestSweepBodyMatchesSweepRequest(t *testing.T) {
+	jsonNames := func(typ reflect.Type) map[string]string {
+		names := map[string]string{}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			names[f.Name], _, _ = strings.Cut(f.Tag.Get("json"), ",")
+		}
+		return names
+	}
+	req, body := jsonNames(reflect.TypeFor[SweepRequest]()), jsonNames(reflect.TypeFor[sweepBody]())
+	if !reflect.DeepEqual(req, body) {
+		t.Errorf("SweepRequest fields %v, sweepBody fields %v; want the same JSON names", req, body)
 	}
 }

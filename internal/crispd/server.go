@@ -290,8 +290,9 @@ func (s *Server) lookup(k *kind, key string) *job {
 		s.cache.Hits++
 		s.lru.MoveToFront(j.elem)
 	}
+	held := live(j)
 	s.mu.Unlock()
-	if !s.stored || live(j) {
+	if !s.stored || held {
 		return j
 	}
 	raw, ok := k.load(s.r.Store(), k.name, key)
@@ -573,8 +574,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 	writeStatus(w, code, st)
 }
 
-// sweepBody is SweepRequest as the server reads it: each spec stays raw
-// until its row's job decodes it.
+// sweepBody is SweepRequest as the server reads it, each spec raw for its
+// row's job; TestSweepBodyMatchesSweepRequest keeps their fields in step.
 type sweepBody struct {
 	Runs    []json.RawMessage `json:"runs"`
 	Multis  []json.RawMessage `json:"multis"`
