@@ -2,15 +2,56 @@ package sim_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
+	"crisp/internal/emu"
+	"crisp/internal/isa"
+	"crisp/internal/program"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
+
+// strideSetSHA256 is the sha-256 of the set TestCaptureSetBytes captures,
+// as container version 5 encodes it: the four variants of a one-core set,
+// bop+stream, stride, ghb and none, each with its warmed hierarchy and
+// prefetcher tables.
+const strideSetSHA256 = "3ded9138214ae2b4e6eedc93b6545b7c887b1f2b4c35c346eff07fa56b153a99"
+
+// TestCaptureSetBytes pins the bytes of a one-core checkpoint set, so that
+// a change to how a prefetcher is built, cloned or encoded that moves any
+// variant's warmed state or its encoding fails here. The program is a load
+// loop of stride 72 bytes: every 8th line is skipped, so the stream and
+// stride tables, BOP's offset scores and GHB's deltas all train.
+func TestCaptureSetBytes(t *testing.T) {
+	b := program.NewBuilder("stride72")
+	b.MovI(isa.R(3), 0x200000)
+	b.MovI(isa.R(4), 0)
+	b.MovI(isa.R(5), 1<<20)
+	b.Label("loop")
+	b.Load(isa.R(8), isa.R(3), 0)
+	b.AddI(isa.R(3), isa.R(3), 72)
+	b.AddI(isa.R(4), isa.R(4), 1)
+	b.Blt(isa.R(4), isa.R(5), "loop")
+	b.Halt()
+	img := &sim.Image{Prog: b.MustBuild(), Mem: emu.NewMemory()}
+	set, err := sim.CaptureCheckpointsContext(context.Background(), img, sim.DefaultConfig(), sim.Sampling{Warm: 20_000, Window: 2_000, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Points) != 3 || len(set.Points[0].Variants) != 4 {
+		t.Fatalf("set has %d points of %d variants, want 3 of 4", len(set.Points), len(set.Points[0].Variants))
+	}
+	set.HostNS = 0 // wall time legitimately differs
+	if got := fmt.Sprintf("%x", sha256.Sum256(checkpoint.EncodeSet(set, "stride72"))); got != strideSetSHA256 {
+		t.Errorf("one-core set hashes to %s, want %s", got, strideSetSHA256)
+	}
+}
 
 // TestSampledFromDecodedSet pins the property the persistent checkpoint
 // store depends on: a set serialized to disk and decoded back must
