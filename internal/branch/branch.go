@@ -1,7 +1,7 @@
 // Package branch implements the branch-prediction structures of the
 // simulated frontend: a TAGE direction predictor (the paper's Table 1
-// baseline), simpler gshare/bimodal alternatives, a set-associative branch
-// target buffer, and a return address stack.
+// baseline), a perfect predictor for the perfect-BP studies, a
+// set-associative branch target buffer, and a return address stack.
 //
 // Predictors follow the trace-driven convention: PredictAndTrain returns
 // the prediction for a branch and immediately trains on the actual
@@ -22,51 +22,6 @@ type Perfect struct{}
 
 // PredictAndTrain returns the actual outcome.
 func (Perfect) PredictAndTrain(_ uint64, actual bool) bool { return actual }
-
-// Bimodal is a classic PC-indexed table of 2-bit saturating counters.
-type Bimodal struct {
-	ctrs []int8
-	mask uint64
-}
-
-// NewBimodal returns a bimodal predictor with 2^logSize counters.
-func NewBimodal(logSize int) *Bimodal {
-	n := 1 << logSize
-	b := &Bimodal{ctrs: make([]int8, n), mask: uint64(n - 1)}
-	return b
-}
-
-// PredictAndTrain implements Predictor.
-func (b *Bimodal) PredictAndTrain(pc uint64, actual bool) bool {
-	i := pc & b.mask
-	pred := b.ctrs[i] >= 0
-	b.ctrs[i] = sat(b.ctrs[i], actual, -2, 1)
-	return pred
-}
-
-// Gshare is a global-history XOR-indexed 2-bit counter predictor.
-type Gshare struct {
-	ctrs    []int8
-	mask    uint64
-	history uint64
-	histLen uint
-}
-
-// NewGshare returns a gshare predictor with 2^logSize counters and the
-// given history length (<= 64).
-func NewGshare(logSize int, histLen uint) *Gshare {
-	n := 1 << logSize
-	return &Gshare{ctrs: make([]int8, n), mask: uint64(n - 1), histLen: histLen}
-}
-
-// PredictAndTrain implements Predictor.
-func (g *Gshare) PredictAndTrain(pc uint64, actual bool) bool {
-	i := (pc ^ g.history) & g.mask
-	pred := g.ctrs[i] >= 0
-	g.ctrs[i] = sat(g.ctrs[i], actual, -2, 1)
-	g.history = ((g.history << 1) | b2u(actual)) & ((1 << g.histLen) - 1)
-	return pred
-}
 
 func sat(c int8, up bool, lo, hi int8) int8 {
 	if up {

@@ -27,7 +27,8 @@ func emulatorOver(img *sim.Image) *emu.Emulator {
 // of mcf streamed into one warmed variant (stride) and into the four a
 // sweep's capture warms, no skip phase and a single snapshot. It captures
 // through the one-core test helper (CaptureOne, over Capture); a parent
-// from before Capture replaced CaptureContext needs the call renamed:
+// from before Capture replaced CaptureContext needs the call renamed, and
+// one from before BOPStream builds the pair as a prefetch.Composite:
 //
 //	go test -run '^$' -bench CaptureWarm -benchtime 20x ./internal/checkpoint
 func BenchmarkCaptureWarm(b *testing.B) {
@@ -37,9 +38,7 @@ func BenchmarkCaptureWarm(b *testing.B) {
 		mk   func() prefetch.Prefetcher
 	}{
 		{"stride", func() prefetch.Prefetcher { return prefetch.NewStride(256) }},
-		{"bop+stream", func() prefetch.Prefetcher {
-			return &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}}
-		}},
+		{"bop+stream", func() prefetch.Prefetcher { return prefetch.NewBOPStream() }},
 		{"ghb", func() prefetch.Prefetcher { return prefetch.NewGHB(512) }},
 		{"none", func() prefetch.Prefetcher { return nil }},
 	}

@@ -35,14 +35,17 @@ import (
 // prefetcher warming), followed by a Window-instruction detailed region.
 // The detailed region is also executed functionally (with warming) by the
 // capture pass so the next window's state includes it.
+// It is also a spec's sampling clause (sim.Sampling), so its JSON names
+// are part of every sampled spec's content key.
 type Params struct {
-	Skip   uint64
-	Warm   uint64
-	Window uint64
-	Count  int
+	Skip   uint64 `json:"skip,omitempty"`
+	Warm   uint64 `json:"warm,omitempty"`
+	Window uint64 `json:"window"`
+	Count  int    `json:"count"`
 }
 
-// Total returns the instruction budget the schedule covers.
+// Total returns the instruction budget the schedule covers: the
+// full-detail run it stands in for would simulate this many instructions.
 func (p Params) Total() uint64 { return (p.Skip + p.Warm + p.Window) * uint64(p.Count) }
 
 // VariantName names the variant of a per-core prefetcher-kind tuple: the

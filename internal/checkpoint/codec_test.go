@@ -29,7 +29,7 @@ func codecCapture(t *testing.T) *Set {
 		mem.WriteWord(uint64(0x100000+pg*4096), pg)
 	}
 	pfs := map[string]prefetch.Prefetcher{
-		"bop+stream": &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}},
+		"bop+stream": prefetch.NewBOPStream(),
 		"stride":     prefetch.NewStride(256),
 		"ghb":        prefetch.NewGHB(512),
 		"none":       nil,

@@ -59,7 +59,7 @@ func tinySet(t testing.TB) *Set {
 		em.Mem().WriteWord(0x100000+pg*4096, int64(pg))
 	}
 	pfs := map[string]prefetch.Prefetcher{
-		"bop+stream": &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(8)}},
+		"bop+stream": &prefetch.BOPStream{BOP: prefetch.NewBOP(), Stream: prefetch.NewStream(8)},
 		"stride":     prefetch.NewStride(8),
 		"ghb":        prefetch.NewGHB(16),
 		"none":       nil,

@@ -158,7 +158,7 @@ func TestCaptureWarmerMatchesOracle(t *testing.T) {
 		img := workload.ByName(name).Build(workload.Ref)
 		em := emulatorOver(img)
 		pfs := map[string]prefetch.Prefetcher{
-			"bop+stream": &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}},
+			"bop+stream": prefetch.NewBOPStream(),
 			"stride":     prefetch.NewStride(256), "ghb": prefetch.NewGHB(512), "none": nil,
 		}
 		set := f(img.Prog, em, cache.DefaultHierConfig(), core.BTBEntries, core.BTBWays, core.RASEntries, pfs, p)

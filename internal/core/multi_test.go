@@ -61,7 +61,7 @@ func coRun(t *testing.T, names []string, insts []uint64, sched core.SchedulerKin
 		cfg.DebugNoSkip = noskip
 		img := goldenImage(t, name, s)
 		view := sh.Views[i]
-		view.L1D.SetPrefetcher(&prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}})
+		view.L1D.SetPrefetcher(prefetch.NewBOPStream())
 		em := emu.New(img.Prog, img.Mem)
 		for r, v := range img.Regs {
 			em.SetReg(r, v)

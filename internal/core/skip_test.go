@@ -109,7 +109,7 @@ func TestWakeupsFireOnTime(t *testing.T) {
 		cfg.Core.MaxInsts = 40_000
 		img := goldenImage(t, name, sched)
 		hier := cache.NewHierarchy(cfg.Hier)
-		hier.L1D.SetPrefetcher(&prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}})
+		hier.L1D.SetPrefetcher(prefetch.NewBOPStream())
 		em := emu.New(img.Prog, img.Mem)
 		for r, v := range img.Regs {
 			em.SetReg(r, v)

@@ -9,12 +9,14 @@ import (
 
 // BenchmarkPrefetchOnAccess is one OnAccess of the two table-backed
 // prefetchers at the capacities sim.DefaultConfig and PFStride give them
-// (64 regions, 256 PCs), over three address shapes: one ascending walk
-// (every access but one a page hits the entry the last one did), four
-// interleaved walks from four PCs (what a capture's warm phase sees of the
-// sweep apps), and random pages and PCs over four times the capacity, so
-// that most accesses miss the table and evict. Exported names only: the
-// file runs unchanged against the map tables of the parent tree.
+// (64 regions, 256 PCs) and of the default configuration's BOP+Stream
+// pair (its Stream also 64 regions), over three address shapes: one
+// ascending walk (every access but one a page hits the entry the last one
+// did), four interleaved walks from four PCs (what a capture's warm phase
+// sees of the sweep apps), and random pages and PCs over four times the
+// capacity, so that most accesses miss the table and evict. Exported names
+// only: the file runs in an older tree, with the pair built as a
+// prefetch.Composite of NewBOP() and NewStream(64) before BOPStream.
 func BenchmarkPrefetchOnAccess(b *testing.B) {
 	type access struct{ pc, addr uint64 }
 	shapes := []struct {
@@ -52,6 +54,7 @@ func BenchmarkPrefetchOnAccess(b *testing.B) {
 	}{
 		{"stream", 64, func() prefetch.Prefetcher { return prefetch.NewStream(64) }},
 		{"stride", 256, func() prefetch.Prefetcher { return prefetch.NewStride(256) }},
+		{"bop+stream", 64, func() prefetch.Prefetcher { return prefetch.NewBOPStream() }},
 	} {
 		for _, shape := range shapes {
 			accs := shape.gen(pf.capacity)

@@ -39,6 +39,52 @@ var tableCases = []struct {
 	{"a capacity no hint names a slot of", streamBytes(maxTableCap+1, 7), false},
 }
 
+// pairBytes is the pair's encoding with the given parts in its place.
+func pairBytes(parts ...Prefetcher) []byte {
+	var w codec.Writer
+	w.U8(tagComposite)
+	w.U32(uint32(len(parts)))
+	for _, p := range parts {
+		Encode(&w, p)
+	}
+	return w.Bytes()
+}
+
+// pairCases are the pair and what Decode refuses in its place: any part
+// count but two, and any parts but a BOP then a Stream.
+var pairCases = []struct {
+	name string
+	enc  []byte
+	ok   bool
+}{
+	{"the pair", pairBytes(NewBOP(), NewStream(8)), true},
+	{"one part", pairBytes(NewBOP()), false},
+	{"three parts", pairBytes(NewBOP(), NewStream(8), NewStream(8)), false},
+	{"parts swapped", pairBytes(NewStream(8), NewBOP()), false},
+	{"a GHB part", pairBytes(NewBOP(), NewGHB(16)), false},
+	{"a nil part", pairBytes(NewBOP(), nil), false},
+	{"a pair as a part", pairBytes(NewBOPStream(), NewStream(8)), false},
+}
+
+func TestDecodeRejectsNonPairs(t *testing.T) {
+	for _, c := range pairCases {
+		if _, err := Decode(codec.NewReader(c.enc)); (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want accepted = %v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestDecodeReservesNextLineTag: the tag of the removed next-line
+// prefetcher decodes to an error, not to some other kind.
+func TestDecodeReservesNextLineTag(t *testing.T) {
+	var w codec.Writer
+	w.U8(tagNextLine)
+	w.Int(1)
+	if p, err := Decode(codec.NewReader(w.Bytes())); err == nil {
+		t.Errorf("the next-line tag decoded to %T", p)
+	}
+}
+
 func TestDecodeTableBounds(t *testing.T) {
 	for _, c := range tableCases {
 		if _, err := Decode(codec.NewReader(c.enc)); (err == nil) != c.ok {
@@ -57,12 +103,12 @@ func TestDecodeTableBounds(t *testing.T) {
 // it accepts is safe to use: a few hundred accesses neither panic nor run
 // away, and leave a state that still round-trips.
 func FuzzDecode(f *testing.F) {
-	// One seed a kind with a table, each trained a little, and the nesting
-	// the default configuration uses.
+	// One seed a kind, each trained a little, the pair the default
+	// configuration uses included.
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []Prefetcher{
-		NewStride(8), NewStream(8), NewGHB(16), NewBOP(), &NextLine{Degree: 2},
-		&Composite{Parts: []Prefetcher{NewBOP(), NewStream(8)}},
+		NewStride(8), NewStream(8), NewGHB(16), NewBOP(),
+		&BOPStream{BOP: NewBOP(), Stream: NewStream(8)},
 	} {
 		for i := 0; i < 200; i++ {
 			p.OnAccess(uint64(rng.Intn(5)), 0x10000+uint64(rng.Intn(64))*64+uint64(i)*8, rng.Intn(4) != 0)
@@ -76,8 +122,11 @@ func FuzzDecode(f *testing.F) {
 	for _, c := range tableCases {
 		f.Add(c.enc)
 	}
-	// 64-part composites nested 400 deep, nothing behind them: each level
-	// declares a kilobyte of parts in five bytes.
+	for _, c := range pairCases {
+		f.Add(c.enc)
+	}
+	// 64-part pairs nested 400 deep, nothing behind them: refused at the
+	// first part count, before anything nests.
 	var deep codec.Writer
 	for i := 0; i < 400; i++ {
 		deep.U8(tagComposite)

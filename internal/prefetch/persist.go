@@ -14,7 +14,9 @@ import (
 // and determinism tests rely on that — and decodes to the same LRU order.
 
 // Type tags in the encoded form. Order is part of the format; new kinds
-// append.
+// append. tagNextLine is reserved (a next-line prefetcher, since removed,
+// had it) and decodes to an error. tagComposite is BOPStream's: a part
+// count, always 2, then its BOP and its Stream, each with its own tag.
 const (
 	tagNil = iota
 	tagNextLine
@@ -75,9 +77,6 @@ func Encode(w *codec.Writer, p Prefetcher) {
 	switch p := p.(type) {
 	case nil:
 		w.U8(tagNil)
-	case *NextLine:
-		w.U8(tagNextLine)
-		w.Int(p.Degree)
 	case *Stride:
 		w.U8(tagStride)
 		w.Int(p.table.cap)
@@ -120,12 +119,11 @@ func Encode(w *codec.Writer, p Prefetcher) {
 			w.Int(e.id)
 		}
 		encodeTable(w, &p.index, func(v *int) { w.Int(*v) })
-	case *Composite:
+	case *BOPStream:
 		w.U8(tagComposite)
-		w.U32(uint32(len(p.Parts)))
-		for _, part := range p.Parts {
-			Encode(w, part)
-		}
+		w.U32(2)
+		Encode(w, p.BOP)
+		Encode(w, p.Stream)
 	default:
 		panic("prefetch: Encode: unknown prefetcher type")
 	}
@@ -138,15 +136,32 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	if tag != tagComposite {
+		return decodeKind(r, tag)
+	}
+	// BOPStream's two parts are fixed, so each is read as its one kind: a
+	// part is never a pair, and nothing nests.
+	if n := r.U32(); n != 2 {
+		return nil, fmt.Errorf("prefetch: bop+stream has %d parts, want 2", n)
+	}
+	var parts [2]Prefetcher
+	for i, want := range [2]uint8{tagBOP, tagStream} {
+		if tag := r.U8(); tag != want {
+			return nil, fmt.Errorf("prefetch: bop+stream part %d has tag %d, want %d", i, tag, want)
+		}
+		var err error
+		if parts[i], err = decodeKind(r, want); err != nil {
+			return nil, err
+		}
+	}
+	return &BOPStream{BOP: parts[0].(*BOP), Stream: parts[1].(*Stream)}, nil
+}
+
+// decodeKind decodes what Encode wrote after any tag but the pair's.
+func decodeKind(r *codec.Reader, tag uint8) (Prefetcher, error) {
 	switch tag {
 	case tagNil:
 		return nil, nil
-	case tagNextLine:
-		p := &NextLine{Degree: r.Int()}
-		if p.Degree > maxDegree {
-			return nil, fmt.Errorf("prefetch: next-line degree %d out of range", p.Degree)
-		}
-		return p, r.Err()
 	case tagStride:
 		capacity, distance := r.Int(), r.Int()
 		t, err := decodeTable(r, "stride table", capacity, 25, func() strideEntry {
@@ -235,26 +250,6 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 			}
 		}
 		return p, nil
-	case tagComposite:
-		n := int(r.U32())
-		if n < 0 || n > 64 {
-			return nil, fmt.Errorf("prefetch: composite part count %d out of range", n)
-		}
-		// Parts grows as parts decode, not to the declared count: composites
-		// nest, and each level of a hostile input would reserve a kilobyte
-		// for five bytes.
-		c := &Composite{}
-		for i := 0; i < n; i++ {
-			part, err := Decode(r)
-			if err != nil {
-				return nil, err
-			}
-			if part == nil {
-				return nil, fmt.Errorf("prefetch: nil part inside composite")
-			}
-			c.Parts = append(c.Parts, part)
-		}
-		return c, r.Err()
 	default:
 		return nil, fmt.Errorf("prefetch: unknown prefetcher tag %d", tag)
 	}

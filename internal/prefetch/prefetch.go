@@ -1,7 +1,7 @@
 // Package prefetch implements the hardware data prefetchers of the
-// evaluation platform. Table 1 enables BOP (best-offset prefetching,
-// Michaud 2016) plus a stream prefetcher; the paper also reports trying
-// stride and GHB prefetchers as baselines. All implement the structural
+// evaluation platform, all at the L1D. Table 1 enables BOPStream: BOP
+// (best-offset prefetching, Michaud 2016) plus a stream prefetcher; the
+// paper also reports stride and GHB baselines. All implement the structural
 // interface expected by the cache package: OnAccess(pc, addr, hit) ->
 // prefetch addresses. To keep the per-access hot path allocation-free,
 // every prefetcher reuses an internal scratch buffer for its suggestions:
@@ -27,8 +27,6 @@ type Prefetcher interface {
 // hands each detailed window a clone.
 func Clone(p Prefetcher) Prefetcher {
 	switch p := p.(type) {
-	case *NextLine:
-		return &NextLine{Degree: p.Degree}
 	case *Stride:
 		return &Stride{table: p.table.clone(), Distance: p.Distance}
 	case *Stream:
@@ -37,36 +35,11 @@ func Clone(p Prefetcher) Prefetcher {
 		return p.clone()
 	case *GHB:
 		return &GHB{buf: append([]ghbEntry(nil), p.buf...), head: p.head, size: p.size, index: p.index.clone(), Depth: p.Depth}
-	case *Composite:
-		parts := make([]Prefetcher, len(p.Parts))
-		for i, part := range p.Parts {
-			parts[i] = Clone(part)
-		}
-		return &Composite{Parts: parts}
+	case *BOPStream:
+		return &BOPStream{BOP: p.BOP.clone(), Stream: Clone(p.Stream).(*Stream)}
 	default:
 		panic("prefetch: Clone: unknown prefetcher type")
 	}
-}
-
-// NextLine prefetches the next sequential line on every access.
-type NextLine struct {
-	Degree int
-
-	out []uint64
-}
-
-// OnAccess implements the prefetcher interface.
-func (p *NextLine) OnAccess(_, addr uint64, _ bool) []uint64 {
-	deg := p.Degree
-	if deg <= 0 {
-		deg = 1
-	}
-	p.out = p.out[:0]
-	line := addr &^ (lineSize - 1)
-	for i := 0; i < deg; i++ {
-		p.out = append(p.out, line+uint64(i+1)*lineSize)
-	}
-	return p.out
 }
 
 // Stride is a PC-indexed stride prefetcher with confidence counters.
@@ -179,19 +152,22 @@ func (p *Stream) OnAccess(_, addr uint64, _ bool) []uint64 {
 	return p.out
 }
 
-// Composite chains prefetchers, concatenating their suggestions (Table 1
-// enables "BOP and Stream").
-type Composite struct {
-	Parts []Prefetcher
+// BOPStream is Table 1's "BOP and Stream": both parts train on every
+// access, and their suggestions are concatenated, BOP's first.
+type BOPStream struct {
+	BOP    *BOP
+	Stream *Stream
 
 	out []uint64
 }
 
+// NewBOPStream returns Table 1's pair: a default BOP and a stream
+// prefetcher tracking 64 regions.
+func NewBOPStream() *BOPStream { return &BOPStream{BOP: NewBOP(), Stream: NewStream(64)} }
+
 // OnAccess implements the prefetcher interface.
-func (c *Composite) OnAccess(pc, addr uint64, hit bool) []uint64 {
-	c.out = c.out[:0]
-	for _, p := range c.Parts {
-		c.out = append(c.out, p.OnAccess(pc, addr, hit)...)
-	}
-	return c.out
+func (p *BOPStream) OnAccess(pc, addr uint64, hit bool) []uint64 {
+	p.out = append(p.out[:0], p.BOP.OnAccess(pc, addr, hit)...)
+	p.out = append(p.out, p.Stream.OnAccess(pc, addr, hit)...)
+	return p.out
 }

@@ -2,21 +2,9 @@ package prefetch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
-
-func TestNextLine(t *testing.T) {
-	p := &NextLine{}
-	got := p.OnAccess(0, 0x1008, false)
-	if len(got) != 1 || got[0] != 0x1040 {
-		t.Errorf("next-line = %#x", got)
-	}
-	p.Degree = 3
-	got = p.OnAccess(0, 0x1000, false)
-	if len(got) != 3 || got[2] != 0x10c0 {
-		t.Errorf("degree-3 = %#x", got)
-	}
-}
 
 func TestStrideLearnsConstantStride(t *testing.T) {
 	p := NewStride(64)
@@ -150,11 +138,23 @@ func TestGHBQuietOnHits(t *testing.T) {
 	}
 }
 
-func TestComposite(t *testing.T) {
-	c := &Composite{}
-	c.Parts = append(c.Parts, &NextLine{}, &NextLine{Degree: 2})
-	got := c.OnAccess(0, 0x1000, false)
-	if len(got) != 3 {
-		t.Errorf("composite returned %d addrs, want 3", len(got))
+// TestBOPStream: the pair trains both parts on every access and returns
+// BOP's suggestions, then Stream's, exactly what the two alone return.
+func TestBOPStream(t *testing.T) {
+	p, bop, stream := NewBOPStream(), NewBOP(), NewStream(64)
+	both := 0
+	for i := 0; i < 4000; i++ {
+		addr, hit := uint64(0x100000+i*72), i%3 == 0
+		b := append([]uint64(nil), bop.OnAccess(0, addr, hit)...)
+		s := stream.OnAccess(0, addr, hit)
+		if got, want := p.OnAccess(0, addr, hit), append(b, s...); !slices.Equal(got, want) {
+			t.Fatalf("access %d: pair suggested %#x, BOP then Stream %#x", i, got, want)
+		}
+		if len(b) > 0 && len(s) > 0 {
+			both++
+		}
+	}
+	if both == 0 {
+		t.Fatal("BOP and Stream never both suggested: the order is untested")
 	}
 }

@@ -102,7 +102,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 
 	progs, ems, plan := newEms()
 	plan.Pace = pace
-	set, err := checkpoint.Capture(ctx, progs, ems, plan, checkpoint.Params(s))
+	set, err := checkpoint.Capture(ctx, progs, ems, plan, s)
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ func Run(img *Image, cfg Config) *core.Result {
 func newPrefetcher(kind PrefetcherKind) prefetch.Prefetcher {
 	switch kind {
 	case PFBOPStream:
-		return &prefetch.Composite{Parts: []prefetch.Prefetcher{prefetch.NewBOP(), prefetch.NewStream(64)}}
+		return prefetch.NewBOPStream()
 	case PFStride:
 		return prefetch.NewStride(256)
 	case PFGHB:
@@ -208,7 +208,7 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	for _, kind := range []PrefetcherKind{PFBOPStream, PFStride, PFGHB, PFNone} {
 		plan.Variants[kind.String()] = []prefetch.Prefetcher{newPrefetcher(kind)}
 	}
-	return checkpoint.Capture(ctx, []*program.Program{img.Prog}, []*emu.Emulator{img.emulator()}, plan, checkpoint.Params(s))
+	return checkpoint.Capture(ctx, []*program.Program{img.Prog}, []*emu.Emulator{img.emulator()}, plan, s)
 }
 
 // capturePlan is a capture warmed at cfg's geometry and frontend sizes,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/ibda"
@@ -92,16 +93,8 @@ type RunSpec struct {
 // warming, followed by a Window-instruction detailed region. All configs
 // of a workload that share the same schedule restore from one checkpoint
 // set, so the functional prefix is executed once rather than per config.
-type Sampling struct {
-	Skip   uint64 `json:"skip,omitempty"`
-	Warm   uint64 `json:"warm,omitempty"`
-	Window uint64 `json:"window"`
-	Count  int    `json:"count"`
-}
-
-// Total returns the instruction budget the schedule covers: the
-// full-detail run it stands in for would simulate this many instructions.
-func (s Sampling) Total() uint64 { return (s.Skip + s.Warm + s.Window) * uint64(s.Count) }
+// It is the schedule checkpoint.Capture takes.
+type Sampling = checkpoint.Params
 
 // AutoSampling returns a standard schedule covering total instructions:
 // one detailed window per ~300K instructions (at least 4), 10% of the
