@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -141,13 +142,13 @@ func Decode(r *codec.Reader) (Prefetcher, error) {
 	}
 	// BOPStream's two parts are fixed, so each is read as its one kind: a
 	// part is never a pair, and nothing nests.
-	if n := r.U32(); n != 2 {
-		return nil, fmt.Errorf("prefetch: bop+stream has %d parts, want 2", n)
+	if n := r.U32(); n != 2 || r.Err() != nil {
+		return nil, cmp.Or(r.Err(), fmt.Errorf("prefetch: bop+stream has %d parts, want 2", n))
 	}
 	var parts [2]Prefetcher
 	for i, want := range [2]uint8{tagBOP, tagStream} {
-		if tag := r.U8(); tag != want {
-			return nil, fmt.Errorf("prefetch: bop+stream part %d has tag %d, want %d", i, tag, want)
+		if tag := r.U8(); tag != want || r.Err() != nil {
+			return nil, cmp.Or(r.Err(), fmt.Errorf("prefetch: bop+stream part %d has tag %d, want %d", i, tag, want))
 		}
 		var err error
 		if parts[i], err = decodeKind(r, want); err != nil {
