@@ -26,7 +26,7 @@ const strideSetSHA256 = "3ded9138214ae2b4e6eedc93b6545b7c887b1f2b4c35c346eff07fa
 // TestCaptureSetBytes pins the bytes of a one-core checkpoint set, so that
 // a change to how a prefetcher is built, cloned or encoded that moves any
 // variant's warmed state or its encoding fails here. The program is a load
-// loop of stride 72 bytes: every 8th line is skipped, so the stream and
+// loop of stride 72 bytes, which skips one line in nine, so the stream and
 // stride tables, BOP's offset scores and GHB's deltas all train.
 func TestCaptureSetBytes(t *testing.T) {
 	b := program.NewBuilder("stride72")
