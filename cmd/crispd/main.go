@@ -54,7 +54,7 @@ func run() (code int) {
 	var (
 		listen       = flag.String("listen", ":8080", "address to serve the job API on")
 		storeDir     = flag.String("store", "", "shared persistent result store directory (strongly recommended: without it a restart loses all results)")
-		workers      = flag.Int("workers", runtime.NumCPU(), "max concurrent simulations")
+		workers      = flag.Int("workers", runtime.NumCPU(), "max concurrent simulations; bounds every goroutine that simulates")
 		queue        = flag.Int("queue", 256, "max jobs queued or running before submissions get 429")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "how long to let in-flight jobs finish on SIGTERM before cancelling them")
 		metricsOut   = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")

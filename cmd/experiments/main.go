@@ -70,7 +70,7 @@ func run() (code int) {
 		insts      = flag.Uint64("insts", 400_000, "instructions simulated per run")
 		only       = flag.String("only", "", "comma-separated workload subset")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jobs       = flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
+		jobs       = flag.Int("j", runtime.NumCPU(), "max concurrent simulations; bounds every goroutine that simulates")
 		storeDir   = flag.String("store", "", "persist results and checkpoint sets in this directory, shared safely between processes")
 		server     = flag.String("server", "", "delegate simulations to a crispd job server at this URL; excludes -store")
 		metricsOut = flag.String("metrics", "", "append per-run cycle-accounting records to this JSONL file")

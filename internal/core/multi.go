@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // RunMulti steps the given cores against one shared clock and returns each
 // core's Result, indexed like cores. It is the only cycle loop: a
@@ -117,21 +114,4 @@ func RunMulti(cores []*Core, cancel func() bool) []*Result {
 		results[i] = &r
 	}
 	return results
-}
-
-// RunMultiWindow drives checkpoint-restored cores through one detailed
-// sampling window: the same shared clock, arrival-order memory
-// serialization and per-core sleeping as a full-detail RunMulti, applied
-// to cores whose MaxInsts budgets are the window length. A core that
-// retires its budget first drops out while the neighbours finish theirs —
-// the same drain semantics a full-detail co-run has at each core's own
-// budget. Every core must carry a budget: the suite's kernels never halt,
-// so a window core without one would never finish.
-func RunMultiWindow(cores []*Core, cancel func() bool) []*Result {
-	for i, c := range cores {
-		if c.cfg.MaxInsts == 0 {
-			panic(fmt.Sprintf("core: RunMultiWindow core %d has no instruction budget", i))
-		}
-	}
-	return RunMulti(cores, cancel)
 }

@@ -122,7 +122,7 @@ type Result struct {
 	// HostIters counts cycle-loop iterations actually executed; with idle
 	// skipping Cycles−SkippedCycles ≈ HostIters, and Cycles/HostIters is
 	// the per-iteration leverage skipping bought.
-	HostNS     int64  // wall-clock nanoseconds spent inside Run
+	HostNS     int64  // wall-clock nanoseconds spent inside Run (sampled: its windows' sum)
 	HostAllocs uint64 // heap objects the process allocated during Run
 	HostIters  uint64 // cycle-loop iterations executed (skips collapse many cycles into one)
 

@@ -53,7 +53,9 @@ type Options struct {
 	// Store is the shared persistent store directory ("" = RAM only; a
 	// store is what makes restarts and sibling processes share work).
 	Store string
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
+	// Workers bounds concurrent simulations (0 = GOMAXPROCS), and so every
+	// goroutine that simulates: a sampled run plays its windows in order
+	// on the worker that runs it.
 	Workers int
 	// Queue bounds jobs that are queued or running; submissions beyond
 	// it get 429 + Retry-After (0 = 256).

@@ -31,7 +31,9 @@ import (
 
 // Options configure a Runner.
 type Options struct {
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
+	// Workers bounds concurrent simulations (0 = GOMAXPROCS), and so every
+	// goroutine that simulates: a sampled run plays its windows in order
+	// on the worker that runs it.
 	Workers int
 	// CacheDir, when non-empty, persists results there as JSON keyed by
 	// spec hash + code version; re-runs load them instead of simulating.

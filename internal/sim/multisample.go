@@ -3,9 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"crisp/internal/cache"
@@ -21,11 +18,11 @@ import (
 // Sampled multi-core execution: CaptureMultiCheckpointsContext runs the
 // co-scheduled functional pass once per (workload tuple, schedule,
 // per-core prefetcher tuple), and RunMultiSampledContext restores the
-// aligned points into parallel detailed lockstep windows. Unlike the
-// single-core capture — which warms every prefetcher kind side by side
-// and lets each config pick its variant — the co-scheduled capture warms
-// the one variant its prefetcher tuple names, so scheduler and
-// window-size sweeps share a set and prefetcher sweeps recapture.
+// aligned points into detailed lockstep windows, one after another.
+// Unlike the single-core capture — which warms every prefetcher kind side
+// by side and lets each config pick its variant — the co-scheduled
+// capture warms the one variant its prefetcher tuple names, so scheduler
+// and window-size sweeps share a set and prefetcher sweeps recapture.
 
 // Calibration bounds: each mini-capture that measures per-core co-run
 // speeds warms for at most calWarm instructions per core and runs one
@@ -161,7 +158,10 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 			ccfg.Scheduler = core.SchedOldestFirst // pace must not depend on the swept scheduler
 			cores[i] = windowCore(ccfg, window, progs[i], st, i, nil)
 		}
-		results := core.RunMultiWindow(cores, nil)
+		results := core.RunMulti(cores, cancelCheck(ctx))
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		next := make([]float64, n)
 		max := 0.0
 		for i, r := range results {
@@ -195,48 +195,24 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 }
 
 // RunMultiSampledContext executes a sampled co-scheduled simulation over
-// a previously captured set: each aligned checkpoint restores into a
-// fresh detailed lockstep window — a clone of the co-residency-warmed
-// shared hierarchy, per-core emulators over copy-on-write memory forks,
-// cloned predictors and prefetchers — whose cores run to their
-// pace-scaled window budgets (set.WindowInsts), aggregated per core by
-// sampledWindows. Budgets proportional to co-run speeds mean the cores
-// finish each window together: the windows measure the co-located phase
-// itself, not the solo drain a slow core would run after equal budgets let
-// its neighbours finish early. progs[i] must be position-identical to the
-// program core i was captured with.
+// a previously captured set; RunSampledContext is its one-core call. A
+// set of another core count, without a variant warmed for cfgs'
+// prefetcher tuple (the shared LLC's content depends on every core's
+// prefetch traffic) or of other hierarchy geometry is an error. In
+// execution order, on the caller's goroutine, each point restores into a
+// fresh detailed lockstep window whose core i runs set.WindowInsts[i]
+// instructions of progs[i] (position-identical to the program core i was
+// captured with) under cfgs[i], and the window is added to the aggregate
+// before the next point restores. A core's windows are equal length, so
+// summing counters, breakdowns, histograms and shared-level stats is the
+// weighted aggregate. Budgets proportional to co-run speeds mean the
+// cores finish each window together: the windows measure the co-located
+// phase, not the solo drain of a slow core. A core under runtime IBDA
+// keeps one instance across its windows, as the mechanism would have
+// learnt over the whole execution. HostNS is the time the windows took,
+// HostFFNS the set's capture time. On cancellation it returns
+// (nil, ctx.Err()) and restores no later point.
 func RunMultiSampledContext(ctx context.Context, set *checkpoint.Set, progs []*program.Program, cfgs []Config, _ Sampling) (*MultiResult, error) {
-	return sampledWindows(ctx, set, progs, cfgs)
-}
-
-// variantOf names the set variant a tuple of per-core configs restores:
-// their prefetcher kinds.
-func variantOf(cfgs []Config) string {
-	kinds := make([]string, len(cfgs))
-	for i := range cfgs {
-		kinds[i] = cfgs[i].Prefetcher.String()
-	}
-	return checkpoint.VariantName(kinds)
-}
-
-// sampledWindows is the window runner of both sampled paths. It first
-// checks the set's shape, and returns an error for another core count, no
-// variant warmed for cfgs' prefetcher tuple (a co-scheduled set warms only
-// the tuple it was captured for: the shared LLC's content depends on every
-// core's prefetch traffic) or other hierarchy geometry. Then it restores
-// each of the set's points into a detailed lockstep window whose core i
-// runs set.WindowInsts[i] instructions of progs[i] under cfgs[i], and
-// aggregates per core across windows — each core's windows are equal
-// length, so summing counters, breakdowns and histograms is the weighted
-// aggregate, and shared-level stats sum the same way. A core under
-// runtime IBDA keeps one instance across its windows: the mechanism would
-// have been learning continuously over the whole execution, so then the
-// windows run one after another in execution order. Otherwise the windows
-// are independent and fan out over GOMAXPROCS workers. Either way the
-// merge runs in window order, so the aggregate (its float folds included)
-// is a sequential execution's. The aggregate and each core's result carry
-// the set's capture time as HostFFNS.
-func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.Program, cfgs []Config) (*MultiResult, error) {
 	n, variant, points := len(cfgs), variantOf(cfgs), len(set.Points)
 	if len(progs) != n || n != set.Cores {
 		return nil, fmt.Errorf("sim: %d-core checkpoint set, %d programs, %d configs", set.Cores, len(progs), n)
@@ -250,19 +226,24 @@ func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.P
 		return nil, fmt.Errorf("sim: checkpoint set has no variant warmed for prefetchers %q", variant)
 	}
 	ibs := make([]*ibda.IBDA, n)
-	workers := runtime.GOMAXPROCS(0)
 	for i := range cfgs {
 		if cfgs[i].IBDA != nil {
 			ibs[i] = ibda.New(*cfgs[i].IBDA)
-			workers = 1
 		}
 	}
+	m := &MultiResult{
+		Cores:          make([]*core.Result, n),
+		LLCPerCore:     make([]cache.Stats, n),
+		DRAMPerCore:    make([]dram.Stats, n),
+		SampledWindows: points,
+		FFInsts:        set.FFInsts,
+		HostFFNS:       set.HostNS,
+	}
 	check := cancelCheck(ctx)
-	outs := make([]*MultiResult, points)
-	err := fanOut(ctx, points, workers, func(w int) error {
-		st, err := set.Points[w].RestoreVariant(progs, variant)
+	for _, pt := range set.Points {
+		st, err := pt.RestoreVariant(progs, variant)
 		if err != nil {
-			return fmt.Errorf("sim: %w", err)
+			return nil, fmt.Errorf("sim: %w", err)
 		}
 		cores := make([]*core.Core, n)
 		for i := range cores {
@@ -272,32 +253,22 @@ func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.P
 			}
 			cores[i] = windowCore(cfgs[i].Core, set.WindowInsts[i], progs[i], st, i, marker)
 		}
-		outs[w] = sharedResult(st.Hier, core.RunMultiWindow(cores, check))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	m := &MultiResult{
-		Cores:          make([]*core.Result, n),
-		LLCPerCore:     make([]cache.Stats, n),
-		DRAMPerCore:    make([]dram.Stats, n),
-		SampledWindows: points,
-	}
-	for _, out := range outs {
+		w := sharedResult(st.Hier, core.RunMulti(cores, check))
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for i := 0; i < n; i++ {
 			if m.Cores[i] == nil {
-				m.Cores[i] = out.Cores[i]
+				m.Cores[i] = w.Cores[i]
 			} else {
-				m.Cores[i].Merge(out.Cores[i])
+				m.Cores[i].Merge(w.Cores[i])
 			}
-			m.LLCPerCore[i].Add(&out.LLCPerCore[i])
-			m.DRAMPerCore[i].Add(&out.DRAMPerCore[i])
+			m.LLCPerCore[i].Add(&w.LLCPerCore[i])
+			m.DRAMPerCore[i].Add(&w.DRAMPerCore[i])
 		}
-		m.LLC.Add(&out.LLC)
-		m.DRAM.Add(&out.DRAM)
-		m.HostNS += out.HostNS // max core = whole lockstep window
+		m.LLC.Add(&w.LLC)
+		m.DRAM.Add(&w.DRAM)
+		m.HostNS += w.HostNS // max core = whole lockstep window
 	}
 	for i := 0; i < n; i++ {
 		if m.Cores[i] == nil {
@@ -307,44 +278,15 @@ func sampledWindows(ctx context.Context, set *checkpoint.Set, progs []*program.P
 		m.Cores[i].FFInsts = set.FFPerCore[i]
 		m.Cores[i].HostFFNS = set.HostNS
 	}
-	m.FFInsts = set.FFInsts
-	m.HostFFNS = set.HostNS
 	return m, nil
 }
 
-// fanOut runs fn(i) for every i below n on at most workers goroutines —
-// a sampled run's detailed windows, each restoring from the read-only
-// checkpoint set into its own emulator, hierarchy and predictors. One
-// worker takes the windows in index order. It returns ctx's error
-// if ctx was cancelled (workers stop taking windows), else fn's
-// lowest-index error. Callers fill a slice by index and merge it in index
-// order afterwards, so the aggregate (including its float folds) is
-// identical to a sequential execution's whatever the completion order.
-func fanOut(ctx context.Context, n, workers int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(workers, n); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
+// variantOf names the set variant a tuple of per-core configs restores:
+// their prefetcher kinds.
+func variantOf(cfgs []Config) string {
+	kinds := make([]string, len(cfgs))
+	for i := range cfgs {
+		kinds[i] = cfgs[i].Prefetcher.String()
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkpoint.VariantName(kinds)
 }

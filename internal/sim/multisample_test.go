@@ -228,10 +228,10 @@ func TestMultiSampledCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiSampledParallelMatchesSequential pins the window fan-out: the
-// lockstep windows are independent (no core runs IBDA), so the
-// window-index-order merge of GOMAXPROCS 4 workers must reproduce the
-// one-worker run exactly — per-core results and shared-level stats alike.
+// TestMultiSampledParallelMatchesSequential: no simulated field of a
+// sampled co-run depends on GOMAXPROCS. A run under GOMAXPROCS 4 must
+// reproduce the run under 1 exactly — per-core results and shared-level
+// stats alike.
 func TestMultiSampledParallelMatchesSequential(t *testing.T) {
 	set, progs, cfgs := captureMultiSmall(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
@@ -12,10 +11,12 @@ import (
 )
 
 // RefRunSampledContext is the single-core window runner as it stood before
-// it became the one-core call of sampledWindows, kept verbatim as the
+// it became the one-core call of RunMultiSampledContext, kept as the
 // oracle of TestSampledMatchesOracle (sampling_test.go: it captures
-// registered workloads, which this package cannot import). Only fanOut's
-// call changed, to name the worker count that windowWorkers found.
+// registered workloads, which this package cannot import). Two calls
+// changed: the independent windows, once fanned out over GOMAXPROCS
+// goroutines, run in a loop in index order, and each window runs through
+// core.RunMulti, which the budget-checking core.RunMultiWindow wrapped.
 var RefRunSampledContext = refRunSampledContext
 
 // refRunSampledContext executes a sampled simulation of prog under cfg over a
@@ -51,11 +52,14 @@ func refRunSampledContext(ctx context.Context, set *checkpoint.Set, prog *progra
 		}
 	} else {
 		// Without cross-window state the windows are independent.
-		err := fanOut(ctx, len(set.Points), runtime.GOMAXPROCS(0), func(i int) (err error) {
-			results[i], err = refRunWindow(set.Points[i], prog, cfg, s.Window, nil, check)
-			return err
-		})
-		if err != nil {
+		for i, pt := range set.Points {
+			r, err := refRunWindow(pt, prog, cfg, s.Window, nil, check)
+			if err != nil {
+				return nil, err
+			}
+			results[i] = r
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
@@ -89,5 +93,5 @@ func refRunWindow(pt *checkpoint.Point, prog *program.Program, cfg Config, windo
 	if ib != nil {
 		marker = attachIBDA(ib, prog, st.Hier.Views[0])
 	}
-	return core.RunMultiWindow([]*core.Core{windowCore(cfg.Core, window, prog, st, 0, marker)}, check)[0], nil
+	return core.RunMulti([]*core.Core{windowCore(cfg.Core, window, prog, st, 0, marker)}, check)[0], nil
 }

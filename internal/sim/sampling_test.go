@@ -93,11 +93,10 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
-// TestSampledParallelMatchesSequential pins the window fan-out: without
-// IBDA the windows run on GOMAXPROCS workers, and their window-index-order
-// merge under GOMAXPROCS 4 must reproduce the one-worker run exactly —
-// including the order-sensitive float folds (DRAMAvgLat) and the UPC
-// timeline concatenation.
+// TestSampledParallelMatchesSequential: no simulated field depends on
+// GOMAXPROCS. A run under GOMAXPROCS 4 must reproduce the run under 1
+// exactly, including the order-sensitive float folds (DRAMAvgLat) and the
+// UPC timeline concatenation.
 func TestSampledParallelMatchesSequential(t *testing.T) {
 	w := captureSmall(t, "mcf")
 	sched := sim.Sampling{Warm: 20_000, Window: 5_000, Count: 4}
@@ -129,12 +128,11 @@ func TestSampledParallelMatchesSequential(t *testing.T) {
 
 // TestSampledMatchesOracle: a single-core sampled run is the one-core run
 // of the shared window runner, and gives what the runner it replaced
-// (sim.RefRunSampledContext, kept verbatim) gave, every simulated field
-// alike. Six kernels, one set each, run under ooo, the CRISP scheduler
+// (sim.RefRunSampledContext, kept as it was but for two calls) gave, every
+// simulated field alike. Six kernels, one set each, run under ooo, the CRISP scheduler
 // over the kernel's tagged program, and IBDA with a 1K and an unbounded
-// IST, each with bop+stream and with stride, under GOMAXPROCS 4 so that
-// windows fan out even on a small host. Letting IBDA windows fan out, or
-// merging the windows out of order, fails it.
+// IST, each with bop+stream and with stride, under GOMAXPROCS 4. Running
+// IBDA windows out of order, or merging any out of order, fails it.
 func TestSampledMatchesOracle(t *testing.T) {
 	sched := sim.Sampling{Warm: 20_000, Window: 5_000, Count: 4}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

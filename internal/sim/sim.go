@@ -235,8 +235,13 @@ func RunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.P
 
 // windowCore builds core i of one restored detailed window: ccfg with the
 // window's instruction budget, over core i's restored emulator, view and
-// front-end state — the warmed predictor left out under PerfectBP.
+// front-end state — the warmed predictor left out under PerfectBP. The
+// budget must not be zero: the suite's kernels never halt, so a window
+// core without one would never finish.
 func windowCore(ccfg core.Config, budget uint64, prog *program.Program, st checkpoint.Restored, i int, marker core.Marker) *core.Core {
+	if budget == 0 {
+		panic(fmt.Sprintf("sim: window core %d has no instruction budget", i))
+	}
 	ccfg.MaxInsts = budget
 	c := core.New(ccfg, prog, st.Ems[i], st.Hier.Views[i], marker)
 	var bp branch.Predictor
