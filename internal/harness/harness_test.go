@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +141,18 @@ func TestTable1Render(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table1 missing %q", want)
 		}
+	}
+}
+
+// TestTable1Golden pins the Table 1 text byte for byte against
+// testdata/table1.txt, rendered from the default machine configuration.
+func TestTable1Golden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "table1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewLab(400_000).Table1(); got != string(want) {
+		t.Fatalf("Table 1 differs from testdata/table1.txt:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
