@@ -21,9 +21,9 @@
 // baseline. Adding -sampled fast-forwards every core functionally to
 // shared window boundaries and simulates short detailed lockstep
 // windows from a co-scheduled checkpoint set (captured once per
-// workload tuple and persisted in -store); schedulers whose state spans
-// windows (ibda) are rejected with a clear error rather than silently
-// falling back to full detail. -server delegates the simulations to a
+// workload tuple and persisted in -store); under -sched ibda core 0
+// keeps one IBDA instance across its windows, as a one-core sampled
+// run does. -server delegates the simulations to a
 // crispd job server, which dedups them against its shared store across
 // all connected clients. -metrics appends one JSON record per resolved
 // run (its fields: DESIGN.md, "Cycle accounting and telemetry"); a
@@ -209,18 +209,14 @@ func printBreakdown(res *core.Result) {
 		b.CommittedFrac()*100,
 		pct(b.Stalls[metrics.Frontend]), pct(b.Stalls[metrics.BranchRedirect]),
 		pct(b.Stalls[metrics.MemL1]), pct(b.Stalls[metrics.MemLLC]), pct(b.Stalls[metrics.MemDRAM]),
-		pct(b.Stalls[metrics.CoreROBFull]+b.Stalls[metrics.CoreRSFull]+b.Stalls[metrics.CoreLQFull]+
-			b.Stalls[metrics.CoreSQFull]+b.Stalls[metrics.CorePort]+b.Stalls[metrics.CoreDep]+b.Stalls[metrics.CoreExec]))
+		pct(b.CoreBound()))
 }
 
 // runMulti executes a co-scheduled multi-core run: names[i] on core i,
 // with the command-line scheduler configuration applied to core 0 and
 // every neighbour on the OOO baseline over the shared LLC and DRAM.
-// With -sampled the lead clause's schedule lifts to the spec level —
-// co-scheduling needs every core at the same window boundaries — and
-// Validate rejects combinations the sampled path cannot honour (IBDA's
-// runtime table marking spans windows) instead of silently running
-// full detail.
+// With -sampled the lead clause's schedule lifts to the spec level:
+// co-scheduling needs every core at the same window boundaries.
 func runMulti(ctx context.Context, r *runner.Runner, lead sim.RunSpec, names []string) int {
 	mspec := sim.MultiSpec{Cores: make([]sim.RunSpec, len(names))}
 	mspec.Sampling = lead.Sampling

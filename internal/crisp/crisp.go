@@ -13,6 +13,7 @@ package crisp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"crisp/internal/core"
@@ -172,50 +173,35 @@ func Analyze(prof *core.Result, tr *trace.Trace, prog *program.Program, opts Opt
 		a.SlowALUs = classifySlowALUs(prog, counts, totalInsts, opts)
 	}
 
+	// One loop over the roots in order: delinquent loads, hard branches,
+	// then slow ALUs. Divide slices fold into the branch-slice map for
+	// guard/tagging purposes, where applyGuard values a root at its
+	// mispredictions: a divide has none, so under the guard its slice is
+	// the first dropped.
 	sl := newSlicer(tr, prog, counts)
+	nLoads, nBranches := len(a.DelinquentLoads), len(a.HardBranches)
 	var totalDyn float64
 	var nLoadSlices int
-	for _, pc := range a.DelinquentLoads {
+	for i, pc := range slices.Concat(a.DelinquentLoads, a.HardBranches, a.SlowALUs) {
 		res := sl.extract(pc, opts.MaxSliceInstances, amat, opts)
 		if res.Instances == 0 {
 			continue
 		}
-		a.LoadSlices[pc] = res.Filtered
+		if i < nLoads {
+			a.LoadSlices[pc] = res.Filtered
+			totalDyn += res.AvgDynLen
+			nLoadSlices++
+		} else {
+			a.BranchSlices[pc] = res.Filtered
+		}
 		a.Slices = append(a.Slices, SliceStats{
-			RootPC: pc, FullStatic: len(res.Full), FiltStatic: len(res.Filtered),
+			RootPC: pc, IsBranch: i >= nLoads && i < nLoads+nBranches,
+			FullStatic: len(res.Full), FiltStatic: len(res.Filtered),
 			AvgDynLen: res.AvgDynLen, Instances: res.Instances,
 		})
-		totalDyn += res.AvgDynLen
-		nLoadSlices++
 	}
 	if nLoadSlices > 0 {
 		a.AvgLoadSliceDynLen = totalDyn / float64(nLoadSlices)
-	}
-	for _, pc := range a.HardBranches {
-		res := sl.extract(pc, opts.MaxSliceInstances, amat, opts)
-		if res.Instances == 0 {
-			continue
-		}
-		a.BranchSlices[pc] = res.Filtered
-		a.Slices = append(a.Slices, SliceStats{
-			RootPC: pc, IsBranch: true, FullStatic: len(res.Full),
-			FiltStatic: len(res.Filtered), AvgDynLen: res.AvgDynLen,
-			Instances: res.Instances,
-		})
-	}
-
-	for _, pc := range a.SlowALUs {
-		res := sl.extract(pc, opts.MaxSliceInstances, amat, opts)
-		if res.Instances == 0 {
-			continue
-		}
-		// Fold divide slices into the branch-slice map for guard/tagging
-		// purposes; their hotness is their execution count.
-		a.BranchSlices[pc] = res.Filtered
-		a.Slices = append(a.Slices, SliceStats{
-			RootPC: pc, FullStatic: len(res.Full), FiltStatic: len(res.Filtered),
-			AvgDynLen: res.AvgDynLen, Instances: res.Instances,
-		})
 	}
 
 	a.applyGuard(prof, counts, totalInsts, opts)

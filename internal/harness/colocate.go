@@ -1,12 +1,12 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/metrics"
+	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
 
@@ -48,7 +48,7 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 		Columns: []string{"mix/sched", "lc_ipc", "batch_ipc", "lc_dram_slt%", "lc_llc_mpki",
 			"batch_bw_shr", "lc_dram_lat"},
 	}
-	width := l.Cfg.Core.CommitWidth
+	width := sim.DefaultConfig().Core.CommitWidth
 	const lc, batch = "tailchase", "streambatch"
 	opts := crisp.DefaultOptions()
 
@@ -64,25 +64,16 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 			lcr.LLCMPKI(), batchBWShare, lcr.DRAMAvgLat}
 	}
 	soloRow := func(label string, spec sim.RunSpec) rowSource {
-		h := l.R.Submit(spec)
-		return rowSource{label, func(ctx context.Context) ([]float64, error) {
-			r, err := h.Result(ctx)
-			if err != nil {
+		return row(label, []*runner.RunHandle{l.R.Submit(spec)}, func(rs []*core.Result) ([]float64, error) {
+			if err := metrics.CheckPartition(&rs[0].Breakdown, rs[0].Cycles, width); err != nil {
 				return nil, err
 			}
-			if err := metrics.CheckPartition(&r.Breakdown, r.Cycles, width); err != nil {
-				return nil, err
-			}
-			return cells(r, nil, 0), nil
-		}}
+			return cells(rs[0], nil, 0), nil
+		})
 	}
 	coRow := func(label string, spec sim.MultiSpec) rowSource {
-		h := l.R.SubmitMulti(spec)
-		return rowSource{label, func(ctx context.Context) ([]float64, error) {
-			m, err := h.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
+		return row(label, []*runner.MultiHandle{l.R.SubmitMulti(spec)}, func(ms []*sim.MultiResult) ([]float64, error) {
+			m := ms[0]
 			for i, r := range m.Cores {
 				if err := metrics.CheckPartition(&r.Breakdown, r.Cycles, width); err != nil {
 					return nil, fmt.Errorf("core %d: %w", i, err)
@@ -91,7 +82,7 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 			seen(m)
 			bw := m.DRAMBandwidthShare()
 			return cells(m.Cores[0], m.Cores[1], bw.Share(1)), nil
-		}}
+		})
 	}
 	return t, []rowSource{
 		soloRow("lc_solo/ooo", solo(l.refSpec(lc))),

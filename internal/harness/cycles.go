@@ -1,12 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
+	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/metrics"
 	"crisp/internal/runner"
+	"crisp/internal/sim"
 )
 
 // CycleAccounting renders the top-down cycle accounting figure: for each
@@ -22,31 +23,42 @@ func (l *Lab) CycleAccounting() *Pending {
 		Title:   "Cycle accounting: commit-slot breakdown (%)",
 		Columns: []string{"app/sched", "retired", "frontend", "branch", "mem_l1", "mem_llc", "mem_dram", "core_bound"},
 	}
-	width := l.Cfg.Core.CommitWidth
-	var rows []rowSource
+	width := sim.DefaultConfig().Core.CommitWidth
 	var skipped, cycles uint64
-	// wrap records the skip-efficiency counters of each resolved run for
-	// the HostNotes footnote below (gated like every host-side note, so
-	// the golden rendering of the figure is untouched).
-	wrap := func(label string, h *runner.RunHandle) rowSource {
-		inner := breakdownCells(width, h)
-		return rowSource{label, func(ctx context.Context) ([]float64, error) {
-			cells, err := inner(ctx)
-			if err != nil {
-				return nil, err
-			}
-			r, _ := h.Result(ctx)
-			skipped += r.SkippedCycles
-			cycles += r.Cycles
-			return cells, nil
-		}}
+	// cells fails the figure unless the run's breakdown partitions its
+	// commit slots exactly and its retired slots are its µops, and records
+	// the skip-efficiency counters for the HostNotes footnote below (gated
+	// like every host-side note, so the golden rendering is untouched).
+	cells := func(rs []*core.Result) ([]float64, error) {
+		r := rs[0]
+		b := &r.Breakdown
+		if err := metrics.CheckPartition(b, r.Cycles, width); err != nil {
+			return nil, err
+		}
+		if b.Committed != r.Insts {
+			return nil, fmt.Errorf("harness: cycle-accounting drift: %d committed slots vs %d retired µops", b.Committed, r.Insts)
+		}
+		skipped += r.SkippedCycles
+		cycles += r.Cycles
+		slots := float64(r.Cycles * uint64(width))
+		pct := func(v uint64) float64 { return float64(v) / slots * 100 }
+		return []float64{
+			pct(b.Committed),
+			pct(b.Stalls[metrics.Frontend]),
+			pct(b.Stalls[metrics.BranchRedirect]),
+			pct(b.Stalls[metrics.MemL1]),
+			pct(b.Stalls[metrics.MemLLC]),
+			pct(b.Stalls[metrics.MemDRAM]),
+			pct(b.CoreBound()),
+		}, nil
 	}
+	var rows []rowSource
 	for _, name := range l.suite() {
 		base := l.R.Submit(l.refSpec(name))
 		cr := l.R.Submit(l.crispSpec(name, crisp.DefaultOptions()))
 		rows = append(rows,
-			wrap(name+"/ooo", base),
-			wrap(name+"/crisp", cr))
+			row(name+"/ooo", []*runner.RunHandle{base}, cells),
+			row(name+"/crisp", []*runner.RunHandle{cr}, cells))
 	}
 	return pending(t, rows, func(t *Table) {
 		// Quote the headline effect per workload: the DRAM-bound share
@@ -64,36 +76,4 @@ func (l *Lab) CycleAccounting() *Pending {
 				float64(skipped)/float64(cycles)*100, cycles))
 		}
 	})
-}
-
-// breakdownCells resolves one run into percentage cells, failing if the
-// breakdown does not partition the run's commit slots exactly.
-func breakdownCells(width int, h *runner.RunHandle) func(ctx context.Context) ([]float64, error) {
-	return func(ctx context.Context) ([]float64, error) {
-		r, err := h.Result(ctx)
-		if err != nil {
-			return nil, err
-		}
-		b := &r.Breakdown
-		slots := r.Cycles * uint64(width)
-		if total := b.Total(); total != slots {
-			return nil, fmt.Errorf("harness: cycle-accounting drift: buckets sum to %d, want Cycles×CommitWidth = %d", total, slots)
-		}
-		if b.Committed != r.Insts {
-			return nil, fmt.Errorf("harness: cycle-accounting drift: %d committed slots vs %d retired µops", b.Committed, r.Insts)
-		}
-		pct := func(v uint64) float64 { return float64(v) / float64(slots) * 100 }
-		coreBound := b.Stalls[metrics.CoreROBFull] + b.Stalls[metrics.CoreRSFull] +
-			b.Stalls[metrics.CoreLQFull] + b.Stalls[metrics.CoreSQFull] +
-			b.Stalls[metrics.CorePort] + b.Stalls[metrics.CoreDep] + b.Stalls[metrics.CoreExec]
-		return []float64{
-			pct(b.Committed),
-			pct(b.Stalls[metrics.Frontend]),
-			pct(b.Stalls[metrics.BranchRedirect]),
-			pct(b.Stalls[metrics.MemL1]),
-			pct(b.Stalls[metrics.MemLLC]),
-			pct(b.Stalls[metrics.MemDRAM]),
-			pct(coreBound),
-		}, nil
-	}
 }

@@ -4,36 +4,28 @@ import (
 	"context"
 	"fmt"
 
+	"crisp/internal/core"
 	"crisp/internal/crisp"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
 
-// Figure1 reproduces the UPC-over-time microbenchmark comparison: µops
-// retired per cycle in fixed windows for OOO and CRISP on the
-// pointer-chase kernel. Columns: window index, OOO UPC, CRISP UPC.
-func (l *Lab) Figure1(window int, windows int) *Pending {
-	return l.Figure1Skip(window, windows, 0)
-}
-
-// Figure1Skip is Figure1 with the first `skip` windows (cache and
-// predictor warmup) omitted.
+// Figure1Skip reproduces the UPC-over-time microbenchmark comparison:
+// µops retired per cycle in fixed windows for OOO and CRISP on the
+// pointer-chase kernel, at most `windows` of them (0: all) after the
+// first `skip` (cache and predictor warmup). Columns: window index, OOO
+// UPC, CRISP UPC.
 func (l *Lab) Figure1Skip(window, windows, skip int) *Pending {
 	baseSpec := l.refSpec("pointerchase")
 	baseSpec.UPCWindow = window
-	crSpec := baseSpec.WithCrisp(crisp.DefaultOptions())
-	baseH := l.R.Submit(baseSpec)
-	crH := l.R.Submit(crSpec)
+	hs := []*runner.RunHandle{l.R.Submit(baseSpec), l.R.Submit(baseSpec.WithCrisp(crisp.DefaultOptions()))}
 
 	return &Pending{resolve: func(ctx context.Context) (*Table, error) {
-		base, err := baseH.Result(ctx)
+		rs, err := resolve(ctx, hs...)
 		if err != nil {
 			return nil, err
 		}
-		cr, err := crH.Result(ctx)
-		if err != nil {
-			return nil, err
-		}
+		base, cr := rs[0], rs[1]
 		t := &Table{
 			Title:   fmt.Sprintf("Figure 1: UPC per %d-cycle window, pointer-chase µbench", window),
 			Columns: []string{"window", "ooo_upc", "crisp_upc"},
@@ -69,13 +61,9 @@ func (l *Lab) Figure4() *Pending {
 	var rows []rowSource
 	for _, name := range l.suite() {
 		h := l.R.SubmitAnalysis(l.analysisSpec(name, opts))
-		rows = append(rows, rowSource{name, func(ctx context.Context) ([]float64, error) {
-			a, err := h.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{a.AvgLoadSliceDynLen}, nil
-		}})
+		rows = append(rows, row(name, []*runner.AnalysisHandle{h}, func(as []*crisp.Analysis) ([]float64, error) {
+			return []float64{as[0].AvgLoadSliceDynLen}, nil
+		}))
 	}
 	return pending(t, rows, nil)
 }
@@ -89,15 +77,13 @@ func (l *Lab) Figure7() *Pending {
 	}
 	var rows []rowSource
 	for _, name := range l.suite() {
-		base := l.R.Submit(l.refSpec(name))
-		runs := []*runner.RunHandle{
-			l.R.Submit(l.crispSpec(name, crisp.DefaultOptions())),
-			l.R.Submit(l.ibdaSpec(name, 1024, 4)),
-			l.R.Submit(l.ibdaSpec(name, 8192, 8)),
-			l.R.Submit(l.ibdaSpec(name, 65536, 16)),
-			l.R.Submit(l.ibdaSpec(name, 0, 0)),
-		}
-		rows = append(rows, rowSource{name, gainCells(base, runs)})
+		rows = append(rows, l.gainRow(name, []sim.RunSpec{
+			l.crispSpec(name, crisp.DefaultOptions()),
+			l.ibdaSpec(name, 1024, 4),
+			l.ibdaSpec(name, 8192, 8),
+			l.ibdaSpec(name, 65536, 16),
+			l.ibdaSpec(name, 0, 0),
+		}))
 	}
 	return pending(t, rows, func(t *Table) {
 		t.Notes = append(t.Notes,
@@ -105,23 +91,16 @@ func (l *Lab) Figure7() *Pending {
 	})
 }
 
-// gainCells resolves a row of IPC gains of runs over base, in percent.
-func gainCells(base *runner.RunHandle, runs []*runner.RunHandle) func(ctx context.Context) ([]float64, error) {
-	return func(ctx context.Context) ([]float64, error) {
-		b, err := base.Result(ctx)
-		if err != nil {
-			return nil, err
-		}
-		cells := make([]float64, len(runs))
-		for i, h := range runs {
-			r, err := h.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			cells[i] = gain(r, b)
-		}
-		return cells, nil
+// gainRow submits name's OOO baseline and then specs, and is the row of
+// their IPC gains over that one baseline.
+func (l *Lab) gainRow(name string, specs []sim.RunSpec) rowSource {
+	base := l.R.Submit(l.refSpec(name))
+	var bases, runs []*runner.RunHandle
+	for _, spec := range specs {
+		bases = append(bases, base)
+		runs = append(runs, l.R.Submit(spec))
 	}
+	return pairedGainCells(name, bases, runs)
 }
 
 // Figure8 isolates load slices, branch slices, and their combination.
@@ -137,13 +116,9 @@ func (l *Lab) Figure8() *Pending {
 	both := crisp.DefaultOptions()
 	var rows []rowSource
 	for _, name := range l.suite() {
-		base := l.R.Submit(l.refSpec(name))
-		runs := []*runner.RunHandle{
-			l.R.Submit(l.crispSpec(name, lo)),
-			l.R.Submit(l.crispSpec(name, bo)),
-			l.R.Submit(l.crispSpec(name, both)),
-		}
-		rows = append(rows, rowSource{name, gainCells(base, runs)})
+		rows = append(rows, l.gainRow(name, []sim.RunSpec{
+			l.crispSpec(name, lo), l.crispSpec(name, bo), l.crispSpec(name, both),
+		}))
 	}
 	return pending(t, rows, nil)
 }
@@ -182,28 +157,25 @@ func (l *Lab) Figure9() *Pending {
 			cs.RS, cs.ROB = wc.RS, wc.ROB
 			runs = append(runs, l.R.Submit(cs))
 		}
-		rows = append(rows, rowSource{name, pairedGainCells(bases, runs)})
+		rows = append(rows, pairedGainCells(name, bases, runs))
 	}
 	return pending(t, rows, nil)
 }
 
-// pairedGainCells resolves a row where each cell has its own baseline.
-func pairedGainCells(bases, runs []*runner.RunHandle) func(ctx context.Context) ([]float64, error) {
-	return func(ctx context.Context) ([]float64, error) {
+// pairedGainCells is the row of IPC gains in percent of runs[i] over
+// bases[i]; the handles resolve pairwise in that order.
+func pairedGainCells(label string, bases, runs []*runner.RunHandle) rowSource {
+	var hs []*runner.RunHandle
+	for i := range runs {
+		hs = append(hs, bases[i], runs[i])
+	}
+	return row(label, hs, func(rs []*core.Result) ([]float64, error) {
 		cells := make([]float64, len(runs))
-		for i := range runs {
-			b, err := bases[i].Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			r, err := runs[i].Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			cells[i] = gain(r, b)
+		for i := range cells {
+			cells[i] = gain(rs[2*i+1], rs[2*i])
 		}
 		return cells, nil
-	}
+	})
 }
 
 // Figure10 sweeps the miss-share criticality threshold T (Section 5.5).
@@ -215,14 +187,13 @@ func (l *Lab) Figure10() *Pending {
 	}
 	var rows []rowSource
 	for _, name := range l.suite() {
-		base := l.R.Submit(l.refSpec(name))
-		var runs []*runner.RunHandle
+		var specs []sim.RunSpec
 		for _, thr := range ts {
 			opts := crisp.DefaultOptions()
 			opts.MissShareThreshold = thr
-			runs = append(runs, l.R.Submit(l.crispSpec(name, opts)))
+			specs = append(specs, l.crispSpec(name, opts))
 		}
-		rows = append(rows, rowSource{name, gainCells(base, runs)})
+		rows = append(rows, l.gainRow(name, specs))
 	}
 	return pending(t, rows, func(t *Table) {
 		for i := range ts {
@@ -241,13 +212,9 @@ func (l *Lab) Figure11() *Pending {
 	var rows []rowSource
 	for _, name := range l.suite() {
 		h := l.R.SubmitAnalysis(l.analysisSpec(name, crisp.DefaultOptions()))
-		rows = append(rows, rowSource{name, func(ctx context.Context) ([]float64, error) {
-			a, err := h.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return []float64{float64(len(a.CriticalPCs)), a.DynCriticalFraction}, nil
-		}})
+		rows = append(rows, row(name, []*runner.AnalysisHandle{h}, func(as []*crisp.Analysis) ([]float64, error) {
+			return []float64{float64(len(as[0].CriticalPCs)), as[0].DynCriticalFraction}, nil
+		}))
 	}
 	return pending(t, rows, nil)
 }
@@ -263,21 +230,17 @@ func (l *Lab) Figure12() *Pending {
 	var rows []rowSource
 	for _, name := range l.suite() {
 		fpH := l.R.SubmitFootprint(l.analysisSpec(name, crisp.DefaultOptions()))
-		baseH := l.R.Submit(l.refSpec(name))
-		crH := l.R.Submit(l.crispSpec(name, crisp.DefaultOptions()))
+		runs := []*runner.RunHandle{l.R.Submit(l.refSpec(name)), l.R.Submit(l.crispSpec(name, crisp.DefaultOptions()))}
 		rows = append(rows, rowSource{name, func(ctx context.Context) ([]float64, error) {
-			fp, err := fpH.Result(ctx)
+			fps, err := resolve(ctx, fpH)
 			if err != nil {
 				return nil, err
 			}
-			base, err := baseH.Result(ctx)
+			rs, err := resolve(ctx, runs...)
 			if err != nil {
 				return nil, err
 			}
-			cr, err := crH.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
+			base, cr, fp := rs[0], rs[1], fps[0]
 			dMPKI := 0.0
 			if base.L1IMPKI() > 0 {
 				dMPKI = (cr.L1IMPKI()/base.L1IMPKI() - 1) * 100
@@ -290,7 +253,7 @@ func (l *Lab) Figure12() *Pending {
 
 // Table1 renders the simulated system configuration.
 func (l *Lab) Table1() string {
-	c := l.Cfg
+	c := sim.DefaultConfig()
 	return fmt.Sprintf(`== Table 1: simulated system ==
 Frontend width / retirement    %d-way
 Functional units               %d ALU, %d load, %d store
@@ -325,26 +288,15 @@ Memory                         DDR4-2400-like, 1 channel, %d banks
 // with its critical slice hoisted (our CRISP run stands in for the manual
 // prefetch insertion).
 func (l *Lab) Section31() *Pending {
-	baseH := l.R.Submit(l.refSpec("pointerchase"))
-	crH := l.R.Submit(l.crispSpec("pointerchase", crisp.DefaultOptions()))
-	return &Pending{resolve: func(ctx context.Context) (*Table, error) {
-		base, err := baseH.Result(ctx)
-		if err != nil {
-			return nil, err
-		}
-		cr, err := crH.Result(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &Table{
-			Title:   "Section 3.1: pointer-chase kernel, baseline vs hoisted slice",
-			Columns: []string{"config", "ipc"},
-			Rows: []Row{
-				{Label: "baseline", Cells: []float64{base.IPC()}},
-				{Label: "hoisted", Cells: []float64{cr.IPC()}},
-			},
-		}, nil
-	}}
+	ipc := func(rs []*core.Result) ([]float64, error) { return []float64{rs[0].IPC()}, nil }
+	t := &Table{
+		Title:   "Section 3.1: pointer-chase kernel, baseline vs hoisted slice",
+		Columns: []string{"config", "ipc"},
+	}
+	return pending(t, []rowSource{
+		row("baseline", []*runner.RunHandle{l.R.Submit(l.refSpec("pointerchase"))}, ipc),
+		row("hoisted", []*runner.RunHandle{l.R.Submit(l.crispSpec("pointerchase", crisp.DefaultOptions()))}, ipc),
+	}, nil)
 }
 
 // PrefetcherSensitivity reproduces the Section 5.1 observation that
@@ -367,7 +319,7 @@ func (l *Lab) PrefetcherSensitivity() *Pending {
 			cs.Prefetcher = k
 			runs = append(runs, l.R.Submit(cs))
 		}
-		rows = append(rows, rowSource{name, pairedGainCells(bases, runs)})
+		rows = append(rows, pairedGainCells(name, bases, runs))
 	}
 	return pending(t, rows, nil)
 }

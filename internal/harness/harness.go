@@ -1,10 +1,11 @@
 // Package harness drives the paper's experiments: one driver per table
 // and figure of the evaluation (Section 5), producing aligned-text and
-// CSV tables. Figures are spec generators: each builds the flat set of
-// sim.RunSpec / runner.AnalysisSpec jobs behind its rows and submits
-// them to the Lab's shared runner immediately, so every requested
-// figure's work interleaves on one saturated worker pool with duplicate
-// runs (shared OOO baselines, shared train profiles) executed once.
+// CSV tables. A figure is its specs plus one cell function: it submits
+// the sim.RunSpec / runner.AnalysisSpec jobs behind each row to the
+// Lab's shared runner immediately, so every requested figure's work
+// interleaves on one saturated worker pool with duplicate runs (shared
+// OOO baselines, shared train profiles) executed once, and a row later
+// resolves its handles in submission order into cells.
 package harness
 
 import (
@@ -105,12 +106,28 @@ func (p *Pending) Table(ctx context.Context) (*Table, error) { return p.resolve(
 
 // MustTable is Table with a background context, panicking on error —
 // for tests and examples where specs are known-good.
-func (p *Pending) MustTable() *Table {
-	t, err := p.Table(context.Background())
+func (p *Pending) MustTable() *Table { return must(p.Table(context.Background())) }
+
+// must returns v, panicking on err.
+func must[T any](v *T, err error) *T {
 	if err != nil {
 		panic(err)
 	}
-	return t
+	return v
+}
+
+// resolve waits on hs in submission order: the one place a figure waits
+// on the runner.
+func resolve[S, T any](ctx context.Context, hs ...*runner.Handle[S, T]) ([]*T, error) {
+	rs := make([]*T, len(hs))
+	for i, h := range hs {
+		r, err := h.Result(ctx)
+		if err != nil {
+			return nil, err
+		}
+		rs[i] = r
+	}
+	return rs, nil
 }
 
 // rowSource is one pending row: a label plus a resolver that waits on
@@ -118,6 +135,18 @@ func (p *Pending) MustTable() *Table {
 type rowSource struct {
 	label string
 	cells func(ctx context.Context) ([]float64, error)
+}
+
+// row is a pending row whose cells are one function of its handles'
+// results.
+func row[S, T any](label string, hs []*runner.Handle[S, T], cells func([]*T) ([]float64, error)) rowSource {
+	return rowSource{label, func(ctx context.Context) ([]float64, error) {
+		rs, err := resolve(ctx, hs...)
+		if err != nil {
+			return nil, err
+		}
+		return cells(rs)
+	}}
 }
 
 // pending assembles a Pending that resolves rows in order into t and
@@ -141,8 +170,7 @@ func pending(t *Table, rows []rowSource, finish func(*Table)) *Pending {
 // Lab generates experiment specs over one shared runner. All figures
 // built from the same Lab dedupe their runs against each other.
 type Lab struct {
-	Cfg   sim.Config // Table 1 configuration (rendered by Table1)
-	Insts uint64     // instruction budget per timing run
+	Insts uint64 // instruction budget per timing run
 	// Only, when non-empty, restricts suite figures to these workloads
 	// (used by tests and quick runs).
 	Only []string
@@ -153,22 +181,16 @@ type Lab struct {
 	R *runner.Runner
 }
 
-// NewLab returns a Lab over the Table 1 configuration with the given
-// per-run instruction budget and a private in-memory runner.
+// NewLab returns a Lab with the given per-run instruction budget and a
+// private in-memory runner.
 func NewLab(insts uint64) *Lab {
-	r, err := runner.New(context.Background(), runner.Options{})
-	if err != nil { // unreachable: no cache dir
-		panic(err)
-	}
-	return NewLabWithRunner(insts, r)
+	return NewLabWithRunner(insts, must(runner.New(context.Background(), runner.Options{}))) // no cache dir: cannot fail
 }
 
 // NewLabWithRunner returns a Lab submitting to an existing runner (the
 // commands use this to share one pool, cache and context across figures).
 func NewLabWithRunner(insts uint64, r *runner.Runner) *Lab {
-	cfg := sim.DefaultConfig()
-	cfg.Core.MaxInsts = insts
-	return &Lab{Cfg: cfg, Insts: insts, R: r}
+	return &Lab{Insts: insts, R: r}
 }
 
 // refSpec is the OOO baseline on the ref input under the Table 1 system.
@@ -192,43 +214,29 @@ func (l *Lab) analysisSpec(name string, opts crisp.Options) runner.AnalysisSpec 
 }
 
 // Analyze runs (or joins) the CRISP software pipeline for a workload.
+// It panics on error, unreachable for registered workloads on an
+// uncancelled runner, as do Baseline, RunCRISP and RunIBDA.
 func (l *Lab) Analyze(w *workload.Workload, opts crisp.Options) *crisp.Analysis {
-	a, err := l.R.Analysis(context.Background(), l.analysisSpec(w.Name, opts))
-	if err != nil {
-		panic(err) // unreachable for registered workloads on an uncancelled runner
-	}
-	return a
+	return must(l.R.Analysis(context.Background(), l.analysisSpec(w.Name, opts)))
 }
 
 // Baseline runs (or joins) the OOO baseline on the ref input. Concurrent
 // callers with the same workload share a single execution (the runner's
 // per-key single flight).
 func (l *Lab) Baseline(w *workload.Workload) *core.Result {
-	r, err := l.R.Run(context.Background(), l.refSpec(w.Name))
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return must(l.R.Run(context.Background(), l.refSpec(w.Name)))
 }
 
 // RunCRISP runs (or joins) the tagged CRISP configuration on the ref
 // input under the pipeline options.
 func (l *Lab) RunCRISP(w *workload.Workload, opts crisp.Options) *core.Result {
-	r, err := l.R.Run(context.Background(), l.crispSpec(w.Name, opts))
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return must(l.R.Run(context.Background(), l.crispSpec(w.Name, opts)))
 }
 
 // RunIBDA runs (or joins) the runtime-IBDA configuration on the ref
 // input. istEntries <= 0 means an unbounded IST.
 func (l *Lab) RunIBDA(w *workload.Workload, istEntries, istWays int) *core.Result {
-	r, err := l.R.Run(context.Background(), l.ibdaSpec(w.Name, istEntries, istWays))
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return must(l.R.Run(context.Background(), l.ibdaSpec(w.Name, istEntries, istWays)))
 }
 
 // gain returns the IPC improvement of r over base in percent.

@@ -56,9 +56,9 @@ func TestGeoMeanGain(t *testing.T) {
 
 func TestFigure1Structure(t *testing.T) {
 	l := NewLab(40_000)
-	tab := l.Figure1(500, 20).MustTable()
+	tab := l.Figure1Skip(500, 20, 0).MustTable()
 	if len(tab.Rows) == 0 || len(tab.Rows) > 20 {
-		t.Fatalf("Figure1 rows = %d", len(tab.Rows))
+		t.Fatalf("Figure1Skip rows = %d", len(tab.Rows))
 	}
 	for _, r := range tab.Rows {
 		if len(r.Cells) != 2 {

@@ -1,10 +1,10 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"crisp/internal/core"
+	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
 
@@ -24,21 +24,13 @@ func (l *Lab) SamplingValidation() *Pending {
 	var fulls, samples []*core.Result
 	var rows []rowSource
 	for _, name := range l.suite() {
-		full := l.R.Submit(l.refSpec(name))
-		samp := l.R.Submit(l.sampledSpec(name, s))
-		rows = append(rows, rowSource{name, func(ctx context.Context) ([]float64, error) {
-			fr, err := full.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
-			sr, err := samp.Result(ctx)
-			if err != nil {
-				return nil, err
-			}
+		hs := []*runner.RunHandle{l.R.Submit(l.refSpec(name)), l.R.Submit(l.sampledSpec(name, s))}
+		rows = append(rows, row(name, hs, func(rs []*core.Result) ([]float64, error) {
+			fr, sr := rs[0], rs[1]
 			fulls = append(fulls, fr)
 			samples = append(samples, sr)
 			return []float64{fr.IPC(), sr.IPC(), (sr.IPC()/fr.IPC() - 1) * 100}, nil
-		}})
+		}))
 	}
 	return pending(t, rows, func(t *Table) {
 		detailed := s.Window * uint64(s.Count)

@@ -112,6 +112,16 @@ func (b *Breakdown) Total() uint64 {
 	return t
 }
 
+// CoreBound returns the slots of the seven core-bound buckets, from
+// CoreROBFull through CoreExec.
+func (b *Breakdown) CoreBound() uint64 {
+	var t uint64
+	for _, s := range b.Stalls[CoreROBFull : CoreExec+1] {
+		t += s
+	}
+	return t
+}
+
 // StallSlots returns the non-committing slot total.
 func (b *Breakdown) StallSlots() uint64 { return b.Total() - b.Committed }
 

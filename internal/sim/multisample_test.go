@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"math"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,8 +13,11 @@ import (
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/crispd"
 	"crisp/internal/ibda"
+	"crisp/internal/metrics"
 	"crisp/internal/program"
+	"crisp/internal/runner"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
@@ -332,12 +336,14 @@ func TestMultiSpecSamplingValidateAndKey(t *testing.T) {
 	withIBDA := good
 	withIBDA.Cores = append([]sim.RunSpec(nil), good.Cores...)
 	withIBDA.Cores[0] = withIBDA.Cores[0].WithIBDA(ibda.Config{ISTEntries: 1024, ISTWays: 4, DLTEntries: 32})
+	if err := withIBDA.Validate(); err != nil {
+		t.Errorf("runtime ibda clause rejected: %v", err)
+	}
 	noWindow := good
 	noWindow.Sampling = &sim.Sampling{Count: 4}
 	for name, spec := range map[string]sim.MultiSpec{
 		"per-core sampling clause": perCore,
 		"clause insts budget":      withInsts,
-		"runtime ibda clause":      withIBDA,
 		"zero window":              noWindow,
 	} {
 		if err := spec.Validate(); err == nil {
@@ -361,5 +367,63 @@ func TestMultiSpecSamplingValidateAndKey(t *testing.T) {
 			t.Errorf("%s and %s collide on key %s", name, prev, k)
 		}
 		seen[k] = name
+	}
+}
+
+// TestSampledIBDAOnNCores: a sampled co-run takes runtime IBDA on a core,
+// as a one-core sampled run does. IBDA with an unbounded IST on mcf
+// beside lbm runs through the runner and through a crispd server's POST
+// /v1/multi; core 0 marks critical loads, every core's breakdown
+// partitions its commit slots, and the two paths agree.
+func TestSampledIBDAOnNCores(t *testing.T) {
+	ctx := context.Background()
+	s := sim.Sampling{Warm: 20_000, Window: 20_000, Count: 2}
+	lead := sim.RunSpec{Workload: "mcf", Input: sim.InputRef}.WithIBDA(ibda.Config{DLTEntries: 32})
+	spec := sim.MultiSpec{Cores: []sim.RunSpec{lead, {Workload: "lbm", Input: sim.InputRef}}, Sampling: &s}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("sampled co-run with runtime IBDA rejected: %v", err)
+	}
+
+	r, err := runner.New(ctx, runner.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	local, err := r.RunMulti(ctx, spec)
+	if err != nil {
+		t.Fatalf("runner.RunMulti: %v", err)
+	}
+
+	srv, err := crispd.New(ctx, crispd.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	served, err := crispd.NewClient(ts.URL).RunMulti(ctx, spec)
+	if err != nil {
+		t.Fatalf("POST /v1/multi: %v", err)
+	}
+
+	width := sim.DefaultConfig().Core.CommitWidth
+	for name, m := range map[string]*sim.MultiResult{"runner": local, "crispd": served} {
+		if len(m.Cores) != 2 || m.SampledWindows != s.Count {
+			t.Fatalf("%s: %d cores over %d windows, want 2 over %d", name, len(m.Cores), m.SampledWindows, s.Count)
+		}
+		if m.Cores[0].IssuedCritical == 0 {
+			t.Errorf("%s: IBDA marked nothing on mcf's sampled windows", name)
+		}
+		for i, c := range m.Cores {
+			if err := metrics.CheckPartition(&c.Breakdown, c.Cycles, width); err != nil {
+				t.Errorf("%s: core %d: %v", name, i, err)
+			}
+			if c.Cycles != local.Cores[i].Cycles || c.IssuedCritical != local.Cores[i].IssuedCritical {
+				t.Errorf("%s: core %d: %d cycles, %d critical issues; runner: %d, %d", name, i,
+					c.Cycles, c.IssuedCritical, local.Cores[i].Cycles, local.Cores[i].IssuedCritical)
+			}
+		}
 	}
 }

@@ -28,9 +28,9 @@ type MultiSpec struct {
 	// executing full detail from cycle 0. The schedule is
 	// spec-level because co-scheduling needs aligned boundaries — per-core
 	// Sampling clauses stay rejected. With Sampling set, every clause's
-	// Insts must be 0 (the per-core budget is Sampling.Total()) and no
-	// clause may use runtime IBDA marking (an IBDA instance spans windows
-	// and needs the sequential full-detail path).
+	// Insts must be 0 (the per-core budget is Sampling.Total()). A clause
+	// under runtime IBDA keeps one IBDA instance across its windows, as a
+	// one-core sampled run does.
 	Sampling *Sampling `json:"sampling,omitempty"`
 }
 
@@ -49,8 +49,8 @@ func (m MultiSpec) Key() string { return contentKey("multi", m.normalize()) }
 
 // Validate reports spec-level errors: an empty or oversized core list, an
 // invalid clause, or clause features the requested execution path does
-// not support (per-core sampling clauses; IBDA or per-core budgets under
-// a spec-level sampling schedule).
+// not support (per-core sampling clauses; per-core budgets under a
+// spec-level sampling schedule).
 func (m MultiSpec) Validate() error {
 	if len(m.Cores) == 0 {
 		return fmt.Errorf("sim: MultiSpec has no cores")
@@ -65,13 +65,8 @@ func (m MultiSpec) Validate() error {
 		if c.Sampling != nil {
 			return fmt.Errorf("sim: core %d carries a per-core sampling clause; co-scheduling needs aligned windows — set MultiSpec.Sampling instead", i)
 		}
-		if m.Sampling != nil {
-			if c.Insts != 0 {
-				return fmt.Errorf("sim: core %d has an instruction budget; with MultiSpec.Sampling the per-core budget is Sampling.Total()", i)
-			}
-			if c.IBDA != nil {
-				return fmt.Errorf("sim: core %d uses runtime IBDA marking, which spans windows and needs the sequential full-detail path; sampled multi-core runs do not support it", i)
-			}
+		if m.Sampling != nil && c.Insts != 0 {
+			return fmt.Errorf("sim: core %d has an instruction budget; with MultiSpec.Sampling the per-core budget is Sampling.Total()", i)
 		}
 	}
 	if m.Sampling != nil {
