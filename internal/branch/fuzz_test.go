@@ -69,10 +69,13 @@ func FuzzDecodeTAGE(f *testing.F) {
 	for i := 0; i < 300; i++ {
 		bp.PredictAndTrain(0x400000+uint64(rng.Intn(9))*4, rng.Intn(3) != 0)
 	}
-	// History lengths pushHistory cannot wrap with one compare: refused.
-	for _, hl := range []int{len(bp.hist), len(bp.hist) + 200, 0, -3} {
+	// Sizes out of range, and history positions past either end: refused.
+	for _, sizes := range [][2]byte{{25, 4}, {4, 0}, {4, 25}, {12, 4}} {
+		f.Add(append(sizes[:], encoded(bp)[2:]...))
+	}
+	for _, pos := range []int{-1, len(bp.hist)} {
 		bad := bp.Clone()
-		bad.tables[2].histLen = hl
+		bad.histPos = pos
 		f.Add(encoded(bad))
 	}
 	fuzzDecoder(f, bp, DecodeTAGE, func(t *TAGE) {

@@ -2,44 +2,40 @@ package branch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"crisp/internal/codec"
 )
 
 // This file serializes the warmed frontend structures for the persistent
-// checkpoint store. Encoders write geometry alongside contents, so a
-// decoded structure is byte-for-byte the warmed original — including
-// history registers, usefulness clocks and the allocation RNG, which all
-// influence later predictions. Decoders validate geometry against sane
-// bounds and never panic on corrupt input: the store treats a decode
-// error as a miss and recaptures.
+// checkpoint store, so that a decoded structure is the warmed original —
+// including history registers, usefulness clocks and the allocation RNG,
+// which all influence later predictions. The predictor is written as its
+// constructor's arguments, then its training state: its decoder builds it
+// with NewTAGE and reads only the state. Decoders validate what they read
+// against sane bounds and never panic on corrupt input: the store treats a
+// decode error as a miss and recaptures.
 
-// EncodeState serializes the predictor's full training state.
+// EncodeState serializes the predictor: log2 of its base and tagged table
+// lengths, then its full training state.
 func (t *TAGE) EncodeState(w *codec.Writer) {
-	w.U32(uint32(len(t.base)))
+	w.U8(uint8(bits.Len(uint(len(t.base))) - 1))
+	w.U8(uint8(bits.Len(uint(len(t.tables[0].entries))) - 1))
 	for _, c := range t.base {
 		w.I8(c)
 	}
-	w.U64(t.baseSz)
-	w.U32(uint32(len(t.tables)))
 	for i := range t.tables {
 		tbl := &t.tables[i]
-		w.U32(uint32(len(tbl.entries)))
 		for _, e := range tbl.entries {
 			w.U16(e.tag)
 			w.I8(e.ctr)
 			w.U8(e.u)
 		}
-		w.U64(tbl.mask)
-		w.Int(tbl.histLen)
-		w.Uint(tbl.tagBits)
-		for _, f := range []folded{tbl.idxFold, tbl.tagFold1, tbl.tagFold2} {
-			w.U64(f.comp)
-			w.Uint(f.compLen)
-			w.Int(f.origLen)
-		}
+		w.U64(tbl.idxFold.comp)
+		w.U64(tbl.tagFold1.comp)
+		w.U64(tbl.tagFold2.comp)
 	}
-	w.Blob(t.hist)
+	w.Raw(t.hist)
 	w.Int(t.histPos)
 	w.I8(t.useAltOnNA)
 	w.U64(t.tick)
@@ -52,52 +48,33 @@ func (t *TAGE) EncodeState(w *codec.Writer) {
 // length prefix against the bytes left before it allocates
 // (codec.Reader.Len), so a corrupt prefix cannot drive an allocation
 // larger than its input.
-const maxTableLen = 1 << 24
+const maxLogTable, maxTableLen = 24, 1 << maxLogTable
 
 // DecodeTAGE reconstructs a predictor encoded by EncodeState.
 func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
-	nb, err := r.Len(uint64(r.U32()), "TAGE base", 1, maxTableLen, 1)
-	if err != nil {
+	logBase, logTagged := int(r.U8()), int(r.U8())
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	t := &TAGE{base: make([]int8, nb)}
+	// The tables take 1 byte a base counter and 4 a tagged entry.
+	if logBase > maxLogTable || logTagged < 1 || logTagged > maxLogTable ||
+		1<<logBase+4*len(tageHistLens)<<logTagged > r.Remaining() {
+		return nil, fmt.Errorf("branch: TAGE sizes 2^%d, 2^%d out of range (%d bytes left)", logBase, logTagged, r.Remaining())
+	}
+	t := NewTAGE(logBase, logTagged)
 	for i := range t.base {
 		t.base[i] = r.I8()
 	}
-	t.baseSz = r.U64()
-	if t.baseSz != uint64(nb-1) {
-		return nil, fmt.Errorf("branch: TAGE base mask %d does not match %d entries", t.baseSz, nb)
-	}
-	nt := int(r.U32())
-	if nt < 0 || nt > 64 {
-		return nil, fmt.Errorf("branch: TAGE table count %d out of range", nt)
-	}
-	for i := 0; i < nt; i++ {
-		var tbl tageTable
-		ne, err := r.Len(uint64(r.U32()), "TAGE component", 1, maxTableLen, 4)
-		if err != nil {
-			return nil, err
-		}
-		tbl.entries = make([]tageEntry, ne)
+	for i := range t.tables {
+		tbl := &t.tables[i]
 		for j := range tbl.entries {
 			tbl.entries[j] = tageEntry{tag: r.U16(), ctr: r.I8(), u: r.U8()}
 		}
-		tbl.mask = r.U64()
-		if tbl.mask != uint64(ne-1) {
-			return nil, fmt.Errorf("branch: TAGE component mask %d does not match %d entries", tbl.mask, ne)
-		}
-		tbl.histLen = r.Int()
-		tbl.tagBits = r.Uint()
-		for _, f := range []*folded{&tbl.idxFold, &tbl.tagFold1, &tbl.tagFold2} {
-			comp, compLen, origLen := r.U64(), r.Uint(), r.Int()
-			if compLen == 0 || compLen > 64 {
-				return nil, fmt.Errorf("branch: TAGE folded compLen %d out of range", compLen)
-			}
-			*f = newFolded(comp, compLen, origLen)
-		}
-		t.tables = append(t.tables, tbl)
+		tbl.idxFold.comp = r.U64()
+		tbl.tagFold1.comp = r.U64()
+		tbl.tagFold2.comp = r.U64()
 	}
-	t.hist = append([]uint8(nil), r.Blob()...)
+	copy(t.hist, r.Raw(len(t.hist)))
 	t.histPos = r.Int()
 	t.useAltOnNA = r.I8()
 	t.tick = r.U64()
@@ -107,13 +84,8 @@ func DecodeTAGE(r *codec.Reader) (*TAGE, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if len(t.hist) == 0 || t.histPos < 0 || t.histPos >= len(t.hist) {
+	if t.histPos < 0 || t.histPos >= len(t.hist) {
 		return nil, fmt.Errorf("branch: TAGE history position %d out of range (%d entries)", t.histPos, len(t.hist))
-	}
-	for i := range t.tables { // what pushHistory's wrap-by-compare relies on
-		if hl := t.tables[i].histLen; hl <= 0 || hl >= len(t.hist) {
-			return nil, fmt.Errorf("branch: TAGE component %d history length %d out of range (%d entries)", i, hl, len(t.hist))
-		}
 	}
 	return t, nil
 }

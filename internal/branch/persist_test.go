@@ -124,19 +124,25 @@ func TestDecodeBTBRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeBoundsAllocation: a length prefix larger than the bytes behind
-// it is refused before the table is allocated, for every table these
-// decoders size from their input.
+// TestDecodeBoundsAllocation: a size larger than the bytes behind it is
+// refused before the table is allocated, for every table these decoders
+// size from their input.
 func TestDecodeBoundsAllocation(t *testing.T) {
-	var tage, ras, comp codec.Writer
-	tage.U32(1 << 24) // base table of 16M counters, nothing behind it
+	var ras, comp codec.Writer
 	ras.U32(1 << 24)
 	NewTAGE(4, 4).EncodeState(&comp)
-	huge := bytes.Clone(comp.Bytes())
-	huge[4+16+8+4+2] = 0x40 // first component: 2^22 + 16 entries
+	// tage decodes the 4/4 predictor's state behind other sizes.
+	tage := func(logBase, logTagged byte) func() error {
+		return func() error {
+			_, err := DecodeTAGE(codec.NewReader(append([]byte{logBase, logTagged}, comp.Bytes()[2:]...)))
+			return err
+		}
+	}
 	for name, f := range map[string]func() error{
-		"TAGE base":      func() error { _, err := DecodeTAGE(codec.NewReader(tage.Bytes())); return err },
-		"TAGE component": func() error { _, err := DecodeTAGE(codec.NewReader(huge)); return err },
+		"TAGE base":      tage(24, 4),
+		"TAGE component": tage(4, 20),
+		"TAGE past 2^24": tage(4, 64),
+		"TAGE no tags":   tage(4, 0),
 		"RAS":            func() error { _, err := DecodeRAS(codec.NewReader(ras.Bytes())); return err },
 	} {
 		if err := f(); err == nil || !strings.Contains(err.Error(), "out of range") {
@@ -145,22 +151,5 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 	}
 	if _, err := DecodeTAGE(codec.NewReader(comp.Bytes())); err != nil {
 		t.Errorf("unmodified TAGE: %v", err)
-	}
-}
-
-// TestDecodeTAGEHistoryLengths: pushHistory wraps the evicted position with
-// one compare, which needs 0 < histLen < len(hist); the decoder refuses the
-// rest (before PR 28 it accepted any, and the first branch indexed hist with
-// a negative remainder).
-func TestDecodeTAGEHistoryLengths(t *testing.T) {
-	good := NewTAGE(4, 4)
-	for _, hl := range []int{-3, 0, len(good.hist), len(good.hist) + 200} {
-		bad := good.Clone()
-		bad.tables[len(bad.tables)-1].histLen = hl
-		var w codec.Writer
-		bad.EncodeState(&w)
-		if _, err := DecodeTAGE(codec.NewReader(w.Bytes())); err == nil || !strings.Contains(err.Error(), "history length") {
-			t.Errorf("histLen %d: error %v, want the history length refused", hl, err)
-		}
 	}
 }

@@ -36,7 +36,6 @@ type tageTable struct {
 	entries []tageEntry
 	mask    uint64
 	histLen int
-	tagBits uint
 
 	idxFold  folded
 	tagFold1 folded
@@ -54,8 +53,8 @@ type folded struct {
 }
 
 // newFolded is where a folded is built, and where the one division is.
-func newFolded(comp uint64, compLen uint, origLen int) folded {
-	return folded{comp: comp, compLen: compLen, origLen: origLen, outShift: uint(origLen) % compLen}
+func newFolded(compLen uint, origLen int) folded {
+	return folded{compLen: compLen, origLen: origLen, outShift: uint(origLen) % compLen}
 }
 
 func (f *folded) update(newBit, evictedBit uint64) {
@@ -65,8 +64,11 @@ func (f *folded) update(newBit, evictedBit uint64) {
 	f.comp &= (1 << f.compLen) - 1
 }
 
-// tageHistLens are the geometric history lengths of the tagged components.
+// tageHistLens are the geometric history lengths of the tagged components,
+// and tageTagBits the width of their tags.
 var tageHistLens = []int{4, 8, 16, 32, 64, 130}
+
+const tageTagBits = 11
 
 // Default TAGE geometry used by the core frontend and by checkpoint
 // warming (which must build an identically-shaped predictor).
@@ -76,7 +78,7 @@ const (
 )
 
 // NewTAGE returns a TAGE predictor with a 2^logBase bimodal base table and
-// 2^logTagged entries per tagged component.
+// 2^logTagged entries per tagged component; logTagged is at least 1.
 func NewTAGE(logBase, logTagged int) *TAGE {
 	t := &TAGE{
 		base:   make([]int8, 1<<logBase),
@@ -90,11 +92,10 @@ func NewTAGE(logBase, logTagged int) *TAGE {
 			entries: make([]tageEntry, 1<<logTagged),
 			mask:    uint64(1<<logTagged - 1),
 			histLen: hl,
-			tagBits: 11,
 		}
-		tt.idxFold = newFolded(0, uint(logTagged), hl)
-		tt.tagFold1 = newFolded(0, tt.tagBits, hl)
-		tt.tagFold2 = newFolded(0, tt.tagBits-1, hl)
+		tt.idxFold = newFolded(uint(logTagged), hl)
+		tt.tagFold1 = newFolded(tageTagBits, hl)
+		tt.tagFold2 = newFolded(tageTagBits-1, hl)
 		t.tables = append(t.tables, tt)
 	}
 	return t
@@ -105,7 +106,7 @@ func (t *tageTable) index(pc uint64) uint64 {
 }
 
 func (t *tageTable) tag(pc uint64) uint16 {
-	return uint16((pc ^ t.tagFold1.comp ^ (t.tagFold2.comp << 1)) & ((1 << t.tagBits) - 1))
+	return uint16((pc ^ t.tagFold1.comp ^ (t.tagFold2.comp << 1)) & (1<<tageTagBits - 1))
 }
 
 // PredictAndTrain implements Predictor.
@@ -235,8 +236,9 @@ func ctrInit(taken bool) int8 {
 	return -1
 }
 
-// pushHistory wraps positions with a compare: NewTAGE and DecodeTAGE
-// establish 0 < histLen < len(hist) for every table and histPos < len(hist).
+// pushHistory wraps positions with a compare: NewTAGE establishes
+// 0 < histLen < len(hist) for every table, and NewTAGE and DecodeTAGE
+// histPos < len(hist).
 func (t *TAGE) pushHistory(taken bool) {
 	newBit := b2u(taken)
 	t.hist[t.histPos] = uint8(newBit)

@@ -16,7 +16,7 @@ func TestFoldedHistoryMatchesNaive(t *testing.T) {
 		compLen := uint(compLen8%14) + 2
 		r := rand.New(rand.NewSource(seed))
 
-		fh := newFolded(0, compLen, histLen)
+		fh := newFolded(compLen, histLen)
 		// Raw history, newest first.
 		var hist []uint64
 

@@ -49,7 +49,7 @@ func TestBOPStreamIssueOrder(t *testing.T) {
 	pairNext, refNext := &callLog{}, &callLog{}
 	pair, ref := New(cfg, pairNext), New(cfg, refNext)
 	pair.SetPrefetcher(prefetch.NewBOPStream())
-	parts := &loneParts{bop: prefetch.NewBOP(), stream: prefetch.NewStream(64)}
+	parts := &loneParts{bop: prefetch.NewBOP(), stream: prefetch.NewStream()}
 	ref.SetPrefetcher(parts)
 
 	both := 0

@@ -2,7 +2,7 @@ package checkpoint
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"crisp/internal/branch"
@@ -56,11 +56,11 @@ type Plan struct {
 	// and must match the configs that will restore the set.
 	Hier                            cache.HierConfig
 	BTBEntries, BTBWays, RASEntries int
-	// Variants maps each variant's name (VariantName of its per-core
-	// prefetcher kinds) to one fresh prefetcher per core, nil for a core
-	// that runs without one; each is trained in place against its core's
-	// view of the variant's hierarchy.
-	Variants map[string][]prefetch.Prefetcher
+	// Variants names the variants to warm, each by VariantName of its
+	// per-core prefetcher kinds. Every core's prefetcher is built by
+	// prefetch.New from the kind its variant's name lists and trained in
+	// place against its core's view of the variant's hierarchy.
+	Variants []string
 	// Shared selects WarmDataShared: a co-scheduled capture propagates
 	// store dirtiness into the shared LLC so restored lockstep windows
 	// reproduce writeback bus traffic (see Hierarchy.WarmDataShared).
@@ -179,7 +179,8 @@ type captureCore struct {
 // trains on its hits and installs into it.
 //
 // The pass looks at ctx every sliceInsts instructions, and on cancellation
-// returns (nil, ctx.Err()), the partial capture discarded.
+// returns (nil, ctx.Err()), the partial capture discarded. A variant name
+// that does not list one known kind a core is an error.
 func Capture(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, plan Plan, p Params) (*Set, error) {
 	start := time.Now()
 	n := len(ems)
@@ -187,13 +188,21 @@ func Capture(ctx context.Context, progs []*program.Program, ems []*emu.Emulator,
 	if slice == 0 {
 		slice = sliceInsts
 	}
-	names := make([]string, 0, len(plan.Variants))
-	for name := range plan.Variants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Clone(plan.Variants)
+	slices.Sort(names)
 	systems := make([]*cache.SharedHierarchy, len(names))
-	for j := range systems {
+	pfs := make([][]prefetch.Prefetcher, len(names))
+	for j, name := range names {
+		kinds, err := variantKinds(name, n)
+		if err != nil {
+			return nil, err
+		}
+		pfs[j] = make([]prefetch.Prefetcher, n)
+		for i, kind := range kinds {
+			if pfs[j][i], err = prefetch.New(kind); err != nil {
+				return nil, err
+			}
+		}
 		systems[j] = cache.NewSharedHierarchy(plan.Hier, n)
 	}
 	set := &Set{Hier: plan.Hier, Cores: n, Images: make([]*emu.Memory, n),
@@ -218,7 +227,7 @@ func Capture(ctx context.Context, progs []*program.Program, ems []*emu.Emulator,
 			shared: plan.Shared,
 		}
 		for j, name := range names {
-			v := liveVariant{name: name, sys: systems[j], hier: systems[j].Views[i], pf: plan.Variants[name][i]}
+			v := liveVariant{name: name, sys: systems[j], hier: systems[j].Views[i], pf: pfs[j][i]}
 			if j > 0 {
 				v.hier.L1I = w.variants[0].hier.L1I
 			}

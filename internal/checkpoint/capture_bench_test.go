@@ -8,7 +8,6 @@ import (
 	"crisp/internal/cache"
 	"crisp/internal/checkpoint"
 	"crisp/internal/emu"
-	"crisp/internal/prefetch"
 	"crisp/internal/sim"
 	"crisp/internal/workload"
 )
@@ -26,22 +25,16 @@ func emulatorOver(img *sim.Image) *emu.Emulator {
 // BenchmarkCaptureWarm is the capture's warm path alone: 200k instructions
 // of mcf streamed into one warmed variant (stride) and into the four a
 // sweep's capture warms, no skip phase and a single snapshot. It captures
-// through the one-core test helper (CaptureOne, over Capture); a parent
-// from before Capture replaced CaptureContext needs the call renamed, and
-// one from before BOPStream builds the pair as a prefetch.Composite:
+// through the one-core test helper (CaptureOne, over Capture), which takes
+// the variants' kinds; a parent from before capture warmed kinds takes a
+// map of fresh prefetchers instead, one from before Capture replaced
+// CaptureContext needs the call renamed, and one from before BOPStream
+// builds the pair as a prefetch.Composite:
 //
 //	go test -run '^$' -bench CaptureWarm -benchtime 20x ./internal/checkpoint
 func BenchmarkCaptureWarm(b *testing.B) {
 	const insts = 200_000
-	kinds := []struct {
-		name string
-		mk   func() prefetch.Prefetcher
-	}{
-		{"stride", func() prefetch.Prefetcher { return prefetch.NewStride(256) }},
-		{"bop+stream", func() prefetch.Prefetcher { return prefetch.NewBOPStream() }},
-		{"ghb", func() prefetch.Prefetcher { return prefetch.NewGHB(512) }},
-		{"none", func() prefetch.Prefetcher { return nil }},
-	}
+	kinds := []string{"stride", "bop+stream", "ghb", "none"}
 	w := workload.ByName("mcf")
 	w.Build(workload.Ref) // the pristine image is built once a process: not what is timed
 	for _, variants := range []int{1, 4} {
@@ -50,12 +43,8 @@ func BenchmarkCaptureWarm(b *testing.B) {
 				b.StopTimer()
 				img := w.Build(workload.Ref)
 				em := emulatorOver(img)
-				pfs := make(map[string]prefetch.Prefetcher, variants)
-				for _, k := range kinds[:variants] {
-					pfs[k.name] = k.mk()
-				}
 				b.StartTimer()
-				set, err := checkpoint.CaptureOne(context.Background(), img.Prog, em, cache.DefaultHierConfig(), 8192, 4, 32, pfs,
+				set, err := checkpoint.CaptureOne(context.Background(), img.Prog, em, cache.DefaultHierConfig(), 8192, 4, 32, kinds[:variants],
 					checkpoint.Params{Warm: insts - 1000, Window: 1000, Count: 1})
 				if err != nil {
 					b.Fatal(err)

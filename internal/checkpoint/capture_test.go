@@ -52,32 +52,34 @@ func chaseEmu(t testing.TB, prog *program.Program) *emu.Emulator {
 	return emu.New(prog, mem)
 }
 
-// capturePFS builds a fresh per-kind prefetcher map (instances are
-// trained in place, so each capture needs its own).
-func capturePFS() map[string]prefetch.Prefetcher {
-	return map[string]prefetch.Prefetcher{
-		"bop":    prefetch.NewBOP(),
-		"stride": prefetch.NewStride(256),
-		"ghb":    prefetch.NewGHB(512),
-		"none":   nil,
+// captureKinds are the four prefetcher kinds a one-core set warms.
+var captureKinds = []string{prefetch.KindBOPStream, prefetch.KindStride, prefetch.KindGHB, prefetch.KindNone}
+
+// newPFs builds a fresh prefetcher of each kind, for the oracles (instances
+// are trained in place, so each capture needs its own).
+func newPFs(kinds ...string) []prefetch.Prefetcher {
+	pfs := make([]prefetch.Prefetcher, len(kinds))
+	for i, kind := range kinds {
+		var err error
+		if pfs[i], err = prefetch.New(kind); err != nil {
+			panic(err)
+		}
 	}
+	return pfs
 }
 
-// captureOne is Capture of a one-core set with one variant per named
-// prefetcher, warmed tags-only, as the single-core sets are captured.
-func captureOne(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) (*Set, error) {
-	plan := Plan{Hier: hcfg, BTBEntries: btbEntries, BTBWays: btbWays, RASEntries: rasEntries, Variants: map[string][]prefetch.Prefetcher{}}
-	for name, pf := range pfs {
-		plan.Variants[name] = []prefetch.Prefetcher{pf}
-	}
+// captureOne is Capture of a one-core set with one variant per prefetcher
+// kind, warmed tags-only, as the single-core sets are captured.
+func captureOne(ctx context.Context, prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string, p Params) (*Set, error) {
+	plan := Plan{Hier: hcfg, BTBEntries: btbEntries, BTBWays: btbWays, RASEntries: rasEntries, Variants: kinds}
 	return Capture(ctx, []*program.Program{prog}, []*emu.Emulator{em}, plan, p)
 }
 
 // captureMulti is Capture of a co-scheduled set: the one variant of the
 // cores' prefetcher kinds, warmed with store dirtiness, at the given pace.
-func captureMulti(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string, pfs []prefetch.Prefetcher, p Params, pace []float64) (*Set, error) {
+func captureMulti(ctx context.Context, progs []*program.Program, ems []*emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string, p Params, pace []float64) (*Set, error) {
 	plan := Plan{Hier: hcfg, BTBEntries: btbEntries, BTBWays: btbWays, RASEntries: rasEntries,
-		Variants: map[string][]prefetch.Prefetcher{VariantName(kinds): pfs}, Shared: true, Pace: pace}
+		Variants: []string{VariantName(kinds)}, Shared: true, Pace: pace}
 	return Capture(ctx, progs, ems, plan, p)
 }
 
@@ -157,16 +159,16 @@ func (w *refWarmer) snapshot() map[string]*Variant {
 	return out
 }
 
-func newRefCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher) *refWarmer {
+func newRefCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string) *refWarmer {
 	w := &refWarmer{
 		prog: prog,
 		bp:   branch.NewTAGE(branch.DefaultTAGELogBase, branch.DefaultTAGELogTagged),
 		btb:  branch.NewBTB(btbEntries, btbWays),
 		ras:  branch.NewRAS(rasEntries),
 	}
-	for name, pf := range pfs {
+	for i, pf := range newPFs(kinds...) {
 		sys := cache.NewSharedHierarchy(hcfg, 1)
-		w.variants = append(w.variants, liveVariant{name: name, sys: sys, hier: sys.Views[0], pf: pf})
+		w.variants = append(w.variants, liveVariant{name: kinds[i], sys: sys, hier: sys.Views[0], pf: pf})
 	}
 	sort.Slice(w.variants, func(i, j int) bool { return w.variants[i].name < w.variants[j].name })
 	return w
@@ -174,8 +176,8 @@ func newRefCaptureWarmer(prog *program.Program, hcfg cache.HierConfig, btbEntrie
 
 // refCapture is Capture over a refWarmer, one FastForward a phase (how a
 // phase is sliced is TestCaptureSlicedMatchesOracle's subject).
-func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p Params) *Set {
-	w := newRefCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, pfs)
+func refCapture(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string, p Params) *Set {
+	w := newRefCaptureWarmer(prog, hcfg, btbEntries, btbWays, rasEntries, kinds)
 	set := &Set{Hier: hcfg, Cores: 1, Images: []*emu.Memory{em.Mem().Snapshot()}, Pace: []float64{1}, WindowInsts: []uint64{p.Window}}
 	for i := 0; i < p.Count; i++ {
 		set.FFInsts += em.FastForward(p.Skip, nil)
@@ -246,17 +248,14 @@ func TestCaptureSlicedMatchesOracle(t *testing.T) {
 	for _, prog := range []*program.Program{chaseProgram(t), storeProgram(t)} {
 		em := chaseEmu(t, prog)
 		oracle := &Set{Hier: hcfg, Cores: 1, Images: []*emu.Memory{em.Mem().Snapshot()}, Pace: []float64{1}, WindowInsts: []uint64{p.Window}}
-		refCaptureSequential(context.Background(), em, newRefCaptureWarmer(prog, hcfg, 128, 4, 16, capturePFS()), p, oracle)
+		refCaptureSequential(context.Background(), em, newRefCaptureWarmer(prog, hcfg, 128, 4, 16, captureKinds), p, oracle)
 		if len(oracle.Points) != p.Count {
 			t.Fatalf("%s: oracle captured %d points, want %d", prog.Name, len(oracle.Points), p.Count)
 		}
 		oracle.FFPerCore = []uint64{oracle.FFInsts}
 		want := EncodeSet(oracle, prog.Name)
 		for _, slice := range []uint64{1, 7, 8192, p.Warm} {
-			plan := Plan{Hier: hcfg, BTBEntries: 128, BTBWays: 4, RASEntries: 16, Variants: map[string][]prefetch.Prefetcher{}, slice: slice}
-			for name, pf := range capturePFS() {
-				plan.Variants[name] = []prefetch.Prefetcher{pf}
-			}
+			plan := Plan{Hier: hcfg, BTBEntries: 128, BTBWays: 4, RASEntries: 16, Variants: captureKinds, slice: slice}
 			set, err := Capture(context.Background(), []*program.Program{prog}, []*emu.Emulator{chaseEmu(t, prog)}, plan, p)
 			if err != nil {
 				t.Fatal(err)
@@ -273,15 +272,18 @@ func TestCaptureSlicedMatchesOracle(t *testing.T) {
 }
 
 // parentMultiSetSHA256 is the sha-256 of the set TestCaptureMultiMatchesParent
-// captures, as container version 5 (one container for every set: per-core
-// head fields, the prefetchers inside the named variant) encodes it. The
-// version-4 bytes of the co-scheduled container hashed to 2a21a38b…, the
-// version-3 bytes (1 KiB pages) to 5561ec0b…, and the version-2 bytes,
-// which the commit before this loop's (7ce86b0) wrote through its
-// sequential path and its pipelined one alike, to 680f7072…; restored,
-// each holds the same lines in the same LRU order, predictors,
-// prefetchers and words (the cross-commit checks in PERFLOG.md).
-const parentMultiSetSHA256 = "9201ba43e62ab68717e97891a782876856dac6ebd0cfe7e8e916873c9c074a8a"
+// captures, as container version 6 (a prefetcher's training state alone,
+// its kind from the variant's name; a TAGE's two sizes, then its state)
+// encodes it. The version-5 bytes of the same capture hashed to 2682c07b…;
+// before the test moved from a lone BOP to the bop+stream pair, the
+// version-5 bytes hashed to 9201ba43…, the version-4 bytes of the
+// co-scheduled container to 2a21a38b…, the version-3 bytes (1 KiB pages)
+// to 5561ec0b…, and the version-2 bytes, which the commit before this
+// loop's (7ce86b0) wrote through its sequential path and its pipelined one
+// alike, to 680f7072…; restored, each holds the same lines in the same LRU
+// order, predictors, prefetchers and words (the cross-commit checks in
+// PERFLOG.md, and sim's TestDecodedSetRestores across versions 5 and 6).
+const parentMultiSetSHA256 = "f50eefe24db7801cf25570864156a6e53d7f42e6973a79a3d01fe75c9b8cf0eb"
 
 // TestCaptureMultiMatchesParent: the co-scheduled capture (shared-LLC
 // occupancy, store dirtiness, per-core frontends, paced snapshots) still
@@ -291,7 +293,7 @@ func TestCaptureMultiMatchesParent(t *testing.T) {
 	set, err := captureMulti(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
-		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
+		cache.DefaultHierConfig(), 128, 4, 16, []string{prefetch.KindBOPStream, prefetch.KindNone},
 		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 2}, []float64{1.0, 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +467,6 @@ func TestCaptureMultiMatchesOracle(t *testing.T) {
 		progs []*program.Program
 		ems   func() []*emu.Emulator
 		kinds []string
-		pfs   func() []prefetch.Prefetcher
 		p     Params
 	}
 	chase, stream, count, halt := chaseProgram(t), storeProgram(t), countProgram(t), haltProgram(t, 12_000)
@@ -473,20 +474,15 @@ func TestCaptureMultiMatchesOracle(t *testing.T) {
 	legs := map[string]leg{
 		"2 cores": {[]*program.Program{chase, stream},
 			func() []*emu.Emulator { return []*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())} },
-			[]string{"bop", "none"},
-			func() []prefetch.Prefetcher { return []prefetch.Prefetcher{prefetch.NewBOP(), nil} }, p},
+			[]string{prefetch.KindBOPStream, prefetch.KindNone}, p},
 		"4 cores": {[]*program.Program{chase, stream, count, chase},
 			func() []*emu.Emulator {
 				return []*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory()), emu.New(count, emu.NewMemory()), chaseEmu(t, chase)}
 			},
-			[]string{"bop", "none", "stride", "ghb"},
-			func() []prefetch.Prefetcher {
-				return []prefetch.Prefetcher{prefetch.NewBOP(), nil, prefetch.NewStride(256), prefetch.NewGHB(512)}
-			}, p},
+			[]string{prefetch.KindBOPStream, prefetch.KindNone, prefetch.KindStride, prefetch.KindGHB}, p},
 		"a core halts": {[]*program.Program{chase, halt},
 			func() []*emu.Emulator { return []*emu.Emulator{chaseEmu(t, chase), emu.New(halt, emu.NewMemory())} },
-			[]string{"stride", "none"},
-			func() []prefetch.Prefetcher { return []prefetch.Prefetcher{prefetch.NewStride(256), nil} },
+			[]string{prefetch.KindStride, prefetch.KindNone},
 			Params{Warm: 15_000, Window: 1500, Count: 5}},
 	}
 	for name, l := range legs {
@@ -497,14 +493,14 @@ func TestCaptureMultiMatchesOracle(t *testing.T) {
 					pc = append(pc, pace[i%len(pace)])
 				}
 			}
-			oracle, err := refCaptureMultiContext(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.pfs(), l.p, pc)
+			oracle, err := refCaptureMultiContext(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, newPFs(l.kinds...), l.p, pc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, pt := range oracle.Points { // the oracle's one variant, under its name
 				pt.Variants = map[string]*Variant{VariantName(l.kinds): pt.Variants[""]}
 			}
-			set, err := captureMulti(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.kinds, l.pfs(), l.p, pc)
+			set, err := captureMulti(context.Background(), l.progs, l.ems(), hcfg, 128, 4, 16, l.kinds, l.p, pc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -543,7 +539,7 @@ func TestCaptureMultiDecodes(t *testing.T) {
 	set, err := captureMulti(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
-		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
+		cache.DefaultHierConfig(), 128, 4, 16, []string{prefetch.KindBOPStream, prefetch.KindNone},
 		Params{Warm: 15_000, Window: 1500, Count: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -560,10 +556,10 @@ func TestCaptureMultiDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	progs := []*program.Program{chase, stream}
-	if _, err := dec.Points[0].RestoreVariant(progs, "bop,none"); err != nil {
+	if _, err := dec.Points[0].RestoreVariant(progs, "bop+stream,none"); err != nil {
 		t.Errorf("restore of the captured tuple: %v", err)
 	}
-	if _, err := dec.Points[0].RestoreVariant(progs, "none,bop"); err == nil {
+	if _, err := dec.Points[0].RestoreVariant(progs, "none,bop+stream"); err == nil {
 		t.Errorf("restored a tuple the set never warmed")
 	}
 }
@@ -650,7 +646,7 @@ func TestCaptureContextCancel(t *testing.T) {
 		"cancelled in the first warm phase": {func() context.Context { return newCancelAtCheck(3) }, 1, 4 * sliceInsts},
 	} {
 		em := emu.New(prog, emu.NewMemory())
-		set, err := captureOne(tc.ctx(), prog, em, hcfg, 128, 4, 16, capturePFS(), p)
+		set, err := captureOne(tc.ctx(), prog, em, hcfg, 128, 4, 16, captureKinds, p)
 		if !errors.Is(err, context.Canceled) || set != nil {
 			t.Errorf("%s: capture returned set=%v err=%v, want nil set and context.Canceled", name, set != nil, err)
 		}
@@ -660,7 +656,7 @@ func TestCaptureContextCancel(t *testing.T) {
 
 		ems := []*emu.Emulator{emu.New(prog, emu.NewMemory()), emu.New(prog, emu.NewMemory())}
 		mset, err := captureMulti(tc.ctx(), []*program.Program{prog, prog}, ems,
-			hcfg, 128, 4, 16, []string{"none", "none"}, []prefetch.Prefetcher{nil, nil}, p, nil)
+			hcfg, 128, 4, 16, []string{prefetch.KindNone, prefetch.KindNone}, p, nil)
 		if !errors.Is(err, context.Canceled) || mset != nil {
 			t.Errorf("%s: two-core capture returned set=%v err=%v, want nil set and context.Canceled", name, mset != nil, err)
 		}

@@ -52,6 +52,16 @@ func (p Params) Total() uint64 { return (p.Skip + p.Warm + p.Window) * uint64(p.
 // kind itself for one core, the kinds joined by commas for more.
 func VariantName(kinds []string) string { return strings.Join(kinds, ",") }
 
+// variantKinds returns the per-core prefetcher kinds a variant's name
+// lists, refusing a name that does not list one a core.
+func variantKinds(name string, cores int) ([]string, error) {
+	kinds := strings.Split(name, ",")
+	if len(kinds) != cores {
+		return nil, fmt.Errorf("checkpoint: variant %q names %d prefetcher kinds for %d cores", name, len(kinds), cores)
+	}
+	return kinds, nil
+}
+
 // Variant is the warmed state that depends on the prefetcher
 // configuration: the memory system's warmed lines (prefetched lines change
 // cache content, and resident prefetched lines are what dedups most later
@@ -63,7 +73,7 @@ func VariantName(kinds []string) string { return strings.Join(kinds, ",") }
 // prefetcher-independent and live on the Point's cores.
 type Variant struct {
 	Hier *cache.Template       // every core's L1s and the LLC, warmed
-	PFs  []prefetch.Prefetcher // per core; nil for a core without a prefetcher
+	PFs  []prefetch.Prefetcher // per core, of the kind the name lists; nil for "none"
 }
 
 // CoreState is one core of a Point: architectural state plus the
@@ -95,10 +105,6 @@ type Point struct {
 
 	unattached bool // decoded, and no core's Mem is laid over its image yet
 }
-
-// MultiPoint is Point under its co-scheduled name, kept with MultiSet
-// until the benchmark stops naming the twin types (ROADMAP item 9(iii)).
-type MultiPoint = Point
 
 // Restored is the per-window state handed out by RestoreVariant: fresh
 // clones the lockstep window may mutate freely, indexed by core.

@@ -39,11 +39,8 @@ func testCapture(t *testing.T, p Params) (*program.Program, *Set) {
 	for i := int64(0); i < 64; i++ {
 		mem.WriteWord(uint64(0x4000+8*i), i)
 	}
-	pfs := map[string]prefetch.Prefetcher{
-		"bop":  prefetch.NewBOP(),
-		"none": nil,
-	}
-	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs, p)
+	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
+		[]string{prefetch.KindBOPStream, prefetch.KindNone}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +58,12 @@ func TestCaptureSchedule(t *testing.T) {
 		if pt.Cores[0].FFInsts != want {
 			t.Errorf("point %d FFInsts = %d, want %d", i, pt.Cores[0].FFInsts, want)
 		}
-		for _, kind := range []string{"bop", "none"} {
+		for _, kind := range []string{prefetch.KindBOPStream, prefetch.KindNone} {
 			if pt.Variants[kind] == nil {
 				t.Errorf("point %d missing variant %q", i, kind)
 			}
 		}
-		if pt.Variants["bop"].PFs[0] == nil || pt.Variants["none"].PFs[0] != nil {
+		if pt.Variants[prefetch.KindBOPStream].PFs[0] == nil || pt.Variants["none"].PFs[0] != nil {
 			t.Errorf("point %d prefetcher templates wrong", i)
 		}
 	}
@@ -99,11 +96,11 @@ func TestCaptureWarmsState(t *testing.T) {
 func TestRestoreIsolation(t *testing.T) {
 	prog, set := testCapture(t, Params{Warm: 500, Window: 100, Count: 1})
 	pt := set.Points[0]
-	a, err := pt.Restore(prog, "bop")
+	a, err := pt.Restore(prog, prefetch.KindBOPStream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pt.Restore(prog, "bop")
+	b, err := pt.Restore(prog, prefetch.KindBOPStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +133,7 @@ func TestConcurrentRestores(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, pt := range set.Points {
-				for _, kind := range []string{"bop", "none"} {
+				for _, kind := range []string{prefetch.KindBOPStream, prefetch.KindNone} {
 					st, err := pt.Restore(prog, kind)
 					if err != nil {
 						t.Error(err)

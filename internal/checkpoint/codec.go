@@ -30,7 +30,7 @@ import (
 // bit-flipped entry decodes to a clean error — callers treat that as a
 // miss, delete the file and recapture.
 //
-// Payload (version 5; page numbers, imagePages and the dict's pages are in
+// Payload (version 6; page numbers, imagePages and the dict's pages are in
 // units of emu.PageSize, so a page-size change is a version change; a
 // hierarchy is a cache.Template's lines, tag words and LRU ranks):
 //
@@ -42,12 +42,22 @@ import (
 //	    per core: pc, regs, ffInsts, TAGE, BTB, RAS |
 //	    u32 variantCount, per variant (sorted by name):
 //	        string name | hierarchy (per-core L1I/L1D, the LLC once) |
-//	        per core: prefetcher |
+//	        per core: prefetcher training state |
 //	    per core: memory page table (page numbers -> dict indices)
 //
 // Every per-core field is written exactly cores times. Versions 1 to 4
 // were two containers, this one for a single-core set and "CRSPMCK1" for
 // a co-scheduled one; a file of either is a miss.
+//
+// A warmed structure is written as its constructor's arguments, then its
+// training state, and its decoder calls the constructor and reads only the
+// state, so no shape the constructors cannot build can be read back. A
+// TAGE's arguments are its two table sizes. A prefetcher has none: its kind
+// is the one its variant's name lists for its core (VariantName), so a name
+// must list one known kind a core, and what is written of it is its tables
+// and counters alone. A hierarchy's geometry is the set's configuration.
+// Version 5 wrote every prefetcher's kind tag, capacities and tunables and
+// every TAGE table's derived fields besides; a version-5 file is a miss.
 //
 // Each core's memories are stored as a delta over the workload image its
 // capture started from (Set.Images). The images are not in the file: like
@@ -83,7 +93,7 @@ import (
 
 const (
 	codecMagic   = "CRSPCKP1"
-	codecVersion = 5
+	codecVersion = 6
 )
 
 // Decoded counts are bounded so corrupt headers cannot drive huge
@@ -330,12 +340,16 @@ func decodePoint(p *codec.Reader, set *Set, dict *emu.PageDict) (*Point, error) 
 			return nil, fmt.Errorf("variant %q does not follow %q", name, prev)
 		}
 		prev = name
+		kinds, err := variantKinds(name, n)
+		if err != nil {
+			return nil, err
+		}
 		v := &Variant{PFs: make([]prefetch.Prefetcher, n)}
 		if v.Hier, err = cache.DecodeTemplate(p, set.Hier, n); err != nil {
 			return nil, fmt.Errorf("variant %q: %w", name, err)
 		}
-		for c := range v.PFs {
-			if v.PFs[c], err = prefetch.Decode(p); err != nil {
+		for c, kind := range kinds {
+			if v.PFs[c], err = prefetch.Decode(p, kind); err != nil {
 				return nil, fmt.Errorf("variant %q core %d: %w", name, c, err)
 			}
 		}

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"crisp/internal/cache"
@@ -28,13 +29,7 @@ func codecCapture(t *testing.T) *Set {
 	for pg := int64(0); pg < 32; pg++ {
 		mem.WriteWord(uint64(0x100000+pg*4096), pg)
 	}
-	pfs := map[string]prefetch.Prefetcher{
-		"bop+stream": prefetch.NewBOPStream(),
-		"stride":     prefetch.NewStride(256),
-		"ghb":        prefetch.NewGHB(512),
-		"none":       nil,
-	}
-	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, pfs,
+	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16, captureKinds,
 		Params{Skip: 100, Warm: 2000, Window: 500, Count: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +143,7 @@ func TestCodecPageDedup(t *testing.T) {
 		mem.WriteWord(uint64(0x100000+pg*4096), pg)
 	}
 	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
-		map[string]prefetch.Prefetcher{"none": nil}, Params{Skip: 100, Warm: 500, Window: 100, Count: 3})
+		[]string{prefetch.KindNone}, Params{Skip: 100, Warm: 500, Window: 100, Count: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +205,7 @@ func TestCodecSingleVariant(t *testing.T) {
 		mem.WriteWord(uint64(0x4000+8*i), i)
 	}
 	set, err := captureOne(context.Background(), prog, emu.New(prog, mem), cache.DefaultHierConfig(), 128, 4, 16,
-		map[string]prefetch.Prefetcher{"stride": prefetch.NewStride(256)},
+		[]string{prefetch.KindStride},
 		Params{Warm: 2000, Window: 500, Count: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +242,7 @@ func TestCodecZeroPageMemory(t *testing.T) {
 	b.Jmp("loop")
 	prog := b.MustBuild()
 	set, err := captureOne(context.Background(), prog, emu.New(prog, emu.NewMemory()), cache.DefaultHierConfig(), 128, 4, 16,
-		map[string]prefetch.Prefetcher{"none": nil},
+		[]string{prefetch.KindNone},
 		Params{Warm: 1000, Window: 200, Count: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -321,5 +316,30 @@ func TestCodecDetectsCorruption(t *testing.T) {
 	bad[len(codecMagic)] ^= 0xFF // low byte of the codec version
 	if _, err := DecodeSet(bad, key); err == nil {
 		t.Error("bad codec version decoded without error")
+	}
+}
+
+// TestDecodeRefusesVariantKinds: a variant's name is what the decoder
+// builds its cores' prefetchers from, so a name that lists another number
+// of kinds than the set has cores, or a kind prefetch.New does not know, is
+// an error, not a set whose prefetchers are read as something else.
+func TestDecodeRefusesVariantKinds(t *testing.T) {
+	for _, tc := range []struct {
+		set       *Set
+		from, to  string
+		wantError string
+	}{
+		{codecCapture(t), prefetch.KindNone, "none,none", "names 2 prefetcher kinds for 1 cores"},
+		{codecCapture(t), prefetch.KindNone, "nextline", "unknown prefetcher kind"},
+		{multiCapture(t), "bop+stream,none", "bop+stream", "names 1 prefetcher kinds for 2 cores"},
+		{multiCapture(t), "bop+stream,none", "bop+stream,nextline", "unknown prefetcher kind"},
+	} {
+		for _, pt := range tc.set.Points {
+			pt.Variants[tc.to] = pt.Variants[tc.from]
+			delete(pt.Variants, tc.from)
+		}
+		if _, err := DecodeSet(EncodeSet(tc.set, "k"), "k"); err == nil || !strings.Contains(err.Error(), tc.wantError) {
+			t.Errorf("variant %q renamed %q: error %v, want %q", tc.from, tc.to, err, tc.wantError)
+		}
 	}
 }

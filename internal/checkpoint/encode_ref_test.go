@@ -175,7 +175,7 @@ func multiCapture(t *testing.T) *Set {
 	mset, err := captureMulti(context.Background(),
 		[]*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEm, emu.New(stream, emu.NewMemory())},
-		cache.DefaultHierConfig(), 128, 4, 16, []string{"bop", "none"}, []prefetch.Prefetcher{prefetch.NewBOP(), nil},
+		cache.DefaultHierConfig(), 128, 4, 16, []string{prefetch.KindBOPStream, prefetch.KindNone},
 		Params{Skip: 50, Warm: 15_000, Window: 1500, Count: 3}, []float64{1.0, 0.6})
 	if err != nil {
 		t.Fatal(err)

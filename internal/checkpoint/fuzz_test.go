@@ -17,7 +17,7 @@ import (
 )
 
 // A stored set is the largest input the system reads back, so DecodeSet
-// is fuzzed natively, from a one-core set of four variants (FuzzDecodeSet)
+// is fuzzed natively, from a one-core set of three variants (FuzzDecodeSet)
 // and a two-core set of one (FuzzDecodeMultiSet). The envelope's CRC would turn
 // every mutation into the same early refusal, so the fuzzers mutate the
 // payload and seal it themselves; TestCodecDetectsCorruption covers the
@@ -51,20 +51,17 @@ func tinyTAGE(seed uint64) *branch.TAGE {
 }
 
 // tinySet captures the chase program over an image of a few pages, one of
-// which it keeps rewriting, with every prefetcher kind that has a table.
+// which it keeps rewriting, with every prefetcher kind but GHB, whose
+// 512-entry buffer would be 12 kB of every point (prefetch.FuzzDecode
+// fuzzes its state).
 func tinySet(t testing.TB) *Set {
 	prog := chaseProgram(t)
 	em := chaseEmu(t, prog)
 	for pg := uint64(0); pg < 3; pg++ {
 		em.Mem().WriteWord(0x100000+pg*4096, int64(pg))
 	}
-	pfs := map[string]prefetch.Prefetcher{
-		"bop+stream": &prefetch.BOPStream{BOP: prefetch.NewBOP(), Stream: prefetch.NewStream(8)},
-		"stride":     prefetch.NewStride(8),
-		"ghb":        prefetch.NewGHB(16),
-		"none":       nil,
-	}
-	set, err := captureOne(context.Background(), prog, em, tinyHier(), 16, 2, 4, pfs, Params{Skip: 10, Warm: 300, Window: 100, Count: 2})
+	set, err := captureOne(context.Background(), prog, em, tinyHier(), 16, 2, 4,
+		[]string{prefetch.KindBOPStream, prefetch.KindStride, prefetch.KindNone}, Params{Skip: 10, Warm: 300, Window: 100, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func tinyMultiSet(t testing.TB) *Set {
 	chase, stream := chaseProgram(t), storeProgram(t)
 	set, err := captureMulti(context.Background(), []*program.Program{chase, stream},
 		[]*emu.Emulator{chaseEmu(t, chase), emu.New(stream, emu.NewMemory())},
-		tinyHier(), 16, 2, 4, []string{"stride", "none"}, []prefetch.Prefetcher{prefetch.NewStride(8), nil},
+		tinyHier(), 16, 2, 4, []string{prefetch.KindStride, prefetch.KindNone},
 		Params{Skip: 10, Warm: 300, Window: 100, Count: 2}, []float64{1.0, 0.5})
 	if err != nil {
 		t.Fatal(err)

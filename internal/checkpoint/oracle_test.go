@@ -154,22 +154,19 @@ func TestCaptureWarmerMatchesOracle(t *testing.T) {
 	s := sim.AutoSampling(2_000_000)
 	p := checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}
 	core := sim.DefaultConfig().Core
-	capture := func(name string, f func(*program.Program, *emu.Emulator, cache.HierConfig, int, int, int, map[string]prefetch.Prefetcher, checkpoint.Params) *checkpoint.Set) []byte {
+	capture := func(name string, f func(*program.Program, *emu.Emulator, cache.HierConfig, int, int, int, []string, checkpoint.Params) *checkpoint.Set) []byte {
 		img := workload.ByName(name).Build(workload.Ref)
 		em := emulatorOver(img)
-		pfs := map[string]prefetch.Prefetcher{
-			"bop+stream": prefetch.NewBOPStream(),
-			"stride":     prefetch.NewStride(256), "ghb": prefetch.NewGHB(512), "none": nil,
-		}
-		set := f(img.Prog, em, cache.DefaultHierConfig(), core.BTBEntries, core.BTBWays, core.RASEntries, pfs, p)
+		kinds := []string{prefetch.KindBOPStream, prefetch.KindStride, prefetch.KindGHB, prefetch.KindNone}
+		set := f(img.Prog, em, cache.DefaultHierConfig(), core.BTBEntries, core.BTBWays, core.RASEntries, kinds, p)
 		if len(set.Points) != s.Count {
 			t.Fatalf("%s: captured %d points, want %d", name, len(set.Points), s.Count)
 		}
 		set.HostNS = 0
 		return checkpoint.EncodeSet(set, name)
 	}
-	captureContext := func(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, pfs map[string]prefetch.Prefetcher, p checkpoint.Params) *checkpoint.Set {
-		set, err := checkpoint.CaptureOne(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, pfs, p)
+	captureContext := func(prog *program.Program, em *emu.Emulator, hcfg cache.HierConfig, btbEntries, btbWays, rasEntries int, kinds []string, p checkpoint.Params) *checkpoint.Set {
+		set, err := checkpoint.CaptureOne(context.Background(), prog, em, hcfg, btbEntries, btbWays, rasEntries, kinds, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,9 @@ import (
 // did), four interleaved walks from four PCs (what a capture's warm phase
 // sees of the sweep apps), and random pages and PCs over four times the
 // capacity, so that most accesses miss the table and evict. Exported names
-// only: the file runs in an older tree, with the pair built as a
-// prefetch.Composite of NewBOP() and NewStream(64) before BOPStream.
+// only: the file runs in an older tree, with the sizes passed to NewStream
+// and NewStride before they became the kinds' constants, and the pair built
+// as a prefetch.Composite of NewBOP() and NewStream(64) before BOPStream.
 func BenchmarkPrefetchOnAccess(b *testing.B) {
 	type access struct{ pc, addr uint64 }
 	shapes := []struct {
@@ -52,8 +53,8 @@ func BenchmarkPrefetchOnAccess(b *testing.B) {
 		capacity int
 		new      func() prefetch.Prefetcher
 	}{
-		{"stream", 64, func() prefetch.Prefetcher { return prefetch.NewStream(64) }},
-		{"stride", 256, func() prefetch.Prefetcher { return prefetch.NewStride(256) }},
+		{"stream", 64, func() prefetch.Prefetcher { return prefetch.NewStream() }},
+		{"stride", 256, func() prefetch.Prefetcher { return prefetch.NewStride() }},
 		{"bop+stream", 64, func() prefetch.Prefetcher { return prefetch.NewBOPStream() }},
 	} {
 		for _, shape := range shapes {

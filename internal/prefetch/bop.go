@@ -7,56 +7,35 @@ package prefetch
 // recent-requests table); offsets accumulate scores over a learning round,
 // and the best-scoring offset becomes the active prefetch offset.
 type BOP struct {
-	rr      []uint64 // recent-requests table of line addresses (direct mapped)
-	rrMask  uint64
-	offsets []int64
-	scores  []int
+	rr      [rrEntries]uint64 // recent-requests table of line addresses (direct mapped)
+	scores  [len(bopOffsets)]int
 	testIdx int
 	round   int
 
 	active int64 // current best offset in lines (0 = prefetch off)
 
-	// Tunables (defaults per the BOP paper).
-	ScoreMax int // stop a round early when a score reaches this
-	RoundMax int // number of test iterations per learning round
-	BadScore int // below this the prefetcher turns off
-
 	out [1]uint64
 }
 
+// BOP's recent-requests table size and its learning constants, per the BOP
+// paper: a round stops early when a score reaches scoreMax and ends after
+// roundMax passes over the offsets, and a best score of badScore or less
+// turns prefetching off.
+const rrEntries, scoreMax, roundMax, badScore = 256, 31, 100, 1
+
 // bopOffsets is the candidate offset list: positive and negative line
 // offsets with small prime factors, per the BOP design.
-var bopOffsets = []int64{
+var bopOffsets = [...]int64{
 	1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32,
 	-1, -2, -3, -4, -6, -8,
 }
 
-// NewBOP returns a best-offset prefetcher with a 256-entry recent-requests
-// table.
-func NewBOP() *BOP {
-	b := &BOP{
-		rr:       make([]uint64, 256),
-		rrMask:   255,
-		offsets:  bopOffsets,
-		scores:   make([]int, len(bopOffsets)),
-		active:   1,
-		ScoreMax: 31,
-		RoundMax: 100,
-		BadScore: 1,
-	}
-	return b
-}
+// NewBOP returns a best-offset prefetcher, offset 1 active.
+func NewBOP() *BOP { return &BOP{active: 1} }
 
-func (b *BOP) clone() *BOP {
-	c := *b
-	c.rr = append([]uint64(nil), b.rr...)
-	c.scores = append([]int(nil), b.scores...)
-	return &c
-}
+func (b *BOP) rrInsert(line uint64) { b.rr[line%rrEntries] = line }
 
-func (b *BOP) rrInsert(line uint64) { b.rr[line&b.rrMask] = line }
-
-func (b *BOP) rrHit(line uint64) bool { return b.rr[line&b.rrMask] == line }
+func (b *BOP) rrHit(line uint64) bool { return b.rr[line%rrEntries] == line }
 
 // OnAccess implements the prefetcher interface. Training uses misses and
 // prefetched-line first-hits; per the paper, the recent-requests table
@@ -82,20 +61,20 @@ func (b *BOP) OnAccess(_, addr uint64, hit bool) []uint64 {
 }
 
 func (b *BOP) train(line uint64) {
-	off := b.offsets[b.testIdx]
+	off := bopOffsets[b.testIdx]
 	prev := int64(line) - off
 	if prev >= 0 && b.rrHit(uint64(prev)) {
 		b.scores[b.testIdx]++
-		if b.scores[b.testIdx] >= b.ScoreMax {
+		if b.scores[b.testIdx] >= scoreMax {
 			b.endRound()
 			return
 		}
 	}
 	b.testIdx++
-	if b.testIdx == len(b.offsets) {
+	if b.testIdx == len(bopOffsets) {
 		b.testIdx = 0
 		b.round++
-		if b.round >= b.RoundMax {
+		if b.round >= roundMax {
 			b.endRound()
 		}
 	}
@@ -105,17 +84,15 @@ func (b *BOP) endRound() {
 	best, bestScore := int64(0), -1
 	for i, s := range b.scores {
 		if s > bestScore {
-			best, bestScore = b.offsets[i], s
+			best, bestScore = bopOffsets[i], s
 		}
 	}
-	if bestScore <= b.BadScore {
+	if bestScore <= badScore {
 		b.active = 0 // pattern too irregular: disable prefetching
 	} else {
 		b.active = best
 	}
-	for i := range b.scores {
-		b.scores[i] = 0
-	}
+	b.scores = [len(bopOffsets)]int{}
 	b.testIdx = 0
 	b.round = 0
 }
@@ -131,11 +108,10 @@ func (b *BOP) ActiveOffset() int64 { return b.active }
 type GHB struct {
 	buf  []ghbEntry
 	head int
-	size int
-	// index is pc -> most recent buffer position. size PCs are enough: the
-	// least recently used of them names a position buf has since overwritten.
+	// index is pc -> most recent buffer position. len(buf) PCs are enough:
+	// the least recently used of them names a position buf has since
+	// overwritten.
 	index table[int]
-	Depth int // deltas to replay per prediction
 
 	deltas []int64
 	out    []uint64
@@ -147,9 +123,14 @@ type ghbEntry struct {
 	id   int // monotonically increasing; detects overwritten links
 }
 
-// NewGHB returns a GHB prefetcher with the given buffer size.
-func NewGHB(size int) *GHB {
-	g := &GHB{buf: make([]ghbEntry, size), size: size, index: table[int]{cap: size}, Depth: 2}
+// ghbDepth is how many deltas GHB replays a prediction.
+const ghbDepth = 2
+
+// NewGHB returns a GHB prefetcher of ghbEntries misses.
+func NewGHB() *GHB { return newGHB(ghbEntries) }
+
+func newGHB(size int) *GHB {
+	g := &GHB{buf: make([]ghbEntry, size), index: table[int]{cap: size}}
 	for i := range g.buf {
 		g.buf[i].prev = -1
 		g.buf[i].id = -1
@@ -170,23 +151,23 @@ func (g *GHB) OnAccess(pc, addr uint64, hit bool) []uint64 {
 	if prev := g.index.get(pc); prev == nil {
 		g.index.put(pc, id)
 	} else {
-		if g.buf[*prev%g.size].id == *prev {
+		if g.buf[*prev%len(g.buf)].id == *prev {
 			e.prev = *prev
 		}
 		*prev = id
 	}
-	g.buf[id%g.size] = e
+	g.buf[id%len(g.buf)] = e
 	g.head++
 
 	// Walk the chain to collect recent per-PC deltas (newest first).
 	deltas := g.deltas[:0]
 	cur := id
 	for len(deltas) < 8 {
-		ce := g.buf[cur%g.size]
+		ce := g.buf[cur%len(g.buf)]
 		if ce.id != cur || ce.prev < 0 {
 			break
 		}
-		pe := g.buf[ce.prev%g.size]
+		pe := g.buf[ce.prev%len(g.buf)]
 		if pe.id != ce.prev {
 			break
 		}
@@ -205,7 +186,7 @@ func (g *GHB) OnAccess(pc, addr uint64, hit bool) []uint64 {
 			// deltas[i-1], deltas[i-2], ... followed the pair historically.
 			out := g.out[:0]
 			next := int64(line)
-			for j := i - 1; j >= 0 && len(out) < g.Depth; j-- {
+			for j := i - 1; j >= 0 && len(out) < ghbDepth; j-- {
 				next += deltas[j]
 				if next >= 0 {
 					out = append(out, uint64(next)*lineSize)

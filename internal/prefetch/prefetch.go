@@ -11,14 +11,47 @@
 // CRISP's premise is that these prefetchers cover regular (stride and
 // periodic) patterns but cannot cover irregular ones like pointer chasing;
 // the workloads exercise both classes.
+//
+// A prefetcher is its kind: each kind has one shape, Table 1's, which New
+// builds, and nothing about it is set afterwards.
 package prefetch
 
+import "fmt"
+
 const lineSize = 64
+
+// The kinds of prefetcher, by the names configurations, results and
+// checkpoint variants use.
+const (
+	KindBOPStream = "bop+stream" // Table 1: BOP and Stream
+	KindStride    = "stride"
+	KindGHB       = "ghb"
+	KindNone      = "none"
+)
+
+// Table 1's sizes: stride table entries, stream regions tracked and GHB
+// buffer entries.
+const strideEntries, streamRegions, ghbEntries = 256, 64, 512
 
 // Prefetcher is the common interface of every prefetcher in this package,
 // structurally identical to the one the cache package expects.
 type Prefetcher interface {
 	OnAccess(pc, addr uint64, hit bool) []uint64
+}
+
+// New returns a fresh prefetcher of the named kind, nil for KindNone.
+func New(kind string) (Prefetcher, error) {
+	switch kind {
+	case KindBOPStream:
+		return NewBOPStream(), nil
+	case KindStride:
+		return NewStride(), nil
+	case KindGHB:
+		return NewGHB(), nil
+	case KindNone:
+		return nil, nil
+	}
+	return nil, fmt.Errorf("prefetch: unknown prefetcher kind %q", kind)
 }
 
 // Clone deep-copies a prefetcher's training state so the copy can be
@@ -28,15 +61,16 @@ type Prefetcher interface {
 func Clone(p Prefetcher) Prefetcher {
 	switch p := p.(type) {
 	case *Stride:
-		return &Stride{table: p.table.clone(), Distance: p.Distance}
+		return &Stride{table: p.table.clone()}
 	case *Stream:
-		return &Stream{regions: p.regions.clone(), Degree: p.Degree}
+		return &Stream{regions: p.regions.clone()}
 	case *BOP:
-		return p.clone()
+		c := *p
+		return &c
 	case *GHB:
-		return &GHB{buf: append([]ghbEntry(nil), p.buf...), head: p.head, size: p.size, index: p.index.clone(), Depth: p.Depth}
+		return &GHB{buf: append([]ghbEntry(nil), p.buf...), head: p.head, index: p.index.clone()}
 	case *BOPStream:
-		return &BOPStream{BOP: p.BOP.clone(), Stream: Clone(p.Stream).(*Stream)}
+		return &BOPStream{BOP: Clone(p.BOP).(*BOP), Stream: Clone(p.Stream).(*Stream)}
 	default:
 		panic("prefetch: Clone: unknown prefetcher type")
 	}
@@ -45,11 +79,12 @@ func Clone(p Prefetcher) Prefetcher {
 // Stride is a PC-indexed stride prefetcher with confidence counters.
 type Stride struct {
 	table table[strideEntry]
-	// Distance is how many strides ahead to prefetch (default 4).
-	Distance int
 
 	out [1]uint64
 }
+
+// strideDistance is how many strides ahead Stride prefetches.
+const strideDistance = 4
 
 type strideEntry struct {
 	lastAddr uint64
@@ -57,10 +92,8 @@ type strideEntry struct {
 	conf     int8
 }
 
-// NewStride returns a stride prefetcher with the given table capacity.
-func NewStride(capacity int) *Stride {
-	return &Stride{table: table[strideEntry]{cap: capacity}, Distance: 4}
-}
+// NewStride returns a stride prefetcher of strideEntries PCs.
+func NewStride() *Stride { return &Stride{table: table[strideEntry]{cap: strideEntries}} }
 
 // OnAccess implements the prefetcher interface.
 func (p *Stride) OnAccess(pc, addr uint64, _ bool) []uint64 {
@@ -83,20 +116,21 @@ func (p *Stride) OnAccess(pc, addr uint64, _ bool) []uint64 {
 	}
 	e.lastAddr = addr
 	if e.conf >= 2 && e.stride != 0 {
-		p.out[0] = uint64(int64(addr) + e.stride*int64(p.Distance))
+		p.out[0] = uint64(int64(addr) + e.stride*strideDistance)
 		return p.out[:]
 	}
 	return nil
 }
 
 // Stream detects ascending or descending line streams within aligned 4 KiB
-// regions and prefetches ahead of the stream with a configurable degree.
+// regions and prefetches streamDegree lines ahead of the stream.
 type Stream struct {
 	regions table[streamEntry]
-	Degree  int
 
 	out []uint64
 }
+
+const streamDegree = 2
 
 type streamEntry struct {
 	lastLine int64
@@ -104,10 +138,9 @@ type streamEntry struct {
 	count    int8
 }
 
-// NewStream returns a stream prefetcher tracking up to capacity regions.
-func NewStream(capacity int) *Stream {
-	return &Stream{regions: table[streamEntry]{cap: capacity}, Degree: 2}
-}
+// NewStream returns a stream prefetcher tracking up to streamRegions
+// regions.
+func NewStream() *Stream { return &Stream{regions: table[streamEntry]{cap: streamRegions}} }
 
 // OnAccess implements the prefetcher interface.
 func (p *Stream) OnAccess(_, addr uint64, _ bool) []uint64 {
@@ -143,7 +176,7 @@ func (p *Stream) OnAccess(_, addr uint64, _ bool) []uint64 {
 		return nil
 	}
 	p.out = p.out[:0]
-	for i := 1; i <= p.Degree; i++ {
+	for i := 1; i <= streamDegree; i++ {
 		next := line + dir*int64(i)
 		if next >= 0 {
 			p.out = append(p.out, uint64(next)*lineSize)
@@ -161,9 +194,8 @@ type BOPStream struct {
 	out []uint64
 }
 
-// NewBOPStream returns Table 1's pair: a default BOP and a stream
-// prefetcher tracking 64 regions.
-func NewBOPStream() *BOPStream { return &BOPStream{BOP: NewBOP(), Stream: NewStream(64)} }
+// NewBOPStream returns Table 1's pair.
+func NewBOPStream() *BOPStream { return &BOPStream{BOP: NewBOP(), Stream: NewStream()} }
 
 // OnAccess implements the prefetcher interface.
 func (p *BOPStream) OnAccess(pc, addr uint64, hit bool) []uint64 {

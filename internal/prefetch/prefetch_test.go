@@ -7,7 +7,7 @@ import (
 )
 
 func TestStrideLearnsConstantStride(t *testing.T) {
-	p := NewStride(64)
+	p := NewStride()
 	var got []uint64
 	for i := 0; i < 10; i++ {
 		got = p.OnAccess(0x40, uint64(0x1000+i*256), false)
@@ -19,7 +19,7 @@ func TestStrideLearnsConstantStride(t *testing.T) {
 }
 
 func TestStrideIgnoresRandom(t *testing.T) {
-	p := NewStride(64)
+	p := NewStride()
 	r := rand.New(rand.NewSource(1))
 	fired := 0
 	for i := 0; i < 200; i++ {
@@ -33,7 +33,7 @@ func TestStrideIgnoresRandom(t *testing.T) {
 }
 
 func TestStridePerPC(t *testing.T) {
-	p := NewStride(64)
+	p := NewStride()
 	// Interleave two PCs with different strides; both must train.
 	// OnAccess reuses its scratch buffer, so snapshot each prediction
 	// before the next call.
@@ -51,7 +51,7 @@ func TestStridePerPC(t *testing.T) {
 }
 
 func TestStreamDetectsAscending(t *testing.T) {
-	p := NewStream(16)
+	p := NewStream()
 	var got []uint64
 	for i := 0; i < 6; i++ {
 		got = p.OnAccess(0, uint64(0x3000+i*64), false)
@@ -65,7 +65,7 @@ func TestStreamDetectsAscending(t *testing.T) {
 }
 
 func TestStreamDetectsDescending(t *testing.T) {
-	p := NewStream(16)
+	p := NewStream()
 	var got []uint64
 	for i := 0; i < 6; i++ {
 		got = p.OnAccess(0, uint64(0x30000-i*64), false)
@@ -79,7 +79,7 @@ func TestStreamDetectsDescending(t *testing.T) {
 }
 
 func TestStreamResetsOnJump(t *testing.T) {
-	p := NewStream(16)
+	p := NewStream()
 	for i := 0; i < 6; i++ {
 		p.OnAccess(0, uint64(0x3000+i*64), false)
 	}
@@ -117,7 +117,7 @@ func TestBOPDisablesOnRandom(t *testing.T) {
 }
 
 func TestGHBReplaysDeltaPattern(t *testing.T) {
-	g := NewGHB(256)
+	g := NewGHB()
 	// Repeating delta pattern +1, +2, +5 lines (period 3), all misses.
 	deltas := []int64{1, 2, 5}
 	line := int64(1000)
@@ -132,7 +132,7 @@ func TestGHBReplaysDeltaPattern(t *testing.T) {
 }
 
 func TestGHBQuietOnHits(t *testing.T) {
-	g := NewGHB(64)
+	g := NewGHB()
 	if out := g.OnAccess(0x40, 0x1000, true); out != nil {
 		t.Errorf("GHB predicted on a hit: %v", out)
 	}
@@ -141,7 +141,7 @@ func TestGHBQuietOnHits(t *testing.T) {
 // TestBOPStream: the pair trains both parts on every access and returns
 // BOP's suggestions, then Stream's, exactly what the two alone return.
 func TestBOPStream(t *testing.T) {
-	p, bop, stream := NewBOPStream(), NewBOP(), NewStream(64)
+	p, bop, stream := NewBOPStream(), NewBOP(), NewStream()
 	both := 0
 	for i := 0; i < 4000; i++ {
 		addr, hit := uint64(0x100000+i*72), i%3 == 0

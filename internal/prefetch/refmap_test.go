@@ -283,13 +283,15 @@ func checkHint[V any](t *testing.T, tbl *table[V], key uint64) {
 	}
 }
 
-// runAgainst drives got and want with one access stream and requires equal
-// suggestions at every step. A third of the way in got is replaced by its
-// clone, two thirds in by what its encoding decodes to (which must
-// re-encode to the same bytes), so both carry the LRU order over. after
-// runs behind every access of got (the hint check).
-func runAgainst(t *testing.T, accs []access, got, want Prefetcher, touch func(access), after func(Prefetcher, access)) {
+// runAgainst drives a prefetcher fresh builds and want with one access
+// stream and requires equal suggestions at every step. A third of the way
+// in got is replaced by its clone, two thirds in by another fresh one its
+// encoding is decoded into (which must re-encode to the same bytes), so
+// both carry the LRU order over. after runs behind every access of got (the
+// hint check).
+func runAgainst(t *testing.T, accs []access, fresh func() Prefetcher, want Prefetcher, touch func(access), after func(Prefetcher, access)) {
 	t.Helper()
+	got := fresh()
 	for i, a := range accs {
 		switch i {
 		case len(accs) / 3:
@@ -299,8 +301,8 @@ func runAgainst(t *testing.T, accs []access, got, want Prefetcher, touch func(ac
 			if again := encodeBytes(got); !bytes.Equal(enc, again) {
 				t.Fatalf("step %d: encoding one state twice gave different bytes", i)
 			}
-			dec, err := Decode(codec.NewReader(enc))
-			if err != nil {
+			dec := fresh()
+			if err := decodeState(codec.NewReader(enc), dec); err != nil {
 				t.Fatalf("step %d: decode: %v", i, err)
 			}
 			if re := encodeBytes(dec); !bytes.Equal(enc, re) {
@@ -332,14 +334,14 @@ func TestTablesMatchMapOracle(t *testing.T) {
 			t.Run(fmt.Sprintf("stride/%s/cap=%d", name, capacity), func(t *testing.T) {
 				book := &lruBook{last: map[uint64]int{}}
 				want := &refStride{table: map[uint64]*strideEntry{}, cap: capacity, Distance: 4, victim: book.victim}
-				runAgainst(t, accs, NewStride(capacity), want,
+				runAgainst(t, accs, func() Prefetcher { return &Stride{table: table[strideEntry]{cap: capacity}} }, want,
 					func(a access) { book.touch(a.pc) },
 					func(p Prefetcher, a access) { checkHint(t, &p.(*Stride).table, a.pc) })
 			})
 			t.Run(fmt.Sprintf("stream/%s/cap=%d", name, capacity), func(t *testing.T) {
 				book := &lruBook{last: map[uint64]int{}}
 				want := &refStream{regions: map[uint64]*streamEntry{}, cap: capacity, Degree: 2, victim: book.victim}
-				runAgainst(t, accs, NewStream(capacity), want,
+				runAgainst(t, accs, func() Prefetcher { return &Stream{regions: table[streamEntry]{cap: capacity}} }, want,
 					func(a access) { book.touch(a.addr >> 12) },
 					func(p Prefetcher, a access) { checkHint(t, &p.(*Stream).regions, a.addr>>12) })
 			})
@@ -347,7 +349,7 @@ func TestTablesMatchMapOracle(t *testing.T) {
 			// evicted: the PC LRU drops is one whose position the buffer has
 			// overwritten, which the unbounded index would have found stale.
 			t.Run(fmt.Sprintf("ghb/%s/size=%d", name, capacity), func(t *testing.T) {
-				runAgainst(t, accs, NewGHB(capacity), newRefGHB(capacity), func(access) {}, func(p Prefetcher, a access) {
+				runAgainst(t, accs, func() Prefetcher { return newGHB(capacity) }, newRefGHB(capacity), func(access) {}, func(p Prefetcher, a access) {
 					if !a.hit {
 						checkHint(t, &p.(*GHB).index, a.pc)
 					}

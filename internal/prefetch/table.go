@@ -7,8 +7,9 @@ import "slices"
 // hit and insert stamps its entry with the next tick of clock, so stamps are
 // unique and a full table's victim is the one entry with the lowest. Entries
 // sit by value in three parallel slices that grow by append up to cap: a key
-// scan walks only keys, a victim search only stamps, no access allocates
-// once the table is full, and a decoded cap reserves nothing.
+// scan walks only keys, a victim search only stamps, and no access
+// allocates once the table is full. A hint names a slot in 16 bits, so cap
+// is at most 1<<16.
 //
 // hint is, per hash of a key, the slot a key with that hash was last found
 // or put in: where get looks before it scans. Derived state and only ever a
@@ -23,7 +24,7 @@ type table[V any] struct {
 	hint        [1 << hintBits]uint16
 }
 
-const hintBits, maxTableCap = 9, 1 << 16 // Decode's bound: a hint names a slot in 16 bits
+const hintBits = 9
 
 // hintOf is key's index into hint: the top bits of a Fibonacci hash.
 func hintOf(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> (64 - hintBits) }

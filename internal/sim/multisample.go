@@ -11,7 +11,6 @@ import (
 	"crisp/internal/dram"
 	"crisp/internal/emu"
 	"crisp/internal/ibda"
-	"crisp/internal/prefetch"
 	"crisp/internal/program"
 )
 
@@ -70,14 +69,11 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 	newEms := func() ([]*program.Program, []*emu.Emulator, checkpoint.Plan) {
 		progs := make([]*program.Program, n)
 		ems := make([]*emu.Emulator, n)
-		pfs := make([]prefetch.Prefetcher, n)
 		for i := range imgs {
 			progs[i] = imgs[i].Prog
 			ems[i] = imgs[i].emulator()
-			pfs[i] = newPrefetcher(cfgs[i].Prefetcher)
 		}
-		plan := capturePlan(cfgs[0])
-		plan.Variants[variantOf(cfgs)] = pfs
+		plan := capturePlan(cfgs[0], variantOf(cfgs))
 		plan.Shared = true
 		return progs, ems, plan
 	}

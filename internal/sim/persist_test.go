@@ -18,10 +18,11 @@ import (
 )
 
 // strideSetSHA256 is the sha-256 of the set TestCaptureSetBytes captures,
-// as container version 5 encodes it: the four variants of a one-core set,
+// as container version 6 encodes it: the four variants of a one-core set,
 // bop+stream, stride, ghb and none, each with its warmed hierarchy and
-// prefetcher tables.
-const strideSetSHA256 = "3ded9138214ae2b4e6eedc93b6545b7c887b1f2b4c35c346eff07fa56b153a99"
+// prefetcher tables. Version 5 wrote it as 3ded9138…; TestDecodedSetRestores
+// holds what the two restore to.
+const strideSetSHA256 = "3f03d7ec09c18d2394f28c10967c3a731b8a971a3129c2a08e80b3293ad71bd2"
 
 // TestCaptureSetBytes pins the bytes of a one-core checkpoint set, so that
 // a change to how a prefetcher is built, cloned or encoded that moves any

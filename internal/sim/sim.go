@@ -64,16 +64,17 @@ const (
 	PFNone
 )
 
+// String is the kind's name in package prefetch, which prefetch.New builds.
 func (p PrefetcherKind) String() string {
 	switch p {
 	case PFBOPStream:
-		return "bop+stream"
+		return prefetch.KindBOPStream
 	case PFStride:
-		return "stride"
+		return prefetch.KindStride
 	case PFGHB:
-		return "ghb"
+		return prefetch.KindGHB
 	default:
-		return "none"
+		return prefetch.KindNone
 	}
 }
 
@@ -122,24 +123,10 @@ func Run(img *Image, cfg Config) *core.Result {
 	return r
 }
 
-// newPrefetcher builds a fresh data prefetcher of the given kind, or nil
-// for PFNone.
-func newPrefetcher(kind PrefetcherKind) prefetch.Prefetcher {
-	switch kind {
-	case PFBOPStream:
-		return prefetch.NewBOPStream()
-	case PFStride:
-		return prefetch.NewStride(256)
-	case PFGHB:
-		return prefetch.NewGHB(512)
-	default:
-		return nil
-	}
-}
-
-// attachPrefetcher installs the configured data prefetcher on L1D.
+// attachPrefetcher installs the configured data prefetcher on L1D. Every
+// kind's name is one prefetch.New builds.
 func attachPrefetcher(kind PrefetcherKind, hier *cache.Hierarchy) {
-	if pf := newPrefetcher(kind); pf != nil {
+	if pf, _ := prefetch.New(kind.String()); pf != nil {
 		hier.L1D.SetPrefetcher(pf)
 	}
 }
@@ -204,18 +191,15 @@ func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sa
 	// itself converges slowly, so both must be warmed per kind. The
 	// functional execution — the expensive part — still happens once, and
 	// every scheduler config of every kind shares the result.
-	plan := capturePlan(cfg)
-	for _, kind := range []PrefetcherKind{PFBOPStream, PFStride, PFGHB, PFNone} {
-		plan.Variants[kind.String()] = []prefetch.Prefetcher{newPrefetcher(kind)}
-	}
+	plan := capturePlan(cfg, prefetch.KindBOPStream, prefetch.KindStride, prefetch.KindGHB, prefetch.KindNone)
 	return checkpoint.Capture(ctx, []*program.Program{img.Prog}, []*emu.Emulator{img.emulator()}, plan, s)
 }
 
-// capturePlan is a capture warmed at cfg's geometry and frontend sizes,
-// its variants still to be added.
-func capturePlan(cfg Config) checkpoint.Plan {
+// capturePlan is a capture of the named variants warmed at cfg's geometry
+// and frontend sizes.
+func capturePlan(cfg Config, variants ...string) checkpoint.Plan {
 	return checkpoint.Plan{Hier: cfg.Hier, BTBEntries: cfg.Core.BTBEntries, BTBWays: cfg.Core.BTBWays,
-		RASEntries: cfg.Core.RASEntries, Variants: map[string][]prefetch.Prefetcher{}}
+		RASEntries: cfg.Core.RASEntries, Variants: variants}
 }
 
 // RunSampledContext is the one-core RunMultiSampledContext: a sampled
