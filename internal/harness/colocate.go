@@ -21,10 +21,9 @@ import (
 // Every resolved core self-checks the attribution invariant (breakdown
 // partitions Cycles × CommitWidth exactly), failing the figure on drift.
 func (l *Lab) Colocate() *Pending {
-	t, rows := l.colocateRows("Co-location",
+	t, rows, _ := l.colocateRows("Co-location",
 		func(spec sim.RunSpec) sim.RunSpec { return spec },
-		func(lc, batch sim.RunSpec) sim.MultiSpec { return sim.MultiSpec{Cores: []sim.RunSpec{lc, batch}} },
-		func(*sim.MultiResult) {})
+		func(lc, batch sim.RunSpec) sim.MultiSpec { return sim.MultiSpec{Cores: []sim.RunSpec{lc, batch}} })
 	return pending(t, rows, func(t *Table) {
 		soloOOO, coOOO, coCRISP := t.Rows[0], t.Rows[2], t.Rows[3]
 		t.Notes = append(t.Notes,
@@ -39,11 +38,11 @@ func (l *Lab) Colocate() *Pending {
 // colocateRows submits the four rows both co-location figures are made
 // of — the LC core solo and beside the batch core, each under ooo and
 // CRISP on the LC core — and returns them with their table. solo and co
-// turn full-detail clauses into the spec a row runs; every resolved
-// co-run is also handed to seen.
-func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co func(lc, batch sim.RunSpec) sim.MultiSpec,
-	seen func(*sim.MultiResult)) (*Table, []rowSource) {
-	t := &Table{
+// turn full-detail clauses into the spec a row runs. The two co-run rows
+// keep what they resolve in multis, one slot each.
+func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co func(lc, batch sim.RunSpec) sim.MultiSpec) (
+	t *Table, rows []rowSource, multis []*sim.MultiResult) {
+	t = &Table{
 		Title: title + ": tailchase (LC, core 0) + streambatch (batch, core 1), shared LLC/DRAM",
 		Columns: []string{"mix/sched", "lc_ipc", "batch_ipc", "lc_dram_slt%", "lc_llc_mpki",
 			"batch_bw_shr", "lc_dram_lat"},
@@ -71,7 +70,8 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 			return cells(rs[0], nil, 0), nil
 		})
 	}
-	coRow := func(label string, spec sim.MultiSpec) rowSource {
+	multis = make([]*sim.MultiResult, 2)
+	coRow := func(label string, slot int, spec sim.MultiSpec) rowSource {
 		return row(label, []*runner.MultiHandle{l.R.SubmitMulti(spec)}, func(ms []*sim.MultiResult) ([]float64, error) {
 			m := ms[0]
 			for i, r := range m.Cores {
@@ -79,7 +79,7 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 					return nil, fmt.Errorf("core %d: %w", i, err)
 				}
 			}
-			seen(m)
+			multis[slot] = m
 			bw := m.DRAMBandwidthShare()
 			return cells(m.Cores[0], m.Cores[1], bw.Share(1)), nil
 		})
@@ -87,9 +87,9 @@ func (l *Lab) colocateRows(title string, solo func(sim.RunSpec) sim.RunSpec, co 
 	return t, []rowSource{
 		soloRow("lc_solo/ooo", solo(l.refSpec(lc))),
 		soloRow("lc_solo/crisp", solo(l.crispSpec(lc, opts))),
-		coRow("lc+batch/ooo", co(l.refSpec(lc), l.refSpec(batch))),
-		coRow("lc+batch/crisp", co(l.crispSpec(lc, opts), l.refSpec(batch))),
-	}
+		coRow("lc+batch/ooo", 0, co(l.refSpec(lc), l.refSpec(batch))),
+		coRow("lc+batch/crisp", 1, co(l.crispSpec(lc, opts), l.refSpec(batch))),
+	}, multis
 }
 
 // ColocateSampled renders the co-location figure through the sampled
@@ -110,8 +110,7 @@ func (l *Lab) ColocateSampled() *Pending {
 		spec.Insts = 0
 		return spec
 	}
-	var multis []*sim.MultiResult
-	t, rows := l.colocateRows("Co-location (sampled)",
+	t, rows, multis := l.colocateRows("Co-location (sampled)",
 		func(spec sim.RunSpec) sim.RunSpec {
 			spec = sampledClause(spec)
 			spec.Sampling = &s
@@ -119,8 +118,7 @@ func (l *Lab) ColocateSampled() *Pending {
 		},
 		func(lc, batch sim.RunSpec) sim.MultiSpec {
 			return sim.MultiSpec{Sampling: &s, Cores: []sim.RunSpec{sampledClause(lc), sampledClause(batch)}}
-		},
-		func(m *sim.MultiResult) { multis = append(multis, m) })
+		})
 	return pending(t, rows, func(t *Table) {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"schedule: %d co-scheduled windows x %d insts detailed per core, %d-inst budget; one multi-core capture serves both scheduler rows",

@@ -24,41 +24,43 @@ func (l *Lab) CycleAccounting() *Pending {
 		Columns: []string{"app/sched", "retired", "frontend", "branch", "mem_l1", "mem_llc", "mem_dram", "core_bound"},
 	}
 	width := sim.DefaultConfig().Core.CommitWidth
-	var skipped, cycles uint64
-	// cells fails the figure unless the run's breakdown partitions its
-	// commit slots exactly and its retired slots are its µops, and records
-	// the skip-efficiency counters for the HostNotes footnote below (gated
+	suite := l.suite()
+	runs := make([]*core.Result, 2*len(suite)) // row i's run, for the HostNotes footnote
+	// cells is row i's: it fails the figure unless the run's breakdown
+	// partitions its commit slots exactly and its retired slots are its
+	// µops, and keeps the run for the skip-efficiency footnote below (gated
 	// like every host-side note, so the golden rendering is untouched).
-	cells := func(rs []*core.Result) ([]float64, error) {
-		r := rs[0]
-		b := &r.Breakdown
-		if err := metrics.CheckPartition(b, r.Cycles, width); err != nil {
-			return nil, err
+	cells := func(i int) func([]*core.Result) ([]float64, error) {
+		return func(rs []*core.Result) ([]float64, error) {
+			r := rs[0]
+			b := &r.Breakdown
+			if err := metrics.CheckPartition(b, r.Cycles, width); err != nil {
+				return nil, err
+			}
+			if b.Committed != r.Insts {
+				return nil, fmt.Errorf("harness: cycle-accounting drift: %d committed slots vs %d retired µops", b.Committed, r.Insts)
+			}
+			runs[i] = r
+			slots := float64(r.Cycles * uint64(width))
+			pct := func(v uint64) float64 { return float64(v) / slots * 100 }
+			return []float64{
+				pct(b.Committed),
+				pct(b.Stalls[metrics.Frontend]),
+				pct(b.Stalls[metrics.BranchRedirect]),
+				pct(b.Stalls[metrics.MemL1]),
+				pct(b.Stalls[metrics.MemLLC]),
+				pct(b.Stalls[metrics.MemDRAM]),
+				pct(b.CoreBound()),
+			}, nil
 		}
-		if b.Committed != r.Insts {
-			return nil, fmt.Errorf("harness: cycle-accounting drift: %d committed slots vs %d retired µops", b.Committed, r.Insts)
-		}
-		skipped += r.SkippedCycles
-		cycles += r.Cycles
-		slots := float64(r.Cycles * uint64(width))
-		pct := func(v uint64) float64 { return float64(v) / slots * 100 }
-		return []float64{
-			pct(b.Committed),
-			pct(b.Stalls[metrics.Frontend]),
-			pct(b.Stalls[metrics.BranchRedirect]),
-			pct(b.Stalls[metrics.MemL1]),
-			pct(b.Stalls[metrics.MemLLC]),
-			pct(b.Stalls[metrics.MemDRAM]),
-			pct(b.CoreBound()),
-		}, nil
 	}
 	var rows []rowSource
-	for _, name := range l.suite() {
+	for i, name := range suite {
 		base := l.R.Submit(l.refSpec(name))
 		cr := l.R.Submit(l.crispSpec(name, crisp.DefaultOptions()))
 		rows = append(rows,
-			row(name+"/ooo", []*runner.RunHandle{base}, cells),
-			row(name+"/crisp", []*runner.RunHandle{cr}, cells))
+			row(name+"/ooo", []*runner.RunHandle{base}, cells(2*i)),
+			row(name+"/crisp", []*runner.RunHandle{cr}, cells(2*i+1)))
 	}
 	return pending(t, rows, func(t *Table) {
 		// Quote the headline effect per workload: the DRAM-bound share
@@ -69,6 +71,11 @@ func (l *Lab) CycleAccounting() *Pending {
 			ooo, cr := t.Rows[i], t.Rows[i+1]
 			t.Notes = append(t.Notes, fmt.Sprintf("%s mem_dram slots: ooo %.1f%% -> crisp %.1f%%",
 				ooo.Label[:len(ooo.Label)-len("/ooo")], ooo.Cells[dramCol], cr.Cells[dramCol]))
+		}
+		var skipped, cycles uint64
+		for _, r := range runs {
+			skipped += r.SkippedCycles
+			cycles += r.Cycles
 		}
 		if l.HostNotes && cycles > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(

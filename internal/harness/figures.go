@@ -31,13 +31,14 @@ func (l *Lab) Figure1Skip(window, windows, skip int) *Pending {
 			Columns: []string{"window", "ooo_upc", "crisp_upc"},
 		}
 		n := min(len(base.UPCWindows), len(cr.UPCWindows))
-		if skip >= n {
-			skip = 0
+		first := skip
+		if first >= n {
+			first = 0
 		}
-		if windows > 0 && n > skip+windows {
-			n = skip + windows
+		if windows > 0 && n > first+windows {
+			n = first + windows
 		}
-		for i := skip; i < n; i++ {
+		for i := first; i < n; i++ {
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("w%03d", i),
 				Cells: []float64{base.UPCWindows[i], cr.UPCWindows[i]},

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"crisp/internal/core"
@@ -149,10 +150,14 @@ func row[S, T any](label string, hs []*runner.Handle[S, T], cells func([]*T) ([]
 	}}
 }
 
-// pending assembles a Pending that resolves rows in order into t and
-// then runs finish (for notes derived from the resolved table).
+// pending assembles a Pending that resolves rows in order into a fresh
+// copy of t, its title, columns and notes, and then runs finish on it (for
+// notes derived from the resolved table). A row's cells may record what
+// finish needs, in a slot of the row's own, never by accumulating: every
+// Table call resolves every row again.
 func pending(t *Table, rows []rowSource, finish func(*Table)) *Pending {
 	return &Pending{resolve: func(ctx context.Context) (*Table, error) {
+		t := &Table{Title: t.Title, Columns: t.Columns, Notes: slices.Clip(t.Notes)}
 		for _, rs := range rows {
 			cells, err := rs.cells(ctx)
 			if err != nil {

@@ -237,3 +237,19 @@ func TestPendingErrorPropagates(t *testing.T) {
 		t.Fatalf("err = %v, want unknown-workload error listing known names", err)
 	}
 }
+
+// TestTableIsIdempotent: a Pending's Table resolves into a fresh table on
+// every call and counts every run once a call, so a second call renders
+// what the first did: rows and notes not appended again, and the
+// CycleAccounting skip footnote (HostNotes) over the runs once.
+func TestTableIsIdempotent(t *testing.T) {
+	l := testLab()
+	l.Insts = 30_000
+	l.HostNotes = true
+	for name, p := range map[string]*Pending{"Figure4": l.Figure4(), "CycleAccounting": l.CycleAccounting()} {
+		first := p.MustTable().Format()
+		if second := p.MustTable().Format(); second != first {
+			t.Errorf("%s: the second Table call renders\n%s\nthe first\n%s", name, second, first)
+		}
+	}
+}

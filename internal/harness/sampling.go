@@ -21,14 +21,14 @@ func (l *Lab) SamplingValidation() *Pending {
 		Title:   "Sampled simulation: IPC vs full detail",
 		Columns: []string{"app", "full_ipc", "sampled_ipc", "err_%"},
 	}
-	var fulls, samples []*core.Result
+	suite := l.suite()
+	fulls, samples := make([]*core.Result, len(suite)), make([]*core.Result, len(suite)) // by row
 	var rows []rowSource
-	for _, name := range l.suite() {
+	for i, name := range suite {
 		hs := []*runner.RunHandle{l.R.Submit(l.refSpec(name)), l.R.Submit(l.sampledSpec(name, s))}
 		rows = append(rows, row(name, hs, func(rs []*core.Result) ([]float64, error) {
 			fr, sr := rs[0], rs[1]
-			fulls = append(fulls, fr)
-			samples = append(samples, sr)
+			fulls[i], samples[i] = fr, sr
 			return []float64{fr.IPC(), sr.IPC(), (sr.IPC()/fr.IPC() - 1) * 100}, nil
 		}))
 	}
