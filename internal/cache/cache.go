@@ -215,9 +215,6 @@ func (c *Cache) Stats() Stats {
 	return sum
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // locate returns addr's line address and its set. The L1s' set counts are
 // powers of two and take the mask; a division by a count the compiler
 // cannot see is some forty cycles, which only the LLC (819 sets) pays.

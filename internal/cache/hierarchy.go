@@ -70,9 +70,6 @@ type Hierarchy struct {
 // SharedHierarchy.
 func NewHierarchy(cfg HierConfig) *Hierarchy { return NewSharedHierarchy(cfg, 1).Views[0] }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() HierConfig { return h.cfg }
-
 // Activate routes shared-level statistics and miss observers to this view's
 // requester. The core calls it before each step, so that with several
 // cores in one co-run every step is attributed to the core taking it.

@@ -13,6 +13,7 @@ import (
 
 	"crisp/internal/cache"
 	"crisp/internal/checkpoint"
+	"crisp/internal/core"
 	"crisp/internal/emu"
 	"crisp/internal/prefetch"
 	"crisp/internal/program"
@@ -153,7 +154,6 @@ func TestCaptureWarmerMatchesOracle(t *testing.T) {
 	}
 	s := sim.AutoSampling(2_000_000)
 	p := checkpoint.Params{Skip: s.Skip, Warm: s.Warm, Window: s.Window, Count: s.Count}
-	core := sim.DefaultConfig().Core
 	capture := func(name string, f func(*program.Program, *emu.Emulator, cache.HierConfig, int, int, int, []string, checkpoint.Params) *checkpoint.Set) []byte {
 		img := workload.ByName(name).Build(workload.Ref)
 		em := emulatorOver(img)

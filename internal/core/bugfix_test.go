@@ -43,7 +43,7 @@ func TestRedirectDoesNotShortenFetchBlock(t *testing.T) {
 	}
 	c.execute(e, e.d.Inst.Op.Class(), 0)
 
-	redirect := e.doneAt + uint64(cfg.RedirectPenalty)
+	redirect := e.doneAt + RedirectPenalty
 	if redirect >= blocked {
 		t.Fatalf("test setup: redirect deadline %d not earlier than block %d", redirect, blocked)
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "crisp/internal/isa"
-
 // SchedulerKind selects the issue-selection policy.
 type SchedulerKind int
 
@@ -35,41 +33,39 @@ func (s SchedulerKind) String() string {
 	}
 }
 
-// Config holds the core microarchitectural parameters (Table 1 defaults
-// via DefaultConfig).
+// Table 1's fixed core parameters. Nothing varies them: a spec sets only
+// the fields of Config.
+const (
+	FetchWidth            = 6       // fetch, dispatch and issue width
+	LoadQueue, StoreQueue = 64, 128 // load and store buffer entries
+	FrontendDepth         = 5       // fetch-to-dispatch pipeline depth, cycles
+	FTQSize               = 128     // how far ahead, in code lines, FDIP prefetches
+	BTBEntries, BTBWays   = 8192, 4 // branch target buffer
+	RASEntries            = 32      // return address stack
+	// RedirectPenalty is the extra frontend refill delay after a resolved
+	// misprediction, on top of waiting for the branch to execute.
+	RedirectPenalty = 10
+	// BTBMissPenalty is the decode-redirect bubble for a taken branch
+	// whose target missed the BTB.
+	BTBMissPenalty = 8
+)
+
+// Config holds what a run may vary of the core: the window sizes
+// (Figure 9), the scheduler, the predictor study and the run's bounds.
+// The rest of Table 1 is the constants above, isa.Ports and
+// cache.DefaultHierConfig.
 type Config struct {
-	FetchWidth  int
+	// CommitWidth is the retire width. It stays a field because bench
+	// reads it off sim.DefaultConfig.
 	CommitWidth int
 	ROBSize     int
 	RSSize      int
-	LoadQueue   int
-	StoreQueue  int
-
-	Ports [isa.NumPortClasses]int
 
 	Scheduler SchedulerKind
-
-	// FrontendDepth is the fetch-to-dispatch pipeline depth in cycles.
-	FrontendDepth int
-	// RedirectPenalty is the extra frontend refill delay after a resolved
-	// misprediction, on top of waiting for the branch to execute.
-	RedirectPenalty int
-	// BTBMissPenalty is the decode-redirect bubble for a taken branch
-	// whose target missed the BTB.
-	BTBMissPenalty int
 
 	// PerfectBP replaces TAGE with an oracle direction predictor
 	// (Section 5.3 study).
 	PerfectBP bool
-	// FDIP enables fetch-directed instruction prefetching into the L1I.
-	FDIP bool
-	// FTQSize bounds how far ahead (in code lines) FDIP prefetches.
-	FTQSize int
-
-	// BTBEntries and BTBWays size the branch target buffer.
-	BTBEntries, BTBWays int
-	// RASEntries sizes the return address stack.
-	RASEntries int
 
 	// UPCWindow, when nonzero, records retired µops per window of this
 	// many cycles (Figure 1 timelines).
@@ -86,27 +82,13 @@ type Config struct {
 	MaxInsts uint64
 }
 
-// DefaultConfig returns the Table 1 core: 6-wide fetch/retire, 224-entry
-// ROB, 96-entry unified RS, 64-entry load buffer, 128-entry store buffer,
-// 4 ALU + 2 load + 1 store ports, TAGE, 8K-entry BTB, FDIP with 128 FTQ
-// entries, oldest-ready-first scheduling.
+// DefaultConfig returns the Table 1 core: 6-wide retire, 224-entry ROB,
+// 96-entry unified RS, oldest-ready-first scheduling, TAGE.
 func DefaultConfig() Config {
 	return Config{
-		FetchWidth:      6,
-		CommitWidth:     6,
-		ROBSize:         224,
-		RSSize:          96,
-		LoadQueue:       64,
-		StoreQueue:      128,
-		Ports:           isa.Ports(),
-		Scheduler:       SchedOldestFirst,
-		FrontendDepth:   5,
-		RedirectPenalty: 10,
-		BTBMissPenalty:  8,
-		FDIP:            true,
-		FTQSize:         128,
-		BTBEntries:      8192,
-		BTBWays:         4,
-		RASEntries:      32,
+		CommitWidth: 6,
+		ROBSize:     224,
+		RSSize:      96,
+		Scheduler:   SchedOldestFirst,
 	}
 }

@@ -137,8 +137,8 @@ func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierar
 		prog: prog,
 		em:   em,
 		hier: hier,
-		btb:  branch.NewBTB(cfg.BTBEntries, cfg.BTBWays),
-		ras:  branch.NewRAS(cfg.RASEntries),
+		btb:  branch.NewBTB(BTBEntries, BTBWays),
+		ras:  branch.NewRAS(RASEntries),
 
 		marker:           marker,
 		waitingBranchSeq: -1,
@@ -146,15 +146,15 @@ func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierar
 		rob: make([]entry, ring),
 		rng: 0x853C49E6748FEA9B,
 
-		fetchQ: make([]fqEntry, ceilPow2(cfg.FTQSize+cfg.FetchWidth+1)),
-		storeQ: make([]uint64, ceilPow2(cfg.StoreQueue)),
+		fetchQ: make([]fqEntry, ceilPow2(FTQSize+FetchWidth+1)),
+		storeQ: make([]uint64, ceilPow2(StoreQueue)),
 
 		readyBid:   NewBitset(keys),
 		readyPrio:  NewBitset(keys),
 		waitCount:  make([]int8, keys),
 		waiterHead: make([]int32, ring),
 		waiterNext: make([]int32, keys*3),
-		picks:      make([]int32, 0, cfg.FetchWidth),
+		picks:      make([]int32, 0, FetchWidth),
 		wakeups:    wakeupWheel{far: make(wakeupHeap, 0, cfg.RSSize*3)},
 	}
 	if cfg.Scheduler == SchedRandom {
@@ -174,8 +174,8 @@ func New(cfg Config, prog *program.Program, em *emu.Emulator, hier *cache.Hierar
 		c.regProd[i] = -1
 		c.regProdPC[i] = -1
 	}
-	for cls := range c.portBusy {
-		c.portBusy[cls] = make([]uint64, cfg.Ports[cls])
+	for cls, n := range isa.Ports() {
+		c.portBusy[cls] = make([]uint64, n)
 	}
 	c.stats.Loads = make(map[int]*LoadProf)
 	c.stats.Branches = make(map[int]*BranchProf)
@@ -450,11 +450,11 @@ func (c *Core) selectByAge() []int32 {
 	head := int(c.headSeq & c.robMask)
 	below := uint64(1)<<uint(head&63) - 1
 	words := len(c.readyBid.words)
-	picks, width := c.picks[:0], c.cfg.FetchWidth // issue width matches machine width (6)
+	picks := c.picks[:0] // issue width is FetchWidth
 	crisp := c.cfg.Scheduler == SchedCRISP
 	for prio := crisp; ; prio = false {
 		older := 0 // BID bits in the words walked so far
-		for i := 0; i <= words && len(picks) < width; i++ {
+		for i := 0; i <= words && len(picks) < FetchWidth; i++ {
 			wi := (head>>6 + i) & (words - 1)
 			bid := c.readyBid.words[wi]
 			if i == 0 {
@@ -469,7 +469,7 @@ func (c *Core) selectByAge() []int32 {
 				// The BID pass starts only once every PRIO bit is picked.
 				w &^= c.readyPrio.words[wi]
 			}
-			for ; w != 0 && len(picks) < width; w &= w - 1 {
+			for ; w != 0 && len(picks) < FetchWidth; w &= w - 1 {
 				b := bits.TrailingZeros64(w)
 				if prio {
 					c.stats.IssuedCritical++
@@ -492,7 +492,7 @@ func (c *Core) selectByAge() []int32 {
 func (c *Core) issueRandom() {
 	bid := c.scratchBid
 	bid.CopyFrom(c.readyBid)
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < FetchWidth; n++ {
 		ready := bid.Count()
 		if ready == 0 {
 			return
@@ -642,7 +642,7 @@ func (c *Core) execute(e *entry, cls isa.PortClass, port int) {
 		// path after the redirect penalty. An in-force longer block (an
 		// icache miss still filling) must not be shortened by the redirect,
 		// so the later deadline wins.
-		until := e.doneAt + uint64(c.cfg.RedirectPenalty)
+		until := e.doneAt + RedirectPenalty
 		c.fetchBlockedUntil = max(c.fetchBlockedUntil, until)
 		c.redirectUntil = max(c.redirectUntil, until)
 		if c.waitingBranchSeq == int64(e.seq) {
@@ -655,7 +655,7 @@ func (c *Core) execute(e *entry, cls isa.PortClass, port int) {
 
 func (c *Core) dispatch() {
 	c.dispStall = 0
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < FetchWidth; n++ {
 		if c.fqLen == 0 {
 			return
 		}
@@ -668,11 +668,11 @@ func (c *Core) dispatch() {
 			return
 		}
 		op := f.d.Inst.Op
-		if op == isa.OpLoad && c.lqCount >= c.cfg.LoadQueue {
+		if op == isa.OpLoad && c.lqCount >= LoadQueue {
 			c.dispStall |= dsLQFull
 			return
 		}
-		if op == isa.OpStore && c.sqCount >= c.cfg.StoreQueue {
+		if op == isa.OpStore && c.sqCount >= StoreQueue {
 			c.dispStall |= dsSQFull
 			return
 		}
@@ -794,10 +794,10 @@ func (c *Core) fetch() {
 	if c.streamDone {
 		return
 	}
-	if c.fqLen >= c.cfg.FTQSize {
+	if c.fqLen >= FTQSize {
 		return
 	}
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < FetchWidth; n++ {
 		if c.cfg.MaxInsts > 0 && c.fetched >= c.cfg.MaxInsts {
 			c.streamDone = true
 			return
@@ -815,22 +815,20 @@ func (c *Core) fetch() {
 		c.fetched++
 
 		// Instruction cache: fetching a new code line pays its access
-		// latency; with FDIP the following lines are prefetched.
-		readyAt := c.cycle + uint64(c.cfg.FrontendDepth)
+		// latency, and FDIP prefetches the following lines.
+		readyAt := c.cycle + FrontendDepth
 		icacheStall := false
 		line := c.prog.ByteAddr(d.PC) &^ 63
 		if line != c.curFetchLine {
 			done, hit := c.hier.Inst(line, c.cycle)
 			c.curFetchLine = line
-			if c.cfg.FDIP {
-				for i := 1; i <= 3; i++ {
-					c.hier.PrefetchInst(line+uint64(i*64), c.cycle)
-				}
+			for i := 1; i <= 3; i++ {
+				c.hier.PrefetchInst(line+uint64(i*64), c.cycle)
 			}
 			if !hit {
 				icacheStall = true
 				c.fetchBlockedUntil = done
-				readyAt = done + uint64(c.cfg.FrontendDepth)
+				readyAt = done + FrontendDepth
 			}
 		}
 
@@ -899,7 +897,7 @@ func (c *Core) fetchBranch(d *emu.DynInst) (mispredict bool, bubbleUntil uint64)
 		if _, ok := c.btb.Lookup(pcAddr); !ok {
 			c.stats.BTBMisses++
 			c.btb.Insert(pcAddr, d.NextPC)
-			return false, c.cycle + uint64(c.cfg.BTBMissPenalty)
+			return false, c.cycle + BTBMissPenalty
 		}
 	}
 	return false, 0

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"crisp/internal/branch"
 	"crisp/internal/cache"
 	"crisp/internal/emu"
 	"crisp/internal/isa"
@@ -32,56 +33,66 @@ func TestCallRetThroughPipeline(t *testing.T) {
 	}
 }
 
-func TestStoreQueueCapacityStalls(t *testing.T) {
-	// A burst of stores with a tiny store queue must still complete, just
-	// more slowly than with a large one.
-	mk := func() *program.Program {
-		b := program.NewBuilder("st")
-		b.MovI(isa.R(1), 0x10000)
-		b.MovI(isa.R(2), 0)
-		b.MovI(isa.R(3), 300)
-		b.Label("loop")
-		for i := 0; i < 8; i++ {
-			b.Store(isa.R(1), int64(i*8), isa.R(2))
+// headMissLoop is a loop whose every iteration starts with a load that
+// misses to DRAM (a new line 64 KiB past the last) and then runs body
+// behind it, so that for a DRAM latency nothing behind the head retires.
+func headMissLoop(name string, body func(b *program.Builder)) *program.Program {
+	b := program.NewBuilder(name)
+	b.MovI(isa.R(1), 0x10000)
+	b.MovI(isa.R(2), 0)
+	b.MovI(isa.R(3), 20)
+	b.MovI(isa.R(4), 0x100000)
+	b.Label("loop")
+	b.Load(isa.R(5), isa.R(4), 0)
+	body(b)
+	b.AddI(isa.R(4), isa.R(4), 0x10000)
+	b.AddI(isa.R(2), isa.R(2), 1)
+	b.Blt(isa.R(2), isa.R(3), "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// peakOccupancy steps a Table 1 core over p one cycle at a time, with no
+// idle skip, and returns the most entries occ read after any cycle. It
+// fails the test if occ ever exceeds limit.
+func peakOccupancy(t *testing.T, p *program.Program, occ func(*Core) int, limit int) int {
+	t.Helper()
+	c := New(DefaultConfig(), p, emu.New(p, nil), cache.NewHierarchy(cache.DefaultHierConfig()), nil)
+	peak := 0
+	for !c.finished() {
+		c.stepCycle()
+		n := occ(c)
+		if n > limit {
+			t.Fatalf("cycle %d: %d entries in a %d-entry queue", c.cycle, n, limit)
 		}
-		b.AddI(isa.R(2), isa.R(2), 1)
-		b.Blt(isa.R(2), isa.R(3), "loop")
-		b.Halt()
-		return b.MustBuild()
+		peak = max(peak, n)
+		c.advanceCycle()
 	}
-	small := DefaultConfig()
-	small.StoreQueue = 4
-	rs := runProg(t, small, mk(), nil, nil)
-	rb := runProg(t, DefaultConfig(), mk(), nil, nil)
-	if rs.Insts != rb.Insts {
-		t.Fatalf("different instruction counts: %d vs %d", rs.Insts, rb.Insts)
-	}
-	if rs.Cycles <= rb.Cycles {
-		t.Errorf("4-entry SQ (%d cycles) not slower than 128-entry (%d)", rs.Cycles, rb.Cycles)
+	return peak
+}
+
+func TestStoreQueueCapacityStalls(t *testing.T) {
+	// 150 stores behind a DRAM-missing load fill the store buffer, which
+	// drains only at commit: occupancy reaches StoreQueue and stops there.
+	p := headMissLoop("st", func(b *program.Builder) {
+		for i := 0; i < 150; i++ {
+			b.Store(isa.R(1), int64(i%8*8), isa.R(2))
+		}
+	})
+	if peak := peakOccupancy(t, p, func(c *Core) int { return c.sqCount }, StoreQueue); peak != StoreQueue {
+		t.Errorf("store buffer peaked at %d entries, want %d", peak, StoreQueue)
 	}
 }
 
 func TestLoadQueueCapacityStalls(t *testing.T) {
-	mk := func() *program.Program {
-		b := program.NewBuilder("ld")
-		b.MovI(isa.R(1), 0x10000)
-		b.MovI(isa.R(2), 0)
-		b.MovI(isa.R(3), 300)
-		b.Label("loop")
-		for i := 0; i < 8; i++ {
-			b.Load(isa.R(8+i%4), isa.R(1), int64(i*8))
+	// 100 loads behind a DRAM-missing load fill the load buffer.
+	p := headMissLoop("ld", func(b *program.Builder) {
+		for i := 0; i < 100; i++ {
+			b.Load(isa.R(8+i%4), isa.R(1), int64(i%8*8))
 		}
-		b.AddI(isa.R(2), isa.R(2), 1)
-		b.Blt(isa.R(2), isa.R(3), "loop")
-		b.Halt()
-		return b.MustBuild()
-	}
-	small := DefaultConfig()
-	small.LoadQueue = 2
-	rs := runProg(t, small, mk(), nil, nil)
-	rb := runProg(t, DefaultConfig(), mk(), nil, nil)
-	if rs.Cycles <= rb.Cycles {
-		t.Errorf("2-entry LQ (%d cycles) not slower than 64-entry (%d)", rs.Cycles, rb.Cycles)
+	})
+	if peak := peakOccupancy(t, p, func(c *Core) int { return c.lqCount }, LoadQueue); peak != LoadQueue {
+		t.Errorf("load buffer peaked at %d entries, want %d", peak, LoadQueue)
 	}
 }
 
@@ -123,27 +134,22 @@ func TestColdCodePressuresICache(t *testing.T) {
 }
 
 func TestFDIPReducesICacheStalls(t *testing.T) {
-	mk := func() *program.Program {
-		b := program.NewBuilder("fdip")
-		b.MovI(isa.R(1), 0)
-		b.MovI(isa.R(2), 30)
-		b.Label("loop")
-		for i := 0; i < 2000; i++ {
-			b.AddI(isa.R(8+i%8), isa.R(16+i%8), 1)
-		}
-		b.AddI(isa.R(1), isa.R(1), 1)
-		b.Blt(isa.R(1), isa.R(2), "loop")
-		b.Halt()
-		return b.MustBuild()
+	// A 10 KB loop body overflows no L1I but misses it cold: FDIP runs
+	// ahead of fetch, so demand fetches hit lines it brought in.
+	b := program.NewBuilder("fdip")
+	b.MovI(isa.R(1), 0)
+	b.MovI(isa.R(2), 30)
+	b.Label("loop")
+	for i := 0; i < 2000; i++ {
+		b.AddI(isa.R(8+i%8), isa.R(16+i%8), 1)
 	}
-	on := DefaultConfig()
-	off := DefaultConfig()
-	off.FDIP = false
-	ron := runProg(t, on, mk(), nil, nil)
-	roff := runProg(t, off, mk(), nil, nil)
-	if ron.IPC() <= roff.IPC() {
-		t.Errorf("FDIP on (%.3f IPC) not faster than off (%.3f) on 10KB loop body",
-			ron.IPC(), roff.IPC())
+	b.AddI(isa.R(1), isa.R(1), 1)
+	b.Blt(isa.R(1), isa.R(2), "loop")
+	b.Halt()
+	r := runProg(t, DefaultConfig(), b.MustBuild(), nil, nil)
+	if r.L1I.Prefetches == 0 || r.L1I.PrefetchHits == 0 {
+		t.Errorf("L1I prefetches %d, prefetch hits %d: FDIP did not run ahead of fetch",
+			r.L1I.Prefetches, r.L1I.PrefetchHits)
 	}
 }
 
@@ -200,10 +206,10 @@ func TestBTBMissPenaltyApplied(t *testing.T) {
 		b.Halt()
 		return b.MustBuild()
 	}
-	tiny := DefaultConfig()
-	tiny.BTBEntries = 4
-	tiny.BTBWays = 1
-	rt := runProg(t, tiny, mk(), nil, nil)
+	p := mk()
+	c := New(DefaultConfig(), p, emu.New(p, nil), cache.NewHierarchy(cache.DefaultHierConfig()), nil)
+	c.SetBranchState(nil, branch.NewBTB(4, 1), nil)
+	rt := c.Run()
 	rb := runProg(t, DefaultConfig(), mk(), nil, nil)
 	if rt.BTBMisses <= rb.BTBMisses {
 		t.Errorf("tiny BTB misses %d <= default %d", rt.BTBMisses, rb.BTBMisses)

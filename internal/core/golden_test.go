@@ -86,7 +86,7 @@ func TestGoldenSchedulerEquivalence(t *testing.T) {
 		t.Run(tc.name(), func(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			if tc.rs != 0 {
-				cfg = cfg.WithWindow(tc.rs, tc.rob)
+				cfg.Core.RSSize, cfg.Core.ROBSize = tc.rs, tc.rob
 			}
 			cfg.Core.MaxInsts = goldenInsts
 			r := sim.Run(goldenImage(t, tc.workload, tc.sched), cfg.WithSched(tc.sched))

@@ -48,7 +48,7 @@ type coRunOut struct {
 func coRun(t *testing.T, names []string, insts []uint64, sched core.SchedulerKind, noskip bool,
 	drive func([]*core.Core, func() bool) []*core.Result) coRunOut {
 	t.Helper()
-	sh := cache.NewSharedHierarchy(sim.DefaultConfig().Hier, len(names))
+	sh := cache.NewSharedHierarchy(cache.DefaultHierConfig(), len(names))
 	cores := make([]*core.Core, len(names))
 	for i, name := range names {
 		s := core.SchedOldestFirst

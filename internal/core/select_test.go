@@ -146,7 +146,7 @@ func newSelectHarness(t *testing.T, cfg Config, seed int64) *selectHarness {
 // misses that back the window up).
 func (h *selectHarness) feed(n int) {
 	c := h.c
-	for ; n > 0 && c.fqLen < c.cfg.FTQSize; n-- {
+	for ; n > 0 && c.fqLen < FTQSize; n-- {
 		pc := h.r.Intn(h.prog.Len() - 1)
 		addr := uint64(0x10000 + 8*h.r.Intn(4))
 		if h.r.Intn(3) == 0 {
@@ -180,7 +180,7 @@ func (h *selectHarness) issue() {
 
 	var want []uint64 // seqs the real issue() must execute
 	var seq []int32   // the cycle's picks in order
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < FetchWidth; n++ {
 		crit, jump := c.stats.IssuedCritical, c.stats.QueueJumpSum
 		got := refPick(c, bid, prio)
 
@@ -316,7 +316,7 @@ func TestSelectMatchesStampOracle(t *testing.T) {
 				h := newSelectHarness(t, cfg, int64(w.rob)<<8|int64(sched))
 				c := h.c
 				for c.stats.Insts < uint64(40*w.rob) {
-					h.cycle(h.r.Intn(cfg.FetchWidth + 1))
+					h.cycle(h.r.Intn(FetchWidth + 1))
 				}
 				for c.fqLen > 0 || c.headSeq != c.tailSeq {
 					h.cycle(0)
@@ -363,7 +363,7 @@ func TestSelectByAgeRandomVectors(t *testing.T) {
 					bid.CopyFrom(c.readyBid)
 					prio.CopyFrom(c.readyPrio)
 					var want []int32
-					for n := 0; n < cfg.FetchWidth; n++ {
+					for n := 0; n < FetchWidth; n++ {
 						key := refPick(c, bid, prio)
 						if key < 0 {
 							break

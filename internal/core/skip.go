@@ -75,8 +75,8 @@ func (c *Core) skipTarget() (uint64, bool) {
 		} else {
 			op := f.d.Inst.Op
 			blocked := c.tailSeq-c.headSeq >= uint64(c.cfg.ROBSize) ||
-				(op == isa.OpLoad && c.lqCount >= c.cfg.LoadQueue) ||
-				(op == isa.OpStore && c.sqCount >= c.cfg.StoreQueue) ||
+				(op == isa.OpLoad && c.lqCount >= LoadQueue) ||
+				(op == isa.OpStore && c.sqCount >= StoreQueue) ||
 				c.rsCount >= c.cfg.RSSize
 			if !blocked {
 				return 0, false
@@ -88,7 +88,7 @@ func (c *Core) skipTarget() (uint64, bool) {
 	// not idle. Blocked-on-branch states (mispredictPending, an
 	// unresolved waiting branch) clear through dispatch/issue events;
 	// only the timed block needs its own entry in the min.
-	if !c.streamDone && !c.mispredictPending && c.waitingBranchSeq < 0 && c.fqLen < c.cfg.FTQSize {
+	if !c.streamDone && !c.mispredictPending && c.waitingBranchSeq < 0 && c.fqLen < FTQSize {
 		if c.fetchBlockedUntil <= c.cycle+1 {
 			return 0, false
 		}

@@ -42,7 +42,7 @@ func TestSkipEquivalence(t *testing.T) {
 				run := func(noskip bool) *core.Result {
 					cfg := sim.DefaultConfig().WithSched(sched)
 					if tc.rs != 0 {
-						cfg = cfg.WithWindow(tc.rs, tc.rob)
+						cfg.Core.RSSize, cfg.Core.ROBSize = tc.rs, tc.rob
 					}
 					cfg.Core.MaxInsts = 60_000
 					cfg.Core.UPCWindow = 500
@@ -108,7 +108,7 @@ func TestWakeupsFireOnTime(t *testing.T) {
 		cfg := sim.DefaultConfig().WithSched(sched)
 		cfg.Core.MaxInsts = 40_000
 		img := goldenImage(t, name, sched)
-		hier := cache.NewHierarchy(cfg.Hier)
+		hier := cache.NewHierarchy(cache.DefaultHierConfig())
 		hier.L1D.SetPrefetcher(prefetch.NewBOPStream())
 		em := emu.New(img.Prog, img.Mem)
 		for r, v := range img.Regs {

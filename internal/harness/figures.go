@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"crisp/internal/cache"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
+	"crisp/internal/isa"
 	"crisp/internal/runner"
 	"crisp/internal/sim"
 )
@@ -252,9 +254,10 @@ func (l *Lab) Figure12() *Pending {
 	return pending(t, rows, nil)
 }
 
-// Table1 renders the simulated system configuration.
+// Table1 renders the simulated system configuration: the default config
+// beside the core's constants, the port counts and the hierarchy.
 func (l *Lab) Table1() string {
-	c := sim.DefaultConfig()
+	c, ports, h := sim.DefaultConfig(), isa.Ports(), cache.DefaultHierConfig()
 	return fmt.Sprintf(`== Table 1: simulated system ==
 Frontend width / retirement    %d-way
 Functional units               %d ALU, %d load, %d store
@@ -272,16 +275,16 @@ L1D                            %d KiB, %d-way, %d cycles
 LLC                            %d KiB, %d-way, %d cycles
 Memory                         DDR4-2400-like, 1 channel, %d banks
 `,
-		c.Core.FetchWidth,
-		c.Core.Ports[0], c.Core.Ports[1], c.Core.Ports[2],
-		c.Core.BTBEntries, c.Core.BTBWays,
-		c.Core.ROBSize, c.Core.RSSize, c.Core.FetchWidth,
-		c.Prefetcher, c.Core.FTQSize,
-		c.Core.LoadQueue, c.Core.StoreQueue,
-		c.Hier.L1I.SizeKiB, c.Hier.L1I.Ways, c.Hier.L1I.Latency,
-		c.Hier.L1D.SizeKiB, c.Hier.L1D.Ways, c.Hier.L1D.Latency,
-		c.Hier.LLC.SizeKiB, c.Hier.LLC.Ways, c.Hier.LLC.Latency,
-		c.Hier.DRAM.Banks)
+		core.FetchWidth,
+		ports[isa.PortALU], ports[isa.PortLoad], ports[isa.PortStore],
+		core.BTBEntries, core.BTBWays,
+		c.Core.ROBSize, c.Core.RSSize, core.FetchWidth,
+		c.Prefetcher, core.FTQSize,
+		core.LoadQueue, core.StoreQueue,
+		h.L1I.SizeKiB, h.L1I.Ways, h.L1I.Latency,
+		h.L1D.SizeKiB, h.L1D.Ways, h.L1D.Latency,
+		h.LLC.SizeKiB, h.LLC.Ways, h.LLC.Latency,
+		h.DRAM.Banks)
 }
 
 // Section31 reproduces the motivating measurement of Section 3.1: the

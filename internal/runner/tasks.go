@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"crisp/internal/cache"
 	"crisp/internal/checkpoint"
 	"crisp/internal/core"
 	"crisp/internal/crisp"
@@ -537,14 +538,13 @@ func (cs *captureStats) claim() (int64, uint64) {
 }
 
 // geometryKey is the part of a checkpoint key that names the warmed
-// cache geometry and front-end structure sizes.
+// cache geometry and front-end structure sizes: Table 1's.
 func geometryKey() string {
-	cfg := sim.DefaultConfig()
-	hier, err := json.Marshal(cfg.Hier)
+	hier, err := json.Marshal(cache.DefaultHierConfig())
 	if err != nil { // unreachable: HierConfig is plain data
 		panic(fmt.Sprintf("runner: marshal HierConfig: %v", err))
 	}
-	return fmt.Sprintf("|btb=%d/%d|ras=%d|hier=%s", cfg.Core.BTBEntries, cfg.Core.BTBWays, cfg.Core.RASEntries, hier)
+	return fmt.Sprintf("|btb=%d/%d|ras=%d|hier=%s", core.BTBEntries, core.BTBWays, core.RASEntries, hier)
 }
 
 func hashKey(msg string) string {

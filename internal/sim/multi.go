@@ -65,21 +65,14 @@ func (m *MultiResult) DRAMBandwidthShare() metrics.Attribution {
 // (a cache.SharedHierarchy: per-core private L1s over one contended LLC
 // and DRAM), wires each image and config to a core over its own view, and
 // steps all cores in lockstep to completion (core.RunMulti). imgs[i] runs
-// on core i under cfgs[i]; the images are consumed. Every config must
-// carry the same hierarchy geometry. On cancellation it returns
-// (nil, ctx.Err()).
+// on core i under cfgs[i]; the images are consumed. On cancellation it
+// returns (nil, ctx.Err()).
 func RunMultiContext(ctx context.Context, imgs []*Image, cfgs []Config) (*MultiResult, error) {
 	n := len(imgs)
 	if n == 0 || len(cfgs) != n {
 		return nil, fmt.Errorf("sim: RunMulti needs one config per image (%d images, %d configs)", n, len(cfgs))
 	}
-	for i := 1; i < n; i++ {
-		if cfgs[i].Hier != cfgs[0].Hier {
-			return nil, fmt.Errorf("sim: core %d hierarchy geometry differs from core 0", i)
-		}
-	}
-
-	sh := cache.NewSharedHierarchy(cfgs[0].Hier, n)
+	sh := cache.NewSharedHierarchy(cache.DefaultHierConfig(), n)
 	cores := make([]*core.Core, n)
 	for i := 0; i < n; i++ {
 		view := sh.Views[i]

@@ -37,10 +37,10 @@ const (
 
 // CaptureMultiCheckpointsContext runs the co-scheduled functional
 // fast-forward pass over the images (one per core, consumed) and returns
-// the set their sampled co-runs restore from. The shared-hierarchy
-// geometry, frontend structure sizes and per-core prefetcher kinds come
-// from cfgs, which must match the configs that will restore the set
-// (RunMultiSampledContext verifies geometry and prefetcher tuple).
+// the set their sampled co-runs restore from, warmed at Table 1's
+// geometry and frontend sizes. The per-core prefetcher kinds come from
+// cfgs, which must match the configs that will restore the set
+// (RunMultiSampledContext verifies the prefetcher tuple).
 //
 // Capture is speed-paced: a small calibration pass — an unpaced
 // mini-capture plus one detailed lockstep window under the baseline
@@ -61,11 +61,6 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 	if n == 0 || len(cfgs) != n {
 		return nil, fmt.Errorf("sim: CaptureMultiCheckpoints needs one config per image (%d images, %d configs)", n, len(cfgs))
 	}
-	for i := range imgs {
-		if cfgs[i].Hier != cfgs[0].Hier {
-			return nil, fmt.Errorf("sim: core %d hierarchy geometry differs from core 0", i)
-		}
-	}
 	newEms := func() ([]*program.Program, []*emu.Emulator, checkpoint.Plan) {
 		progs := make([]*program.Program, n)
 		ems := make([]*emu.Emulator, n)
@@ -73,7 +68,7 @@ func CaptureMultiCheckpointsContext(ctx context.Context, imgs []*Image, cfgs []C
 			progs[i] = imgs[i].Prog
 			ems[i] = imgs[i].emulator()
 		}
-		plan := capturePlan(cfgs[0], variantOf(cfgs))
+		plan := capturePlan(variantOf(cfgs))
 		plan.Shared = true
 		return progs, ems, plan
 	}
@@ -192,14 +187,14 @@ func calibratePace(ctx context.Context, imgs []*Image, cfgs []Config, s Sampling
 
 // RunMultiSampledContext executes a sampled co-scheduled simulation over
 // a previously captured set; RunSampledContext is its one-core call. A
-// set of another core count, without a variant warmed for cfgs'
+// set of another core count or without a variant warmed for cfgs'
 // prefetcher tuple (the shared LLC's content depends on every core's
-// prefetch traffic) or of other hierarchy geometry is an error. In
-// execution order, on the caller's goroutine, each point restores into a
-// fresh detailed lockstep window whose core i runs set.WindowInsts[i]
-// instructions of progs[i] (position-identical to the program core i was
-// captured with) under cfgs[i], and the window is added to the aggregate
-// before the next point restores. A core's windows are equal length, so
+// prefetch traffic) is an error. In execution order, on the caller's
+// goroutine, each point restores into a fresh detailed lockstep window
+// whose core i runs set.WindowInsts[i] instructions of progs[i]
+// (position-identical to the program core i was captured with) under
+// cfgs[i], and the window is added to the aggregate before the next point
+// restores. A core's windows are equal length, so
 // summing counters, breakdowns, histograms and shared-level stats is the
 // weighted aggregate. Budgets proportional to co-run speeds mean the
 // cores finish each window together: the windows measure the co-located
@@ -212,11 +207,6 @@ func RunMultiSampledContext(ctx context.Context, set *checkpoint.Set, progs []*p
 	n, variant, points := len(cfgs), variantOf(cfgs), len(set.Points)
 	if len(progs) != n || n != set.Cores {
 		return nil, fmt.Errorf("sim: %d-core checkpoint set, %d programs, %d configs", set.Cores, len(progs), n)
-	}
-	for i := range cfgs {
-		if cfgs[i].Hier != set.Hier {
-			return nil, fmt.Errorf("sim: core %d config hierarchy geometry differs from the checkpoint set's", i)
-		}
 	}
 	if points > 0 && set.Points[0].Variants[variant] == nil {
 		return nil, fmt.Errorf("sim: checkpoint set has no variant warmed for prefetchers %q", variant)

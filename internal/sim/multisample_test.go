@@ -291,17 +291,11 @@ func TestMultiSampledSharedSet(t *testing.T) {
 	}
 }
 
-// TestMultiSampledRejections pins the clean-error paths: geometry
-// mismatch and prefetcher-tuple mismatch (the tuple is part of the
-// capture) reject instead of running wrong.
+// TestMultiSampledRejections pins the clean-error paths: a
+// prefetcher-tuple mismatch (the tuple is part of the capture) rejects
+// instead of running wrong.
 func TestMultiSampledRejections(t *testing.T) {
 	set, progs, cfgs := captureMultiSmall(t)
-
-	bad := []sim.Config{cfgs[0], cfgs[1]}
-	bad[1].Hier.L1D.SizeKiB *= 2
-	if _, err := sim.RunMultiSampledContext(context.Background(), set, progs, bad, multiSmallSchedule); err == nil {
-		t.Error("geometry mismatch not rejected")
-	}
 
 	pfm := []sim.Config{cfgs[0], cfgs[1]}
 	pfm[1].Prefetcher = sim.PFNone

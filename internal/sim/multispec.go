@@ -78,9 +78,7 @@ func (m MultiSpec) Validate() error {
 	return nil
 }
 
-// Configs materializes each clause's system configuration. All clauses
-// share one uncore, so their hierarchy geometries must agree (they always
-// do today: RunSpec has no hierarchy overrides).
+// Configs materializes each clause's system configuration.
 func (m MultiSpec) Configs() ([]Config, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -90,9 +88,6 @@ func (m MultiSpec) Configs() ([]Config, error) {
 		cfg, err := c.Config()
 		if err != nil {
 			return nil, fmt.Errorf("core %d: %w", i, err)
-		}
-		if cfg.Hier != cfgs[0].Hier && i > 0 {
-			return nil, fmt.Errorf("sim: core %d hierarchy geometry differs from core 0", i)
 		}
 		cfgs[i] = cfg
 	}

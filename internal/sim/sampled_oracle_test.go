@@ -30,9 +30,6 @@ var RefRunSampledContext = refRunSampledContext
 // clone qualifies). The set is only read, never mutated, so any number of
 // configs may run over it concurrently.
 func refRunSampledContext(ctx context.Context, set *checkpoint.Set, prog *program.Program, cfg Config, s Sampling) (*core.Result, error) {
-	if set.Hier != cfg.Hier {
-		return nil, fmt.Errorf("sim: checkpoint set warmed with different hierarchy geometry than the run config")
-	}
 	check := cancelCheck(ctx)
 	results := make([]*core.Result, len(set.Points))
 	if cfg.IBDA != nil {

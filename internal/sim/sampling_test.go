@@ -242,19 +242,6 @@ func TestSampledCrossConfig(t *testing.T) {
 	}
 }
 
-func TestSampledHierMismatch(t *testing.T) {
-	w := captureSmall(t, "mcf")
-	set, err := sim.CaptureCheckpointsContext(context.Background(), w.Build(workload.Ref), sim.DefaultConfig(), smallSchedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Hier.L1D.SizeKiB *= 2
-	if _, err := sim.RunSampledContext(context.Background(), set, w.Build(workload.Ref).Prog, cfg, smallSchedule); err == nil {
-		t.Fatal("geometry mismatch not rejected")
-	}
-}
-
 func TestAutoSampling(t *testing.T) {
 	for _, total := range []uint64{400_000, 1_200_000, 3_000_000, 12_000_000} {
 		s := sim.AutoSampling(total)

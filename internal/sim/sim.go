@@ -78,10 +78,10 @@ func (p PrefetcherKind) String() string {
 	}
 }
 
-// Config is the full simulated-system configuration.
+// Config is what a run may vary of the simulated system. The cache
+// hierarchy is Table 1's, cache.DefaultHierConfig.
 type Config struct {
 	Core       core.Config
-	Hier       cache.HierConfig
 	Prefetcher PrefetcherKind
 	// IBDA, when non-nil, attaches the runtime IBDA marker (and the run
 	// should use the CRISP scheduler so marks take effect).
@@ -92,7 +92,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Core:       core.DefaultConfig(),
-		Hier:       cache.DefaultHierConfig(),
 		Prefetcher: PFBOPStream,
 	}
 }
@@ -101,20 +100,6 @@ func DefaultConfig() Config {
 func (c Config) WithSched(s core.SchedulerKind) Config {
 	c.Core.Scheduler = s
 	return c
-}
-
-// WithWindow returns a copy with RS/ROB sizes replaced (Figure 9 sweeps).
-func (c Config) WithWindow(rs, rob int) Config {
-	c.Core.RSSize = rs
-	c.Core.ROBSize = rob
-	return c
-}
-
-// ibdaMarker adapts ibda.IBDA to the core.Marker interface.
-type ibdaMarker struct{ ib *ibda.IBDA }
-
-func (m ibdaMarker) MarkDispatch(pc int, isLoad bool, producers []int) bool {
-	return m.ib.MarkDispatch(pc, isLoad, producers)
 }
 
 // Run executes one timing simulation of the image under cfg.
@@ -132,7 +117,7 @@ func attachPrefetcher(kind PrefetcherKind, hier *cache.Hierarchy) {
 }
 
 // attachIBDA wires an IBDA instance's delinquent-load feedback to the
-// LLC and returns its core-facing marker. The observer registers through
+// LLC and returns it as the core's marker. The observer registers through
 // the hierarchy view, so on a shared LLC it fires only for this core's
 // misses.
 func attachIBDA(ib *ibda.IBDA, prog *program.Program, hier *cache.Hierarchy) core.Marker {
@@ -142,7 +127,7 @@ func attachIBDA(ib *ibda.IBDA, prog *program.Program, hier *cache.Hierarchy) cor
 			ib.OnLLCMiss(spc)
 		}
 	})
-	return ibdaMarker{ib}
+	return ib
 }
 
 // cancelCheck adapts a context to the core's cancellation poll; returns
@@ -179,27 +164,26 @@ func RunContext(ctx context.Context, img *Image, cfg Config) (*core.Result, erro
 // over the image and returns the checkpoint set for the schedule: the per-
 // (workload, input, schedule) artifact every config's sampled run
 // restores from. The image is consumed. The warmed cache geometry and
-// frontend structure sizes come from cfg, which must match the configs
-// that will restore the set (RunSampledContext verifies the hierarchy
-// geometry). Cancellation is observed every few milliseconds (see
+// frontend structure sizes are Table 1's (capturePlan); the Config
+// argument is unused. Cancellation is observed every few milliseconds (see
 // checkpoint.Capture) and returns (nil, ctx.Err()), so a partial set is
 // never stored.
-func CaptureCheckpointsContext(ctx context.Context, img *Image, cfg Config, s Sampling) (*checkpoint.Set, error) {
+func CaptureCheckpointsContext(ctx context.Context, img *Image, _ Config, s Sampling) (*checkpoint.Set, error) {
 	// Warm one cache-hierarchy/prefetcher variant per prefetcher kind:
 	// prefetched lines are part of steady-state cache content (resident
 	// prefetches dedup most later suggestions), and prefetcher training
 	// itself converges slowly, so both must be warmed per kind. The
 	// functional execution — the expensive part — still happens once, and
 	// every scheduler config of every kind shares the result.
-	plan := capturePlan(cfg, prefetch.KindBOPStream, prefetch.KindStride, prefetch.KindGHB, prefetch.KindNone)
+	plan := capturePlan(prefetch.KindBOPStream, prefetch.KindStride, prefetch.KindGHB, prefetch.KindNone)
 	return checkpoint.Capture(ctx, []*program.Program{img.Prog}, []*emu.Emulator{img.emulator()}, plan, s)
 }
 
-// capturePlan is a capture of the named variants warmed at cfg's geometry
-// and frontend sizes.
-func capturePlan(cfg Config, variants ...string) checkpoint.Plan {
-	return checkpoint.Plan{Hier: cfg.Hier, BTBEntries: cfg.Core.BTBEntries, BTBWays: cfg.Core.BTBWays,
-		RASEntries: cfg.Core.RASEntries, Variants: variants}
+// capturePlan is a capture of the named variants warmed at Table 1's
+// geometry and frontend sizes.
+func capturePlan(variants ...string) checkpoint.Plan {
+	return checkpoint.Plan{Hier: cache.DefaultHierConfig(), BTBEntries: core.BTBEntries, BTBWays: core.BTBWays,
+		RASEntries: core.RASEntries, Variants: variants}
 }
 
 // RunSampledContext is the one-core RunMultiSampledContext: a sampled

@@ -14,7 +14,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -116,8 +115,6 @@ const (
 	regionC = uint64(0x5000_0000)
 	regionD = uint64(0x7000_0000)
 )
-
-var _ = fmt.Sprintf // keep fmt for kernels that format panics
 
 // paramBase is where kernels stash variant-dependent scalar parameters
 // (sizes, masks). Code loads them at startup so the static program is
