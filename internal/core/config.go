@@ -39,7 +39,7 @@ const (
 	FetchWidth            = 6       // fetch, dispatch and issue width
 	LoadQueue, StoreQueue = 64, 128 // load and store buffer entries
 	FrontendDepth         = 5       // fetch-to-dispatch pipeline depth, cycles
-	FTQSize               = 128     // how far ahead, in code lines, FDIP prefetches
+	FTQSize               = 128     // fetch queue entries: µops fetched ahead of dispatch
 	BTBEntries, BTBWays   = 8192, 4 // branch target buffer
 	RASEntries            = 32      // return address stack
 	// RedirectPenalty is the extra frontend refill delay after a resolved
