@@ -12,13 +12,11 @@
 // Endpoints (see internal/crispd and DESIGN.md). Each kind has a route
 // prefix: /v1/runs (sim.RunSpec), /v1/multi (sim.MultiSpec),
 // /v1/analyses and /v1/footprints (runner.AnalysisSpec). A job is its
-// kind and its key, so status and events are asked for under the prefix
-// of the kind submitted:
+// kind and its key, so its status is asked for under the prefix of the
+// kind submitted. There is one way in and one way out:
 //
 //	POST {prefix}[?wait=1&timeout=30s]   submit a spec
 //	GET  {prefix}/{key}                  job status + result
-//	GET  {prefix}/{key}/events           progress stream (SSE or JSONL)
-//	POST /v1/sweeps                      submit runs and multis atomically
 //	GET  /v1/statsz, /healthz            counters, liveness
 //
 // On SIGINT/SIGTERM the server drains: it refuses fresh work (503) while
@@ -132,8 +130,8 @@ func run() (code int) {
 
 	drainErr := s.Drain(drainCtx)
 
-	// Stop the HTTP listener after the drain so status polls and event
-	// streams keep working while jobs finish.
+	// Stop the HTTP listener after the drain so status polls and waited
+	// submissions keep working while jobs finish.
 	shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShut()
 	hs.Shutdown(shutCtx) //nolint:errcheck // exiting either way

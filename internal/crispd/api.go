@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"crisp/internal/runner"
-	"crisp/internal/sim"
 )
 
 // Wire types shared by the server handlers and the HTTP client. The
@@ -32,8 +31,7 @@ const (
 func (s JobState) terminal() bool { return s == StateDone || s == StateFailed }
 
 // JobStatus is the server's description of one job: the response body
-// of submissions and status polls, and (without Result) the event
-// payload of the progress stream.
+// of submissions and status polls.
 type JobStatus struct {
 	// Key is the spec's deterministic content key — the job's identity.
 	// Submitting a spec with the key of a queued or running job attaches
@@ -51,43 +49,14 @@ type JobStatus struct {
 	Finished  int64 `json:"finished_unix_ns,omitempty"`
 	// Result holds the task's result when State is "done": a
 	// core.Result for runs, sim.MultiResult for multi, crisp.Analysis /
-	// crisp.Footprint for the pipeline kinds. Status polls include it;
-	// progress events omit it. On the server it is always json.Marshal
+	// crisp.Footprint for the pipeline kinds. Every reply about a done job
+	// carries it. On the server it is always json.Marshal
 	// output shared with the table entry, the server's one copy of the
 	// result's wire bytes (the runner memo holds the decoded result too)
 	// — never mutated, and spliced into the response as is (writeStatus);
 	// the client shadows it with a typed field and never sees it raw
 	// (reply).
 	Result json.RawMessage `json:"result,omitempty"`
-	// Task, set only on progress-stream events, describes dependency-task
-	// activity observed while the job is live: checkpoint-set captures
-	// ("ckpt ... running") that explain why a cold sampled submission sits
-	// in "running" with no visible progress. It annotates the event, never
-	// the job's own state, and the runner does not attribute dependencies
-	// to parents, so the note reaches every live subscriber.
-	Task string `json:"task,omitempty"`
-}
-
-// SweepRequest is the POST /v1/sweeps payload: a batch of specs
-// submitted as one atomic unit against the queue bound. Each spec goes
-// through its kind's own decoder, and the batch through the admission a
-// single submission takes: the server dedups each spec against the job
-// table, the store and the runner's single-flight before it costs a queue
-// slot. The server reads it as sweepBody, whose fields must name the same
-// JSON fields (TestSweepBodyMatchesSweepRequest checks them).
-type SweepRequest struct {
-	Runs   []sim.RunSpec   `json:"runs,omitempty"`
-	Multis []sim.MultiSpec `json:"multis,omitempty"`
-	// Timeout, when non-empty, is a Go duration string applied to every
-	// newly started job in the batch (attached jobs keep the deadline of
-	// the submission that started them).
-	Timeout string `json:"timeout,omitempty"`
-}
-
-// SweepResponse lists the per-spec job statuses in request order (runs
-// first, then multis).
-type SweepResponse struct {
-	Jobs []JobStatus `json:"jobs"`
 }
 
 // Statsz is the GET /v1/statsz payload: the runner's progress counters

@@ -143,8 +143,6 @@ func decodeReply[T any](body []byte) (reply[T], error) {
 			rep.Started = r.Int()
 		case "finished_unix_ns":
 			rep.Finished = r.Int()
-		case "task":
-			rep.Task = r.String()
 		case "result":
 			if rep.Result = nil; !r.Null() {
 				rep.Result = new(T)

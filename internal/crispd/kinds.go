@@ -13,13 +13,13 @@ import (
 type execFunc func(context.Context) (any, error)
 
 // kind is one row of the kind table: everything crispd knows about one
-// submittable task family. Handler registers the row's submission, status
-// and events routes, a sweep's specs go through the row's job, lookup reads
-// the store through its loader and Client posts to its path, so a new kind
-// is one runner method plus one row.
+// submittable task family. Handler registers the row's submission and
+// status routes, a submission goes through the row's job, lookup reads the
+// store through its loader and Client posts to its path, so a new kind is
+// one runner method plus one row.
 type kind struct {
 	name string // wire name (JobStatus.Kind) and the store's file-name prefix
-	path string // route prefix: POST path, GET path/{key}[/events]
+	path string // route prefix: POST path, GET path/{key}
 	// job takes a request body to the job it names: the strict wire
 	// decoder of the kind's spec (unknown field or trailing data is an
 	// error), the spec's own Validate, then the server's gate (its

@@ -29,7 +29,7 @@ import (
 
 // TestWriteStatusMatchesWriteJSON pins the spliced envelope to the
 // encoder it replaced: for every result kind, with and without
-// timestamps, Error and Task, writeStatus emits exactly the bytes
+// timestamps and Error, writeStatus emits exactly the bytes
 // writeJSON(JobStatus{…, Result: raw}) does.
 func TestWriteStatusMatchesWriteJSON(t *testing.T) {
 	s, _ := newTestServer(t, Options{Workers: 2})
@@ -64,7 +64,6 @@ func TestWriteStatusMatchesWriteJSON(t *testing.T) {
 			"store hit":  {Key: "k", Kind: kind, State: StateDone, Result: raw},
 			"timestamps": {Key: "k", Kind: kind, State: StateDone, Submitted: 1, Started: 22, Finished: 333, Result: raw},
 			"error":      {Key: "k", Kind: kind, State: StateDone, Error: `a "quoted" <failure> & more`, Finished: 5, Result: raw},
-			"task":       {Key: "k", Kind: kind, State: StateDone, Result: raw, Task: "ckpt abc running"},
 			"no result":  {Key: "k", Kind: kind, State: StateFailed, Error: "boom", Submitted: 1},
 		} {
 			want, got := httptest.NewRecorder(), httptest.NewRecorder()
@@ -78,7 +77,7 @@ func TestWriteStatusMatchesWriteJSON(t *testing.T) {
 			}
 			// The spliced body goes out with its length, so the client can
 			// read it into a buffer of that size.
-			if cl := got.Header().Get("Content-Length"); len(st.Result) > 0 && st.Task == "" && cl != strconv.Itoa(got.Body.Len()) {
+			if cl := got.Header().Get("Content-Length"); len(st.Result) > 0 && cl != strconv.Itoa(got.Body.Len()) {
 				t.Errorf("%s/%s: Content-Length %q for a %d-byte body", kind, name, cl, got.Body.Len())
 			}
 		}
@@ -419,32 +418,6 @@ func firstTouch(t *testing.T, entry string) {
 	}
 }
 
-// TestSweepCorruptEntry: a sweep over a torn entry must run the job. With
-// an existence check it answered "done" for the key and never started
-// it, and the status poll that followed deleted the entry and returned
-// 404 — the result was unobtainable.
-func TestSweepCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Options{Workers: 1, Store: dir})
-	spec := fastSpec()
-	path := corruptEntry(t, dir, spec, tornResult)
-
-	body, _ := json.Marshal(SweepRequest{Runs: []sim.RunSpec{spec}})
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := readAllBody(resp)
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("HTTP %d, %v: %s", resp.StatusCode, err, rb)
-	}
-	rep := pollTerminal(t, ts.URL, spec.Key())
-	if rep.State != StateDone || rep.Result == nil || rep.Result.Insts != spec.Insts {
-		t.Fatalf("polled reply %+v (error %q), want done with the result", rep.JobStatus, rep.Error)
-	}
-	checkRecomputed(t, s, path, spec)
-}
-
 // TestClientReplies: what the client makes of each reply shape, over a
 // scripted server. The typed reply decodes in one pass, so these are the
 // cases the envelope-then-result decode used to tell apart.
@@ -482,7 +455,6 @@ func TestClientReplies(t *testing.T) {
 		// The server's encoder escapes quotes and HTML characters; the
 		// error reads as the server wrote it.
 		{name: "escaped error", post: string(escaped), wantErr: `job k1 failed: a "quoted" <failure> & ü`},
-		{name: "task-carrying status", post: `{"key":"k1","kind":"run","state":"done","submitted_unix_ns":1,"result":{"Cycles":12,"Insts":7},"task":"ckpt abc running"}`},
 		{name: "trailing garbage", post: done + `{}`, wantErr: "decode job status"},
 		// A waited submission is answered once its job is terminal. The
 		// client used to poll the kind-blind status route on anything else,
@@ -547,7 +519,7 @@ func FuzzReply(f *testing.F) {
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(JobStatus{Key: "k1", Kind: "run", State: StateDone,
-		Error: `"<&>" ü`, Submitted: 1, Started: 22, Finished: 333, Result: res, Task: "ckpt abc running"}); err != nil {
+		Error: `"<&>" ü`, Submitted: 1, Started: 22, Finished: 333, Result: res}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -617,7 +589,7 @@ func TestReadReply(t *testing.T) {
 	}
 }
 
-// Tests of the kind on every route: status, events and admission.
+// Tests of the kind on every route, and of admission.
 
 // getStatus GETs a status route and decodes the reply when it is a 200.
 func getStatus(t *testing.T, url string) (int, JobStatus) {
@@ -639,58 +611,14 @@ func getStatus(t *testing.T, url string) (int, JobStatus) {
 	return resp.StatusCode, st
 }
 
-// readEvents reads an event stream to its end: JSONL, or with sse the
-// frames a text/event-stream client gets, each of which must be an
-// `event: state` frame.
-func readEvents(t *testing.T, url string, sse bool) (int, []JobStatus) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantType, sep, prefix := "application/x-ndjson", "\n", ""
-	if sse {
-		req.Header.Set("Accept", "text/event-stream")
-		wantType, sep, prefix = "text/event-stream", "\n\n", "event: state\ndata: "
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := readAllBody(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, nil
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wantType {
-		t.Errorf("GET %s: Content-Type %q, want %q", url, ct, wantType)
-	}
-	frames := strings.Split(string(rb), sep)
-	if frames[len(frames)-1] != "" {
-		t.Errorf("GET %s: stream ends mid-frame: %q", url, rb)
-	}
-	var evs []JobStatus
-	for _, frame := range frames[:len(frames)-1] {
-		data, ok := strings.CutPrefix(frame, prefix)
-		var st JobStatus
-		if err := json.Unmarshal([]byte(data), &st); !ok || err != nil {
-			t.Fatalf("GET %s: bad frame %q: %v", url, frame, err)
-		}
-		evs = append(evs, st)
-	}
-	return resp.StatusCode, evs
-}
-
 // TestKindRoutes: a job is its kind and its key on every route. An
 // analysis and a footprint of one AnalysisSpec share a content key; each
-// row's status route answers with the row's own result, and its event
-// stream (JSONL and SSE) with the row's own state, both live and after a
-// restart over the store. The other rows' routes do not know the key.
-// Before the status and events routes named the kind, the footprint's key
-// was answered with the analysis, which decodes to an all-zero
-// crisp.Footprint.
+// row's status route answers with the row's own result, both live and
+// after a restart over the store. The other rows' routes do not know the
+// key. Before the status route named the kind, the footprint's key was
+// answered with the analysis, which decodes to an all-zero
+// crisp.Footprint. The mux has no other route: a key's events and a batch
+// of specs are 404s, as the endpoint list in cmd/crispd says.
 func TestKindRoutes(t *testing.T) {
 	pipe := runner.AnalysisSpec{Workload: "pointerchase", Insts: 20_000, Opts: crisp.DefaultOptions()}
 	key := pipe.Key()
@@ -718,20 +646,19 @@ func TestKindRoutes(t *testing.T) {
 			if code != http.StatusOK || st.Kind != k.name || st.State != StateDone || !bytes.Equal(st.Result, posted[k]) {
 				t.Errorf("GET %s/{key}: HTTP %d, kind %q, state %s, result %.80s; want the %s POST's result", k.path, code, st.Kind, st.State, st.Result, k.name)
 			}
-			for _, sse := range []bool{false, true} {
-				code, evs := readEvents(t, url+k.path+"/"+key+"/events", sse)
-				if code != http.StatusOK || len(evs) != 1 || evs[0].Kind != k.name || evs[0].Key != key || evs[0].State != StateDone || evs[0].Result != nil {
-					t.Errorf("GET %s/{key}/events (sse %v): HTTP %d, events %+v; want one done %s snapshot", k.path, sse, code, evs, k.name)
-				}
-			}
 		}
 		for _, k := range []*kind{runKind, multiKind} {
 			if code, _ := getStatus(t, url+k.path+"/"+key); code != http.StatusNotFound {
 				t.Errorf("GET %s/{key} of a pipeline key: HTTP %d, want 404", k.path, code)
 			}
-			if code, _ := readEvents(t, url+k.path+"/"+key+"/events", false); code != http.StatusNotFound {
-				t.Errorf("GET %s/{key}/events of a pipeline key: HTTP %d, want 404", k.path, code)
+		}
+		for _, k := range kinds {
+			if code, _ := getStatus(t, url+k.path+"/"+key+"/events"); code != http.StatusNotFound {
+				t.Errorf("GET %s/{key}/events: HTTP %d, want 404", k.path, code)
 			}
+		}
+		if resp, rb := postSpec(t, url+"/v1/sweeps", map[string]any{"runs": []sim.RunSpec{fastSpec()}}); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST /v1/sweeps: HTTP %d (%s), want 404", resp.StatusCode, rb)
 		}
 	}
 	t.Run("live", func(t *testing.T) { check(t, ts1.URL) })
@@ -747,71 +674,29 @@ func TestKindRoutes(t *testing.T) {
 	})
 }
 
-// TestEventsSSE: a client that asks for text/event-stream follows a live
-// job in `event: state` frames to its terminal state.
-func TestEventsSSE(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	spec := fastSpec()
-	if resp, rb := postSpec(t, ts.URL+"/v1/runs", spec); resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
-	}
-	code, evs := readEvents(t, ts.URL+"/v1/runs/"+spec.Key()+"/events", true)
-	if code != http.StatusOK || len(evs) == 0 {
-		t.Fatalf("HTTP %d, %d events", code, len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Key != spec.Key() || ev.Kind != runner.KindRun {
-			t.Errorf("event %+v, want key %s kind run", ev, spec.Key())
-		}
-	}
-	if last := evs[len(evs)-1]; last.State != StateDone {
-		t.Errorf("stream ended at state %s, want done", last.State)
-	}
-}
-
-// TestDrainAnswersHeld: a submission is a sweep of one spec, so both POST
-// paths admit alike while draining: fresh work is refused with 503 and
-// held results are answered. A sweep of one spec the table holds and one
-// only the store holds gets 202 with both done; the same sweep with one
-// fresh spec more gets 503 and starts nothing.
+// TestDrainAnswersHeld: while draining, fresh work is refused with 503
+// and held results are answered: a result held in the table and one only
+// the store holds are both served done, and a fresh spec gets 503, starts
+// nothing and has no status.
 func TestDrainAnswersHeld(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, Store: t.TempDir()})
 	inTable, inStore := fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
 	fresh := sim.RunSpec{Workload: "pointerchase", Insts: 22_000}
-	serveResult(t, ts.URL, inTable)
-	publish(t, s, inStore, 1234)
+	tableRaw := serveResult(t, ts.URL, inTable)
+	storeRaw := publish(t, s, inStore, 1234)
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sweep := func(runs ...sim.RunSpec) (int, []byte) {
-		t.Helper()
-		body, _ := json.Marshal(SweepRequest{Runs: runs})
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := readAllBody(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, rb
-	}
 	executed := s.Runner().Stats().Executed
 
-	code, rb := sweep(inTable, inStore)
-	var sr SweepResponse
-	if err := json.Unmarshal(rb, &sr); code != http.StatusAccepted || err != nil || len(sr.Jobs) != 2 {
-		t.Fatalf("sweep of held specs while draining: HTTP %d: %s; want 202 and two statuses", code, rb)
-	}
-	for i, spec := range []sim.RunSpec{inTable, inStore} {
-		if st := sr.Jobs[i]; st.Key != spec.Key() || st.State != StateDone || st.Result != nil {
-			t.Errorf("job %d: %+v, want done under %s without a result", i, st, spec.Key())
+	for _, held := range []struct {
+		spec sim.RunSpec
+		raw  []byte
+	}{{inTable, tableRaw}, {inStore, storeRaw}} {
+		if got := serveResult(t, ts.URL, held.spec); !bytes.Equal(got, held.raw) {
+			t.Errorf("held %s while draining: served %.200s, want %.200s", held.spec.Key(), got, held.raw)
 		}
 	}
-	if code, rb := sweep(inTable, inStore, fresh); code != http.StatusServiceUnavailable {
-		t.Errorf("sweep with a fresh spec while draining: HTTP %d: %s; want 503", code, rb)
-	}
-	serveResult(t, ts.URL, inStore) // a single held spec is answered
 	if resp, rb := postSpec(t, ts.URL+"/v1/runs", fresh); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("fresh submission while draining: HTTP %d: %s; want 503", resp.StatusCode, rb)
 	}
@@ -823,9 +708,49 @@ func TestDrainAnswersHeld(t *testing.T) {
 	}
 }
 
-// TestAdmitConcurrent: sweeps and single submissions of two overlapping
-// specs race through the one admission path; each spec is simulated once,
-// and every reply names its own key. Run with -race.
+// TestAdmitAtQueueLimit: with the queue full, admission still answers what
+// needs no new job. A resubmission of the queued spec attaches (202 under
+// its key) and a result the store holds is served (200); only a fresh spec
+// is refused, with 429 and Retry-After. Nothing of it executes.
+func TestAdmitAtQueueLimit(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, Queue: 1, Store: t.TempDir()})
+	// Cancel the slow job and wait for it before the store directory is
+	// removed: Close only cancels, and the job's lock file may outlive it.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		s.Drain(ctx) //nolint:errcheck // a forced drain reports the cancellation
+	})
+	slow, stored, fresh := slowSpec(), fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
+	storedRaw := publish(t, s, stored, 1234)
+	executed := func(step string) {
+		t.Helper()
+		if ex := s.Runner().Stats().Executed; ex != 0 {
+			t.Errorf("%s: Executed = %d, want 0", step, ex)
+		}
+	}
+	for _, step := range []string{"the queue filler", "its resubmission"} {
+		resp, rb := postSpec(t, ts.URL+"/v1/runs", slow)
+		var st JobStatus
+		if err := json.Unmarshal(rb, &st); err != nil || resp.StatusCode != http.StatusAccepted || st.Key != slow.Key() || st.State.terminal() {
+			t.Fatalf("%s: HTTP %d: %s; want 202 and a live job under %s", step, resp.StatusCode, rb, slow.Key())
+		}
+		executed(step)
+	}
+	if got := serveResult(t, ts.URL, stored); !bytes.Equal(got, storedRaw) {
+		t.Errorf("stored result at the limit: served %.200s, want %.200s", got, storedRaw)
+	}
+	executed("the stored result")
+	resp, rb := postSpec(t, ts.URL+"/v1/runs", fresh)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("fresh spec at the limit: HTTP %d, Retry-After %q (%s); want 429 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"), rb)
+	}
+	executed("the fresh spec")
+}
+
+// TestAdmitConcurrent: submissions of two overlapping specs race through
+// the one admission path; each spec is simulated once, and every reply
+// names its own key. Run with -race.
 func TestAdmitConcurrent(t *testing.T) {
 	// With a store, lookup also reads the entries of jobs still queued
 	// or running, so -race sees it against their state changes.
@@ -836,8 +761,7 @@ func TestAdmitConcurrent(t *testing.T) {
 				opts.Store = t.TempDir()
 			}
 			s, _ := newTestServer(t, opts)
-			a, b := fastSpec(), sim.RunSpec{Workload: "pointerchase", Insts: 21_000}
-			sweep, _ := json.Marshal(SweepRequest{Runs: []sim.RunSpec{a, b, a}})
+			specs := []sim.RunSpec{fastSpec(), {Workload: "pointerchase", Insts: 21_000}}
 			h := s.Handler()
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -845,19 +769,9 @@ func TestAdmitConcurrent(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for n := 0; n < 20; n++ {
-						rec := httptest.NewRecorder()
-						if (g+n)%2 == 0 {
-							h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(sweep)))
-							var sr SweepResponse
-							if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusAccepted || len(sr.Jobs) != 3 ||
-								sr.Jobs[0].Key != a.Key() || sr.Jobs[1].Key != b.Key() || sr.Jobs[2].Key != a.Key() {
-								t.Errorf("goroutine %d: sweep: HTTP %d: %s", g, rec.Code, rec.Body)
-								return
-							}
-							continue
-						}
-						spec := []sim.RunSpec{a, b}[n%2]
+						spec := specs[(g+n)%2]
 						body, _ := json.Marshal(spec)
+						rec := httptest.NewRecorder()
 						h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
 						var st JobStatus
 						if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusOK || st.State != StateDone || st.Key != spec.Key() {
@@ -876,27 +790,28 @@ func TestAdmitConcurrent(t *testing.T) {
 }
 
 // TestStatusPollsLiveJobs: status polls on a server with a store race
-// the state changes of a sweep's jobs from queued to done; each poll
-// reads an entry's state under the table's lock. Run with -race.
+// the state changes of twelve submitted jobs from queued to done; each
+// poll reads an entry's state under the table's lock. Run with -race.
 func TestStatusPollsLiveJobs(t *testing.T) {
 	s, _ := newTestServer(t, Options{Workers: 1, Store: t.TempDir()})
-	var sweep SweepRequest
-	for i := 0; i < 12; i++ {
-		sweep.Runs = append(sweep.Runs, sim.RunSpec{Workload: "pointerchase", Insts: 20_000 + 1000*uint64(i)})
-	}
-	body, _ := json.Marshal(sweep)
 	h := s.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("sweep: HTTP %d: %s", rec.Code, rec.Body)
+	var specs []sim.RunSpec
+	for i := 0; i < 12; i++ {
+		spec := sim.RunSpec{Workload: "pointerchase", Insts: 20_000 + 1000*uint64(i)}
+		specs = append(specs, spec)
+		body, _ := json.Marshal(spec)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submission %d: HTTP %d: %s", i, rec.Code, rec.Body)
+		}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, spec := range sweep.Runs {
+			for _, spec := range specs {
 				for {
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+spec.Key(), nil))
@@ -917,23 +832,4 @@ func TestStatusPollsLiveJobs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSweepBodyMatchesSweepRequest: the server reads a sweep as
-// sweepBody, which keeps each spec raw for its row's decoder, and clients
-// marshal SweepRequest. The two name the same JSON fields, so a field
-// added to one and not the other fails here, not in every client sweep.
-func TestSweepBodyMatchesSweepRequest(t *testing.T) {
-	jsonNames := func(typ reflect.Type) map[string]string {
-		names := map[string]string{}
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			names[f.Name], _, _ = strings.Cut(f.Tag.Get("json"), ",")
-		}
-		return names
-	}
-	req, body := jsonNames(reflect.TypeFor[SweepRequest]()), jsonNames(reflect.TypeFor[sweepBody]())
-	if !reflect.DeepEqual(req, body) {
-		t.Errorf("SweepRequest fields %v, sweepBody fields %v; want the same JSON names", req, body)
-	}
 }

@@ -3,8 +3,9 @@
 // the kinds in its kind table (kinds.go: one row per kind, from which the
 // routes, the decoder and gate, the store loaders and the client's paths
 // all come) from many clients, deduplicates them against its job table
-// and the persistent store, executes them on a bounded worker pool, and
-// streams progress.
+// and the persistent store, and executes them on a bounded worker pool.
+// Each kind has one way in, POST {path}, and one way out, GET
+// {path}/{key}.
 //
 // The layering is strict: crispd adds no simulation semantics. A spec's
 // kind and content key are its identity here exactly as they are in the
@@ -40,12 +41,10 @@ import (
 	"net/http"
 	"runtime/metrics"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"crisp/internal/runner"
-	"crisp/internal/sim"
 )
 
 // Options configure a Server.
@@ -110,7 +109,6 @@ type job struct {
 	submitted, started, finished time.Time
 	raw                          json.RawMessage // a done entry's wire bytes, its one copy; never mutated
 	done                         chan struct{}
-	subs                         []chan JobStatus
 	elem                         *list.Element // on Server.lru while done and in the table
 }
 
@@ -152,39 +150,17 @@ func (s *Server) Runner() *runner.Runner { return s.r }
 
 // onTaskEvent marks a job running when the runner grants its task a
 // worker token. Terminal states are set by the job goroutine instead,
-// which has the result in hand; dependency tasks (analyses) have their
-// own keys and only update jobs that were submitted for them directly.
-//
-// Checkpoint-set captures are the exception: a cold sampled submission
-// spends its first seconds fast-forwarding inside the capture, which
-// looks like a silently stuck "running" job. The runner emits lifecycle
-// events for the capture's own key, but cannot attribute it to the job
-// that triggered it, so capture events are fanned out as Task
-// annotations to every live subscriber — they describe store-level
-// activity, never change any job's state.
+// which has the result in hand; dependency tasks (analyses, checkpoint
+// sets) have their own keys and only update jobs that were submitted for
+// them directly.
 func (s *Server) onTaskEvent(ev runner.TaskEvent) {
+	if ev.State != runner.TaskRunning {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ev.Kind == runner.KindCkpt || ev.Kind == runner.KindMultiCkpt {
-		note := fmt.Sprintf("%s %s %s", ev.Kind, ev.Key, ev.State)
-		if ev.Err != nil {
-			note += ": " + ev.Err.Error()
-		}
-		for _, j := range s.jobs {
-			if !j.state.terminal() && len(j.subs) > 0 {
-				j.notifyLocked(note)
-			}
-		}
-		return
-	}
-	j := s.jobs[jobID{ev.Kind, ev.Key}]
-	if j == nil || j.state.terminal() {
-		return
-	}
-	if ev.State == runner.TaskRunning && j.state == StateQueued {
-		j.state = StateRunning
-		j.started = time.Now()
-		j.notifyLocked("")
+	if j := s.jobs[jobID{ev.Kind, ev.Key}]; j != nil && j.state == StateQueued {
+		j.state, j.started = StateRunning, time.Now()
 	}
 }
 
@@ -235,24 +211,16 @@ func (s *Server) execute(j *job, timeout time.Duration, exec execFunc) {
 		s.keepLocked(j)
 	}
 	s.active--
-	j.notifyLocked("")
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
 	close(j.done)
 }
 
-// statusLocked renders the job as wire state. With withResult the
-// status shares the job's encoded bytes (read-only once done): no
-// encoding happens under s.mu.
-func (j *job) statusLocked(withResult bool) JobStatus {
-	st := JobStatus{Key: j.id.key, Kind: j.id.kind, State: j.state, Submitted: unixNS(j.submitted), Started: unixNS(j.started), Finished: unixNS(j.finished)}
+// statusLocked renders the job as wire state. The status shares the
+// job's encoded bytes (read-only once done): no encoding happens under
+// s.mu.
+func (j *job) statusLocked() JobStatus {
+	st := JobStatus{Key: j.id.key, Kind: j.id.kind, State: j.state, Submitted: unixNS(j.submitted), Started: unixNS(j.started), Finished: unixNS(j.finished), Result: j.raw}
 	if j.err != nil {
 		st.Error = j.err.Error()
-	}
-	if withResult {
-		st.Result = j.raw
 	}
 	return st
 }
@@ -262,21 +230,6 @@ func unixNS(t time.Time) int64 {
 		return 0
 	}
 	return t.UnixNano()
-}
-
-// notifyLocked fans the (result-free) status, annotated with task, out
-// to subscribers without blocking: the channels are buffered beyond the
-// number of lifecycle transitions, so a send can only be dropped on a
-// subscriber that has already stopped reading.
-func (j *job) notifyLocked(task string) {
-	st := j.statusLocked(false)
-	st.Task = task
-	for _, ch := range j.subs {
-		select {
-		case ch <- st:
-		default:
-		}
-	}
 }
 
 // lookup finds the entry for (k, key) in the order every request
@@ -343,35 +296,6 @@ func (s *Server) keepLocked(j *job) {
 	}
 }
 
-// subscribe registers a progress listener for (k, key), returning the
-// current status alongside. A nil channel with ok=true means the job is
-// already terminal: the snapshot is all there is to stream.
-func (s *Server) subscribe(k *kind, key string) (cur JobStatus, ch chan JobStatus, cancel func(), ok bool) {
-	j := s.lookup(k, key)
-	if j == nil {
-		return JobStatus{}, nil, nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur = j.statusLocked(false)
-	if j.state.terminal() {
-		return cur, nil, func() {}, true
-	}
-	ch = make(chan JobStatus, 8)
-	j.subs = append(j.subs, ch)
-	cancel = func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i, c := range j.subs {
-			if c == ch {
-				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				break
-			}
-		}
-	}
-	return cur, ch, cancel, true
-}
-
 // Drain stops accepting new work and waits for in-flight jobs to finish
 // and publish. When ctx expires first, the remaining jobs are cancelled
 // — their runner tasks unwind through the deferred lock releases, so
@@ -415,16 +339,14 @@ func (s *Server) Handler() http.Handler {
 	for _, k := range kinds {
 		mux.HandleFunc("POST "+k.path, func(w http.ResponseWriter, req *http.Request) { s.handleSubmit(w, req, k) })
 		mux.HandleFunc("GET "+k.path+"/{key}", func(w http.ResponseWriter, req *http.Request) { s.handleStatus(w, req, k) })
-		mux.HandleFunc("GET "+k.path+"/{key}/events", func(w http.ResponseWriter, req *http.Request) { s.handleEvents(w, req, k) })
 	}
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweeps)
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// maxSpecBytes bounds request bodies: specs are small; a sweep of
-// thousands of specs still fits comfortably.
+// maxSpecBytes bounds request bodies: specs are small; a co-run of many
+// cores still fits comfortably.
 const maxSpecBytes = 8 << 20
 
 func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
@@ -447,10 +369,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // is canonical already (json.Marshal output, the only way bytes enter a
 // table entry), so compacting and re-validating it per response is pure
 // cost. The small head is marshalled and the result spliced in as the
-// last field, which it is unless Task is set.
+// last field, where the encoder puts it.
 func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	raw := st.Result
-	if len(raw) == 0 || st.Task != "" {
+	if len(raw) == 0 {
 		writeJSON(w, code, st)
 		return
 	}
@@ -471,70 +393,38 @@ func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
 	w.Write(body) //nolint:errcheck // client gone = nothing to do
 }
 
-// item is one spec on its way through admit: its row and what the row's
-// job made of it, then the entry that answers for it and that entry's
-// status at admission.
-type item struct {
-	k    *kind
-	key  string
-	exec execFunc
-	j    *job
-	st   JobStatus
-}
-
 // live reports whether j is an entry that answers for its id: queued,
 // running or done.
 func live(j *job) bool { return j != nil && j.state != StateFailed }
 
-// admit is the one admission path: a submission is a sweep of one spec.
-// Results this server holds, or another process (or a previous life of
-// this server) published, are found outside the lock and cost no queue
-// slot. The rest are admitted as one atomic step under it: while draining
-// or when the fresh jobs overflow the queue none of them start, since a
-// half-admitted sweep would deadlock clients that wait for all their keys.
-// On success every item holds its entry and status, result included.
-func (s *Server) admit(items []item, timeout time.Duration) error {
-	for i := range items {
-		items[i].j = s.lookup(items[i].k, items[i].key)
-	}
+// admit is the one admission path. A result this server holds, or another
+// process (or a previous life of this server) published, is found outside
+// the lock and costs no queue slot; a queued or running job of the same
+// spec is attached to. Only fresh work is refused: while draining, and when
+// the queue is full. A failed entry is replaced, so resubmission restarts
+// it. It returns the entry that answers and its status, result included.
+func (s *Server) admit(k *kind, key string, exec execFunc, timeout time.Duration) (*job, JobStatus, error) {
+	j := s.lookup(k, key)
+	id := jobID{k.name, key}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh := 0
-	var seen map[jobID]bool // the ids that start a job; made only if there is one
-	for _, it := range items {
-		id := jobID{it.k.name, it.key}
-		if live(it.j) || live(s.jobs[id]) || seen[id] {
-			continue // attaches: to what lookup found, what came since, or what this batch starts
-		}
-		if seen == nil {
-			seen = make(map[jobID]bool, len(items))
-		}
-		seen[id] = true
-		fresh++
+	if !live(j) {
+		j = s.jobs[id] // what came since lookup
 	}
-	switch {
-	case fresh == 0:
-	case s.draining:
-		return errDraining
-	case s.active+fresh > s.queueLimit:
-		return fmt.Errorf("%w: %d new jobs over limit %d", errBusy, fresh, s.queueLimit)
-	}
-	for i := range items {
-		it := &items[i]
-		id := jobID{it.k.name, it.key}
-		if !live(it.j) {
-			it.j = s.jobs[id]
+	if !live(j) {
+		switch {
+		case s.draining:
+			return nil, JobStatus{}, errDraining
+		case s.active >= s.queueLimit:
+			return nil, JobStatus{}, fmt.Errorf("%w: limit %d", errBusy, s.queueLimit)
 		}
-		if !live(it.j) { // a new job; a failed predecessor is replaced, so resubmission restarts
-			it.j = &job{id: id, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
-			s.jobs[id] = it.j
-			s.active++
-			s.wg.Add(1)
-			go s.execute(it.j, timeout, it.exec)
-		}
-		it.st = it.j.statusLocked(true)
+		j = &job{id: id, state: StateQueued, submitted: time.Now(), done: make(chan struct{})}
+		s.jobs[id] = j
+		s.active++
+		s.wg.Add(1)
+		go s.execute(j, timeout, exec)
 	}
-	return nil
+	return j, j.statusLocked(), nil
 }
 
 // handleSubmit is the one submission handler: the row's job, admission,
@@ -553,20 +443,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	it := [1]item{{k: k, key: key, exec: exec}}
-	if err := s.admit(it[:], timeout); err != nil {
+	j, st, err := s.admit(k, key, exec, timeout)
+	if err != nil {
 		refuse(w, err)
 		return
 	}
-	st := it[0].st
 	if wantWait(req) && !st.State.terminal() {
 		select {
-		case <-it[0].j.done:
+		case <-j.done:
 		case <-req.Context().Done():
 			return // client gone; the job keeps running for other attachers
 		}
 		s.mu.Lock()
-		st = it[0].j.statusLocked(true)
+		st = j.statusLocked()
 		s.mu.Unlock()
 	}
 	code := http.StatusAccepted
@@ -574,59 +463,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request, k *kind)
 		code = http.StatusOK
 	}
 	writeStatus(w, code, st)
-}
-
-// sweepBody is SweepRequest as the server reads it, each spec raw for its
-// row's job; TestSweepBodyMatchesSweepRequest keeps their fields in step.
-type sweepBody struct {
-	Runs    []json.RawMessage `json:"runs"`
-	Multis  []json.RawMessage `json:"multis"`
-	Timeout string            `json:"timeout"`
-}
-
-func (s *Server) handleSweeps(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	var sb sweepBody
-	if err := sim.DecodeStrict(body, &sb); err != nil {
-		http.Error(w, fmt.Sprintf("decode sweep: %v", err), http.StatusBadRequest)
-		return
-	}
-	var timeout time.Duration
-	if sb.Timeout != "" {
-		var err error
-		if timeout, err = time.ParseDuration(sb.Timeout); err != nil || timeout < 0 {
-			http.Error(w, fmt.Sprintf("bad sweep timeout %q", sb.Timeout), http.StatusBadRequest)
-			return
-		}
-	}
-	items := make([]item, 0, len(sb.Runs)+len(sb.Multis))
-	add := func(k *kind, field string, specs []json.RawMessage) bool {
-		for i, raw := range specs {
-			key, exec, err := k.job(s.r, raw)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("%s[%d]: %v", field, i, err), http.StatusBadRequest)
-				return false
-			}
-			items = append(items, item{k: k, key: key, exec: exec})
-		}
-		return true
-	}
-	if !add(runKind, "runs", sb.Runs) || !add(multiKind, "multis", sb.Multis) {
-		return
-	}
-	if err := s.admit(items, timeout); err != nil {
-		refuse(w, err)
-		return
-	}
-	resp := SweepResponse{Jobs: make([]JobStatus, len(items))}
-	for i, it := range items {
-		resp.Jobs[i] = it.st
-		resp.Jobs[i].Result = nil
-	}
-	writeJSON(w, http.StatusAccepted, resp)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request, k *kind) {
@@ -637,69 +473,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request, k *kind)
 		return
 	}
 	s.mu.Lock()
-	st := j.statusLocked(true)
+	st := j.statusLocked()
 	s.mu.Unlock()
 	writeStatus(w, http.StatusOK, st)
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request, k *kind) {
-	key := req.PathValue("key")
-	cur, ch, cancel, ok := s.subscribe(k, key)
-	if !ok {
-		http.Error(w, "unknown "+k.name+" key "+key, http.StatusNotFound)
-		return
-	}
-	defer cancel()
-
-	flusher, canFlush := w.(http.Flusher)
-	sse := strings.Contains(req.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	emit := func(st JobStatus) {
-		b, err := json.Marshal(st)
-		if err != nil {
-			return
-		}
-		if sse {
-			fmt.Fprintf(w, "event: state\ndata: %s\n\n", b)
-		} else {
-			w.Write(append(b, '\n')) //nolint:errcheck // detected via Context below
-		}
-		if canFlush {
-			flusher.Flush()
-		}
-	}
-	emit(cur)
-	if cur.State.terminal() || ch == nil {
-		return
-	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case st, open := <-ch:
-			if !open {
-				return
-			}
-			emit(st)
-			if st.State.terminal() {
-				return
-			}
-		case <-req.Context().Done():
-			return
-		case <-heartbeat.C:
-			if sse {
-				fmt.Fprint(w, ": heartbeat\n\n")
-				if canFlush {
-					flusher.Flush()
-				}
-			}
-		}
-	}
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, req *http.Request) {

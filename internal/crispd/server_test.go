@@ -1,11 +1,9 @@
 package crispd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -325,125 +323,16 @@ func TestClientRetriesBackpressure(t *testing.T) {
 	}
 }
 
-// status polls GET {path}/{key}, the status route of path's kind.
-func status[T any](ctx context.Context, c *Client, path, key string) (reply[T], error) {
-	resp, rb, err := c.do(ctx, http.MethodGet, path+"/"+key, nil)
-	if err != nil {
-		return reply[T]{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return reply[T]{}, fmt.Errorf("crispd client: status %s: %s: %s", key, resp.Status, strings.TrimSpace(string(rb)))
-	}
-	return decodeReply[T](rb)
-}
-
-// pollTerminal polls a run job's status until it is done or failed.
-func pollTerminal(t *testing.T, url, key string) reply[core.Result] {
-	t.Helper()
-	c := NewClient(url)
-	for {
-		rep, err := status[core.Result](context.Background(), c, runKind.path, key)
-		if err != nil {
-			t.Fatalf("poll %s: %v", key, err)
-		}
-		if rep.State.terminal() {
-			return rep
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestSweep: a batch with duplicate specs dedups inside the batch and
-// across it; polling the returned keys converges to done.
-func TestSweep(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2})
-	a := fastSpec()
-	b := sim.RunSpec{Workload: "pointerchase", Insts: 30_000}
-	req := SweepRequest{Runs: []sim.RunSpec{a, b, a}} // a twice
-
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := readAllBody(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
-	}
-	var sr SweepResponse
-	if err := json.Unmarshal(rb, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Jobs) != 3 {
-		t.Fatalf("%d job statuses, want 3 (request order)", len(sr.Jobs))
-	}
-	if sr.Jobs[0].Key != a.Key() || sr.Jobs[1].Key != b.Key() || sr.Jobs[2].Key != a.Key() {
-		t.Error("sweep response out of request order")
-	}
-
-	for _, key := range []string{a.Key(), b.Key()} {
-		if st := pollTerminal(t, ts.URL, key); st.State != StateDone {
-			t.Errorf("job %s: state %s (error %q)", key, st.State, st.Error)
-		}
-	}
-	if st := s.Runner().Stats(); st.Executed != 2 {
-		t.Errorf("Executed = %d, want 2 (a deduped within the sweep)", st.Executed)
-	}
-}
-
-// TestEventsStream: the JSONL progress stream replays the current state
-// and ends with a terminal event.
-func TestEventsStream(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	spec := fastSpec()
-	if resp, rb := postSpec(t, ts.URL+"/v1/runs", spec); resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d: %s", resp.StatusCode, rb)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/runs/" + spec.Key() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type %q, want application/x-ndjson", ct)
-	}
-	var last JobStatus
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatalf("bad event line %q: %v", sc.Text(), err)
-		}
-		if last.Key != spec.Key() {
-			t.Errorf("event for key %s, want %s", last.Key, spec.Key())
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if last.State != StateDone {
-		t.Errorf("stream ended at state %s, want done", last.State)
-	}
-}
-
 // TestRejects: a body that is not exactly one valid, bounded spec of the
 // route's kind is a 400 on every POST route, and starts nothing; unknown
 // keys are 404s.
 func TestRejects(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	// The cases are written for a run (and read as a pipeline spec too);
-	// these two routes take one inside a larger request, so the same defect
-	// sits in an otherwise well-formed body of that route.
+	// The cases are written for a run (and read as a pipeline spec too); a
+	// multi takes one inside a larger request, so the same defect sits in an
+	// otherwise well-formed co-run.
 	wraps := map[string]func(run string) string{
 		multiKind.path: func(run string) string { return `{"cores":[` + run + `]}` },
-		"/v1/sweeps":   func(run string) string { return `{"runs":[` + run + `]}` },
-	}
-	routes := []string{"/v1/sweeps"}
-	for _, k := range kinds {
-		routes = append(routes, k.path)
 	}
 	cases := []struct {
 		name, run string
@@ -466,7 +355,8 @@ func TestRejects(t *testing.T) {
 		}
 	}
 	const valid = `{"workload":"mcf","insts":2000}`
-	for _, route := range routes {
+	for _, k := range kinds {
+		route := k.path
 		wrap := wraps[route]
 		if wrap == nil {
 			wrap = func(run string) string { return run }

@@ -267,7 +267,7 @@ ROB                            %d entries
 Reservation station            %d entries (unified)
 Baseline scheduler             %d-oldest-ready-instructions-first
 Data prefetcher                %s
-Instruction prefetcher         FDIP, FTQ %d entries
+Instruction prefetcher         next-three-line instruction prefetch, fetch queue %d µops
 Load buffer                    %d entries
 Store buffer                   %d entries
 L1I                            %d KiB, %d-way, %d cycles

@@ -44,8 +44,8 @@ type Options struct {
 	// OnEvent, when non-nil, observes every owned task's lifecycle
 	// (queued → running → done/failed). The callback runs on task
 	// goroutines with no runner locks held; it must be fast and must not
-	// call back into the runner synchronously. crispd uses it to track
-	// job state and stream progress to HTTP clients.
+	// call back into the runner synchronously. crispd uses it to mark a
+	// submitted job running.
 	OnEvent func(TaskEvent)
 	// Remote, when non-nil, delegates run/multi/analysis/footprint tasks
 	// to a crispd job server instead of simulating locally. Mutually
